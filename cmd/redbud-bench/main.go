@@ -13,15 +13,30 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"redbud/internal/bench"
 	"redbud/internal/obs"
 )
 
+// figures are the values -fig accepts.
+var figures = []string{"3", "4", "5", "6", "7", "autoscale", "obs", "visibility", "shards", "all"}
+
+// checkFig rejects a -fig value that names no figure, so a typo fails the run
+// instead of printing nothing and exiting 0.
+func checkFig(name string) error {
+	for _, f := range figures {
+		if name == f {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown figure %q; valid figures: %s", name, strings.Join(figures, ", "))
+}
+
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate: 3, 4, 5, 6, 7, autoscale, obs, visibility, shards or all (autoscale, obs, visibility and shards run only when named)")
+		fig     = flag.String("fig", "all", "figure to regenerate: "+strings.Join(figures, ", ")+" (autoscale, obs, visibility and shards run only when named)")
 		clients = flag.Int("clients", 7, "number of client nodes")
 		scale   = flag.Float64("scale", 0.02, "virtual-time compression in (0, 1]")
 		size    = flag.Float64("size", 0.5, "workload size factor in (0, 1]")
@@ -33,6 +48,10 @@ func main() {
 		shJSON  = flag.String("shards-json", "BENCH_shards.json", "path for the namespace-sharding report when -fig shards (empty disables)")
 	)
 	flag.Parse()
+	if err := checkFig(*fig); err != nil {
+		fmt.Fprintf(os.Stderr, "redbud-bench: %v\n", err)
+		os.Exit(2)
+	}
 
 	opt := bench.DefaultOptions()
 	opt.Clients = *clients

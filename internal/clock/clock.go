@@ -73,11 +73,11 @@ func (c *realClock) After(d time.Duration) <-chan time.Time {
 		ch <- c.Now()
 		return ch
 	}
+	// A runtime timer, not a sleeping goroutine: a caller that stops
+	// listening (an RPC answered long before its timeout) leaves nothing
+	// parked behind.
 	wall := time.Duration(float64(d) * c.scale)
-	go func() {
-		time.Sleep(wall) //lint:allow wallclock — Real is the wall-clock bridge
-		ch <- c.Now()
-	}()
+	time.AfterFunc(wall, func() { ch <- c.Now() }) //lint:allow wallclock — Real is the wall-clock bridge
 	return ch
 }
 

@@ -302,7 +302,39 @@ func (s *Server) nsSpan(name string, tc proto.TraceCtx, start time.Time) {
 	})
 }
 
-// handle dispatches one decoded RPC operation.
+// completeCommit is the completion half of OpCommit: it waits for the applied
+// commit's journal record, then builds the reply and remembers it for
+// retransmissions.
+func (s *Server) completeCommit(req *proto.CommitReq, start time.Time, tc obs.SpanContext, durable func() error) ([]byte, error) {
+	if err := durable(); err != nil {
+		return nil, err
+	}
+	a, err := s.store.GetAttr(req.File)
+	if err != nil {
+		return nil, err
+	}
+	resp := proto.CommitResp{Size: a.Size}
+	out := wire.Encode(&resp)
+	end := s.clk.Now()
+	s.commitLat.ObserveDuration(end.Sub(start))
+	if s.cfg.Tracer.Enabled() && req.CommitID != 0 {
+		s.cfg.Tracer.RecordSpan(obs.Span{
+			Track: s.track, Name: obs.SpanMDSCommit, CommitID: req.CommitID,
+			TraceID: req.Trace.TraceID, SpanID: tc.SpanID, Parent: req.Trace.SpanID,
+			Start: start, End: end,
+		})
+	}
+	if req.CommitID != 0 {
+		// Only successful commits are remembered: a failed commit may
+		// legitimately succeed on retry, so it must reach the store.
+		s.dedup.record(req.Owner, req.CommitID, out)
+	}
+	return out, nil
+}
+
+// handle dispatches one decoded RPC operation. Operations that must wait for
+// the journal after they are applied leave the wait to the daemon as an
+// rpc.Pending completion.
 func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 	switch op {
 	case proto.OpPing:
@@ -427,30 +459,14 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 		if req.Trace.TraceID != 0 {
 			tc = obs.SpanContext{TraceID: req.Trace.TraceID, SpanID: obs.NewSpanID(req.Trace.SpanID, obs.SpanMDSCommit)}
 		}
-		if err := s.store.CommitTracedCtx(req.Owner, req.File, req.Extents, req.Size, req.MTime, req.CommitID, tc); err != nil {
-			return nil, err
-		}
-		a, err := s.store.GetAttr(req.File)
+		durable, err := s.store.BeginCommit(req.Owner, req.File, req.Extents, req.Size, req.MTime, req.CommitID, tc)
 		if err != nil {
 			return nil, err
 		}
-		resp := proto.CommitResp{Size: a.Size}
-		out := wire.Encode(&resp)
-		end := s.clk.Now()
-		s.commitLat.ObserveDuration(end.Sub(start))
-		if s.cfg.Tracer.Enabled() && req.CommitID != 0 {
-			s.cfg.Tracer.RecordSpan(obs.Span{
-				Track: s.track, Name: obs.SpanMDSCommit, CommitID: req.CommitID,
-				TraceID: req.Trace.TraceID, SpanID: tc.SpanID, Parent: req.Trace.SpanID,
-				Start: start, End: end,
-			})
-		}
-		if req.CommitID != 0 {
-			// Only successful commits are remembered: a failed commit may
-			// legitimately succeed on retry, so it must reach the store.
-			s.dedup.record(req.Owner, req.CommitID, out)
-		}
-		return out, nil
+		// Applied and on its way to the journal. The reply — and the dedup
+		// entry that would answer a retransmission — wait until the record is
+		// durable, but the daemon first applies the rest of the frame.
+		return nil, rpc.Pending(func() ([]byte, error) { return s.completeCommit(&req, start, tc, durable) })
 
 	case proto.OpDelegate:
 		var req proto.DelegateReq

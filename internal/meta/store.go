@@ -625,23 +625,33 @@ func insertExtent(list []Extent, e Extent) []Extent {
 // so commits to different files proceed in parallel and their journal
 // records coalesce in the group-commit batcher.
 func (s *Store) Commit(owner string, id FileID, exts []Extent, size int64, mtime time.Time) error {
-	return s.CommitTraced(owner, id, exts, size, mtime, 0)
+	durable, err := s.BeginCommit(owner, id, exts, size, mtime, 0, obs.SpanContext{})
+	if err != nil {
+		return err
+	}
+	return durable()
 }
 
-// CommitTraced is Commit carrying the client-assigned commit ID for span
-// correlation. The span timeline splits the call into lock wait (namespace +
-// stripe acquisition), apply (mutation under the stripe lock, including the
-// journal append handoff), and journal (the group-commit durability wait).
-// All spans are recorded after the locks are dropped so tracing can never
-// extend a lock hold.
-func (s *Store) CommitTraced(owner string, id FileID, exts []Extent, size int64, mtime time.Time, commitID uint64) error {
-	return s.CommitTracedCtx(owner, id, exts, size, mtime, commitID, obs.SpanContext{})
-}
-
-// CommitTracedCtx is CommitTraced carrying a propagated trace context: when
-// tc is non-zero the three store spans link under tc.SpanID (the MDS commit
-// handler span), stitching the store into the client's distributed trace.
-func (s *Store) CommitTracedCtx(owner string, id FileID, exts []Extent, size int64, mtime time.Time, commitID uint64, tc obs.SpanContext) error {
+// BeginCommit is the apply half of Commit: it validates and applies the
+// commit under the file's locks and hands its record to the journal, in that
+// lock's order. A rejected commit changes nothing and returns the error. On
+// success the returned function blocks until the record is durable; the
+// commit must not be acknowledged — nor remembered as executed — before it
+// returns nil. A caller with several commits in hand begins them all before
+// waiting for any, so their records share group-commit batches; that is safe
+// because commits to different files commute, and one file's commits reach
+// the journal in the order they were begun.
+//
+// commitID is the client-assigned commit ID for span correlation. The span
+// timeline splits the commit into lock wait (namespace + stripe acquisition),
+// apply (mutation under the stripe lock, including the journal append
+// handoff), and journal (record handed over → caller saw it durable, which
+// for a gathered wait includes the time the caller spent beginning other
+// commits). When tc is non-zero the three spans link under tc.SpanID (the
+// MDS commit handler span), stitching the store into the client's
+// distributed trace. All spans are recorded after the locks are dropped so
+// tracing can never extend a lock hold.
+func (s *Store) BeginCommit(owner string, id FileID, exts []Extent, size int64, mtime time.Time, commitID uint64, tc obs.SpanContext) (durable func() error, err error) {
 	traced := s.cfg.Tracer.Enabled() && commitID != 0
 	var lockStart, applyStart time.Time
 	if traced {
@@ -651,11 +661,11 @@ func (s *Store) CommitTracedCtx(owner string, id FileID, exts []Extent, size int
 	ino, ok := s.inodes[id]
 	if !ok {
 		s.ns.RUnlock()
-		return fmt.Errorf("%w: inode %d", ErrNotFound, id)
+		return nil, fmt.Errorf("%w: inode %d", ErrNotFound, id)
 	}
 	if ino.typ != TypeFile {
 		s.ns.RUnlock()
-		return fmt.Errorf("%w: inode %d", ErrIsDir, id)
+		return nil, fmt.Errorf("%w: inode %d", ErrIsDir, id)
 	}
 	st := s.stripe(id)
 	st.Lock()
@@ -665,28 +675,30 @@ func (s *Store) CommitTracedCtx(owner string, id FileID, exts []Extent, size int
 	if err := s.applyCommit(ino, owner, exts, size, mtime, true); err != nil {
 		st.Unlock()
 		s.ns.RUnlock()
-		return err
+		return nil, err
 	}
 	rec := &Record{Type: RecCommit, File: id, Owner: owner, Size: size, MTime: mtime, Extents: exts}
 	wait := s.journalAppend(rec)
 	st.Unlock()
 	s.ns.RUnlock()
 	if !traced {
-		return wait()
+		return wait, nil
 	}
 	jStart := s.clk.Now()
-	err := wait()
-	end := s.clk.Now()
-	s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSLockWait, CommitID: commitID,
-		TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSLockWait), Parent: tc.SpanID,
-		Start: lockStart, End: applyStart})
-	s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSApply, CommitID: commitID,
-		TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSApply), Parent: tc.SpanID,
-		Start: applyStart, End: jStart})
-	s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSJournal, CommitID: commitID,
-		TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSJournal), Parent: tc.SpanID,
-		Start: jStart, End: end})
-	return err
+	return func() error {
+		err := wait()
+		end := s.clk.Now()
+		s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSLockWait, CommitID: commitID,
+			TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSLockWait), Parent: tc.SpanID,
+			Start: lockStart, End: applyStart})
+		s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSApply, CommitID: commitID,
+			TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSApply), Parent: tc.SpanID,
+			Start: applyStart, End: jStart})
+		s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSJournal, CommitID: commitID,
+			TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSJournal), Parent: tc.SpanID,
+			Start: jStart, End: end})
+		return err
+	}, nil
 }
 
 // childSpan derives the span id of one store-side child, or 0 when the

@@ -62,6 +62,41 @@ type VectorConn interface {
 	SendVec(hdr, payload []byte) error
 }
 
+// Poster is implemented by connections whose Send has two halves a sender
+// can overlap: putting a frame on the wire, which occupies the link, and the
+// frame's arrival one propagation delay later. Send and SendVec do both and
+// hold their caller until the frame has arrived; a sender that must keep
+// several frames in flight from one goroutine — the RPC server's
+// per-connection reply path — posts each frame and waits for arrivals
+// elsewhere.
+type Poster interface {
+	// PostVec gathers hdr+payload into one frame, reserves the frame's slot
+	// on the destination's ingress link and returns without blocking. The
+	// frame reaches the peer when Arrive is called on the result.
+	PostVec(hdr, payload []byte) (InFlight, error)
+}
+
+// InFlight is a frame that has been posted but has not arrived yet. The zero
+// value is a frame that already arrived.
+type InFlight struct {
+	c  *simConn
+	f  []byte    // pooled frame, owned until Arrive hands it to the peer
+	d  Decision  // the fault plan's verdict, taken when the frame was posted
+	at time.Time // modeled arrival time; zero on an instant link
+}
+
+// PostVec posts hdr+payload as one frame on c. Connections that cannot split
+// a send (TCP: the kernel's socket buffer already is the wire) transmit here
+// and return a frame that has arrived.
+//
+//redbud:hotpath
+func PostVec(c Conn, hdr, payload []byte) (InFlight, error) {
+	if p, ok := c.(Poster); ok {
+		return p.PostVec(hdr, payload)
+	}
+	return InFlight{}, SendVec(c, hdr, payload)
+}
+
 // SendVec transmits hdr+payload as one frame, gathering the segments
 // directly when c supports it and falling back to a pooled concatenation
 // otherwise.
@@ -121,14 +156,16 @@ type link struct {
 	msgs  stats.Counter
 }
 
-// transmit blocks the caller for the queueing + serialization + propagation
-// time of an n-byte frame and returns the queueing delay experienced.
-func (l *link) transmit(n int) time.Duration {
+// reserve books the next free slot of the link for an n-byte frame and
+// returns the time the frame arrives at the host: queueing + serialization +
+// propagation from now. The zero time means the link is instant. It never
+// blocks; whoever delivers the frame sleeps until the returned time.
+func (l *link) reserve(n int) time.Time {
+	l.msgs.Inc()
+	l.bytes.Add(int64(n))
 	if l.lc == (LinkConfig{}) {
 		// Instant link: no clock reads, no spans — keeps functional tests free.
-		l.msgs.Inc()
-		l.bytes.Add(int64(n))
-		return 0
+		return time.Time{}
 	}
 	now := l.cfg.Now()
 	dur := l.lc.PerMessage + l.lc.transmitTime(n)
@@ -145,16 +182,13 @@ func (l *link) transmit(n int) time.Duration {
 	l.waitEWMA += (wait - l.waitEWMA) / 8
 	l.mu.Unlock()
 
-	l.msgs.Inc()
-	l.bytes.Add(int64(n))
 	if t := l.tr.Load(); t.Enabled() {
 		if wait > 0 {
 			t.Record(l.track, obs.SpanNetWait, 0, now, start)
 		}
 		t.Record(l.track, obs.SpanNetXmit, 0, start, end)
 	}
-	l.cfg.Sleep(end.Sub(now) + l.lc.Latency)
-	return wait
+	return end.Add(l.lc.Latency)
 }
 
 // meanWait returns the smoothed recent queueing delay.
@@ -375,7 +409,7 @@ func (c *simConn) Send(frame []byte) error {
 	// comes from the frame pool; the receiving RPC loop returns it.
 	f := wire.GetFrame(len(frame))
 	copy(f, frame)
-	return c.sendOwned(f)
+	return arrive(c.post(f))
 }
 
 // SendVec gathers hdr+payload into one pooled frame — a single copy with no
@@ -383,27 +417,43 @@ func (c *simConn) Send(frame []byte) error {
 //
 //redbud:hotpath
 func (c *simConn) SendVec(hdr, payload []byte) error {
+	return arrive(c.PostVec(hdr, payload))
+}
+
+// arrive completes a blocking send: it waits out the frame just posted.
+func arrive(fl InFlight, err error) error {
+	if err != nil {
+		return err
+	}
+	return fl.Arrive()
+}
+
+// PostVec implements Poster.
+//
+//redbud:hotpath
+func (c *simConn) PostVec(hdr, payload []byte) (InFlight, error) {
 	n := len(hdr) + len(payload)
 	if n > maxFrame {
 		//lint:allow hotpath — oversize-frame error path, never taken at steady state
-		return fmt.Errorf("%w: %d bytes", ErrFrameSize, n)
+		return InFlight{}, fmt.Errorf("%w: %d bytes", ErrFrameSize, n)
 	}
 	f := wire.GetFrame(n)
 	copy(f, hdr)
 	copy(f[len(hdr):], payload)
-	return c.sendOwned(f)
+	return c.post(f)
 }
 
-// sendOwned transmits f, taking ownership: f must be a pooled frame the
-// caller will not touch again. It is either delivered to the peer (whose
-// consumer recycles it) or returned to the pool here.
+// post puts f on the wire, taking ownership: f must be a pooled frame the
+// caller will not touch again. The fault plan decides the frame's fate and
+// its slot on the ingress link is reserved; Arrive then either delivers f to
+// the peer (whose consumer recycles it) or returns it to the pool.
 //
 //redbud:hotpath
-func (c *simConn) sendOwned(f []byte) error {
+func (c *simConn) post(f []byte) (InFlight, error) {
 	select {
 	case <-c.done:
 		wire.PutFrame(f)
-		return ErrClosed
+		return InFlight{}, ErrClosed
 	default:
 	}
 	var d Decision
@@ -414,7 +464,21 @@ func (c *simConn) sendOwned(f []byte) error {
 	}
 	// The sender always pays transmission: a dropped frame was serialized
 	// onto the wire and lost, not never sent.
-	c.ingress.transmit(len(f))
+	return InFlight{c: c, f: f, d: d, at: c.ingress.reserve(len(f))}, nil
+}
+
+// Arrive blocks until the frame's modeled arrival time and hands it to the
+// peer, or carries out what the fault plan decided for it instead.
+//
+//redbud:hotpath
+func (fl InFlight) Arrive() error {
+	c, f, d := fl.c, fl.f, fl.d
+	if c == nil {
+		return nil
+	}
+	if clk := c.ingress.cfg; !fl.at.IsZero() {
+		clk.Sleep(fl.at.Sub(clk.Now()))
+	}
 	if d.Delay > 0 {
 		c.net.clk.Sleep(d.Delay)
 	}

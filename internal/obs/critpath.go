@@ -28,6 +28,7 @@ const (
 	SpanNetXmit    = "net.xmit"    // serialization + propagation
 	SpanRPCQueue   = "rpc.queue"   // request queue wait at the server
 	SpanRPCProcess = "rpc.process" // daemon-thread occupancy per frame
+	SpanRPCReply   = "rpc.reply"   // daemon hands the reply off → reply delivered
 	// Application thread (CommitID 0).
 	SpanAppWrite = "write.app" // WriteAt entry → return
 

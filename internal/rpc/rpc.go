@@ -57,9 +57,27 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("rpc: remote error on op %d: %s", e.Op, e.Message)
 }
 
-// Handler processes one operation and returns the reply payload. Handlers
-// run on server daemon threads and may block (e.g. on the metadata disk).
+// Handler applies one operation and returns the reply payload. Handlers run
+// on server daemon threads, one sub-operation of a frame after another in
+// frame order.
+//
+// A handler whose reply must wait for something after the operation has been
+// applied — the MDS's journal durability wait — does not block for it: it
+// returns (nil, Pending(fn)) and the daemon runs fn once every sub-operation
+// of the frame has been applied, so a compound of k such operations waits
+// once, not k times.
 type Handler func(op uint16, body []byte) ([]byte, error)
+
+// Pending is the completion half of an operation that has been applied but
+// not yet acknowledged, returned by a Handler in place of an error (directly,
+// not wrapped). It runs on the same daemon thread after the frame's last
+// sub-operation was applied and yields the operation's reply or error, which
+// takes the operation's slot in the frame's results. It rides the error
+// result because the Handler signature is pinned by the repository
+// benchmark's callers.
+type Pending func() ([]byte, error)
+
+func (Pending) Error() string { return "rpc: operation applied, completion pending" }
 
 // ---------------------------------------------------------------------------
 // Compound encoding
@@ -171,15 +189,62 @@ type ServerConfig struct {
 
 // call is one queued request.
 type call struct {
-	conn  netsim.Conn
+	out   *replyPath
 	msgID uint64
 	op    uint16
 	body  []byte    // aliases frame
-	frame []byte    // pooled receive buffer; recycled after processing
+	frame []byte    // pooled receive buffer; recycled once the reply is on the wire
 	enq   time.Time // enqueue time; stamped only when tracing is on
 }
 
+// reply is one finished frame handed from a daemon to its connection's
+// reply writer.
+type reply struct {
+	hdr     *wire.Buffer // pooled response header
+	payload []byte       // may alias frame
+	frame   []byte       // pooled request frame
+	handoff time.Time    // hand-off time; stamped only when tracing is on
+	worker  int          // daemon that produced it, for the rpc.reply span
+}
+
+// posted is a reply on the wire, handed from the reply writer to the
+// connection's delivery goroutine.
+type posted struct {
+	fl      netsim.InFlight
+	handoff time.Time
+	worker  int
+}
+
+// replyQueueCap bounds the replies a connection may have waiting for its
+// writer, and again the replies it may have on the wire. A healthy link
+// drains far faster than the daemon pool fills it, so daemons never wait
+// here; a peer that stops reading fills it and then blocks the daemons
+// serving it, instead of pinning request frames without limit.
+const replyQueueCap = 256
+
+// replyPath is the reply side of one connection: a writer goroutine that
+// puts finished frames on the wire in hand-off order, and a delivery
+// goroutine that waits out each frame's modeled transmission, so neither a
+// daemon nor the next reply waits for the previous reply to arrive.
+type replyPath struct {
+	conn    netsim.Conn
+	replies chan reply
+	wire    chan posted
+	// refs counts the connection's reader plus every call it accepted
+	// whose reply has not been handed over. Whoever drops the last
+	// reference closes replies: nothing can send on it any more.
+	refs atomic.Int64
+}
+
+func (p *replyPath) release() {
+	if p.refs.Add(-1) == 0 {
+		close(p.replies)
+	}
+}
+
 // Server dispatches decoded requests to a fixed pool of daemon goroutines.
+// A frame moves conn reader → queue → daemon → reply writer → delivery; the
+// daemon is held only for FrameCost + k·OpCost + the handler.
 type Server struct {
 	cfg    ServerConfig
 	clk    clock.Clock
@@ -188,12 +253,16 @@ type Server struct {
 	once   sync.Once
 	wg     sync.WaitGroup
 	connWG sync.WaitGroup
+	// unsent counts replies handed to a writer and not yet delivered; Close
+	// waits for it after the daemons have exited.
+	unsent sync.WaitGroup
 
 	tracks []string // per-worker span track names
 
-	inflight  stats.Gauge
-	processed stats.Counter
-	subOps    stats.Counter
+	inflight     stats.Gauge
+	replyBacklog stats.Gauge
+	processed    stats.Counter
+	subOps       stats.Counter
 }
 
 // NewServer starts the daemon pool and returns the server.
@@ -235,6 +304,9 @@ func (s *Server) opCost() time.Duration {
 
 // Load returns the current server load estimate in [0, 255]: 0 when idle,
 // saturating as queued+running work exceeds the daemon pool severalfold.
+// Replies waiting for the wire do not count: the client's adaptive compound
+// controller reads the estimate as daemon pressure, and a reply that has
+// left its daemon holds none.
 func (s *Server) Load() uint8 {
 	outstanding := int(s.inflight.Load()) + len(s.queue)
 	load := outstanding * 64 / s.cfg.Daemons
@@ -264,6 +336,7 @@ func (s *Server) RegisterMetrics(r *obs.Registry, labels obs.Labels) {
 	r.GaugeFunc("redbud_rpc_queue_len", "instantaneous request queue length", labels,
 		func() int64 { return int64(s.QueueLen()) })
 	r.GaugeFunc("redbud_rpc_inflight", "requests currently on a daemon thread", labels, s.inflight.Load)
+	r.GaugeFunc("redbud_rpc_reply_queue_len", "replies handed off by a daemon and not yet delivered", labels, s.replyBacklog.Load)
 	r.GaugeFunc("redbud_rpc_load", "server load estimate in [0,255]", labels,
 		func() int64 { return int64(s.Load()) })
 }
@@ -284,14 +357,20 @@ func (s *Server) Serve(l *netsim.Listener) {
 }
 
 // ServeConn reads frames from one connection until it fails or the server
-// closes.
+// closes. The connection is closed once its last reply has been delivered.
 //
 //redbud:hotpath
 func (s *Server) ServeConn(conn netsim.Conn) {
-	defer conn.Close()
+	out := &replyPath{conn: conn, replies: make(chan reply, replyQueueCap), wire: make(chan posted, replyQueueCap)}
+	out.refs.Store(1)
+	go s.writeReplies(out)
+	go s.deliverReplies(out)
+	defer out.release()
 	for {
 		frame, err := conn.Recv()
 		if err != nil {
+			// Nothing more can be exchanged; replies still owed fail fast.
+			conn.Close()
 			return
 		}
 		var r wire.Reader
@@ -304,14 +383,42 @@ func (s *Server) ServeConn(conn netsim.Conn) {
 			continue // drop malformed frame
 		}
 		body := frame[len(frame)-r.Remaining():]
-		c := call{conn: conn, msgID: msgID, op: op, body: body, frame: frame}
+		c := call{out: out, msgID: msgID, op: op, body: body, frame: frame}
 		if s.cfg.Tracer.Enabled() {
 			c.enq = s.clk.Now()
 		}
+		out.refs.Add(1)
 		select {
 		case s.queue <- c:
 		case <-s.done:
-			wire.PutFrame(frame)
+			s.drop(c)
+			return
+		}
+		// The enqueue can win the select after Close has closed done,
+		// seen the daemons out and emptied the queue; nobody would ever
+		// take the call, and its reference would keep the connection open.
+		select {
+		case <-s.done:
+			s.dropQueued()
+			return
+		default:
+		}
+	}
+}
+
+// drop discards a call that will never be processed.
+func (s *Server) drop(c call) {
+	wire.PutFrame(c.frame)
+	c.out.release()
+}
+
+// dropQueued discards every queued call.
+func (s *Server) dropQueued() {
+	for {
+		select {
+		case c := <-s.queue:
+			s.drop(c)
+		default:
 			return
 		}
 	}
@@ -328,23 +435,40 @@ func (s *Server) daemon(i int) {
 			if s.cfg.Tracer.Enabled() && !c.enq.IsZero() {
 				deq := s.clk.Now()
 				s.cfg.Tracer.Record(track, obs.SpanRPCQueue, 0, c.enq, deq)
-				s.process(c)
-				s.cfg.Tracer.Record(track, obs.SpanRPCProcess, 0, deq, s.clk.Now())
+				r := s.process(c, i)
+				r.handoff = s.clk.Now()
+				s.cfg.Tracer.Record(track, obs.SpanRPCProcess, 0, deq, r.handoff)
+				s.handOff(c.out, r)
 			} else {
-				s.process(c)
+				s.handOff(c.out, s.process(c, i))
 			}
-			s.inflight.Add(-1)
 		case <-s.done:
 			return
 		}
 	}
 }
 
-// process executes one call and sends the response. It owns c.frame and
-// returns it to the pool once the response is on the wire.
+// handOff passes a finished frame to its connection's reply writer and frees
+// the daemon. It blocks only when the connection's reply queue is full.
 //
 //redbud:hotpath
-func (s *Server) process(c call) {
+func (s *Server) handOff(out *replyPath, r reply) {
+	s.inflight.Add(-1)
+	s.unsent.Add(1)
+	s.replyBacklog.Add(1)
+	// Ownership handoff: from here the writer is the only holder of the
+	// payload and of the request frame it may alias.
+	out.replies <- r
+	out.release()
+}
+
+// process executes one call — every sub-operation applied in frame order,
+// then every completion a handler left pending — and returns the encoded
+// reply. It owns c.frame, which travels on with the reply because the
+// payload may alias it.
+//
+//redbud:hotpath
+func (s *Server) process(c call, worker int) reply {
 	var payload []byte
 	var status uint16
 	var errMsg string
@@ -358,23 +482,19 @@ func (s *Server) process(c call) {
 		if err != nil {
 			status, errMsg = 1, err.Error()
 		} else {
-			results := make([]SubResult, 0, len(ops))
-			for _, o := range ops {
-				s.execCost()
-				body, err := s.cfg.Handler(o.Op, o.Body)
-				s.subOps.Inc()
-				results = append(results, SubResult{Body: body, Err: err})
-			}
+			results := make([]SubResult, len(ops))
+			s.run(ops, results)
 			payload = encodeCompoundReply(results)
 		}
 	} else {
-		s.execCost()
-		body, err := s.cfg.Handler(c.op, c.body)
-		s.subOps.Inc()
-		if err != nil {
+		// A single operation is a frame of one.
+		ops := [1]SubOp{{Op: c.op, Body: c.body}}
+		var results [1]SubResult
+		s.run(ops[:], results[:])
+		if err := results[0].Err; err != nil {
 			status, errMsg = 1, err.Error()
 		} else {
-			payload = body
+			payload = results[0].Body
 		}
 	}
 	s.processed.Inc()
@@ -382,8 +502,7 @@ func (s *Server) process(c call) {
 	// Gather-write framing: the 12-byte response header plus the length
 	// prefix go in a pooled buffer, the payload rides as the second
 	// segment — one copy into the (pooled) network frame, no
-	// concatenation. A failed send means the connection died; the client
-	// will see its own error.
+	// concatenation.
 	b := wire.GetBuffer()
 	b.PutU64(c.msgID)
 	b.PutU8(kindResponse)
@@ -391,15 +510,33 @@ func (s *Server) process(c call) {
 	b.PutU8(s.Load())
 	if status != 0 {
 		b.PutString(errMsg)
-		_ = netsim.SendVec(c.conn, b.Bytes(), nil)
+		payload = nil
 	} else {
 		b.PutU32(uint32(len(payload)))
-		_ = netsim.SendVec(c.conn, b.Bytes(), payload)
 	}
-	wire.PutBuffer(b)
-	// The payload may alias the request frame (echo-style handlers); it is
-	// dead once the send copied it out.
-	wire.PutFrame(c.frame)
+	return reply{hdr: b, payload: payload, frame: c.frame, worker: worker}
+}
+
+// run executes the operations of one frame into results. Every operation is
+// charged and applied in frame order, so two operations of one frame take
+// effect in the order the client wrote them; only then do the completions
+// run, also in frame order. An operation left Pending has handed its record
+// to the journal by then, so the waits of a compound overlap and its records
+// share group-commit batches. Each operation's outcome, from either phase,
+// keeps its own slot.
+//
+//redbud:hotpath
+func (s *Server) run(ops []SubOp, results []SubResult) {
+	for i, o := range ops {
+		s.execCost()
+		results[i].Body, results[i].Err = s.cfg.Handler(o.Op, o.Body)
+		s.subOps.Inc()
+	}
+	for i := range results {
+		if complete, ok := results[i].Err.(Pending); ok {
+			results[i].Body, results[i].Err = complete()
+		}
+	}
 }
 
 // execCost burns the simulated CPU time of one operation.
@@ -409,11 +546,47 @@ func (s *Server) execCost() {
 	}
 }
 
-// Close stops the daemon pool. In-flight operations finish; queued ones are
-// dropped.
+// writeReplies is a connection's reply writer: it puts finished frames on
+// the wire in hand-off order. A failed send means the connection died; the
+// client will see its own error.
+//
+//redbud:hotpath
+func (s *Server) writeReplies(p *replyPath) {
+	for r := range p.replies {
+		fl, _ := netsim.PostVec(p.conn, r.hdr.Bytes(), r.payload)
+		wire.PutBuffer(r.hdr)
+		// The payload may alias the request frame (echo-style handlers);
+		// it is dead once the post copied it out.
+		wire.PutFrame(r.frame)
+		p.wire <- posted{fl: fl, handoff: r.handoff, worker: r.worker}
+	}
+	close(p.wire)
+}
+
+// deliverReplies waits out the modeled transmission of each posted reply in
+// turn. Arrival times on one link only grow, so a reply posted while an
+// earlier one is still in flight is not held up by it.
+//
+//redbud:hotpath
+func (s *Server) deliverReplies(p *replyPath) {
+	for x := range p.wire {
+		_ = x.fl.Arrive()
+		if !x.handoff.IsZero() {
+			s.cfg.Tracer.Record(s.tracks[x.worker], obs.SpanRPCReply, 0, x.handoff, s.clk.Now())
+		}
+		s.replyBacklog.Add(-1)
+		s.unsent.Done()
+	}
+	p.conn.Close()
+}
+
+// Close stops the daemon pool. In-flight operations finish and their replies
+// are delivered; queued ones are dropped.
 func (s *Server) Close() {
 	s.once.Do(func() { close(s.done) })
 	s.wg.Wait()
+	s.dropQueued()
+	s.unsent.Wait()
 }
 
 // ---------------------------------------------------------------------------

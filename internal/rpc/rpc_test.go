@@ -260,31 +260,8 @@ func TestServerLoadUnderPressure(t *testing.T) {
 // localPair returns two connected Conn halves over an instant network.
 func localPair(t *testing.T) (netsim.Conn, netsim.Conn) {
 	t.Helper()
-	n := netsim.NewNetwork(clock.Real(1))
-	n.AddHost("a", netsim.Instant())
-	n.AddHost("b", netsim.Instant())
-	l, err := n.Listen("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	type res struct {
-		c   netsim.Conn
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		c, err := l.Accept()
-		ch <- res{c, err}
-	}()
-	a, err := n.Dial("a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := <-ch
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	return a, r.c
+	_, a, b := linkPair(t, clock.Real(1), netsim.Instant())
+	return a, b
 }
 
 func TestClientCloseFailsPending(t *testing.T) {

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -59,5 +60,26 @@ func TestCallTimeoutZeroWaitsForever(t *testing.T) {
 	}
 	if time.Since(start) < 15*time.Millisecond {
 		t.Fatal("slow call returned early")
+	}
+}
+
+// A call timeout that never fires must leave nothing behind: clock.Real's
+// After used to park one goroutine per call for the whole timeout, so a
+// client with a call timeout (every chaos client) carried one sleeping
+// goroutine per call it had completed in the last timeout period.
+func TestAnsweredCallsLeaveNoGoroutines(t *testing.T) {
+	cli, _ := newPair(t, ServerConfig{Daemons: 2})
+	cli.SetCallTimeout(5 * time.Second)
+	if _, err := cli.CallRaw(opEcho, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10000; i++ {
+		if _, err := cli.CallRaw(opEcho, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before+10 {
+		t.Fatalf("goroutines grew from %d to %d over 10000 answered calls", before, after)
 	}
 }
