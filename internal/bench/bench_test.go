@@ -65,7 +65,15 @@ func TestSystemStrings(t *testing.T) {
 }
 
 // TestFig4Shape checks the headline mechanism: delayed commit introduces
-// I/O merges, and space delegation multiplies them.
+// I/O merges, and space delegation does not lose them.
+//
+// Departure from the paper (EXPERIMENTS.md, Figure 4): the paper's delayed
+// commit still allocates on the application thread, one extent per write, so
+// only space delegation lays a file's pages out side by side (2.8–5.9×
+// the merges). Here write-behind allocation asks for a file's accumulated
+// run in one layout-get and issues its pages together, so plain delayed
+// commit merges nearly as well; what space delegation still buys is fewer
+// dispatches and fewer seeks per dispatch, which TestFig5Panels pins.
 func TestFig4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster experiment")
@@ -88,10 +96,8 @@ func TestFig4Shape(t *testing.T) {
 		if dc <= orig {
 			t.Errorf("size %d: delayed commit (%.3f) does not add merges over original (%.3f)", r.FileSize, dc, orig)
 		}
-		// The paper: space delegation improves the merge ratio 2.8-5.9x
-		// over delayed commit alone. Require at least 2x.
-		if sd < 2*dc {
-			t.Errorf("size %d: space delegation (%.3f) < 2x delayed commit (%.3f)", r.FileSize, sd, dc)
+		if sd < dc {
+			t.Errorf("size %d: space delegation (%.3f) merges less than delayed commit (%.3f)", r.FileSize, sd, dc)
 		}
 	}
 }
@@ -190,6 +196,26 @@ func TestFig5Panels(t *testing.T) {
 	}
 	if sd, orig := seekRate(SysRedbudDCSD), seekRate(SysRedbud); sd >= orig {
 		t.Errorf("delegation seek bytes/dispatch %.0f not below original %.0f", sd, orig)
+	}
+	// With write-behind allocation delayed commit merges almost as well as
+	// space delegation (Figure 4); what delegation still buys is locality
+	// across files — fewer dispatches, and fewer of them moving the head.
+	at32k := func(sys System) (dispatches int, seeksPerDispatch float64) {
+		for _, p := range panels {
+			if p.System == sys && p.FileSize == 32<<10 && p.Summary.Dispatches > 0 {
+				return p.Summary.Dispatches, float64(p.Summary.Seeks) / float64(p.Summary.Dispatches)
+			}
+		}
+		t.Fatalf("panel for %v missing or empty", sys)
+		return 0, 0
+	}
+	dcDisp, dcSeeks := at32k(SysRedbudDC)
+	sdDisp, sdSeeks := at32k(SysRedbudDCSD)
+	if sdDisp >= dcDisp {
+		t.Errorf("delegation dispatches %d not below delayed commit's %d", sdDisp, dcDisp)
+	}
+	if sdSeeks >= dcSeeks {
+		t.Errorf("delegation seeks/dispatch %.3f not below delayed commit's %.3f", sdSeeks, dcSeeks)
 	}
 	for _, p := range panels {
 		if len(p.Series) == 0 {

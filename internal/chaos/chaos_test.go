@@ -147,6 +147,51 @@ func TestChaosMDSRestart(t *testing.T) {
 	t.Logf("ops=%d opErrors=%d dedupHits=%d recovery=%+v", ops, rep.OpErrors, rep.DedupHits, rep.Recovery)
 }
 
+// TestChaosMDSRestartWriteBehind crash-restarts the MDS while clients have
+// write-behind data outstanding: no delegation, so every extending write is
+// deferred, and no fsync, so restarts catch files with deferred bytes and
+// write-back layout-gets in flight. The goroutine that redials and
+// re-establishes the session is then usually a write-back routine itself —
+// re-establishment must not wait for write-back (a hang here is the
+// regression), the dead session's deferred data is dropped, and nothing the
+// MDS committed may be undurable.
+func TestChaosMDSRestartWriteBehind(t *testing.T) {
+	for s := 0; s < *seeds; s++ {
+		seed := int64(s)*104729 + 18464
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			cfg := invariantConfig(seed)
+			cfg.Net = netsim.FaultPlan{}
+			cfg.Disk = DiskFaults{}
+			cfg.Delegation = -1
+			cfg.Fsync = false
+			cfg.Ops = 40
+			cfg.Think = time.Millisecond // stretch the workload across the restarts
+			cfg.Restarts = 3
+			cfg.RestartEvery = 10 * time.Millisecond
+			rep, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Restarts != 3 {
+				t.Fatalf("completed %d restarts, want 3", rep.Restarts)
+			}
+			assertClean(t, rep)
+			var ops int64
+			for _, r := range rep.Results {
+				ops += r.Ops
+			}
+			// A restart that lands in a client's (unretried) namespace
+			// set-up costs that client its run, so the op count is not
+			// exact here; the run returning at all is the no-hang check.
+			if ops == 0 || rep.OpErrors >= ops {
+				t.Fatalf("%d ops, %d failed: sessions never re-established", ops, rep.OpErrors)
+			}
+			t.Logf("ops=%d opErrors=%d recovery=%+v", ops, rep.OpErrors, rep.Recovery)
+		})
+	}
+}
+
 // TestChaosAutoscaleMDSRestart is the MDS-restart scenario with the commit
 // autoscaler v2 engaged: the control loop samples queue wait and RPC
 // in-flight while connections die and sessions rebuild, and must never

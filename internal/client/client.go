@@ -210,6 +210,15 @@ type Client struct {
 	dcache map[string]meta.FileID
 	closed bool
 
+	// Write-behind stage (writeback.go): layout-get slots, the dirty window
+	// (wbBytes guarded by wbMu, a leaf lock), and the live write-back
+	// routines.
+	wbSlots  chan struct{}
+	wbMu     sync.Mutex
+	wbCond   *sync.Cond
+	wbBytes  int64
+	flushers sync.WaitGroup
+
 	st clientStats
 	ra raStats
 
@@ -236,6 +245,7 @@ type clientStats struct {
 	commitsSent             stats.Counter // CommitReq sub-ops sent
 	commitRPCs              stats.Counter // network frames carrying commits
 	retries                 stats.Counter // idempotent RPC retry attempts
+	writeBackStalls         stats.Counter // writers blocked on the dirty window
 	writeLat, closeLat      stats.DurationSum
 	opLat                   stats.DurationSum
 }
@@ -307,7 +317,9 @@ func New(cfg Config) *Client {
 		trackCommit: cfg.Name + "/commit",
 		trackNS:     cfg.Name + "/ns",
 		commitLat:   stats.NewLatencyHistogram(),
+		wbSlots:     make(chan struct{}, writeBackInflight),
 	}
+	c.wbCond = sync.NewCond(&c.wbMu)
 	for i, mc := range conns {
 		if d := cfg.Retry.CallTimeout; d > 0 {
 			mc.SetCallTimeout(d)
@@ -878,9 +890,9 @@ func (c *Client) observeCommitRPC(start time.Time, commitID uint64) {
 	}
 }
 
-// buildCommit waits for outstanding data writes (the ordered-write rule) and
-// snapshots the file's uncommitted metadata. Returns nil when there is
-// nothing to commit.
+// buildCommit waits for the file's data — write-behind flush and device
+// writes — to be durable (the ordered-write rule) and snapshots the file's
+// uncommitted metadata. Returns nil when there is nothing to commit.
 func (c *Client) buildCommit(fs *fileState) *proto.CommitReq {
 	traced := c.tracer.Enabled()
 	var waitStart time.Time
@@ -888,9 +900,7 @@ func (c *Client) buildCommit(fs *fileState) *proto.CommitReq {
 		waitStart = c.clk.Now()
 	}
 	fs.mu.Lock()
-	for fs.pendingWrites > 0 {
-		fs.cond.Wait()
-	}
+	fs.waitWritesLocked()
 	enqAt := fs.enqAt
 	fs.enqAt = time.Time{}
 	if c.cfg.Autoscale && !enqAt.IsZero() {
@@ -984,7 +994,10 @@ func (c *Client) finishCommit(fs *fileState, req *proto.CommitReq, err error) {
 			}
 		}
 		fs.committedSize = req.Size
-		fs.dirtyMeta = stillDirty
+		// Bytes written behind since the request was built have no extents
+		// yet; they are dirty all the same, or the next buildCommit would
+		// find nothing to do and they would never be committed.
+		fs.dirtyMeta = stillDirty || fs.flushing
 	}
 	fs.commitGen++
 	fs.cond.Broadcast()
@@ -1032,6 +1045,7 @@ func (c *Client) Close() error {
 	c.mu.Unlock()
 
 	firstErr := c.drainFiles(files)
+	c.flushers.Wait()
 	if c.pool != nil {
 		c.queue.Close()
 		c.pool.Stop()
@@ -1053,18 +1067,23 @@ func (c *Client) Close() error {
 }
 
 // Crash abandons the client without committing or returning anything —
-// the client-failure scenario for orphan-GC tests.
+// the client-failure scenario for orphan-GC tests. Write-behind data is
+// dropped with the rest; the write-back routines are gone when it returns.
 func (c *Client) Crash() {
 	c.mu.Lock()
 	c.closed = true
 	c.mu.Unlock()
-	if c.pool != nil {
-		c.queue.Close()
-		c.pool.Stop()
-	}
 	for _, l := range c.links {
 		mds, _ := l.conn()
 		mds.Close()
+	}
+	// Before the pool: a commit daemon may be waiting for a flush, and the
+	// flush for a layout-get that only the closed connection ends.
+	c.dropAllDeferred()
+	c.flushers.Wait()
+	if c.pool != nil {
+		c.queue.Close()
+		c.pool.Stop()
 	}
 }
 
@@ -1192,6 +1211,8 @@ func (c *Client) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("redbud_client_rpcs_total", "RPCs issued across all MDS connections", l, c.rpcCalls)
 	r.CounterFunc("redbud_client_retries_total", "idempotent RPC retry attempts after transport faults", l, c.st.retries.Load)
 	r.CounterFunc("redbud_client_bad_frames_total", "malformed response frames on the live connection", l, c.badFrames)
+	r.GaugeFunc("redbud_client_writeback_bytes", "write-behind bytes acknowledged and not yet durable (at risk)", l, c.dirtyBytes)
+	r.CounterFunc("redbud_client_writeback_stalls_total", "writers blocked on the write-behind dirty window", l, c.st.writeBackStalls.Load)
 	r.GaugeFunc("redbud_client_commit_queue_len", "commit queue length", l,
 		func() int64 { return int64(c.QueueLen()) })
 	r.GaugeFunc("redbud_client_commit_threads", "live commit-daemon pool size", l,

@@ -1,12 +1,10 @@
 package client
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"redbud/internal/core"
 	"redbud/internal/fsapi"
 	"redbud/internal/meta"
 	"redbud/internal/obs"
@@ -35,6 +33,20 @@ type fileState struct {
 	// pages caches file data at PageSize granularity.
 	pages map[int64][]byte
 
+	// deferred is the write-behind list: writes already acknowledged to the
+	// application that still need space from the MDS (or queue behind one
+	// that does, so device writes keep application order), oldest first.
+	// flushing is true from the first deferred write until the file's
+	// write-back routine has emptied the list and gone; the routine owns
+	// whatever it took off the list.
+	deferred   []fileWrite
+	deferredAt time.Time // first byte of the current list (write.behind span)
+	flushing   bool
+	// session counts the MDS sessions this file's uncommitted state has
+	// outlived; a layout-get that returns into a later session than it left
+	// in belongs to a dead one and is dropped (reestablish).
+	session uint64
+
 	pendingWrites int    // in-flight device writes
 	writeGen      uint64 // bumped by every write (read-ahead race guard)
 	raNext        int64  // expected offset of the next sequential read
@@ -53,12 +65,35 @@ func newFileState(id meta.FileID, size int64) *fileState {
 	return fs
 }
 
-// waitWritesLocked blocks until in-flight device writes finish. Caller holds
-// fs.mu.
+// waitWritesLocked blocks until every acknowledged write is durable: nothing
+// write-behind and no device write in flight. This is the ordered-write
+// barrier — a commit may only name, and a device read may only fetch, what
+// has passed it. Caller holds fs.mu.
 func (fs *fileState) waitWritesLocked() {
-	for fs.pendingWrites > 0 {
+	for fs.flushing || fs.pendingWrites > 0 {
 		fs.cond.Wait()
 	}
+}
+
+// stageLocked is the page-cache half of a write: the bytes become readable
+// and the file dirty. Caller holds fs.mu.
+func (fs *fileState) stageLocked(p []byte, off int64, now time.Time) {
+	fs.cachePagesLocked(p, off)
+	if end := off + int64(len(p)); end > fs.size {
+		fs.size = end
+	}
+	fs.mtime = now
+	fs.dirtyMeta = true
+	fs.writeGen++
+}
+
+// dropDeferredLocked empties the write-behind list and returns how many
+// bytes it held (the caller gives them back to the dirty window). Caller
+// holds fs.mu.
+func (fs *fileState) dropDeferredLocked() int64 {
+	n := writeBytes(fs.deferred)
+	fs.deferred, fs.deferredAt = nil, time.Time{}
+	return n
 }
 
 // gapsLocked returns sub-ranges of [off, end) not covered by extents.
@@ -136,7 +171,7 @@ func (fs *fileState) cachePagesLocked(p []byte, off int64) {
 
 // dropCacheIfOversizedLocked implements drop-behind.
 func (fs *fileState) dropCacheIfOversizedLocked() {
-	if fs.pendingWrites == 0 && len(fs.pages) > maxCachedPages {
+	if !fs.flushing && fs.pendingWrites == 0 && len(fs.pages) > maxCachedPages {
 		fs.pages = make(map[int64][]byte)
 	}
 }
@@ -165,82 +200,63 @@ type File struct {
 
 var _ fsapi.File = (*File)(nil)
 
-// devWrite is one planned device I/O.
-type devWrite struct {
-	dev    uint32
-	volOff int64
-	data   []byte
-}
-
 // WriteAt implements the update operation: data into the cache and out to
 // the shared array asynchronously; metadata committed per the client's mode.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
+	if _, err := f.writeAt(p, off); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// writeAt is WriteAt; staged reports whether the bytes entered the file's
+// local state (page cache, size) before any error, which is what Append needs
+// to know to roll its reservation back.
+func (f *File) writeAt(p []byte, off int64) (staged bool, err error) {
 	if len(p) == 0 {
-		return 0, nil
+		return false, nil
 	}
 	if off < 0 {
-		return 0, fmt.Errorf("client: negative offset %d", off)
+		return false, fmt.Errorf("client: negative offset %d", off)
 	}
 	c, fs := f.c, f.fs
 	start := c.clk.Now()
-	end := off + int64(len(p))
+	n := int64(len(p))
 
 	fs.mu.Lock()
 	if err := fs.writeErr; err != nil {
 		fs.mu.Unlock()
-		return 0, err
+		return false, err
 	}
-	// 1. Ensure extents cover the range, preferring delegated space.
-	if err := c.ensureExtents(fs, off, end); err != nil {
+	if c.cfg.Mode == DelayedCommit && c.mustDeferLocked(fs, off, off+n) {
+		// Write-behind: the bytes go into the cache and onto the file's
+		// list; the write-back routine allocates and issues them.
 		fs.mu.Unlock()
-		return 0, err
-	}
-	// 2. Page cache.
-	fs.cachePagesLocked(p, off)
-	if end > fs.size {
-		fs.size = end
-	}
-	fs.mtime = c.clk.Now()
-	fs.dirtyMeta = true
-	fs.writeGen++
-	// 3. Plan the writepage calls.
-	writes, err := c.planIO(fs, p, off)
-	if err != nil {
-		fs.mu.Unlock()
-		return 0, err
-	}
-	fs.pendingWrites += len(writes)
-	fs.mu.Unlock()
-
-	// 4. Issue writepage to the storage devices (asynchronously).
-	for _, w := range writes {
-		dev, err := c.dev(w.dev)
-		if err != nil {
-			fs.mu.Lock()
-			fs.pendingWrites--
-			fs.writeErr = err
-			fs.cond.Broadcast()
+		c.admitDirty(n) // blocks while the client's dirty window is full
+		fs.mu.Lock()
+		if err := fs.writeErr; err != nil {
 			fs.mu.Unlock()
-			continue
+			c.releaseDirty(n)
+			return false, err
 		}
-		ch := dev.WriteAsync(w.volOff, w.data)
-		go func() {
-			werr := <-ch
-			fs.mu.Lock()
-			fs.pendingWrites--
-			if werr != nil && fs.writeErr == nil {
-				fs.writeErr = werr
-			}
-			fs.dropCacheIfOversizedLocked()
-			fs.cond.Broadcast()
-			fs.mu.Unlock()
-		}()
+		fs.stageLocked(p, off, start)
+		if len(fs.deferred) == 0 {
+			fs.deferredAt = start
+		}
+		fs.deferred = append(fs.deferred, fileWrite{off: off, data: append([]byte(nil), p...)})
+		if !fs.flushing {
+			fs.flushing = true
+			c.flushers.Add(1)
+			go c.writeBack(fs)
+		}
+		fs.mu.Unlock()
+	} else if err := c.writeOut(fs, []fileWrite{{off: off, data: p}}, false); err != nil {
+		return false, err
 	}
 
-	// 5. Hand the ordering obligation over (delayed) or carry it here
-	//    (sync).
+	// Hand the ordering obligation over (delayed) or carry it here (sync).
 	c.st.writes.Inc()
-	c.st.bytesWritten.Add(int64(len(p)))
+	c.st.bytesWritten.Add(n)
 	var werr error
 	if c.cfg.Mode == SyncCommit {
 		fs.mu.Lock()
@@ -257,89 +273,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		c.tracer.Record(c.trackApp, obs.SpanAppWrite, 0, start, c.clk.Now())
 	}
 	c.st.writeLat.Observe(c.clk.Since(start))
-	if werr != nil {
-		return 0, werr
-	}
-	return len(p), nil
-}
-
-// ensureExtents covers [off, end) with extents, allocating from the
-// delegation pool when possible, otherwise via a layout-get RPC. Caller
-// holds fs.mu; the MDS path drops and reacquires it.
-func (c *Client) ensureExtents(fs *fileState, off, end int64) error {
-	holes := fs.gapsLocked(off, end)
-	if len(holes) == 0 {
-		return nil
-	}
-	if pool := c.spacePool(); pool != nil {
-		remaining := holes[:0]
-		for _, h := range holes {
-			sp, err := pool.Alloc(h[1] - h[0])
-			if err != nil {
-				if errors.Is(err, core.ErrTooLarge) {
-					remaining = append(remaining, h)
-					continue
-				}
-				return err
-			}
-			fs.insertExtentLocked(meta.Extent{
-				FileOff: h[0], Len: sp.Len, Dev: uint32(sp.Dev), VolOff: sp.Off,
-				State: meta.StateUncommitted,
-			})
-		}
-		holes = remaining
-	}
-	if len(holes) == 0 {
-		return nil
-	}
-	// Large (or undelegated) ranges apply to the MDS directly.
-	fs.mu.Unlock()
-	var lay proto.LayoutResp
-	// Idempotent retry is safe: re-allocating the same range returns the
-	// extents the first attempt created.
-	err := c.callIdem(c.shardFor(fs.id), proto.OpLayoutGet, &proto.LayoutGetReq{
-		Owner: c.cfg.Name, File: fs.id, Off: off, Len: end - off, Flags: meta.LayoutWrite,
-	}, &lay)
-	fs.mu.Lock()
-	if err != nil {
-		return mapRemote(err)
-	}
-	for _, e := range lay.Extents {
-		fs.insertExtentLocked(e)
-	}
-	if rest := fs.gapsLocked(off, end); len(rest) > 0 {
-		return fmt.Errorf("client: layout for file %d leaves %d holes", fs.id, len(rest))
-	}
-	return nil
-}
-
-// planIO maps [off, off+len(p)) onto device writes via the extent list.
-// Caller holds fs.mu.
-func (c *Client) planIO(fs *fileState, p []byte, off int64) ([]devWrite, error) {
-	end := off + int64(len(p))
-	var out []devWrite
-	for _, e := range fs.extents {
-		if e.End() <= off {
-			continue
-		}
-		if e.FileOff >= end {
-			break
-		}
-		s, t := max64(e.FileOff, off), min64(e.End(), end)
-		out = append(out, devWrite{
-			dev:    e.Dev,
-			volOff: e.VolOff + (s - e.FileOff),
-			data:   p[s-off : t-off],
-		})
-	}
-	var covered int64
-	for _, w := range out {
-		covered += int64(len(w.data))
-	}
-	if covered != int64(len(p)) {
-		return nil, fmt.Errorf("client: write plan covers %d of %d bytes", covered, len(p))
-	}
-	return out, nil
+	return true, werr
 }
 
 // Append writes at the end of file, returning the offset written.
@@ -347,9 +281,21 @@ func (f *File) Append(p []byte) (int64, error) {
 	fs := f.fs
 	fs.mu.Lock()
 	off := fs.size
-	fs.size = off + int64(len(p)) // reserve to serialize concurrent appends
+	end := off + int64(len(p))
+	fs.size = end // reserve to serialize concurrent appends
 	fs.mu.Unlock()
-	if _, err := f.WriteAt(p, off); err != nil {
+	staged, err := f.writeAt(p, off)
+	if err != nil {
+		if !staged {
+			// Nothing was written: give the reservation back, unless a
+			// later append already built on it (then the range stays a
+			// hole, which reads as zeros like any other).
+			fs.mu.Lock()
+			if fs.size == end {
+				fs.size = off
+			}
+			fs.mu.Unlock()
+		}
 		return 0, err
 	}
 	return off, nil
@@ -379,6 +325,13 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	// uncommitted extent it finds there, and a reader must neither commit
 	// a foreign writer's intent nor cache it past its possible rollback.
 	var vis []meta.Extent
+
+	// Bytes the cache does not hold may still be write-behind: they have no
+	// extents, and no place on the array, until the write-back routine ran.
+	if fs.flushing && len(fs.uncachedRanges(off, min64(reqEnd, limit))) > 0 {
+		fs.waitWritesLocked()
+		limit = fs.size
+	}
 
 	// Decide whether to consult the MDS before serving locally: part of
 	// the in-bounds range is neither cached nor covered by known extents.

@@ -29,7 +29,9 @@ func (c *Client) maybeReadAhead(fs *fileState, off, n int64) {
 	sequential := off == fs.raNext && off != 0 || (off == 0 && n > 0)
 	fs.raNext = off + n
 	start := fs.raNext
-	if !sequential || fs.raInflight || start >= fs.size {
+	// Write-behind data is not on the array yet: a prefetch now could cache
+	// what it is about to replace.
+	if !sequential || fs.raInflight || fs.flushing || start >= fs.size {
 		fs.mu.Unlock()
 		return
 	}

@@ -195,10 +195,10 @@ func (c *Client) earlyVisible() bool {
 // its uncommitted allocations there, so: the space pool is discarded and
 // rebuilt (delegation exists only in the single-shard topology, where every
 // restart is shard 0's), and every file homed on that shard drops its
-// uncommitted extents, cached pages, and local size growth. Files homed on
-// other shards are untouched — their state is still live. Delayed-commit
-// data that was never fsynced is lost — exactly the window the paper's
-// §III-A contract concedes.
+// uncommitted extents, write-behind data, cached pages, and local size
+// growth. Files homed on other shards are untouched — their state is still
+// live. Delayed-commit data that was never fsynced is lost — exactly the
+// window the paper's §III-A contract concedes.
 func (c *Client) reestablish(shard int) {
 	if old := c.space.Load(); old != nil {
 		old.Close() // the recovered MDS no longer tracks these spans
@@ -214,7 +214,16 @@ func (c *Client) reestablish(shard int) {
 	c.mu.Unlock()
 	for _, fs := range files {
 		fs.mu.Lock()
-		fs.waitWritesLocked() // let in-flight device writes land first
+		// Let in-flight device writes land first — and only those: the
+		// file's write-back routine may be parked in a layout-get against
+		// the dead MDS, or be the very goroutine running this recovery, so
+		// it is never waited for. Bumping the session makes it drop what it
+		// took when its RPC returns; what it has not taken is dropped here.
+		for fs.pendingWrites > 0 {
+			fs.cond.Wait()
+		}
+		fs.session++
+		dropped := fs.dropDeferredLocked()
 		kept := fs.extents[:0]
 		for _, e := range fs.extents {
 			if e.State == meta.StateCommitted {
@@ -227,6 +236,7 @@ func (c *Client) reestablish(shard int) {
 		fs.pages = make(map[int64][]byte)
 		fs.cond.Broadcast()
 		fs.mu.Unlock()
+		c.releaseDirty(dropped)
 	}
 }
 
@@ -260,9 +270,7 @@ func (c *Client) callIdem(l *mdsLink, op uint16, req wire.Marshaler, resp wire.U
 // transmission and on every retry alike.
 func (c *Client) sendCommit(fs *fileState, req *proto.CommitReq, resp *proto.CommitResp) error {
 	fs.mu.Lock()
-	for fs.pendingWrites > 0 {
-		fs.cond.Wait()
-	}
+	fs.waitWritesLocked()
 	fs.mu.Unlock()
 	l := c.shardFor(fs.id)
 	if f := l.dead(); f != nil {
@@ -290,9 +298,7 @@ func (c *Client) sendCommit(fs *fileState, req *proto.CommitReq, resp *proto.Com
 func (c *Client) sendCompound(states []*fileState, ops []rpc.SubOp) ([]rpc.SubResult, error) {
 	for _, fs := range states {
 		fs.mu.Lock()
-		for fs.pendingWrites > 0 {
-			fs.cond.Wait()
-		}
+		fs.waitWritesLocked()
 		fs.mu.Unlock()
 	}
 	l := c.shardFor(states[0].id)

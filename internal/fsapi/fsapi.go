@@ -27,6 +27,15 @@ type Info struct {
 }
 
 // File is an open file handle.
+//
+// Error reporting under delayed commit is asynchronous, as write(2) is over a
+// page cache: a WriteAt or Append that returned nil may still fail behind the
+// application — a device write error, or an allocation the metadata server
+// refuses (no space) now that space is allocated write-behind. Such a failure
+// surfaces at the file's next WriteAt, Append, Sync or Close; nothing of the
+// failed write is ever committed. (Writes to a file another client removed
+// meanwhile are dropped without an error, like their commit would be.) An
+// application that must know calls Sync.
 type File interface {
 	// WriteAt writes p at offset off, extending the file as needed.
 	WriteAt(p []byte, off int64) (int, error)

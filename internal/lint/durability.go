@@ -11,7 +11,8 @@ import (
 // source order within its function — by a durability wait:
 //
 //   - a call to (*sync.Cond).Wait() (the client's per-file durability
-//     barrier loops on fs.cond.Wait() until pendingWrites drains), or
+//     barrier, waitWritesLocked, loops on fs.cond.Wait() until nothing is
+//     write-behind and pendingWrites has drained), or
 //   - a call to a method or function whose name is WaitDurable or Sync, or
 //   - a call to a same-package function that itself (transitively) contains
 //     such a wait — e.g. buildCommit, which embeds the wait loop.

@@ -31,6 +31,8 @@ const (
 	SpanRPCReply   = "rpc.reply"   // daemon hands the reply off → reply delivered
 	// Application thread (CommitID 0).
 	SpanAppWrite = "write.app" // WriteAt entry → return
+	// Client write-back routine (CommitID 0, on the client's commit track).
+	SpanWriteBehind = "write.behind" // first deferred byte → its flush's device writes issued
 
 	// Cross-shard namespace sagas (TraceID-correlated). The root span covers
 	// the whole saga on the client's ns track; the phase children cover each
