@@ -138,7 +138,9 @@ type Config struct {
 	// commit lands. Safe by construction: devices only ever serve durable
 	// (or stale) bytes. Requires the MDS to speak protocol v2; against an
 	// older MDS the client transparently falls back to committed-only
-	// reads.
+	// reads. On the write side such a client allocates inline instead of
+	// write-behind (writeback.go): the layout-get is what publishes the
+	// intent, and it is published at the write, not one flush later.
 	EarlyVisibility bool
 
 	// ReadAhead enables sequential read-ahead with this window (bytes);
@@ -805,8 +807,7 @@ func (c *Client) commitDaemon(stop <-chan struct{}) {
 // home shard, so a batch spanning shards splits into one frame each — files
 // of one shard still share their frame.
 func (c *Client) commitBatch(ids []meta.FileID) {
-	var reqs []*proto.CommitReq
-	var states []*fileState
+	var built []builtCommit
 	for _, id := range ids {
 		c.mu.Lock()
 		fs := c.files[id]
@@ -814,64 +815,66 @@ func (c *Client) commitBatch(ids []meta.FileID) {
 		if fs == nil {
 			continue
 		}
-		req := c.buildCommit(fs)
-		if req == nil {
-			continue
+		if bc, ok := c.buildCommit(fs); ok {
+			built = append(built, bc)
 		}
-		reqs = append(reqs, req)
-		states = append(states, fs)
 	}
 	if len(c.links) > 1 {
-		byShard := make(map[int][]int)
-		for i, fs := range states {
-			s := c.shardOf(fs.id)
-			byShard[s] = append(byShard[s], i)
+		byShard := make(map[int][]builtCommit)
+		for _, bc := range built {
+			s := c.shardOf(bc.fs.id)
+			byShard[s] = append(byShard[s], bc)
 		}
-		for _, idxs := range byShard {
-			gr := make([]*proto.CommitReq, 0, len(idxs))
-			gs := make([]*fileState, 0, len(idxs))
-			for _, i := range idxs {
-				gr = append(gr, reqs[i])
-				gs = append(gs, states[i])
-			}
-			c.sendCommitGroup(gs, gr)
+		for _, group := range byShard {
+			c.sendCommitGroup(group)
 		}
 		return
 	}
-	c.sendCommitGroup(states, reqs)
+	c.sendCommitGroup(built)
 }
 
 // sendCommitGroup ships one group of commits — all homed on the same shard —
-// as a single RPC or compound frame.
-func (c *Client) sendCommitGroup(states []*fileState, reqs []*proto.CommitReq) {
-	if len(reqs) == 0 {
+// as a single RPC or compound frame. A commit built in an MDS session that
+// has been re-established since never leaves (builtCommit.stale).
+func (c *Client) sendCommitGroup(built []builtCommit) {
+	live := built[:0]
+	for _, bc := range built {
+		if bc.stale() {
+			c.finishCommit(bc.fs, bc.req, errSessionLost)
+			continue
+		}
+		live = append(live, bc)
+	}
+	built = live
+	if len(built) == 0 {
 		return
 	}
-	if len(reqs) == 1 {
+	if len(built) == 1 {
+		bc := built[0]
 		c.st.commitRPCs.Inc()
 		c.st.commitsSent.Inc()
 		var resp proto.CommitResp
 		start := c.clk.Now()
-		err := c.sendCommit(states[0], reqs[0], &resp)
-		c.observeCommitRPC(start, reqs[0].CommitID)
-		c.finishCommit(states[0], reqs[0], err)
+		err := c.sendCommit(bc, &resp)
+		c.observeCommitRPC(start, bc.req.CommitID)
+		c.finishCommit(bc.fs, bc.req, err)
 		return
 	}
-	ops := make([]rpc.SubOp, 0, len(reqs))
-	for _, req := range reqs {
-		ops = append(ops, rpc.SubOp{Op: proto.OpCommit, Body: wire.Encode(req)})
+	ops := make([]rpc.SubOp, 0, len(built))
+	for _, bc := range built {
+		ops = append(ops, rpc.SubOp{Op: proto.OpCommit, Body: wire.Encode(bc.req)})
 	}
 	c.st.commitRPCs.Inc()
 	start := c.clk.Now()
-	results, err := c.sendCompound(states, ops)
-	for i, fs := range states {
+	results, err := c.sendCompound(built, ops)
+	for i, bc := range built {
 		c.st.commitsSent.Inc()
-		c.observeCommitRPC(start, reqs[i].CommitID)
+		c.observeCommitRPC(start, bc.req.CommitID)
 		e := err
 		if e == nil && results[i].Err != nil {
 			e = results[i].Err
 		}
-		c.finishCommit(fs, reqs[i], e)
+		c.finishCommit(bc.fs, bc.req, e)
 	}
 }
 
@@ -890,10 +893,29 @@ func (c *Client) observeCommitRPC(start time.Time, commitID uint64) {
 	}
 }
 
+// builtCommit is a commit request with the file and the MDS session it was
+// built from. The extents it names are only good in that session: a recovered
+// MDS reclaimed them, and may since have delegated the same space again — to
+// this very client, whose fresh pool carves it for another write — so a
+// request that outlived its session must never be (re)sent.
+type builtCommit struct {
+	fs      *fileState
+	req     *proto.CommitReq
+	session uint64
+}
+
+// stale reports whether the file's session was re-established since the
+// commit was built.
+func (bc builtCommit) stale() bool {
+	bc.fs.mu.Lock()
+	defer bc.fs.mu.Unlock()
+	return bc.fs.session != bc.session
+}
+
 // buildCommit waits for the file's data — write-behind flush and device
 // writes — to be durable (the ordered-write rule) and snapshots the file's
-// uncommitted metadata. Returns nil when there is nothing to commit.
-func (c *Client) buildCommit(fs *fileState) *proto.CommitReq {
+// uncommitted metadata. ok is false when there is nothing to commit.
+func (c *Client) buildCommit(fs *fileState) (bc builtCommit, ok bool) {
 	traced := c.tracer.Enabled()
 	var waitStart time.Time
 	if traced || c.cfg.Autoscale {
@@ -908,8 +930,9 @@ func (c *Client) buildCommit(fs *fileState) *proto.CommitReq {
 	}
 	if fs.writeErr != nil || (!fs.dirtyMeta && !c.cfg.CommitEvenIfClean) {
 		fs.mu.Unlock()
-		return nil
+		return builtCommit{}, false
 	}
+	session := fs.session
 	var exts []meta.Extent
 	for _, e := range fs.extents {
 		if e.State == meta.StateUncommitted {
@@ -946,7 +969,7 @@ func (c *Client) buildCommit(fs *fileState) *proto.CommitReq {
 			Start: waitStart, End: c.clk.Now(),
 		})
 	}
-	return req
+	return builtCommit{fs: fs, req: req, session: session}, true
 }
 
 // extentKey identifies one extent of a file: the committed-extent match in
@@ -1006,8 +1029,8 @@ func (c *Client) finishCommit(fs *fileState, req *proto.CommitReq, err error) {
 
 // commitFile synchronously commits one file (sync mode, fsync, unmount).
 func (c *Client) commitFile(fs *fileState) error {
-	req := c.buildCommit(fs)
-	if req == nil {
+	bc, ok := c.buildCommit(fs)
+	if !ok {
 		fs.mu.Lock()
 		err := fs.writeErr
 		fs.mu.Unlock()
@@ -1017,9 +1040,9 @@ func (c *Client) commitFile(fs *fileState) error {
 	c.st.commitsSent.Inc()
 	var resp proto.CommitResp
 	start := c.clk.Now()
-	err := c.sendCommit(fs, req, &resp)
-	c.observeCommitRPC(start, req.CommitID)
-	c.finishCommit(fs, req, err)
+	err := c.sendCommit(bc, &resp)
+	c.observeCommitRPC(start, bc.req.CommitID)
+	c.finishCommit(fs, bc.req, err)
 	if err != nil && errors.Is(mapRemote(err), fsapi.ErrNotExist) {
 		return nil // file removed while the commit was in flight
 	}

@@ -326,13 +326,6 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	// a foreign writer's intent nor cache it past its possible rollback.
 	var vis []meta.Extent
 
-	// Bytes the cache does not hold may still be write-behind: they have no
-	// extents, and no place on the array, until the write-back routine ran.
-	if fs.flushing && len(fs.uncachedRanges(off, min64(reqEnd, limit))) > 0 {
-		fs.waitWritesLocked()
-		limit = fs.size
-	}
-
 	// Decide whether to consult the MDS before serving locally: part of
 	// the in-bounds range is neither cached nor covered by known extents.
 	probe := false

@@ -200,9 +200,14 @@ func (c *Client) earlyVisible() bool {
 // live. Delayed-commit data that was never fsynced is lost — exactly the
 // window the paper's §III-A contract concedes.
 func (c *Client) reestablish(shard int) {
-	if old := c.space.Load(); old != nil {
+	// The old pool closes first and the new one opens last: the recovered
+	// MDS tends to delegate the very same chunk again, and an extent carved
+	// from it into a file that still lists the dead session's extents would
+	// share their blocks — in one commit the new MDS has no reason to refuse.
+	// In between, writes allocate at the MDS (coverLocalLocked).
+	old := c.space.Load()
+	if old != nil {
 		old.Close() // the recovered MDS no longer tracks these spans
-		c.space.Store(c.newSpacePool())
 	}
 	c.mu.Lock()
 	files := make([]*fileState, 0, len(c.files))
@@ -238,6 +243,9 @@ func (c *Client) reestablish(shard int) {
 		fs.mu.Unlock()
 		c.releaseDirty(dropped)
 	}
+	if old != nil {
+		c.space.Store(c.newSpacePool())
+	}
 }
 
 // callIdem issues an idempotent RPC on one shard's link with timeout/backoff
@@ -267,48 +275,48 @@ func (c *Client) callIdem(l *mdsLink, op uint16, req wire.Marshaler, resp wire.U
 // retransmission after a lost reply cannot apply twice. The ordered-write
 // barrier is re-asserted immediately before the send: the data the extents
 // name must be durable before the MDS can learn about it, on the first
-// transmission and on every retry alike.
-func (c *Client) sendCommit(fs *fileState, req *proto.CommitReq, resp *proto.CommitResp) error {
-	fs.mu.Lock()
-	fs.waitWritesLocked()
-	fs.mu.Unlock()
-	l := c.shardFor(fs.id)
-	if f := l.dead(); f != nil {
-		return f
-	}
-	attempts := c.maxAttempts()
-	for attempt := 0; ; attempt++ {
-		mds, gen := l.conn()
-		err := mds.Call(proto.OpCommit, req, resp)
-		if err == nil || !retriable(err) || attempt >= attempts-1 {
-			return err
-		}
-		if rerr := c.recoverConn(l, mds, gen, err); rerr != nil {
-			return err
-		}
-		c.st.retries.Inc()
-		c.sleepBackoff(attempt)
-	}
+// transmission and on every retry alike. So is the session: a reconnect that
+// found a restarted MDS ends the retries (errSessionLost).
+func (c *Client) sendCommit(bc builtCommit, resp *proto.CommitResp) error {
+	_, err := c.sendCommits([]builtCommit{bc}, func(mds *rpc.Client) ([]rpc.SubResult, error) {
+		return nil, mds.Call(proto.OpCommit, bc.req, resp)
+	})
+	return err
 }
 
 // sendCompound ships a compound frame of commit sub-operations — all homed
 // on one shard — with the same retry rules as sendCommit; every
 // sub-operation carries its own CommitID, so replaying the whole frame is
 // safe.
-func (c *Client) sendCompound(states []*fileState, ops []rpc.SubOp) ([]rpc.SubResult, error) {
-	for _, fs := range states {
-		fs.mu.Lock()
-		fs.waitWritesLocked()
-		fs.mu.Unlock()
+func (c *Client) sendCompound(built []builtCommit, ops []rpc.SubOp) ([]rpc.SubResult, error) {
+	return c.sendCommits(built, func(mds *rpc.Client) ([]rpc.SubResult, error) {
+		return mds.Compound(ops)
+	})
+}
+
+// sendCommits is the retry loop behind sendCommit and sendCompound: send
+// transmits the frame carrying built on the connection it is given.
+func (c *Client) sendCommits(built []builtCommit, send func(*rpc.Client) ([]rpc.SubResult, error)) ([]rpc.SubResult, error) {
+	for _, bc := range built {
+		bc.fs.mu.Lock()
+		bc.fs.waitWritesLocked()
+		bc.fs.mu.Unlock()
 	}
-	l := c.shardFor(states[0].id)
+	l := c.shardFor(built[0].fs.id)
 	if f := l.dead(); f != nil {
 		return nil, f
 	}
 	attempts := c.maxAttempts()
 	for attempt := 0; ; attempt++ {
+		// The connection first, the session second: a connection taken before
+		// a re-establishment is closed by the time the session moves on.
 		mds, gen := l.conn()
-		results, err := mds.Compound(ops)
+		for _, bc := range built {
+			if bc.stale() {
+				return nil, errSessionLost
+			}
+		}
+		results, err := send(mds)
 		if err == nil || !retriable(err) || attempt >= attempts-1 {
 			return results, err
 		}

@@ -64,10 +64,17 @@ type devWrite struct {
 // mustDeferLocked reports whether a delayed-commit write of [off, end) takes
 // the write-behind path: an earlier write of the file is still behind (device
 // writes keep application order), or the range needs space the delegation
-// pool cannot give. Caller holds fs.mu.
+// pool cannot give. A client that takes part in early visibility allocates
+// inline: the layout-get is what publishes the write's intent, and a conflict
+// reader that polls finds an intent published one write-back RPC late before
+// the data behind it was even submitted (the visibility figure's 4× floor).
+// Caller holds fs.mu.
 func (c *Client) mustDeferLocked(fs *fileState, off, end int64) bool {
 	if fs.flushing {
 		return true
+	}
+	if c.earlyVisible() {
+		return false
 	}
 	holes, err := c.coverLocalLocked(fs, off, end)
 	// A failing pool is reported by the inline path, which asks it again.
@@ -81,7 +88,7 @@ func (c *Client) mustDeferLocked(fs *fileState, off, end int64) bool {
 // succeeded, so a failed write leaves the file untouched. Called with fs.mu
 // held; releases it (the layout-get and the device submits run unlocked).
 func (c *Client) writeOut(fs *fileState, ws []fileWrite, behind bool) error {
-	if err := c.ensureExtents(fs, ws); err != nil {
+	if err := c.ensureExtents(fs, ws, behind); err != nil {
 		fs.mu.Unlock()
 		return err
 	}
@@ -131,8 +138,8 @@ func (c *Client) writeDone(fs *fileState, dw devWrite, err error, behind bool) {
 }
 
 // coverLocalLocked backs the holes of [off, end) from the delegation pool
-// and returns those it could not (all of them without a pool). Caller holds
-// fs.mu.
+// and returns those it could not (all of them without a pool, or while a
+// session re-establishment has the pool closed). Caller holds fs.mu.
 func (c *Client) coverLocalLocked(fs *fileState, off, end int64) ([][2]int64, error) {
 	holes := fs.gapsLocked(off, end)
 	pool := c.spacePool()
@@ -143,7 +150,7 @@ func (c *Client) coverLocalLocked(fs *fileState, off, end int64) ([][2]int64, er
 	for _, h := range holes {
 		sp, err := pool.Alloc(h[1] - h[0])
 		if err != nil {
-			if errors.Is(err, core.ErrTooLarge) {
+			if errors.Is(err, core.ErrTooLarge) || errors.Is(err, core.ErrPoolClosed) {
 				remaining = append(remaining, h)
 				continue
 			}
@@ -159,8 +166,12 @@ func (c *Client) coverLocalLocked(fs *fileState, off, end int64) ([][2]int64, er
 
 // ensureExtents covers every range of ws with extents, from the delegation
 // pool where possible, otherwise with one layout-get per contiguous run of
-// holes. Caller holds fs.mu; the MDS path drops and reacquires it.
-func (c *Client) ensureExtents(fs *fileState, ws []fileWrite) error {
+// holes. behind: ws is already part of the file's local state, which a session
+// re-establishment during the layout-get throws away — the grant is then
+// dropped with it (errSessionLost). An inline write has staged nothing yet and
+// simply lands in the new session. Caller holds fs.mu; the MDS path drops and
+// reacquires it.
+func (c *Client) ensureExtents(fs *fileState, ws []fileWrite, behind bool) error {
 	var runs [][2]int64
 	for _, w := range ws {
 		holes, err := c.coverLocalLocked(fs, w.off, w.off+int64(len(w.data)))
@@ -194,7 +205,7 @@ func (c *Client) ensureExtents(fs *fileState, ws []fileWrite) error {
 	if err != nil {
 		return mapRemote(err)
 	}
-	if fs.session != session {
+	if behind && fs.session != session {
 		return errSessionLost
 	}
 	for _, e := range granted {

@@ -287,6 +287,28 @@ func (gc *gatedCluster) assertFsck() {
 	}
 }
 
+// restartUnderHeldLayoutGet restarts the MDS while a layout-get of c is parked
+// at the held gate: a new incarnation answers from now on, and the connection
+// the request is parked on dies. The client's retry then parks beside the
+// orphaned first request; the two go through one after the other (the MDS does
+// not serialize two allocations of one range that are in flight together).
+func (gc *gatedCluster) restartUnderHeldLayoutGet(c *Client, release func()) {
+	gc.t.Helper()
+	up := gc.startMDS("mds-2", 2)
+	gc.gate.mu.Lock()
+	gc.gate.upstream = up
+	gc.gate.mu.Unlock()
+	old, _ := c.links[0].conn()
+	old.Close()
+	gc.gate.waitArrival(gc.t, proto.OpLayoutGet)
+	done := gc.gate.forwardedCount(proto.OpLayoutGet)
+	gc.gate.passOne(proto.OpLayoutGet)
+	eventually(gc.t, "the first parked layout-get to be answered", func() bool {
+		return gc.gate.forwardedCount(proto.OpLayoutGet) == done+1
+	})
+	release()
+}
+
 // eventually polls cond until it holds.
 func eventually(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -385,6 +407,51 @@ func TestWriteBehindWritesCostNoRPC(t *testing.T) {
 	}
 }
 
+// TestEarlyVisibilityClientAllocatesInline: a client that takes part in early
+// visibility publishes each write's intent at the write — its layout-get is
+// not deferred — so a conflict reader finds the block as soon as WriteAt has
+// returned and the data is durable.
+func TestEarlyVisibilityClientAllocatesInline(t *testing.T) {
+	gc := newGatedCluster(t)
+	early := func(_ string, cfg *Config) { cfg.EarlyVisibility = true }
+	w := gc.mount(DelayedCommit, early)
+	r := gc.mount(DelayedCommit, early)
+	defer r.Close()
+	f := mustCreate(t, w, "/f")
+	if err := f.Sync(); err != nil { // the reader must find the name
+		t.Fatal(err)
+	}
+	freeSlots := takeSlots(w) // a write-back routine would never reach the wire
+	releaseCommits := gc.gate.holdOp(proto.OpCommit)
+	data := pattern(PageSize, 5)
+	mustWrite(t, f, data, 0)
+	if lgs := gc.gate.writeLayoutGets(); len(lgs) != 1 || lgs[0].Len != PageSize {
+		t.Fatalf("layout-gets when WriteAt returned = %+v, want the write's own", lgs)
+	}
+	if got := w.dirtyBytes(); got != 0 {
+		t.Fatalf("write-behind bytes = %d, want 0", got)
+	}
+	rf, err := r.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.Close()
+	got := make([]byte, PageSize)
+	eventually(t, "the uncommitted block to be readable by the peer", func() bool {
+		n, err := rf.ReadAt(got, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n == PageSize && bytes.Equal(got, data)
+	})
+	releaseCommits()
+	freeSlots()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gc.assertOrdered()
+}
+
 // TestWriteBehindSecondLayoutGetCarriesTheRest: while the first write's
 // layout-get is held at the server, seven more writes return; the second
 // request covers all seven.
@@ -441,13 +508,14 @@ func TestWriteBehindReadYourWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := fh.(*File)
-	release := gc.gate.holdOp(proto.OpLayoutGet)
-	// An append needs space, so it is deferred and its layout-get held; the
-	// overwrite queues behind it although its range is backed.
+	// The write-back routine is parked before its RPC, not the RPC at the
+	// gate: the read's own layout probe must go through, so that what holds
+	// the read back is the barrier. An append needs space, so it is deferred;
+	// the overwrite queues behind it although its range is backed.
+	release := takeSlots(c)
 	if _, err := f.Append(pattern(PageSize, 9)); err != nil {
 		t.Fatal(err)
 	}
-	gc.gate.waitArrival(t, proto.OpLayoutGet)
 	patch := []byte("written behind")
 	mustWrite(t, f, patch, PageSize+100)
 
@@ -757,24 +825,7 @@ func TestRecoveryDoesNotWaitForWriteBack(t *testing.T) {
 	if _, err := f.Append(pattern(PageSize, 3)); err != nil { // still on the list
 		t.Fatal(err)
 	}
-	// Restart: a new incarnation answers from now on, and the connection
-	// the layout-get is parked on dies.
-	up := gc.startMDS("mds-2", 2)
-	gc.gate.mu.Lock()
-	gc.gate.upstream = up
-	gc.gate.mu.Unlock()
-	old, _ := c.links[0].conn()
-	old.Close()
-	// The retry parks at the gate beside the orphaned first request; let
-	// them through one after the other (the MDS does not serialize two
-	// allocations of one range that are in flight together).
-	gc.gate.waitArrival(t, proto.OpLayoutGet)
-	done := gc.gate.forwardedCount(proto.OpLayoutGet)
-	gc.gate.passOne(proto.OpLayoutGet)
-	eventually(t, "the first parked layout-get to be answered", func() bool {
-		return gc.gate.forwardedCount(proto.OpLayoutGet) == done+1
-	})
-	release()
+	gc.restartUnderHeldLayoutGet(c, release)
 
 	returns(t, "Drain across the restart", func() {
 		if err := c.Drain(); err != nil {
@@ -798,6 +849,99 @@ func TestRecoveryDoesNotWaitForWriteBack(t *testing.T) {
 		t.Fatal("file content after recovery is not committed prefix + new append")
 	}
 	gc.assertOrdered()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInlineWriteSurvivesRestartDuringLayoutGet: an inline allocation — a
+// SyncCommit write — whose layout-get spans an MDS restart has staged nothing
+// the recovery could have thrown away; the retry's grant belongs to the new
+// session and the write succeeds in it. Only write-behind batches are dropped
+// on a session change.
+func TestInlineWriteSurvivesRestartDuringLayoutGet(t *testing.T) {
+	gc := newGatedCluster(t)
+	c := gc.mount(SyncCommit, func(host string, cfg *Config) {
+		cfg.Redial = func() (*rpc.Client, error) { return gc.dial(host), nil }
+		cfg.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
+	})
+	f := mustCreate(t, c, "/f")
+	first, second := pattern(PageSize, 1), pattern(PageSize, 2)
+	mustWrite(t, f, first, 0)
+
+	release := gc.gate.holdOp(proto.OpLayoutGet)
+	werr := make(chan error, 1)
+	go func() {
+		_, err := f.WriteAt(second, PageSize)
+		werr <- err
+	}()
+	gc.gate.waitArrival(t, proto.OpLayoutGet)
+	gc.restartUnderHeldLayoutGet(c, release)
+
+	select {
+	case err := <-werr:
+		if err != nil {
+			t.Fatalf("WriteAt across the restart: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("WriteAt across the restart did not return")
+	}
+	if got := f.Size(); got != 2*PageSize {
+		t.Fatalf("size = %d, want %d", got, 2*PageSize)
+	}
+	if got, want := readFile(t, c, "/f"), append(first, second...); !bytes.Equal(got, want) {
+		t.Fatal("file content after the restart is not both writes")
+	}
+	gc.assertOrdered()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gc.assertFsck()
+}
+
+// TestStaleCommitIsNotResentAfterRestart: a commit request names extents of
+// the session it was built in. When the reconnect that follows a dead
+// connection finds a restarted MDS, the retry loop ends instead of sending the
+// request into the new session — where the same space may have been delegated
+// again and the stale extents would be accepted beside their new users.
+func TestStaleCommitIsNotResentAfterRestart(t *testing.T) {
+	gc := newGatedCluster(t)
+	c := gc.mount(SyncCommit, func(host string, cfg *Config) {
+		cfg.Redial = func() (*rpc.Client, error) { return gc.dial(host), nil }
+		cfg.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
+	})
+	f := mustCreate(t, c, "/f")
+	release := gc.gate.holdOp(proto.OpCommit)
+	werr := make(chan error, 1)
+	go func() {
+		_, err := f.WriteAt(pattern(PageSize, 1), 0)
+		werr <- err
+	}()
+	gc.gate.waitArrival(t, proto.OpCommit)
+
+	up := gc.startMDS("mds-2", 2)
+	gc.gate.mu.Lock()
+	gc.gate.upstream = up
+	gc.gate.mu.Unlock()
+	old, _ := c.links[0].conn()
+	old.Close()
+	select {
+	case err := <-werr:
+		if !errors.Is(err, errSessionLost) {
+			t.Fatalf("WriteAt across the restart = %v, want errSessionLost", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("WriteAt did not return: the stale commit was sent again and is parked at the gate")
+	}
+	select {
+	case op := <-gc.gate.arrived:
+		t.Fatalf("op %d reached the gate after the restart, want nothing", op)
+	default:
+	}
+	release() // the orphaned request of the dead connection
+	if got := f.Size(); got != 0 {
+		t.Fatalf("size after recovery = %d, want the committed 0", got)
+	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

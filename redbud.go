@@ -118,7 +118,8 @@ type Config struct {
 	// stalling conflict reads until the writer's delayed commit lands.
 	// Intents are published when the MDS allocates, so the knob shows its
 	// effect with SpaceDelegation off (a delegated writer allocates
-	// locally and discloses extents only at commit).
+	// locally and discloses extents only at commit). For the same reason
+	// clients then allocate at the write instead of write-behind.
 	EarlyVisibility bool
 	// Shards partitions the metadata namespace across this many MDS
 	// instances (default 1). Each shard is a complete metadata authority
