@@ -34,6 +34,22 @@ func checkFig(name string) error {
 	return fmt.Errorf("unknown figure %q; valid figures: %s", name, strings.Join(figures, ", "))
 }
 
+// checkParams rejects run parameters no figure is defined for: without
+// clients there is nothing to measure, a workload cannot be scaled by a
+// factor outside (0, 1], and the scaled clock cannot run faster than
+// scale 1.
+func checkParams(clients int, scale, size float64) error {
+	switch {
+	case clients < 1:
+		return fmt.Errorf("-clients %d: want at least 1", clients)
+	case !(scale > 0 && scale <= 1):
+		return fmt.Errorf("-scale %g: want a value in (0, 1]", scale)
+	case !(size > 0 && size <= 1):
+		return fmt.Errorf("-size %g: want a value in (0, 1]", size)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		fig     = flag.String("fig", "all", "figure to regenerate: "+strings.Join(figures, ", ")+" (autoscale, obs, visibility and shards run only when named)")
@@ -41,14 +57,14 @@ func main() {
 		scale   = flag.Float64("scale", 0.02, "virtual-time compression in (0, 1]")
 		size    = flag.Float64("size", 0.5, "workload size factor in (0, 1]")
 		seed    = flag.Int64("seed", 1, "workload seed")
-		mdsJSON = flag.String("json", "BENCH_mds.json", "path for the machine-readable Figure 7 report (empty disables)")
-		obsJSON = flag.String("obs-json", "BENCH_obs.json", "path for the observability report when -fig obs (empty disables)")
 		obsOut  = flag.String("obs-trace", "", "path for the Chrome/Perfetto trace JSON when -fig obs (empty disables)")
-		visJSON = flag.String("visibility-json", "BENCH_visibility.json", "path for the visibility report when -fig visibility (empty disables)")
-		shJSON  = flag.String("shards-json", "BENCH_shards.json", "path for the namespace-sharding report when -fig shards (empty disables)")
 	)
 	flag.Parse()
-	if err := checkFig(*fig); err != nil {
+	err := checkFig(*fig)
+	if err == nil {
+		err = checkParams(*clients, *scale, *size)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "redbud-bench: %v\n", err)
 		os.Exit(2)
 	}
@@ -133,12 +149,6 @@ func main() {
 				return err
 			}
 			bench.PrintObs(os.Stdout, rep)
-			if *obsJSON != "" {
-				if err := bench.WriteObsJSON(*obsJSON, opt, rep); err != nil {
-					return err
-				}
-				fmt.Printf("   wrote %s\n", *obsJSON)
-			}
 			if *obsOut != "" {
 				f, err := os.Create(*obsOut)
 				if err != nil {
@@ -167,12 +177,6 @@ func main() {
 				return err
 			}
 			bench.PrintFigVisibility(os.Stdout, rows)
-			if *visJSON != "" {
-				if err := bench.WriteVisibilityJSON(*visJSON, opt, rows); err != nil {
-					return err
-				}
-				fmt.Printf("   wrote %s\n", *visJSON)
-			}
 			return nil
 		})
 	}
@@ -186,12 +190,6 @@ func main() {
 				return err
 			}
 			bench.PrintFigShards(os.Stdout, rows)
-			if *shJSON != "" {
-				if err := bench.WriteShardsJSON(*shJSON, opt, rows); err != nil {
-					return err
-				}
-				fmt.Printf("   wrote %s\n", *shJSON)
-			}
 			return nil
 		})
 	}
@@ -203,12 +201,6 @@ func main() {
 				return err
 			}
 			bench.PrintFig7(os.Stdout, cells)
-			if *mdsJSON != "" {
-				if err := bench.WriteMDSJSON(*mdsJSON, opt, cells); err != nil {
-					return err
-				}
-				fmt.Printf("   wrote %s\n", *mdsJSON)
-			}
 			return nil
 		})
 	}

@@ -59,33 +59,6 @@ func main() {
 	if *debugAddr != "" {
 		tracer = obs.NewTracer(*traceCap)
 	}
-	// With -shard i/N each shard owns a disjoint slice of every data
-	// device: shards are independent metadata authorities over one shared
-	// array, and their allocators must never hand out overlapping extents.
-	mkAGs := func() *alloc.AGSet {
-		var groups []*alloc.Group
-		for d := 0; d < *devices; d++ {
-			lo, hi := int64(0), *devSize
-			if shardCount > 1 {
-				per := *devSize / int64(shardCount)
-				lo = int64(shardIdx) * per
-				hi = lo + per
-				if shardIdx == shardCount-1 {
-					hi = *devSize
-				}
-			}
-			per := (hi - lo) / int64(*agsPer)
-			for a := 0; a < *agsPer; a++ {
-				end := lo + int64(a+1)*per
-				if a == *agsPer-1 {
-					end = hi
-				}
-				groups = append(groups, alloc.NewGroup(d, lo+int64(a)*per, end))
-			}
-		}
-		return alloc.NewAGSet(alloc.RoundRobin, groups...)
-	}
-
 	// The metadata disk lives inside the MDS process: superblock plus two
 	// alternating journal regions, recovered at startup.
 	metaDev := blockdev.New(blockdev.Config{ID: 1000, Size: 4 << 30, Model: blockdev.DefaultHDD(), Clock: clk, Tracer: tracer})
@@ -93,8 +66,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// With -shard i/N each shard owns a disjoint slice of every data
+	// device: shards are independent metadata authorities over one shared
+	// array, and their allocators must never hand out overlapping extents.
 	store, rstats, err := meta.Recover(meta.Config{
-		AGs: mkAGs(), Journal: journal, Clock: clk, Tracer: tracer,
+		AGs:     alloc.NewShardAGSet(alloc.RoundRobin, *devices, *devSize, shardIdx, shardCount, *agsPer),
+		Journal: journal, Clock: clk, Tracer: tracer,
 		Shard: shardIdx, ShardCount: shardCount,
 	})
 	if err != nil {

@@ -13,52 +13,25 @@ import (
 	"fmt"
 	"log"
 
-	"redbud/internal/alloc"
+	"redbud/internal/bench"
 	"redbud/internal/blockdev"
-	"redbud/internal/client"
-	"redbud/internal/clock"
-	"redbud/internal/mds"
 	"redbud/internal/meta"
-	"redbud/internal/netsim"
-	"redbud/internal/rpc"
 )
 
 func main() {
-	clk := clock.Real(1)
-
-	// The shared array and the metadata disk survive crashes (they are
+	// One delayed-commit client with space delegation, one MDS, one data
+	// disk. The shared array and the metadata disk survive crashes (they are
 	// "the disks"); everything in DRAM is lost.
-	data := blockdev.New(blockdev.Config{ID: 0, Size: 1 << 30, Model: blockdev.FastHDD(), Clock: clk})
-	defer data.Close()
-	metaDisk := blockdev.New(blockdev.Config{ID: 1000, Size: 256 << 20, Model: blockdev.FastHDD(), Clock: clk})
-	defer metaDisk.Close()
-
-	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(alloc.RoundRobin, 0, 1<<30, 4) }
-	journal := meta.NewJournal(metaDisk, 0, 128<<20)
-	store := meta.NewStore(meta.Config{AGs: mkAGs(), Journal: journal, Clock: clk})
-	server := mds.New(mds.Config{Store: store, Clock: clk, Daemons: 4})
-
-	net := netsim.NewNetwork(clk)
-	net.AddHost("mds", netsim.Instant())
-	net.AddHost("c1", netsim.Instant())
-	lis, err := net.Listen("mds")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go server.Serve(lis)
-
-	conn, err := net.Dial("c1", "mds")
-	if err != nil {
-		log.Fatal(err)
-	}
-	cl := client.New(client.Config{
-		Name:            "c1",
-		MDS:             rpc.NewClient(conn, clk),
-		Devices:         map[uint32]client.BlockDevice{0: data},
-		Clock:           clk,
-		Mode:            client.DelayedCommit,
-		DelegationChunk: 1 << 20,
-	})
+	opt := bench.DefaultOptions()
+	opt.Clients = 1
+	opt.Scale = 1
+	opt.DataDevices = 1
+	opt.DeviceSize = 1 << 30
+	opt.Disk = blockdev.FastHDD()
+	opt.DelegationChunk = 1 << 20
+	c := bench.Build(bench.SysRedbudDCSD, opt)
+	defer c.Close()
+	cl := c.Mounts[0]
 
 	// Write ten files; fsync the first five ("the user saved them"),
 	// leave the rest in flight, then pull the plug on the client.
@@ -78,29 +51,23 @@ func main() {
 		}
 		f.Close()
 	}
-	cl.Crash() // no drain, no delegation return
+	c.CrashClient(0) // no drain, no delegation return
 	fmt.Println("client crashed with 5 fsynced files and 5 files in flight")
 
 	// MDS "reboot": throw the in-memory store away and recover from the
 	// journal alone, against a fresh (fully free) AG set.
-	server.Close()
-	lis.Close()
-	recovered, stats, err := meta.Recover(meta.Config{
-		AGs:     mkAGs(),
-		Journal: meta.NewJournal(metaDisk, 0, 128<<20),
-		Clock:   clk,
-	})
+	c.StopShard(0)
+	stats, err := c.RecoverShard(0)
 	if err != nil {
 		log.Fatal(err)
 	}
+	recovered := c.Store
 	fmt.Printf("recovery replayed %d journal records, reclaimed %d orphan bytes, revoked %d delegations\n",
 		stats.Records, stats.OrphanBytes, stats.Delegations)
 
 	// The ordered-write invariant: every committed extent must reference
 	// durable data on the array.
-	violations := recovered.CheckConsistent(func(dev int, off, n int64) bool {
-		return data.IsDurable(off, n)
-	})
+	violations := recovered.CheckConsistent(c.Durable)
 	fmt.Printf("consistency check: %d violations\n", len(violations))
 
 	// What survived? The fsynced files with their full size; the in-flight

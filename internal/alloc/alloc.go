@@ -228,19 +228,48 @@ func NewAGSet(strategy Strategy, groups ...*Group) *AGSet {
 	return &AGSet{groups: groups, strategy: strategy}
 }
 
-// NewUniformAGSet carves device dev's [0, size) into n equal groups.
-func NewUniformAGSet(strategy Strategy, dev int, size int64, n int) *AGSet {
+// carve cuts device dev's [lo, hi) into n equal groups; the last one takes
+// the remainder.
+func carve(dev int, lo, hi int64, n int) []*Group {
 	if n <= 0 {
 		panic("alloc: need at least one AG")
 	}
-	per := size / int64(n)
+	per := (hi - lo) / int64(n)
 	groups := make([]*Group, 0, n)
 	for i := 0; i < n; i++ {
-		end := int64(i+1) * per
+		end := lo + int64(i+1)*per
 		if i == n-1 {
-			end = size
+			end = hi
 		}
-		groups = append(groups, NewGroup(dev, int64(i)*per, end))
+		groups = append(groups, NewGroup(dev, lo+int64(i)*per, end))
+	}
+	return groups
+}
+
+// NewUniformAGSet carves device dev's [0, size) into n equal groups.
+func NewUniformAGSet(strategy Strategy, dev int, size int64, n int) *AGSet {
+	return NewAGSet(strategy, carve(dev, 0, size, n)...)
+}
+
+// NewShardAGSet builds the allocation groups of one metadata shard over a
+// shared array of devices identical disks (IDs 0..devices-1) of devSize
+// bytes. Every disk is cut into shards equal slices, the last taking the
+// remainder, and the shard's slice of each disk into perDevice groups, in
+// device order. Shards are independent metadata authorities over one array,
+// so their sets must never overlap; with one shard the slice is the whole
+// disk.
+func NewShardAGSet(strategy Strategy, devices int, devSize int64, shard, shards, perDevice int) *AGSet {
+	if shards < 1 || shard < 0 || shard >= shards {
+		panic(fmt.Sprintf("alloc: shard %d of %d", shard, shards))
+	}
+	per := devSize / int64(shards)
+	lo, hi := int64(shard)*per, int64(shard+1)*per
+	if shard == shards-1 {
+		hi = devSize
+	}
+	var groups []*Group
+	for d := 0; d < devices; d++ {
+		groups = append(groups, carve(d, lo, hi, perDevice)...)
 	}
 	return NewAGSet(strategy, groups...)
 }

@@ -211,6 +211,52 @@ func TestUniformAGSet(t *testing.T) {
 	}
 }
 
+// TestShardAGSet pins the shared-array layout every harness and the MDS
+// daemon build from: one shard owns each disk in halves, in device order;
+// several shards tile every disk with no overlap and no gap.
+func TestShardAGSet(t *testing.T) {
+	type bounds struct {
+		dev    int
+		lo, hi int64
+	}
+	layout := func(s *AGSet) []bounds {
+		var out []bounds
+		for _, g := range s.Groups() {
+			lo, hi := g.Bounds()
+			out = append(out, bounds{g.Dev(), lo, hi})
+		}
+		return out
+	}
+	got := layout(NewShardAGSet(RoundRobin, 2, 1001, 0, 1, 2))
+	want := []bounds{{0, 0, 500}, {0, 500, 1001}, {1, 0, 500}, {1, 500, 1001}}
+	if len(got) != len(want) {
+		t.Fatalf("single shard: %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("single shard: %v, want %v", got, want)
+		}
+	}
+
+	const shards, devSize = 3, 1000
+	next := []int64{0, 0} // per device: where the previous shard's slice ended
+	for sh := 0; sh < shards; sh++ {
+		s := NewShardAGSet(RoundRobin, 2, devSize, sh, shards, 2)
+		if len(s.Groups()) != 4 {
+			t.Fatalf("shard %d: %d groups, want 4", sh, len(s.Groups()))
+		}
+		for _, b := range layout(s) {
+			if b.lo != next[b.dev] || b.hi <= b.lo {
+				t.Fatalf("shard %d: group %+v does not continue device %d at %d", sh, b, b.dev, next[b.dev])
+			}
+			next[b.dev] = b.hi
+		}
+	}
+	if next[0] != devSize || next[1] != devSize {
+		t.Fatalf("shards tile the devices up to %v, want %d", next, devSize)
+	}
+}
+
 func TestAGSetRoundRobinInterleaves(t *testing.T) {
 	s := NewUniformAGSet(RoundRobin, 0, 1<<20, 4)
 	devs := map[int64]bool{}

@@ -65,6 +65,9 @@ type Options struct {
 	// cluster 50x faster than real time while keeping every relative
 	// latency intact. Reported numbers are always virtual-time.
 	Scale float64
+	// Clock replaces the wall clock compressed by Scale, which nil selects:
+	// the determinism fixtures run on a clock.Manual.
+	Clock clock.Clock
 	// SizeFactor scales workload op counts in (0, 1]; bench targets use
 	// small factors, `redbud-bench` uses 1.
 	SizeFactor float64
@@ -72,7 +75,7 @@ type Options struct {
 	DataDevices int
 	// DeviceSize is the capacity of each disk.
 	DeviceSize int64
-	// Disk is the service-time model of each disk.
+	// Disk is the service-time model of each disk, journal disks included.
 	Disk blockdev.DiskModel
 	// Net is the metadata-Ethernet link model.
 	Net netsim.LinkConfig
@@ -83,10 +86,22 @@ type Options struct {
 	// MDSFrameCost is the per-RPC-frame overhead at the server; the
 	// saving compound RPCs buy (Figure 7).
 	MDSFrameCost time.Duration
+	// LeaseTimeout enables MDS lease expiry (0 disables it).
+	LeaseTimeout time.Duration
+	// CommitCheck audits every commit any MDS shard applies against what
+	// the data devices have made durable — the ordered-write rule. A commit
+	// over non-durable data is refused and recorded (Cluster.Violations).
+	CommitCheck bool
 	// CompoundDegree pins the Redbud compound degree (0 = adaptive).
 	CompoundDegree int
 	// DelegationChunk is the space-delegation unit (paper: 16 MiB).
 	DelegationChunk int64
+	// Retry is the Redbud clients' fault-tolerance policy. The zero value
+	// waits forever for a reply and retries only over a dead connection, so
+	// a cluster whose shards get restarted wants Retry.CallTimeout > 0: a
+	// request the crashed server had queued is never answered. A zero
+	// Retry.Seed is derived per client from Seed.
+	Retry client.RetryPolicy
 	// Seed drives all randomness.
 	Seed int64
 	// Trace attaches a blktrace recorder to the data devices.
@@ -96,6 +111,9 @@ type Options struct {
 	SpanTrace bool
 	// SpanTraceCap bounds the span ring (0 = obs.DefaultTraceCap).
 	SpanTraceCap int
+	// Tracer attaches a span ring the caller owns instead (SpanTrace and
+	// SpanTraceCap are then ignored).
+	Tracer *obs.Tracer
 
 	// ReadAhead enables client sequential prefetch with this window.
 	ReadAhead int64
@@ -113,9 +131,6 @@ type Options struct {
 	// uncommitted extents through the layout-v2 intent path instead of
 	// stalling conflict reads until the commit lands.
 	EarlyVisibility bool
-	// JournalMaxDelay enables journal group-commit v2 with this adaptive
-	// deadline bound (0 keeps v1 flush-as-soon-as-the-leader-runs).
-	JournalMaxDelay time.Duration
 
 	// Shards partitions the metadata namespace across this many MDS
 	// instances (<= 1 keeps the classic single MDS). Each shard runs its
@@ -161,35 +176,51 @@ type Cluster struct {
 	Devices []*blockdev.Device
 	Rec     *iotrace.Recorder
 
-	// Redbud-only handles (nil otherwise). MDS / Store / MetaDev / AGTotal
-	// are shard 0's (the whole cluster when Options.Shards <= 1); the
-	// slices hold every shard of a sharded namespace in shard order.
+	// Redbud-only handles (nil otherwise). The slices hold every metadata
+	// shard in shard order; the shard lifecycle (StopShard, RecoverShard,
+	// ServeShard) replaces their elements, so re-read them after a restart.
+	// Store, MetaDev and AGTotal are shard 0's — the whole cluster when
+	// Options.Shards <= 1. AGTotals is the capacity each shard's AG set
+	// spans (fsck identity). Clients are named "client-<i>".
 	Redbud   []*client.Client
-	MDS      *mds.Server
-	Store    *meta.Store
 	Net      *netsim.Network
-	MetaDev  *blockdev.Device
-	AGTotal  int64 // capacity shard 0's AG set spans (fsck identity)
 	MDSs     []*mds.Server
 	Stores   []*meta.Store
-	MetaDevs []*blockdev.Device
 	AGTotals []int64
+	Store    *meta.Store
+	MetaDev  *blockdev.Device
+	AGTotal  int64
 
-	// Tracer is the commit-lifecycle span ring (nil unless Options.SpanTrace;
-	// Redbud systems only). Registry names every counter of a Redbud cluster
-	// and is always built.
-	Tracer   *obs.Tracer
-	Registry *obs.Registry
-
-	// ShardRegs holds one registry per MDS shard, carrying that shard's
-	// server + store + rpc metrics. Registry exports only shard 0's MDS (the
-	// fixed metric names would collide); the per-shard registries cover the
-	// rest, and Collector aggregates them — plus every client — into the
-	// shard-tagged cluster view (Redbud systems only).
-	ShardRegs []*obs.Registry
+	// Tracer is the commit-lifecycle span ring (nil unless Options.SpanTrace
+	// or Options.Tracer; Redbud systems only). Registry names every counter
+	// of a Redbud cluster and is always built. It exports only shard 0's
+	// first MDS incarnation (the fixed server metric names would collide);
+	// Collector aggregates every shard's live incarnation — one fresh
+	// registry per ServeShard — plus every client into the shard-tagged
+	// cluster view.
+	Tracer    *obs.Tracer
+	Registry  *obs.Registry
 	Collector *agg.Collector
 
+	opt        Options
+	shards     []*shard
+	devMap     map[uint32]client.BlockDevice // the array as every client sees it
+	clientsReg *obs.Registry
+
+	mu         sync.Mutex // guards violations and each shard's reg
+	violations []string
+
 	closers []func()
+}
+
+// shard is what outlives one metadata server: the journal disk and the host
+// address survive a crash, incarnation counts the servers started on them.
+type shard struct {
+	host        string
+	metaDev     *blockdev.Device
+	lis         *netsim.Listener
+	incarnation uint64
+	reg         *obs.Registry // the live server's; guarded by Cluster.mu
 }
 
 // Close tears the cluster down in reverse construction order.
@@ -251,13 +282,17 @@ func (c *Cluster) RPCs() int64 {
 
 // Build assembles a cluster of the given system.
 func Build(sys System, opt Options) *Cluster {
+	clk := opt.Clock
+	if clk == nil {
+		clk = clock.Real(opt.Scale)
+	}
 	switch sys {
 	case SysPVFS2:
-		return buildPVFS2(opt)
+		return buildPVFS2(opt, clk)
 	case SysNFS3:
-		return buildNFS3(opt)
+		return buildNFS3(opt, clk)
 	default:
-		return buildRedbud(sys, opt)
+		return buildRedbud(sys, opt, clk)
 	}
 }
 
@@ -281,200 +316,301 @@ func newDevices(opt Options, clk clock.Clock, rec *iotrace.Recorder, tr *obs.Tra
 	return devs
 }
 
-// buildRedbud assembles MDS + shared array + Redbud clients in the given
-// commit mode.
-func buildRedbud(sys System, opt Options) *Cluster {
-	shards := opt.Shards
-	if shards <= 0 {
-		shards = 1
+const (
+	metaDevSize = 4 << 30 // each shard's metadata disk
+	journalSize = 2 << 30 // journal region at its front
+	// agsPerDevice cuts a shard's slice of each data disk in halves.
+	agsPerDevice = 2
+)
+
+// buildRedbud assembles MDS shards + shared array + Redbud clients in the
+// given commit mode. A wiring failure here is a bug in the builder, hence the
+// panics; AddClient reports the failures a stopped shard can cause later.
+func buildRedbud(sys System, opt Options, clk clock.Clock) *Cluster {
+	n := opt.Shards
+	if n <= 0 {
+		n = 1
 	}
-	if shards > 1 && sys == SysRedbudDCSD {
+	if n > 1 && sys == SysRedbudDCSD {
 		// A delegated writer allocates from a private space pool with no
 		// shard affinity; the client refuses the combination, so fail the
 		// build loudly instead of handing out a cluster that panics later.
 		panic("bench: space delegation is incompatible with a sharded namespace")
 	}
-	clk := clock.Real(opt.Scale)
-	c := &Cluster{System: sys, Clock: clk}
+	c := &Cluster{System: sys, Clock: clk, opt: opt, Tracer: opt.Tracer}
 	if opt.Trace {
 		c.Rec = iotrace.NewRecorder()
 	}
-	if opt.SpanTrace {
+	if c.Tracer == nil && opt.SpanTrace {
 		c.Tracer = obs.NewTracer(opt.SpanTraceCap)
 	}
 	c.Registry = obs.NewRegistry()
+	c.clientsReg = obs.NewRegistry()
 	c.Devices = newDevices(opt, clk, c.Rec, c.Tracer)
+	c.devMap = make(map[uint32]client.BlockDevice, len(c.Devices))
 	for _, d := range c.Devices {
-		dev := d
-		c.closers = append(c.closers, dev.Close)
+		c.closers = append(c.closers, d.Close)
+		c.devMap[uint32(d.ID())] = d
 	}
-
-	// Each shard gets its own AG set over the shared array: with one shard
-	// the AGs partition each device in halves (the classic layout); with
-	// more, the shards split every device into disjoint slices, so extent
-	// spaces never overlap across metadata authorities.
-	mkAGs := func(shard int) *alloc.AGSet {
-		var groups []*alloc.Group
-		for _, d := range c.Devices {
-			if shards == 1 {
-				half := d.Size() / 2
-				groups = append(groups,
-					alloc.NewGroup(d.ID(), 0, half),
-					alloc.NewGroup(d.ID(), half, d.Size()))
-				continue
-			}
-			per := d.Size() / int64(shards)
-			start := int64(shard) * per
-			end := start + per
-			if shard == shards-1 {
-				end = d.Size()
-			}
-			groups = append(groups, alloc.NewGroup(d.ID(), start, end))
-		}
-		return alloc.NewAGSet(alloc.RoundRobin, groups...)
-	}
-
-	hostOf := func(shard int) string {
-		if shards == 1 {
-			return "mds"
-		}
-		return fmt.Sprintf("mds%d", shard)
-	}
-
 	c.Net = netsim.NewNetwork(clk)
 	c.Net.SetTracer(c.Tracer)
 
-	for i := 0; i < shards; i++ {
+	c.MDSs = make([]*mds.Server, n)
+	c.Stores = make([]*meta.Store, n)
+	c.AGTotals = make([]int64, n)
+	sources := make([]agg.Source, 0, n+1)
+	for i := 0; i < n; i++ {
 		// Metadata device (journal) on its own disk per shard.
-		metaDev := blockdev.New(blockdev.Config{ID: 1000 + i, Size: 4 << 30, Model: opt.Disk, Clock: clk})
-		c.closers = append(c.closers, metaDev.Close)
-		c.MetaDevs = append(c.MetaDevs, metaDev)
-		ags := mkAGs(i)
-		c.AGTotals = append(c.AGTotals, meta.TotalSpace(ags))
-		journal := meta.NewJournal(metaDev, 0, 2<<30)
-		if opt.JournalMaxDelay > 0 {
-			journal.SetBatchPolicy(meta.BatchPolicy{MaxDelay: opt.JournalMaxDelay, Clock: clk})
+		sh := &shard{host: "mds", metaDev: blockdev.New(blockdev.Config{ID: 1000 + i, Size: metaDevSize, Model: opt.Disk, Clock: clk})}
+		if n > 1 {
+			sh.host = fmt.Sprintf("mds%d", i)
 		}
-		store := meta.NewStore(meta.Config{
-			AGs: ags, Journal: journal, Clock: clk, Tracer: c.Tracer,
-			Shard: i, ShardCount: shards,
-		})
-		c.Stores = append(c.Stores, store)
-
-		srv := mds.New(mds.Config{
-			Store:               store,
-			Clock:               clk,
-			Daemons:             opt.MDSDaemons,
-			OpCost:              opt.MDSOpCost,
-			FrameCost:           opt.MDSFrameCost,
-			ContentionPerDaemon: 0.05,
-			ShardIndex:          uint32(i),
-			ShardCount:          uint32(shards),
-			Tracer:              c.Tracer,
-		})
-		c.MDSs = append(c.MDSs, srv)
-		c.closers = append(c.closers, srv.Close)
-
-		c.Net.AddHost(hostOf(i), opt.Net)
-		lis, err := c.Net.Listen(hostOf(i))
-		if err != nil {
+		c.shards = append(c.shards, sh)
+		c.closers = append(c.closers, sh.metaDev.Close, func() { c.StopShard(i) })
+		c.Net.AddHost(sh.host, opt.Net)
+		sources = append(sources, agg.SourceFunc(sh.host, func() obs.Snapshot {
+			c.mu.Lock()
+			reg := sh.reg
+			c.mu.Unlock()
+			return reg.Snapshot()
+		}))
+	}
+	for i := range c.shards {
+		cfg := c.metaConfig(i)
+		c.AGTotals[i] = meta.TotalSpace(cfg.AGs)
+		c.setStore(i, meta.NewStore(cfg))
+		if err := c.ServeShard(i); err != nil {
 			panic(err)
 		}
-		go srv.Serve(lis)
-		c.closers = append(c.closers, func() { lis.Close() })
 	}
-	c.MDS = c.MDSs[0]
-	c.Store = c.Stores[0]
-	c.MetaDev = c.MetaDevs[0]
+	c.MetaDev = c.shards[0].metaDev
 	c.AGTotal = c.AGTotals[0]
 
-	devMap := make(map[uint32]client.BlockDevice, len(c.Devices))
-	for _, d := range c.Devices {
-		devMap[uint32(d.ID())] = d
-	}
-
-	mode := client.SyncCommit
-	if sys != SysRedbud {
-		mode = client.DelayedCommit
-	}
-	deleg := int64(0)
-	if sys == SysRedbudDCSD {
-		deleg = opt.DelegationChunk
-	}
 	for i := 0; i < opt.Clients; i++ {
-		host := fmt.Sprintf("client-%d", i)
-		c.Net.AddHost(host, opt.Net)
-		net := c.Net
-		ccfg := client.Config{
-			Name:               host,
-			Devices:            devMap,
-			Clock:              clk,
-			Mode:               mode,
-			CompoundDegree:     opt.CompoundDegree,
-			DelegationChunk:    deleg,
-			NetCongestion:      func() time.Duration { return net.CongestionWait(hostOf(0)) },
-			PoolInterval:       2 * time.Millisecond,
-			ReadAhead:          opt.ReadAhead,
-			FixedCommitThreads: opt.FixedCommitThreads,
-			SpaceNoPrefetch:    opt.SpaceNoPrefetch,
-			CommitEvenIfClean:  opt.CommitEvenIfClean,
-			Autoscale:          opt.Autoscale,
-			EarlyVisibility:    opt.EarlyVisibility,
-			Tracer:             c.Tracer,
+		if _, err := c.AddClient(sys, opt.EarlyVisibility); err != nil {
+			panic(err)
 		}
-		if shards == 1 {
-			conn, err := c.Net.Dial(host, "mds")
-			if err != nil {
-				panic(err)
-			}
-			ccfg.MDS = rpc.NewClient(conn, clk)
-		} else {
-			conns := make([]*rpc.Client, shards)
-			for s := 0; s < shards; s++ {
-				conn, err := c.Net.Dial(host, hostOf(s))
-				if err != nil {
-					panic(err)
-				}
-				conns[s] = rpc.NewClient(conn, clk)
-			}
-			ccfg.Shards = conns
-		}
-		cl := client.New(ccfg)
-		c.Redbud = append(c.Redbud, cl)
-		c.Mounts = append(c.Mounts, cl)
 	}
 
-	// Name every counter in the cluster-wide registry. Only shard 0's MDS
-	// is exported: the server metrics carry fixed names, and a second
-	// registration would collide.
+	// Name every counter in the cluster-wide registry (clients registered
+	// themselves as they mounted). Only shard 0's MDS is exported: the
+	// server metrics carry fixed names, and a second registration would
+	// collide.
 	for _, d := range c.Devices {
 		d.RegisterMetrics(c.Registry)
 	}
 	c.MetaDev.RegisterMetrics(c.Registry)
 	c.Net.RegisterMetrics(c.Registry)
-	c.MDS.RegisterMetrics(c.Registry)
-	for _, cl := range c.Redbud {
-		cl.RegisterMetrics(c.Registry)
-	}
+	c.MDSs[0].RegisterMetrics(c.Registry)
 
-	// Per-shard registries feed the cluster collector: each MDS registers
-	// into its own, so the fixed server metric names never collide, and the
-	// aggregation layer tags each source with its shard name. Clients share
-	// one source — their metrics are already labeled per client.
-	var sources []agg.Source
-	for i, srv := range c.MDSs {
-		reg := obs.NewRegistry()
-		srv.RegisterMetrics(reg)
-		c.ShardRegs = append(c.ShardRegs, reg)
-		sources = append(sources, agg.RegistrySource(hostOf(i), reg))
-	}
-	clientsReg := obs.NewRegistry()
-	for _, cl := range c.Redbud {
-		cl.RegisterMetrics(clientsReg)
-	}
-	sources = append(sources, agg.RegistrySource("clients", clientsReg))
+	// The collector reads each shard's live registry, so the fixed server
+	// metric names never collide and the aggregation layer tags each source
+	// with its shard name. Clients share one source — their metrics are
+	// already labeled per client.
+	sources = append(sources, agg.RegistrySource("clients", c.clientsReg))
 	c.Collector = agg.New(sources...)
 	return c
+}
+
+// metaConfig is shard i's store configuration over a fresh (fully free) AG
+// set: its slice of the shared array, and the journal on its metadata disk.
+func (c *Cluster) metaConfig(i int) meta.Config {
+	return meta.Config{
+		AGs:     alloc.NewShardAGSet(alloc.RoundRobin, len(c.Devices), c.opt.DeviceSize, i, len(c.shards), agsPerDevice),
+		Journal: meta.NewJournal(c.shards[i].metaDev, 0, journalSize),
+		Clock:   c.Clock, Tracer: c.Tracer,
+		Shard: i, ShardCount: len(c.shards),
+	}
+}
+
+func (c *Cluster) setStore(i int, st *meta.Store) {
+	c.Stores[i] = st
+	if i == 0 {
+		c.Store = st
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Shard lifecycle. A restart is stop, recover, serve; the disks (data array
+// and journal), the network hosts and the clients survive it, everything an
+// MDS held in memory does not. The methods are not synchronized with each
+// other or with readers of MDSs/Stores: one goroutine drives a shard's
+// lifecycle, while clients and the collector keep running.
+
+// StopShard crashes shard i's MDS: the listener closes, operations already on
+// a daemon finish (so the journal is quiescent) and queued ones are dropped.
+// Established connections die under their clients at the next call.
+func (c *Cluster) StopShard(i int) {
+	c.shards[i].lis.Close()
+	c.MDSs[i].Close()
+}
+
+// RecoverShard abandons shard i's in-memory store and rebuilds it from the
+// shard's journal over a fresh AG set, reclaiming every delegation and
+// uncommitted allocation: after a crash all clients are presumed gone.
+func (c *Cluster) RecoverShard(i int) (meta.RecoveryStats, error) {
+	st, stats, err := meta.Recover(c.metaConfig(i))
+	if err != nil {
+		return stats, fmt.Errorf("bench: recovery of shard %d: %w", i, err)
+	}
+	c.setStore(i, st)
+	return stats, nil
+}
+
+// ServeShard starts a new MDS incarnation over shard i's current store and
+// listens on the shard's host again. The server registers into a fresh
+// registry (a registry rejects duplicate names), which the collector's source
+// for the shard reads from then on. Clients learn the bumped incarnation from
+// their next hello and re-establish their sessions.
+func (c *Cluster) ServeShard(i int) error {
+	sh := c.shards[i]
+	lis, err := c.Net.Listen(sh.host)
+	if err != nil {
+		return fmt.Errorf("bench: shard %d: %w", i, err)
+	}
+	sh.incarnation++
+	cfg := mds.Config{
+		Store:               c.Stores[i],
+		Clock:               c.Clock,
+		Daemons:             c.opt.MDSDaemons,
+		OpCost:              c.opt.MDSOpCost,
+		FrameCost:           c.opt.MDSFrameCost,
+		ContentionPerDaemon: 0.05,
+		LeaseTimeout:        c.opt.LeaseTimeout,
+		Incarnation:         sh.incarnation,
+		ShardIndex:          uint32(i),
+		ShardCount:          uint32(len(c.shards)),
+		Tracer:              c.Tracer,
+	}
+	if c.opt.CommitCheck {
+		cfg.CommitCheck = c.checkCommit
+	}
+	srv := mds.New(cfg)
+	go srv.Serve(lis)
+	reg := obs.NewRegistry()
+	srv.RegisterMetrics(reg)
+	c.mu.Lock()
+	sh.reg = reg
+	c.mu.Unlock()
+	sh.lis, c.MDSs[i] = lis, srv
+	return nil
+}
+
+// RestartShard crash-restarts shard i: StopShard, RecoverShard, ServeShard.
+func (c *Cluster) RestartShard(i int) error {
+	c.StopShard(i)
+	if _, err := c.RecoverShard(i); err != nil {
+		return err
+	}
+	return c.ServeShard(i)
+}
+
+// Incarnation reports how many MDS servers have been started on shard i.
+func (c *Cluster) Incarnation(i int) uint64 { return c.shards[i].incarnation }
+
+// CrashClient abandons client i without committing or returning anything.
+// Its leases stay behind at the MDS until they expire or a recovery reaps
+// them.
+func (c *Cluster) CrashClient(i int) { c.Redbud[i].Crash() }
+
+// Durable reports whether [off, off+n) of data device dev is durable — the
+// oracle behind CommitCheck, and the argument meta.Store.CheckConsistent
+// takes.
+func (c *Cluster) Durable(dev int, off, n int64) bool {
+	return dev >= 0 && dev < len(c.Devices) && c.Devices[dev].IsDurable(off, n)
+}
+
+// checkCommit is the Options.CommitCheck oracle.
+func (c *Cluster) checkCommit(exts []meta.Extent) error {
+	for _, e := range exts {
+		if !c.Durable(int(e.Dev), e.VolOff, e.Len) {
+			msg := fmt.Sprintf("commit references non-durable extent dev%d [%d,+%d)", e.Dev, e.VolOff, e.Len)
+			c.mu.Lock()
+			c.violations = append(c.violations, msg)
+			c.mu.Unlock()
+			return fmt.Errorf("bench: %s", msg)
+		}
+	}
+	return nil
+}
+
+// Violations lists every commit CommitCheck refused: ordered-write contract
+// breaches. Must stay empty.
+func (c *Cluster) Violations() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.violations...)
+}
+
+// Dial opens an RPC connection from a host of c.Net to shard's current
+// listener; it fails while the shard is stopped.
+func (c *Cluster) Dial(from string, shard int) (*rpc.Client, error) {
+	conn, err := c.Net.Dial(from, c.shards[shard].host)
+	if err != nil {
+		return nil, fmt.Errorf("bench: dial shard %d from %s: %w", shard, from, err)
+	}
+	return rpc.NewClient(conn, c.Clock), nil
+}
+
+// AddClient mounts one more Redbud client, "client-<i>" for the i-th, in the
+// commit mode of sys (which may differ from the cluster's), connected to every
+// shard and able to redial each. Build mounts Options.Clients of them.
+func (c *Cluster) AddClient(sys System, earlyVisibility bool) (*client.Client, error) {
+	i := len(c.Redbud)
+	host := fmt.Sprintf("client-%d", i)
+	c.Net.AddHost(host, c.opt.Net)
+	conns := make([]*rpc.Client, len(c.shards))
+	for s := range conns {
+		conn, err := c.Dial(host, s)
+		if err != nil {
+			for _, open := range conns[:s] {
+				open.Close()
+			}
+			return nil, err
+		}
+		conns[s] = conn
+	}
+	retry := c.opt.Retry
+	if retry.Seed == 0 {
+		retry.Seed = c.opt.Seed + int64(i)*31 + 1
+	}
+	net, mdsHost := c.Net, c.shards[0].host
+	cfg := client.Config{
+		Name:               host,
+		Retry:              retry,
+		Devices:            c.devMap,
+		Clock:              c.Clock,
+		Mode:               client.DelayedCommit,
+		CompoundDegree:     c.opt.CompoundDegree,
+		NetCongestion:      func() time.Duration { return net.CongestionWait(mdsHost) },
+		PoolInterval:       2 * time.Millisecond,
+		ReadAhead:          c.opt.ReadAhead,
+		FixedCommitThreads: c.opt.FixedCommitThreads,
+		SpaceNoPrefetch:    c.opt.SpaceNoPrefetch,
+		CommitEvenIfClean:  c.opt.CommitEvenIfClean,
+		Autoscale:          c.opt.Autoscale,
+		EarlyVisibility:    earlyVisibility,
+		Tracer:             c.Tracer,
+	}
+	switch sys {
+	case SysRedbud:
+		cfg.Mode = client.SyncCommit
+	case SysRedbudDCSD:
+		cfg.DelegationChunk = c.opt.DelegationChunk
+	}
+	if len(conns) == 1 {
+		cfg.MDS = conns[0]
+		cfg.Redial = func() (*rpc.Client, error) { return c.Dial(host, 0) }
+	} else {
+		cfg.Shards = conns
+		cfg.RedialShard = func(s int) (*rpc.Client, error) { return c.Dial(host, s) }
+	}
+	cl := client.New(cfg)
+	cl.RegisterMetrics(c.Registry)
+	cl.RegisterMetrics(c.clientsReg)
+	c.Redbud = append(c.Redbud, cl)
+	c.Mounts = append(c.Mounts, cl)
+	return cl, nil
 }
 
 // StitchedTrace writes the cluster's span ring as one multi-process Chrome
@@ -489,8 +625,7 @@ func (c *Cluster) StitchedTrace(w io.Writer) error {
 }
 
 // buildNFS3 assembles the single-server baseline.
-func buildNFS3(opt Options) *Cluster {
-	clk := clock.Real(opt.Scale)
+func buildNFS3(opt Options, clk clock.Clock) *Cluster {
 	c := &Cluster{System: SysNFS3, Clock: clk}
 	if opt.Trace {
 		c.Rec = iotrace.NewRecorder()
@@ -529,8 +664,7 @@ func buildNFS3(opt Options) *Cluster {
 }
 
 // buildPVFS2 assembles the striped user-level baseline.
-func buildPVFS2(opt Options) *Cluster {
-	clk := clock.Real(opt.Scale)
+func buildPVFS2(opt Options, clk clock.Clock) *Cluster {
 	c := &Cluster{System: SysPVFS2, Clock: clk}
 	if opt.Trace {
 		c.Rec = iotrace.NewRecorder()

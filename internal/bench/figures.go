@@ -353,7 +353,7 @@ type AutoscaleRow struct {
 }
 
 // FigAutoscale runs Fig6's pressure workloads twice — once under the paper's
-// static ρ = MaxCommitThreads/QueueLenMax table, once under the autoscaler v2
+// static ρ = ThreadNumsMax/QueueLenMax table, once under the autoscaler v2
 // control loop — and reports thread budget and decision behaviour side by
 // side. The interesting comparison is mean threads at equal throughput: the
 // controller should ride queue pressure up and decay idle threads away
@@ -426,10 +426,10 @@ func PrintFigAutoscale(w io.Writer, rows []AutoscaleRow) {
 
 // Fig7Cell is one (daemons, degree) measurement.
 type Fig7Cell struct {
-	Daemons   int     `json:"daemons"`
-	Degree    int     `json:"degree"`
-	PerClient float64 `json:"per_client_mbps"` // MB/s of data moved per client
-	OpsPerSec float64 `json:"ops_per_sec"`     // workload operations per virtual second, all clients
+	Daemons   int
+	Degree    int
+	PerClient float64 // MB/s of data moved per client
+	OpsPerSec float64 // workload operations per virtual second, all clients
 }
 
 // Fig7 sweeps server daemon threads {1, 8, 16} against compound degree
@@ -488,11 +488,11 @@ func PrintFig7(w io.Writer, cells []Fig7Cell) {
 // latency (time from a writer's WriteAt returning to a second mount first
 // observing the block) and varmail throughput under the same setting.
 type VisibilityRow struct {
-	Visibility       bool    `json:"visibility"`
-	Blocks           int     `json:"blocks"`
-	ConflictMeanUS   float64 `json:"conflict_read_mean_us"`
-	ConflictMaxUS    float64 `json:"conflict_read_max_us"`
-	VarmailOpsPerSec float64 `json:"varmail_ops_per_sec"`
+	Visibility       bool
+	Blocks           int
+	ConflictMeanUS   float64
+	ConflictMaxUS    float64
+	VarmailOpsPerSec float64
 }
 
 // backlogFiles is how many dirty files the conflict leg keeps ahead of the

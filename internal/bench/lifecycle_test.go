@@ -1,0 +1,246 @@
+package bench
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"redbud/internal/blockdev"
+	"redbud/internal/client"
+	"redbud/internal/fsapi"
+	"redbud/internal/meta"
+	"redbud/internal/netsim"
+)
+
+// lifecycleOptions is a three-client delayed-commit cluster where nothing
+// costs modeled time, with the commit oracle on and a retry policy that
+// survives a restart: the call timeout is what fails a request the crashed
+// server had queued and will never answer.
+func lifecycleOptions(shards int) Options {
+	return Options{
+		Clients:     3,
+		Scale:       1,
+		DataDevices: 2,
+		DeviceSize:  1 << 30,
+		Disk:        blockdev.ZeroLatency(),
+		Net:         netsim.Instant(),
+		MDSDaemons:  2,
+		CommitCheck: true,
+		Retry: client.RetryPolicy{
+			MaxAttempts: 8,
+			BaseDelay:   time.Millisecond,
+			MaxDelay:    8 * time.Millisecond,
+			CallTimeout: 50 * time.Millisecond,
+		},
+		Seed:   1,
+		Shards: shards,
+	}
+}
+
+func lifecycleData(path string) []byte {
+	data := make([]byte, 12<<10)
+	for i := range data {
+		data[i] = byte(i) + path[len(path)-1]
+	}
+	return data
+}
+
+// writeSynced creates path, writes its pattern and syncs it.
+func writeSynced(m fsapi.FileSystem, path string) error {
+	f, err := m.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(lifecycleData(path), 0); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// TestShardLifecycle restarts every shard of a one- and a two-shard cluster
+// twice while a third client keeps writing: the clients redial, learn the
+// bumped incarnation and re-establish their sessions; every file the first
+// two synced reads back through the other's mount; every shard fscks clean
+// with no committed extent over non-durable data; and the collector follows
+// the restarted shard's fresh registry.
+func TestShardLifecycle(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c := Build(SysRedbudDC, lifecycleOptions(shards))
+			defer c.Close()
+
+			synced := map[string]int{} // path -> the client that wrote it
+			names := 0
+			// mustSync has client i write and sync a new file homed on shard
+			// s, under a name the placement hash routes there.
+			mustSync := func(i, s int) string {
+				t.Helper()
+				for ; ; names++ {
+					if meta.PlaceShard(meta.RootID, fmt.Sprintf("f%d", names), shards) == s {
+						break
+					}
+				}
+				path := fmt.Sprintf("/f%d", names)
+				names++
+				if err := writeSynced(c.Mounts[i], path); err != nil {
+					t.Fatalf("client %d: %s on shard %d: %v", i, path, s, err)
+				}
+				synced[path] = i
+				return path
+			}
+			probe := make([]string, shards) // a file homed on each shard
+			for s := range probe {
+				probe[s] = mustSync(s%2, s)
+			}
+
+			for round := 0; round < 2; round++ {
+				for s := 0; s < shards; s++ {
+					// Client 2 writes and syncs file after file while the
+					// shard goes down and comes back (the Stat is what lets it
+					// reconnect). What overlaps the outage may fail, and may be
+					// lost even where Sync returned nil: a session that dies
+					// under a flush drops its data quietly, and so does one
+					// re-established under a concurrent write
+					// (client/writeback.go). That is why the files checked
+					// below belong to clients that sit the outage out. Client 2
+					// must not hang, and must leave nothing behind that the
+					// checks trip over.
+					stop, done := make(chan struct{}), make(chan struct{})
+					writing := make(chan struct{}) // closed once client 2 is at it
+					go func() {
+						defer close(done)
+						m := c.Mounts[2]
+						for n := 0; ; n++ {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							_, _ = m.Stat(probe[s])
+							_ = writeSynced(m, fmt.Sprintf("/inflight-%d-%d-%d", round, s, n))
+							if n == 0 {
+								close(writing)
+							}
+						}
+					}()
+					<-writing
+					before := c.MDSs[s]
+					if err := c.RestartShard(s); err != nil {
+						t.Fatal(err)
+					}
+					close(stop)
+					<-done
+
+					if got, want := c.Incarnation(s), uint64(round+2); got != want {
+						t.Fatalf("shard %d incarnation %d after restart %d, want %d", s, got, round+1, want)
+					}
+					if c.MDSs[s] == before {
+						t.Fatalf("shard %d still served by the crashed MDS", s)
+					}
+					// A namespace mutation is never retried, so it is an
+					// idempotent call to the restarted shard that finds the
+					// dead connection, redials and re-establishes the session.
+					// After it both clients create and commit there again.
+					for i, m := range c.Mounts[:2] {
+						if _, err := m.Stat(probe[s]); err != nil {
+							t.Fatalf("client %d did not reconnect to shard %d: %v", i, s, err)
+						}
+						mustSync(i, s)
+					}
+				}
+			}
+			c.Drain()
+
+			// Every file is read through the mount that did not write it and
+			// so never had it cached.
+			for path, writer := range synced {
+				other := c.Mounts[1-writer]
+				want := lifecycleData(path)
+				f, err := other.Open(path)
+				if err != nil {
+					t.Fatalf("synced file %s lost: %v", path, err)
+				}
+				got := make([]byte, len(want))
+				n, err := f.ReadAt(got, 0)
+				f.Close()
+				if err != nil || n != len(want) || !bytes.Equal(got, want) {
+					t.Fatalf("synced file %s: read %d bytes (err %v), content match %v", path, n, err, bytes.Equal(got, want))
+				}
+			}
+
+			if v := c.Violations(); len(v) != 0 {
+				t.Errorf("ordered-write violations: %s", strings.Join(v, "; "))
+			}
+			if shards > 1 {
+				// A cross-shard create the outage cut short left an intent.
+				if err := meta.ResolveNSIntents(c.Stores); err != nil {
+					t.Fatal(err)
+				}
+				if probs := meta.FsckCluster(c.Stores); len(probs) != 0 {
+					t.Errorf("cluster fsck: %s", strings.Join(probs, "; "))
+				}
+			}
+			for i, st := range c.Stores {
+				if r := st.Fsck(c.AGTotals[i]); !r.OK() {
+					t.Errorf("shard %d fsck: %s", i, r)
+				}
+				if bad := st.CheckConsistent(c.Durable); len(bad) != 0 {
+					t.Errorf("shard %d: %d committed extents without durable data", i, len(bad))
+				}
+			}
+
+			// The collector reads the live incarnation of every shard: the
+			// servers that applied the post-restart commits.
+			snap := c.Collector.Collect()
+			if got, want := len(snap.Shards), shards+1; got != want {
+				t.Fatalf("collector has %d sources, want %d", got, want)
+			}
+			for i, sh := range snap.Shards[:shards] {
+				if sh.Err != "" {
+					t.Fatalf("source %s: %s", sh.Shard, sh.Err)
+				}
+				var commits int64
+				for _, m := range sh.Metrics.Metrics {
+					if m.Name == "redbud_mds_commit_latency_seconds" && m.Hist != nil {
+						commits = m.Hist.Count
+					}
+				}
+				if want := c.MDSs[i].CommitLatency().Count(); commits == 0 || commits != want {
+					t.Errorf("source %s shows %d commits, the live MDS has served %d", sh.Shard, commits, want)
+				}
+			}
+		})
+	}
+}
+
+// TestCloseAfterFailedStart: a mount that fails half-way (shard 1 is down) and
+// a shard left stopped must not keep Close from winding every goroutine of
+// the cluster down.
+func TestCloseAfterFailedStart(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c := Build(SysRedbudDC, lifecycleOptions(2))
+	if err := writeSynced(c.Mounts[0], "/f"); err != nil {
+		t.Fatal(err)
+	}
+	c.StopShard(1)
+	if _, err := c.AddClient(SysRedbudDC, false); err == nil {
+		t.Fatal("mounted a client while shard 1 was not listening")
+	}
+	if len(c.Mounts) != 3 {
+		t.Fatalf("failed mount left %d mounts, want 3", len(c.Mounts))
+	}
+	c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before Build, %d after Close:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -7,12 +7,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"redbud/internal/alloc"
 	"redbud/internal/blockdev"
-	"redbud/internal/clock"
-	"redbud/internal/mds"
 	"redbud/internal/meta"
-	"redbud/internal/netsim"
 	"redbud/internal/proto"
 	"redbud/internal/rpc"
 	"redbud/internal/wire"
@@ -20,11 +16,11 @@ import (
 
 // ShardsRow is one shard count of the namespace-sharding sweep.
 type ShardsRow struct {
-	Shards        int     `json:"shards"`
-	Commits       int     `json:"commits"`
-	CommitsPerSec float64 `json:"commits_per_sec"`
-	MeanUS        float64 `json:"mean_commit_us"`
-	Speedup       float64 `json:"speedup_vs_1"`
+	Shards        int
+	Commits       int
+	CommitsPerSec float64
+	MeanUS        float64
+	Speedup       float64
 }
 
 // shardDaemons is the per-shard MDS daemon pool width. It is kept narrow —
@@ -111,66 +107,26 @@ func FigShards(opt Options) ([]ShardsRow, error) {
 
 // runShardSweep builds an n-shard cluster and hammers it with commit traffic.
 func runShardSweep(opt Options, n, committers, total int) (ShardsRow, error) {
-	scale := opt.Scale
-	if scale < shardMinScale {
-		scale = shardMinScale
+	o := opt
+	o.Clients = 0 // the committers below are raw RPC clients, not mounts
+	o.Shards = n
+	if o.Scale < shardMinScale {
+		o.Scale = shardMinScale
 	}
-	clk := clock.Real(scale)
-	net := netsim.NewNetwork(clk)
-
-	// The journal device charges a fixed per-write overhead with elevator
-	// merging off (the BenchmarkMDSParallelCommit model): group commit
-	// amortizes it, so the daemon pool — the per-shard resource — is the
-	// constraint under test, not journal bandwidth.
-	journalModel := blockdev.DiskModel{
+	o.MDSDaemons = shardDaemons
+	o.MDSOpCost = shardOpCost
+	o.MDSFrameCost = shardFrameCost
+	// The journal disks charge a fixed per-write overhead (the
+	// BenchmarkMDSParallelCommit model): group commit amortizes it, so the
+	// daemon pool — the per-shard resource — is the constraint under test,
+	// not journal bandwidth. The data array sees no I/O in this figure.
+	o.Disk = blockdev.DiskModel{
 		PerRequest:    30 * time.Microsecond,
 		BandwidthMBps: 4000,
 	}
-
-	stores := make([]*meta.Store, n)
-	var closers []func()
-	defer func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}()
-	for i := 0; i < n; i++ {
-		metaDev := blockdev.New(blockdev.Config{
-			ID:           1000 + i,
-			Size:         1 << 30,
-			Model:        journalModel,
-			DisableMerge: true,
-			Clock:        clk,
-		})
-		closers = append(closers, metaDev.Close)
-		journal := meta.NewJournal(metaDev, 0, 1<<29)
-		// Device index = shard index: each shard allocates from its own
-		// disk, so extent spaces are disjoint by construction.
-		ags := alloc.NewUniformAGSet(alloc.RoundRobin, i, 1<<30, 4)
-		stores[i] = meta.NewStore(meta.Config{
-			AGs: ags, Journal: journal, Clock: clk,
-			Shard: i, ShardCount: n,
-		})
-		srv := mds.New(mds.Config{
-			Store:               stores[i],
-			Clock:               clk,
-			Daemons:             shardDaemons,
-			OpCost:              shardOpCost,
-			FrameCost:           shardFrameCost,
-			ContentionPerDaemon: 0.05,
-			ShardIndex:          uint32(i),
-			ShardCount:          uint32(n),
-		})
-		closers = append(closers, srv.Close)
-		host := fmt.Sprintf("mds%d", i)
-		net.AddHost(host, opt.Net)
-		lis, err := net.Listen(host)
-		if err != nil {
-			return ShardsRow{}, err
-		}
-		go srv.Serve(lis)
-		closers = append(closers, func() { lis.Close() })
-	}
+	c := Build(SysRedbud, o)
+	defer c.Close()
+	clk, stores := c.Clock, c.Stores
 
 	// One file per committer, homed round-robin across shards via the
 	// cross-shard create protocol, its extent pre-allocated. The measured
@@ -209,15 +165,13 @@ func runShardSweep(opt Options, n, committers, total int) (ShardsRow, error) {
 		}
 		bodies[w] = wire.Encode(&req)
 
-		host := fmt.Sprintf("client-%d", w)
-		net.AddHost(host, opt.Net)
-		conn, err := net.Dial(host, fmt.Sprintf("mds%d", s))
+		c.Net.AddHost(owner, opt.Net)
+		cli, err := c.Dial(owner, s)
 		if err != nil {
 			return ShardsRow{}, err
 		}
-		clis[w] = rpc.NewClient(conn, clk)
-		cli := clis[w]
-		closers = append(closers, func() { cli.Close() })
+		defer cli.Close()
+		clis[w] = cli
 	}
 
 	var latNS atomic.Int64

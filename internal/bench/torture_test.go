@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"redbud/internal/alloc"
-	"redbud/internal/clock"
 	"redbud/internal/fsapi"
 	"redbud/internal/meta"
 )
@@ -163,7 +161,7 @@ func TestClusterTorture(t *testing.T) {
 
 	// Phase 2: client N-1 crashes; its lease is revoked at the MDS.
 	victim := opt.Clients - 1
-	c.Redbud[victim].Crash()
+	c.CrashClient(victim)
 	c.Store.ClientGone(fmt.Sprintf("client-%d", victim))
 
 	// Phase 3: survivors keep working.
@@ -206,34 +204,18 @@ func TestClusterTorture(t *testing.T) {
 	if r := c.Store.Fsck(c.AGTotal); !r.OK() {
 		t.Fatalf("live fsck failed: %v", r.Problems)
 	}
-	bad := c.Store.CheckConsistent(func(dev int, off, n int64) bool {
-		return c.Devices[dev].IsDurable(off, n)
-	})
-	if len(bad) != 0 {
+	if bad := c.Store.CheckConsistent(c.Durable); len(bad) != 0 {
 		t.Fatalf("%d committed extents without durable data", len(bad))
 	}
 
 	// Check 3: MDS reboot from the journal alone.
-	mkAGs := func() *alloc.AGSet {
-		var groups []*alloc.Group
-		for _, d := range c.Devices {
-			half := d.Size() / 2
-			groups = append(groups,
-				alloc.NewGroup(d.ID(), 0, half),
-				alloc.NewGroup(d.ID(), half, d.Size()))
-		}
-		return alloc.NewAGSet(alloc.RoundRobin, groups...)
-	}
-	ags := mkAGs()
-	recovered, rstats, err := meta.Recover(meta.Config{
-		AGs:     ags,
-		Journal: meta.NewJournal(c.MetaDev, 0, 2<<30),
-		Clock:   clock.Real(1),
-	})
+	c.StopShard(0)
+	rstats, err := c.RecoverShard(0)
 	if err != nil {
 		t.Fatalf("recovery failed after %d records: %v", rstats.Records, err)
 	}
-	if r := recovered.Fsck(meta.TotalSpace(ags)); !r.OK() {
+	recovered := c.Store
+	if r := recovered.Fsck(c.AGTotal); !r.OK() {
 		t.Fatalf("post-recovery fsck failed: %v", r.Problems)
 	}
 	// Every fsynced file of every client (including the crash victim!)

@@ -20,6 +20,10 @@
 // the listener is replaced, in-flight calls die with ErrConnClosed, clients
 // redial, learn the bumped incarnation from OpHello, and re-establish their
 // sessions against the recovered store.
+//
+// The cluster itself — assembly, the commit oracle's wiring, and the stop /
+// recover / serve lifecycle of a shard — is internal/bench's; this package
+// keeps the workload, the fault plan and the oracles.
 package chaos
 
 import (
@@ -28,24 +32,21 @@ import (
 	"sync"
 	"time"
 
-	"redbud/internal/alloc"
+	"redbud/internal/bench"
 	"redbud/internal/blockdev"
 	"redbud/internal/client"
 	"redbud/internal/clock"
-	"redbud/internal/mds"
 	"redbud/internal/meta"
 	"redbud/internal/netsim"
 	"redbud/internal/obs"
 	"redbud/internal/obs/agg"
-	"redbud/internal/rpc"
 	"redbud/internal/workload"
 )
 
+// The shared data array of a chaos cluster.
 const (
-	dataSpace   = 1 << 30  // data device capacity
-	metaSpace   = 64 << 20 // metadata device capacity
-	journalSize = 32 << 20 // journal region at the front of the metadata device
-	allocGroups = 4
+	dataDevices = 2
+	dataSpace   = 1 << 30 // capacity of each data device
 )
 
 // DiskFaults configures probabilistic write faults on the shared data
@@ -67,12 +68,12 @@ type Config struct {
 	Seed int64
 
 	// Shards runs the metadata service as this many independent MDS
-	// shards (default 1), each with its own store, journal device, data
-	// device, and listener host ("mds0".."mdsN-1"). Clients mount the
-	// whole shard set and route per-inode; creates and removes whose
-	// placement hash lands a child away from its parent's shard exercise
-	// the two-phase cross-shard protocols under the fault plan. Restarts
-	// crash a seed-chosen shard each time. Space delegation is
+	// shards (default 1), each with its own store, journal device, slice
+	// of the data array, and listener host ("mds0".."mdsN-1"). Clients
+	// mount the whole shard set and route per-inode; creates and removes
+	// whose placement hash lands a child away from its parent's shard
+	// exercise the two-phase cross-shard protocols under the fault plan.
+	// Restarts crash a seed-chosen shard each time. Space delegation is
 	// single-shard only and is forced off when Shards > 1.
 	Shards int
 
@@ -96,8 +97,8 @@ type Config struct {
 	// Think is per-op application compute time; use it to stretch the
 	// workload across scheduled restarts.
 	Think time.Duration
-	// Delegation is the space-delegation chunk (default 1 MiB, negative
-	// disables delegation).
+	// Delegation is the delayed-commit clients' space-delegation chunk
+	// (default 1 MiB, negative disables delegation).
 	Delegation int64
 
 	// Retry is the clients' fault-tolerance policy. The zero value picks
@@ -126,7 +127,8 @@ type Config struct {
 	// knob the no-deadlock-across-restart test uses.
 	Autoscale bool
 
-	// Clock overrides the simulation clock (default clock.Real(1)).
+	// Clock overrides the simulation clock (default: the wall clock,
+	// uncompressed).
 	Clock clock.Clock
 
 	// Tracer, when non-nil, records commit-lifecycle spans across every
@@ -213,13 +215,9 @@ func planActive(p netsim.FaultPlan) bool {
 }
 
 // Run executes one chaos run and returns its report. A non-nil error means
-// the harness itself failed (recovery error, setup failure) — invariant
-// breaches are reported through Report fields, not the error.
+// the harness itself failed (a recovery error) — invariant breaches are
+// reported through Report fields, not the error.
 func Run(cfg Config) (*Report, error) {
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.Real(1)
-	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 2
 	}
@@ -234,12 +232,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 	if cfg.Mix == nil {
 		cfg.Mix = defaultMix()
-	}
-	deleg := cfg.Delegation
-	if deleg == 0 {
-		deleg = 1 << 20
-	} else if deleg < 0 {
-		deleg = 0
 	}
 	if cfg.Retry == (client.RetryPolicy{}) {
 		cfg.Retry = client.RetryPolicy{
@@ -256,186 +248,66 @@ func Run(cfg Config) (*Report, error) {
 	if shards <= 0 {
 		shards = 1
 	}
-	if shards > 1 {
-		deleg = 0 // space delegation is single-shard only
+
+	// The cluster: a shared, zero-latency data array every shard owns a
+	// slice of, one fault-free metadata disk per shard carrying its journal,
+	// instant links, and the durability oracle on every commit any shard
+	// applies. Single-shard runs keep the historical "mds" host (fault plans
+	// and determinism fixtures address it by name); sharded runs use
+	// "mds0".."mdsN-1". Clients are "client-0".."client-N-1".
+	opt := bench.Options{
+		Clients:         cfg.Clients,
+		Scale:           1,
+		Clock:           cfg.Clock,
+		DataDevices:     dataDevices,
+		DeviceSize:      dataSpace,
+		Disk:            blockdev.ZeroLatency(),
+		Net:             netsim.Instant(),
+		MDSDaemons:      4,
+		LeaseTimeout:    cfg.LeaseTimeout,
+		CommitCheck:     true,
+		DelegationChunk: cfg.Delegation,
+		Retry:           cfg.Retry,
+		Seed:            cfg.Seed,
+		Tracer:          cfg.Tracer,
+		Autoscale:       cfg.Autoscale,
+		Shards:          shards,
 	}
-
-	rep := &Report{}
-
-	// One data device per shard (shard i allocates from device index i, so
-	// the shards' data spaces are disjoint by construction), optionally
-	// faulty; one fault-free metadata device per shard carrying its
-	// journal.
-	var faultFn blockdev.WriteFaultFunc
+	if opt.DelegationChunk == 0 {
+		opt.DelegationChunk = 1 << 20
+	}
+	sys := bench.SysRedbud
+	if cfg.Mode == client.DelayedCommit {
+		sys = bench.SysRedbudDC
+		if opt.DelegationChunk > 0 && shards == 1 {
+			sys = bench.SysRedbudDCSD
+		}
+	}
+	c := bench.Build(sys, opt)
+	defer c.Close()
+	clk := c.Clock
 	if cfg.Disk.ErrProb > 0 || cfg.Disk.TornProb > 0 {
-		faultFn = blockdev.ProbFaults(cfg.Seed^0x5eed, cfg.Disk.ErrProb, cfg.Disk.TornProb)
-	}
-	dataDevs := make([]*blockdev.Device, shards)
-	metaDevs := make([]*blockdev.Device, shards)
-	stores := make([]*meta.Store, shards)
-	mkAGs := func(i int) *alloc.AGSet { return alloc.NewUniformAGSet(alloc.RoundRobin, i, dataSpace, allocGroups) }
-	for i := 0; i < shards; i++ {
-		dataDevs[i] = blockdev.New(blockdev.Config{ID: i, Size: dataSpace, Model: blockdev.ZeroLatency(), Clock: clk, WriteFault: faultFn, Tracer: cfg.Tracer})
-		defer dataDevs[i].Close()
-		metaDevs[i] = blockdev.New(blockdev.Config{Size: metaSpace, Model: blockdev.ZeroLatency(), Clock: clk})
-		defer metaDevs[i].Close()
-		stores[i] = meta.NewStore(meta.Config{
-			AGs: mkAGs(i), Journal: meta.NewJournal(metaDevs[i], 0, journalSize), Clock: clk, Tracer: cfg.Tracer,
-			Shard: i, ShardCount: shards,
-		})
-	}
-
-	// The durability oracle: every commit any shard applies is audited
-	// against what its data device has actually made durable, and an
-	// undurable commit is both recorded and rejected.
-	var vmu sync.Mutex
-	check := func(exts []meta.Extent) error {
-		for _, e := range exts {
-			if int(e.Dev) >= shards || !dataDevs[e.Dev].IsDurable(e.VolOff, e.Len) {
-				msg := fmt.Sprintf("commit references non-durable extent dev%d [%d,+%d)", e.Dev, e.VolOff, e.Len)
-				vmu.Lock()
-				rep.Violations = append(rep.Violations, msg)
-				vmu.Unlock()
-				return fmt.Errorf("chaos: %s", msg)
-			}
-		}
-		return nil
-	}
-
-	// Host naming: the single-shard topology keeps the historical "mds"
-	// host (fault plans and determinism fixtures address it by name);
-	// sharded runs use "mds0".."mdsN-1".
-	hostOf := func(i int) string {
-		if shards == 1 {
-			return "mds"
-		}
-		return fmt.Sprintf("mds%d", i)
-	}
-
-	net := netsim.NewNetwork(clk)
-	net.SetTracer(cfg.Tracer)
-	for i := 0; i < shards; i++ {
-		net.AddHost(hostOf(i), netsim.Instant())
-	}
-
-	// The observability plane rides along on every run: each MDS incarnation
-	// registers into a fresh per-shard registry (a registry rejects duplicate
-	// names, so a restarted server cannot reuse its predecessor's), the
-	// collector's sources always read whichever registry is live, and the
-	// stock SLO rules are evaluated on the merged cluster view at every
-	// checkpoint — after each completed restart and at end of run.
-	shardRegs := make([]*obs.Registry, shards)
-
-	incarnations := make([]uint64, shards)
-	srvs := make([]*mds.Server, shards)
-	liss := make([]*netsim.Listener, shards)
-	startServer := func(i int) error {
-		incarnations[i]++
-		srv := mds.New(mds.Config{
-			Store:        stores[i],
-			Clock:        clk,
-			Daemons:      4,
-			CommitCheck:  check,
-			LeaseTimeout: cfg.LeaseTimeout,
-			Incarnation:  incarnations[i],
-			ShardIndex:   uint32(i),
-			ShardCount:   uint32(shards),
-			Tracer:       cfg.Tracer,
-		})
-		lis, err := net.Listen(hostOf(i))
-		if err != nil {
-			return err
-		}
-		go srv.Serve(lis)
-		reg := obs.NewRegistry()
-		srv.RegisterMetrics(reg)
-		shardRegs[i] = reg
-		srvs[i], liss[i] = srv, lis
-		return nil
-	}
-	for i := 0; i < shards; i++ {
-		if err := startServer(i); err != nil {
-			return rep, err
+		faultFn := blockdev.ProbFaults(cfg.Seed^0x5eed, cfg.Disk.ErrProb, cfg.Disk.TornProb)
+		for _, d := range c.Devices {
+			d.SetWriteFault(faultFn)
 		}
 	}
-
 	plan := cfg.Net
 	if plan.Seed == 0 {
 		plan.Seed = cfg.Seed
 	}
 	if planActive(plan) {
-		net.InstallFaults(plan)
-	}
-	defer net.ClearFaults()
-
-	devices := make(map[uint32]client.BlockDevice, shards)
-	for i := 0; i < shards; i++ {
-		devices[uint32(i)] = dataDevs[i]
-	}
-	clients := make([]*client.Client, cfg.Clients)
-	for i := range clients {
-		host := fmt.Sprintf("c%d", i)
-		net.AddHost(host, netsim.Instant())
-		dialShard := func(s int) (*rpc.Client, error) {
-			conn, err := net.Dial(host, hostOf(s))
-			if err != nil {
-				return nil, err
-			}
-			return rpc.NewClient(conn, clk), nil
-		}
-		pol := cfg.Retry
-		if pol.Seed == 0 {
-			pol.Seed = cfg.Seed + int64(i)*31 + 1
-		}
-		ccfg := client.Config{
-			Name:            host,
-			Retry:           pol,
-			Devices:         devices,
-			Clock:           clk,
-			Mode:            cfg.Mode,
-			DelegationChunk: deleg,
-			PoolInterval:    time.Millisecond,
-			Autoscale:       cfg.Autoscale,
-			Tracer:          cfg.Tracer,
-		}
-		if shards == 1 {
-			first, err := dialShard(0)
-			if err != nil {
-				return rep, err
-			}
-			ccfg.MDS = first
-			ccfg.Redial = func() (*rpc.Client, error) { return dialShard(0) }
-		} else {
-			conns := make([]*rpc.Client, shards)
-			for s := 0; s < shards; s++ {
-				conn, err := dialShard(s)
-				if err != nil {
-					return rep, err
-				}
-				conns[s] = conn
-			}
-			ccfg.Shards = conns
-			ccfg.RedialShard = dialShard
-		}
-		clients[i] = client.New(ccfg)
+		c.Net.InstallFaults(plan)
 	}
 
-	// Assemble the cluster metrics plane: one source per shard (reading the
-	// live incarnation's registry through shardRegs) plus one for the
-	// clients, and the stock SLO rule set over the merged view.
-	clientsReg := obs.NewRegistry()
-	for _, c := range clients {
-		c.RegisterMetrics(clientsReg)
-	}
-	sources := make([]agg.Source, 0, shards+1)
-	for i := 0; i < shards; i++ {
-		sources = append(sources, agg.SourceFunc(hostOf(i), func() obs.Snapshot { return shardRegs[i].Snapshot() }))
-	}
-	sources = append(sources, agg.RegistrySource("clients", clientsReg))
-	collector := agg.New(sources...)
+	// The observability plane rides along on every run: the cluster's
+	// collector reads whichever MDS incarnation is live on each shard, and
+	// the stock SLO rules are evaluated on the merged cluster view at every
+	// checkpoint — after each completed restart and at end of run.
+	rep := &Report{}
 	slo := agg.NewEngine(agg.DefaultRules())
 	checkpoint := func() {
-		rep.Cluster = collector.Collect()
+		rep.Cluster = c.Collector.Collect()
 		rep.Alerts = slo.Evaluate(clk.Now(), rep.Cluster.Merged)
 		rep.SLOEvents = slo.Events()
 	}
@@ -443,7 +315,7 @@ func Run(cfg Config) (*Report, error) {
 	// Fan the workloads out, one namespace subtree per client.
 	rep.Results = make([]workload.Result, cfg.Clients)
 	var wg sync.WaitGroup
-	for i := range clients {
+	for i, cl := range c.Redbud {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -463,7 +335,7 @@ func Run(cfg Config) (*Report, error) {
 					cfg.OnOp(i, tid, kind, path, n)
 				}
 			}
-			res, err := workload.Run(clients[i], clk, spec)
+			res, err := workload.Run(cl, clk, spec)
 			if err != nil {
 				// Namespace setup died under faults; count it and move on —
 				// a cleanly failed workload is not an invariant breach.
@@ -474,31 +346,20 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	// Scheduled crash-restarts while the workloads run, each hitting a
-	// seed-chosen shard. Closing the server drains in-flight operations
-	// (so the journal is quiescent), then the survivors' connections die
-	// underneath them and the retry layer takes over: redial, OpHello,
-	// incarnation bump, per-shard session re-establishment. A shard killed
-	// mid-cross-shard-protocol leaves journaled intents the end-of-run
-	// resolution settles.
+	// seed-chosen shard. The survivors' connections die underneath them and
+	// the retry layer takes over: redial, OpHello, incarnation bump,
+	// per-shard session re-establishment. A shard killed mid-cross-shard-
+	// protocol leaves journaled intents the end-of-run resolution settles.
 	restartRng := rand.New(rand.NewSource(cfg.Seed ^ 0x7e57a7))
 	var restartErr error
 	for r := 0; r < cfg.Restarts; r++ {
 		clk.Sleep(cfg.RestartEvery)
 		i := restartRng.Intn(shards)
-		liss[i].Close()
-		srvs[i].Close()
-		rep.DedupHits += srvs[i].DedupHits()
-		rec, _, err := meta.Recover(meta.Config{
-			AGs: mkAGs(i), Journal: meta.NewJournal(metaDevs[i], 0, journalSize), Clock: clk, Tracer: cfg.Tracer,
-			Shard: i, ShardCount: shards,
-		})
-		if err != nil {
-			restartErr = fmt.Errorf("chaos: recovery of shard %d at restart %d: %w", i, r+1, err)
-			break
-		}
-		stores[i] = rec
-		if err := startServer(i); err != nil {
-			restartErr = err
+		crashed := c.MDSs[i]
+		restartErr = c.RestartShard(i)
+		rep.DedupHits += crashed.DedupHits()
+		if restartErr != nil {
+			restartErr = fmt.Errorf("chaos: restart %d: %w", r+1, restartErr)
 			break
 		}
 		rep.Restarts++
@@ -510,16 +371,14 @@ func Run(cfg Config) (*Report, error) {
 
 	// The faulty phase is over: snapshot the counters, lift the faults,
 	// and shut the clients down cleanly.
-	rep.Faults = net.FaultStats()
-	net.ClearFaults()
-	for _, c := range clients {
-		if err := c.Close(); err != nil {
+	rep.Faults = c.Net.FaultStats()
+	c.Net.ClearFaults()
+	for i, cl := range c.Redbud {
+		if err := cl.Close(); err != nil {
 			rep.CloseErrs = append(rep.CloseErrs, err)
 		}
-	}
-	for i := range clients {
-		for _, st := range stores {
-			st.ClientGone(fmt.Sprintf("c%d", i))
+		for _, st := range c.Stores {
+			st.ClientGone(fmt.Sprintf("client-%d", i))
 		}
 	}
 	for _, res := range rep.Results {
@@ -533,59 +392,53 @@ func Run(cfg Config) (*Report, error) {
 		return rep, restartErr
 	}
 
-	// The cluster is quiesced (clients closed, leases reaped): drive every
-	// cross-shard namespace intent a fault or crash stranded to its unique
-	// outcome before auditing the namespace.
-	if shards > 1 {
-		if err := meta.ResolveNSIntents(stores); err != nil {
-			return rep, fmt.Errorf("chaos: intent resolution: %w", err)
+	// audit drives every cross-shard namespace intent a fault or crash
+	// stranded to its unique outcome, then fscks each shard and the
+	// references between them.
+	audit := func() (fscks []meta.FsckReport, issues []string, err error) {
+		if shards > 1 {
+			if err := meta.ResolveNSIntents(c.Stores); err != nil {
+				return nil, nil, err
+			}
+			issues = meta.FsckCluster(c.Stores)
 		}
+		for i, st := range c.Stores {
+			fscks = append(fscks, st.Fsck(c.AGTotals[i]))
+		}
+		return fscks, issues, nil
 	}
 
-	durable := func(dev int, off, n int64) bool {
-		return dev >= 0 && dev < shards && dataDevs[dev].IsDurable(off, n)
-	}
-	for i, st := range stores {
-		rep.Inconsistent = append(rep.Inconsistent, st.CheckConsistent(durable)...)
-		rep.ShardFscks = append(rep.ShardFscks, st.Fsck(dataSpace))
-		rep.DiskFaults += dataDevs[i].InjectedFaults()
+	// The cluster is quiesced (clients closed, leases reaped).
+	var err error
+	if rep.ShardFscks, rep.ClusterIssues, err = audit(); err != nil {
+		return rep, fmt.Errorf("chaos: intent resolution: %w", err)
 	}
 	rep.Fsck = rep.ShardFscks[0]
-	if shards > 1 {
-		rep.ClusterIssues = meta.FsckCluster(stores)
+	rep.Violations = c.Violations()
+	for _, st := range c.Stores {
+		rep.Inconsistent = append(rep.Inconsistent, st.CheckConsistent(c.Durable)...)
+	}
+	for _, d := range c.Devices {
+		rep.DiskFaults += d.InjectedFaults()
 	}
 
 	// Crash-at-end: abandon every live store, recover each shard from its
 	// journal, re-resolve stranded intents on the recovered cluster, and
 	// fsck the recovered image — shard by shard and across shards.
-	recovered := make([]*meta.Store, shards)
-	for i := 0; i < shards; i++ {
-		liss[i].Close()
-		srvs[i].Close()
-		rep.DedupHits += srvs[i].DedupHits()
-		rec, rst, err := meta.Recover(meta.Config{
-			AGs: mkAGs(i), Journal: meta.NewJournal(metaDevs[i], 0, journalSize), Clock: clk,
-			Shard: i, ShardCount: shards,
-		})
+	for i, srv := range c.MDSs {
+		c.StopShard(i)
+		rep.DedupHits += srv.DedupHits()
+		rst, err := c.RecoverShard(i)
 		if err != nil {
-			return rep, fmt.Errorf("chaos: final recovery of shard %d: %w", i, err)
+			return rep, fmt.Errorf("chaos: final recovery: %w", err)
 		}
-		recovered[i] = rec
 		if i == 0 {
 			rep.Recovery = rst
 		}
 	}
-	if shards > 1 {
-		if err := meta.ResolveNSIntents(recovered); err != nil {
-			return rep, fmt.Errorf("chaos: post-recovery intent resolution: %w", err)
-		}
-	}
-	for _, rec := range recovered {
-		rep.RecoveredShardFscks = append(rep.RecoveredShardFscks, rec.Fsck(dataSpace))
+	if rep.RecoveredShardFscks, rep.RecoveredClusterIssues, err = audit(); err != nil {
+		return rep, fmt.Errorf("chaos: post-recovery intent resolution: %w", err)
 	}
 	rep.RecoveredFsck = rep.RecoveredShardFscks[0]
-	if shards > 1 {
-		rep.RecoveredClusterIssues = meta.FsckCluster(recovered)
-	}
 	return rep, nil
 }

@@ -9,11 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"redbud/internal/alloc"
+	"redbud/internal/bench"
 	"redbud/internal/blockdev"
 	"redbud/internal/client"
-	"redbud/internal/clock"
-	"redbud/internal/mds"
 	"redbud/internal/meta"
 	"redbud/internal/netsim"
 	"redbud/internal/obs/agg"
@@ -306,65 +304,29 @@ func writerCrashRun(t *testing.T, seed int64) {
 		chunks    = fileSize / chunk
 		leaseTime = 2 * time.Millisecond
 	)
-	clk := clock.Real(1)
-	data := blockdev.New(blockdev.Config{Size: dataSpace, Model: blockdev.FastHDD(), Clock: clk})
-	defer data.Close()
-	metaDev := blockdev.New(blockdev.Config{Size: metaSpace, Model: blockdev.ZeroLatency(), Clock: clk})
-	defer metaDev.Close()
-	store := meta.NewStore(meta.Config{
-		AGs:     alloc.NewUniformAGSet(alloc.RoundRobin, 0, dataSpace, allocGroups),
-		Journal: meta.NewJournal(metaDev, 0, journalSize),
-		Clock:   clk,
-	})
-	var vmu sync.Mutex
-	var violations []string
-	srv := mds.New(mds.Config{
-		Store:        store,
-		Clock:        clk,
-		Daemons:      4,
+	opt := bench.Options{
+		Scale:        1,
+		DataDevices:  1,
+		DeviceSize:   dataSpace,
+		Disk:         blockdev.FastHDD(),
+		Net:          netsim.Instant(),
+		MDSDaemons:   4,
 		LeaseTimeout: leaseTime,
-		CommitCheck: func(exts []meta.Extent) error {
-			for _, e := range exts {
-				if e.Dev != 0 || !data.IsDurable(e.VolOff, e.Len) {
-					msg := fmt.Sprintf("commit references non-durable extent dev%d [%d,+%d)", e.Dev, e.VolOff, e.Len)
-					vmu.Lock()
-					violations = append(violations, msg)
-					vmu.Unlock()
-					return fmt.Errorf("chaos: %s", msg)
-				}
-			}
-			return nil
-		},
-	})
-	defer srv.Close()
-	net := netsim.NewNetwork(clk)
-	net.AddHost("mds", netsim.Instant())
-	lis, err := net.Listen("mds")
-	if err != nil {
-		t.Fatal(err)
+		CommitCheck:  true,
+		Seed:         seed,
 	}
-	go srv.Serve(lis)
-	defer lis.Close()
-
-	mount := func(name string, early bool, mode client.Mode) *client.Client {
-		net.AddHost(name, netsim.Instant())
-		conn, err := net.Dial(name, "mds")
+	c := bench.Build(bench.SysRedbudDC, opt)
+	defer c.Close()
+	clk, data := c.Clock, c.Devices[0]
+	mount := func(sys bench.System, early bool) *client.Client {
+		cl, err := c.AddClient(sys, early)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return client.New(client.Config{
-			Name:            name,
-			MDS:             rpc.NewClient(conn, clk),
-			Devices:         map[uint32]client.BlockDevice{0: data},
-			Clock:           clk,
-			Mode:            mode,
-			PoolInterval:    time.Millisecond,
-			EarlyVisibility: early,
-		})
+		return cl
 	}
-	writer := mount("wc-writer", false, client.DelayedCommit)
-	reader := mount("wc-reader", true, client.SyncCommit)
-	defer reader.Close()
+	writer := mount(bench.SysRedbudDC, false)
+	reader := mount(bench.SysRedbud, true)
 
 	pat := make([]byte, fileSize)
 	for i := range pat {
@@ -374,6 +336,7 @@ func writerCrashRun(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	store := c.Store
 	attr, err := store.Lookup(meta.RootID, "wc.dat")
 	if err != nil {
 		t.Fatal(err)
@@ -446,20 +409,19 @@ func writerCrashRun(t *testing.T, seed int64) {
 		}
 		clk.Sleep(50 * time.Microsecond)
 	}
-	writer.Crash()
+	c.CrashClient(0)
 
 	// Lease expiry reaps the dead writer: rollback of every intent it had
 	// published but not committed. The reader keeps polling throughout.
 	clk.Sleep(4 * leaseTime)
-	srv.ExpireLeases()
+	c.MDSs[0].ExpireLeases()
 	clk.Sleep(time.Millisecond)
 	close(stop)
 	rwg.Wait()
 
 	// Post-rollback: a fresh early-visibility mount sees only the committed
 	// prefix, and it matches the pattern byte for byte.
-	fresh := mount("wc-fresh", true, client.SyncCommit)
-	defer fresh.Close()
+	fresh := mount(bench.SysRedbud, true)
 	ff, err := fresh.Open("/wc.dat")
 	if err != nil {
 		t.Fatal(err)
@@ -475,15 +437,13 @@ func writerCrashRun(t *testing.T, seed int64) {
 			t.Fatalf("seed %d: post-rollback byte %d = %#x, want 0 or %#x", seed, j, buf[j], pat[j])
 		}
 	}
-	if len(violations) != 0 {
-		t.Fatalf("seed %d: ordered-write violations: %s", seed, strings.Join(violations, "; "))
+	if v := c.Violations(); len(v) != 0 {
+		t.Fatalf("seed %d: ordered-write violations: %s", seed, strings.Join(v, "; "))
 	}
-	if bad := store.CheckConsistent(func(dev int, off, n int64) bool {
-		return dev == 0 && data.IsDurable(off, n)
-	}); len(bad) != 0 {
+	if bad := store.CheckConsistent(c.Durable); len(bad) != 0 {
 		t.Fatalf("seed %d: %d committed extents without durable data", seed, len(bad))
 	}
-	if fsck := store.Fsck(dataSpace); !fsck.OK() {
+	if fsck := store.Fsck(c.AGTotal); !fsck.OK() {
 		t.Fatalf("seed %d: post-rollback fsck: %s", seed, fsck)
 	}
 	t.Logf("seed %d: cut=%d/%d chunks, reader observations=%d", seed, cut, chunks, observations)
@@ -718,58 +678,23 @@ func TestChaosShardedRenameBothShardsCrash(t *testing.T) {
 	const n = 2
 	for stage := 0; stage <= 4; stage++ {
 		t.Run(fmt.Sprintf("phases=%d", stage), func(t *testing.T) {
-			clk := clock.Real(1)
-			net := netsim.NewNetwork(clk)
-			dataDevs := make([]*blockdev.Device, n)
-			metaDevs := make([]*blockdev.Device, n)
-			stores := make([]*meta.Store, n)
-			srvs := make([]*mds.Server, n)
-			liss := make([]*netsim.Listener, n)
-			for i := 0; i < n; i++ {
-				dataDevs[i] = blockdev.New(blockdev.Config{ID: i, Size: dataSpace, Model: blockdev.ZeroLatency(), Clock: clk})
-				defer dataDevs[i].Close()
-				metaDevs[i] = blockdev.New(blockdev.Config{Size: metaSpace, Model: blockdev.ZeroLatency(), Clock: clk})
-				defer metaDevs[i].Close()
-				stores[i] = meta.NewStore(meta.Config{
-					AGs:     alloc.NewUniformAGSet(alloc.RoundRobin, i, dataSpace, allocGroups),
-					Journal: meta.NewJournal(metaDevs[i], 0, journalSize), Clock: clk,
-					Shard: i, ShardCount: n,
-				})
-				host := fmt.Sprintf("mds%d", i)
-				net.AddHost(host, netsim.Instant())
-				srvs[i] = mds.New(mds.Config{Store: stores[i], Clock: clk, Daemons: 2, ShardIndex: uint32(i), ShardCount: n})
-				lis, err := net.Listen(host)
-				if err != nil {
-					t.Fatal(err)
-				}
-				liss[i] = lis
-				go srvs[i].Serve(lis)
-			}
-			dial := func(from string, shard int) *rpc.Client {
-				conn, err := net.Dial(from, fmt.Sprintf("mds%d", shard))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rpc.NewClient(conn, clk)
-			}
-
-			// Mount a client and build the fixture: two directories homed on
-			// different shards and a synced file under the source one.
-			net.AddHost("c0", netsim.Instant())
-			conns := make([]*rpc.Client, n)
-			for i := range conns {
-				conns[i] = dial("c0", i)
-			}
-			cl := client.New(client.Config{
-				Name:   "c0",
-				Shards: conns,
-				Devices: map[uint32]client.BlockDevice{
-					0: dataDevs[0], 1: dataDevs[1],
-				},
-				Clock: clk,
-				Mode:  client.SyncCommit,
+			c := bench.Build(bench.SysRedbud, bench.Options{
+				Clients:     1,
+				Scale:       1,
+				DataDevices: dataDevices,
+				DeviceSize:  dataSpace,
+				Disk:        blockdev.ZeroLatency(),
+				Net:         netsim.Instant(),
+				MDSDaemons:  2,
+				Shards:      n,
 			})
-			rootStore := stores[meta.ShardOf(meta.RootID, n)]
+			defer c.Close()
+
+			// Build the fixture through the mounted client: two directories
+			// homed on different shards and a synced file under the source
+			// one.
+			cl := c.Redbud[0]
+			rootStore := c.Stores[meta.ShardOf(meta.RootID, n)]
 			var srcID, dstID meta.FileID
 			var srcName string
 			for i := 0; i < 32 && (srcID == 0 || dstID == 0); i++ {
@@ -807,7 +732,7 @@ func TestChaosShardedRenameBothShardsCrash(t *testing.T) {
 			if err := cl.Close(); err != nil {
 				t.Fatal(err)
 			}
-			fattr, err := stores[meta.ShardOf(srcID, n)].Lookup(srcID, "f")
+			fattr, err := c.Stores[meta.ShardOf(srcID, n)].Lookup(srcID, "f")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -815,8 +740,15 @@ func TestChaosShardedRenameBothShardsCrash(t *testing.T) {
 
 			// The four phases of renaming src/f -> dst/g, as the client
 			// would issue them, against the live servers.
-			net.AddHost("probe", netsim.Instant())
-			sp, dp := dial("probe", 0), dial("probe", 1)
+			c.Net.AddHost("probe", netsim.Instant())
+			dial := func(shard int) *rpc.Client {
+				conn, err := c.Dial("probe", shard)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return conn
+			}
+			sp, dp := dial(0), dial(1)
 			phases := []func() error{
 				func() error {
 					return sp.Call(proto.OpNSPrepare, &proto.NSPrepareReq{
@@ -842,23 +774,16 @@ func TestChaosShardedRenameBothShardsCrash(t *testing.T) {
 
 			// Crash BOTH shards, recover each from its journal, resolve.
 			for i := 0; i < n; i++ {
-				liss[i].Close()
-				srvs[i].Close()
+				c.StopShard(i)
 			}
 			sp.Close()
 			dp.Close()
-			recovered := make([]*meta.Store, n)
 			for i := 0; i < n; i++ {
-				rec, _, err := meta.Recover(meta.Config{
-					AGs:     alloc.NewUniformAGSet(alloc.RoundRobin, i, dataSpace, allocGroups),
-					Journal: meta.NewJournal(metaDevs[i], 0, journalSize), Clock: clk,
-					Shard: i, ShardCount: n,
-				})
-				if err != nil {
-					t.Fatalf("shard %d recovery: %v", i, err)
+				if _, err := c.RecoverShard(i); err != nil {
+					t.Fatal(err)
 				}
-				recovered[i] = rec
 			}
+			recovered := c.Stores
 			if err := meta.ResolveNSIntents(recovered); err != nil {
 				t.Fatalf("intent resolution: %v", err)
 			}
@@ -883,7 +808,7 @@ func TestChaosShardedRenameBothShardsCrash(t *testing.T) {
 				t.Fatalf("file size %d after recovery, want %d", attr.Size, len(pat))
 			}
 			for i, rec := range recovered {
-				if rep := rec.Fsck(dataSpace); !rep.OK() {
+				if rep := rec.Fsck(c.AGTotals[i]); !rep.OK() {
 					t.Fatalf("shard %d fsck: %s", i, rep)
 				}
 			}

@@ -56,6 +56,18 @@ func (m Mode) String() string {
 // "typical 4KB page size data".
 const PageSize = 4096
 
+// The paper's commit-path constants (§IV-B, §V).
+const (
+	// maxCommitThreads is ThreadNumsMax.
+	maxCommitThreads = 9
+	// queueLenMax sets the pool formula's ρ = maxCommitThreads/queueLenMax.
+	// 45 reproduces the paper's observed range: ~20-50 queued commits keep
+	// 2-5 threads alive, and floods pin the pool at maxCommitThreads.
+	queueLenMax = 45
+	// maxCompoundDegree bounds the adaptive compound degree.
+	maxCompoundDegree = 6
+)
+
 // BlockDevice is the client's view of one member of the shared disk array:
 // the direct data path the paper routes over fiber channel. Implemented by
 // *blockdev.Device in-process and by san.RemoteDevice over the network.
@@ -93,36 +105,17 @@ type Config struct {
 	Clock   clock.Clock
 	Mode    Mode
 
-	// MaxCommitThreads is ThreadNumsMax (paper: 9).
-	MaxCommitThreads int
-	// QueueLenMax sets ρ = MaxCommitThreads/QueueLenMax (paper's pool
-	// formula). Default 45, which reproduces the paper's observed range:
-	// ~20-50 queued commits keep 2-5 threads alive, and floods pin the
-	// pool at MaxCommitThreads.
-	QueueLenMax int
 	// PoolInterval is the pool resize period.
 	PoolInterval time.Duration
-	// Autoscale replaces the static ρ = MaxCommitThreads/QueueLenMax pool
-	// formula with the obs-driven control loop (core.AutoscaleConfig):
-	// commit-queue wait and RPC in-flight feed scale decisions, with
-	// hysteresis on scale-down. FixedCommitThreads still pins the pool.
+	// Autoscale replaces the static ρ = maxCommitThreads/queueLenMax pool
+	// formula with the obs-driven control loop (core.AutoscaleConfig at its
+	// defaults): commit-queue wait and RPC in-flight feed scale decisions,
+	// with hysteresis on scale-down. FixedCommitThreads still pins the pool.
 	Autoscale bool
-	// AutoscaleTuning overrides the control-loop constants; nil picks the
-	// defaults (TargetLatency 4×PoolInterval, HighWater 4, LowWater 1,
-	// StepUp 2, HoldTicks 3). The QueueLatency and Inflight samplers are
-	// always wired by the client and cannot be overridden here.
-	AutoscaleTuning *core.AutoscaleConfig
-	// CommitInterval optionally paces each commit daemon to one batch per
-	// period ("commit requests are handled periodically by background
-	// commit daemons", §III-A). Zero (the default) lets the commit RPC
-	// round-trip act as the natural pacing; a positive value throttles
-	// daemons and grows the queue, useful for studying the adaptive pool.
-	CommitInterval time.Duration
 
-	// CompoundDegree pins the compound degree; 0 selects adaptive.
+	// CompoundDegree pins the compound degree; 0 selects adaptive (up to
+	// maxCompoundDegree).
 	CompoundDegree int
-	// MaxCompoundDegree bounds the adaptive degree (default 6).
-	MaxCompoundDegree int
 	// NetCongestion feeds the adaptive controller (optional).
 	NetCongestion func() time.Duration
 
@@ -295,17 +288,8 @@ func New(cfg Config) *Client {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real(1)
 	}
-	if cfg.MaxCommitThreads <= 0 {
-		cfg.MaxCommitThreads = 9
-	}
-	if cfg.QueueLenMax <= 0 {
-		cfg.QueueLenMax = 45
-	}
 	if cfg.PoolInterval <= 0 {
 		cfg.PoolInterval = 5 * time.Millisecond
-	}
-	if cfg.MaxCompoundDegree <= 0 {
-		cfg.MaxCompoundDegree = 6
 	}
 
 	c := &Client{
@@ -336,7 +320,7 @@ func New(cfg Config) *Client {
 	c.rng = rand.New(rand.NewSource(seed))
 	c.compound = core.NewCompound(core.CompoundConfig{
 		Fixed:         cfg.CompoundDegree,
-		Max:           cfg.MaxCompoundDegree,
+		Max:           maxCompoundDegree,
 		NetCongestion: cfg.NetCongestion,
 		ServerLoad:    c.serverLoad,
 	})
@@ -359,8 +343,8 @@ func New(cfg Config) *Client {
 	if cfg.Mode == DelayedCommit {
 		c.queue = core.NewQueue[meta.FileID]()
 		pc := core.PoolConfig{
-			Max:         cfg.MaxCommitThreads,
-			QueueLenMax: cfg.QueueLenMax,
+			Max:         maxCommitThreads,
+			QueueLenMax: queueLenMax,
 			QueueLen:    c.queue.Len,
 			Worker:      c.commitDaemon,
 			Interval:    cfg.PoolInterval,
@@ -369,13 +353,7 @@ func New(cfg Config) *Client {
 			Clock:       cfg.Clock,
 		}
 		if cfg.Autoscale {
-			as := core.AutoscaleConfig{}
-			if cfg.AutoscaleTuning != nil {
-				as = *cfg.AutoscaleTuning
-			}
-			as.QueueLatency = c.queueWait
-			as.Inflight = c.rpcInflight
-			pc.Autoscale = &as
+			pc.Autoscale = &core.AutoscaleConfig{QueueLatency: c.queueWait, Inflight: c.rpcInflight}
 		}
 		c.pool = core.NewPool(pc)
 		c.pool.Start()
@@ -791,14 +769,6 @@ func (c *Client) commitDaemon(stop <-chan struct{}) {
 			return
 		}
 		c.commitBatch(batch)
-		if c.cfg.CommitInterval > 0 {
-			// Optional periodic processing: one batch per period.
-			select {
-			case <-stop:
-				return
-			case <-c.clk.After(c.cfg.CommitInterval):
-			}
-		}
 	}
 }
 
@@ -1096,9 +1066,10 @@ func (c *Client) Crash() {
 	c.mu.Lock()
 	c.closed = true
 	c.mu.Unlock()
+	// Killed, not just closed: a call in flight must die with its
+	// connection instead of redialling and landing after the crash.
 	for _, l := range c.links {
-		mds, _ := l.conn()
-		mds.Close()
+		l.kill(fsapi.ErrClosed)
 	}
 	// Before the pool: a commit daemon may be waiting for a flush, and the
 	// flush for a layout-get that only the closed connection ends.
@@ -1127,7 +1098,7 @@ func (c *Client) Drain() error {
 
 // drainFiles commits the given files with bounded parallelism.
 func (c *Client) drainFiles(files []*fileState) error {
-	sem := make(chan struct{}, c.cfg.MaxCommitThreads)
+	sem := make(chan struct{}, maxCommitThreads)
 	errc := make(chan error, len(files))
 	for _, fs := range files {
 		sem <- struct{}{}

@@ -129,10 +129,12 @@ func (c *Client) recoverConn(l *mdsLink, old *rpc.Client, gen uint64, cause erro
 		return cause
 	}
 	l.mu.Lock()
-	if l.gen != gen {
-		// Another goroutine already replaced the connection.
+	if l.fatal != nil || l.gen != gen {
+		// The link was killed meanwhile, or another goroutine already
+		// replaced the connection.
+		f := l.fatal
 		l.mu.Unlock()
-		return nil
+		return f
 	}
 	nc, err := redial()
 	if err != nil {
@@ -166,10 +168,7 @@ func (c *Client) hello(l *mdsLink, mds *rpc.Client) {
 		// The connection reaches the wrong shard: kill the link rather than
 		// route through it. Every subsequent call fails with the mismatch
 		// error instead of scattering the namespace.
-		l.mu.Lock()
-		l.fatal = err
-		l.mu.Unlock()
-		mds.Close()
+		l.kill(err)
 		return
 	}
 	l.version.Store(h.ProtoVersion)

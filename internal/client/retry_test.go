@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"redbud/internal/netsim"
+	"redbud/internal/proto"
 	"redbud/internal/rpc"
 )
 
@@ -261,5 +262,39 @@ func TestDroppedCommitReplyRecoveredByRetryDedup(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("byte %d = %d, want %d", i, got[i], want[i])
 		}
+	}
+}
+
+// TestCrashDoesNotRedial: a crash is power loss. A call in flight when the
+// connections die must die with them — on a client that can redial it would
+// otherwise reconnect, retry, and land after the crash.
+func TestCrashDoesNotRedial(t *testing.T) {
+	gc := newGatedCluster(t)
+	var redials atomic.Int64
+	c := gc.mount(DelayedCommit, func(host string, cfg *Config) {
+		cfg.Redial = func() (*rpc.Client, error) {
+			redials.Add(1)
+			return gc.dial(host), nil
+		}
+	})
+	f, err := c.Create("/victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := gc.gate.holdOp(proto.OpLayoutGet)
+	defer release()
+	if _, err := f.WriteAt(pattern(8192, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	gc.gate.waitArrival(t, proto.OpLayoutGet) // the write-back routine is parked mid-call
+	returns(t, "Crash with a layout-get in flight", c.Crash)
+	if n := redials.Load(); n != 0 {
+		t.Fatalf("crashed client redialled %d times", n)
+	}
+	if _, err := c.Stat("/victim"); err == nil {
+		t.Fatal("Stat on a crashed client succeeded")
+	}
+	if n := redials.Load(); n != 0 {
+		t.Fatalf("crashed client redialled %d times on a later call", n)
 	}
 }

@@ -35,10 +35,22 @@ type mdsLink struct {
 	// OpHello (0 until the first handshake succeeds, which reads as v1).
 	version atomic.Uint32
 
-	// fatal, once set, marks the link permanently unusable — the hello
+	// fatal, once set, marks the link permanently unusable: the hello
 	// reply proved the connection reaches the wrong shard, so routing
-	// through it would scatter the namespace. Guarded by mu.
+	// through it would scatter the namespace, or the client crashed.
+	// Guarded by mu.
 	fatal error
+}
+
+// kill marks the link permanently unusable and closes its connection: every
+// later call fails with err, nothing is retried over it and nothing redials
+// it.
+func (l *mdsLink) kill(err error) {
+	l.mu.Lock()
+	l.fatal = err
+	mds := l.mds
+	l.mu.Unlock()
+	mds.Close()
 }
 
 // dead returns the link's fatal error, if any.

@@ -8,29 +8,23 @@ import (
 	"testing"
 	"time"
 
-	"redbud/internal/alloc"
+	"redbud/internal/bench"
 	"redbud/internal/blockdev"
-	"redbud/internal/client"
 	"redbud/internal/clock"
-	"redbud/internal/mds"
 	"redbud/internal/meta"
 	"redbud/internal/netsim"
 	"redbud/internal/obs"
-	"redbud/internal/rpc"
 )
 
-// tracedRun assembles a minimal single-client Redbud cluster on a manual
-// clock — zero-latency devices, instant links, one MDS daemon with a fixed
-// per-op cost, synchronous commit — runs a fixed write workload, and returns
-// the Chrome-trace export bytes. The shape is chosen so at most one
-// goroutine sleeps on the clock at a time (every other actor is blocked on a
-// channel handoff), which makes the span timeline, not just the span
-// multiset, reproducible.
-func tracedRun(t *testing.T) []byte {
-	t.Helper()
+// manualCluster builds a single-client, synchronous-commit Redbud cluster on
+// a manual clock — zero-latency devices, instant links, one MDS daemon per
+// shard with a fixed per-op cost — and a driver goroutine that advances the
+// clock to the next deadline whenever anything sleeps. The shape is chosen so
+// at most one goroutine sleeps on the clock at a time (every other actor is
+// blocked on a channel handoff), which makes the span timeline, not just the
+// span multiset, reproducible. The returned function tears both down.
+func manualCluster(shards, spanCap int) (*bench.Cluster, func()) {
 	clk := clock.NewManual()
-
-	// Clock driver: advance to the next deadline whenever anything sleeps.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -47,40 +41,32 @@ func tracedRun(t *testing.T) []byte {
 			}
 		}
 	}()
-
-	tracer := obs.NewTracer(0)
-	data := blockdev.New(blockdev.Config{Size: 1 << 30, Model: blockdev.ZeroLatency(), Clock: clk, Tracer: tracer})
-	metaDev := blockdev.New(blockdev.Config{ID: 1000, Size: 64 << 20, Model: blockdev.ZeroLatency(), Clock: clk})
-	store := meta.NewStore(meta.Config{
-		AGs:     alloc.NewUniformAGSet(alloc.RoundRobin, 0, 1<<30, 4),
-		Journal: meta.NewJournal(metaDev, 0, 32<<20),
-		Clock:   clk,
-		Tracer:  tracer,
+	c := bench.Build(bench.SysRedbud, bench.Options{
+		Clients:      1,
+		Clock:        clk,
+		DataDevices:  shards,
+		DeviceSize:   1 << 30,
+		Disk:         blockdev.ZeroLatency(),
+		Net:          netsim.Instant(),
+		MDSDaemons:   1,
+		MDSOpCost:    40 * time.Microsecond,
+		SpanTrace:    true,
+		SpanTraceCap: spanCap,
+		Shards:       shards,
 	})
-	srv := mds.New(mds.Config{Store: store, Clock: clk, Daemons: 1, OpCost: 40 * time.Microsecond, Tracer: tracer})
-
-	net := netsim.NewNetwork(clk)
-	net.SetTracer(tracer)
-	net.AddHost("mds", netsim.Instant())
-	lis, err := net.Listen("mds")
-	if err != nil {
-		t.Fatal(err)
+	return c, func() {
+		c.Close()
+		close(stop)
+		wg.Wait()
 	}
-	go srv.Serve(lis)
+}
 
-	net.AddHost("c0", netsim.Instant())
-	conn, err := net.Dial("c0", "mds")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := client.New(client.Config{
-		Name:    "c0",
-		MDS:     rpc.NewClient(conn, clk),
-		Devices: map[uint32]client.BlockDevice{0: data},
-		Clock:   clk,
-		Mode:    client.SyncCommit,
-		Tracer:  tracer,
-	})
+// tracedRun runs a fixed write workload on the one-shard fixture and returns
+// the Chrome-trace export bytes.
+func tracedRun(t *testing.T) []byte {
+	t.Helper()
+	c, closeAll := manualCluster(1, 0)
+	cl, tracer := c.Redbud[0], c.Tracer
 
 	payload := make([]byte, 4<<10)
 	for i := range payload {
@@ -102,12 +88,7 @@ func tracedRun(t *testing.T) []byte {
 	if err := cl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	lis.Close()
-	srv.Close()
-	data.Close()
-	metaDev.Close()
-	close(stop)
-	wg.Wait()
+	closeAll()
 
 	var buf bytes.Buffer
 	if err := obs.WriteChromeTrace(&buf, tracer.Spans()); err != nil {
@@ -119,88 +100,15 @@ func tracedRun(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// stitchedRun assembles a two-shard cluster on a manual clock — the same
-// single-sleeper shape as tracedRun, with one MDS daemon per shard — and
-// drives the three cross-shard namespace sagas (create, rename, remove)
-// through names the placement hash provably routes across shards. It returns
-// the stitched multi-process Chrome-trace export.
+// stitchedRun drives the three cross-shard namespace sagas (create, rename,
+// remove) on the two-shard fixture, through names the placement hash provably
+// routes across shards. It returns the stitched multi-process Chrome-trace
+// export.
 func stitchedRun(t *testing.T) []byte {
 	t.Helper()
 	const shards = 2
-	clk := clock.NewManual()
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if !clk.AdvanceToNext() {
-				runtime.Gosched()
-			}
-		}
-	}()
-
-	tracer := obs.NewTracer(1 << 14)
-	net := netsim.NewNetwork(clk)
-	net.SetTracer(tracer)
-	var (
-		devices []*blockdev.Device
-		stores  []*meta.Store
-		srvs    []*mds.Server
-		liss    []*netsim.Listener
-	)
-	devMap := map[uint32]client.BlockDevice{}
-	for i := 0; i < shards; i++ {
-		data := blockdev.New(blockdev.Config{ID: i, Size: 1 << 30, Model: blockdev.ZeroLatency(), Clock: clk, Tracer: tracer})
-		metaDev := blockdev.New(blockdev.Config{ID: 1000 + i, Size: 64 << 20, Model: blockdev.ZeroLatency(), Clock: clk})
-		devices = append(devices, data, metaDev)
-		devMap[uint32(i)] = data
-		store := meta.NewStore(meta.Config{
-			AGs:     alloc.NewUniformAGSet(alloc.RoundRobin, i, 1<<30, 4),
-			Journal: meta.NewJournal(metaDev, 0, 32<<20),
-			Clock:   clk,
-			Tracer:  tracer,
-			Shard:   i, ShardCount: shards,
-		})
-		stores = append(stores, store)
-		srv := mds.New(mds.Config{
-			Store: store, Clock: clk, Daemons: 1, OpCost: 40 * time.Microsecond,
-			ShardIndex: uint32(i), ShardCount: shards, Tracer: tracer,
-		})
-		srvs = append(srvs, srv)
-		host := fmt.Sprintf("mds%d", i)
-		net.AddHost(host, netsim.Instant())
-		lis, err := net.Listen(host)
-		if err != nil {
-			t.Fatal(err)
-		}
-		liss = append(liss, lis)
-		go srv.Serve(lis)
-	}
-
-	net.AddHost("c0", netsim.Instant())
-	conns := make([]*rpc.Client, shards)
-	for i := range conns {
-		conn, err := net.Dial("c0", fmt.Sprintf("mds%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = rpc.NewClient(conn, clk)
-	}
-	cl := client.New(client.Config{
-		Name:    "c0",
-		Shards:  conns,
-		Devices: devMap,
-		Clock:   clk,
-		Mode:    client.SyncCommit,
-		Tracer:  tracer,
-	})
+	c, closeAll := manualCluster(shards, 1<<14)
+	cl, tracer, stores := c.Redbud[0], c.Tracer, c.Stores
 
 	// Two directories provably homed on different shards, found by the same
 	// placement hash the client routes by — deterministic across runs.
@@ -290,15 +198,7 @@ func stitchedRun(t *testing.T) []byte {
 	if err := cl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < shards; i++ {
-		liss[i].Close()
-		srvs[i].Close()
-	}
-	for _, d := range devices {
-		d.Close()
-	}
-	close(stop)
-	wg.Wait()
+	closeAll()
 
 	var buf bytes.Buffer
 	if err := obs.WriteChromeTraceMulti(&buf, obs.SplitProcesses(tracer.Spans())); err != nil {
@@ -323,7 +223,7 @@ func TestStitchedTraceRunTwiceByteIdentical(t *testing.T) {
 		obs.SpanNSRename, obs.SpanNSPrepareSrc, obs.SpanNSCommitDst, // rename saga
 		obs.SpanNSRemove, obs.SpanNSUnlink, obs.SpanNSGraduate, // remove saga
 		obs.SpanMDSCreateDetached, obs.SpanMDSNSPrepare, obs.SpanMDSNSCommit, // server handlers
-		`"mds0"`, `"mds1"`, `"c0"`, // one trace process per node
+		`"mds0"`, `"mds1"`, `"client-0"`, // one trace process per node
 	} {
 		if !bytes.Contains(a, []byte(want)) {
 			t.Errorf("stitched trace missing %q", want)
