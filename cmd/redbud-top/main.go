@@ -175,6 +175,20 @@ func renderCluster(b *strings.Builder, httpc *http.Client, t *clusterTarget, int
 		}
 		return "-"
 	})
+	// File delegations held (MDS shards) or trusted (the clients' column), and
+	// the share of the interval's opens they saved an RPC.
+	row("delegations", func(i int) string {
+		held, ok := sumVal(diffs[i], obs.KindGauge, "redbud_mds_delegations", "redbud_client_delegations")
+		if !ok {
+			return "-"
+		}
+		hits, _ := sumVal(diffs[i], obs.KindCounter, "redbud_client_open_hits_total")
+		misses, _ := sumVal(diffs[i], obs.KindCounter, "redbud_client_open_misses_total")
+		if first || hits+misses == 0 {
+			return fmt.Sprintf("%d", held)
+		}
+		return fmt.Sprintf("%d %3.0f%%hit", held, 100*float64(hits)/float64(hits+misses))
+	})
 	if !first {
 		rate := func(names ...string) func(i int) string {
 			return func(i int) string {
@@ -247,8 +261,9 @@ func render(b *strings.Builder, httpc *http.Client, t *target, interval time.Dur
 	// Gauges: instantaneous state worth watching.
 	for _, name := range []string{
 		"redbud_client_commit_queue_len", "redbud_client_commit_threads",
-		"redbud_client_compound_degree", "redbud_rpc_queue_len",
-		"redbud_rpc_inflight", "redbud_meta_files",
+		"redbud_client_compound_degree", "redbud_client_delegations",
+		"redbud_rpc_queue_len", "redbud_rpc_inflight", "redbud_meta_files",
+		"redbud_mds_delegations",
 	} {
 		for _, m := range d.Metrics {
 			if m.Name == name && m.Kind == obs.KindGauge {

@@ -92,9 +92,12 @@ func TestShardLifecycle(t *testing.T) {
 				synced[path] = i
 				return path
 			}
-			probe := make([]string, shards) // a file homed on each shard
+			// A file of each of the first two clients homed on each shard:
+			// a client stats the other's to reach the shard, because its own
+			// it holds the delegation on, and Stat then costs no RPC.
+			probe := make([][2]string, shards)
 			for s := range probe {
-				probe[s] = mustSync(s%2, s)
+				probe[s] = [2]string{mustSync(0, s), mustSync(1, s)}
 			}
 
 			for round := 0; round < 2; round++ {
@@ -120,7 +123,7 @@ func TestShardLifecycle(t *testing.T) {
 								return
 							default:
 							}
-							_, _ = m.Stat(probe[s])
+							_, _ = m.Stat(probe[s][0])
 							_ = writeSynced(m, fmt.Sprintf("/inflight-%d-%d-%d", round, s, n))
 							if n == 0 {
 								close(writing)
@@ -146,7 +149,7 @@ func TestShardLifecycle(t *testing.T) {
 					// dead connection, redials and re-establishes the session.
 					// After it both clients create and commit there again.
 					for i, m := range c.Mounts[:2] {
-						if _, err := m.Stat(probe[s]); err != nil {
+						if _, err := m.Stat(probe[s][1-i]); err != nil {
 							t.Fatalf("client %d did not reconnect to shard %d: %v", i, s, err)
 						}
 						mustSync(i, s)

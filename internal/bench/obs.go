@@ -24,6 +24,9 @@ type ObsReport struct {
 
 	Breakdown *obs.Breakdown
 	P50, P99  time.Duration // per-commit e2e quantiles
+	// Reads is the read-side breakdown: how opens found their attributes and
+	// where each ReadAt spent its time.
+	Reads *obs.ReadBreakdown
 
 	BaseDuration   time.Duration // virtual duration, tracing disabled
 	TracedDuration time.Duration // virtual duration, tracing enabled
@@ -62,6 +65,7 @@ func RunObsBench(opt Options) (*ObsReport, []obs.Span, error) {
 		SpansTotal:     c.Tracer.Total(),
 		SpansDropped:   c.Tracer.Dropped(),
 		Breakdown:      obs.Analyze(spans),
+		Reads:          obs.AnalyzeReads(spans),
 		BaseDuration:   baseRes.Duration,
 		TracedDuration: tracedRes.Duration,
 	}
@@ -100,6 +104,7 @@ func PrintObs(w io.Writer, rep *ObsReport) {
 		rep.System, rep.Workload, rep.SpansKept, rep.SpansTotal, rep.SpansDropped)
 	fmt.Fprint(w, rep.Breakdown.Table())
 	fmt.Fprintf(w, "  commit e2e p50 %v  p99 %v\n", rep.P50, rep.P99)
+	fmt.Fprint(w, rep.Reads.Table())
 	fmt.Fprintf(w, "  virtual duration: untraced %v, traced %v (%+.2f%%)\n",
 		rep.BaseDuration, rep.TracedDuration, rep.OverheadPct)
 }

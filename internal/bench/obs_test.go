@@ -140,10 +140,35 @@ func TestRunObsBench(t *testing.T) {
 	if sum != b.E2E {
 		t.Fatalf("stages sum to %v, want the end-to-end total %v", sum, b.E2E)
 	}
+	// The read side: varmail re-opens and reads what its own threads wrote;
+	// every open and read is reconstructed, nothing is ever recalled, and the
+	// five legs account for every nanosecond of a read. (How many opens hit
+	// says nothing at this scale: on a clock compressed 500× the 200 ms lease
+	// is 0.4 ms of wall time, less than one RPC's timer tick, so it lapses
+	// between requests — always, under the race detector. The repository
+	// benchmark, at scale 1, is where the hit ratio is measured.)
+	r := rep.Reads
+	if opens := r.OpenHit.Count + r.OpenMiss.Count; r.Reads == 0 || opens < int64(r.Reads) || r.OpenRecalled.Count != 0 {
+		t.Fatalf("read breakdown: %d reads, opens %+v hit, %+v miss, %+v recalled", r.Reads, r.OpenHit, r.OpenMiss, r.OpenRecalled)
+	}
+	sum = 0
+	for _, s := range r.Stages {
+		sum += s.Total
+	}
+	if sum != r.E2E {
+		t.Fatalf("read legs sum to %v, want the end-to-end total %v", sum, r.E2E)
+	}
+	for _, p := range r.PerRead {
+		if got := p.Cache + p.Layout + p.Visibility + p.Barrier + p.Device; got != p.E2E || p.Cache < 0 {
+			t.Fatalf("read %d: legs sum to %v (cache %v), e2e %v", p.ID, got, p.Cache, p.E2E)
+		}
+	}
 	var out strings.Builder
 	PrintObs(&out, rep)
-	if !strings.Contains(out.String(), "commit critical path") {
-		t.Fatalf("PrintObs output:\n%s", out.String())
+	for _, want := range []string{"commit critical path", "read critical path", "hit ratio"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("PrintObs output lacks %q:\n%s", want, out.String())
+		}
 	}
 }
 

@@ -214,10 +214,14 @@ func planActive(p netsim.FaultPlan) bool {
 		len(p.Links) > 0 || len(p.Partitions) > 0
 }
 
-// Run executes one chaos run and returns its report. A non-nil error means
-// the harness itself failed (a recovery error) — invariant breaches are
-// reported through Report fields, not the error.
-func Run(cfg Config) (*Report, error) {
+// build applies the defaults to cfg and assembles the cluster it describes,
+// faults armed: a shared, zero-latency data array every shard owns a slice
+// of, one fault-free metadata disk per shard carrying its journal, instant
+// links, and the durability oracle on every commit any shard applies.
+// Single-shard runs keep the historical "mds" host (fault plans and
+// determinism fixtures address it by name); sharded runs use
+// "mds0".."mdsN-1". Clients are "client-0".."client-N-1".
+func build(cfg *Config) *bench.Cluster {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 2
 	}
@@ -244,17 +248,9 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.RestartEvery <= 0 {
 		cfg.RestartEvery = 10 * time.Millisecond
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 1
+	if cfg.Shards <= 0 {
+		cfg.Shards = 1
 	}
-
-	// The cluster: a shared, zero-latency data array every shard owns a
-	// slice of, one fault-free metadata disk per shard carrying its journal,
-	// instant links, and the durability oracle on every commit any shard
-	// applies. Single-shard runs keep the historical "mds" host (fault plans
-	// and determinism fixtures address it by name); sharded runs use
-	// "mds0".."mdsN-1". Clients are "client-0".."client-N-1".
 	opt := bench.Options{
 		Clients:         cfg.Clients,
 		Scale:           1,
@@ -271,7 +267,7 @@ func Run(cfg Config) (*Report, error) {
 		Seed:            cfg.Seed,
 		Tracer:          cfg.Tracer,
 		Autoscale:       cfg.Autoscale,
-		Shards:          shards,
+		Shards:          cfg.Shards,
 	}
 	if opt.DelegationChunk == 0 {
 		opt.DelegationChunk = 1 << 20
@@ -279,13 +275,11 @@ func Run(cfg Config) (*Report, error) {
 	sys := bench.SysRedbud
 	if cfg.Mode == client.DelayedCommit {
 		sys = bench.SysRedbudDC
-		if opt.DelegationChunk > 0 && shards == 1 {
+		if opt.DelegationChunk > 0 && cfg.Shards == 1 {
 			sys = bench.SysRedbudDCSD
 		}
 	}
 	c := bench.Build(sys, opt)
-	defer c.Close()
-	clk := c.Clock
 	if cfg.Disk.ErrProb > 0 || cfg.Disk.TornProb > 0 {
 		faultFn := blockdev.ProbFaults(cfg.Seed^0x5eed, cfg.Disk.ErrProb, cfg.Disk.TornProb)
 		for _, d := range c.Devices {
@@ -299,6 +293,16 @@ func Run(cfg Config) (*Report, error) {
 	if planActive(plan) {
 		c.Net.InstallFaults(plan)
 	}
+	return c
+}
+
+// Run executes one chaos run and returns its report. A non-nil error means
+// the harness itself failed (a recovery error) — invariant breaches are
+// reported through Report fields, not the error.
+func Run(cfg Config) (*Report, error) {
+	c := build(&cfg)
+	defer c.Close()
+	clk, shards := c.Clock, cfg.Shards
 
 	// The observability plane rides along on every run: the cluster's
 	// collector reads whichever MDS incarnation is live on each shard, and

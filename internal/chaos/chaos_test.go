@@ -824,3 +824,131 @@ func TestChaosShardedRenameBothShardsCrash(t *testing.T) {
 		})
 	}
 }
+
+// sharedConfig is the shared-file scenario's fault menu: dropped and delayed
+// frames, a partition that cuts the first client — the one that created the
+// files and so holds every delegation at the start — off the MDS for longer
+// than a call timeout, and an MDS restart under all of it. (No duplicates or
+// reorders: a duplicated remove that lands after the file has been re-created
+// is a hazard of at-least-once delivery, not of the cache under test, and the
+// oracle could not tell the two apart.)
+func sharedConfig(seed int64) Config {
+	return Config{
+		Seed:    seed,
+		Clients: 2,
+		Threads: 2,
+		Ops:     40,
+		Mode:    client.DelayedCommit,
+		Think:   500 * time.Microsecond,
+		Retry: client.RetryPolicy{
+			MaxAttempts: 6,
+			BaseDelay:   time.Millisecond,
+			MaxDelay:    8 * time.Millisecond,
+			CallTimeout: 50 * time.Millisecond,
+		},
+		Net: netsim.FaultPlan{
+			Default: netsim.LinkFaults{DropProb: 0.02, DelayProb: 0.10, DelaySpike: 2 * time.Millisecond},
+			Partitions: []netsim.Partition{
+				{From: "client-0", To: "mds", Start: 5 * time.Millisecond, End: 70 * time.Millisecond},
+			},
+		},
+		Restarts:     1,
+		RestartEvery: 40 * time.Millisecond,
+	}
+}
+
+func assertSharedClean(t *testing.T, rep *SharedReport) {
+	t.Helper()
+	for _, m := range rep.Mismatches {
+		t.Errorf("cache contradicts the store: %s", m)
+	}
+	if len(rep.Violations) != 0 {
+		t.Errorf("ordered-write violations:\n  %s", strings.Join(rep.Violations, "\n  "))
+	}
+	for i, f := range rep.Fscks {
+		if !f.OK() {
+			t.Errorf("fsck, shard %d: %s %v", i, f, f.Problems)
+		}
+	}
+	if len(rep.ClusterIssues) != 0 {
+		t.Errorf("cross-shard fsck: %s", strings.Join(rep.ClusterIssues, "; "))
+	}
+	if rep.Checked == 0 || rep.Deleg.Grants == 0 {
+		t.Errorf("%d results checked, %d delegations granted: the run exercised nothing", rep.Checked, rep.Deleg.Grants)
+	}
+}
+
+// TestChaosSharedFiles sweeps seeded fault plans over the shared-file
+// scenario: two clients re-open, append to, remove, re-create and rename one
+// small set of files, each serving its own opens from file delegations the
+// other's mutations must first take back, under drops, a partition of the
+// holder and an MDS restart. Every Open and Stat result is compared with the
+// store; the cache must never contradict it. The nightly job widens the
+// sweep to 100 seeds with -race.
+func TestChaosSharedFiles(t *testing.T) {
+	for s := 0; s < *seeds; s++ {
+		seed := int64(s)*15485863 + 29
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rep, err := RunShared(sharedConfig(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSharedClean(t, rep)
+			if rep.Restarts != 1 {
+				t.Errorf("completed %d restarts, want 1", rep.Restarts)
+			}
+			t.Logf("ops=%d opErrors=%d checked=%d openHits=%d deleg=%+v netFaults=%+v",
+				rep.Ops, rep.OpErrors, rep.Checked, rep.OpenHits, rep.Deleg, rep.Faults)
+		})
+	}
+}
+
+// TestChaosSharedFilesFaultFree is the same scenario with nothing injected:
+// nothing fails, every recall is acknowledged or outlives an idle holder's
+// lease, and the caches are used.
+func TestChaosSharedFilesFaultFree(t *testing.T) {
+	cfg := sharedConfig(7)
+	cfg.Net = netsim.FaultPlan{}
+	cfg.Restarts = 0
+	// A mutation may wait out an idle holder's lease; with the sweep's 50 ms
+	// call timeout that is a (clean, settled) failure, here it must not be one.
+	cfg.Retry.CallTimeout = 10 * meta.DelegTerm
+	rep, err := RunShared(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSharedClean(t, rep)
+	if rep.OpErrors != 0 {
+		t.Errorf("%d of %d ops failed with no fault injected", rep.OpErrors, rep.Ops)
+	}
+	if rep.OpenHits == 0 || rep.Deleg.Recalls == 0 {
+		t.Errorf("%d opens served from delegations, %d recalls: the scenario did not contest the cache", rep.OpenHits, rep.Deleg.Recalls)
+	}
+	t.Logf("ops=%d checked=%d openHits=%d deleg=%+v", rep.Ops, rep.Checked, rep.OpenHits, rep.Deleg)
+}
+
+// TestChaosSharedFilesSharded runs the scenario over two MDS shards, where
+// half the files are homed away from their dirents: opens keep the name
+// lookup, the attribute delegation lives on the home shard, and the
+// cross-shard remove and rename sagas recall there before their commit point.
+func TestChaosSharedFilesSharded(t *testing.T) {
+	for s := 0; s < *seeds; s++ {
+		seed := int64(s)*32452843 + 31
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			cfg := sharedConfig(seed)
+			cfg.Shards = 2
+			cfg.Net.Partitions = []netsim.Partition{
+				{From: "client-0", To: "mds1", Start: 5 * time.Millisecond, End: 70 * time.Millisecond},
+			}
+			rep, err := RunShared(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSharedClean(t, rep)
+			t.Logf("ops=%d opErrors=%d checked=%d openHits=%d deleg=%+v netFaults=%+v",
+				rep.Ops, rep.OpErrors, rep.Checked, rep.OpenHits, rep.Deleg, rep.Faults)
+		})
+	}
+}

@@ -200,10 +200,14 @@ type Client struct {
 	// delegated span, hence the atomic pointer (nil when disabled).
 	space atomic.Pointer[core.SpacePool]
 
-	mu     sync.Mutex
-	files  map[meta.FileID]*fileState
-	dcache map[string]meta.FileID
+	mu    sync.Mutex
+	files map[meta.FileID]*fileState
+	// dcache maps canonical paths to directories (a hint, validated lazily)
+	// and to the regular files this client holds a delegation on; see
+	// namecache.go, which also says what else mu guards.
+	dcache map[string]dentry
 	closed bool
+	delegs atomic.Int64 // file delegations held (gauge)
 
 	// Write-behind stage (writeback.go): layout-get slots, the dirty window
 	// (wbBytes guarded by wbMu, a leaf lock), and the live write-back
@@ -234,6 +238,7 @@ type Client struct {
 
 type clientStats struct {
 	creates, opens, removes stats.Counter
+	openHits, openMisses    stats.Counter // attrOf: served from a delegation / asked the MDS
 	writes, reads, closes   stats.Counter
 	fsyncs                  stats.Counter
 	bytesWritten, bytesRead stats.Counter
@@ -297,7 +302,7 @@ func New(cfg Config) *Client {
 		clk:         cfg.Clock,
 		devs:        cfg.Devices,
 		files:       make(map[meta.FileID]*fileState),
-		dcache:      make(map[string]meta.FileID),
+		dcache:      make(map[string]dentry),
 		tracer:      cfg.Tracer,
 		trackApp:    cfg.Name + "/app",
 		trackCommit: cfg.Name + "/commit",
@@ -413,64 +418,6 @@ func (c *Client) dev(id uint32) (BlockDevice, error) {
 // ---------------------------------------------------------------------------
 // Namespace operations
 
-// resolve walks path to a file ID using the dentry cache.
-func (c *Client) resolve(path string) (meta.FileID, error) {
-	parts := fsapi.SplitPath(path)
-	if len(parts) == 0 {
-		return meta.RootID, nil
-	}
-	c.mu.Lock()
-	if id, ok := c.dcache[path]; ok {
-		c.mu.Unlock()
-		return id, nil
-	}
-	c.mu.Unlock()
-
-	cur := meta.RootID
-	for _, name := range parts {
-		// Each component's dirent lives on its parent's home shard.
-		var resp proto.AttrResp
-		if err := c.callIdem(c.shardFor(cur), proto.OpLookup, &proto.LookupReq{Parent: cur, Name: name}, &resp); err != nil {
-			return 0, mapRemote(err)
-		}
-		cur = resp.ID
-	}
-	c.mu.Lock()
-	c.dcache[path] = cur
-	c.mu.Unlock()
-	return cur, nil
-}
-
-// resolveParent resolves the directory containing path and the leaf name.
-func (c *Client) resolveParent(path string) (meta.FileID, string, error) {
-	parts := fsapi.SplitPath(path)
-	if len(parts) == 0 {
-		return 0, "", fmt.Errorf("client: invalid path %q", path)
-	}
-	leaf := parts[len(parts)-1]
-	dir := meta.RootID
-	if len(parts) > 1 {
-		sub := "/" + joinPath(parts[:len(parts)-1])
-		id, err := c.resolve(sub)
-		if err != nil {
-			return 0, "", err
-		}
-		dir = id
-	}
-	return dir, leaf, nil
-}
-
-func joinPath(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += "/"
-		}
-		out += p
-	}
-	return out
-}
-
 // mapRemote converts MDS error strings to fsapi sentinel errors.
 func mapRemote(err error) error {
 	var re *rpc.RemoteError
@@ -500,41 +447,48 @@ func contains(s, sub string) bool {
 func (c *Client) Create(path string) (fsapi.File, error) {
 	start := c.clk.Now()
 	defer func() { c.st.opLat.Observe(c.clk.Since(start)) }()
-	dir, leaf, err := c.resolveParent(path)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.createEntry(dir, leaf, meta.TypeFile)
+	var fs *fileState
+	err := c.withParent(path, func(dir dentry, parts []string) error {
+		resp, err := c.createEntry(dir.id, parts[len(parts)-1], meta.TypeFile)
+		if err != nil {
+			return err
+		}
+		c.mu.Lock()
+		fs = c.fileStateLocked(resp.ID, 0)
+		fs.refs++
+		if resp.Granted {
+			// Created and delegated in one reply: every re-open is local
+			// from here on. (A cross-shard create is never granted.)
+			c.holdLocked(fs, c.child(dir, resp.ID), parts, resp.MTime)
+		}
+		c.mu.Unlock()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	c.st.creates.Inc()
-	c.mu.Lock()
-	c.dcache[path] = resp.ID
-	fs := c.fileStateLocked(resp.ID, 0)
-	fs.refs++
-	c.mu.Unlock()
 	return &File{c: c, fs: fs}, nil
 }
 
-// Open opens an existing regular file.
+// Open opens an existing regular file. While this client holds the file's
+// delegation it costs no RPC.
 func (c *Client) Open(path string) (fsapi.File, error) {
 	start := c.clk.Now()
 	defer func() { c.st.opLat.Observe(c.clk.Since(start)) }()
-	id, err := c.resolve(path)
+	attr, how, err := c.attrOf(path, start)
+	if c.tracer.Enabled() {
+		c.tracer.Record(c.trackApp, openSpanNames[how], 0, start, c.clk.Now())
+	}
 	if err != nil {
 		return nil, err
-	}
-	var attr proto.AttrResp
-	if err := c.callIdem(c.shardFor(id), proto.OpGetAttr, &proto.GetAttrReq{ID: id}, &attr); err != nil {
-		return nil, mapRemote(err)
 	}
 	if attr.Type == meta.TypeDir {
 		return nil, fmt.Errorf("%w: %s", fsapi.ErrIsDir, path)
 	}
 	c.st.opens.Inc()
 	c.mu.Lock()
-	fs := c.fileStateLocked(id, attr.Size)
+	fs := c.fileStateLocked(attr.ID, attr.Size)
 	fs.refs++
 	c.mu.Unlock()
 	return &File{c: c, fs: fs}, nil
@@ -572,9 +526,9 @@ func (c *Client) createEntry(dir meta.FileID, leaf string, typ meta.FileType) (p
 	if target == c.shardOf(dir) {
 		// Not retried: a duplicate create whose first reply was lost would
 		// fail with ErrExists against the first execution's entry.
-		mds, _ := c.links[target].conn()
+		req := proto.CreateReq{Parent: dir, Name: leaf, Type: typ}
 		var resp proto.AttrResp
-		if err := mds.Call(proto.OpCreate, &proto.CreateReq{Parent: dir, Name: leaf, Type: typ}, &resp); err != nil {
+		if err := c.attrCall(c.links[target], proto.OpCreate, &req, &req.Deleg, &resp, false); err != nil {
 			return resp, mapRemote(err)
 		}
 		return resp, nil
@@ -584,60 +538,63 @@ func (c *Client) createEntry(dir meta.FileID, leaf string, typ meta.FileType) (p
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(path string) error {
-	dir, leaf, err := c.resolveParent(path)
-	if err != nil {
-		return err
-	}
-	resp, err := c.createEntry(dir, leaf, meta.TypeDir)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.dcache[path] = resp.ID
-	c.mu.Unlock()
-	return nil
+	return c.withParent(path, func(dir dentry, parts []string) error {
+		resp, err := c.createEntry(dir.id, parts[len(parts)-1], meta.TypeDir)
+		if err != nil {
+			return err
+		}
+		c.mu.Lock()
+		c.dcache[canonPath(parts)] = c.child(dir, resp.ID)
+		c.mu.Unlock()
+		return nil
+	})
 }
 
 // Remove unlinks a file or empty directory.
 func (c *Client) Remove(path string) error {
-	dir, leaf, err := c.resolveParent(path)
+	// The inode first (from the delegation, or a lookup): any pending
+	// delayed commit must land before the extents are freed server-side, and
+	// the local state must be forgotten so later drains don't commit against
+	// a deleted inode.
+	attr, _, err := c.attrOf(path, c.clk.Now())
 	if err != nil {
 		return err
 	}
-	// Resolve the inode (dcache or lookup RPC): any pending delayed
-	// commit must land before the extents are freed server-side, and the
-	// local state must be forgotten so later drains don't commit against
-	// a deleted inode.
-	id, resolveErr := c.resolve(path)
-	if resolveErr == nil {
-		c.mu.Lock()
-		fs := c.files[id]
-		c.mu.Unlock()
-		if fs != nil {
-			if err := c.commitFile(fs); err != nil {
-				return err
-			}
-		}
-	}
-	if resolveErr == nil && c.shardOf(id) != c.shardOf(dir) {
-		// The dirent and the inode live on different shards: run the
-		// two-phase remove (prepare on home, unlink on parent, commit on
-		// home).
-		if err := c.removeCrossShard(dir, leaf, id); err != nil {
+	id := attr.ID
+	c.mu.Lock()
+	fs := c.files[id]
+	c.mu.Unlock()
+	if fs != nil {
+		if err := c.commitFile(fs); err != nil {
 			return err
 		}
-	} else {
-		mds, _ := c.shardFor(dir).conn()
-		if err := mds.Call(proto.OpRemove, &proto.RemoveReq{Parent: dir, Name: leaf}, nil); err != nil {
-			return mapRemote(err)
+		// Given up before the request leaves: if the reply is lost the MDS
+		// may have removed the file all the same, and a delegation still
+		// trusted would go on opening it from memory. Should the remove be
+		// refused instead, the next open asks and is granted again.
+		c.dropDeleg(fs)
+	}
+	err = c.withParent(path, func(dir dentry, parts []string) error {
+		leaf := parts[len(parts)-1]
+		if c.shardOf(id) != c.shardOf(dir.id) {
+			// The dirent and the inode live on different shards: run the
+			// two-phase remove (prepare on home, unlink on parent, commit on
+			// home).
+			return c.removeCrossShard(dir.id, leaf, id)
 		}
+		l := c.shardFor(dir.id)
+		mds, _ := l.conn()
+		return mapRemote(mds.Call(proto.OpRemove, &proto.RemoveReq{Parent: dir.id, Name: leaf, Deleg: c.delegCtx(l)}, nil))
+	})
+	if err != nil {
+		return err
 	}
 	c.st.removes.Inc()
 	c.mu.Lock()
-	if resolveErr == nil {
+	if fs != nil {
 		delete(c.files, id)
 	}
-	delete(c.dcache, path)
+	delete(c.dcache, canonPath(fsapi.SplitPath(path))) // a directory's entry
 	c.mu.Unlock()
 	return nil
 }
@@ -645,58 +602,43 @@ func (c *Client) Remove(path string) error {
 // Rename moves a file or directory. Any pending delayed commit of the moved
 // file rides along untouched — commits address inodes, not names.
 func (c *Client) Rename(oldPath, newPath string) error {
-	srcDir, srcLeaf, err := c.resolveParent(oldPath)
-	if err != nil {
-		return err
-	}
-	dstDir, dstLeaf, err := c.resolveParent(newPath)
-	if err != nil {
-		return err
-	}
-	if c.shardOf(srcDir) != c.shardOf(dstDir) {
-		// The two dirent tables live on different shards: two-phase rename.
-		if err := c.renameCrossShard(srcDir, srcLeaf, dstDir, dstLeaf); err != nil {
-			return err
-		}
-	} else {
-		req := proto.RenameReq{SrcParent: srcDir, SrcName: srcLeaf, DstParent: dstDir, DstName: dstLeaf}
-		mds, _ := c.shardFor(srcDir).conn()
-		if err := mds.Call(proto.OpRename, &req, nil); err != nil {
-			return mapRemote(err)
-		}
-	}
-	// Path-keyed cache entries under the old name (and, for directories,
-	// the whole subtree) are stale: drop the dentry cache wholesale —
-	// renames are rare, lookups are cheap.
-	c.mu.Lock()
-	c.dcache = make(map[string]meta.FileID)
-	c.mu.Unlock()
-	return nil
+	// Path-keyed cache entries under the old name (and, for directories, the
+	// whole subtree) go stale: drop the dentry cache wholesale, and with it
+	// the names the delegations are cached under — renames are rare, lookups
+	// are cheap. Before the request leaves, because a rename whose reply is
+	// lost may have happened all the same; and again when it is over, for
+	// what other threads cached meanwhile.
+	c.flushNames()
+	defer c.flushNames()
+	return c.withParent(oldPath, func(src dentry, sp []string) error {
+		return c.withParent(newPath, func(dst dentry, dp []string) error {
+			srcLeaf, dstLeaf := sp[len(sp)-1], dp[len(dp)-1]
+			if c.shardOf(src.id) != c.shardOf(dst.id) {
+				// The two dirent tables live on different shards: two-phase
+				// rename.
+				return c.renameCrossShard(src.id, srcLeaf, dst.id, dstLeaf)
+			}
+			l := c.shardFor(src.id)
+			req := proto.RenameReq{SrcParent: src.id, SrcName: srcLeaf, DstParent: dst.id, DstName: dstLeaf, Deleg: c.delegCtx(l)}
+			mds, _ := l.conn()
+			return mapRemote(mds.Call(proto.OpRename, &req, nil))
+		})
+	})
 }
 
-func (c *Client) cachedID(path string) (meta.FileID, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, ok := c.dcache[path]
-	return id, ok
-}
-
-// Stat describes a path.
+// Stat describes a path. Like Open it costs no RPC for a file this client
+// holds the delegation on.
 func (c *Client) Stat(path string) (fsapi.Info, error) {
-	id, err := c.resolve(path)
-	if err != nil {
-		return fsapi.Info{}, err
-	}
 	// Attributes come from the inode's home shard — the parent shard's
 	// remote-edge record knows only name and type.
-	var attr proto.AttrResp
-	if err := c.callIdem(c.shardFor(id), proto.OpGetAttr, &proto.GetAttrReq{ID: id}, &attr); err != nil {
-		return fsapi.Info{}, mapRemote(err)
+	attr, _, err := c.attrOf(path, c.clk.Now())
+	if err != nil {
+		return fsapi.Info{}, err
 	}
 	info := fsapi.Info{Name: lastPart(path), Size: attr.Size, Dir: attr.Type == meta.TypeDir, MTime: attr.MTime}
 	// Local uncommitted writes make the file larger than the MDS knows.
 	c.mu.Lock()
-	if fs := c.files[id]; fs != nil {
+	if fs := c.files[attr.ID]; fs != nil {
 		fs.mu.Lock()
 		if fs.size > info.Size {
 			info.Size = fs.size
@@ -717,13 +659,31 @@ func lastPart(path string) string {
 
 // ReadDir lists a directory.
 func (c *Client) ReadDir(path string) ([]fsapi.Info, error) {
-	id, err := c.resolve(path)
-	if err != nil {
-		return nil, err
-	}
 	var resp proto.ReadDirResp
-	if err := c.callIdem(c.shardFor(id), proto.OpReadDir, &proto.ReadDirReq{ID: id}, &resp); err != nil {
-		return nil, mapRemote(err)
+	for {
+		// A cached directory costs nothing to resolve; anything else is
+		// looked up (the root is its own id).
+		c.mu.Lock()
+		de, cached := c.dcache[path]
+		c.mu.Unlock()
+		if cached = cached && !de.file; !cached {
+			a, _, err := c.attrOf(path, c.clk.Now())
+			if err != nil {
+				return nil, err
+			}
+			de.id = a.ID
+		}
+		err := mapRemote(c.callIdem(c.shardFor(de.id), proto.OpReadDir, &proto.ReadDirReq{ID: de.id}, &resp))
+		if err == nil {
+			break
+		}
+		if !cached || !errors.Is(err, fsapi.ErrNotExist) {
+			return nil, err
+		}
+		// The cached directory is gone; ask for the name again.
+		c.mu.Lock()
+		delete(c.dcache, path)
+		c.mu.Unlock()
 	}
 	out := make([]fsapi.Info, 0, len(resp.Entries))
 	for _, e := range resp.Entries {
@@ -953,8 +913,17 @@ type extentKey struct {
 // finishCommit marks the committed extents and wakes fsync waiters. A
 // "not found" rejection means the file was removed (possibly by another
 // client) while the commit was in flight; there is nothing left to order,
-// so the state is dropped rather than treated as a failure.
+// so the state is dropped rather than treated as a failure. Nor does a
+// commit that outlived its MDS session poison the file: re-establishment has
+// rolled the file back to what the recovered MDS knows, and a caller waiting
+// for this very commit (Sync) gets the error from commitFile.
 func (c *Client) finishCommit(fs *fileState, req *proto.CommitReq, err error) {
+	if err != nil {
+		// The MDS may or may not have applied it: what the delegation says
+		// about the file's attributes is no longer certain. The next open
+		// asks, and is granted again if nothing else happened.
+		c.dropDeleg(fs)
+	}
 	if err != nil && errors.Is(mapRemote(err), fsapi.ErrNotExist) {
 		fs.mu.Lock()
 		fs.dirtyMeta = false
@@ -964,7 +933,9 @@ func (c *Client) finishCommit(fs *fileState, req *proto.CommitReq, err error) {
 		return
 	}
 	fs.mu.Lock()
-	if err != nil {
+	if errors.Is(err, errSessionLost) {
+		// Nothing of this request exists any more, on either side.
+	} else if err != nil {
 		fs.commitErr = err
 	} else {
 		// Match acked extents by full identity, not VolOff alone: volume
@@ -987,6 +958,9 @@ func (c *Client) finishCommit(fs *fileState, req *proto.CommitReq, err error) {
 			}
 		}
 		fs.committedSize = req.Size
+		if req.MTime.After(fs.attrMTime) {
+			fs.attrMTime = req.MTime // as the MDS applies it
+		}
 		// Bytes written behind since the request was built have no extents
 		// yet; they are dirty all the same, or the next buildCommit would
 		// find nothing to do and they would never be committed.
@@ -1031,6 +1005,7 @@ func (c *Client) Close() error {
 		return fsapi.ErrClosed
 	}
 	c.closed = true
+	c.dropShardDelegsLocked(-1, false)
 	files := make([]*fileState, 0, len(c.files))
 	for _, fs := range c.files {
 		files = append(files, fs)
@@ -1065,6 +1040,7 @@ func (c *Client) Close() error {
 func (c *Client) Crash() {
 	c.mu.Lock()
 	c.closed = true
+	c.dropShardDelegsLocked(-1, false)
 	c.mu.Unlock()
 	// Killed, not just closed: a call in flight must die with its
 	// connection instead of redialling and landing after the crash.
@@ -1200,6 +1176,9 @@ func (c *Client) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("redbud_client_written_bytes_total", "bytes written by applications", l, c.st.bytesWritten.Load)
 	r.CounterFunc("redbud_client_read_bytes_total", "bytes read by applications", l, c.st.bytesRead.Load)
 	r.CounterFunc("redbud_client_fsyncs_total", "Sync calls", l, c.st.fsyncs.Load)
+	r.CounterFunc("redbud_client_open_hits_total", "opens and stats served from a file delegation, no RPC", l, c.st.openHits.Load)
+	r.CounterFunc("redbud_client_open_misses_total", "opens and stats that asked the MDS", l, c.st.openMisses.Load)
+	r.GaugeFunc("redbud_client_delegations", "file delegations held", l, c.delegs.Load)
 	r.CounterFunc("redbud_client_commits_sent_total", "commit requests sent (compound sub-ops counted)", l, c.st.commitsSent.Load)
 	r.CounterFunc("redbud_client_commit_rpcs_total", "network frames carrying commits", l, c.st.commitRPCs.Load)
 	r.CounterFunc("redbud_client_rpcs_total", "RPCs issued across all MDS connections", l, c.rpcCalls)

@@ -182,3 +182,158 @@ func TestDifferentialVsMemFS(t *testing.T) {
 		})
 	}
 }
+
+// TestTwoMountDifferentialVsMemFS drives TWO Redbud mounts and one in-memory
+// reference file system with the same random operation stream — create,
+// write+sync, append+sync, open, stat, remove, rename, remove-and-recreate,
+// each issued through either mount — and after every step requires both
+// mounts to describe every path, live or gone, exactly as the reference does:
+// existence, Stat size, the size an Open sees, and the bytes. Both mounts
+// negotiate v5, so each holds delegations on what it created and serves its
+// own opens from memory; the other mount's every mutation has to take those
+// back first. A cache that is merely plausible — a TTL, a lease nobody
+// recalls — fails this within a few steps. Writes are whole pages at the end
+// of the file: the page cache is not kept coherent across clients (it never
+// was), so only data no client can hold a stale copy of is compared.
+func TestTwoMountDifferentialVsMemFS(t *testing.T) {
+	for _, mode := range []Mode{SyncCommit, DelayedCommit} {
+		for _, spaceChunk := range []int64{0, 16 << 20} {
+			t.Run(fmt.Sprintf("%s/space-delegation=%v", mode, spaceChunk > 0), func(t *testing.T) {
+				dc := newDelegCluster(t)
+				dc.drive()
+				withSpace := func(cfg *Config) { cfg.DelegationChunk = spaceChunk }
+				a, _ := dc.mountWith(mode, withSpace)
+				b, _ := dc.mountWith(mode, withSpace)
+				mounts := []*Client{a, b}
+				oracle := fsapi.NewMemFSWithClock(dc.clk)
+				rng := rand.New(rand.NewSource(0x2D1FF))
+
+				var live, gone []string
+				names := 0
+				pages := func() []byte {
+					p := make([]byte, (rng.Intn(3)+1)*PageSize)
+					rng.Read(p)
+					return p
+				}
+				// both runs op on the real mount m and on the oracle and
+				// requires the same outcome.
+				both := func(what string, m *Client, op func(fs fsapi.FileSystem) error) bool {
+					t.Helper()
+					err1, err2 := op(m), op(oracle)
+					if (err1 == nil) != (err2 == nil) {
+						t.Fatalf("%s through %s: real %v, reference %v", what, m.cfg.Name, err1, err2)
+					}
+					return err1 == nil
+				}
+				extend := func(fs fsapi.FileSystem, path string, data []byte, appendOp bool) error {
+					f, err := fs.Open(path)
+					if err != nil {
+						return err
+					}
+					defer f.Close()
+					if appendOp {
+						_, err = f.Append(data)
+					} else {
+						_, err = f.WriteAt(data, f.Size())
+					}
+					if err != nil {
+						return err
+					}
+					return f.Sync()
+				}
+				check := func(step int, path string) {
+					t.Helper()
+					want, werr := oracle.Stat(path)
+					for _, m := range mounts {
+						got, err := m.Stat(path)
+						if (err == nil) != (werr == nil) {
+							t.Fatalf("step %d: Stat(%s) through %s = %v, the reference says %v", step, path, m.cfg.Name, err, werr)
+						}
+						f, oerr := m.Open(path)
+						if (oerr == nil) != (werr == nil) {
+							t.Fatalf("step %d: Open(%s) through %s = %v, the reference says %v", step, path, m.cfg.Name, oerr, werr)
+						}
+						if werr != nil {
+							continue
+						}
+						if got.Size != want.Size || f.Size() != want.Size {
+							t.Fatalf("step %d: %s through %s: Stat size %d, Open size %d, the reference has %d",
+								step, path, m.cfg.Name, got.Size, f.Size(), want.Size)
+						}
+						if step%8 == 0 {
+							of, _ := oracle.Open(path)
+							b1, b2 := make([]byte, want.Size), make([]byte, want.Size)
+							n1, err := f.ReadAt(b1, 0)
+							n2, _ := of.ReadAt(b2, 0)
+							if err != nil || n1 != n2 || !bytes.Equal(b1, b2) {
+								t.Fatalf("step %d: %s through %s: content differs from the reference (%d vs %d bytes, err %v)", step, path, m.cfg.Name, n1, n2, err)
+							}
+						}
+						f.Close()
+					}
+				}
+
+				for step := 0; step < 300; step++ {
+					m := mounts[rng.Intn(2)]
+					switch op := rng.Intn(12); {
+					case op < 3 || len(live) == 0: // create, sometimes under a name that was removed
+						path := fmt.Sprintf("/tm-%d", names)
+						if len(gone) > 0 && rng.Intn(2) == 0 {
+							i := rng.Intn(len(gone))
+							path, gone = gone[i], append(gone[:i], gone[i+1:]...)
+						} else {
+							names++
+						}
+						data := pages()
+						if both("create "+path, m, func(fs fsapi.FileSystem) error {
+							f, err := fs.Create(path)
+							if err != nil {
+								return err
+							}
+							defer f.Close()
+							if _, err := f.WriteAt(data, 0); err != nil {
+								return err
+							}
+							return f.Sync()
+						}) {
+							live = append(live, path)
+						}
+					case op < 6: // write + sync, or append + sync
+						path, data := live[rng.Intn(len(live))], pages()
+						both("extend "+path, m, func(fs fsapi.FileSystem) error { return extend(fs, path, data, op == 5) })
+					case op < 8: // remove
+						i := rng.Intn(len(live))
+						path := live[i]
+						if both("remove "+path, m, func(fs fsapi.FileSystem) error { return fs.Remove(path) }) {
+							live, gone = append(live[:i], live[i+1:]...), append(gone, path)
+						}
+					case op < 9: // rename
+						i := rng.Intn(len(live))
+						from, to := live[i], fmt.Sprintf("/tm-%d", names)
+						names++
+						if both("rename "+from, m, func(fs fsapi.FileSystem) error { return fs.Rename(from, to) }) {
+							live[i], gone = to, append(gone, from)
+						}
+					default: // nothing but the comparison: opens and stats through both mounts
+					}
+					for _, path := range live {
+						check(step, path)
+					}
+					for _, path := range gone {
+						check(step, path)
+					}
+				}
+
+				// The test has teeth only if the cache was used and contested.
+				var hits int64
+				for _, m := range mounts {
+					hits += m.st.openHits.Load()
+				}
+				st := dc.recalls()
+				if hits == 0 || st.Grants == 0 || st.Recalls == 0 {
+					t.Fatalf("%d opens served from a delegation, MDS stats %+v: the stream never exercised the cache", hits, st)
+				}
+			})
+		}
+	}
+}

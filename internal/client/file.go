@@ -57,6 +57,17 @@ type fileState struct {
 	commitGen     uint64 // bumped by every finished commit
 	refs          int
 	enqAt         time.Time // first enqueue of the current queue residency (tracing)
+
+	// File delegation (namecache.go). deleg, recalled and path are guarded by
+	// Client.mu, not mu: deleg is set while this client holds the MDS
+	// delegation on the inode — its attributes then change by this client's
+	// commits only — recalled once one has been taken back (for the open
+	// span's tag), and path is the dentry-cache key the leaf is cached under,
+	// if any. attrMTime (under mu) is the mtime the MDS has: what the grant
+	// said, advanced by every acknowledged commit the way the MDS applies it.
+	deleg, recalled bool
+	path            string
+	attrMTime       time.Time
 }
 
 func newFileState(id meta.FileID, size int64) *fileState {
@@ -289,7 +300,10 @@ func (f *File) Append(p []byte) (int64, error) {
 		if !staged {
 			// Nothing was written: give the reservation back, unless a
 			// later append already built on it (then the range stays a
-			// hole, which reads as zeros like any other).
+			// hole, which reads as zeros like any other). A commit built in
+			// between may have told the MDS the reserved size, so the
+			// delegation no longer vouches for it.
+			f.c.dropDeleg(fs)
 			fs.mu.Lock()
 			if fs.size == end {
 				fs.size = off
@@ -316,6 +330,13 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("client: negative offset %d", off)
 	}
 	wantVis := c.earlyVisible()
+	// Traced, a read is one read.app span with a child per leg it actually
+	// took (readTrace); untraced, rt stays zero and nothing reads the clock.
+	var rt readTrace
+	if c.tracer.Enabled() {
+		rt = c.beginRead()
+		defer c.endRead(&rt)
+	}
 	fs.mu.Lock()
 	limit := fs.size
 	reqEnd := off + int64(len(p))
@@ -348,9 +369,15 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		}
 		fs.mu.Unlock()
 		var lay proto.LayoutResp
+		probeStart := c.readLegStart(&rt)
 		err := c.callIdem(c.shardFor(fs.id), proto.OpLayoutGet, &proto.LayoutGetReq{
 			Owner: c.cfg.Name, File: fs.id, Off: off, Len: reqEnd - off, Flags: flags,
 		}, &lay)
+		if wantVis {
+			c.readLeg(&rt, obs.SpanReadVisibility, probeStart)
+		} else {
+			c.readLeg(&rt, obs.SpanReadLayout, probeStart)
+		}
 		fs.mu.Lock()
 		if err != nil {
 			fs.mu.Unlock()
@@ -383,7 +410,9 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	missing := fs.uncachedRanges(off, end)
 	if len(missing) > 0 {
 		// Device reads must observe completed writes: quiesce first.
+		barrierStart := c.readLegStart(&rt)
 		fs.waitWritesLocked()
+		c.readLeg(&rt, obs.SpanReadBarrier, barrierStart)
 		missing = fs.uncachedRanges(off, end)
 	}
 	// Snapshot what each missing range maps to: the known layout plus this
@@ -423,6 +452,9 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	fs.mu.Unlock()
 
 	// Issue device reads outside the lock.
+	if len(fetches) > 0 {
+		defer c.readLeg(&rt, obs.SpanReadDevice, c.readLegStart(&rt))
+	}
 	for _, ft := range fetches {
 		dev, err := c.dev(ft.dev)
 		if err != nil {
@@ -513,4 +545,45 @@ func (f *File) Close() error {
 	f.c.st.closes.Inc()
 	f.c.st.closeLat.Observe(f.c.clk.Since(start))
 	return err
+}
+
+// readTrace is the trace identity of one traced ReadAt; the zero value (an
+// untraced read) turns every helper below into a no-op.
+type readTrace struct {
+	id    uint64 // TraceID, and SpanID of the read.app root
+	start time.Time
+}
+
+// beginRead mints the identity of one traced read from the commit-ID sequence
+// (globally unique — the client-name hash occupies the high bits).
+func (c *Client) beginRead() readTrace {
+	return readTrace{id: c.commitSeq.Add(1), start: c.clk.Now()}
+}
+
+// endRead records the read.app root span.
+func (c *Client) endRead(rt *readTrace) {
+	c.tracer.RecordSpan(obs.Span{
+		Track: c.trackApp, Name: obs.SpanAppRead,
+		TraceID: rt.id, SpanID: rt.id, Start: rt.start, End: c.clk.Now(),
+	})
+}
+
+// readLegStart samples the start of one leg of a traced read.
+func (c *Client) readLegStart(rt *readTrace) time.Time {
+	if rt.id == 0 {
+		return time.Time{}
+	}
+	return c.clk.Now()
+}
+
+// readLeg records one leg of a traced read as a child of its read.app span.
+func (c *Client) readLeg(rt *readTrace, name string, start time.Time) {
+	if rt.id == 0 {
+		return
+	}
+	c.tracer.RecordSpan(obs.Span{
+		Track: c.trackApp, Name: name,
+		TraceID: rt.id, SpanID: obs.NewSpanID(rt.id, name), Parent: rt.id,
+		Start: start, End: c.clk.Now(),
+	})
 }

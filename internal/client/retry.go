@@ -150,6 +150,11 @@ func (c *Client) recoverConn(l *mdsLink, old *rpc.Client, gen uint64, cause erro
 	l.gen++
 	l.mu.Unlock()
 	c.hello(l, nc)
+	// Replies were lost with the old connection, maybe one that recalled:
+	// nothing delegated over it is trusted on the new one. (After the hello:
+	// if the MDS restarted, every instant before the sessions have moved on
+	// is one in which a commit of the dead session can still leave.)
+	c.dropLinkDelegs(l, false)
 	return nil
 }
 
@@ -245,18 +250,34 @@ func (c *Client) reestablish(shard int) {
 	if old != nil {
 		c.space.Store(c.newSpacePool())
 	}
+	// The recovered MDS knows nothing of the file delegations its predecessor
+	// granted, and numbers its recalls from zero. Last, like the pool: nothing
+	// here is worth delaying the session bump above for.
+	c.dropLinkDelegs(c.links[shard], true)
 }
 
 // callIdem issues an idempotent RPC on one shard's link with timeout/backoff
 // retry across reconnects. Must not be used for ops whose re-execution has
 // side effects.
 func (c *Client) callIdem(l *mdsLink, op uint16, req wire.Marshaler, resp wire.Unmarshaler) error {
+	return c.callIdemIn(l, op, req, resp, nil)
+}
+
+// callIdemIn is callIdem for a request that is only good in the MDS session
+// it was built in: live, when not nil, is asked before every (re)send, and a
+// session that has moved on ends the retries with errSessionLost instead of
+// carrying the request into the next one.
+func (c *Client) callIdemIn(l *mdsLink, op uint16, req wire.Marshaler, resp wire.Unmarshaler, live func() bool) error {
 	if f := l.dead(); f != nil {
 		return f
 	}
 	attempts := c.maxAttempts()
 	for attempt := 0; ; attempt++ {
+		// The connection first, the session second (see sendCommits).
 		mds, gen := l.conn()
+		if live != nil && !live() {
+			return errSessionLost
+		}
 		err := mds.Call(op, req, resp)
 		if err == nil || !retriable(err) || attempt >= attempts-1 {
 			return err

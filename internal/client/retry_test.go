@@ -122,9 +122,13 @@ func TestIdempotentCallRetriesAcrossReconnect(t *testing.T) {
 		MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond,
 	}, true)
 	defer c.Close()
-	writeFile(t, c, "/pre", pattern(4096, 1))
+	// Another mount's file: one of its own the client would hold the
+	// delegation on, and Stat would not reach the wire at all.
+	w := tc.client(SyncCommit, 0)
+	defer w.Close()
+	writeFile(t, w, "/pre", pattern(4096, 1))
 	// Kill the live connection out from under the client: the idempotent
-	// GetAttr behind Stat must redial and succeed.
+	// Lookup behind Stat must redial and succeed.
 	mds, _ := c.links[0].conn()
 	mds.Close()
 	info, err := c.Stat("/pre")

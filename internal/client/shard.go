@@ -35,6 +35,12 @@ type mdsLink struct {
 	// OpHello (0 until the first handshake succeeds, which reads as v1).
 	version atomic.Uint32
 
+	// The shard's file-delegation session (namecache.go), guarded by
+	// Client.mu, not mu: lease is until when delegations homed here may be
+	// trusted, ackSeq the newest recall from here this client has processed.
+	lease  time.Time
+	ackSeq uint64
+
 	// fatal, once set, marks the link permanently unusable: the hello
 	// reply proved the connection reaches the wrong shard, so routing
 	// through it would scatter the namespace, or the client crashed.
@@ -290,7 +296,7 @@ func (c *Client) removeCrossShard(dir meta.FileID, leaf string, id meta.FileID) 
 	}
 	ph, tc := c.beginPhase(saga, obs.SpanNSPrepare)
 	err = c.callIdem(hl, proto.OpNSPrepare, &proto.NSPrepareReq{
-		File: id, Kind: meta.NSRemove, Type: attr.Type, Parent: dir, Name: leaf, Trace: tc,
+		File: id, Kind: meta.NSRemove, Type: attr.Type, Parent: dir, Name: leaf, Trace: tc, Deleg: c.delegCtx(hl),
 	}, nil)
 	c.endPhase(ph)
 	if err != nil {
@@ -347,7 +353,7 @@ func (c *Client) renameCrossShard(srcDir meta.FileID, srcLeaf string, dstDir met
 	}
 	ph, tc := c.beginPhase(saga, obs.SpanNSPrepareSrc)
 	err = c.callIdem(sl, proto.OpNSPrepare, &proto.NSPrepareReq{
-		File: ent.ID, Kind: meta.NSRenameSrc, Type: ent.Type, Parent: srcDir, Name: srcLeaf, Trace: tc,
+		File: ent.ID, Kind: meta.NSRenameSrc, Type: ent.Type, Parent: srcDir, Name: srcLeaf, Trace: tc, Deleg: c.delegCtx(sl),
 	}, nil)
 	c.endPhase(ph)
 	if err != nil {
@@ -356,7 +362,7 @@ func (c *Client) renameCrossShard(srcDir meta.FileID, srcLeaf string, dstDir met
 	ph, tc = c.beginPhase(saga, obs.SpanNSPrepareDst)
 	err = c.callIdem(dl, proto.OpNSPrepare, &proto.NSPrepareReq{
 		File: ent.ID, Kind: meta.NSRenameDst, Type: ent.Type, Parent: srcDir, Name: srcLeaf,
-		DstParent: dstDir, DstName: dstLeaf, Trace: tc,
+		DstParent: dstDir, DstName: dstLeaf, Trace: tc, Deleg: c.delegCtx(dl),
 	}, nil)
 	c.endPhase(ph)
 	if err != nil {

@@ -31,6 +31,8 @@ type opGate struct {
 	upstream   *rpc.Client
 	hold       map[uint16]chan struct{}
 	fail       map[uint16]error
+	lose       map[uint16]int           // replies of an op still to be lost on the way back
+	holdReply  map[uint16]chan struct{} // replies of an op parked on the way back
 	layoutGets []proto.LayoutGetReq
 	forwarded  map[uint16]int // requests answered by the upstream, per op
 	// arrived gets the op of every request that reached a held gate. The
@@ -62,8 +64,58 @@ func (g *opGate) handle(op uint16, body []byte) ([]byte, error) {
 	resp, err := up.CallRaw(op, body)
 	g.mu.Lock()
 	g.forwarded[op]++
+	back := g.holdReply[op]
+	g.mu.Unlock()
+	if back != nil {
+		g.arrived <- op
+		<-back
+	}
+	g.mu.Lock()
+	if g.lose[op] > 0 {
+		g.lose[op]--
+		resp, err = nil, errReplyLost
+	}
 	g.mu.Unlock()
 	return resp, err
+}
+
+// errReplyLost is what the client gets for a request the upstream executed
+// and whose reply the gate threw away.
+var errReplyLost = errors.New("gate: reply lost")
+
+// newOpGate returns a gate in front of upstream.
+func newOpGate(upstream *rpc.Client) *opGate {
+	return &opGate{
+		upstream:  upstream,
+		hold:      make(map[uint16]chan struct{}),
+		fail:      make(map[uint16]error),
+		lose:      make(map[uint16]int),
+		holdReply: make(map[uint16]chan struct{}),
+		forwarded: make(map[uint16]int),
+		arrived:   make(chan uint16, 64),
+	}
+}
+
+// holdReplies parks the replies of op on their way back — the upstream has
+// executed the request — until the returned function is called.
+func (g *opGate) holdReplies(op uint16) (release func()) {
+	ch := make(chan struct{})
+	g.mu.Lock()
+	g.holdReply[op] = ch
+	g.mu.Unlock()
+	return func() {
+		g.mu.Lock()
+		delete(g.holdReply, op)
+		g.mu.Unlock()
+		close(ch)
+	}
+}
+
+// loseReplies makes the gate throw away the next n replies of op.
+func (g *opGate) loseReplies(op uint16, n int) {
+	g.mu.Lock()
+	g.lose[op] = n
+	g.mu.Unlock()
 }
 
 // passOne lets exactly one request parked at op's held gate through.
@@ -102,6 +154,10 @@ func (g *opGate) releaseAll() {
 	defer g.mu.Unlock()
 	for op, ch := range g.hold {
 		delete(g.hold, op)
+		close(ch)
+	}
+	for op, ch := range g.holdReply {
+		delete(g.holdReply, op)
 		close(ch)
 	}
 }
@@ -182,13 +238,7 @@ func newGatedCluster(t *testing.T) *gatedCluster {
 	gc.store = meta.NewStore(meta.Config{AGs: gc.ags, Clock: clk})
 	gc.net = netsim.NewNetwork(clk)
 
-	gc.gate = &opGate{
-		hold:      make(map[uint16]chan struct{}),
-		fail:      make(map[uint16]error),
-		forwarded: make(map[uint16]int),
-		arrived:   make(chan uint16, 64),
-	}
-	gc.gate.upstream = gc.startMDS("mds", 1)
+	gc.gate = newOpGate(gc.startMDS("mds", 1))
 	proxy := rpc.NewServer(rpc.ServerConfig{Handler: gc.gate.handle, Daemons: 16, Clock: clk})
 	gc.net.AddHost("gate", netsim.Instant())
 	lis, err := gc.net.Listen("gate")
@@ -289,10 +339,13 @@ func (gc *gatedCluster) assertFsck() {
 
 // restartUnderHeldLayoutGet restarts the MDS while a layout-get of c is parked
 // at the held gate: a new incarnation answers from now on, and the connection
-// the request is parked on dies. The client's retry then parks beside the
-// orphaned first request; the two go through one after the other (the MDS does
-// not serialize two allocations of one range that are in flight together).
-func (gc *gatedCluster) restartUnderHeldLayoutGet(c *Client, release func()) {
+// the request is parked on dies. resent says the client sends the request
+// again in the new session (an inline allocation does; a write-behind batch
+// belongs to the dead session and does not): the retry then parks beside the
+// orphaned first request, and the two go through one after the other (the MDS
+// does not serialize two allocations of one range that are in flight
+// together).
+func (gc *gatedCluster) restartUnderHeldLayoutGet(c *Client, release func(), resent bool) {
 	gc.t.Helper()
 	up := gc.startMDS("mds-2", 2)
 	gc.gate.mu.Lock()
@@ -300,7 +353,9 @@ func (gc *gatedCluster) restartUnderHeldLayoutGet(c *Client, release func()) {
 	gc.gate.mu.Unlock()
 	old, _ := c.links[0].conn()
 	old.Close()
-	gc.gate.waitArrival(gc.t, proto.OpLayoutGet)
+	if resent {
+		gc.gate.waitArrival(gc.t, proto.OpLayoutGet)
+	}
 	done := gc.gate.forwardedCount(proto.OpLayoutGet)
 	gc.gate.passOne(proto.OpLayoutGet)
 	eventually(gc.t, "the first parked layout-get to be answered", func() bool {
@@ -825,7 +880,8 @@ func TestRecoveryDoesNotWaitForWriteBack(t *testing.T) {
 	if _, err := f.Append(pattern(PageSize, 3)); err != nil { // still on the list
 		t.Fatal(err)
 	}
-	gc.restartUnderHeldLayoutGet(c, release)
+	sent := len(gc.gate.writeLayoutGets())
+	gc.restartUnderHeldLayoutGet(c, release, false)
 
 	returns(t, "Drain across the restart", func() {
 		if err := c.Drain(); err != nil {
@@ -837,6 +893,12 @@ func TestRecoveryDoesNotWaitForWriteBack(t *testing.T) {
 	}
 	if got := f.Size(); got != PageSize {
 		t.Fatalf("size after recovery = %d, want the committed %d", got, PageSize)
+	}
+	// The dead session's batch was not sent again into the new one: its
+	// allocation would have stayed behind at the recovered MDS, longer than
+	// what the file writes there next.
+	if got := len(gc.gate.writeLayoutGets()); got != sent {
+		t.Fatalf("%d layout-gets of the dead session's batch were sent after the restart, want none", got-sent)
 	}
 	// The session works again.
 	if _, err := f.Append(pattern(PageSize, 4)); err != nil {
@@ -876,7 +938,7 @@ func TestInlineWriteSurvivesRestartDuringLayoutGet(t *testing.T) {
 		werr <- err
 	}()
 	gc.gate.waitArrival(t, proto.OpLayoutGet)
-	gc.restartUnderHeldLayoutGet(c, release)
+	gc.restartUnderHeldLayoutGet(c, release, true)
 
 	select {
 	case err := <-werr:

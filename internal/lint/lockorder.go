@@ -8,14 +8,16 @@ import (
 
 // Lock classes of the MDS metadata hierarchy, in acquisition order. The
 // levels mirror DESIGN.md "Concurrency model": namespace → inode stripe →
-// intent table → ns-intent table → delegation → journal slot reservation.
+// intent table → ns-intent table → file-delegation table → delegation →
+// journal slot reservation.
 const (
 	lockNS         = 1 // meta.Store.ns (RWMutex)
 	lockStripe     = 2 // meta.Store.stripes[i] (RWMutex), usually via Store.stripe(id)
 	lockIntent     = 3 // meta.intentTable.mu (Mutex), taken under a stripe lock
 	lockNSIntent   = 4 // meta.nsIntentTable.mu (Mutex), the cross-shard intent table
-	lockDelegation = 5 // meta.delegation.mu (Mutex)
-	lockJournal    = 6 // meta.Journal.Append / Store.journalAppend (slot reservation)
+	lockFileDeleg  = 5 // meta.FileDelegs.mu (Mutex), the file-delegation holder table
+	lockDelegation = 6 // meta.delegation.mu (Mutex)
+	lockJournal    = 7 // meta.Journal.Append / Store.journalAppend (slot reservation)
 )
 
 var lockClassName = map[int]string{
@@ -23,12 +25,13 @@ var lockClassName = map[int]string{
 	lockStripe:     "inode stripe (Store.stripes)",
 	lockIntent:     "intent table (intentTable.mu)",
 	lockNSIntent:   "ns-intent table (nsIntentTable.mu)",
+	lockFileDeleg:  "file-delegation table (FileDelegs.mu)",
 	lockDelegation: "delegation (delegation.mu)",
 	lockJournal:    "journal reservation (Journal.Append)",
 }
 
 // LockOrder verifies the documented lock hierarchy of the metadata hot path.
-// It walks every function, tracking acquisitions and releases of the five
+// It walks every function, tracking acquisitions and releases of the
 // tracked lock classes through straight-line control flow (branches are
 // analyzed sequentially; a branch ending in return/panic does not leak its
 // lock state into the fallthrough path), and reports:
@@ -44,7 +47,7 @@ var lockClassName = map[int]string{
 // which the closure-based journalAppend pattern guarantees.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "check the namespace → stripe → intent → delegation → journal lock hierarchy and forbid blocking ops under tracked locks",
+	Doc:  "check the namespace → stripe → intent → file delegation → delegation → journal lock hierarchy and forbid blocking ops under tracked locks",
 	Run:  runLockOrder,
 }
 
@@ -373,6 +376,8 @@ func (lo *lockOrderWalker) lockClass(x ast.Expr) (int, bool) {
 			return lockIntent, true
 		case e.Sel.Name == "mu" && isNamedType(recv.Recv(), "meta", "nsIntentTable"):
 			return lockNSIntent, true
+		case e.Sel.Name == "mu" && isNamedType(recv.Recv(), "meta", "FileDelegs"):
+			return lockFileDeleg, true
 		case e.Sel.Name == "mu" && isNamedType(recv.Recv(), "meta", "delegation"):
 			return lockDelegation, true
 		}
@@ -400,7 +405,7 @@ func (lo *lockOrderWalker) apply(held []heldLock, ev lockEvent) []heldLock {
 		for _, h := range held {
 			if h.class > ev.class {
 				lo.pass.Reportf(ev.pos,
-					"acquiring %s while holding %s inverts the lock hierarchy (namespace → stripe → intent → ns-intent → delegation → journal)",
+					"acquiring %s while holding %s inverts the lock hierarchy (namespace → stripe → intent → ns-intent → file delegation → delegation → journal)",
 					lockClassName[ev.class], lockClassName[h.class])
 				break
 			}

@@ -25,6 +25,13 @@ type nsIntentTable struct {
 	mu sync.Mutex
 }
 
+// FileDelegs mirrors meta.FileDelegs: the file-delegation holder table ranks
+// between the ns-intent table and delegation; a mutation that runs into a
+// delegation waits for the recall with nothing held.
+type FileDelegs struct {
+	mu sync.Mutex
+}
+
 // Journal mirrors meta.Journal; Append is the instantaneous slot
 // reservation at the bottom of the hierarchy.
 type Journal struct{}
@@ -36,6 +43,7 @@ type Store struct {
 	stripes   [4]sync.RWMutex
 	intents   *intentTable
 	nsIntents *nsIntentTable
+	fdelegs   *FileDelegs
 	deleg     delegation
 	journal   *Journal
 }
@@ -112,6 +120,56 @@ func goodIntentThenNSIntent(s *Store) {
 	s.intents.mu.Unlock()
 	s.nsIntents.mu.Lock()
 	s.nsIntents.mu.Unlock()
+}
+
+// goodFileDelegUnderStripe checks for a conflicting delegation under the
+// stripe lock that orders the commit, releases everything, and only then waits
+// for the recall — the BeginCommit / Await split.
+func goodFileDelegUnderStripe(s *Store, id uint64, recalled chan struct{}) {
+	s.ns.RLock()
+	st := s.stripe(id)
+	st.Lock()
+	s.fdelegs.mu.Lock()
+	s.fdelegs.mu.Unlock()
+	st.Unlock()
+	s.ns.RUnlock()
+	<-recalled
+}
+
+// badRecallWaitUnderFileDeleg waits for a recall while holding the table
+// lock the acknowledgement needs.
+func badRecallWaitUnderFileDeleg(s *Store, recalled chan struct{}) {
+	s.fdelegs.mu.Lock()
+	<-recalled // want `channel receive while holding`
+	s.fdelegs.mu.Unlock()
+}
+
+// badRecallWaitUnderStripe waits for a recall while holding the stripe lock
+// of the file being committed: every other commit on the stripe, and the
+// holder's own, would queue behind a client that may never answer.
+func badRecallWaitUnderStripe(s *Store, id uint64, recalled chan struct{}) {
+	st := s.stripe(id)
+	st.Lock()
+	select { // want `select without default while holding`
+	case <-recalled:
+	}
+	st.Unlock()
+}
+
+// badStripeUnderFileDeleg acquires a stripe while holding the table lock.
+func badStripeUnderFileDeleg(s *Store, id uint64) {
+	s.fdelegs.mu.Lock()
+	s.stripe(id).Lock() // want `inverts the lock hierarchy`
+	s.stripe(id).Unlock()
+	s.fdelegs.mu.Unlock()
+}
+
+// badFileDelegUnderDeleg acquires the table lock under delegation.mu.
+func badFileDelegUnderDeleg(s *Store) {
+	s.deleg.mu.Lock()
+	s.fdelegs.mu.Lock() // want `inverts the lock hierarchy`
+	s.fdelegs.mu.Unlock()
+	s.deleg.mu.Unlock()
 }
 
 // badIntentUnderNSIntent acquires the write-intent lock under the ns-intent

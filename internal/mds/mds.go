@@ -127,9 +127,12 @@ func (t *dedupTable) drop(owner string) {
 // Server is the metadata server.
 type Server struct {
 	store *meta.Store
-	rpc   *rpc.Server
-	clk   clock.Clock
-	cfg   Config
+	// delegs is the store's file-delegation table: handlers grant through
+	// the store, and wait here for the recalls a mutation ran into.
+	delegs *meta.FileDelegs
+	rpc    *rpc.Server
+	clk    clock.Clock
+	cfg    Config
 
 	// lastSeen maps owner -> *atomic.Int64 (UnixNano of last activity).
 	// touch runs on every RPC across all daemon threads; after the first
@@ -174,8 +177,13 @@ func New(cfg Config) *Server {
 	if cfg.ShardCount > 1 {
 		track = fmt.Sprintf("mds%d", cfg.ShardIndex)
 	}
-	s := &Server{store: cfg.Store, clk: cfg.Clock, cfg: cfg, track: track, commitLat: stats.NewLatencyHistogram()}
+	s := &Server{store: cfg.Store, delegs: cfg.Store.FileDelegs(), clk: cfg.Clock, cfg: cfg, track: track, commitLat: stats.NewLatencyHistogram()}
 	s.dedup.owners = make(map[string]*ownerDedup)
+	if cfg.Incarnation > 1 {
+		// Clients may still be serving opens under leases the previous
+		// incarnation backed; nothing here knows what they hold.
+		s.delegs.BeginGrace()
+	}
 	s.rpc = rpc.NewServer(rpc.ServerConfig{
 		Handler:             s.handle,
 		Daemons:             cfg.Daemons,
@@ -273,6 +281,15 @@ func (s *Server) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("redbud_mds_dedup_hits_total", "retransmitted commits answered from the dedup table", nil,
 		s.dedupHits.Load)
 	r.RegisterHistogram("redbud_mds_commit_latency_seconds", "server-side commit handling latency", nil, s.commitLat)
+	r.CounterFunc("redbud_mds_deleg_grants_total", "file delegations granted", nil,
+		func() int64 { return s.delegs.Stats().Grants })
+	r.CounterFunc("redbud_mds_deleg_recalls_total", "file delegations recalled for another owner's mutation", nil,
+		func() int64 { return s.delegs.Stats().Recalls })
+	r.CounterFunc("redbud_mds_deleg_recall_lapses_total", "recalls that ended by lease lapse, not acknowledgement", nil,
+		func() int64 { return s.delegs.Stats().Lapses })
+	r.GaugeFunc("redbud_mds_delegations", "file delegations currently held", nil,
+		func() int64 { return s.delegs.Stats().Held })
+	r.RegisterHistogram("redbud_mds_deleg_recall_wait_seconds", "time mutations waited for delegation recalls", nil, s.delegs.RecallWaits())
 	s.rpc.RegisterMetrics(r, obs.Labels{"server": "mds"})
 	s.store.RegisterMetrics(r)
 }
@@ -300,6 +317,61 @@ func (s *Server) nsSpan(name string, tc proto.TraceCtx, start time.Time) {
 		TraceID: tc.TraceID, SpanID: obs.NewSpanID(tc.SpanID, name), Parent: tc.SpanID,
 		Start: start, End: s.clk.Now(),
 	})
+}
+
+// arrive takes in the delegation context of an attribute-bearing request: the
+// owner's lease is mirrored from now and the recalls it echoes are over.
+func (s *Server) arrive(dc proto.DelegCtx) {
+	if dc.Owner != "" {
+		s.touch(dc.Owner)
+		s.delegs.Arrive(dc.Owner, dc.Ack)
+	}
+}
+
+// ack takes in the delegation context of a request whose reply carries no
+// attributes — and so no recalls: it acknowledges, and renews nothing.
+func (s *Server) ack(dc proto.DelegCtx) {
+	if dc.Owner != "" {
+		s.touch(dc.Owner)
+		s.delegs.Ack(dc.Owner, dc.Ack)
+	}
+}
+
+// attrReply encodes an attribute-bearing reply. To a request that named its
+// owner it adds the grant and every recall the owner has not acknowledged —
+// on every such reply, so that one the owner never received cannot have been
+// the only one to say so.
+func (s *Server) attrReply(a meta.Attr, granted bool, dc proto.DelegCtx) []byte {
+	resp := proto.FromAttr(a)
+	if dc.Owner != "" {
+		resp.Granted = granted
+		resp.RecallSeq, resp.Recalls = s.delegs.Pending(dc.Owner)
+	}
+	return wire.Encode(&resp)
+}
+
+// mutate applies a namespace mutation that other owners' file delegations may
+// stand in the way of. The store refuses it (having issued the recalls) until
+// they are back; the wait happens here, on the daemon thread, with no store
+// lock held and never longer than meta.DelegTerm. A directory mutation keeps
+// new grants out from its first refusal until it has been applied.
+func (s *Server) mutate(apply func() error) error {
+	frozen := false
+	for {
+		err := apply()
+		held, ok := err.(*meta.DelegHeld)
+		if !ok {
+			if frozen {
+				s.delegs.Thaw()
+			}
+			return err
+		}
+		if held.Dir && !frozen {
+			s.delegs.Freeze()
+			frozen = true
+		}
+		s.delegs.Await(held.Recalls)
+	}
 }
 
 // completeCommit is the completion half of OpCommit: it waits for the applied
@@ -345,36 +417,36 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 		if err := wire.Decode(body, &req); err != nil {
 			return nil, err
 		}
-		a, err := s.store.Lookup(req.Parent, req.Name)
+		s.arrive(req.Deleg)
+		a, granted, err := s.store.LookupAs(req.Deleg.Owner, req.Parent, req.Name)
 		if err != nil {
 			return nil, err
 		}
-		resp := proto.FromAttr(a)
-		return wire.Encode(&resp), nil
+		return s.attrReply(a, granted, req.Deleg), nil
 
 	case proto.OpCreate:
 		var req proto.CreateReq
 		if err := wire.Decode(body, &req); err != nil {
 			return nil, err
 		}
-		a, err := s.store.Create(req.Parent, req.Name, req.Type)
+		s.arrive(req.Deleg)
+		a, granted, err := s.store.CreateAs(req.Deleg.Owner, req.Parent, req.Name, req.Type)
 		if err != nil {
 			return nil, err
 		}
-		resp := proto.FromAttr(a)
-		return wire.Encode(&resp), nil
+		return s.attrReply(a, granted, req.Deleg), nil
 
 	case proto.OpGetAttr:
 		var req proto.GetAttrReq
 		if err := wire.Decode(body, &req); err != nil {
 			return nil, err
 		}
-		a, err := s.store.GetAttr(req.ID)
+		s.arrive(req.Deleg)
+		a, granted, err := s.store.GetAttrAs(req.Deleg.Owner, req.ID)
 		if err != nil {
 			return nil, err
 		}
-		resp := proto.FromAttr(a)
-		return wire.Encode(&resp), nil
+		return s.attrReply(a, granted, req.Deleg), nil
 
 	case proto.OpReadDir:
 		var req proto.ReadDirReq
@@ -393,7 +465,8 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 		if err := wire.Decode(body, &req); err != nil {
 			return nil, err
 		}
-		return nil, s.store.Remove(req.Parent, req.Name)
+		s.ack(req.Deleg)
+		return nil, s.mutate(func() error { return s.store.RemoveAs(req.Deleg.Owner, req.Parent, req.Name) })
 
 	case proto.OpLayoutGet:
 		var req proto.LayoutGetReq
@@ -459,9 +532,21 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 		if req.Trace.TraceID != 0 {
 			tc = obs.SpanContext{TraceID: req.Trace.TraceID, SpanID: obs.NewSpanID(req.Trace.SpanID, obs.SpanMDSCommit)}
 		}
-		durable, err := s.store.BeginCommit(req.Owner, req.File, req.Extents, req.Size, req.MTime, req.CommitID, tc)
-		if err != nil {
-			return nil, err
+		var durable func() error
+		for {
+			var err error
+			durable, err = s.store.BeginCommit(req.Owner, req.File, req.Extents, req.Size, req.MTime, req.CommitID, tc)
+			held, waiting := err.(*meta.DelegHeld)
+			if waiting {
+				// Another client may be serving opens of this file from its
+				// cache; the commit applies once its delegation is back.
+				s.delegs.Await(held.Recalls)
+				continue
+			}
+			if err != nil {
+				return nil, err
+			}
+			break
 		}
 		// Applied and on its way to the journal. The reply — and the dedup
 		// entry that would answer a retransmission — wait until the record is
@@ -495,7 +580,10 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 		if err := wire.Decode(body, &req); err != nil {
 			return nil, err
 		}
-		return nil, s.store.Rename(req.SrcParent, req.SrcName, req.DstParent, req.DstName)
+		s.ack(req.Deleg)
+		return nil, s.mutate(func() error {
+			return s.store.RenameAs(req.Deleg.Owner, req.SrcParent, req.SrcName, req.DstParent, req.DstName)
+		})
 
 	case proto.OpHello:
 		var req proto.HelloReq
@@ -539,9 +627,20 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		start := s.nsStart(req.Trace)
-		err := s.store.NSPrepare(req.File, req.Kind, req.Type, req.Parent, req.Name, req.DstParent, req.DstName)
+		s.ack(req.Deleg)
+		err := s.mutate(func() error {
+			return s.store.NSPrepareAs(req.Deleg.Owner, req.File, req.Kind, req.Type, req.Parent, req.Name, req.DstParent, req.DstName)
+		})
 		s.nsSpan(obs.SpanMDSNSPrepare, req.Trace, start)
 		return nil, err
+
+	case proto.OpDelegAck:
+		var req proto.DelegCtx
+		if err := wire.Decode(body, &req); err != nil {
+			return nil, err
+		}
+		s.ack(req)
+		return nil, nil
 
 	case proto.OpNSCommit:
 		var req proto.NSCommitReq

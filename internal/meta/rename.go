@@ -7,6 +7,13 @@ import "fmt"
 // POSIX semantics removes the destination first, making the data-freeing
 // explicit). Renaming a directory into its own subtree is rejected.
 func (s *Store) Rename(srcParent FileID, srcName string, dstParent FileID, dstName string) error {
+	return s.RenameAs("", srcParent, srcName, dstParent, dstName)
+}
+
+// RenameAs is Rename on behalf of a delegation owner ("" for none). It fails
+// with *DelegHeld, having changed nothing, while another owner holds the moved
+// file's delegation — or, for a directory, any delegation at all.
+func (s *Store) RenameAs(owner string, srcParent FileID, srcName string, dstParent FileID, dstName string) error {
 	if dstName == "" || dstName == "." || dstName == ".." {
 		return fmt.Errorf("%w: %q", ErrInvalidName, dstName)
 	}
@@ -64,6 +71,14 @@ func (s *Store) Rename(srcParent FileID, srcName string, dstParent FileID, dstNa
 				break
 			}
 			cur = parent
+		}
+	}
+	// A remote-homed child has no delegation here: it lives with the inode,
+	// and its holders look the name up on this shard every time.
+	if local {
+		if held := s.delegConflict(owner, ino); held != nil {
+			s.ns.Unlock()
+			return held
 		}
 	}
 	s.applyRename(srcParent, srcName, dstParent, dstName, id)

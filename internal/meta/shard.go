@@ -322,6 +322,7 @@ func (s *Store) freeInode(id FileID) []alloc.Span {
 		return nil
 	}
 	s.intents.dropFile(id)
+	s.fdelegs.drop(id)
 	var freed []alloc.Span
 	for _, e := range ino.extents {
 		if d := s.findDelegationAny(e); d != nil {
@@ -468,6 +469,14 @@ func (s *Store) UnlinkRemote(parent FileID, name string, child FileID) error {
 // inode's type (NSRenameDst, for the edge maps at roll-forward). Idempotent
 // for a byte-identical retry.
 func (s *Store) NSPrepare(file FileID, kind NSIntentKind, typ FileType, parent FileID, name string, dstParent FileID, dstName string) error {
+	return s.NSPrepareAs("", file, kind, typ, parent, name, dstParent, dstName)
+}
+
+// NSPrepareAs is NSPrepare on behalf of a delegation owner ("" for none). On
+// the inode's home shard it fails with *DelegHeld, having published nothing,
+// while another owner holds the delegation a cross-shard remove or rename is
+// about to invalidate: the saga recalls before it can reach its commit point.
+func (s *Store) NSPrepareAs(owner string, file FileID, kind NSIntentKind, typ FileType, parent FileID, name string, dstParent FileID, dstName string) error {
 	in := NSIntent{File: file, Kind: kind, Type: typ, Parent: parent, Name: name, DstParent: dstParent, DstName: dstName}
 	s.ns.Lock()
 	switch kind {
@@ -507,6 +516,12 @@ func (s *Store) NSPrepare(file FileID, kind NSIntentKind, typ FileType, parent F
 	default:
 		s.ns.Unlock()
 		return fmt.Errorf("%w: NSPrepare kind %s", ErrNSConflict, kind)
+	}
+	if ino, local := s.inodes[file]; local {
+		if held := s.delegConflict(owner, ino); held != nil {
+			s.ns.Unlock()
+			return held
+		}
 	}
 	published, err := s.nsIntents.publish(in)
 	if err != nil || !published {

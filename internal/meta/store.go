@@ -157,7 +157,8 @@ const inodeStripes = 64
 // clients never observe an acknowledgement that a crash can roll back).
 //
 // Concurrency model (lock order: namespace -> inode stripe -> intent table
-// -> ns-intent table -> delegation -> journal reservation):
+// -> ns-intent table -> file-delegation table -> delegation -> journal
+// reservation):
 //
 //   - ns guards the map structure (inodes, dirents, nextID, delegations) and
 //     is the operation-ordering lock. Namespace mutations (Create, Remove,
@@ -175,6 +176,9 @@ const inodeStripes = 64
 //     held across a blocking operation.
 //   - nsIntents.mu guards the cross-shard namespace-intent table (see
 //     shard.go); all its mutations run under the exclusive namespace lock.
+//   - fdelegs.mu guards the file-delegation table (filedeleg.go). Grants and
+//     conflict checks take it under the lock that orders their operation; a
+//     mutation that has to wait for a recall releases every store lock first.
 //   - delegation.mu guards the delegation's used list against concurrent
 //     commits (see the field comment).
 //
@@ -202,6 +206,10 @@ type Store struct {
 	dirents     map[FileID]map[string]FileID
 	nextID      FileID
 	delegations map[string][]*delegation
+	// fdelegs is the file-delegation holder table (filedeleg.go), the other
+	// thing an owner can be granted and ClientGone takes back. Volatile: never
+	// journaled, never in a snapshot.
+	fdelegs *FileDelegs
 
 	// intents indexes live write intents (uncommitted extents) by file and
 	// owner; see intentTable for the lifecycle and its lock's place in the
@@ -257,6 +265,7 @@ func NewStore(cfg Config) *Store {
 		dirents:      make(map[FileID]map[string]FileID),
 		nextID:       RootID + 1,
 		delegations:  make(map[string][]*delegation),
+		fdelegs:      newFileDelegs(cfg.Clock),
 		intents:      newIntentTable(),
 		remote:       make(map[FileID]FileType),
 		linkedRemote: make(map[FileID]struct{}),
@@ -317,36 +326,44 @@ func (s *Store) journalAppend(rec *Record) func() error {
 
 // Create makes a file or directory under parent and returns its attributes.
 func (s *Store) Create(parent FileID, name string, typ FileType) (Attr, error) {
+	attr, _, err := s.CreateAs("", parent, name, typ)
+	return attr, err
+}
+
+// CreateAs is Create on behalf of a delegation owner ("" for none): granted
+// reports that owner holds the new regular file's delegation from the start.
+func (s *Store) CreateAs(owner string, parent FileID, name string, typ FileType) (attr Attr, granted bool, err error) {
 	if name == "" || name == "." || name == ".." {
-		return Attr{}, fmt.Errorf("%w: %q", ErrInvalidName, name)
+		return Attr{}, false, fmt.Errorf("%w: %q", ErrInvalidName, name)
 	}
 	s.ns.Lock()
 	dir, ok := s.dirents[parent]
 	if !ok {
 		s.ns.Unlock()
-		return Attr{}, fmt.Errorf("%w: parent %d", ErrNotFound, parent)
+		return Attr{}, false, fmt.Errorf("%w: parent %d", ErrNotFound, parent)
 	}
 	if _, dup := dir[name]; dup {
 		s.ns.Unlock()
-		return Attr{}, fmt.Errorf("%w: %q", ErrExists, name)
+		return Attr{}, false, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	if s.nsIntents.removePending(parent) {
 		s.ns.Unlock()
-		return Attr{}, fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, parent)
+		return Attr{}, false, fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, parent)
 	}
 	if s.nsIntents.reservedName(parent, name) {
 		s.ns.Unlock()
-		return Attr{}, fmt.Errorf("%w: %q reserved by a pending rename", ErrNSConflict, name)
+		return Attr{}, false, fmt.Errorf("%w: %q reserved by a pending rename", ErrNSConflict, name)
 	}
 	id := s.mintID()
 	s.applyCreate(id, parent, name, typ, s.clk.Now())
-	attr := s.inodes[id].attr()
+	attr = s.inodes[id].attr()
+	granted = typ == TypeFile && s.fdelegs.grant(owner, id, true)
 	wait := s.journalAppend(&Record{Type: RecCreate, File: id, Parent: parent, Name: name, FType: typ, MTime: attr.MTime})
 	s.ns.Unlock()
 	if err := wait(); err != nil {
-		return Attr{}, err
+		return Attr{}, false, err
 	}
-	return attr, nil
+	return attr, granted, nil
 }
 
 // applyCreate mutates state; caller holds ns exclusively.
@@ -364,45 +381,68 @@ func (s *Store) applyCreate(id, parent FileID, name string, typ FileType, mtime 
 
 // Lookup resolves name under parent.
 func (s *Store) Lookup(parent FileID, name string) (Attr, error) {
+	attr, _, err := s.LookupAs("", parent, name)
+	return attr, err
+}
+
+// LookupAs is Lookup on behalf of a delegation owner ("" for none): granted
+// reports that owner holds the delegation on the regular file the name
+// resolved to. A child homed on another shard is never granted here — the
+// delegation lives with the inode.
+func (s *Store) LookupAs(owner string, parent FileID, name string) (attr Attr, granted bool, err error) {
 	s.ns.RLock()
 	defer s.ns.RUnlock()
 	dir, ok := s.dirents[parent]
 	if !ok {
-		return Attr{}, fmt.Errorf("%w: parent %d", ErrNotFound, parent)
+		return Attr{}, false, fmt.Errorf("%w: parent %d", ErrNotFound, parent)
 	}
 	id, ok := dir[name]
 	if !ok {
-		return Attr{}, fmt.Errorf("%w: %q", ErrNotFound, name)
+		return Attr{}, false, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if _, local := s.inodes[id]; !local {
+	ino, local := s.inodes[id]
+	if !local {
 		// A child homed on another shard: serve identity and type from the
 		// edge record; size and mtime live on the home shard (GetAttr
 		// there).
 		if t, ok := s.remote[id]; ok {
-			return Attr{ID: id, Type: t}, nil
+			return Attr{ID: id, Type: t}, false, nil
 		}
-		return Attr{}, fmt.Errorf("%w: %q", ErrNotFound, name)
+		return Attr{}, false, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	st := s.stripe(id)
-	st.RLock()
-	attr := s.inodes[id].attr()
-	st.RUnlock()
-	return attr, nil
+	attr, granted = s.attrAs(owner, ino)
+	return attr, granted, nil
 }
 
 // GetAttr returns the attributes of an inode.
 func (s *Store) GetAttr(id FileID) (Attr, error) {
+	attr, _, err := s.GetAttrAs("", id)
+	return attr, err
+}
+
+// GetAttrAs is GetAttr on behalf of a delegation owner ("" for none), granting
+// like LookupAs.
+func (s *Store) GetAttrAs(owner string, id FileID) (attr Attr, granted bool, err error) {
 	s.ns.RLock()
 	defer s.ns.RUnlock()
 	ino, ok := s.inodes[id]
 	if !ok {
-		return Attr{}, fmt.Errorf("%w: inode %d", ErrNotFound, id)
+		return Attr{}, false, fmt.Errorf("%w: inode %d", ErrNotFound, id)
 	}
-	st := s.stripe(id)
+	attr, granted = s.attrAs(owner, ino)
+	return attr, granted, nil
+}
+
+// attrAs reads ino's attributes and, for a regular file, tries to grant owner
+// its delegation — under the stripe lock, so that a commit by somebody else
+// either is in the attributes or finds the grant. Caller holds ns shared.
+func (s *Store) attrAs(owner string, ino *inode) (Attr, bool) {
+	st := s.stripe(ino.id)
 	st.RLock()
 	attr := ino.attr()
+	granted := ino.typ == TypeFile && s.fdelegs.grant(owner, ino.id, false)
 	st.RUnlock()
-	return attr, nil
+	return attr, granted
 }
 
 // ReadDir lists a directory.
@@ -437,6 +477,13 @@ func (s *Store) ReadDir(id FileID) ([]DirEnt, error) {
 
 // Remove unlinks name under parent, freeing the file's space.
 func (s *Store) Remove(parent FileID, name string) error {
+	return s.RemoveAs("", parent, name)
+}
+
+// RemoveAs is Remove on behalf of a delegation owner ("" for none). It fails
+// with *DelegHeld, having changed nothing, while another owner holds the
+// file's delegation — or, for a directory, any delegation at all.
+func (s *Store) RemoveAs(owner string, parent FileID, name string) error {
 	s.ns.Lock()
 	dir, ok := s.dirents[parent]
 	if !ok {
@@ -463,6 +510,10 @@ func (s *Store) Remove(parent FileID, name string) error {
 	if ino.typ == TypeDir && len(s.dirents[id]) > 0 {
 		s.ns.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotEmpty, name)
+	}
+	if held := s.delegConflict(owner, ino); held != nil {
+		s.ns.Unlock()
+		return held
 	}
 	freed := s.applyRemove(parent, name, id)
 	wait := s.journalAppend(&Record{Type: RecRemove, File: id, Parent: parent, Name: name})
@@ -672,11 +723,25 @@ func (s *Store) BeginCommit(owner string, id FileID, exts []Extent, size int64, 
 	if traced {
 		applyStart = s.clk.Now()
 	}
-	if err := s.applyCommit(ino, owner, exts, size, mtime, true); err != nil {
+	// Validated before anything can make it wait: a commit that is not
+	// acceptable as it arrives — one built in a session this MDS never saw,
+	// naming space recovery took back — must be refused now, not re-examined
+	// a lease term later, when the same space may have been delegated again.
+	acts, err := s.checkCommit(ino, owner, exts, true)
+	if err != nil {
 		st.Unlock()
 		s.ns.RUnlock()
 		return nil, err
 	}
+	if r := s.fdelegs.conflict(owner, id); r != nil {
+		// Somebody else may be serving opens of this file from its cache:
+		// the commit waits (in the caller, with no lock held) until the
+		// delegation is back.
+		st.Unlock()
+		s.ns.RUnlock()
+		return nil, &DelegHeld{Recalls: []*Recall{r}}
+	}
+	s.applyCommitActs(ino, owner, acts, size, mtime)
 	rec := &Record{Type: RecCommit, File: id, Owner: owner, Size: size, MTime: mtime, Extents: exts}
 	wait := s.journalAppend(rec)
 	st.Unlock()
@@ -716,12 +781,23 @@ func childSpan(tc obs.SpanContext, name string) uint64 {
 // replay runs non-strict only for records already validated.
 func (s *Store) applyCommit(ino *inode, owner string, exts []Extent, size int64, mtime time.Time, strict bool) error {
 	// Validate first, then mutate, so a rejected commit changes nothing.
-	type action struct {
-		idx int // >= 0: flip existing extent
-		ext Extent
-		d   *delegation
+	acts, err := s.checkCommit(ino, owner, exts, strict)
+	if err != nil {
+		return err
 	}
-	var acts []action
+	s.applyCommitActs(ino, owner, acts, size, mtime)
+	return nil
+}
+
+// commitAction is one validated extent of a commit.
+type commitAction struct {
+	idx int // >= 0: flip existing extent
+	ext Extent
+}
+
+// checkCommit is the validation half of applyCommit: it changes nothing.
+func (s *Store) checkCommit(ino *inode, owner string, exts []Extent, strict bool) ([]commitAction, error) {
+	var acts []commitAction
 	for _, e := range exts {
 		idx := -1
 		for i, have := range ino.extents {
@@ -731,21 +807,26 @@ func (s *Store) applyCommit(ino *inode, owner string, exts []Extent, size int64,
 			}
 		}
 		if idx >= 0 {
-			acts = append(acts, action{idx: idx, ext: e})
+			acts = append(acts, commitAction{idx: idx, ext: e})
 			continue
 		}
-		d := s.findDelegation(owner, e)
-		if d == nil && strict {
-			return fmt.Errorf("%w: extent dev%d[%d+%d) of file %d", ErrBadCommit, e.Dev, e.VolOff, e.Len, ino.id)
+		if strict && s.findDelegation(owner, e) == nil {
+			return nil, fmt.Errorf("%w: extent dev%d[%d+%d) of file %d", ErrBadCommit, e.Dev, e.VolOff, e.Len, ino.id)
 		}
 		// Overlap with a different existing extent is a client bug.
 		for _, have := range ino.extents {
 			if e.FileOff < have.End() && have.FileOff < e.FileOff+e.Len {
-				return fmt.Errorf("%w: extent overlaps existing file range [%d+%d)", ErrBadCommit, have.FileOff, have.Len)
+				return nil, fmt.Errorf("%w: extent overlaps existing file range [%d+%d)", ErrBadCommit, have.FileOff, have.Len)
 			}
 		}
-		acts = append(acts, action{idx: -1, ext: e, d: d})
+		acts = append(acts, commitAction{idx: -1, ext: e})
 	}
+	return acts, nil
+}
+
+// applyCommitActs is the mutation half of applyCommit, for a commit
+// checkCommit has accepted under the same lock hold.
+func (s *Store) applyCommitActs(ino *inode, owner string, acts []commitAction, size int64, mtime time.Time) {
 	for _, a := range acts {
 		if a.idx >= 0 {
 			ino.extents[a.idx].State = StateCommitted
@@ -767,7 +848,6 @@ func (s *Store) applyCommit(ino *inode, owner string, exts []Extent, size int64,
 	if mtime.After(ino.mtime) {
 		ino.mtime = mtime
 	}
-	return nil
 }
 
 // findDelegation returns owner's delegation containing extent e, if any.
@@ -828,11 +908,13 @@ func (s *Store) ReturnDelegation(owner string, sp alloc.Span) error {
 	return wait()
 }
 
-// ClientGone revokes everything owner holds: delegations (their never-
-// committed sub-ranges are freed) and uncommitted layout-get extents (orphan
-// space, removed from files and freed). This is the paper's orphan garbage
-// collection, triggered by lease expiry or recovery.
+// ClientGone revokes everything owner holds: space delegations (their never-
+// committed sub-ranges are freed), file delegations (recalled without waiting)
+// and uncommitted layout-get extents (orphan space, removed from files and
+// freed). This is the paper's orphan garbage collection, triggered by lease
+// expiry or recovery.
 func (s *Store) ClientGone(owner string) (orphanBytes int64) {
+	s.fdelegs.revoke(owner)
 	s.ns.Lock()
 	freed := s.applyClientGone(owner)
 	wait := s.journalAppend(&Record{Type: RecClientGone, Owner: owner})

@@ -31,6 +31,21 @@ const (
 	SpanRPCReply   = "rpc.reply"   // daemon hands the reply off → reply delivered
 	// Application thread (CommitID 0).
 	SpanAppWrite = "write.app" // WriteAt entry → return
+	// Open entry → return, one span per call named after how the attributes
+	// were found: from a file delegation with no RPC, by asking the MDS, or by
+	// asking about a file whose delegation had been recalled.
+	SpanOpenHit      = "open.hit"
+	SpanOpenMiss     = "open.miss"
+	SpanOpenRecalled = "open.recalled"
+	// Read path (TraceID-correlated, one trace per ReadAt): the root covers
+	// ReadAt entry → return; a child exists for each leg the read actually
+	// took, in this order. What no child covers — lock waits and the copy out
+	// of the page cache — is the read's cache leg (AnalyzeReads).
+	SpanAppRead        = "read.app"
+	SpanReadLayout     = "read.layout"     // layout probe: committed extents of a hole (RPC)
+	SpanReadVisibility = "read.visibility" // early-visibility probe: other writers' intents too (RPC)
+	SpanReadBarrier    = "read.barrier"    // wait for this client's own writes to be durable
+	SpanReadDevice     = "read.device"     // device reads of what the page cache did not hold
 	// Client write-back routine (CommitID 0, on the client's commit track).
 	SpanWriteBehind = "write.behind" // first deferred byte → its flush's device writes issued
 

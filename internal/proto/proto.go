@@ -36,6 +36,9 @@ const (
 	OpNSAbort
 	OpLinkRemote
 	OpUnlinkRemote
+	// v5 (file delegations): the holder's immediate acknowledgement of a
+	// recall. Body is a bare DelegCtx; the reply is empty.
+	OpDelegAck
 )
 
 // Protocol versions, negotiated via OpHello. A session that never says
@@ -56,8 +59,14 @@ const (
 	// requests may carry a trailing-optional TraceCtx linking the server-side
 	// spans to their client parent. Sessions below v4 never see the field.
 	ProtoV4 uint32 = 4
+	// ProtoV5 adds exclusive per-file delegations: namespace and attribute
+	// requests may carry a trailing-optional DelegCtx naming their owner,
+	// AttrResp may carry a grant and the owner's unacknowledged recalls, and
+	// OpDelegAck exists. A peer below v5 never sends or sees any of it, which
+	// reads as "never granted, always asks".
+	ProtoV5 uint32 = 5
 	// ProtoLatest is the highest version this build speaks.
-	ProtoLatest = ProtoV4
+	ProtoLatest = ProtoV5
 )
 
 // TraceCtx is the propagated trace context: the trace identity plus the
@@ -82,6 +91,29 @@ func (m *TraceCtx) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
+// DelegCtx identifies the delegation owner behind a request (v5): the client
+// name the MDS grants to and recalls from, and the highest recall sequence
+// number that client has processed — every request echoes it, so a recall is
+// acknowledged by the holder's next request even if its OpDelegAck is lost.
+// Like TraceCtx it rides as a trailing-optional group: encoders append it only
+// when Owner is set (the session negotiated v5), decoders read absence as
+// "anonymous" — never granted, and foreign to every holder.
+type DelegCtx struct {
+	Owner string
+	Ack   uint64
+}
+
+func (m *DelegCtx) MarshalWire(b *wire.Buffer) {
+	b.PutString(m.Owner)
+	b.PutU64(m.Ack)
+}
+
+func (m *DelegCtx) UnmarshalWire(r *wire.Reader) error {
+	m.Owner = r.String()
+	m.Ack = r.U64()
+	return r.Err()
+}
+
 // PingReq is an empty liveness probe.
 type PingReq struct{}
 
@@ -95,32 +127,73 @@ func (*PingReq) UnmarshalWire(*wire.Reader) error { return nil }
 type LookupReq struct {
 	Parent meta.FileID
 	Name   string
+	Deleg  DelegCtx // v5 trailing-optional delegation owner
 }
 
 func (m *LookupReq) MarshalWire(b *wire.Buffer) {
 	b.PutU64(uint64(m.Parent))
 	b.PutString(m.Name)
+	if m.Deleg.Owner != "" {
+		m.Deleg.MarshalWire(b)
+	}
 }
 
 func (m *LookupReq) UnmarshalWire(r *wire.Reader) error {
 	m.Parent = meta.FileID(r.U64())
 	m.Name = r.String()
+	m.Deleg = DelegCtx{}
+	if r.Err() == nil && r.Remaining() > 0 {
+		m.Deleg.UnmarshalWire(r)
+	}
 	return r.Err()
 }
 
-// AttrResp carries inode attributes.
+// AttrResp carries inode attributes and, in a v5 session, the delegation
+// traffic that rides on every attribute-bearing reply: whether the requesting
+// owner now holds this inode's delegation, and every recall the MDS has issued
+// to that owner and not yet seen acknowledged.
 type AttrResp struct {
 	ID    meta.FileID
 	Type  meta.FileType
 	Size  int64
 	MTime time.Time
+
+	// Granted reports that the request's owner holds the exclusive
+	// delegation on ID from this reply on.
+	Granted bool
+	// RecallSeq is the sequence number of the newest recall the MDS has
+	// issued to the owner; the owner echoes it (DelegCtx.Ack) once it has
+	// dropped everything Recalls names.
+	RecallSeq uint64
+	// Recalls lists the inodes whose delegation the owner must drop: every
+	// recall newer than the Ack the request carried. RecallAll stands for
+	// "everything you hold on this shard, and your dentry cache".
+	Recalls []meta.FileID
 }
+
+// RecallAll is the Recalls entry that revokes every delegation an owner holds
+// on the replying shard (a directory was renamed or removed under it).
+const RecallAll = meta.RecallAll
+
+// maxRecalls bounds a decoded recall list; the MDS collapses a longer backlog
+// into RecallAll long before.
+const maxRecalls = 1 << 16
 
 func (m *AttrResp) MarshalWire(b *wire.Buffer) {
 	b.PutU64(uint64(m.ID))
 	b.PutU8(uint8(m.Type))
 	b.PutI64(m.Size)
 	b.PutTime(m.MTime)
+	// The v5 group is sent only when it says something: to a peer that never
+	// named an owner all three fields are zero, and the frame is the v4 frame.
+	if m.Granted || m.RecallSeq != 0 || len(m.Recalls) > 0 {
+		b.PutBool(m.Granted)
+		b.PutU64(m.RecallSeq)
+		b.PutU32(uint32(len(m.Recalls)))
+		for _, id := range m.Recalls {
+			b.PutU64(uint64(id))
+		}
+	}
 }
 
 func (m *AttrResp) UnmarshalWire(r *wire.Reader) error {
@@ -128,6 +201,18 @@ func (m *AttrResp) UnmarshalWire(r *wire.Reader) error {
 	m.Type = meta.FileType(r.U8())
 	m.Size = r.I64()
 	m.MTime = r.Time()
+	m.Granted, m.RecallSeq, m.Recalls = false, 0, nil
+	if r.Err() == nil && r.Remaining() > 0 {
+		m.Granted = r.Bool()
+		m.RecallSeq = r.U64()
+		n := int(r.U32())
+		if r.Err() != nil || n > maxRecalls {
+			return r.Err()
+		}
+		for i := 0; i < n; i++ {
+			m.Recalls = append(m.Recalls, meta.FileID(r.U64()))
+		}
+	}
 	return r.Err()
 }
 
@@ -146,28 +231,48 @@ type CreateReq struct {
 	Parent meta.FileID
 	Name   string
 	Type   meta.FileType
+	Deleg  DelegCtx // v5 trailing-optional delegation owner
 }
 
 func (m *CreateReq) MarshalWire(b *wire.Buffer) {
 	b.PutU64(uint64(m.Parent))
 	b.PutString(m.Name)
 	b.PutU8(uint8(m.Type))
+	if m.Deleg.Owner != "" {
+		m.Deleg.MarshalWire(b)
+	}
 }
 
 func (m *CreateReq) UnmarshalWire(r *wire.Reader) error {
 	m.Parent = meta.FileID(r.U64())
 	m.Name = r.String()
 	m.Type = meta.FileType(r.U8())
+	m.Deleg = DelegCtx{}
+	if r.Err() == nil && r.Remaining() > 0 {
+		m.Deleg.UnmarshalWire(r)
+	}
 	return r.Err()
 }
 
 // GetAttrReq fetches attributes by inode.
-type GetAttrReq struct{ ID meta.FileID }
+type GetAttrReq struct {
+	ID    meta.FileID
+	Deleg DelegCtx // v5 trailing-optional delegation owner
+}
 
-func (m *GetAttrReq) MarshalWire(b *wire.Buffer) { b.PutU64(uint64(m.ID)) }
+func (m *GetAttrReq) MarshalWire(b *wire.Buffer) {
+	b.PutU64(uint64(m.ID))
+	if m.Deleg.Owner != "" {
+		m.Deleg.MarshalWire(b)
+	}
+}
 
 func (m *GetAttrReq) UnmarshalWire(r *wire.Reader) error {
 	m.ID = meta.FileID(r.U64())
+	m.Deleg = DelegCtx{}
+	if r.Err() == nil && r.Remaining() > 0 {
+		m.Deleg.UnmarshalWire(r)
+	}
 	return r.Err()
 }
 
@@ -215,16 +320,24 @@ func (m *ReadDirResp) UnmarshalWire(r *wire.Reader) error {
 type RemoveReq struct {
 	Parent meta.FileID
 	Name   string
+	Deleg  DelegCtx // v5 trailing-optional delegation owner
 }
 
 func (m *RemoveReq) MarshalWire(b *wire.Buffer) {
 	b.PutU64(uint64(m.Parent))
 	b.PutString(m.Name)
+	if m.Deleg.Owner != "" {
+		m.Deleg.MarshalWire(b)
+	}
 }
 
 func (m *RemoveReq) UnmarshalWire(r *wire.Reader) error {
 	m.Parent = meta.FileID(r.U64())
 	m.Name = r.String()
+	m.Deleg = DelegCtx{}
+	if r.Err() == nil && r.Remaining() > 0 {
+		m.Deleg.UnmarshalWire(r)
+	}
 	return r.Err()
 }
 
@@ -234,6 +347,7 @@ type RenameReq struct {
 	SrcName   string
 	DstParent meta.FileID
 	DstName   string
+	Deleg     DelegCtx // v5 trailing-optional delegation owner
 }
 
 func (m *RenameReq) MarshalWire(b *wire.Buffer) {
@@ -241,6 +355,9 @@ func (m *RenameReq) MarshalWire(b *wire.Buffer) {
 	b.PutString(m.SrcName)
 	b.PutU64(uint64(m.DstParent))
 	b.PutString(m.DstName)
+	if m.Deleg.Owner != "" {
+		m.Deleg.MarshalWire(b)
+	}
 }
 
 func (m *RenameReq) UnmarshalWire(r *wire.Reader) error {
@@ -248,6 +365,10 @@ func (m *RenameReq) UnmarshalWire(r *wire.Reader) error {
 	m.SrcName = r.String()
 	m.DstParent = meta.FileID(r.U64())
 	m.DstName = r.String()
+	m.Deleg = DelegCtx{}
+	if r.Err() == nil && r.Remaining() > 0 {
+		m.Deleg.UnmarshalWire(r)
+	}
 	return r.Err()
 }
 
@@ -558,6 +679,10 @@ type NSPrepareReq struct {
 	DstParent meta.FileID
 	DstName   string
 	Trace     TraceCtx // v4 trailing-optional trace context
+	// Deleg (v5) nests inside the trace group, so the frame stays a strict
+	// prefix chain: a delegation owner without a trace sends a zero TraceCtx,
+	// which reads as "untraced".
+	Deleg DelegCtx
 }
 
 func (m *NSPrepareReq) MarshalWire(b *wire.Buffer) {
@@ -568,8 +693,11 @@ func (m *NSPrepareReq) MarshalWire(b *wire.Buffer) {
 	b.PutString(m.Name)
 	b.PutU64(uint64(m.DstParent))
 	b.PutString(m.DstName)
-	if m.Trace.TraceID != 0 {
+	if m.Trace.TraceID != 0 || m.Deleg.Owner != "" {
 		m.Trace.MarshalWire(b)
+		if m.Deleg.Owner != "" {
+			m.Deleg.MarshalWire(b)
+		}
 	}
 }
 
@@ -581,9 +709,12 @@ func (m *NSPrepareReq) UnmarshalWire(r *wire.Reader) error {
 	m.Name = r.String()
 	m.DstParent = meta.FileID(r.U64())
 	m.DstName = r.String()
-	m.Trace = TraceCtx{}
+	m.Trace, m.Deleg = TraceCtx{}, DelegCtx{}
 	if r.Err() == nil && r.Remaining() > 0 {
 		m.Trace.UnmarshalWire(r)
+		if r.Err() == nil && r.Remaining() > 0 {
+			m.Deleg.UnmarshalWire(r)
+		}
 	}
 	return r.Err()
 }

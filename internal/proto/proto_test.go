@@ -252,6 +252,11 @@ func TestQuickDecodersNeverPanic(t *testing.T) {
 		func() wire.Unmarshaler { return &StatResp{} },
 		func() wire.Unmarshaler { return &HelloReq{} },
 		func() wire.Unmarshaler { return &HelloResp{} },
+		func() wire.Unmarshaler { return &GetAttrReq{} },
+		func() wire.Unmarshaler { return &RemoveReq{} },
+		func() wire.Unmarshaler { return &RenameReq{} },
+		func() wire.Unmarshaler { return &NSPrepareReq{} },
+		func() wire.Unmarshaler { return &DelegCtx{} },
 	}
 	f := func(raw []byte, pick uint8) bool {
 		_ = wire.Decode(raw, targets[int(pick)%len(targets)]())
@@ -324,4 +329,115 @@ func TestTraceCtxTrailingOptional(t *testing.T) {
 			err := wire.Decode(p, &m)
 			return m.Trace, err
 		})
+}
+
+// TestDelegCtxTrailingOptional pins the v5 delegation contract at every new
+// optional boundary, the way TestTraceCtxTrailingOptional does for v4: a
+// request without an owner encodes byte-identically to the v4 frame (a v4 peer
+// never sees the field), an owner appends exactly its group after the v4
+// fields, both shapes decode back losslessly, and a frame cut anywhere inside
+// the group is an error rather than a half-read owner.
+func TestDelegCtxTrailingOptional(t *testing.T) {
+	dc := DelegCtx{Owner: "client-7", Ack: 41}
+	group := len(wire.Encode(&dc))
+	check := func(name string, owned, anon wire.Marshaler, decode func([]byte) (DelegCtx, error)) {
+		t.Helper()
+		ob, ab := wire.Encode(owned), wire.Encode(anon)
+		if len(ob) != len(ab)+group {
+			t.Fatalf("%s: owned frame is %d bytes, anonymous %d; want exactly +%d", name, len(ob), len(ab), group)
+		}
+		if string(ob[:len(ab)]) != string(ab) {
+			t.Fatalf("%s: delegation context not trailing — the v4 prefix changed", name)
+		}
+		if got, err := decode(ob); err != nil || got != dc {
+			t.Fatalf("%s: owned decode = %+v, %v", name, got, err)
+		}
+		if got, err := decode(ab); err != nil || got != (DelegCtx{}) {
+			t.Fatalf("%s: v4-shaped decode = %+v, %v; want anonymous", name, got, err)
+		}
+		for cut := len(ab) + 1; cut < len(ob); cut++ {
+			if _, err := decode(ob[:cut]); err == nil {
+				t.Fatalf("%s: frame cut at %d of %d decoded without error", name, cut, len(ob))
+			}
+		}
+	}
+
+	check("lookup", &LookupReq{Parent: 1, Name: "f", Deleg: dc}, &LookupReq{Parent: 1, Name: "f"},
+		func(p []byte) (DelegCtx, error) { var m LookupReq; err := wire.Decode(p, &m); return m.Deleg, err })
+	check("create", &CreateReq{Parent: 1, Name: "f", Type: meta.TypeFile, Deleg: dc}, &CreateReq{Parent: 1, Name: "f", Type: meta.TypeFile},
+		func(p []byte) (DelegCtx, error) { var m CreateReq; err := wire.Decode(p, &m); return m.Deleg, err })
+	check("getattr", &GetAttrReq{ID: 9, Deleg: dc}, &GetAttrReq{ID: 9},
+		func(p []byte) (DelegCtx, error) { var m GetAttrReq; err := wire.Decode(p, &m); return m.Deleg, err })
+	check("remove", &RemoveReq{Parent: 1, Name: "f", Deleg: dc}, &RemoveReq{Parent: 1, Name: "f"},
+		func(p []byte) (DelegCtx, error) { var m RemoveReq; err := wire.Decode(p, &m); return m.Deleg, err })
+	check("rename", &RenameReq{SrcParent: 1, SrcName: "a", DstParent: 2, DstName: "b", Deleg: dc},
+		&RenameReq{SrcParent: 1, SrcName: "a", DstParent: 2, DstName: "b"},
+		func(p []byte) (DelegCtx, error) { var m RenameReq; err := wire.Decode(p, &m); return m.Deleg, err })
+	// NSPrepareReq nests the owner inside the v4 trace group: with a trace the
+	// owner follows it; without one a zero trace context (16 bytes, reads as
+	// untraced) keeps the frame a strict prefix chain.
+	tc := TraceCtx{TraceID: 7, SpanID: 8}
+	prep := NSPrepareReq{File: 2, Kind: meta.NSRemove, Parent: 1, Name: "a"}
+	traced, tracedOwned := prep, prep
+	traced.Trace, tracedOwned.Trace, tracedOwned.Deleg = tc, tc, dc
+	check("ns-prepare (traced)", &tracedOwned, &traced,
+		func(p []byte) (DelegCtx, error) { var m NSPrepareReq; err := wire.Decode(p, &m); return m.Deleg, err })
+	owned := prep
+	owned.Deleg = dc
+	ob, ab := wire.Encode(&owned), wire.Encode(&prep)
+	if len(ob) != len(ab)+16+group {
+		t.Fatalf("ns-prepare: untraced owned frame is %d bytes over the v3 frame, want %d", len(ob)-len(ab), 16+group)
+	}
+	var m NSPrepareReq
+	if err := wire.Decode(ob, &m); err != nil || m.Deleg != dc || m.Trace != (TraceCtx{}) {
+		t.Fatalf("ns-prepare: untraced owned decode = %+v, %v", m, err)
+	}
+}
+
+// TestAttrRespDelegationGroup pins the reply side: a reply that grants
+// nothing and recalls nothing is the v4 frame; anything else appends one
+// group a v4-shaped decode never sees, and a cut inside it is an error.
+func TestAttrRespDelegationGroup(t *testing.T) {
+	base := AttrResp{ID: 5, Type: meta.TypeFile, Size: 4096, MTime: time.Unix(3, 0).UTC()}
+	v4 := wire.Encode(&base)
+	same := func(a, b AttrResp) bool {
+		if a.ID != b.ID || a.Type != b.Type || a.Size != b.Size || !a.MTime.Equal(b.MTime) ||
+			a.Granted != b.Granted || a.RecallSeq != b.RecallSeq || len(a.Recalls) != len(b.Recalls) {
+			return false
+		}
+		for i := range a.Recalls {
+			if a.Recalls[i] != b.Recalls[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for _, in := range []AttrResp{
+		{Granted: true},
+		{RecallSeq: 9},
+		{Granted: true, RecallSeq: 12, Recalls: []meta.FileID{7, RecallAll, 1 << 40}},
+	} {
+		in.ID, in.Type, in.Size, in.MTime = base.ID, base.Type, base.Size, base.MTime
+		frame := wire.Encode(&in)
+		if string(frame[:len(v4)]) != string(v4) {
+			t.Fatalf("%+v: delegation group not trailing", in)
+		}
+		if want := len(v4) + 1 + 8 + 4 + 8*len(in.Recalls); len(frame) != want {
+			t.Fatalf("%+v: frame is %d bytes, want %d", in, len(frame), want)
+		}
+		var out AttrResp
+		if err := wire.Decode(frame, &out); err != nil || !same(in, out) {
+			t.Fatalf("round trip: sent %+v, got %+v, %v", in, out, err)
+		}
+		for cut := len(v4) + 1; cut < len(frame); cut++ {
+			if err := wire.Decode(frame[:cut], &out); err == nil {
+				t.Fatalf("%+v: frame cut at %d of %d decoded without error", in, cut, len(frame))
+			}
+		}
+	}
+	var out AttrResp
+	out.Granted, out.RecallSeq, out.Recalls = true, 3, []meta.FileID{1}
+	if err := wire.Decode(v4, &out); err != nil || !same(base, out) {
+		t.Fatalf("v4-shaped reply decoded as %+v, %v; want no grant and no recall", out, err)
+	}
 }

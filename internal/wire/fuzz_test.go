@@ -133,6 +133,73 @@ func FuzzFrameDecode(f *testing.F) {
 	untraced.PutBytes(commitBody(false))
 	f.Add(untraced.Bytes())
 
+	// v5 delegation frames, each with its truncation at the optional
+	// boundary (the v4 shape a v5 decoder must read as "anonymous" / "no
+	// grant"): a proto.LookupReq with its trailing DelegCtx (owner, ack), a
+	// proto.AttrResp with its trailing group (granted, recall seq, recall
+	// list), and a proto.NSPrepareReq whose DelegCtx nests inside the v4
+	// TraceCtx group.
+	frame := func(id uint64, body []byte) []byte {
+		var b Buffer
+		b.PutU64(id)
+		b.PutU8(1)
+		b.PutU16(0)
+		b.PutU8(0)
+		b.PutBytes(body)
+		return b.Bytes()
+	}
+	lookupBody := func(owned bool) []byte {
+		var b Buffer
+		b.PutU64(1)      // parent
+		b.PutString("f") // name
+		if owned {
+			b.PutString("owner-1") // DelegCtx.Owner
+			b.PutU64(3)            // DelegCtx.Ack
+		}
+		return b.Bytes()
+	}
+	f.Add(frame(49, lookupBody(true)))
+	f.Add(frame(50, lookupBody(false)))
+	attrBody := func(deleg bool) []byte {
+		var b Buffer
+		b.PutU64(7)         // inode
+		b.PutU8(0)          // type
+		b.PutI64(4096)      // size
+		b.PutI64(1_000_000) // mtime
+		if deleg {
+			b.PutBool(true) // Granted
+			b.PutU64(5)     // RecallSeq
+			b.PutU32(2)     // two recalls
+			b.PutU64(9)
+			b.PutU64(0) // RecallAll
+		}
+		return b.Bytes()
+	}
+	f.Add(frame(51, attrBody(true)))
+	f.Add(frame(52, attrBody(false)))
+	prepareBody := func(trace, owned bool) []byte {
+		var b Buffer
+		b.PutU64(2)      // file
+		b.PutU8(2)       // kind: remove
+		b.PutU8(0)       // type
+		b.PutU64(1)      // parent
+		b.PutString("a") // name
+		b.PutU64(0)      // dst parent
+		b.PutString("")  // dst name
+		if trace {
+			b.PutU64(0) // zero TraceCtx: untraced, present for the owner's sake
+			b.PutU64(0)
+		}
+		if owned {
+			b.PutString("owner-1")
+			b.PutU64(3)
+		}
+		return b.Bytes()
+	}
+	f.Add(frame(53, prepareBody(true, true)))
+	f.Add(frame(54, prepareBody(true, false)))
+	f.Add(frame(55, prepareBody(false, false)))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(data)
 		id := r.U64()
