@@ -124,9 +124,6 @@ type Options struct {
 	CommitEvenIfClean  bool
 	DisableMerge       bool
 
-	// Autoscale switches Redbud clients from the paper's static
-	// commit-thread formula to the autoscaler v2 control loop.
-	Autoscale bool
 	// EarlyVisibility lets Redbud clients read peers' durable-but-
 	// uncommitted extents through the layout-v2 intent path instead of
 	// stalling conflict reads until the commit lands.
@@ -588,7 +585,6 @@ func (c *Cluster) AddClient(sys System, earlyVisibility bool) (*client.Client, e
 		FixedCommitThreads: c.opt.FixedCommitThreads,
 		SpaceNoPrefetch:    c.opt.SpaceNoPrefetch,
 		CommitEvenIfClean:  c.opt.CommitEvenIfClean,
-		Autoscale:          c.opt.Autoscale,
 		EarlyVisibility:    earlyVisibility,
 		Tracer:             c.Tracer,
 	}
@@ -598,13 +594,8 @@ func (c *Cluster) AddClient(sys System, earlyVisibility bool) (*client.Client, e
 	case SysRedbudDCSD:
 		cfg.DelegationChunk = c.opt.DelegationChunk
 	}
-	if len(conns) == 1 {
-		cfg.MDS = conns[0]
-		cfg.Redial = func() (*rpc.Client, error) { return c.Dial(host, 0) }
-	} else {
-		cfg.Shards = conns
-		cfg.RedialShard = func(s int) (*rpc.Client, error) { return c.Dial(host, s) }
-	}
+	cfg.Shards = conns
+	cfg.Redial = func(s int) (*rpc.Client, error) { return c.Dial(host, s) }
 	cl := client.New(cfg)
 	cl.RegisterMetrics(c.Registry)
 	cl.RegisterMetrics(c.clientsReg)

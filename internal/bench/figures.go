@@ -334,94 +334,6 @@ func sparkline(s *stats.Series, width int) string {
 }
 
 // ---------------------------------------------------------------------------
-// Autoscale figure: static commit-thread formula vs autoscaler v2.
-
-// AutoscaleRow is one (workload, controller) run: the commit-thread trace on
-// client 0, the controller's decision counters summed over all clients, and
-// the workload throughput.
-type AutoscaleRow struct {
-	Workload  string
-	Autoscale bool
-	Threads   *stats.Series
-	QueueLen  *stats.Series
-	MaxThr    float64
-	MeanThr   float64
-	Ups       int64
-	Downs     int64
-	Holds     int64
-	OpsPerSec float64
-}
-
-// FigAutoscale runs Fig6's pressure workloads twice — once under the paper's
-// static ρ = ThreadNumsMax/QueueLenMax table, once under the autoscaler v2
-// control loop — and reports thread budget and decision behaviour side by
-// side. The interesting comparison is mean threads at equal throughput: the
-// controller should ride queue pressure up and decay idle threads away
-// instead of holding the static table's operating point.
-func FigAutoscale(opt Options) ([]AutoscaleRow, error) {
-	heavier := func(s workload.Spec) workload.Spec {
-		s = s.Scale(opt.SizeFactor)
-		s.Threads *= 4
-		s.Think = 0
-		return s
-	}
-	specs := []workload.Spec{
-		heavier(workload.Varmail(opt.Seed)),
-		heavier(workload.Xcdn(32<<10, opt.Seed)),
-	}
-	var rows []AutoscaleRow
-	for _, spec := range specs {
-		for _, auto := range []bool{false, true} {
-			o := opt
-			o.Autoscale = auto
-			thr := stats.NewSeries(spec.Name + "/threads")
-			qln := stats.NewSeries(spec.Name + "/queue")
-			c := buildFig6(o, thr, qln)
-			res, err := RunDistributed(c, spec)
-			row := AutoscaleRow{
-				Workload:  spec.Name,
-				Autoscale: auto,
-				Threads:   thr,
-				QueueLen:  qln,
-				MaxThr:    thr.Max(),
-				MeanThr:   thr.Mean(),
-			}
-			for _, cl := range c.Redbud {
-				st := cl.AutoscaleStats()
-				row.Ups += st.Ups
-				row.Downs += st.Downs
-				row.Holds += st.Holds
-			}
-			c.Close()
-			if err != nil {
-				return nil, fmt.Errorf("autoscale %s auto=%v: %w", spec.Name, auto, err)
-			}
-			if res.Errors > 0 {
-				return nil, fmt.Errorf("autoscale %s auto=%v: %d op errors", spec.Name, auto, res.Errors)
-			}
-			row.OpsPerSec = res.Throughput()
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-// PrintFigAutoscale renders the static-vs-controller comparison.
-func PrintFigAutoscale(w io.Writer, rows []AutoscaleRow) {
-	fmt.Fprintln(w, "Autoscale: static commit-thread formula vs autoscaler v2 (client 0 trace)")
-	fmt.Fprintf(w, "%-12s %-8s %10s %11s %11s %6s %6s %6s  %s\n",
-		"workload", "mode", "ops/sec", "max threads", "mean threads", "ups", "downs", "holds", "thread sparkline")
-	for _, r := range rows {
-		mode := "static"
-		if r.Autoscale {
-			mode = "auto-v2"
-		}
-		fmt.Fprintf(w, "%-12s %-8s %10.0f %11.0f %11.1f %6d %6d %6d  %s\n",
-			r.Workload, mode, r.OpsPerSec, r.MaxThr, r.MeanThr, r.Ups, r.Downs, r.Holds, sparkline(r.Threads, 40))
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Figure 7: compound degree vs MDS daemon threads.
 
 // Fig7Cell is one (daemons, degree) measurement.

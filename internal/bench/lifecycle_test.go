@@ -220,6 +220,36 @@ func TestShardLifecycle(t *testing.T) {
 	}
 }
 
+// TestShardedMountRedialsWithDefaultRetry: a sharded mount with a zero
+// RetryPolicy survives a dead shard connection exactly as a single-shard one
+// does — the idempotent Stat that finds the connection closed redials that
+// shard and succeeds instead of surfacing rpc.ErrConnClosed.
+func TestShardedMountRedialsWithDefaultRetry(t *testing.T) {
+	opt := lifecycleOptions(2)
+	opt.Retry = client.RetryPolicy{}
+	c := Build(SysRedbudDC, opt)
+	defer c.Close()
+	name := 0
+	for meta.PlaceShard(meta.RootID, fmt.Sprintf("f%d", name), 2) != 1 {
+		name++
+	}
+	path := fmt.Sprintf("/f%d", name)
+	if err := writeSynced(c.Mounts[1], path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Mounts[0].Stat(path); err != nil {
+		t.Fatal(err)
+	}
+	// Shard 1 drops every connection and comes back on a new listener.
+	c.StopShard(1)
+	if err := c.ServeShard(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Mounts[0].Stat(path); err != nil {
+		t.Fatalf("stat over the dead shard connection: %v", err)
+	}
+}
+
 // TestCloseAfterFailedStart: a mount that fails half-way (shard 1 is down) and
 // a shard left stopped must not keep Close from winding every goroutine of
 // the cluster down.

@@ -122,11 +122,6 @@ type Config struct {
 	// LeaseTimeout enables MDS lease expiry (0 disables).
 	LeaseTimeout time.Duration
 
-	// Autoscale runs the clients' commit pools under the obs-driven
-	// control loop (autoscaler v2) instead of the static formula — the
-	// knob the no-deadlock-across-restart test uses.
-	Autoscale bool
-
 	// Clock overrides the simulation clock (default: the wall clock,
 	// uncompressed).
 	Clock clock.Clock
@@ -266,7 +261,6 @@ func build(cfg *Config) *bench.Cluster {
 		Retry:           cfg.Retry,
 		Seed:            cfg.Seed,
 		Tracer:          cfg.Tracer,
-		Autoscale:       cfg.Autoscale,
 		Shards:          cfg.Shards,
 	}
 	if opt.DelegationChunk == 0 {

@@ -114,35 +114,41 @@ func TestChaosInvariants(t *testing.T) {
 
 // TestChaosMDSRestart crash-restarts the MDS twice mid-workload with no
 // other faults: clients must redial, observe the incarnation bump, rebuild
-// their sessions, and keep making progress; the recovered store must fsck
-// clean both times and at the end.
+// their sessions, and keep making progress — no commit thread may deadlock
+// instead of retrying; the recovered store must fsck clean both times and at
+// the end. Seed 31415 is the schedule that caught a commit built in one
+// session being sent into the next.
 func TestChaosMDSRestart(t *testing.T) {
-	cfg := invariantConfig(4242)
-	cfg.Net = netsim.FaultPlan{}
-	cfg.Disk = DiskFaults{}
-	cfg.Ops = 40
-	cfg.Think = time.Millisecond // stretch the workload across the restarts
-	cfg.Restarts = 2
-	cfg.RestartEvery = 15 * time.Millisecond
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, seed := range []int64{4242, 31415} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cfg := invariantConfig(seed)
+			cfg.Net = netsim.FaultPlan{}
+			cfg.Disk = DiskFaults{}
+			cfg.Ops = 40
+			cfg.Think = time.Millisecond // stretch the workload across the restarts
+			cfg.Restarts = 2
+			cfg.RestartEvery = 15 * time.Millisecond
+			rep, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Restarts != 2 {
+				t.Fatalf("completed %d restarts, want 2", rep.Restarts)
+			}
+			assertClean(t, rep)
+			var ops int64
+			for _, r := range rep.Results {
+				ops += r.Ops
+			}
+			if want := int64(cfg.Clients * cfg.Threads * cfg.Ops); ops != want {
+				t.Fatalf("measured %d ops, want %d: a thread died instead of retrying", ops, want)
+			}
+			if rep.OpErrors >= ops {
+				t.Fatalf("all %d ops failed across the restarts; sessions never re-established", ops)
+			}
+			t.Logf("ops=%d opErrors=%d dedupHits=%d recovery=%+v", ops, rep.OpErrors, rep.DedupHits, rep.Recovery)
+		})
 	}
-	if rep.Restarts != 2 {
-		t.Fatalf("completed %d restarts, want 2", rep.Restarts)
-	}
-	assertClean(t, rep)
-	var ops int64
-	for _, r := range rep.Results {
-		ops += r.Ops
-	}
-	if want := int64(cfg.Clients * cfg.Threads * cfg.Ops); ops != want {
-		t.Fatalf("measured %d ops, want %d: a thread died instead of retrying", ops, want)
-	}
-	if rep.OpErrors >= ops {
-		t.Fatalf("all %d ops failed across the restarts; sessions never re-established", ops)
-	}
-	t.Logf("ops=%d opErrors=%d dedupHits=%d recovery=%+v", ops, rep.OpErrors, rep.DedupHits, rep.Recovery)
 }
 
 // TestChaosMDSRestartWriteBehind crash-restarts the MDS while clients have
@@ -188,38 +194,6 @@ func TestChaosMDSRestartWriteBehind(t *testing.T) {
 			t.Logf("ops=%d opErrors=%d recovery=%+v", ops, rep.OpErrors, rep.Recovery)
 		})
 	}
-}
-
-// TestChaosAutoscaleMDSRestart is the MDS-restart scenario with the commit
-// autoscaler v2 engaged: the control loop samples queue wait and RPC
-// in-flight while connections die and sessions rebuild, and must never
-// deadlock the commit path — every thread finishes its ops and the store
-// fscks clean, exactly as under the static formula.
-func TestChaosAutoscaleMDSRestart(t *testing.T) {
-	cfg := invariantConfig(31415)
-	cfg.Net = netsim.FaultPlan{}
-	cfg.Disk = DiskFaults{}
-	cfg.Ops = 40
-	cfg.Think = time.Millisecond // stretch the workload across the restarts
-	cfg.Restarts = 2
-	cfg.RestartEvery = 15 * time.Millisecond
-	cfg.Autoscale = true
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Restarts != 2 {
-		t.Fatalf("completed %d restarts, want 2", rep.Restarts)
-	}
-	assertClean(t, rep)
-	var ops int64
-	for _, r := range rep.Results {
-		ops += r.Ops
-	}
-	if want := int64(cfg.Clients * cfg.Threads * cfg.Ops); ops != want {
-		t.Fatalf("measured %d ops, want %d: a commit thread deadlocked instead of retrying", ops, want)
-	}
-	t.Logf("ops=%d opErrors=%d recovery=%+v", ops, rep.OpErrors, rep.Recovery)
 }
 
 // TestChaosDeterminism runs the same seed and fault plan twice and requires

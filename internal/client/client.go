@@ -86,18 +86,15 @@ type Config struct {
 	// MDS is the connected metadata RPC client. The file-system client
 	// owns it and closes it on Close.
 	MDS *rpc.Client
-	// Redial, if set, establishes a replacement MDS connection after the
-	// current one dies; combined with Retry it makes the client survive
-	// connection loss and MDS restarts.
-	Redial func() (*rpc.Client, error)
+	// Redial, if set, establishes a replacement connection to one MDS
+	// shard (0 for the unsharded topology) after the current one dies; it
+	// makes the client survive connection loss and MDS restarts.
+	Redial func(shard int) (*rpc.Client, error)
 	// Shards supplies one connected RPC client per MDS shard (index =
 	// shard number) of a sharded namespace; when set it replaces MDS. The
 	// client routes every inode by meta.ShardOf and verifies each server's
 	// hello-advertised shard coordinates against this topology.
 	Shards []*rpc.Client
-	// RedialShard re-establishes the connection to one shard after it
-	// dies; with Shards set it replaces Redial.
-	RedialShard func(shard int) (*rpc.Client, error)
 	// Retry governs RPC timeouts and idempotent-retry backoff.
 	Retry RetryPolicy
 	// Devices maps device IDs to the shared disk array members.
@@ -107,11 +104,6 @@ type Config struct {
 
 	// PoolInterval is the pool resize period.
 	PoolInterval time.Duration
-	// Autoscale replaces the static ρ = maxCommitThreads/queueLenMax pool
-	// formula with the obs-driven control loop (core.AutoscaleConfig at its
-	// defaults): commit-queue wait and RPC in-flight feed scale decisions,
-	// with hysteresis on scale-down. FixedCommitThreads still pins the pool.
-	Autoscale bool
 
 	// CompoundDegree pins the compound degree; 0 selects adaptive (up to
 	// maxCompoundDegree).
@@ -229,11 +221,6 @@ type Client struct {
 	// commitLat is the client-observed commit latency (enqueue/build →
 	// reply), always collected for redbud-top and the obs bench.
 	commitLat *stats.Histogram
-
-	// queueWaitNs is the smoothed time commits spend in the queue before a
-	// daemon checks them out (EWMA, alpha 1/4) — the autoscaler's latency
-	// signal. Maintained whenever autoscaling or tracing is on.
-	queueWaitNs atomic.Int64
 }
 
 type clientStats struct {
@@ -332,7 +319,7 @@ func New(cfg Config) *Client {
 	if cfg.DelegationChunk > 0 {
 		c.space.Store(c.newSpacePool())
 	}
-	if cfg.Redial != nil || cfg.RedialShard != nil || cfg.EarlyVisibility || cfg.Tracer != nil || len(c.links) > 1 {
+	if cfg.Redial != nil || cfg.EarlyVisibility || cfg.Tracer != nil || len(c.links) > 1 {
 		// Learn each shard's incarnation — and negotiate the protocol
 		// version — up front so a later reconnect can tell a restart from a
 		// mere connection blip, so early visibility knows whether the MDS
@@ -347,7 +334,7 @@ func New(cfg Config) *Client {
 	}
 	if cfg.Mode == DelayedCommit {
 		c.queue = core.NewQueue[meta.FileID]()
-		pc := core.PoolConfig{
+		c.pool = core.NewPool(core.PoolConfig{
 			Max:         maxCommitThreads,
 			QueueLenMax: queueLenMax,
 			QueueLen:    c.queue.Len,
@@ -356,42 +343,10 @@ func New(cfg Config) *Client {
 			OnResize:    cfg.OnPoolResize,
 			Fixed:       cfg.FixedCommitThreads,
 			Clock:       cfg.Clock,
-		}
-		if cfg.Autoscale {
-			pc.Autoscale = &core.AutoscaleConfig{QueueLatency: c.queueWait, Inflight: c.rpcInflight}
-		}
-		c.pool = core.NewPool(pc)
+		})
 		c.pool.Start()
 	}
 	return c
-}
-
-// queueWait returns the smoothed commit-queue wait (autoscaler signal).
-func (c *Client) queueWait() time.Duration { return time.Duration(c.queueWaitNs.Load()) }
-
-// observeQueueWait folds one queue-residency sample into the EWMA.
-func (c *Client) observeQueueWait(d time.Duration) {
-	for {
-		old := c.queueWaitNs.Load()
-		nw := int64(d)
-		if old != 0 {
-			nw = old + (int64(d)-old)/4
-		}
-		if c.queueWaitNs.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// rpcInflight samples outstanding calls on the live MDS connections
-// (autoscaler saturation guard).
-func (c *Client) rpcInflight() int {
-	total := 0
-	for _, l := range c.links {
-		mds, _ := l.conn()
-		total += mds.Inflight()
-	}
-	return total
 }
 
 // delegate is the SpacePool's refill function. Not retried: a duplicate
@@ -701,10 +656,10 @@ func (c *Client) ReadDir(path string) ([]fsapi.Info, error) {
 // commits it synchronously (sync mode).
 func (c *Client) enqueueCommit(fs *fileState) error {
 	if c.cfg.Mode == DelayedCommit {
-		if c.tracer.Enabled() || c.cfg.Autoscale {
+		if c.tracer.Enabled() {
 			// Stamp the queue-entry time once per queue residency; the
-			// commit daemon that builds the request consumes it (tracing
-			// records a span, autoscaling feeds the queue-wait EWMA).
+			// commit daemon that builds the request records it as the
+			// commit.queue span.
 			now := c.clk.Now()
 			fs.mu.Lock()
 			if fs.enqAt.IsZero() {
@@ -848,16 +803,13 @@ func (bc builtCommit) stale() bool {
 func (c *Client) buildCommit(fs *fileState) (bc builtCommit, ok bool) {
 	traced := c.tracer.Enabled()
 	var waitStart time.Time
-	if traced || c.cfg.Autoscale {
+	if traced {
 		waitStart = c.clk.Now()
 	}
 	fs.mu.Lock()
 	fs.waitWritesLocked()
 	enqAt := fs.enqAt
 	fs.enqAt = time.Time{}
-	if c.cfg.Autoscale && !enqAt.IsZero() {
-		c.observeQueueWait(waitStart.Sub(enqAt))
-	}
 	if fs.writeErr != nil || (!fs.dirtyMeta && !c.cfg.CommitEvenIfClean) {
 		fs.mu.Unlock()
 		return builtCommit{}, false
@@ -1193,22 +1145,4 @@ func (c *Client) RegisterMetrics(r *obs.Registry) {
 	r.GaugeFunc("redbud_client_compound_degree", "current adaptive compound degree", l,
 		func() int64 { return int64(c.CompoundDegree()) })
 	r.RegisterHistogram("redbud_client_commit_latency_seconds", "client-observed commit RPC latency", l, c.commitLat)
-	r.GaugeFunc("redbud_client_commit_queue_wait_ns", "smoothed commit queue wait (autoscaler latency signal)", l, c.queueWaitNs.Load)
-	if c.pool != nil {
-		r.CounterFunc("redbud_client_autoscale_ups_total", "autoscaler scale-up decisions", l,
-			func() int64 { return c.pool.AutoscaleStats().Ups })
-		r.CounterFunc("redbud_client_autoscale_downs_total", "autoscaler scale-down decisions", l,
-			func() int64 { return c.pool.AutoscaleStats().Downs })
-		r.CounterFunc("redbud_client_autoscale_holds_total", "autoscaler hold decisions", l,
-			func() int64 { return c.pool.AutoscaleStats().Holds })
-	}
-}
-
-// AutoscaleStats exposes the commit pool's control-loop decision counters
-// (zeros in sync mode or under the v1 formula).
-func (c *Client) AutoscaleStats() core.AutoscaleStats {
-	if c.pool == nil {
-		return core.AutoscaleStats{}
-	}
-	return c.pool.AutoscaleStats()
 }

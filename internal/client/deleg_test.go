@@ -100,14 +100,14 @@ func (dc *delegCluster) mountWith(mode Mode, edit func(*Config)) (*Client, *opGa
 		dc.t.Fatal(err)
 	}
 	go proxy.Serve(lis)
-	dial := func() (*rpc.Client, error) {
+	dial := func(int) (*rpc.Client, error) {
 		conn, err := dc.net.Dial(host, gateHost)
 		if err != nil {
 			return nil, err
 		}
 		return rpc.NewClient(conn, dc.clk), nil
 	}
-	first, err := dial()
+	first, err := dial(0)
 	if err != nil {
 		dc.t.Fatal(err)
 	}

@@ -121,8 +121,7 @@ func (c *Client) recoverConn(l *mdsLink, old *rpc.Client, gen uint64, cause erro
 	if f := l.dead(); f != nil {
 		return f // shard-map mismatch: redialling cannot fix the wiring
 	}
-	redial := c.redialFor(l.shard)
-	if redial == nil {
+	if c.cfg.Redial == nil {
 		if errors.Is(cause, rpc.ErrTimeout) {
 			return nil // connection still usable; retry in place
 		}
@@ -136,7 +135,7 @@ func (c *Client) recoverConn(l *mdsLink, old *rpc.Client, gen uint64, cause erro
 		l.mu.Unlock()
 		return f
 	}
-	nc, err := redial()
+	nc, err := c.cfg.Redial(l.shard)
 	if err != nil {
 		l.mu.Unlock()
 		return err

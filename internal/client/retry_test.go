@@ -108,7 +108,7 @@ func (tc *testCluster) retryClient(mode Mode, delegation int64, pol RetryPolicy,
 		Retry:           pol,
 	}
 	if redial {
-		cfg.Redial = func() (*rpc.Client, error) {
+		cfg.Redial = func(int) (*rpc.Client, error) {
 			redials.Add(1)
 			return dial()
 		}
@@ -276,7 +276,7 @@ func TestCrashDoesNotRedial(t *testing.T) {
 	gc := newGatedCluster(t)
 	var redials atomic.Int64
 	c := gc.mount(DelayedCommit, func(host string, cfg *Config) {
-		cfg.Redial = func() (*rpc.Client, error) {
+		cfg.Redial = func(int) (*rpc.Client, error) {
 			redials.Add(1)
 			return gc.dial(host), nil
 		}

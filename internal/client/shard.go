@@ -88,18 +88,6 @@ func (c *Client) shardOf(id meta.FileID) int { return meta.ShardOf(id, len(c.lin
 // shardFor returns the link to an inode's home shard.
 func (c *Client) shardFor(id meta.FileID) *mdsLink { return c.links[c.shardOf(id)] }
 
-// redialFor resolves the redial function for one shard, or nil when the
-// client cannot replace that connection.
-func (c *Client) redialFor(shard int) func() (*rpc.Client, error) {
-	if c.cfg.RedialShard != nil {
-		return func() (*rpc.Client, error) { return c.cfg.RedialShard(shard) }
-	}
-	if shard == 0 && len(c.links) == 1 {
-		return c.cfg.Redial
-	}
-	return nil
-}
-
 // updateProtoVersion recomputes the session-wide protocol version: the
 // minimum every shard negotiated. Feature gates (early visibility) key off
 // the whole session, so one laggard shard downgrades all of them. Links at

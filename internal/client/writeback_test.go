@@ -862,7 +862,7 @@ func TestAppendRollsBackFailedReservation(t *testing.T) {
 func TestRecoveryDoesNotWaitForWriteBack(t *testing.T) {
 	gc := newGatedCluster(t)
 	c := gc.mount(DelayedCommit, func(host string, cfg *Config) {
-		cfg.Redial = func() (*rpc.Client, error) { return gc.dial(host), nil }
+		cfg.Redial = func(int) (*rpc.Client, error) { return gc.dial(host), nil }
 		cfg.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
 	})
 	f := mustCreate(t, c, "/f")
@@ -924,7 +924,7 @@ func TestRecoveryDoesNotWaitForWriteBack(t *testing.T) {
 func TestInlineWriteSurvivesRestartDuringLayoutGet(t *testing.T) {
 	gc := newGatedCluster(t)
 	c := gc.mount(SyncCommit, func(host string, cfg *Config) {
-		cfg.Redial = func() (*rpc.Client, error) { return gc.dial(host), nil }
+		cfg.Redial = func(int) (*rpc.Client, error) { return gc.dial(host), nil }
 		cfg.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
 	})
 	f := mustCreate(t, c, "/f")
@@ -969,7 +969,7 @@ func TestInlineWriteSurvivesRestartDuringLayoutGet(t *testing.T) {
 func TestStaleCommitIsNotResentAfterRestart(t *testing.T) {
 	gc := newGatedCluster(t)
 	c := gc.mount(SyncCommit, func(host string, cfg *Config) {
-		cfg.Redial = func() (*rpc.Client, error) { return gc.dial(host), nil }
+		cfg.Redial = func(int) (*rpc.Client, error) { return gc.dial(host), nil }
 		cfg.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
 	})
 	f := mustCreate(t, c, "/f")

@@ -5,6 +5,14 @@ import (
 	"time"
 )
 
+const (
+	// congestionThreshold is the network queueing delay regarded as
+	// "congested".
+	congestionThreshold = 200 * time.Microsecond
+	// loadThreshold is the MDS load byte (0-255) regarded as "busy".
+	loadThreshold = 128
+)
+
 // CompoundConfig configures the adaptive compound-degree controller.
 type CompoundConfig struct {
 	// Fixed pins the degree (Figure 7 sweeps 1, 3, 6); 0 means adaptive.
@@ -12,17 +20,11 @@ type CompoundConfig struct {
 	// Max bounds the adaptive degree. The paper finds degrees beyond
 	// three add little for I/O-bound workloads; 6 is a safe ceiling.
 	Max int
-	// Min is the adaptive floor (default 1).
-	Min int
 	// NetCongestion samples the smoothed queueing delay on the path to
 	// the MDS (netsim.Network.CongestionWait).
 	NetCongestion func() time.Duration
 	// ServerLoad samples the MDS load byte piggybacked on RPC replies.
 	ServerLoad func() uint8
-	// CongestionThreshold is the queueing delay regarded as "congested".
-	CongestionThreshold time.Duration
-	// LoadThreshold is the server load regarded as "busy" (0-255).
-	LoadThreshold uint8
 }
 
 // Compound adjusts the number of commit requests packed into one RPC
@@ -34,28 +36,16 @@ type Compound struct {
 	degree atomic.Int32
 }
 
-// NewCompound returns a controller starting at the minimum degree.
+// NewCompound returns a controller starting at degree 1.
 func NewCompound(cfg CompoundConfig) *Compound {
 	if cfg.Max < 1 {
 		cfg.Max = 6
-	}
-	if cfg.Min < 1 {
-		cfg.Min = 1
-	}
-	if cfg.Min > cfg.Max {
-		cfg.Min = cfg.Max
-	}
-	if cfg.CongestionThreshold <= 0 {
-		cfg.CongestionThreshold = 200 * time.Microsecond
-	}
-	if cfg.LoadThreshold == 0 {
-		cfg.LoadThreshold = 128
 	}
 	c := &Compound{cfg: cfg}
 	if cfg.Fixed > 0 {
 		c.degree.Store(int32(cfg.Fixed))
 	} else {
-		c.degree.Store(int32(cfg.Min))
+		c.degree.Store(1)
 	}
 	return c
 }
@@ -70,10 +60,10 @@ func (c *Compound) Tick() {
 		return
 	}
 	congested := false
-	if c.cfg.NetCongestion != nil && c.cfg.NetCongestion() > c.cfg.CongestionThreshold {
+	if c.cfg.NetCongestion != nil && c.cfg.NetCongestion() > congestionThreshold {
 		congested = true
 	}
-	if c.cfg.ServerLoad != nil && c.cfg.ServerLoad() > c.cfg.LoadThreshold {
+	if c.cfg.ServerLoad != nil && c.cfg.ServerLoad() > loadThreshold {
 		congested = true
 	}
 	d := int(c.degree.Load())
@@ -81,7 +71,7 @@ func (c *Compound) Tick() {
 		if d < c.cfg.Max {
 			c.degree.Store(int32(d + 1))
 		}
-	} else if d > c.cfg.Min {
+	} else if d > 1 {
 		c.degree.Store(int32(d - 1))
 	}
 }

@@ -263,14 +263,19 @@ func TestCompoundFixed(t *testing.T) {
 func TestCompoundRisesUnderCongestion(t *testing.T) {
 	congestion := int64(0)
 	c := NewCompound(CompoundConfig{
-		Max:                 6,
-		NetCongestion:       func() time.Duration { return time.Duration(atomic.LoadInt64(&congestion)) },
-		CongestionThreshold: time.Millisecond,
+		Max:           6,
+		NetCongestion: func() time.Duration { return time.Duration(atomic.LoadInt64(&congestion)) },
 	})
 	if c.Degree() != 1 {
 		t.Fatalf("initial degree = %d", c.Degree())
 	}
-	atomic.StoreInt64(&congestion, int64(10*time.Millisecond))
+	// Exactly at the threshold is not yet congested.
+	atomic.StoreInt64(&congestion, int64(congestionThreshold))
+	c.Tick()
+	if c.Degree() != 1 {
+		t.Fatalf("degree at the threshold = %d, want 1", c.Degree())
+	}
+	atomic.StoreInt64(&congestion, int64(congestionThreshold+1))
 	for i := 0; i < 10; i++ {
 		c.Tick()
 	}
@@ -289,22 +294,19 @@ func TestCompoundRisesUnderCongestion(t *testing.T) {
 func TestCompoundRisesUnderServerLoad(t *testing.T) {
 	load := uint32(0)
 	c := NewCompound(CompoundConfig{
-		Max:           4,
-		ServerLoad:    func() uint8 { return uint8(atomic.LoadUint32(&load)) },
-		LoadThreshold: 100,
+		Max:        4,
+		ServerLoad: func() uint8 { return uint8(atomic.LoadUint32(&load)) },
 	})
-	atomic.StoreUint32(&load, 200)
+	atomic.StoreUint32(&load, loadThreshold)
+	c.Tick()
+	if c.Degree() != 1 {
+		t.Fatalf("degree at the load threshold = %d, want 1", c.Degree())
+	}
+	atomic.StoreUint32(&load, loadThreshold+1)
 	c.Tick()
 	c.Tick()
 	if c.Degree() != 3 {
 		t.Fatalf("degree after 2 busy ticks = %d", c.Degree())
-	}
-}
-
-func TestCompoundMinClamp(t *testing.T) {
-	c := NewCompound(CompoundConfig{Min: 10, Max: 4})
-	if c.Degree() != 4 {
-		t.Fatalf("degree = %d, want clamped to max", c.Degree())
 	}
 }
 

@@ -2,57 +2,10 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"redbud/internal/clock"
 )
-
-// AutoscaleConfig selects the obs-driven control loop ("autoscaler v2") in
-// place of the paper's static proportional formula ρ = Max/QueueLenMax. The
-// v1 formula reacts only to instantaneous queue length; v2 folds in how long
-// commits actually wait in the queue and how saturated the RPC path is, with
-// hysteresis so the pool does not flap around a noisy signal.
-//
-// Control law, evaluated once per Interval tick:
-//
-//	scale UP   (by StepUp, clamped to Max) when queue/threads > HighWater
-//	           OR the smoothed queue wait exceeds TargetLatency — unless the
-//	           RPC path is already saturated (Inflight ≥ threads ×
-//	           MaxInflightPerThread), where more senders only add contention;
-//	scale DOWN (by 1, min 1) only after HoldTicks consecutive cold ticks
-//	           (queue/threads < LowWater AND queue wait < TargetLatency/2);
-//	otherwise HOLD. Any non-cold tick resets the scale-down countdown.
-type AutoscaleConfig struct {
-	// QueueLatency samples the smoothed time a commit spends queued before
-	// a daemon picks it up. Optional; zero/nil disables the latency term.
-	QueueLatency func() time.Duration
-	// Inflight samples the number of RPCs outstanding on the commit path.
-	// Optional; nil disables the saturation guard.
-	Inflight func() int
-	// TargetLatency is the queue wait the controller steers toward
-	// (default 4× the pool Interval).
-	TargetLatency time.Duration
-	// HighWater is the queued-commits-per-thread ratio above which the
-	// pool grows (default 4).
-	HighWater float64
-	// LowWater is the ratio below which a tick counts as cold (default 1).
-	LowWater float64
-	// StepUp is the per-tick growth step (default 2). Scale-down is always
-	// one thread per decision: growing fast bounds latency under a burst,
-	// shrinking slowly avoids refilling a queue the pool just drained.
-	StepUp int
-	// HoldTicks is how many consecutive cold ticks must pass before one
-	// thread is retired (default 3) — the scale-down hysteresis.
-	HoldTicks int
-	// MaxInflightPerThread is the RPC saturation guard (default 8).
-	MaxInflightPerThread int
-}
-
-// AutoscaleStats counts the control loop's decisions.
-type AutoscaleStats struct {
-	Ups, Downs, Holds int64
-}
 
 // PoolConfig configures the adaptive commit-thread pool.
 type PoolConfig struct {
@@ -72,13 +25,9 @@ type PoolConfig struct {
 	// hook the Figure 6 tracer uses.
 	OnResize func(threads, queueLen int)
 	// Fixed pins the pool at exactly this many threads (ablation:
-	// adaptive pool vs fixed); 0 selects the adaptive formula. Fixed wins
-	// over Autoscale.
+	// adaptive pool vs fixed); 0 selects the adaptive formula.
 	Fixed int
-	// Autoscale, when non-nil, replaces the proportional v1 formula with
-	// the obs-driven control loop.
-	Autoscale *AutoscaleConfig
-	Clock     clock.Clock
+	Clock clock.Clock
 }
 
 // Pool maintains between 1 and Max worker goroutines, sized proportionally
@@ -95,11 +44,6 @@ type Pool struct {
 	done chan struct{}
 	wg   sync.WaitGroup // resizer
 	wwg  sync.WaitGroup // workers
-
-	// Autoscaler v2 state. coldTicks is touched only by the resizer
-	// goroutine; the counters are read concurrently by metrics.
-	coldTicks        int
-	ups, downs, hold atomic.Int64
 }
 
 // NewPool validates cfg and returns a stopped pool.
@@ -121,26 +65,6 @@ func NewPool(cfg PoolConfig) *Pool {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real(1)
-	}
-	if as := cfg.Autoscale; as != nil {
-		if as.TargetLatency <= 0 {
-			as.TargetLatency = 4 * cfg.Interval
-		}
-		if as.HighWater <= 0 {
-			as.HighWater = 4
-		}
-		if as.LowWater <= 0 {
-			as.LowWater = 1
-		}
-		if as.StepUp <= 0 {
-			as.StepUp = 2
-		}
-		if as.HoldTicks <= 0 {
-			as.HoldTicks = 3
-		}
-		if as.MaxInflightPerThread <= 0 {
-			as.MaxInflightPerThread = 8
-		}
 	}
 	return &Pool{cfg: cfg, clk: cfg.Clock, done: make(chan struct{})}
 }
@@ -175,8 +99,7 @@ func (p *Pool) Size() int {
 	return len(p.stops)
 }
 
-// resizer periodically applies the sizing formula (v1) or the autoscale
-// control loop (v2).
+// resizer periodically applies the sizing formula.
 func (p *Pool) resizer() {
 	defer p.wg.Done()
 	for {
@@ -186,64 +109,8 @@ func (p *Pool) resizer() {
 		case <-p.clk.After(p.cfg.Interval):
 		}
 		qlen := p.cfg.QueueLen()
-		if p.cfg.Autoscale != nil && p.cfg.Fixed == 0 {
-			p.resizeTo(p.decide(qlen), qlen)
-		} else {
-			p.resizeTo(p.Target(qlen), qlen)
-		}
+		p.resizeTo(p.Target(qlen), qlen)
 	}
-}
-
-// decide evaluates the autoscale control law for one tick and returns the
-// next pool size. Only the resizer goroutine calls it.
-func (p *Pool) decide(qlen int) int {
-	as := p.cfg.Autoscale
-	size := p.Size()
-	if size < 1 {
-		size = 1
-	}
-	var wait time.Duration
-	if as.QueueLatency != nil {
-		wait = as.QueueLatency()
-	}
-	perThread := float64(qlen) / float64(size)
-	hot := perThread > as.HighWater || (wait > as.TargetLatency)
-	cold := perThread < as.LowWater && wait < as.TargetLatency/2
-	saturated := false
-	if as.Inflight != nil {
-		saturated = as.Inflight() >= size*as.MaxInflightPerThread
-	}
-	switch {
-	case hot && !saturated && size < p.cfg.Max:
-		p.coldTicks = 0
-		p.ups.Add(1)
-		n := size + as.StepUp
-		if n > p.cfg.Max {
-			n = p.cfg.Max
-		}
-		return n
-	case cold && size > 1:
-		p.coldTicks++
-		if p.coldTicks >= as.HoldTicks {
-			p.coldTicks = 0
-			p.downs.Add(1)
-			return size - 1
-		}
-		p.hold.Add(1)
-		return size
-	default:
-		// Hot-but-saturated, hot-at-max, and in-band ticks all hold; any
-		// of them also restarts the scale-down countdown.
-		p.coldTicks = 0
-		p.hold.Add(1)
-		return size
-	}
-}
-
-// AutoscaleStats snapshots the control loop's decision counters. All zeros
-// when the pool runs the v1 formula.
-func (p *Pool) AutoscaleStats() AutoscaleStats {
-	return AutoscaleStats{Ups: p.ups.Load(), Downs: p.downs.Load(), Holds: p.hold.Load()}
 }
 
 // resizeTo spawns or retires workers to reach n threads.

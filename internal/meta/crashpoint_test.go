@@ -122,22 +122,15 @@ func TestRecoveryFromEveryCrashPoint(t *testing.T) {
 // the torn record with every earlier record intact, and recovery must fsck
 // clean.
 func TestTornJournalGroupCommitWrite(t *testing.T) {
-	// Run the scenario under both group-commit generations: v2's deadline
-	// batching must not weaken the torn-tail guarantees. MinDelay > 0
-	// forces the batch carrying the torn record through the deadline path.
-	t.Run("v1", func(t *testing.T) { tornJournalGroupCommitWrite(t, BatchPolicy{}) })
-	t.Run("v2", func(t *testing.T) {
-		tornJournalGroupCommitWrite(t, BatchPolicy{MinDelay: 50 * time.Microsecond, MaxDelay: 200 * time.Microsecond})
-	})
+	// v1 is the group-commit journal generation; it is the only one left.
+	t.Run("v1", tornJournalGroupCommitWrite)
 }
 
-func tornJournalGroupCommitWrite(t *testing.T, pol BatchPolicy) {
+func tornJournalGroupCommitWrite(t *testing.T) {
 	clk := clock.Real(1)
 	dev := newMetaDev(t)
 	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(alloc.RoundRobin, 0, 64<<20, 4) }
-	j := NewJournal(dev, 0, 32<<20)
-	j.SetBatchPolicy(pol)
-	s := NewStore(Config{AGs: mkAGs(), Journal: j, Clock: clk})
+	s := NewStore(Config{AGs: mkAGs(), Journal: NewJournal(dev, 0, 32<<20), Clock: clk})
 
 	// Clean prefix: create and commit a file.
 	a, err := s.Create(RootID, "a", TypeFile)

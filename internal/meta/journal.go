@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"redbud/internal/blockdev"
-	"redbud/internal/clock"
 	"redbud/internal/wire"
 )
 
@@ -121,43 +120,6 @@ const (
 	recHeaderSize = 16         // magic u32 + gen u32 + len u32 + crc u32
 )
 
-// BatchPolicy tunes group-commit v2: size+deadline batching with an adaptive
-// flush deadline. The zero value selects v1 behavior (the leader flushes as
-// soon as it runs; batches form only from records that arrive while a device
-// write is in flight).
-//
-// Under v2 the leader holds a batch open for the current deadline before
-// writing, so concurrent appenders pile into one device write even when no
-// write is in flight. The deadline hill-climbs on batch fill: a batch of
-// GrowAt or more records with the deadline at zero probes a small delay
-// (MaxDelay/16), and each further doubling of the observed fill doubles the
-// delay (toward MaxDelay — bursts are throughput-bound, bigger batches
-// amortize the per-request device cost). Growth demands a doubled fill, not
-// just a bigger one, so steady-state fill noise (8, 9, 8, ...) cannot ratchet
-// the delay up when holding the batch longer is no longer buying records. A
-// batch of one halves the delay (toward MinDelay — light load is
-// latency-bound, waiting buys nothing), and a batch that reaches MaxBytes is
-// written immediately.
-//
-// The write-ahead contract is untouched: the deadline only delays when a
-// batch is written, never what it contains or the order records were framed;
-// every waiter is still signalled only after its batch is durable.
-type BatchPolicy struct {
-	// MaxBytes flushes a batch immediately once this many bytes are
-	// pending (default 128 KiB).
-	MaxBytes int
-	// MinDelay and MaxDelay bound the adaptive deadline. MaxDelay > 0
-	// enables v2 (default when enabling via SetBatchPolicy: 200µs);
-	// MinDelay defaults to 0 so an idle journal degrades to v1 latency.
-	MinDelay, MaxDelay time.Duration
-	// GrowAt is the minimum records-per-batch fill that counts as a burst
-	// and can grow the deadline (default 2: any coalescing at all is worth
-	// probing).
-	GrowAt int
-	// Clock paces the deadline wait (default clock.Real(1)).
-	Clock clock.Clock
-}
-
 // Journal is a write-ahead log stored in a region of the metadata device,
 // with group commit: concurrent Append calls coalesce into a single device
 // write. The first appender to find no flush in progress becomes the batch
@@ -187,14 +149,6 @@ type Journal struct {
 
 	appends int64 // records appended (stats)
 	batches int64 // device writes issued (stats)
-
-	// Group-commit v2 state (see BatchPolicy), guarded by mu. delay is the
-	// current adaptive deadline; growFill is the batch fill observed at the
-	// last deadline change — growth requires the fill to have doubled
-	// since, which damps steady-state fill noise.
-	policy   BatchPolicy
-	delay    time.Duration
-	growFill int
 }
 
 // NewJournal manages [start, start+size) of dev as a generation-0 journal.
@@ -211,46 +165,6 @@ func NewJournalGen(dev *blockdev.Device, start, size int64, gen uint32) *Journal
 
 // Generation returns the journal's log epoch.
 func (j *Journal) Generation() uint32 { return j.gen }
-
-// SetBatchPolicy enables group-commit v2 with p (normalizing unset fields),
-// or restores v1 with a zero policy. Safe to call on a live journal; the
-// next batch observes it.
-func (j *Journal) SetBatchPolicy(p BatchPolicy) {
-	if p.MaxDelay > 0 {
-		if p.MaxBytes <= 0 {
-			p.MaxBytes = 128 << 10
-		}
-		if p.GrowAt <= 0 {
-			p.GrowAt = 2
-		}
-		if p.Clock == nil {
-			p.Clock = clock.Real(1)
-		}
-		if p.MinDelay < 0 {
-			p.MinDelay = 0
-		}
-	}
-	j.mu.Lock()
-	j.policy = p
-	j.delay = p.MinDelay
-	j.growFill = 0
-	j.mu.Unlock()
-}
-
-// BatchPolicy returns the active group-commit policy (zero when v1).
-func (j *Journal) BatchPolicy() BatchPolicy {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.policy
-}
-
-// BatchDeadline returns the current adaptive flush deadline (0 under v1 or
-// when the journal has adapted fully toward latency).
-func (j *Journal) BatchDeadline() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.delay
-}
 
 // Tail returns the relative offset one past the last appended record.
 func (j *Journal) Tail() int64 {
@@ -324,15 +238,6 @@ func (j *Journal) flushBatches() {
 			j.mu.Unlock()
 			return
 		}
-		// Group-commit v2: hold the batch open for the adaptive deadline
-		// so concurrent appenders ride this write — unless it is already
-		// full. Appends during the wait find flushing=true and pile in.
-		if delay := j.delay; delay > 0 && len(j.pending) < j.policy.MaxBytes {
-			clk := j.policy.Clock
-			j.mu.Unlock()
-			clk.Sleep(delay)
-			j.mu.Lock()
-		}
 		buf := j.pending
 		waiters := j.waiters
 		off := j.flushOff
@@ -340,33 +245,6 @@ func (j *Journal) flushBatches() {
 		j.waiters = nil
 		j.flushOff = off + int64(len(buf))
 		j.batches++
-		if j.policy.MaxDelay > 0 {
-			// Hill-climb the deadline on this batch's fill: probe when a
-			// burst first coalesces, keep doubling only while doubling the
-			// delay keeps doubling the fill, halve on singletons.
-			switch fill := len(waiters); {
-			case fill <= 1:
-				next := j.delay / 2
-				if next < j.policy.MinDelay {
-					next = j.policy.MinDelay
-				}
-				j.delay = next
-				j.growFill = fill
-			case fill >= j.policy.GrowAt && (j.delay == 0 || fill >= 2*j.growFill):
-				next := j.delay * 2
-				if next == 0 {
-					next = j.policy.MaxDelay / 16
-					if next == 0 {
-						next = j.policy.MaxDelay
-					}
-				}
-				if next > j.policy.MaxDelay {
-					next = j.policy.MaxDelay
-				}
-				j.delay = next
-				j.growFill = fill
-			}
-		}
 		j.mu.Unlock()
 
 		// WriteAsync copies buf before returning its channel, so the

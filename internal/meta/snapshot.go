@@ -47,9 +47,6 @@ func (s *Store) CheckpointTo(ls *LogSet) error {
 	if err != nil {
 		return err
 	}
-	// The compacted journal inherits the group-commit policy of the one it
-	// replaces.
-	j.SetBatchPolicy(s.cfg.Journal.BatchPolicy())
 	s.cfg.Journal = j
 	return nil
 }

@@ -930,19 +930,6 @@ func (c *Client) Compound(ops []SubOp) ([]SubResult, error) {
 	return results, err
 }
 
-// Inflight returns the number of calls currently awaiting a response. The
-// commit autoscaler reads it as a saturation signal.
-func (c *Client) Inflight() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.pending)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // observeRTT folds one sample into the RTT EWMA (alpha = 1/8).
 func (c *Client) observeRTT(d time.Duration) {
 	for {
