@@ -143,12 +143,13 @@ func runShardSweep(opt Options, n, committers, total int) (ShardsRow, error) {
 		if n == 1 {
 			attr, err = stores[0].Create(meta.RootID, name, meta.TypeFile)
 		} else {
-			attr, err = stores[s].CreateDetached(meta.RootID, name, meta.TypeFile)
-			if err == nil {
-				err = stores[rootShard].LinkRemote(meta.RootID, name, attr.ID, meta.TypeFile)
+			var durable func() error
+			attr, durable, err = stores[s].BeginCreateDetached(meta.RootID, name, meta.TypeFile)
+			if err = settle(durable, err); err == nil {
+				err = settle(stores[rootShard].BeginLinkRemote(meta.RootID, name, attr.ID, meta.TypeFile))
 			}
 			if err == nil {
-				err = stores[s].NSCommit(attr.ID, meta.NSCreate)
+				err = settle(stores[s].BeginNSCommit(attr.ID, meta.NSCreate))
 			}
 		}
 		if err != nil {
@@ -221,4 +222,13 @@ func PrintFigShards(w io.Writer, rows []ShardsRow) {
 		fmt.Fprintf(w, "%-8d %10d %12.0f %11.0fus %8.2fx\n",
 			r.Shards, r.Commits, r.CommitsPerSec, r.MeanUS, r.Speedup)
 	}
+}
+
+// settle waits for the record of a store mutation the set-up applied, or
+// returns the store's refusal.
+func settle(durable func() error, err error) error {
+	if err != nil {
+		return err
+	}
+	return durable()
 }

@@ -83,6 +83,24 @@ func (sc *shardedCluster) mount(host string, conns []*rpc.Client) *Client {
 	return New(Config{Name: host, Shards: conns, Devices: devs, Clock: sc.clk, Mode: SyncCommit})
 }
 
+// settle waits out a store mutation applied with a Begin<Op>, or returns the
+// store's refusal.
+func settle(durable func() error, err error) error {
+	if err != nil {
+		return err
+	}
+	return durable()
+}
+
+// settled is settle for a Begin<Op> that also returns a value.
+func settled[T any](v T, durable func() error, err error) (T, error) {
+	if err := settle(durable, err); err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
+}
+
 // crossShardFile plants a fully committed file whose dirent lives under root
 // but whose inode is homed on a foreign shard, returning its id. Built at
 // the store layer so placement is deterministic.
@@ -91,14 +109,14 @@ func (sc *shardedCluster) crossShardFile(name string) meta.FileID {
 	n := len(sc.stores)
 	pi := meta.ShardOf(meta.RootID, n)
 	ps, ts := sc.stores[pi], sc.stores[(pi+1)%n]
-	f, err := ts.CreateDetached(meta.RootID, name, meta.TypeFile)
+	f, err := settled(ts.BeginCreateDetached(meta.RootID, name, meta.TypeFile))
 	if err != nil {
 		sc.t.Fatal(err)
 	}
-	if err := ps.LinkRemote(meta.RootID, name, f.ID, meta.TypeFile); err != nil {
+	if err := settle(ps.BeginLinkRemote(meta.RootID, name, f.ID, meta.TypeFile)); err != nil {
 		sc.t.Fatal(err)
 	}
-	if err := ts.NSCommit(f.ID, meta.NSCreate); err != nil {
+	if err := settle(ts.BeginNSCommit(f.ID, meta.NSCreate)); err != nil {
 		sc.t.Fatal(err)
 	}
 	return f.ID
@@ -158,7 +176,7 @@ func TestCrossShardRemoveAbortsOnlyOnDefinitiveFailure(t *testing.T) {
 		defer cl.Close()
 
 		// A rename slips in before the remove's commit point.
-		if err := ps.Rename(meta.RootID, "f", meta.RootID, "g"); err != nil {
+		if err := settle(ps.BeginRename("", meta.RootID, "f", meta.RootID, "g")); err != nil {
 			t.Fatal(err)
 		}
 		// The commit point definitively refuses (entry moved), which the

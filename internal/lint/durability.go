@@ -20,16 +20,29 @@ import (
 // Commit-send sites are calls to (*rpc.Client).Call / CallRaw whose first
 // argument is the constant proto.OpCommit, and composite literals
 // rpc.SubOp{Op: proto.OpCommit} (the compound-RPC path).
+//
+// On the server side the rule is the other way round: the MDS acknowledges a
+// journaled operation only once its record is durable, but that wait belongs
+// to the connection's completion stage, not to a daemon. Inside package mds a
+// call to one of the wait-inline meta.Store wrappers (storeWaitInline) is a
+// finding; handlers call the Begin<Op> half and return its wait as an
+// rpc.Pending.
 var Durability = &Analyzer{
 	Name: "durability",
-	Doc:  "commit RPCs must be dominated by a durability wait (ordered-write rule)",
+	Doc:  "commit RPCs must be dominated by a durability wait (ordered-write rule); MDS daemons never wait for the journal",
 	Run:  runDurability,
 }
+
+// storeWaitInline names the meta.Store methods that apply a journaled
+// mutation and wait for its record before returning.
+var storeWaitInline = map[string]bool{"Create": true, "Remove": true, "AllocLayout": true, "Commit": true}
 
 func runDurability(pass *Pass) error {
 	// Only the client and MDS issue commits; other packages are out of scope.
 	switch pass.Pkg.Name() {
-	case "client", "mds":
+	case "client":
+	case "mds":
+		reportStoreWaits(pass)
 	default:
 		return nil
 	}
@@ -119,6 +132,28 @@ func runDurability(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// reportStoreWaits flags every call to a wait-inline meta.Store wrapper
+// outside test files.
+func reportStoreWaits(pass *Pass) {
+	for _, file := range pass.Files {
+		if pass.IsTestFile(file.Pos()) {
+			continue
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn, ok := calleeOf(pass.Info, call).(*types.Func)
+			if ok && storeWaitInline[fn.Name()] && isNamedType(recvTypeOf(pass.Info, call), "meta", "Store") {
+				pass.Reportf(call.Pos(),
+					"meta.Store.%s waits for the journal on an MDS daemon: call Begin%s and return the wait as an rpc.Pending", fn.Name(), fn.Name())
+			}
+			return true
+		})
+	}
 }
 
 // containsBaseWait reports whether body directly contains a durability wait.

@@ -81,7 +81,11 @@ func runFixture(t *testing.T, a *Analyzer, path string) {
 
 func TestLockOrderFixture(t *testing.T)  { runFixture(t, LockOrder, "lockorder") }
 func TestDurabilityFixture(t *testing.T) { runFixture(t, Durability, "durability") }
-func TestSimClockFixture(t *testing.T)   { runFixture(t, SimClock, "simclock") }
+
+// TestDurabilityMDSFixture checks the server-side rule: no wait-inline store
+// wrapper on an MDS daemon.
+func TestDurabilityMDSFixture(t *testing.T) { runFixture(t, Durability, "durabilitymds") }
+func TestSimClockFixture(t *testing.T)      { runFixture(t, SimClock, "simclock") }
 
 // TestSimClockDebugHTTPAllowed checks the package-level allow-list: the
 // debughttp fixture calls time.Now/Since with no `// want` comments, so the

@@ -39,6 +39,13 @@ func testAGs() *alloc.AGSet { return alloc.NewUniformAGSet(alloc.RoundRobin, 0, 
 // its store.
 func newJournaledEnv(t *testing.T, tr *obs.Tracer) *journaledEnv {
 	t.Helper()
+	return newShardEnv(t, tr, 0, 1)
+}
+
+// newShardEnv is newJournaledEnv for shard of a namespace of shards, served
+// by one daemon.
+func newShardEnv(t *testing.T, tr *obs.Tracer, shard, shards int) *journaledEnv {
+	t.Helper()
 	mc := clock.NewManual()
 	je := &journaledEnv{clk: clock.Real(1)}
 	je.dev = blockdev.New(blockdev.Config{Size: 64 << 20, Model: blockdev.FastHDD(), Clock: mc})
@@ -58,8 +65,8 @@ func newJournaledEnv(t *testing.T, tr *obs.Tracer) *journaledEnv {
 			}
 		}
 	}()
-	je.env = newEnv(t, Config{Tracer: tr, Clock: je.clk,
-		Store: meta.NewStore(meta.Config{AGs: testAGs(), Journal: je.journal, Clock: je.clk, Tracer: tr})})
+	je.env = newEnv(t, Config{Tracer: tr, Clock: je.clk, Daemons: 1, ShardIndex: uint32(shard), ShardCount: uint32(shards),
+		Store: meta.NewStore(meta.Config{AGs: testAGs(), Journal: je.journal, Clock: je.clk, Tracer: tr, Shard: shard, ShardCount: shards})})
 	return je
 }
 
@@ -293,10 +300,30 @@ func TestGatheredCommitSpansKeepRPCDecompositionExact(t *testing.T) {
 		tr.Record("c1/commit", obs.SpanCommitRPC, 500+uint64(i), sent, replied)
 	}
 
-	var journals []obs.Span
+	var journals, completes []obs.Span
+	ends := map[string]map[time.Time]bool{} // span name → end times
+	starts := map[string]map[time.Time]bool{}
 	for _, s := range tr.Spans() {
-		if s.Name == obs.SpanMDSJournal {
+		switch s.Name {
+		case obs.SpanMDSJournal:
 			journals = append(journals, s)
+		case obs.SpanRPCComplete:
+			completes = append(completes, s)
+		}
+		if ends[s.Name] == nil {
+			ends[s.Name], starts[s.Name] = map[time.Time]bool{}, map[time.Time]bool{}
+		}
+		ends[s.Name][s.End], starts[s.Name][s.Start] = true, true
+	}
+	// Every frame owed a completion — the compound, and the creates and
+	// layout-gets that set it up — leaves its daemon at the end of
+	// rpc.process and its completion stage at the start of rpc.reply.
+	if len(completes) < 1+2*k {
+		t.Fatalf("%d rpc.complete spans, want one per journaled frame (%d)", len(completes), 1+2*k)
+	}
+	for _, c := range completes {
+		if !ends[obs.SpanRPCProcess][c.Start] || !starts[obs.SpanRPCReply][c.End] {
+			t.Fatalf("rpc.complete %v–%v does not join an rpc.process end to an rpc.reply start", c.Start, c.End)
 		}
 	}
 	if len(journals) != k {

@@ -351,20 +351,21 @@ func (s *Server) attrReply(a meta.Attr, granted bool, dc proto.DelegCtx) []byte 
 }
 
 // mutate applies a namespace mutation that other owners' file delegations may
-// stand in the way of. The store refuses it (having issued the recalls) until
-// they are back; the wait happens here, on the daemon thread, with no store
-// lock held and never longer than meta.DelegTerm. A directory mutation keeps
-// new grants out from its first refusal until it has been applied.
-func (s *Server) mutate(apply func() error) error {
+// stand in the way of, returning what begin returns. The store refuses it
+// (having issued the recalls) until they are back; the wait happens here, on
+// the daemon thread, with no store lock held and never longer than
+// meta.DelegTerm. A directory mutation keeps new grants out from its first
+// refusal until it has been applied.
+func (s *Server) mutate(begin func() (func() error, error)) (durable func() error, err error) {
 	frozen := false
 	for {
-		err := apply()
+		durable, err = begin()
 		held, ok := err.(*meta.DelegHeld)
 		if !ok {
 			if frozen {
 				s.delegs.Thaw()
 			}
-			return err
+			return durable, err
 		}
 		if held.Dir && !frozen {
 			s.delegs.Freeze()
@@ -372,6 +373,52 @@ func (s *Server) mutate(apply func() error) error {
 		}
 		s.delegs.Await(held.Recalls)
 	}
+}
+
+// onceDurable hands the completion of an applied journaled operation to the
+// frame's completion stage: once durable returned nil, reply (nil for an
+// empty reply) builds the reply. An operation the store refused (err != nil)
+// fails at once.
+func onceDurable(durable func() error, err error, reply func() ([]byte, error)) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return nil, rpc.Pending(func() ([]byte, error) {
+		if err := durable(); err != nil {
+			return nil, err
+		}
+		if reply == nil {
+			return nil, nil
+		}
+		return reply()
+	})
+}
+
+// nsOnceDurable is onceDurable for a namespace-op handler whose span, started
+// at start, ends once the operation is durable or refused.
+func (s *Server) nsOnceDurable(name string, tc proto.TraceCtx, start time.Time, durable func() error, err error, reply func() ([]byte, error)) ([]byte, error) {
+	if err != nil {
+		s.nsSpan(name, tc, start)
+		return nil, err
+	}
+	return onceDurable(func() error {
+		err := durable()
+		s.nsSpan(name, tc, start)
+		return err
+	}, nil, reply)
+}
+
+// layoutReply encodes the reply to a layout-get: the layout and the file's
+// size, which published intents extend past the committed one for a v2
+// reader that asked (early visibility).
+func (s *Server) layoutReply(lay meta.Layout) ([]byte, error) {
+	attr, err := s.store.GetAttr(lay.File)
+	if err != nil {
+		return nil, err
+	}
+	size := max(attr.Size, lay.VisibleEnd)
+	resp := proto.LayoutResp{File: lay.File, Size: size, Extents: lay.Extents}
+	return wire.Encode(&resp), nil
 }
 
 // completeCommit is the completion half of OpCommit: it waits for the applied
@@ -404,9 +451,10 @@ func (s *Server) completeCommit(req *proto.CommitReq, start time.Time, tc obs.Sp
 	return out, nil
 }
 
-// handle dispatches one decoded RPC operation. Operations that must wait for
-// the journal after they are applied leave the wait to the daemon as an
-// rpc.Pending completion.
+// handle dispatches one decoded RPC operation. Every journaled operation is
+// applied here, on the daemon, and returns an rpc.Pending: the wait for its
+// journal record, and the reply built after it, belong to the connection's
+// completion stage, so no daemon waits for the journal.
 func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 	switch op {
 	case proto.OpPing:
@@ -430,11 +478,8 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		s.arrive(req.Deleg)
-		a, granted, err := s.store.CreateAs(req.Deleg.Owner, req.Parent, req.Name, req.Type)
-		if err != nil {
-			return nil, err
-		}
-		return s.attrReply(a, granted, req.Deleg), nil
+		a, granted, durable, err := s.store.BeginCreate(req.Deleg.Owner, req.Parent, req.Name, req.Type)
+		return onceDurable(durable, err, func() ([]byte, error) { return s.attrReply(a, granted, req.Deleg), nil })
 
 	case proto.OpGetAttr:
 		var req proto.GetAttrReq
@@ -466,7 +511,10 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		s.ack(req.Deleg)
-		return nil, s.mutate(func() error { return s.store.RemoveAs(req.Deleg.Owner, req.Parent, req.Name) })
+		durable, err := s.mutate(func() (func() error, error) {
+			return s.store.BeginRemove(req.Deleg.Owner, req.Parent, req.Name)
+		})
+		return onceDurable(durable, err, nil)
 
 	case proto.OpLayoutGet:
 		var req proto.LayoutGetReq
@@ -482,31 +530,18 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 		if flags.Has(meta.LayoutWantUncommitted) && s.sessionVersion(req.Owner) < proto.ProtoV2 {
 			flags &^= meta.LayoutWantUncommitted
 		}
-		var lay meta.Layout
-		var err error
 		if flags.Has(meta.LayoutWrite) {
-			lay, err = s.store.AllocLayout(req.Owner, req.File, req.Off, req.Len)
-		} else {
-			// Without LayoutWantUncommitted readers only see committed
-			// extents: the ordered-write guarantee means uncommitted data
-			// may not exist yet.
-			lay, err = s.store.GetLayout(req.File, req.Off, req.Len, flags)
+			lay, durable, err := s.store.BeginAllocLayout(req.Owner, req.File, req.Off, req.Len)
+			return onceDurable(durable, err, func() ([]byte, error) { return s.layoutReply(lay) })
 		}
+		// Without LayoutWantUncommitted readers only see committed extents:
+		// the ordered-write guarantee means uncommitted data may not exist
+		// yet.
+		lay, err := s.store.GetLayout(req.File, req.Off, req.Len, flags)
 		if err != nil {
 			return nil, err
 		}
-		attr, err := s.store.GetAttr(req.File)
-		if err != nil {
-			return nil, err
-		}
-		size := attr.Size
-		if lay.VisibleEnd > size {
-			// Early visibility: published intents extend the visible size
-			// past the committed one for v2 readers that asked.
-			size = lay.VisibleEnd
-		}
-		resp := proto.LayoutResp{File: lay.File, Size: size, Extents: lay.Extents}
-		return wire.Encode(&resp), nil
+		return s.layoutReply(lay)
 
 	case proto.OpCommit:
 		var req proto.CommitReq
@@ -559,12 +594,11 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		s.touch(req.Owner)
-		sp, err := s.store.Delegate(req.Owner, req.Size)
-		if err != nil {
-			return nil, err
-		}
-		resp := proto.SpanMsg{Dev: uint32(sp.Dev), Off: sp.Off, Len: sp.Len}
-		return wire.Encode(&resp), nil
+		sp, durable, err := s.store.BeginDelegate(req.Owner, req.Size)
+		return onceDurable(durable, err, func() ([]byte, error) {
+			resp := proto.SpanMsg{Dev: uint32(sp.Dev), Off: sp.Off, Len: sp.Len}
+			return wire.Encode(&resp), nil
+		})
 
 	case proto.OpDelegReturn:
 		var req proto.DelegReturnReq
@@ -573,7 +607,8 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 		}
 		s.touch(req.Owner)
 		sp := alloc.Span{Dev: int(req.Span.Dev), Off: req.Span.Off, Len: req.Span.Len}
-		return nil, s.store.ReturnDelegation(req.Owner, sp)
+		durable, err := s.store.BeginReturnDelegation(req.Owner, sp)
+		return onceDurable(durable, err, nil)
 
 	case proto.OpRename:
 		var req proto.RenameReq
@@ -581,9 +616,10 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		s.ack(req.Deleg)
-		return nil, s.mutate(func() error {
-			return s.store.RenameAs(req.Deleg.Owner, req.SrcParent, req.SrcName, req.DstParent, req.DstName)
+		durable, err := s.mutate(func() (func() error, error) {
+			return s.store.BeginRename(req.Deleg.Owner, req.SrcParent, req.SrcName, req.DstParent, req.DstName)
 		})
+		return onceDurable(durable, err, nil)
 
 	case proto.OpHello:
 		var req proto.HelloReq
@@ -613,13 +649,11 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		start := s.nsStart(req.Trace)
-		a, err := s.store.CreateDetached(req.Parent, req.Name, req.Type)
-		s.nsSpan(obs.SpanMDSCreateDetached, req.Trace, start)
-		if err != nil {
-			return nil, err
-		}
-		resp := proto.FromAttr(a)
-		return wire.Encode(&resp), nil
+		a, durable, err := s.store.BeginCreateDetached(req.Parent, req.Name, req.Type)
+		return s.nsOnceDurable(obs.SpanMDSCreateDetached, req.Trace, start, durable, err, func() ([]byte, error) {
+			resp := proto.FromAttr(a)
+			return wire.Encode(&resp), nil
+		})
 
 	case proto.OpNSPrepare:
 		var req proto.NSPrepareReq
@@ -628,11 +662,10 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 		}
 		start := s.nsStart(req.Trace)
 		s.ack(req.Deleg)
-		err := s.mutate(func() error {
-			return s.store.NSPrepareAs(req.Deleg.Owner, req.File, req.Kind, req.Type, req.Parent, req.Name, req.DstParent, req.DstName)
+		durable, err := s.mutate(func() (func() error, error) {
+			return s.store.BeginNSPrepare(req.Deleg.Owner, req.File, req.Kind, req.Type, req.Parent, req.Name, req.DstParent, req.DstName)
 		})
-		s.nsSpan(obs.SpanMDSNSPrepare, req.Trace, start)
-		return nil, err
+		return s.nsOnceDurable(obs.SpanMDSNSPrepare, req.Trace, start, durable, err, nil)
 
 	case proto.OpDelegAck:
 		var req proto.DelegCtx
@@ -648,9 +681,8 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		start := s.nsStart(req.Trace)
-		err := s.store.NSCommit(req.File, req.Kind)
-		s.nsSpan(obs.SpanMDSNSCommit, req.Trace, start)
-		return nil, err
+		durable, err := s.store.BeginNSCommit(req.File, req.Kind)
+		return s.nsOnceDurable(obs.SpanMDSNSCommit, req.Trace, start, durable, err, nil)
 
 	case proto.OpNSAbort:
 		var req proto.NSAbortReq
@@ -658,9 +690,8 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		start := s.nsStart(req.Trace)
-		err := s.store.NSAbort(req.File, req.Kind)
-		s.nsSpan(obs.SpanMDSNSAbort, req.Trace, start)
-		return nil, err
+		durable, err := s.store.BeginNSAbort(req.File, req.Kind)
+		return s.nsOnceDurable(obs.SpanMDSNSAbort, req.Trace, start, durable, err, nil)
 
 	case proto.OpLinkRemote:
 		var req proto.LinkRemoteReq
@@ -668,9 +699,8 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		start := s.nsStart(req.Trace)
-		err := s.store.LinkRemote(req.Parent, req.Name, req.Child, req.Type)
-		s.nsSpan(obs.SpanMDSLinkRemote, req.Trace, start)
-		return nil, err
+		durable, err := s.store.BeginLinkRemote(req.Parent, req.Name, req.Child, req.Type)
+		return s.nsOnceDurable(obs.SpanMDSLinkRemote, req.Trace, start, durable, err, nil)
 
 	case proto.OpUnlinkRemote:
 		var req proto.UnlinkRemoteReq
@@ -678,9 +708,8 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		start := s.nsStart(req.Trace)
-		err := s.store.UnlinkRemote(req.Parent, req.Name, req.Child)
-		s.nsSpan(obs.SpanMDSUnlinkRemote, req.Trace, start)
-		return nil, err
+		durable, err := s.store.BeginUnlinkRemote(req.Parent, req.Name, req.Child)
+		return s.nsOnceDurable(obs.SpanMDSUnlinkRemote, req.Trace, start, durable, err, nil)
 
 	case proto.OpStat:
 		resp := proto.StatResp{

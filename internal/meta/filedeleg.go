@@ -22,7 +22,7 @@ import (
 // and "recalled" is terminal for this MDS incarnation: the inode is never
 // granted again, so two clients that both work on one file stop paying for
 // recalls after the first. A grant is made by the reply that creates or opens
-// the file (Store.CreateAs / LookupAs / GetAttrAs) when nobody holds it; the
+// the file (Store.BeginCreate / LookupAs / GetAttrAs) when nobody holds it; the
 // holder's own mutations never recall it. A mutation by anyone else — a
 // commit, remove or rename of the inode, the home-shard leg of a cross-shard
 // saga — is refused with *DelegHeld after the store has issued the recall

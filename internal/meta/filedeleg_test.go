@@ -78,11 +78,11 @@ func TestDelegGrantIsExclusive(t *testing.T) {
 	s, _ := delegStore(t)
 	d := s.FileDelegs()
 	d.Arrive("A", 0)
-	a, granted, err := s.CreateAs("A", RootID, "f", TypeFile)
+	a, granted, err := createAs(s, "A", RootID, "f", TypeFile)
 	if err != nil || !granted {
-		t.Fatalf("CreateAs = granted %v, %v; want the creator to hold its file", granted, err)
+		t.Fatalf("BeginCreate = granted %v, %v; want the creator to hold its file", granted, err)
 	}
-	if _, granted, _ := s.CreateAs("A", RootID, "dir", TypeDir); granted {
+	if _, granted, _ := createAs(s, "A", RootID, "dir", TypeDir); granted {
 		t.Fatal("a directory was delegated")
 	}
 	if _, granted, _ := s.LookupAs("B", RootID, "f"); granted {
@@ -117,10 +117,12 @@ func TestDelegRecallEndsOnAck(t *testing.T) {
 			_, err = s.BeginCommit(owner, id, lay.Extents, 4096, clock.Epoch.Add(time.Second), 0, obs.SpanContext{})
 			return err
 		},
-		"remove": func(s *Store, owner string, _ FileID) error { return s.RemoveAs(owner, RootID, "f") },
-		"rename": func(s *Store, owner string, _ FileID) error { return s.RenameAs(owner, RootID, "f", RootID, "g") },
+		"remove": func(s *Store, owner string, _ FileID) error { return settle(s.BeginRemove(owner, RootID, "f")) },
+		"rename": func(s *Store, owner string, _ FileID) error {
+			return settle(s.BeginRename(owner, RootID, "f", RootID, "g"))
+		},
 		"ns-prepare": func(s *Store, owner string, id FileID) error {
-			return s.NSPrepareAs(owner, id, NSRemove, TypeFile, RootID, "f", 0, "")
+			return settle(s.BeginNSPrepare(owner, id, NSRemove, TypeFile, RootID, "f", 0, ""))
 		},
 	}
 	for name, mutate := range mutations {
@@ -128,7 +130,7 @@ func TestDelegRecallEndsOnAck(t *testing.T) {
 			s, _ := delegStore(t)
 			d := s.FileDelegs()
 			d.Arrive("A", 0)
-			a, _, err := s.CreateAs("A", RootID, "f", TypeFile)
+			a, _, err := createAs(s, "A", RootID, "f", TypeFile)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +178,7 @@ func TestDelegRecallEndsOnAck(t *testing.T) {
 		t.Run(name+"/own", func(t *testing.T) {
 			s, _ := delegStore(t)
 			s.FileDelegs().Arrive("A", 0)
-			a, _, err := s.CreateAs("A", RootID, "f", TypeFile)
+			a, _, err := createAs(s, "A", RootID, "f", TypeFile)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,12 +200,12 @@ func TestDelegRecallEndsWithTheLease(t *testing.T) {
 	s, clk := delegStore(t)
 	d := s.FileDelegs()
 	d.Arrive("A", 0) // lease until Epoch + DelegTerm
-	a, _, err := s.CreateAs("A", RootID, "f", TypeFile)
+	a, _, err := createAs(s, "A", RootID, "f", TypeFile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(DelegTerm / 4)
-	h := held(t, s.RemoveAs("B", RootID, "f"))
+	h := held(t, settle(s.BeginRemove("B", RootID, "f")))
 	done := awaiting(d, h.Recalls)
 	waitersOn(t, clk, 1)
 
@@ -213,7 +215,7 @@ func TestDelegRecallEndsWithTheLease(t *testing.T) {
 	stillWaiting(t, done, "one nanosecond before the lease ran out")
 	clk.Advance(time.Nanosecond)
 	released(t, done, "when the lease ran out")
-	if err := s.RemoveAs("B", RootID, "f"); err != nil {
+	if err := settle(s.BeginRemove("B", RootID, "f")); err != nil {
 		t.Fatalf("remove after the lapse: %v", err)
 	}
 	if _, ids := d.Pending("A"); len(ids) != 1 || ids[0] != a.ID {
@@ -227,12 +229,12 @@ func TestDelegRecallEndsWithTheLease(t *testing.T) {
 	}
 
 	// A holder whose lease is gone already costs nothing at all.
-	b, _, err := s.CreateAs("A", RootID, "g", TypeFile)
+	b, _, err := createAs(s, "A", RootID, "g", TypeFile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(2 * DelegTerm)
-	if err := s.RemoveAs("B", RootID, "g"); err != nil {
+	if err := settle(s.BeginRemove("B", RootID, "g")); err != nil {
 		t.Fatalf("remove of a file whose holder's lease has run out = %v, want no wait", err)
 	}
 	if _, ids := d.Pending("A"); len(ids) != 2 || ids[1] != b.ID {
@@ -250,12 +252,12 @@ func TestDelegDirectoryMutationRecallsEverything(t *testing.T) {
 	for _, owner := range []string{"A", "B", "C"} {
 		d.Arrive(owner, 0)
 		for i := 0; i < 3; i++ {
-			if _, granted, err := s.CreateAs(owner, dir.ID, fmt.Sprintf("%s%d", owner, i), TypeFile); err != nil || !granted {
+			if _, granted, err := createAs(s, owner, dir.ID, fmt.Sprintf("%s%d", owner, i), TypeFile); err != nil || !granted {
 				t.Fatalf("create: granted %v, %v", granted, err)
 			}
 		}
 	}
-	h := held(t, s.RenameAs("C", RootID, "d", RootID, "e"))
+	h := held(t, settle(s.BeginRename("C", RootID, "d", RootID, "e")))
 	if !h.Dir || len(h.Recalls) != 2 {
 		t.Fatalf("refusal = %d recalls, dir %v; want one recall per other owner", len(h.Recalls), h.Dir)
 	}
@@ -268,7 +270,7 @@ func TestDelegDirectoryMutationRecallsEverything(t *testing.T) {
 		t.Fatalf("the renaming owner was recalled: %v", ids)
 	}
 	d.Freeze()
-	if _, granted, _ := s.CreateAs("A", RootID, "late", TypeFile); granted {
+	if _, granted, _ := createAs(s, "A", RootID, "late", TypeFile); granted {
 		t.Fatal("a grant slipped in between a directory mutation's recall and its apply")
 	}
 	done := awaiting(d, h.Recalls)
@@ -276,14 +278,14 @@ func TestDelegDirectoryMutationRecallsEverything(t *testing.T) {
 	stillWaiting(t, done, "with one of two holders still to answer")
 	d.Ack("B", 1)
 	released(t, done, "after both holders acknowledged")
-	if err := s.RenameAs("C", RootID, "d", RootID, "e"); err != nil {
+	if err := settle(s.BeginRename("C", RootID, "d", RootID, "e")); err != nil {
 		t.Fatalf("rename after the recalls: %v", err)
 	}
 	d.Thaw()
 	if st := d.Stats(); st.Recalls != 6 || st.Held != 3 {
 		t.Fatalf("stats = %+v, want 6 delegations recalled and C's 3 still held", st)
 	}
-	if _, granted, _ := s.CreateAs("A", RootID, "later", TypeFile); !granted {
+	if _, granted, _ := createAs(s, "A", RootID, "later", TypeFile); !granted {
 		t.Fatal("grants stayed frozen after the thaw")
 	}
 }
@@ -296,10 +298,10 @@ func TestDelegPendingCollapses(t *testing.T) {
 	d.Arrive("A", 0)
 	for i := 0; i <= maxPendingRecalls; i++ {
 		name := fmt.Sprintf("f%d", i)
-		if _, _, err := s.CreateAs("A", RootID, name, TypeFile); err != nil {
+		if _, _, err := createAs(s, "A", RootID, name, TypeFile); err != nil {
 			t.Fatal(err)
 		}
-		held(t, s.RemoveAs("B", RootID, name))
+		held(t, settle(s.BeginRemove("B", RootID, name)))
 	}
 	if seq, ids := d.Pending("A"); seq != maxPendingRecalls+1 || len(ids) != 1 || ids[0] != RecallAll {
 		t.Fatalf("Pending = seq %d, %d entries; want one drop-everything entry", seq, len(ids))
@@ -322,7 +324,7 @@ func TestDelegGraceAfterRestart(t *testing.T) {
 	if _, granted, _ := s.LookupAs("A", RootID, "old"); granted {
 		t.Fatal("an existing file was granted during the grace period")
 	}
-	fresh, granted, err := s.CreateAs("A", RootID, "new", TypeFile)
+	fresh, granted, err := createAs(s, "A", RootID, "new", TypeFile)
 	if err != nil || !granted {
 		t.Fatalf("a file created during the grace period: granted %v, %v", granted, err)
 	}
@@ -360,11 +362,11 @@ func TestClientGoneRevokesFileDelegations(t *testing.T) {
 	s, clk := delegStore(t)
 	d := s.FileDelegs()
 	d.Arrive("A", 0)
-	if _, err := s.Delegate("A", 1<<20); err != nil {
+	if _, err := settled(s.BeginDelegate("A", 1<<20)); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"f", "g"} {
-		if _, _, err := s.CreateAs("A", RootID, name, TypeFile); err != nil {
+		if _, _, err := createAs(s, "A", RootID, name, TypeFile); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -375,13 +377,13 @@ func TestClientGoneRevokesFileDelegations(t *testing.T) {
 	if _, ids := d.Pending("A"); len(ids) != 1 || ids[0] != RecallAll {
 		t.Fatalf("Pending(A) = %v, want drop-everything", ids)
 	}
-	h := held(t, s.RemoveAs("B", RootID, "f"))
+	h := held(t, settle(s.BeginRemove("B", RootID, "f")))
 	done := awaiting(d, h.Recalls)
 	waitersOn(t, clk, 1)
 	clk.Advance(DelegTerm)
 	released(t, done, "when the revoked owner's lease ran out")
 	for _, name := range []string{"f", "g"} {
-		if err := s.RemoveAs("B", RootID, name); err != nil {
+		if err := settle(s.BeginRemove("B", RootID, name)); err != nil {
 			t.Fatalf("remove %s after the revocation: %v", name, err)
 		}
 	}
@@ -401,15 +403,15 @@ func TestDelegationStateIsVolatile(t *testing.T) {
 			s.FileDelegs().Arrive(owner, 0)
 		}
 		for _, name := range []string{"f", "g"} {
-			if _, _, err := s.CreateAs(owner, RootID, name, TypeFile); err != nil {
+			if _, _, err := createAs(s, owner, RootID, name, TypeFile); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if owner != "" {
-			held(t, s.RemoveAs("other", RootID, "g"))
+			held(t, settle(s.BeginRemove("other", RootID, "g")))
 			s.FileDelegs().Ack(owner, 1)
 		}
-		if err := s.RemoveAs("other", RootID, "g"); err != nil {
+		if err := settle(s.BeginRemove("other", RootID, "g")); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := NewJournal(d, 0, 32<<20).Replay(func(*Record) error { records++; return nil }); err != nil {

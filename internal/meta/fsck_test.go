@@ -48,7 +48,7 @@ func TestFsckCleanAfterWorkload(t *testing.T) {
 			}
 		}
 	}
-	sp, err := s.Delegate("c2", 1<<20)
+	sp, err := settled(s.BeginDelegate("c2", 1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}

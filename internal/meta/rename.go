@@ -2,52 +2,48 @@ package meta
 
 import "fmt"
 
-// Rename moves the entry srcName under srcParent to dstName under dstParent.
-// The destination must not exist (no implicit overwrite: a caller that wants
-// POSIX semantics removes the destination first, making the data-freeing
-// explicit). Renaming a directory into its own subtree is rejected.
-func (s *Store) Rename(srcParent FileID, srcName string, dstParent FileID, dstName string) error {
-	return s.RenameAs("", srcParent, srcName, dstParent, dstName)
-}
-
-// RenameAs is Rename on behalf of a delegation owner ("" for none). It fails
-// with *DelegHeld, having changed nothing, while another owner holds the moved
-// file's delegation — or, for a directory, any delegation at all.
-func (s *Store) RenameAs(owner string, srcParent FileID, srcName string, dstParent FileID, dstName string) error {
+// BeginRename moves the entry srcName under srcParent to dstName under
+// dstParent, on behalf of a delegation owner ("" for none). The destination
+// must not exist (no implicit overwrite: a caller that wants POSIX semantics
+// removes the destination first, making the data-freeing explicit). Renaming
+// a directory into its own subtree is rejected. It fails with *DelegHeld,
+// having changed nothing, while another owner holds the moved file's
+// delegation — or, for a directory, any delegation at all.
+func (s *Store) BeginRename(owner string, srcParent FileID, srcName string, dstParent FileID, dstName string) (durable func() error, err error) {
 	if dstName == "" || dstName == "." || dstName == ".." {
-		return fmt.Errorf("%w: %q", ErrInvalidName, dstName)
+		return nil, fmt.Errorf("%w: %q", ErrInvalidName, dstName)
 	}
 	s.ns.Lock()
 	src, ok := s.dirents[srcParent]
 	if !ok {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: parent %d", ErrNotFound, srcParent)
+		return nil, fmt.Errorf("%w: parent %d", ErrNotFound, srcParent)
 	}
 	id, ok := src[srcName]
 	if !ok {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, srcName)
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, srcName)
 	}
 	dst, ok := s.dirents[dstParent]
 	if !ok {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: parent %d", ErrNotFound, dstParent)
+		return nil, fmt.Errorf("%w: parent %d", ErrNotFound, dstParent)
 	}
 	if _, dup := dst[dstName]; dup {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: %q", ErrExists, dstName)
+		return nil, fmt.Errorf("%w: %q", ErrExists, dstName)
 	}
 	if s.nsIntents.has(id) {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: inode %d is under a namespace intent", ErrNSConflict, id)
+		return nil, fmt.Errorf("%w: inode %d is under a namespace intent", ErrNSConflict, id)
 	}
 	if s.nsIntents.removePending(dstParent) {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, dstParent)
+		return nil, fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, dstParent)
 	}
 	if s.nsIntents.reservedName(dstParent, dstName) {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: %q reserved by a pending rename", ErrNSConflict, dstName)
+		return nil, fmt.Errorf("%w: %q reserved by a pending rename", ErrNSConflict, dstName)
 	}
 	ino, local := s.inodes[id]
 	if !local {
@@ -56,7 +52,7 @@ func (s *Store) RenameAs(owner string, srcParent FileID, srcName string, dstPare
 		// its home shard, where this store cannot run the loop check.
 		if s.remote[id] == TypeDir {
 			s.ns.Unlock()
-			return fmt.Errorf("%w: directory %d", ErrWrongShard, id)
+			return nil, fmt.Errorf("%w: directory %d", ErrWrongShard, id)
 		}
 	}
 	// A directory must not become its own ancestor.
@@ -64,7 +60,7 @@ func (s *Store) RenameAs(owner string, srcParent FileID, srcName string, dstPare
 		for cur := dstParent; cur != RootID; {
 			if cur == id {
 				s.ns.Unlock()
-				return fmt.Errorf("%w: cannot move %q into its own subtree", ErrLoop, srcName)
+				return nil, fmt.Errorf("%w: cannot move %q into its own subtree", ErrLoop, srcName)
 			}
 			parent, ok := s.parentOf(cur)
 			if !ok {
@@ -78,17 +74,17 @@ func (s *Store) RenameAs(owner string, srcParent FileID, srcName string, dstPare
 	if local {
 		if held := s.delegConflict(owner, ino); held != nil {
 			s.ns.Unlock()
-			return held
+			return nil, held
 		}
 	}
 	s.applyRename(srcParent, srcName, dstParent, dstName, id)
-	wait := s.journalAppend(&Record{
+	durable = s.journalAppend(&Record{
 		Type: RecRename, File: id,
 		Parent: srcParent, Name: srcName,
 		DstParent: dstParent, DstName: dstName,
 	})
 	s.ns.Unlock()
-	return wait()
+	return durable, nil
 }
 
 // applyRename mutates the namespace. Caller holds ns exclusively.

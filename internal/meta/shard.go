@@ -342,33 +342,30 @@ func (s *Store) freeInode(id FileID) []alloc.Span {
 // ---------------------------------------------------------------------------
 // Cross-shard protocol operations (client-facing, journaled, idempotent)
 
-// CreateDetached mints a locally-owned inode for a child whose dirent will
-// live on another shard — phase one of the cross-shard create. No dirent
+// BeginCreateDetached mints a locally-owned inode for a child whose dirent
+// will live on another shard — phase one of the cross-shard create. No dirent
 // references the inode yet; the nsCreate intent records the remote (parent,
 // name) the client is about to link it under. The client follows with
 // LinkRemote on the parent's shard (the commit point) and NSCommit here; on
 // a definitive link failure it rolls back with NSAbort, and a crash leaves
 // the intent for ResolveNSIntents.
-func (s *Store) CreateDetached(parent FileID, name string, typ FileType) (Attr, error) {
+func (s *Store) BeginCreateDetached(parent FileID, name string, typ FileType) (attr Attr, durable func() error, err error) {
 	if name == "" || name == "." || name == ".." {
-		return Attr{}, fmt.Errorf("%w: %q", ErrInvalidName, name)
+		return Attr{}, nil, fmt.Errorf("%w: %q", ErrInvalidName, name)
 	}
 	s.ns.Lock()
 	id := s.mintID()
 	now := s.clk.Now()
 	if _, err := s.nsIntents.publish(NSIntent{File: id, Kind: NSCreate, Type: typ, Parent: parent, Name: name}); err != nil {
 		s.ns.Unlock()
-		return Attr{}, err
+		return Attr{}, nil, err
 	}
 	s.nsPrepares.Inc()
 	s.applyCreateDetached(id, typ, now)
-	attr := s.inodes[id].attr()
-	wait := s.journalAppend(&Record{Type: RecNSIntent, NSKind: NSCreate, File: id, Parent: parent, Name: name, FType: typ, MTime: now})
+	attr = s.inodes[id].attr()
+	durable = s.journalAppend(&Record{Type: RecNSIntent, NSKind: NSCreate, File: id, Parent: parent, Name: name, FType: typ, MTime: now})
 	s.ns.Unlock()
-	if err := wait(); err != nil {
-		return Attr{}, err
-	}
-	return attr, nil
+	return attr, durable, nil
 }
 
 // applyCreateDetached materializes a detached inode. Caller holds ns
@@ -383,51 +380,51 @@ func (s *Store) applyCreateDetached(id FileID, typ FileType, mtime time.Time) {
 	}
 }
 
-// LinkRemote inserts the dirent (parent, name) → child for an inode homed on
-// another shard — the commit point of the cross-shard create. Exactly-once: a
+// BeginLinkRemote inserts the dirent (parent, name) → child for an inode homed
+// on another shard — the commit point of the cross-shard create. Exactly-once: a
 // retry whose insert already committed succeeds without touching the
 // namespace, even if a concurrent rename has since moved the entry —
 // re-inserting would fork a second reference to the inode. An entry held by
 // a different inode fails with ErrExists; a pending removal of parent or a
 // rename reservation on the name fails with ErrNSConflict.
-func (s *Store) LinkRemote(parent FileID, name string, child FileID, typ FileType) error {
+func (s *Store) BeginLinkRemote(parent FileID, name string, child FileID, typ FileType) (durable func() error, err error) {
 	if name == "" || name == "." || name == ".." {
-		return fmt.Errorf("%w: %q", ErrInvalidName, name)
+		return nil, fmt.Errorf("%w: %q", ErrInvalidName, name)
 	}
 	s.ns.Lock()
 	if _, done := s.linkDone[child]; done {
 		s.ns.Unlock()
-		return nil // retry of a commit point that already executed
+		return noWait, nil // retry of a commit point that already executed
 	}
 	dir, ok := s.dirents[parent]
 	if !ok {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: parent %d", ErrNotFound, parent)
+		return nil, fmt.Errorf("%w: parent %d", ErrNotFound, parent)
 	}
 	if have, dup := dir[name]; dup {
 		s.ns.Unlock()
 		if have == child {
-			return nil // retry of our own insert
+			return noWait, nil // retry of our own insert
 		}
-		return fmt.Errorf("%w: %q", ErrExists, name)
+		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	if s.nsIntents.removePending(parent) {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, parent)
+		return nil, fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, parent)
 	}
 	if s.nsIntents.reservedName(parent, name) {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: %q reserved by a pending rename", ErrNSConflict, name)
+		return nil, fmt.Errorf("%w: %q reserved by a pending rename", ErrNSConflict, name)
 	}
 	s.applyLink(parent, name, child, typ)
 	s.linkDone[child] = struct{}{}
-	wait := s.journalAppend(&Record{Type: RecLinkRemote, File: child, Parent: parent, Name: name, FType: typ})
+	durable = s.journalAppend(&Record{Type: RecLinkRemote, File: child, Parent: parent, Name: name, FType: typ})
 	s.ns.Unlock()
-	return wait()
+	return durable, nil
 }
 
-// UnlinkRemote deletes the dirent (parent, name) → child — the commit point
-// of the cross-shard remove. Exactly-once: a retry whose delete already
+// BeginUnlinkRemote deletes the dirent (parent, name) → child — the commit
+// point of the cross-shard remove. Exactly-once: a retry whose delete already
 // committed succeeds, but an entry this shard never unlinked — never
 // inserted, or moved away by a concurrent rename (the remove intent lives on
 // the child's home shard, which renames on this shard cannot see) — fails
@@ -435,48 +432,45 @@ func (s *Store) LinkRemote(parent FileID, name string, child FileID, typ FileTyp
 // inode that still has a live dirent elsewhere. A live intent on the child (a
 // concurrent cross-shard rename routed through this shard) fails with
 // ErrNSConflict, keeping the remove probe unambiguous.
-func (s *Store) UnlinkRemote(parent FileID, name string, child FileID) error {
+func (s *Store) BeginUnlinkRemote(parent FileID, name string, child FileID) (durable func() error, err error) {
 	s.ns.Lock()
 	if _, done := s.unlinkDone[child]; done {
 		s.ns.Unlock()
-		return nil // retry of a commit point that already executed
+		return noWait, nil // retry of a commit point that already executed
 	}
 	dir, ok := s.dirents[parent]
 	if !ok {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: parent %d", ErrNotFound, parent)
+		return nil, fmt.Errorf("%w: parent %d", ErrNotFound, parent)
 	}
 	if have, ok := dir[name]; !ok || have != child {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: entry %q → %d", ErrNotFound, name, child)
+		return nil, fmt.Errorf("%w: entry %q → %d", ErrNotFound, name, child)
 	}
 	if s.nsIntents.has(child) {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: inode %d is under a namespace intent", ErrNSConflict, child)
+		return nil, fmt.Errorf("%w: inode %d is under a namespace intent", ErrNSConflict, child)
 	}
 	s.applyUnlink(parent, name)
 	s.unlinkDone[child] = struct{}{}
-	wait := s.journalAppend(&Record{Type: RecUnlinkRemote, File: child, Parent: parent, Name: name})
+	durable = s.journalAppend(&Record{Type: RecUnlinkRemote, File: child, Parent: parent, Name: name})
 	s.ns.Unlock()
-	return wait()
+	return durable, nil
 }
 
-// NSPrepare publishes a namespace intent for a cross-shard remove or rename
+// BeginNSPrepare publishes a namespace intent for a cross-shard remove or rename
 // — phase one on the shard the kind addresses (NSRemove: the inode's home;
 // NSRenameSrc: the source parent's shard; NSRenameDst: the destination
 // parent's shard, reserving the destination name). parent/name locate the
 // inode's current dirent; dstParent/dstName the rename destination; typ the
 // inode's type (NSRenameDst, for the edge maps at roll-forward). Idempotent
 // for a byte-identical retry.
-func (s *Store) NSPrepare(file FileID, kind NSIntentKind, typ FileType, parent FileID, name string, dstParent FileID, dstName string) error {
-	return s.NSPrepareAs("", file, kind, typ, parent, name, dstParent, dstName)
-}
-
-// NSPrepareAs is NSPrepare on behalf of a delegation owner ("" for none). On
-// the inode's home shard it fails with *DelegHeld, having published nothing,
-// while another owner holds the delegation a cross-shard remove or rename is
-// about to invalidate: the saga recalls before it can reach its commit point.
-func (s *Store) NSPrepareAs(owner string, file FileID, kind NSIntentKind, typ FileType, parent FileID, name string, dstParent FileID, dstName string) error {
+//
+// It acts on behalf of a delegation owner ("" for none). On the inode's home
+// shard it fails with *DelegHeld, having published nothing, while another
+// owner holds the delegation a cross-shard remove or rename is about to
+// invalidate: the saga recalls before it can reach its commit point.
+func (s *Store) BeginNSPrepare(owner string, file FileID, kind NSIntentKind, typ FileType, parent FileID, name string, dstParent FileID, dstName string) (durable func() error, err error) {
 	in := NSIntent{File: file, Kind: kind, Type: typ, Parent: parent, Name: name, DstParent: dstParent, DstName: dstName}
 	s.ns.Lock()
 	switch kind {
@@ -484,80 +478,84 @@ func (s *Store) NSPrepareAs(owner string, file FileID, kind NSIntentKind, typ Fi
 		ino, ok := s.inodes[file]
 		if !ok {
 			s.ns.Unlock()
-			return fmt.Errorf("%w: inode %d not homed here", ErrWrongShard, file)
+			return nil, fmt.Errorf("%w: inode %d not homed here", ErrWrongShard, file)
 		}
 		if ino.typ == TypeDir && len(s.dirents[file]) > 0 {
 			s.ns.Unlock()
-			return fmt.Errorf("%w: inode %d", ErrNotEmpty, file)
+			return nil, fmt.Errorf("%w: inode %d", ErrNotEmpty, file)
 		}
 	case NSRenameSrc:
 		if id, ok := s.dirents[parent][name]; !ok || id != file {
 			s.ns.Unlock()
-			return fmt.Errorf("%w: %q", ErrNotFound, name)
+			return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 		}
 	case NSRenameDst:
 		if dstName == "" || dstName == "." || dstName == ".." {
 			s.ns.Unlock()
-			return fmt.Errorf("%w: %q", ErrInvalidName, dstName)
+			return nil, fmt.Errorf("%w: %q", ErrInvalidName, dstName)
 		}
 		dir, ok := s.dirents[dstParent]
 		if !ok {
 			s.ns.Unlock()
-			return fmt.Errorf("%w: parent %d", ErrNotFound, dstParent)
+			return nil, fmt.Errorf("%w: parent %d", ErrNotFound, dstParent)
 		}
 		if _, dup := dir[dstName]; dup {
 			s.ns.Unlock()
-			return fmt.Errorf("%w: %q", ErrExists, dstName)
+			return nil, fmt.Errorf("%w: %q", ErrExists, dstName)
 		}
 		if s.nsIntents.removePending(dstParent) {
 			s.ns.Unlock()
-			return fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, dstParent)
+			return nil, fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, dstParent)
 		}
 	default:
 		s.ns.Unlock()
-		return fmt.Errorf("%w: NSPrepare kind %s", ErrNSConflict, kind)
+		return nil, fmt.Errorf("%w: NSPrepare kind %s", ErrNSConflict, kind)
 	}
 	if ino, local := s.inodes[file]; local {
 		if held := s.delegConflict(owner, ino); held != nil {
 			s.ns.Unlock()
-			return held
+			return nil, held
 		}
 	}
 	published, err := s.nsIntents.publish(in)
-	if err != nil || !published {
+	if err != nil {
 		s.ns.Unlock()
-		return err
+		return nil, err
+	}
+	if !published {
+		s.ns.Unlock()
+		return noWait, nil
 	}
 	s.nsPrepares.Inc()
-	wait := s.journalAppend(&Record{
+	durable = s.journalAppend(&Record{
 		Type: RecNSIntent, NSKind: kind, File: file, FType: typ,
 		Parent: parent, Name: name, DstParent: dstParent, DstName: dstName,
 	})
 	s.ns.Unlock()
-	return wait()
+	return durable, nil
 }
 
-// NSCommit resolves the live intent on file forward: create graduates the
+// BeginNSCommit resolves the live intent on file forward: create graduates the
 // detached inode to linkedRemote; remove deletes the inode and frees its
 // space; renameSrc deletes the source dirent (the rename's commit point);
 // renameDst inserts the destination dirent and releases the reservation.
 // Idempotent: no live intent of the given kind means a previous attempt (or
 // resolution) already ran, and succeeds without journaling.
-func (s *Store) NSCommit(file FileID, kind NSIntentKind) error {
+func (s *Store) BeginNSCommit(file FileID, kind NSIntentKind) (durable func() error, err error) {
 	s.ns.Lock()
 	in, ok := s.nsIntents.get(file)
 	if !ok || in.Kind != kind {
 		s.ns.Unlock()
-		return nil
+		return noWait, nil
 	}
 	freed := s.applyNSCommit(in)
 	s.nsCommits.Inc()
-	wait := s.journalAppend(&Record{Type: RecNSCommit, NSKind: kind, File: file})
+	durable = s.journalAppend(&Record{Type: RecNSCommit, NSKind: kind, File: file})
 	s.ns.Unlock()
 	for _, sp := range freed {
 		_ = s.cfg.AGs.FreeSpan(sp)
 	}
-	return wait()
+	return durable, nil
 }
 
 // applyNSCommit mutates state for a committed intent. Caller holds ns
@@ -583,24 +581,24 @@ func (s *Store) applyNSCommit(in NSIntent) []alloc.Span {
 	return nil
 }
 
-// NSAbort resolves the live intent on file backward: create deletes the
+// BeginNSAbort resolves the live intent on file backward: create deletes the
 // detached inode and frees its space; the other kinds just drop the intent
 // (and any name reservation), leaving the namespace untouched. Idempotent.
-func (s *Store) NSAbort(file FileID, kind NSIntentKind) error {
+func (s *Store) BeginNSAbort(file FileID, kind NSIntentKind) (durable func() error, err error) {
 	s.ns.Lock()
 	in, ok := s.nsIntents.get(file)
 	if !ok || in.Kind != kind {
 		s.ns.Unlock()
-		return nil
+		return noWait, nil
 	}
 	freed := s.applyNSAbort(in)
 	s.nsAborts.Inc()
-	wait := s.journalAppend(&Record{Type: RecNSAbort, NSKind: kind, File: file})
+	durable = s.journalAppend(&Record{Type: RecNSAbort, NSKind: kind, File: file})
 	s.ns.Unlock()
 	for _, sp := range freed {
 		_ = s.cfg.AGs.FreeSpan(sp)
 	}
-	return wait()
+	return durable, nil
 }
 
 // applyNSAbort mutates state for an aborted intent. Caller holds ns
@@ -661,9 +659,9 @@ func ResolveNSIntents(stores []*Store) error {
 				}
 				var err error
 				if commit {
-					err = s.NSCommit(in.File, in.Kind)
+					err = settle(s.BeginNSCommit(in.File, in.Kind))
 				} else {
-					err = s.NSAbort(in.File, in.Kind)
+					err = settle(s.BeginNSAbort(in.File, in.Kind))
 				}
 				if err != nil {
 					return err

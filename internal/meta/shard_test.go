@@ -141,7 +141,7 @@ func TestCrossShardCreateRemove(t *testing.T) {
 	ti := pickForeignShard(2, pi)
 	ts := c.stores[ti]
 
-	attr, err := ts.CreateDetached(RootID, "f", TypeFile)
+	attr, err := settled(ts.BeginCreateDetached(RootID, "f", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,20 +151,20 @@ func TestCrossShardCreateRemove(t *testing.T) {
 	if _, err := ps.Lookup(RootID, "f"); err == nil {
 		t.Fatal("file visible before LinkRemote")
 	}
-	if err := ps.LinkRemote(RootID, "f", attr.ID, TypeFile); err != nil {
+	if err := settle(ps.BeginLinkRemote(RootID, "f", attr.ID, TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.LinkRemote(RootID, "f", attr.ID, TypeFile); err != nil {
+	if err := settle(ps.BeginLinkRemote(RootID, "f", attr.ID, TypeFile)); err != nil {
 		t.Fatalf("LinkRemote retry not idempotent: %v", err)
 	}
 	got, err := ps.Lookup(RootID, "f")
 	if err != nil || got.ID != attr.ID {
 		t.Fatalf("lookup after link: %+v, %v", got, err)
 	}
-	if err := ts.NSCommit(attr.ID, NSCreate); err != nil {
+	if err := settle(ts.BeginNSCommit(attr.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.NSCommit(attr.ID, NSCreate); err != nil {
+	if err := settle(ts.BeginNSCommit(attr.ID, NSCreate)); err != nil {
 		t.Fatalf("NSCommit retry not idempotent: %v", err)
 	}
 	// Data lives on the home shard.
@@ -182,16 +182,16 @@ func TestCrossShardCreateRemove(t *testing.T) {
 		t.Fatalf("classic remove of remote child: %v, want ErrWrongShard", err)
 	}
 	// Cross-shard remove: prepare on home, unlink on parent, commit on home.
-	if err := ts.NSPrepare(attr.ID, NSRemove, TypeFile, RootID, "f", 0, ""); err != nil {
+	if err := settle(ts.BeginNSPrepare("", attr.ID, NSRemove, TypeFile, RootID, "f", 0, "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.UnlinkRemote(RootID, "f", attr.ID); err != nil {
+	if err := settle(ps.BeginUnlinkRemote(RootID, "f", attr.ID)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.UnlinkRemote(RootID, "f", attr.ID); err != nil {
+	if err := settle(ps.BeginUnlinkRemote(RootID, "f", attr.ID)); err != nil {
 		t.Fatalf("UnlinkRemote retry not idempotent: %v", err)
 	}
-	if err := ts.NSCommit(attr.ID, NSRemove); err != nil {
+	if err := settle(ts.BeginNSCommit(attr.ID, NSRemove)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ps.Lookup(RootID, "f"); err == nil {
@@ -218,14 +218,14 @@ func TestCrossShardRename(t *testing.T) {
 	// A destination directory homed on another shard.
 	di := pickForeignShard(n, pi)
 	ds := c.stores[di]
-	dirAttr, err := ds.CreateDetached(RootID, "d", TypeDir)
+	dirAttr, err := settled(ds.BeginCreateDetached(RootID, "d", TypeDir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.LinkRemote(RootID, "d", dirAttr.ID, TypeDir); err != nil {
+	if err := settle(ps.BeginLinkRemote(RootID, "d", dirAttr.ID, TypeDir)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.NSCommit(dirAttr.ID, NSCreate); err != nil {
+	if err := settle(ds.BeginNSCommit(dirAttr.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -235,34 +235,34 @@ func TestCrossShardRename(t *testing.T) {
 		hi = pickForeignShard(n, hi)
 	}
 	hs := c.stores[hi]
-	f, err := hs.CreateDetached(RootID, "f", TypeFile)
+	f, err := settled(hs.BeginCreateDetached(RootID, "f", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.LinkRemote(RootID, "f", f.ID, TypeFile); err != nil {
+	if err := settle(ps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := hs.NSCommit(f.ID, NSCreate); err != nil {
+	if err := settle(hs.BeginNSCommit(f.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
 	fsckAll(t, c.stores, "setup")
 
 	// Rename /f → /d/g: src parent shard ps, dst parent shard = ShardOf(d).
 	dps := c.stores[ShardOf(dirAttr.ID, n)]
-	if err := ps.NSPrepare(f.ID, NSRenameSrc, TypeFile, RootID, "f", 0, ""); err != nil {
+	if err := settle(ps.BeginNSPrepare("", f.ID, NSRenameSrc, TypeFile, RootID, "f", 0, "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := dps.NSPrepare(f.ID, NSRenameDst, TypeFile, RootID, "f", dirAttr.ID, "g"); err != nil {
+	if err := settle(dps.BeginNSPrepare("", f.ID, NSRenameDst, TypeFile, RootID, "f", dirAttr.ID, "g")); err != nil {
 		t.Fatal(err)
 	}
 	// The reservation blocks a competing create of the same name.
 	if _, err := dps.Create(dirAttr.ID, "g", TypeFile); !errors.Is(err, ErrNSConflict) {
 		t.Fatalf("create into reserved name: %v, want ErrNSConflict", err)
 	}
-	if err := ps.NSCommit(f.ID, NSRenameSrc); err != nil {
+	if err := settle(ps.BeginNSCommit(f.ID, NSRenameSrc)); err != nil {
 		t.Fatal(err)
 	}
-	if err := dps.NSCommit(f.ID, NSRenameDst); err != nil {
+	if err := settle(dps.BeginNSCommit(f.ID, NSRenameDst)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ps.Lookup(RootID, "f"); err == nil {
@@ -285,53 +285,53 @@ func TestNSIntentBlocksConflicts(t *testing.T) {
 	ts := c.stores[pickForeignShard(2, pi)]
 
 	// A remote-homed empty dir under root.
-	d, err := ts.CreateDetached(RootID, "d", TypeDir)
+	d, err := settled(ts.BeginCreateDetached(RootID, "d", TypeDir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.LinkRemote(RootID, "d", d.ID, TypeDir); err != nil {
+	if err := settle(ps.BeginLinkRemote(RootID, "d", d.ID, TypeDir)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.NSCommit(d.ID, NSCreate); err != nil {
+	if err := settle(ts.BeginNSCommit(d.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Remove intent on the dir blocks creates into it (dir's dirents are on
 	// its own home shard).
-	if err := ts.NSPrepare(d.ID, NSRemove, TypeDir, RootID, "d", 0, ""); err != nil {
+	if err := settle(ts.BeginNSPrepare("", d.ID, NSRemove, TypeDir, RootID, "d", 0, "")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ts.Create(d.ID, "child", TypeFile); !errors.Is(err, ErrNSConflict) {
 		t.Fatalf("create into removing dir: %v, want ErrNSConflict", err)
 	}
-	if _, err := ts.CreateDetached(d.ID, "x", TypeFile); err != nil {
+	if _, err := settled(ts.BeginCreateDetached(d.ID, "x", TypeFile)); err != nil {
 		// CreateDetached lands on the child's shard and cannot see the
 		// remove intent — only LinkRemote on the dir's shard can.
 		t.Fatal(err)
 	}
 	// A second intent on the same inode conflicts; an identical retry is
 	// idempotent.
-	if err := ts.NSPrepare(d.ID, NSRemove, TypeDir, RootID, "d", 0, ""); err != nil {
+	if err := settle(ts.BeginNSPrepare("", d.ID, NSRemove, TypeDir, RootID, "d", 0, "")); err != nil {
 		t.Fatalf("identical NSPrepare retry: %v", err)
 	}
-	if err := ts.NSPrepare(d.ID, NSRemove, TypeDir, RootID, "other", 0, ""); !errors.Is(err, ErrNSConflict) {
+	if err := settle(ts.BeginNSPrepare("", d.ID, NSRemove, TypeDir, RootID, "other", 0, "")); !errors.Is(err, ErrNSConflict) {
 		t.Fatalf("conflicting NSPrepare: %v, want ErrNSConflict", err)
 	}
 	// UnlinkRemote of an inode under an intent on this shard is blocked.
-	if err := ps.NSPrepare(d.ID, NSRenameSrc, TypeDir, RootID, "d", 0, ""); err != nil {
+	if err := settle(ps.BeginNSPrepare("", d.ID, NSRenameSrc, TypeDir, RootID, "d", 0, "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.UnlinkRemote(RootID, "d", d.ID); !errors.Is(err, ErrNSConflict) {
+	if err := settle(ps.BeginUnlinkRemote(RootID, "d", d.ID)); !errors.Is(err, ErrNSConflict) {
 		t.Fatalf("unlink under rename intent: %v, want ErrNSConflict", err)
 	}
-	if err := ps.NSAbort(d.ID, NSRenameSrc); err != nil {
+	if err := settle(ps.BeginNSAbort(d.ID, NSRenameSrc)); err != nil {
 		t.Fatal(err)
 	}
 	// Now the remove can commit.
-	if err := ps.UnlinkRemote(RootID, "d", d.ID); err != nil {
+	if err := settle(ps.BeginUnlinkRemote(RootID, "d", d.ID)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.NSCommit(d.ID, NSRemove); err != nil {
+	if err := settle(ts.BeginNSCommit(d.ID, NSRemove)); err != nil {
 		t.Fatal(err)
 	}
 	// The leaked detached create under the dead dir resolves to an abort.
@@ -349,25 +349,25 @@ func TestNSIntentBlocksConflicts(t *testing.T) {
 //	3: fully committed
 func crossRenameTo(t *testing.T, stores []*Store, file FileID, sp, dp *Store, dstDir FileID, stage int) {
 	t.Helper()
-	if err := sp.NSPrepare(file, NSRenameSrc, TypeFile, RootID, "f", 0, ""); err != nil {
+	if err := settle(sp.BeginNSPrepare("", file, NSRenameSrc, TypeFile, RootID, "f", 0, "")); err != nil {
 		t.Fatal(err)
 	}
 	if stage < 1 {
 		return
 	}
-	if err := dp.NSPrepare(file, NSRenameDst, TypeFile, RootID, "f", dstDir, "g"); err != nil {
+	if err := settle(dp.BeginNSPrepare("", file, NSRenameDst, TypeFile, RootID, "f", dstDir, "g")); err != nil {
 		t.Fatal(err)
 	}
 	if stage < 2 {
 		return
 	}
-	if err := sp.NSCommit(file, NSRenameSrc); err != nil {
+	if err := settle(sp.BeginNSCommit(file, NSRenameSrc)); err != nil {
 		t.Fatal(err)
 	}
 	if stage < 3 {
 		return
 	}
-	if err := dp.NSCommit(file, NSRenameDst); err != nil {
+	if err := settle(dp.BeginNSCommit(file, NSRenameDst)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -390,14 +390,14 @@ func TestCrossShardRenameCrashMatrix(t *testing.T) {
 			// Dst dir homed off the root shard; file homed off both.
 			di := pickForeignShard(n, pi)
 			ds := c.stores[di]
-			dir, err := ds.CreateDetached(RootID, "d", TypeDir)
+			dir, err := settled(ds.BeginCreateDetached(RootID, "d", TypeDir))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ps.LinkRemote(RootID, "d", dir.ID, TypeDir); err != nil {
+			if err := settle(ps.BeginLinkRemote(RootID, "d", dir.ID, TypeDir)); err != nil {
 				t.Fatal(err)
 			}
-			if err := ds.NSCommit(dir.ID, NSCreate); err != nil {
+			if err := settle(ds.BeginNSCommit(dir.ID, NSCreate)); err != nil {
 				t.Fatal(err)
 			}
 			hi := pickForeignShard(n, di)
@@ -405,14 +405,14 @@ func TestCrossShardRenameCrashMatrix(t *testing.T) {
 				hi = pickForeignShard(n, hi)
 			}
 			hs := c.stores[hi]
-			f, err := hs.CreateDetached(RootID, "f", TypeFile)
+			f, err := settled(hs.BeginCreateDetached(RootID, "f", TypeFile))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ps.LinkRemote(RootID, "f", f.ID, TypeFile); err != nil {
+			if err := settle(ps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
 				t.Fatal(err)
 			}
-			if err := hs.NSCommit(f.ID, NSCreate); err != nil {
+			if err := settle(hs.BeginNSCommit(f.ID, NSCreate)); err != nil {
 				t.Fatal(err)
 			}
 			lay, err := hs.AllocLayout("c1", f.ID, 0, 4096)
@@ -465,7 +465,7 @@ func TestCrossShardCreateRemoveCrashPoints(t *testing.T) {
 		ps := rootShard(c.stores)
 		pi, _ := ps.Shard()
 		ts := c.stores[pickForeignShard(2, pi)]
-		attr, err := ts.CreateDetached(RootID, "f", TypeFile)
+		attr, err := settled(ts.BeginCreateDetached(RootID, "f", TypeFile))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,7 +477,7 @@ func TestCrossShardCreateRemoveCrashPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		if linked {
-			if err := ps.LinkRemote(RootID, "f", attr.ID, TypeFile); err != nil {
+			if err := settle(ps.BeginLinkRemote(RootID, "f", attr.ID, TypeFile)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -507,21 +507,21 @@ func TestCrossShardCreateRemoveCrashPoints(t *testing.T) {
 		ps := rootShard(c.stores)
 		pi, _ := ps.Shard()
 		ts := c.stores[pickForeignShard(2, pi)]
-		attr, err := ts.CreateDetached(RootID, "f", TypeFile)
+		attr, err := settled(ts.BeginCreateDetached(RootID, "f", TypeFile))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ps.LinkRemote(RootID, "f", attr.ID, TypeFile); err != nil {
+		if err := settle(ps.BeginLinkRemote(RootID, "f", attr.ID, TypeFile)); err != nil {
 			t.Fatal(err)
 		}
-		if err := ts.NSCommit(attr.ID, NSCreate); err != nil {
+		if err := settle(ts.BeginNSCommit(attr.ID, NSCreate)); err != nil {
 			t.Fatal(err)
 		}
-		if err := ts.NSPrepare(attr.ID, NSRemove, TypeFile, RootID, "f", 0, ""); err != nil {
+		if err := settle(ts.BeginNSPrepare("", attr.ID, NSRemove, TypeFile, RootID, "f", 0, "")); err != nil {
 			t.Fatal(err)
 		}
 		if unlinked {
-			if err := ps.UnlinkRemote(RootID, "f", attr.ID); err != nil {
+			if err := settle(ps.BeginUnlinkRemote(RootID, "f", attr.ID)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -553,14 +553,14 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	ts := c.stores[ti]
 
 	// Graduated cross-shard file with data, plus a still-detached one.
-	f, err := ts.CreateDetached(RootID, "f", TypeFile)
+	f, err := settled(ts.BeginCreateDetached(RootID, "f", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.LinkRemote(RootID, "f", f.ID, TypeFile); err != nil {
+	if err := settle(ps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.NSCommit(f.ID, NSCreate); err != nil {
+	if err := settle(ts.BeginNSCommit(f.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
 	lay, err := ts.AllocLayout("c1", f.ID, 0, 4096)
@@ -570,7 +570,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	if err := ts.Commit("c1", f.ID, lay.Extents, 4096, c.clk.Now()); err != nil {
 		t.Fatal(err)
 	}
-	g, err := ts.CreateDetached(RootID, "g", TypeFile)
+	g, err := settled(ts.BeginCreateDetached(RootID, "g", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,14 +621,14 @@ func TestCrossShardRemoveVsRenameRace(t *testing.T) {
 	pi, _ := ps.Shard()
 	ts := c.stores[pickForeignShard(2, pi)]
 
-	f, err := ts.CreateDetached(RootID, "f", TypeFile)
+	f, err := settled(ts.BeginCreateDetached(RootID, "f", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.LinkRemote(RootID, "f", f.ID, TypeFile); err != nil {
+	if err := settle(ps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.NSCommit(f.ID, NSCreate); err != nil {
+	if err := settle(ts.BeginNSCommit(f.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
 	lay, err := ts.AllocLayout("c1", f.ID, 0, 4096)
@@ -640,20 +640,20 @@ func TestCrossShardRemoveVsRenameRace(t *testing.T) {
 	}
 
 	// Remove prepared on the home shard; the parent shard cannot see it.
-	if err := ts.NSPrepare(f.ID, NSRemove, TypeFile, RootID, "f", 0, ""); err != nil {
+	if err := settle(ts.BeginNSPrepare("", f.ID, NSRemove, TypeFile, RootID, "f", 0, "")); err != nil {
 		t.Fatal(err)
 	}
 	// The concurrent rename slips in on the parent shard.
-	if err := ps.Rename(RootID, "f", RootID, "g"); err != nil {
+	if err := settle(ps.BeginRename("", RootID, "f", RootID, "g")); err != nil {
 		t.Fatal(err)
 	}
 	// The remove's commit point finds the entry gone — but it never
 	// executed here, so it must refuse rather than claim success.
-	if err := ps.UnlinkRemote(RootID, "f", f.ID); !errors.Is(err, ErrNotFound) {
+	if err := settle(ps.BeginUnlinkRemote(RootID, "f", f.ID)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("UnlinkRemote after rename: %v, want ErrNotFound", err)
 	}
 	// The client aborts; the file survives under its new name with data.
-	if err := ts.NSAbort(f.ID, NSRemove); err != nil {
+	if err := settle(ts.BeginNSAbort(f.ID, NSRemove)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ps.Lookup(RootID, "g")
@@ -677,34 +677,34 @@ func TestUnlinkRemoteExactlyOnce(t *testing.T) {
 	ti := pickForeignShard(2, pi)
 	ts := c.stores[ti]
 
-	f, err := ts.CreateDetached(RootID, "f", TypeFile)
+	f, err := settled(ts.BeginCreateDetached(RootID, "f", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.LinkRemote(RootID, "f", f.ID, TypeFile); err != nil {
+	if err := settle(ps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.NSCommit(f.ID, NSCreate); err != nil {
+	if err := settle(ts.BeginNSCommit(f.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
 	// A remove of an entry that was never present here must refuse.
-	if err := ps.UnlinkRemote(RootID, "ghost", f.ID+64); !errors.Is(err, ErrNotFound) {
+	if err := settle(ps.BeginUnlinkRemote(RootID, "ghost", f.ID+64)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unlink of foreign entry: %v, want ErrNotFound", err)
 	}
-	if err := ts.NSPrepare(f.ID, NSRemove, TypeFile, RootID, "f", 0, ""); err != nil {
+	if err := settle(ts.BeginNSPrepare("", f.ID, NSRemove, TypeFile, RootID, "f", 0, "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.UnlinkRemote(RootID, "f", f.ID); err != nil {
+	if err := settle(ps.BeginUnlinkRemote(RootID, "f", f.ID)); err != nil {
 		t.Fatal(err)
 	}
 	// Crash every shard before the client's retry and commit land: the
 	// journal must rebuild the executed-commit-point marker.
 	rec := c.recoverAll(t)
 	rps, rts := rootShard(rec), rec[ti]
-	if err := rps.UnlinkRemote(RootID, "f", f.ID); err != nil {
+	if err := settle(rps.BeginUnlinkRemote(RootID, "f", f.ID)); err != nil {
 		t.Fatalf("retry after recovery: %v", err)
 	}
-	if err := rts.NSCommit(f.ID, NSRemove); err != nil {
+	if err := settle(rts.BeginNSCommit(f.ID, NSRemove)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rts.GetAttr(f.ID); err == nil {
@@ -723,20 +723,20 @@ func TestLinkRemoteRetryDoesNotForkEntry(t *testing.T) {
 	pi, _ := ps.Shard()
 	ts := c.stores[pickForeignShard(2, pi)]
 
-	f, err := ts.CreateDetached(RootID, "f", TypeFile)
+	f, err := settled(ts.BeginCreateDetached(RootID, "f", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.LinkRemote(RootID, "f", f.ID, TypeFile); err != nil {
+	if err := settle(ps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.NSCommit(f.ID, NSCreate); err != nil {
+	if err := settle(ts.BeginNSCommit(f.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.Rename(RootID, "f", RootID, "g"); err != nil {
+	if err := settle(ps.BeginRename("", RootID, "f", RootID, "g")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.LinkRemote(RootID, "f", f.ID, TypeFile); err != nil {
+	if err := settle(ps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
 		t.Fatalf("link retry after rename: %v", err)
 	}
 	if _, err := ps.Lookup(RootID, "f"); err == nil {
@@ -747,7 +747,7 @@ func TestLinkRemoteRetryDoesNotForkEntry(t *testing.T) {
 	// The marker survives recovery too.
 	rec := c.recoverAll(t)
 	rps := rootShard(rec)
-	if err := rps.LinkRemote(RootID, "f", f.ID, TypeFile); err != nil {
+	if err := settle(rps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
 		t.Fatalf("link retry after recovery: %v", err)
 	}
 	if _, err := rps.Lookup(RootID, "f"); err == nil {
@@ -768,33 +768,33 @@ func TestCommitPointMarkersSurviveSnapshot(t *testing.T) {
 
 	// f: linked, then unlinked by a cross-shard remove (intent still live
 	// on the home shard). g: linked, then moved by a rename.
-	f, err := ts.CreateDetached(RootID, "f", TypeFile)
+	f, err := settled(ts.BeginCreateDetached(RootID, "f", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.LinkRemote(RootID, "f", f.ID, TypeFile); err != nil {
+	if err := settle(ps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.NSCommit(f.ID, NSCreate); err != nil {
+	if err := settle(ts.BeginNSCommit(f.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.NSPrepare(f.ID, NSRemove, TypeFile, RootID, "f", 0, ""); err != nil {
+	if err := settle(ts.BeginNSPrepare("", f.ID, NSRemove, TypeFile, RootID, "f", 0, "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.UnlinkRemote(RootID, "f", f.ID); err != nil {
+	if err := settle(ps.BeginUnlinkRemote(RootID, "f", f.ID)); err != nil {
 		t.Fatal(err)
 	}
-	g, err := ts.CreateDetached(RootID, "g", TypeFile)
+	g, err := settled(ts.BeginCreateDetached(RootID, "g", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.LinkRemote(RootID, "g", g.ID, TypeFile); err != nil {
+	if err := settle(ps.BeginLinkRemote(RootID, "g", g.ID, TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.NSCommit(g.ID, NSCreate); err != nil {
+	if err := settle(ts.BeginNSCommit(g.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.Rename(RootID, "g", RootID, "h"); err != nil {
+	if err := settle(ps.BeginRename("", RootID, "g", RootID, "h")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -805,11 +805,11 @@ func TestCommitPointMarkersSurviveSnapshot(t *testing.T) {
 		}
 	}
 	// The executed unlink still reads as executed...
-	if err := fresh.UnlinkRemote(RootID, "f", f.ID); err != nil {
+	if err := settle(fresh.BeginUnlinkRemote(RootID, "f", f.ID)); err != nil {
 		t.Fatalf("unlink marker lost in snapshot: %v", err)
 	}
 	// ...and the executed link does not re-insert behind the rename.
-	if err := fresh.LinkRemote(RootID, "g", g.ID, TypeFile); err != nil {
+	if err := settle(fresh.BeginLinkRemote(RootID, "g", g.ID, TypeFile)); err != nil {
 		t.Fatalf("link marker lost in snapshot: %v", err)
 	}
 	if _, err := fresh.Lookup(RootID, "g"); err == nil {

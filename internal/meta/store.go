@@ -152,9 +152,14 @@ const inodeStripes = 64
 
 // Store is the MDS metadata state machine. All public mutating methods are
 // journaled; the journal slot is reserved while the in-memory mutation is
-// applied under the lock that ordered it, so replay order equals apply order,
-// and the method only returns once the record is durable (write-ahead rule:
-// clients never observe an acknowledgement that a crash can roll back).
+// applied under the lock that ordered it, so replay order equals apply order.
+// Each mutation the MDS serves is split in two: Begin<Op> applies it and
+// returns, with every store lock released, a durable function that blocks
+// until the record is durable; the caller must not acknowledge the mutation
+// before that returns nil (write-ahead rule: clients never observe an
+// acknowledgement that a crash can roll back). Create, Remove, AllocLayout
+// and Commit are the wait-inline forms, for callers with nothing else to do
+// meanwhile.
 //
 // Concurrency model (lock order: namespace -> inode stripe -> intent table
 // -> ns-intent table -> file-delegation table -> delegation -> journal
@@ -315,10 +320,23 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 // dropped.
 func (s *Store) journalAppend(rec *Record) func() error {
 	if s.cfg.Journal == nil {
-		return func() error { return nil }
+		return noWait
 	}
 	ch := s.cfg.Journal.Append(rec)
 	return func() error { return <-ch }
+}
+
+// noWait is the durable function of a mutation that journaled nothing: a
+// retry of one already applied, or one with nothing to record.
+func noWait() error { return nil }
+
+// settle finishes a Begin<Op> the wait-inline way: a refusal is returned as
+// is, an applied mutation once its record is durable.
+func settle(durable func() error, err error) error {
+	if err != nil {
+		return err
+	}
+	return durable()
 }
 
 // ---------------------------------------------------------------------------
@@ -326,44 +344,45 @@ func (s *Store) journalAppend(rec *Record) func() error {
 
 // Create makes a file or directory under parent and returns its attributes.
 func (s *Store) Create(parent FileID, name string, typ FileType) (Attr, error) {
-	attr, _, err := s.CreateAs("", parent, name, typ)
-	return attr, err
+	attr, _, durable, err := s.BeginCreate("", parent, name, typ)
+	if err := settle(durable, err); err != nil {
+		return Attr{}, err
+	}
+	return attr, nil
 }
 
-// CreateAs is Create on behalf of a delegation owner ("" for none): granted
-// reports that owner holds the new regular file's delegation from the start.
-func (s *Store) CreateAs(owner string, parent FileID, name string, typ FileType) (attr Attr, granted bool, err error) {
+// BeginCreate is the apply half of Create, on behalf of a delegation owner
+// ("" for none): granted reports that owner holds the new regular file's
+// delegation from the start.
+func (s *Store) BeginCreate(owner string, parent FileID, name string, typ FileType) (attr Attr, granted bool, durable func() error, err error) {
 	if name == "" || name == "." || name == ".." {
-		return Attr{}, false, fmt.Errorf("%w: %q", ErrInvalidName, name)
+		return Attr{}, false, nil, fmt.Errorf("%w: %q", ErrInvalidName, name)
 	}
 	s.ns.Lock()
 	dir, ok := s.dirents[parent]
 	if !ok {
 		s.ns.Unlock()
-		return Attr{}, false, fmt.Errorf("%w: parent %d", ErrNotFound, parent)
+		return Attr{}, false, nil, fmt.Errorf("%w: parent %d", ErrNotFound, parent)
 	}
 	if _, dup := dir[name]; dup {
 		s.ns.Unlock()
-		return Attr{}, false, fmt.Errorf("%w: %q", ErrExists, name)
+		return Attr{}, false, nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	if s.nsIntents.removePending(parent) {
 		s.ns.Unlock()
-		return Attr{}, false, fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, parent)
+		return Attr{}, false, nil, fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, parent)
 	}
 	if s.nsIntents.reservedName(parent, name) {
 		s.ns.Unlock()
-		return Attr{}, false, fmt.Errorf("%w: %q reserved by a pending rename", ErrNSConflict, name)
+		return Attr{}, false, nil, fmt.Errorf("%w: %q reserved by a pending rename", ErrNSConflict, name)
 	}
 	id := s.mintID()
 	s.applyCreate(id, parent, name, typ, s.clk.Now())
 	attr = s.inodes[id].attr()
 	granted = typ == TypeFile && s.fdelegs.grant(owner, id, true)
-	wait := s.journalAppend(&Record{Type: RecCreate, File: id, Parent: parent, Name: name, FType: typ, MTime: attr.MTime})
+	durable = s.journalAppend(&Record{Type: RecCreate, File: id, Parent: parent, Name: name, FType: typ, MTime: attr.MTime})
 	s.ns.Unlock()
-	if err := wait(); err != nil {
-		return Attr{}, false, err
-	}
-	return attr, granted, nil
+	return attr, granted, durable, nil
 }
 
 // applyCreate mutates state; caller holds ns exclusively.
@@ -477,23 +496,24 @@ func (s *Store) ReadDir(id FileID) ([]DirEnt, error) {
 
 // Remove unlinks name under parent, freeing the file's space.
 func (s *Store) Remove(parent FileID, name string) error {
-	return s.RemoveAs("", parent, name)
+	return settle(s.BeginRemove("", parent, name))
 }
 
-// RemoveAs is Remove on behalf of a delegation owner ("" for none). It fails
-// with *DelegHeld, having changed nothing, while another owner holds the
-// file's delegation — or, for a directory, any delegation at all.
-func (s *Store) RemoveAs(owner string, parent FileID, name string) error {
+// BeginRemove is the apply half of Remove, on behalf of a delegation owner
+// ("" for none). It fails with *DelegHeld, having changed nothing, while
+// another owner holds the file's delegation — or, for a directory, any
+// delegation at all.
+func (s *Store) BeginRemove(owner string, parent FileID, name string) (durable func() error, err error) {
 	s.ns.Lock()
 	dir, ok := s.dirents[parent]
 	if !ok {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: parent %d", ErrNotFound, parent)
+		return nil, fmt.Errorf("%w: parent %d", ErrNotFound, parent)
 	}
 	id, ok := dir[name]
 	if !ok {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	ino, local := s.inodes[id]
 	if !local {
@@ -501,27 +521,27 @@ func (s *Store) RemoveAs(owner string, parent FileID, name string) error {
 		// emptiness) lives on its home shard — the client must use the
 		// cross-shard remove protocol instead.
 		s.ns.Unlock()
-		return fmt.Errorf("%w: inode %d", ErrWrongShard, id)
+		return nil, fmt.Errorf("%w: inode %d", ErrWrongShard, id)
 	}
 	if s.nsIntents.has(id) {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: inode %d is under a namespace intent", ErrNSConflict, id)
+		return nil, fmt.Errorf("%w: inode %d is under a namespace intent", ErrNSConflict, id)
 	}
 	if ino.typ == TypeDir && len(s.dirents[id]) > 0 {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotEmpty, name)
+		return nil, fmt.Errorf("%w: %q", ErrNotEmpty, name)
 	}
 	if held := s.delegConflict(owner, ino); held != nil {
 		s.ns.Unlock()
-		return held
+		return nil, held
 	}
 	freed := s.applyRemove(parent, name, id)
-	wait := s.journalAppend(&Record{Type: RecRemove, File: id, Parent: parent, Name: name})
+	durable = s.journalAppend(&Record{Type: RecRemove, File: id, Parent: parent, Name: name})
 	s.ns.Unlock()
 	for _, sp := range freed {
 		_ = s.cfg.AGs.FreeSpan(sp)
 	}
-	return wait()
+	return durable, nil
 }
 
 // applyRemove unlinks and returns the spans to free. Caller holds ns
@@ -572,15 +592,24 @@ func (s *Store) GetLayout(id FileID, off, n int64, flags LayoutFlags) (Layout, e
 // space for any uncovered gap. New extents start uncommitted and are
 // attributed to owner for orphan GC.
 func (s *Store) AllocLayout(owner string, id FileID, off, n int64) (Layout, error) {
+	lay, durable, err := s.BeginAllocLayout(owner, id, off, n)
+	if err := settle(durable, err); err != nil {
+		return Layout{}, err
+	}
+	return lay, nil
+}
+
+// BeginAllocLayout is the apply half of AllocLayout.
+func (s *Store) BeginAllocLayout(owner string, id FileID, off, n int64) (lay Layout, durable func() error, err error) {
 	s.ns.RLock()
 	ino, ok := s.inodes[id]
 	if !ok {
 		s.ns.RUnlock()
-		return Layout{}, fmt.Errorf("%w: inode %d", ErrNotFound, id)
+		return Layout{}, nil, fmt.Errorf("%w: inode %d", ErrNotFound, id)
 	}
 	if ino.typ != TypeFile {
 		s.ns.RUnlock()
-		return Layout{}, fmt.Errorf("%w: inode %d", ErrIsDir, id)
+		return Layout{}, nil, fmt.Errorf("%w: inode %d", ErrIsDir, id)
 	}
 	// Uncovered sub-ranges of [off, off+n).
 	st := s.stripe(id)
@@ -601,7 +630,7 @@ func (s *Store) AllocLayout(owner string, id FileID, off, n int64) (Layout, erro
 			for _, e := range newExts {
 				_ = s.cfg.AGs.FreeSpan(alloc.Span{Dev: int(e.Dev), Off: e.VolOff, Len: e.Len})
 			}
-			return Layout{}, err
+			return Layout{}, nil, err
 		}
 		fo := h.off
 		for _, sp := range spans {
@@ -617,7 +646,7 @@ func (s *Store) AllocLayout(owner string, id FileID, off, n int64) (Layout, erro
 		for _, e := range newExts {
 			_ = s.cfg.AGs.FreeSpan(alloc.Span{Dev: int(e.Dev), Off: e.VolOff, Len: e.Len})
 		}
-		return Layout{}, fmt.Errorf("%w: inode %d removed during allocation", ErrNotFound, id)
+		return Layout{}, nil, fmt.Errorf("%w: inode %d removed during allocation", ErrNotFound, id)
 	}
 	st.Lock()
 	if err := s.applyAlloc(ino, owner, newExts); err != nil {
@@ -626,21 +655,16 @@ func (s *Store) AllocLayout(owner string, id FileID, off, n int64) (Layout, erro
 		for _, e := range newExts {
 			_ = s.cfg.AGs.FreeSpan(alloc.Span{Dev: int(e.Dev), Off: e.VolOff, Len: e.Len})
 		}
-		return Layout{}, err
+		return Layout{}, nil, err
 	}
-	lay := Layout{File: id, Extents: ino.extentsIn(off, n, false)}
-	var wait func() error
+	lay = Layout{File: id, Extents: ino.extentsIn(off, n, false)}
+	durable = noWait
 	if len(newExts) > 0 {
-		wait = s.journalAppend(&Record{Type: RecAlloc, File: id, Owner: owner, Extents: newExts})
-	} else {
-		wait = func() error { return nil }
+		durable = s.journalAppend(&Record{Type: RecAlloc, File: id, Owner: owner, Extents: newExts})
 	}
 	st.Unlock()
 	s.ns.RUnlock()
-	if err := wait(); err != nil {
-		return Layout{}, err
-	}
-	return lay, nil
+	return lay, durable, nil
 }
 
 // applyAlloc publishes exts as owner's write intents and inserts them as
@@ -676,11 +700,7 @@ func insertExtent(list []Extent, e Extent) []Extent {
 // so commits to different files proceed in parallel and their journal
 // records coalesce in the group-commit batcher.
 func (s *Store) Commit(owner string, id FileID, exts []Extent, size int64, mtime time.Time) error {
-	durable, err := s.BeginCommit(owner, id, exts, size, mtime, 0, obs.SpanContext{})
-	if err != nil {
-		return err
-	}
-	return durable()
+	return settle(s.BeginCommit(owner, id, exts, size, mtime, 0, obs.SpanContext{}))
 }
 
 // BeginCommit is the apply half of Commit: it validates and applies the
@@ -864,26 +884,24 @@ func (s *Store) findDelegation(owner string, e Extent) *delegation {
 // ---------------------------------------------------------------------------
 // Space delegation
 
-// Delegate grants owner a contiguous chunk of physical space for local
-// small-file allocation (§IV-A).
-func (s *Store) Delegate(owner string, size int64) (alloc.Span, error) {
-	sp, err := s.cfg.AGs.Alloc(owner, size)
+// BeginDelegate grants owner a contiguous chunk of physical space for local
+// small-file allocation (§IV-A). The chunk is owner's once durable returns
+// nil.
+func (s *Store) BeginDelegate(owner string, size int64) (sp alloc.Span, durable func() error, err error) {
+	sp, err = s.cfg.AGs.Alloc(owner, size)
 	if err != nil {
-		return alloc.Span{}, err
+		return alloc.Span{}, nil, err
 	}
 	s.ns.Lock()
 	s.delegations[owner] = append(s.delegations[owner], &delegation{owner: owner, span: sp})
-	wait := s.journalAppend(&Record{Type: RecDelegate, Owner: owner, SpanDev: uint32(sp.Dev), SpanOff: sp.Off, SpanLen: sp.Len})
+	durable = s.journalAppend(&Record{Type: RecDelegate, Owner: owner, SpanDev: uint32(sp.Dev), SpanOff: sp.Off, SpanLen: sp.Len})
 	s.ns.Unlock()
-	if err := wait(); err != nil {
-		return alloc.Span{}, err
-	}
-	return sp, nil
+	return sp, durable, nil
 }
 
-// ReturnDelegation gives back a delegation; sub-ranges never committed are
-// freed.
-func (s *Store) ReturnDelegation(owner string, sp alloc.Span) error {
+// BeginReturnDelegation gives back a delegation; sub-ranges never committed
+// are freed.
+func (s *Store) BeginReturnDelegation(owner string, sp alloc.Span) (durable func() error, err error) {
 	s.ns.Lock()
 	ds := s.delegations[owner]
 	idx := -1
@@ -895,17 +913,17 @@ func (s *Store) ReturnDelegation(owner string, sp alloc.Span) error {
 	}
 	if idx < 0 {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: %s %v", ErrNoDelegation, owner, sp)
+		return nil, fmt.Errorf("%w: %s %v", ErrNoDelegation, owner, sp)
 	}
 	d := ds[idx]
 	s.delegations[owner] = append(ds[:idx], ds[idx+1:]...)
 	holes := gaps(d.span.Off, d.span.End(), d.used)
-	wait := s.journalAppend(&Record{Type: RecDelegReturn, Owner: owner, SpanDev: uint32(sp.Dev), SpanOff: sp.Off, SpanLen: sp.Len})
+	durable = s.journalAppend(&Record{Type: RecDelegReturn, Owner: owner, SpanDev: uint32(sp.Dev), SpanOff: sp.Off, SpanLen: sp.Len})
 	s.ns.Unlock()
 	for _, h := range holes {
 		_ = s.cfg.AGs.FreeSpan(alloc.Span{Dev: sp.Dev, Off: h.off, Len: h.end - h.off})
 	}
-	return wait()
+	return durable, nil
 }
 
 // ClientGone revokes everything owner holds: space delegations (their never-

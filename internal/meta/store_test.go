@@ -17,6 +17,24 @@ func newStore(t *testing.T) *Store {
 	return NewStore(Config{AGs: ags, Clock: clock.Real(1)})
 }
 
+// settled is settle for a Begin<Op> that also returns a value.
+func settled[T any](v T, durable func() error, err error) (T, error) {
+	if err := settle(durable, err); err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
+}
+
+// createAs is BeginCreate waited out: a create on behalf of owner.
+func createAs(s *Store, owner string, parent FileID, name string, typ FileType) (Attr, bool, error) {
+	a, granted, durable, err := s.BeginCreate(owner, parent, name, typ)
+	if err := settle(durable, err); err != nil {
+		return Attr{}, false, err
+	}
+	return a, granted, nil
+}
+
 func mustCreate(t *testing.T, s *Store, parent FileID, name string, typ FileType) Attr {
 	t.Helper()
 	a, err := s.Create(parent, name, typ)
@@ -216,7 +234,7 @@ func TestCommitErrors(t *testing.T) {
 func TestDelegationCommit(t *testing.T) {
 	s := newStore(t)
 	a := mustCreate(t, s, RootID, "f", TypeFile)
-	sp, err := s.Delegate("c1", 16<<20)
+	sp, err := settled(s.BeginDelegate("c1", 16<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +261,7 @@ func TestReturnDelegationFreesGaps(t *testing.T) {
 	s := newStore(t)
 	a := mustCreate(t, s, RootID, "f", TypeFile)
 	free0 := s.cfg.AGs.FreeBytes()
-	sp, err := s.Delegate("c1", 1<<20)
+	sp, err := settled(s.BeginDelegate("c1", 1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +269,14 @@ func TestReturnDelegationFreesGaps(t *testing.T) {
 	if err := s.Commit("c1", a.ID, []Extent{ext}, 4096, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReturnDelegation("c1", sp); err != nil {
+	if err := settle(s.BeginReturnDelegation("c1", sp)); err != nil {
 		t.Fatal(err)
 	}
 	// All but the committed 4096 bytes must be free again.
 	if got := s.cfg.AGs.FreeBytes(); got != free0-4096 {
 		t.Fatalf("free = %d, want %d", got, free0-4096)
 	}
-	if err := s.ReturnDelegation("c1", sp); !errors.Is(err, ErrNoDelegation) {
+	if err := settle(s.BeginReturnDelegation("c1", sp)); !errors.Is(err, ErrNoDelegation) {
 		t.Fatalf("double return err = %v", err)
 	}
 }
@@ -272,7 +290,7 @@ func TestClientGoneReclaimsOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Delegation with one committed extent.
-	sp, err := s.Delegate("c1", 1<<20)
+	sp, err := settled(s.BeginDelegate("c1", 1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +430,7 @@ func TestRecoverGCsOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Delegation never committed into: fully orphan.
-	if _, err := s.Delegate("c2", 1<<20); err != nil {
+	if _, err := settled(s.BeginDelegate("c2", 1<<20)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -436,7 +454,7 @@ func TestRecoverGCsOrphans(t *testing.T) {
 func TestRecoverDelegationUsedSpansSurvive(t *testing.T) {
 	s, dev, mkAGs := journaledStore(t)
 	a := mustCreate(t, s, RootID, "f", TypeFile)
-	sp, err := s.Delegate("c1", 1<<20)
+	sp, err := settled(s.BeginDelegate("c1", 1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +534,7 @@ func TestRemoveIval(t *testing.T) {
 func TestRemoveInsideDelegationReclaimsOnReturn(t *testing.T) {
 	s := newStore(t)
 	free0 := s.cfg.AGs.FreeBytes()
-	sp, err := s.Delegate("c1", 1<<20)
+	sp, err := settled(s.BeginDelegate("c1", 1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +546,7 @@ func TestRemoveInsideDelegationReclaimsOnReturn(t *testing.T) {
 	if err := s.Remove(RootID, "f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReturnDelegation("c1", sp); err != nil {
+	if err := settle(s.BeginReturnDelegation("c1", sp)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.cfg.AGs.FreeBytes(); got != free0 {
@@ -540,7 +558,7 @@ func TestStoreRename(t *testing.T) {
 	s := newStore(t)
 	dir := mustCreate(t, s, RootID, "d", TypeDir)
 	a := mustCreate(t, s, dir.ID, "f", TypeFile)
-	if err := s.Rename(dir.ID, "f", RootID, "g"); err != nil {
+	if err := settle(s.BeginRename("", dir.ID, "f", RootID, "g")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Lookup(RootID, "g")
@@ -551,22 +569,22 @@ func TestStoreRename(t *testing.T) {
 		t.Fatal("old entry survived")
 	}
 	// Errors.
-	if err := s.Rename(RootID, "ghost", RootID, "x"); !errors.Is(err, ErrNotFound) {
+	if err := settle(s.BeginRename("", RootID, "ghost", RootID, "x")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing src: %v", err)
 	}
 	mustCreate(t, s, RootID, "taken", TypeFile)
-	if err := s.Rename(RootID, "g", RootID, "taken"); !errors.Is(err, ErrExists) {
+	if err := settle(s.BeginRename("", RootID, "g", RootID, "taken")); !errors.Is(err, ErrExists) {
 		t.Fatalf("existing dst: %v", err)
 	}
-	if err := s.Rename(RootID, "g", 999, "x"); !errors.Is(err, ErrNotFound) {
+	if err := settle(s.BeginRename("", RootID, "g", 999, "x")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing dst parent: %v", err)
 	}
-	if err := s.Rename(RootID, "g", RootID, ".."); err == nil {
+	if err := settle(s.BeginRename("", RootID, "g", RootID, "..")); err == nil {
 		t.Fatal("bad name accepted")
 	}
 	// Directory cycle rejection.
 	sub := mustCreate(t, s, dir.ID, "sub", TypeDir)
-	if err := s.Rename(RootID, "d", sub.ID, "inner"); err == nil {
+	if err := settle(s.BeginRename("", RootID, "d", sub.ID, "inner")); err == nil {
 		t.Fatal("directory moved into own subtree")
 	}
 }
@@ -578,7 +596,7 @@ func TestRenameSurvivesRecovery(t *testing.T) {
 	if err := s.Commit("c1", a.ID, lay.Extents, 4096, time.Now().UTC()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Rename(RootID, "before", RootID, "after"); err != nil {
+	if err := settle(s.BeginRename("", RootID, "before", RootID, "after")); err != nil {
 		t.Fatal(err)
 	}
 	s2, _ := recoverStore(t, dev, mkAGs)

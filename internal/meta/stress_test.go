@@ -96,7 +96,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			owner := fmt.Sprintf("deleg-%d", d)
 			for i := 0; i < rounds/4; i++ {
-				sp, err := s.Delegate(owner, 1<<16)
+				sp, err := settled(s.BeginDelegate(owner, 1<<16))
 				if err != nil {
 					fail <- fmt.Errorf("%s delegate: %w", owner, err)
 					return
@@ -120,7 +120,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 						return
 					}
 				}
-				if err := s.ReturnDelegation(owner, sp); err != nil {
+				if err := settle(s.BeginReturnDelegation(owner, sp)); err != nil {
 					fail <- fmt.Errorf("%s return: %w", owner, err)
 					return
 				}

@@ -24,11 +24,12 @@ const (
 	SpanDevSeek     = "dev.seek"  // head movement + rotation
 	SpanDevTransfer = "dev.xfer"  // media transfer
 	// Metadata network and RPC server (CommitID 0).
-	SpanNetWait    = "net.wait"    // ingress-link queueing
-	SpanNetXmit    = "net.xmit"    // serialization + propagation
-	SpanRPCQueue   = "rpc.queue"   // request queue wait at the server
-	SpanRPCProcess = "rpc.process" // daemon-thread occupancy per frame
-	SpanRPCReply   = "rpc.reply"   // daemon hands the reply off → reply delivered
+	SpanNetWait     = "net.wait"     // ingress-link queueing
+	SpanNetXmit     = "net.xmit"     // serialization + propagation
+	SpanRPCQueue    = "rpc.queue"    // request queue wait at the server
+	SpanRPCProcess  = "rpc.process"  // daemon-thread occupancy per frame
+	SpanRPCComplete = "rpc.complete" // daemon freed → pending completions done, reply handed off
+	SpanRPCReply    = "rpc.reply"    // reply handed off → reply delivered
 	// Application thread (CommitID 0).
 	SpanAppWrite = "write.app" // WriteAt entry → return
 	// Open entry → return, one span per call named after how the attributes

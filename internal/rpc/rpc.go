@@ -63,18 +63,20 @@ func (e *RemoteError) Error() string {
 //
 // A handler whose reply must wait for something after the operation has been
 // applied — the MDS's journal durability wait — does not block for it: it
-// returns (nil, Pending(fn)) and the daemon runs fn once every sub-operation
-// of the frame has been applied, so a compound of k such operations waits
-// once, not k times.
+// returns (nil, Pending(fn)). The daemon is freed once every sub-operation of
+// the frame has been applied, and the connection's completion stage runs fn,
+// so no daemon waits for the journal and a compound of k such operations
+// waits once, not k times.
 type Handler func(op uint16, body []byte) ([]byte, error)
 
 // Pending is the completion half of an operation that has been applied but
 // not yet acknowledged, returned by a Handler in place of an error (directly,
-// not wrapped). It runs on the same daemon thread after the frame's last
-// sub-operation was applied and yields the operation's reply or error, which
-// takes the operation's slot in the frame's results. It rides the error
-// result because the Handler signature is pinned by the repository
-// benchmark's callers.
+// not wrapped). It runs on the connection's completion stage, after the
+// frame's last sub-operation was applied, and yields the operation's reply or
+// error, which takes the operation's slot in the frame's results. Completions
+// of one connection run one after another in the order their frames were
+// applied. It rides the error result because the Handler signature is pinned
+// by the repository benchmark's callers.
 type Pending func() ([]byte, error)
 
 func (Pending) Error() string { return "rpc: operation applied, completion pending" }
@@ -207,6 +209,15 @@ type reply struct {
 	worker  int          // daemon that produced it, for the rpc.reply span
 }
 
+// owed is a frame a daemon has applied whose reply waits for the completions
+// its handlers left Pending; the connection's completion stage finishes it.
+type owed struct {
+	c       call
+	results []SubResult
+	worker  int
+	applied time.Time // daemon freed; stamped only when tracing is on
+}
+
 // posted is a reply on the wire, handed from the reply writer to the
 // connection's delivery goroutine.
 type posted struct {
@@ -215,36 +226,44 @@ type posted struct {
 	worker  int
 }
 
-// replyQueueCap bounds the replies a connection may have waiting for its
-// writer, and again the replies it may have on the wire. A healthy link
-// drains far faster than the daemon pool fills it, so daemons never wait
-// here; a peer that stops reading fills it and then blocks the daemons
-// serving it, instead of pinning request frames without limit.
+// replyQueueCap bounds the frames a connection may have waiting for their
+// completions, again the replies waiting for its writer, and again the
+// replies it may have on the wire. A healthy link drains far faster than the
+// daemon pool fills it, and the journal settles a whole group-commit batch
+// at once, so daemons never wait here; a peer that stops reading fills it
+// and then blocks the daemons serving it, instead of pinning request frames
+// without limit.
 const replyQueueCap = 256
 
-// replyPath is the reply side of one connection: a writer goroutine that
-// puts finished frames on the wire in hand-off order, and a delivery
-// goroutine that waits out each frame's modeled transmission, so neither a
-// daemon nor the next reply waits for the previous reply to arrive.
+// replyPath is the reply side of one connection: a completion goroutine that
+// waits out the Pending completions of applied frames in hand-off order, a
+// writer goroutine that puts finished frames on the wire in hand-off order,
+// and a delivery goroutine that waits out each frame's modeled transmission,
+// so neither a daemon nor the next reply waits for the journal or for the
+// previous reply to arrive.
 type replyPath struct {
 	conn    netsim.Conn
+	owed    chan owed
 	replies chan reply
 	wire    chan posted
-	// refs counts the connection's reader plus every call it accepted
-	// whose reply has not been handed over. Whoever drops the last
-	// reference closes replies: nothing can send on it any more.
+	// refs counts the connection's reader plus every call it accepted that
+	// a daemon has not handed over yet. Whoever drops the last reference
+	// closes owed: nothing can send on it any more, nor on replies once the
+	// completion stage has drained owed.
 	refs atomic.Int64
 }
 
 func (p *replyPath) release() {
 	if p.refs.Add(-1) == 0 {
-		close(p.replies)
+		close(p.owed)
 	}
 }
 
 // Server dispatches decoded requests to a fixed pool of daemon goroutines.
-// A frame moves conn reader → queue → daemon → reply writer → delivery; the
-// daemon is held only for FrameCost + k·OpCost + the handler.
+// A frame moves conn reader → queue → daemon → [completion stage] → reply
+// writer → delivery; the daemon is held only for FrameCost + k·OpCost + the
+// handlers, and only a frame with a Pending sub-operation visits the
+// completion stage.
 type Server struct {
 	cfg    ServerConfig
 	clk    clock.Clock
@@ -253,13 +272,15 @@ type Server struct {
 	once   sync.Once
 	wg     sync.WaitGroup
 	connWG sync.WaitGroup
-	// unsent counts replies handed to a writer and not yet delivered; Close
-	// waits for it after the daemons have exited.
+	// unsent counts frames a daemon handed over whose reply has not been
+	// delivered, completions still owed included; Close waits for it after
+	// the daemons have exited.
 	unsent sync.WaitGroup
 
 	tracks []string // per-worker span track names
 
 	inflight     stats.Gauge
+	owedBacklog  stats.Gauge
 	replyBacklog stats.Gauge
 	processed    stats.Counter
 	subOps       stats.Counter
@@ -304,9 +325,9 @@ func (s *Server) opCost() time.Duration {
 
 // Load returns the current server load estimate in [0, 255]: 0 when idle,
 // saturating as queued+running work exceeds the daemon pool severalfold.
-// Replies waiting for the wire do not count: the client's adaptive compound
-// controller reads the estimate as daemon pressure, and a reply that has
-// left its daemon holds none.
+// Frames waiting for their completions and replies waiting for the wire do
+// not count: the client's adaptive compound controller reads the estimate as
+// daemon pressure, and a frame that has left its daemon holds none.
 func (s *Server) Load() uint8 {
 	outstanding := int(s.inflight.Load()) + len(s.queue)
 	load := outstanding * 64 / s.cfg.Daemons
@@ -336,7 +357,8 @@ func (s *Server) RegisterMetrics(r *obs.Registry, labels obs.Labels) {
 	r.GaugeFunc("redbud_rpc_queue_len", "instantaneous request queue length", labels,
 		func() int64 { return int64(s.QueueLen()) })
 	r.GaugeFunc("redbud_rpc_inflight", "requests currently on a daemon thread", labels, s.inflight.Load)
-	r.GaugeFunc("redbud_rpc_reply_queue_len", "replies handed off by a daemon and not yet delivered", labels, s.replyBacklog.Load)
+	r.GaugeFunc("redbud_rpc_completions_pending", "applied frames whose reply waits for a pending completion", labels, s.owedBacklog.Load)
+	r.GaugeFunc("redbud_rpc_reply_queue_len", "replies handed to a connection's writer and not yet delivered", labels, s.replyBacklog.Load)
 	r.GaugeFunc("redbud_rpc_load", "server load estimate in [0,255]", labels,
 		func() int64 { return int64(s.Load()) })
 }
@@ -361,8 +383,9 @@ func (s *Server) Serve(l *netsim.Listener) {
 //
 //redbud:hotpath
 func (s *Server) ServeConn(conn netsim.Conn) {
-	out := &replyPath{conn: conn, replies: make(chan reply, replyQueueCap), wire: make(chan posted, replyQueueCap)}
+	out := &replyPath{conn: conn, owed: make(chan owed, replyQueueCap), replies: make(chan reply, replyQueueCap), wire: make(chan posted, replyQueueCap)}
 	out.refs.Store(1)
+	go s.completeReplies(out)
 	go s.writeReplies(out)
 	go s.deliverReplies(out)
 	defer out.release()
@@ -432,15 +455,24 @@ func (s *Server) daemon(i int) {
 		select {
 		case c := <-s.queue:
 			s.inflight.Add(1)
-			if s.cfg.Tracer.Enabled() && !c.enq.IsZero() {
-				deq := s.clk.Now()
+			var deq time.Time
+			traced := s.cfg.Tracer.Enabled() && !c.enq.IsZero()
+			if traced {
+				deq = s.clk.Now()
 				s.cfg.Tracer.Record(track, obs.SpanRPCQueue, 0, c.enq, deq)
-				r := s.process(c, i)
-				r.handoff = s.clk.Now()
-				s.cfg.Tracer.Record(track, obs.SpanRPCProcess, 0, deq, r.handoff)
-				s.handOff(c.out, r)
+			}
+			r, o := s.process(c, i)
+			var freed time.Time
+			if traced {
+				freed = s.clk.Now()
+				s.cfg.Tracer.Record(track, obs.SpanRPCProcess, 0, deq, freed)
+			}
+			if o != nil {
+				o.applied = freed
+				s.owe(c.out, *o)
 			} else {
-				s.handOff(c.out, s.process(c, i))
+				r.handoff = freed
+				s.handOff(c.out, r)
 			}
 		case <-s.done:
 			return
@@ -462,40 +494,61 @@ func (s *Server) handOff(out *replyPath, r reply) {
 	out.release()
 }
 
-// process executes one call — every sub-operation applied in frame order,
-// then every completion a handler left pending — and returns the encoded
-// reply. It owns c.frame, which travels on with the reply because the
-// payload may alias it.
+// owe passes an applied frame to its connection's completion stage and frees
+// the daemon. It blocks only when the connection's completion queue is full.
+func (s *Server) owe(out *replyPath, o owed) {
+	s.inflight.Add(-1)
+	s.unsent.Add(1)
+	s.owedBacklog.Add(1)
+	out.owed <- o
+	out.release()
+}
+
+// process applies one call — every sub-operation in frame order — and
+// returns its encoded reply, or, when a handler left a completion Pending,
+// the applied frame the completion stage still owes a reply. It owns
+// c.frame, which travels on with the reply because the payload may alias it.
 //
 //redbud:hotpath
-func (s *Server) process(c call, worker int) reply {
-	var payload []byte
-	var status uint16
-	var errMsg string
-
+func (s *Server) process(c call, worker int) (reply, *owed) {
 	if s.cfg.FrameCost > 0 {
 		s.clk.Sleep(s.cfg.FrameCost)
 	}
-
+	// A single operation, or a compound that fails to decode, is a frame of
+	// one result.
+	var one [1]SubResult
 	if c.op == OpCompound {
 		ops, err := decodeCompound(c.body)
 		if err != nil {
-			status, errMsg = 1, err.Error()
-		} else {
-			results := make([]SubResult, len(ops))
-			s.run(ops, results)
-			payload = encodeCompoundReply(results)
+			one[0].Err = err
+			return s.finish(c, worker, one[:], false), nil
 		}
+		results := make([]SubResult, len(ops))
+		if s.run(ops, results) {
+			return reply{}, &owed{c: c, results: results, worker: worker}
+		}
+		return s.finish(c, worker, results, true), nil
+	}
+	ops := [1]SubOp{{Op: c.op, Body: c.body}}
+	if s.run(ops[:], one[:]) {
+		return reply{}, &owed{c: c, results: []SubResult{one[0]}, worker: worker}
+	}
+	return s.finish(c, worker, one[:], false), nil
+}
+
+// finish encodes the reply to a frame whose results are all final.
+//
+//redbud:hotpath
+func (s *Server) finish(c call, worker int, results []SubResult, compound bool) reply {
+	var payload []byte
+	var status uint16
+	var errMsg string
+	if compound {
+		payload = encodeCompoundReply(results)
+	} else if err := results[0].Err; err != nil {
+		status, errMsg = 1, err.Error()
 	} else {
-		// A single operation is a frame of one.
-		ops := [1]SubOp{{Op: c.op, Body: c.body}}
-		var results [1]SubResult
-		s.run(ops[:], results[:])
-		if err := results[0].Err; err != nil {
-			status, errMsg = 1, err.Error()
-		} else {
-			payload = results[0].Body
-		}
+		payload = results[0].Body
 	}
 	s.processed.Inc()
 
@@ -517,26 +570,48 @@ func (s *Server) process(c call, worker int) reply {
 	return reply{hdr: b, payload: payload, frame: c.frame, worker: worker}
 }
 
-// run executes the operations of one frame into results. Every operation is
-// charged and applied in frame order, so two operations of one frame take
-// effect in the order the client wrote them; only then do the completions
-// run, also in frame order. An operation left Pending has handed its record
-// to the journal by then, so the waits of a compound overlap and its records
-// share group-commit batches. Each operation's outcome, from either phase,
-// keeps its own slot.
+// run applies the operations of one frame into results, charging and
+// applying each in frame order, so two operations of one frame take effect in
+// the order the client wrote them. It reports whether any handler left its
+// completion Pending. Such an operation has handed its record to the journal
+// by then, so the waits of a compound overlap and its records share
+// group-commit batches.
 //
 //redbud:hotpath
-func (s *Server) run(ops []SubOp, results []SubResult) {
+func (s *Server) run(ops []SubOp, results []SubResult) (pending bool) {
 	for i, o := range ops {
 		s.execCost()
 		results[i].Body, results[i].Err = s.cfg.Handler(o.Op, o.Body)
 		s.subOps.Inc()
-	}
-	for i := range results {
-		if complete, ok := results[i].Err.(Pending); ok {
-			results[i].Body, results[i].Err = complete()
+		if _, ok := results[i].Err.(Pending); ok {
+			pending = true
 		}
 	}
+	return pending
+}
+
+// completeReplies is a connection's completion stage: it runs the Pending
+// completions of each applied frame, in frame order, and hands the finished
+// frame to the writer, in the order the daemons applied them. Waiting one
+// frame at a time costs nothing: the journal makes records durable in log
+// order, and a daemon appended every record of a frame before handing it on.
+func (s *Server) completeReplies(p *replyPath) {
+	for o := range p.owed {
+		for i := range o.results {
+			if complete, ok := o.results[i].Err.(Pending); ok {
+				o.results[i].Body, o.results[i].Err = complete()
+			}
+		}
+		r := s.finish(o.c, o.worker, o.results, o.c.op == OpCompound)
+		if !o.applied.IsZero() {
+			r.handoff = s.clk.Now()
+			s.cfg.Tracer.Record(s.tracks[o.worker], obs.SpanRPCComplete, 0, o.applied, r.handoff)
+		}
+		s.owedBacklog.Add(-1)
+		s.replyBacklog.Add(1)
+		p.replies <- r
+	}
+	close(p.replies)
 }
 
 // execCost burns the simulated CPU time of one operation.
