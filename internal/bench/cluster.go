@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"redbud/internal/alloc"
+	"redbud/internal/baseline"
 	"redbud/internal/blockdev"
 	"redbud/internal/client"
 	"redbud/internal/clock"
@@ -21,10 +22,8 @@ import (
 	"redbud/internal/mds"
 	"redbud/internal/meta"
 	"redbud/internal/netsim"
-	"redbud/internal/nfs3"
 	"redbud/internal/obs"
 	"redbud/internal/obs/agg"
-	"redbud/internal/pvfs2"
 	"redbud/internal/rpc"
 	"redbud/internal/workload"
 )
@@ -268,9 +267,9 @@ func (c *Cluster) RPCs() int64 {
 		switch fs := m.(type) {
 		case *client.Client:
 			total += fs.Stats().RPCs
-		case *nfs3.Client:
+		case *baseline.NFS3Client:
 			total += fs.RPCs()
-		case *pvfs2.Client:
+		case *baseline.PVFS2Client:
 			total += fs.RPCs()
 		}
 	}
@@ -630,7 +629,7 @@ func buildNFS3(opt Options, clk clock.Clock) *Cluster {
 	c.Devices = []*blockdev.Device{disk}
 	c.closers = append(c.closers, disk.Close)
 
-	srv := nfs3.NewServer(nfs3.ServerConfig{Disk: disk, Clock: clk, Daemons: opt.MDSDaemons, OpCost: opt.MDSOpCost})
+	srv := baseline.NewNFS3Server(baseline.NFS3Config{Disk: disk, Clock: clk, Daemons: opt.MDSDaemons, OpCost: opt.MDSOpCost})
 	c.closers = append(c.closers, srv.Close)
 
 	n := netsim.NewNetwork(clk)
@@ -649,7 +648,7 @@ func buildNFS3(opt Options, clk clock.Clock) *Cluster {
 		if err != nil {
 			panic(err)
 		}
-		c.Mounts = append(c.Mounts, nfs3.NewClient(conn, clk))
+		c.Mounts = append(c.Mounts, baseline.NewNFS3Client(conn, clk))
 	}
 	return c
 }
@@ -667,7 +666,7 @@ func buildPVFS2(opt Options, clk clock.Clock) *Cluster {
 	if err != nil {
 		panic(err)
 	}
-	ms := pvfs2.NewMetaServer(clk, opt.MDSDaemons, opt.MDSOpCost)
+	ms := baseline.NewPVFS2MetaServer(clk, opt.MDSDaemons, opt.MDSOpCost)
 	go ms.Serve(ml)
 	c.closers = append(c.closers, func() { ml.Close() }, ms.Close)
 
@@ -681,7 +680,7 @@ func buildPVFS2(opt Options, clk clock.Clock) *Cluster {
 		disk := blockdev.New(cfg)
 		c.Devices = append(c.Devices, disk)
 		c.closers = append(c.closers, disk.Close)
-		ds := pvfs2.NewDataServer(disk, clk, opt.MDSDaemons)
+		ds := baseline.NewPVFS2DataServer(disk, clk, opt.MDSDaemons)
 		dl, err := n.Listen(host)
 		if err != nil {
 			panic(err)
@@ -705,7 +704,7 @@ func buildPVFS2(opt Options, clk clock.Clock) *Cluster {
 			}
 			dconns = append(dconns, dc)
 		}
-		c.Mounts = append(c.Mounts, pvfs2.NewClient(mconn, dconns, clk))
+		c.Mounts = append(c.Mounts, baseline.NewPVFS2Client(mconn, dconns, clk))
 	}
 	return c
 }
