@@ -36,32 +36,6 @@ func gauge(t *testing.T, c *Cluster, name string, client int) int64 {
 
 func rpcsOf(c *Cluster, client int) int64 { return c.Redbud[client].Stats().RPCs }
 
-// writeSettled is writeSynced for a test that counts client i's RPCs next.
-// The commit daemon is handed the write as well, and a Sync racing it can
-// return while the daemon's copy of the commit is still on the wire, to land
-// in that count. So the daemon commits first, and whatever is left for the
-// Sync to send it sends before it returns.
-func writeSettled(c *Cluster, i int, path string) error {
-	f, err := c.Mounts[i].Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	lat := c.Redbud[i].CommitLatency()
-	commits := lat.Count()
-	if _, err := f.WriteAt(lifecycleData(path), 0); err != nil {
-		return err
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for lat.Count() == commits {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("the commit daemon did not commit %s", path)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return f.Sync()
-}
-
 func mustStat(t *testing.T, m fsapi.FileSystem, path string, size int64) {
 	t.Helper()
 	info, err := m.Stat(path)
@@ -81,7 +55,7 @@ func TestRestartEndsDelegations(t *testing.T) {
 	a, b := c.Mounts[0], c.Mounts[1]
 	size := int64(len(lifecycleData("/f")))
 	for _, path := range []string{"/f", "/g"} {
-		if err := writeSettled(c, 0, path); err != nil {
+		if err := writeSynced(a, path); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +168,7 @@ func TestTwoShardRecalls(t *testing.T) {
 
 	// 1. Same shard as the parent: delegated at create, cached by name.
 	local := name(true)
-	if err := writeSettled(c, 0, local); err != nil {
+	if err := writeSynced(a, local); err != nil {
 		t.Fatal(err)
 	}
 	rpcs := rpcsOf(c, 0)
@@ -213,7 +187,7 @@ func TestTwoShardRecalls(t *testing.T) {
 	// 2. Homed on the other shard: the first open is granted the attributes
 	// by the home shard's GetAttr; re-opens then cost the name Lookup only.
 	remote := name(false)
-	if err := writeSettled(c, 0, remote); err != nil {
+	if err := writeSynced(a, remote); err != nil {
 		t.Fatal(err)
 	}
 	mustStat(t, a, remote, size) // Lookup + GetAttr, grant

@@ -201,14 +201,14 @@ type Client struct {
 	closed bool
 	delegs atomic.Int64 // file delegations held (gauge)
 
-	// Write-behind stage (writeback.go): layout-get slots, the dirty window
-	// (wbBytes guarded by wbMu, a leaf lock), and the live write-back
-	// routines.
-	wbSlots  chan struct{}
-	wbMu     sync.Mutex
-	wbCond   *sync.Cond
-	wbBytes  int64
-	flushers sync.WaitGroup
+	// Write-behind stage (writeback.go): the dirty window (wbBytes guarded by
+	// wbMu, a leaf lock), the live write-back routines, and how many of them
+	// have taken their file's list and not yet issued its device writes.
+	wbMu       sync.Mutex
+	wbCond     *sync.Cond
+	wbBytes    int64
+	flushers   sync.WaitGroup
+	wbInflight atomic.Int64
 
 	st clientStats
 	ra raStats
@@ -295,7 +295,6 @@ func New(cfg Config) *Client {
 		trackCommit: cfg.Name + "/commit",
 		trackNS:     cfg.Name + "/ns",
 		commitLat:   stats.NewLatencyHistogram(),
-		wbSlots:     make(chan struct{}, writeBackInflight),
 	}
 	c.wbCond = sync.NewCond(&c.wbMu)
 	for i, mc := range conns {
@@ -700,7 +699,7 @@ func (c *Client) commitBatch(ids []meta.FileID) {
 		if fs == nil {
 			continue
 		}
-		if bc, ok := c.buildCommit(fs); ok {
+		if bc, ok, _ := c.buildCommit(fs, false); ok { // never lost: a daemon does not wait
 			built = append(built, bc)
 		}
 	}
@@ -799,8 +798,17 @@ func (bc builtCommit) stale() bool {
 
 // buildCommit waits for the file's data — write-behind flush and device
 // writes — to be durable (the ordered-write rule) and snapshots the file's
-// uncommitted metadata. ok is false when there is nothing to commit.
-func (c *Client) buildCommit(fs *fileState) (bc builtCommit, ok bool) {
+// uncommitted metadata. ok is false when there is nothing to commit. A file
+// has one commit in flight at a time, from this snapshot to finishCommit.
+// With wait, buildCommit waits that commit out and snapshots what it left
+// dirty; if the MDS session was re-established meanwhile, what the caller
+// wanted committed went with it, and err is errSessionLost — what a commit
+// of the caller's own, built beside the one in flight, would have met. A
+// commit daemon passes !wait and leaves the file to the commit in flight,
+// which re-enqueues it if it is still dirty: a daemon waiting there could
+// hold one file of another daemon's batch while that daemon holds one of its
+// own.
+func (c *Client) buildCommit(fs *fileState, wait bool) (bc builtCommit, ok bool, err error) {
 	traced := c.tracer.Enabled()
 	var waitStart time.Time
 	if traced {
@@ -808,12 +816,29 @@ func (c *Client) buildCommit(fs *fileState) (bc builtCommit, ok bool) {
 	}
 	fs.mu.Lock()
 	fs.waitWritesLocked()
+	for fs.committing {
+		if !wait {
+			fs.recommit = true
+			fs.mu.Unlock()
+			return builtCommit{}, false, nil
+		}
+		session := fs.session
+		for fs.committing {
+			fs.cond.Wait()
+		}
+		if fs.session != session {
+			fs.mu.Unlock()
+			return builtCommit{}, false, errSessionLost
+		}
+		fs.waitWritesLocked()
+	}
 	enqAt := fs.enqAt
 	fs.enqAt = time.Time{}
 	if fs.writeErr != nil || (!fs.dirtyMeta && !c.cfg.CommitEvenIfClean) {
 		fs.mu.Unlock()
-		return builtCommit{}, false
+		return builtCommit{}, false, nil
 	}
+	fs.committing = true
 	session := fs.session
 	var exts []meta.Extent
 	for _, e := range fs.extents {
@@ -851,7 +876,7 @@ func (c *Client) buildCommit(fs *fileState) (bc builtCommit, ok bool) {
 			Start: waitStart, End: c.clk.Now(),
 		})
 	}
-	return builtCommit{fs: fs, req: req, session: session}, true
+	return builtCommit{fs: fs, req: req, session: session}, true, nil
 }
 
 // extentKey identifies one extent of a file: the committed-extent match in
@@ -862,13 +887,15 @@ type extentKey struct {
 	dev             uint32
 }
 
-// finishCommit marks the committed extents and wakes fsync waiters. A
-// "not found" rejection means the file was removed (possibly by another
-// client) while the commit was in flight; there is nothing left to order,
-// so the state is dropped rather than treated as a failure. Nor does a
-// commit that outlived its MDS session poison the file: re-establishment has
-// rolled the file back to what the recovered MDS knows, and a caller waiting
-// for this very commit (Sync) gets the error from commitFile.
+// finishCommit marks the committed extents, ends the file's commit in flight
+// and wakes fsync waiters. A "not found" rejection means the file was removed
+// (possibly by another client) while the commit was in flight; there is
+// nothing left to order, so the state is dropped rather than treated as a
+// failure. Nor does a commit that outlived its MDS session poison the file:
+// re-establishment has rolled the file back to what the recovered MDS knows,
+// and a caller waiting for this very commit (Sync) gets the error from
+// commitFile. A file a commit daemon left to this commit goes back on the
+// queue if it is still dirty.
 func (c *Client) finishCommit(fs *fileState, req *proto.CommitReq, err error) {
 	if err != nil {
 		// The MDS may or may not have applied it: what the delegation says
@@ -876,16 +903,10 @@ func (c *Client) finishCommit(fs *fileState, req *proto.CommitReq, err error) {
 		// asks, and is granted again if nothing else happened.
 		c.dropDeleg(fs)
 	}
-	if err != nil && errors.Is(mapRemote(err), fsapi.ErrNotExist) {
-		fs.mu.Lock()
-		fs.dirtyMeta = false
-		fs.commitGen++
-		fs.cond.Broadcast()
-		fs.mu.Unlock()
-		return
-	}
 	fs.mu.Lock()
-	if errors.Is(err, errSessionLost) {
+	if errors.Is(mapRemote(err), fsapi.ErrNotExist) {
+		fs.dirtyMeta = false
+	} else if errors.Is(err, errSessionLost) {
 		// Nothing of this request exists any more, on either side.
 	} else if err != nil {
 		fs.commitErr = err
@@ -918,14 +939,23 @@ func (c *Client) finishCommit(fs *fileState, req *proto.CommitReq, err error) {
 		// find nothing to do and they would never be committed.
 		fs.dirtyMeta = stillDirty || fs.flushing
 	}
+	again := fs.recommit && fs.dirtyMeta
+	fs.committing, fs.recommit = false, false
 	fs.commitGen++
 	fs.cond.Broadcast()
 	fs.mu.Unlock()
+	if again {
+		_ = c.enqueueCommit(fs) // only commit daemons set recommit: delayed mode, which cannot fail here
+	}
 }
 
-// commitFile synchronously commits one file (sync mode, fsync, unmount).
+// commitFile synchronously commits one file (sync mode, fsync, unmount),
+// after the commit of it already in flight, if any.
 func (c *Client) commitFile(fs *fileState) error {
-	bc, ok := c.buildCommit(fs)
+	bc, ok, err := c.buildCommit(fs, true)
+	if err != nil {
+		return err
+	}
 	if !ok {
 		fs.mu.Lock()
 		err := fs.writeErr
@@ -936,7 +966,7 @@ func (c *Client) commitFile(fs *fileState) error {
 	c.st.commitsSent.Inc()
 	var resp proto.CommitResp
 	start := c.clk.Now()
-	err := c.sendCommit(bc, &resp)
+	err = c.sendCommit(bc, &resp)
 	c.observeCommitRPC(start, bc.req.CommitID)
 	c.finishCommit(fs, bc.req, err)
 	if err != nil && errors.Is(mapRemote(err), fsapi.ErrNotExist) {
@@ -1138,6 +1168,7 @@ func (c *Client) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("redbud_client_bad_frames_total", "malformed response frames on the live connection", l, c.badFrames)
 	r.GaugeFunc("redbud_client_writeback_bytes", "write-behind bytes acknowledged and not yet durable (at risk)", l, c.dirtyBytes)
 	r.CounterFunc("redbud_client_writeback_stalls_total", "writers blocked on the write-behind dirty window", l, c.st.writeBackStalls.Load)
+	r.GaugeFunc("redbud_client_writeback_inflight", "files whose write-back routine has taken its list and not yet issued its device writes", l, c.wbInflight.Load)
 	r.GaugeFunc("redbud_client_commit_queue_len", "commit queue length", l,
 		func() int64 { return int64(c.QueueLen()) })
 	r.GaugeFunc("redbud_client_commit_threads", "live commit-daemon pool size", l,

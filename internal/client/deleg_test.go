@@ -197,31 +197,6 @@ func writeSynced(t *testing.T, c *Client, path string, n int) {
 	}
 }
 
-// writeSettled is writeSynced for a test that counts the client's RPCs next.
-// Under delayed commit the commit daemon is handed the write as well, and a
-// Sync racing it can return while the daemon's copy of the commit is still on
-// the wire, to land in that count. So the daemon commits first, and whatever
-// is left for the Sync to send it sends before it returns.
-func writeSettled(t *testing.T, c *Client, path string, n int) {
-	t.Helper()
-	f := mustCreate(t, c, path)
-	commits := c.commitLat.Count()
-	mustWrite(t, f, pattern(n, 1), 0)
-	deadline := time.Now().Add(5 * time.Second)
-	for c.cfg.Mode == DelayedCommit && c.commitLat.Count() == commits {
-		if time.Now().After(deadline) {
-			t.Fatalf("the commit daemon did not commit %s", path)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // openSize opens path and returns the handle's size.
 func openSize(t *testing.T, c *Client, path string) int64 {
 	t.Helper()
@@ -364,7 +339,7 @@ func TestOpenServedFromDelegation(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			dc := newDelegCluster(t)
 			c, gate := dc.mount(mode)
-			writeSettled(t, c, "/f", 4096)
+			writeSynced(t, c, "/f", 4096)
 			if got := c.delegs.Load(); got != 1 {
 				t.Fatalf("%d delegations after the create, want 1", got)
 			}

@@ -57,6 +57,10 @@ type fileState struct {
 	commitGen     uint64 // bumped by every finished commit
 	refs          int
 	enqAt         time.Time // first enqueue of the current queue residency (tracing)
+	// committing is set from a commit's snapshot (buildCommit) to its reply
+	// (finishCommit): one commit of the file is in flight at a time. recommit
+	// says a commit daemon left the file to that commit.
+	committing, recommit bool
 
 	// File delegation (namecache.go). deleg, recalled and path are guarded by
 	// Client.mu, not mu: deleg is set while this client holds the MDS

@@ -21,19 +21,15 @@ import (
 // write-behind list; the file's write-back routine calls writeOut for
 // everything that accumulated, so the layout-get — and the journal write
 // behind it — is paid once per flush instead of once per write, off the
-// application thread. DESIGN.md "Write-behind allocation" has the numbers
-// behind the two bounds.
-const (
-	// writeBackInflight bounds the write-back layout-gets one client has in
-	// flight. Unbounded, the allocations of every open file queue on the MDS
-	// daemons ahead of other clients' reads.
-	writeBackInflight = 3
-	// writeBackWindow bounds the bytes one client has acknowledged to
-	// applications under write-behind and not yet made durable; writers
-	// block above it. A single write larger than the window is admitted
-	// alone.
-	writeBackWindow = 4 << 20
-)
+// application thread. DESIGN.md "The window" has the numbers behind the one
+// bound.
+//
+// writeBackWindow bounds the bytes one client has acknowledged to applications
+// under write-behind and not yet made durable; writers block above it. A
+// single write larger than the window is admitted alone. It is the only bound
+// on write-behind: it caps the at-risk bytes, and with them how many files can
+// be behind at once.
+const writeBackWindow = 4 << 20
 
 // errSessionLost marks a layout-get that returned into a later MDS session
 // than it left in: the recovered MDS reclaimed what the dead session had
@@ -279,9 +275,10 @@ func (c *Client) planIO(fs *fileState, p []byte, off int64) ([]devWrite, error) 
 }
 
 // writeBack is a file's write-back routine: started by the first deferred
-// write, it flushes whatever has accumulated — taking one of the client's
-// layout-get slots per flush — until the list is empty, then goes. One runs
-// per file at a time (fs.flushing).
+// write, it flushes whatever has accumulated until the list is empty, then
+// goes. One runs per file at a time (fs.flushing). Writes keep accumulating
+// while a flush's layout-get is out; the next flush's one layout-get then
+// covers them all.
 func (c *Client) writeBack(fs *fileState) {
 	defer c.flushers.Done()
 	for {
@@ -292,15 +289,11 @@ func (c *Client) writeBack(fs *fileState) {
 			fs.mu.Unlock()
 			return
 		}
-		fs.mu.Unlock()
-		// Writes keep accumulating while the slot is waited for; the one
-		// layout-get then covers them all.
-		c.wbSlots <- struct{}{}
-		fs.mu.Lock()
 		ws, since := fs.deferred, fs.deferredAt
 		fs.deferred, fs.deferredAt = nil, time.Time{}
+		c.wbInflight.Add(1)
 		err := c.writeOut(fs, ws, true) // releases fs.mu
-		<-c.wbSlots
+		c.wbInflight.Add(-1)
 		if err != nil {
 			c.dropBehind(fs, ws, err)
 			continue

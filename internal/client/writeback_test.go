@@ -23,13 +23,14 @@ import (
 )
 
 // opGate is an RPC proxy between a client and the MDS: it forwards every
-// frame, and can hold the requests of one op until released, fail them, and
-// swap the server behind it (a restart as the client sees it). It records the
-// layout-gets that pass.
+// frame, and can hold the requests of one op (or only the write layout-gets)
+// until released, fail them, and swap the server behind it (a restart as the
+// client sees it). It records the write layout-gets that pass.
 type opGate struct {
 	mu         sync.Mutex
 	upstream   *rpc.Client
 	hold       map[uint16]chan struct{}
+	holdWrites chan struct{} // write layout-gets parked, reads' layout probes pass
 	fail       map[uint16]error
 	lose       map[uint16]int           // replies of an op still to be lost on the way back
 	holdReply  map[uint16]chan struct{} // replies of an op parked on the way back
@@ -43,13 +44,16 @@ type opGate struct {
 
 func (g *opGate) handle(op uint16, body []byte) ([]byte, error) {
 	g.mu.Lock()
+	hold, ferr, up := g.hold[op], g.fail[op], g.upstream
 	if op == proto.OpLayoutGet {
 		var req proto.LayoutGetReq
 		if err := wire.Decode(body, &req); err == nil && req.Flags.Has(meta.LayoutWrite) {
 			g.layoutGets = append(g.layoutGets, req)
+			if hold == nil {
+				hold = g.holdWrites
+			}
 		}
 	}
-	hold, ferr, up := g.hold[op], g.fail[op], g.upstream
 	g.mu.Unlock()
 	if hold != nil {
 		g.arrived <- op
@@ -149,12 +153,33 @@ func (g *opGate) holdOp(op uint16) (release func()) {
 	}
 }
 
+// holdWriteLayouts makes layout-gets flagged meta.LayoutWrite wait at the gate
+// until the returned function is called; a read's layout probe goes through.
+func (g *opGate) holdWriteLayouts() (release func()) {
+	ch := make(chan struct{})
+	g.mu.Lock()
+	g.holdWrites = ch
+	g.mu.Unlock()
+	return func() {
+		g.mu.Lock()
+		if g.holdWrites == ch {
+			g.holdWrites = nil
+		}
+		g.mu.Unlock()
+		close(ch)
+	}
+}
+
 func (g *opGate) releaseAll() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for op, ch := range g.hold {
 		delete(g.hold, op)
 		close(ch)
+	}
+	if g.holdWrites != nil {
+		close(g.holdWrites)
+		g.holdWrites = nil
 	}
 	for op, ch := range g.holdReply {
 		delete(g.holdReply, op)
@@ -391,19 +416,6 @@ func returns(t *testing.T, what string, fn func()) {
 	}
 }
 
-// takeSlots occupies every write-back layout-get slot of c, which parks its
-// write-back routines before their RPC; the returned function frees them.
-func takeSlots(c *Client) (free func()) {
-	for i := 0; i < writeBackInflight; i++ {
-		c.wbSlots <- struct{}{}
-	}
-	return func() {
-		for i := 0; i < writeBackInflight; i++ {
-			<-c.wbSlots
-		}
-	}
-}
-
 func mustCreate(t *testing.T, c *Client, path string) fsapi.File {
 	t.Helper()
 	f, err := c.Create(path)
@@ -420,17 +432,19 @@ func mustWrite(t *testing.T, f fsapi.File, p []byte, off int64) {
 	}
 }
 
-// TestWriteBehindWritesCostNoRPC: with the write-back routine kept off the
-// wire, eight 4 KiB writes return without a single RPC; one layout-get then
-// carries all of them.
+// TestWriteBehindWritesCostNoRPC: with the write-back routine's layout-get held
+// at the gate, eight 4 KiB writes return without a single RPC; the flush after
+// the held one then carries the seven that came behind it in one layout-get.
 func TestWriteBehindWritesCostNoRPC(t *testing.T) {
 	gc := newGatedCluster(t)
 	c := gc.mount(DelayedCommit, nil)
 	f := mustCreate(t, c, "/f")
-	freeSlots := takeSlots(c)
+	release := gc.gate.holdWriteLayouts()
 	data := pattern(8*PageSize, 3)
 	before := c.Stats()
-	for i := 0; i < 8; i++ {
+	mustWrite(t, f, data[:PageSize], 0)
+	gc.gate.waitArrival(t, proto.OpLayoutGet)
+	for i := 1; i < 8; i++ {
 		mustWrite(t, f, data[i*PageSize:(i+1)*PageSize], int64(i*PageSize))
 	}
 	if got := c.Stats().RPCs; got != before.RPCs {
@@ -439,20 +453,20 @@ func TestWriteBehindWritesCostNoRPC(t *testing.T) {
 	if got := c.dirtyBytes(); got != int64(len(data)) {
 		t.Fatalf("dirty bytes = %d, want %d", got, len(data))
 	}
-	freeSlots()
+	release()
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	lgs := gc.gate.writeLayoutGets()
-	if len(lgs) != 1 || lgs[0].Off != 0 || lgs[0].Len != int64(len(data)) {
-		t.Fatalf("layout-gets = %+v, want one for [0,%d)", lgs, len(data))
+	if len(lgs) != 2 || lgs[0].Off != 0 || lgs[0].Len != PageSize || lgs[1].Off != PageSize || lgs[1].Len != 7*PageSize {
+		t.Fatalf("layout-gets = %+v, want [0,%d) then [%d,%d)", lgs, PageSize, PageSize, len(data))
 	}
-	// The write-back layout-get counts in Stats().RPCs beside the commits
-	// (Sync may overlap the queued commit, which may still be on the wire).
-	eventually(t, "RPCs = one layout-get + the commit frames", func() bool {
-		after := c.Stats()
-		return after.RPCs-before.RPCs == 1+after.CommitRPCs-before.CommitRPCs
-	})
+	// The write-back layout-gets count in Stats().RPCs beside the commits, and
+	// Sync leaves no commit of the file on the wire.
+	after := c.Stats()
+	if got, want := after.RPCs-before.RPCs, 2+after.CommitRPCs-before.CommitRPCs; got != want {
+		t.Fatalf("RPCs = %d, want two layout-gets + %d commit frames", got, want-2)
+	}
 	if got := c.dirtyBytes(); got != 0 {
 		t.Fatalf("dirty bytes after Sync = %d, want 0", got)
 	}
@@ -476,10 +490,21 @@ func TestEarlyVisibilityClientAllocatesInline(t *testing.T) {
 	if err := f.Sync(); err != nil { // the reader must find the name
 		t.Fatal(err)
 	}
-	freeSlots := takeSlots(w) // a write-back routine would never reach the wire
 	releaseCommits := gc.gate.holdOp(proto.OpCommit)
+	// A deferred write would return while its layout-get is held; an inline
+	// one waits for it.
+	releaseLayouts := gc.gate.holdWriteLayouts()
 	data := pattern(PageSize, 5)
-	mustWrite(t, f, data, 0)
+	written := background(func() error {
+		_, err := f.WriteAt(data, 0)
+		return err
+	})
+	gc.gate.waitArrival(t, proto.OpLayoutGet)
+	notYet(t, written, "while its layout-get was held: the write was deferred")
+	releaseLayouts()
+	if err := now(t, written, "once its layout-get was answered"); err != nil {
+		t.Fatal(err)
+	}
 	if lgs := gc.gate.writeLayoutGets(); len(lgs) != 1 || lgs[0].Len != PageSize {
 		t.Fatalf("layout-gets when WriteAt returned = %+v, want the write's own", lgs)
 	}
@@ -500,7 +525,6 @@ func TestEarlyVisibilityClientAllocatesInline(t *testing.T) {
 		return n == PageSize && bytes.Equal(got, data)
 	})
 	releaseCommits()
-	freeSlots()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -546,6 +570,47 @@ func TestWriteBehindSecondLayoutGetCarriesTheRest(t *testing.T) {
 	}
 }
 
+// TestWriteBehindFlushesConcurrently: nothing but the dirty window bounds how
+// many files a client flushes at once. Eight files with one deferred write
+// each put eight write-back layout-gets on the wire together.
+func TestWriteBehindFlushesConcurrently(t *testing.T) {
+	gc := newGatedCluster(t)
+	c := gc.mount(DelayedCommit, nil)
+	reg := obs.NewRegistry()
+	c.RegisterMetrics(reg)
+	inflight := func() int64 {
+		m, ok := reg.Snapshot().Get("redbud_client_writeback_inflight")
+		if !ok {
+			t.Fatal("redbud_client_writeback_inflight is not registered")
+		}
+		return m.Value
+	}
+	const files = 8
+	release := gc.gate.holdWriteLayouts()
+	for i := 0; i < files; i++ {
+		f := mustCreate(t, c, fmt.Sprintf("/f%d", i))
+		mustWrite(t, f, pattern(PageSize, byte(i)), 0)
+		f.Close()
+	}
+	for i := 0; i < files; i++ {
+		gc.gate.waitArrival(t, proto.OpLayoutGet)
+	}
+	if got := inflight(); got != files {
+		t.Fatalf("redbud_client_writeback_inflight = %d with every flush held, want %d", got, files)
+	}
+	release()
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := inflight(); got != 0 {
+		t.Fatalf("redbud_client_writeback_inflight = %d after Drain, want 0", got)
+	}
+	gc.assertOrdered()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWriteBehindReadYourWrites: a deferred write to part of an uncached
 // mid-file page is written through, not cached; a read of that page waits
 // for the flush instead of fetching what the array held before it.
@@ -563,11 +628,11 @@ func TestWriteBehindReadYourWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := fh.(*File)
-	// The write-back routine is parked before its RPC, not the RPC at the
-	// gate: the read's own layout probe must go through, so that what holds
-	// the read back is the barrier. An append needs space, so it is deferred;
-	// the overwrite queues behind it although its range is backed.
-	release := takeSlots(c)
+	// Only the write-back routine's layout-get is held at the gate: the read's
+	// own layout probe must go through, so that what holds the read back is
+	// the barrier. An append needs space, so it is deferred; the overwrite
+	// queues behind it although its range is backed.
+	release := gc.gate.holdWriteLayouts()
 	if _, err := f.Append(pattern(PageSize, 9)); err != nil {
 		t.Fatal(err)
 	}
@@ -612,12 +677,13 @@ func TestWriteBehindRemovedFile(t *testing.T) {
 
 	// Removed by another client while the layout-get is still to come.
 	f := mustCreate(t, c, "/gone")
-	freeSlots := takeSlots(c)
+	release := gc.gate.holdWriteLayouts()
 	mustWrite(t, f, pattern(8*PageSize, 1), 0)
+	gc.gate.waitArrival(t, proto.OpLayoutGet)
 	if err := other.Remove("/gone"); err != nil {
 		t.Fatalf("Remove by another client: %v", err)
 	}
-	freeSlots()
+	release()
 	returns(t, "Drain", func() {
 		if err := c.Drain(); err != nil {
 			t.Errorf("Drain after the file was removed: %v", err)
@@ -785,6 +851,108 @@ func TestCommitFinishingWhileDeferredKeepsFileDirty(t *testing.T) {
 	if got, want := readFile(t, other, "/mail"), append(first, second...); !bytes.Equal(got, want) {
 		t.Fatalf("committed file has %d bytes, want %d: the deferred append was never committed", len(got), len(want))
 	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSyncWaitsForTheCommitInFlight: a Sync that finds the commit daemon's
+// commit of the file on the wire waits for it instead of sending a second one
+// beside it, and finds nothing left to send: write + Sync is one OpCommit.
+func TestSyncWaitsForTheCommitInFlight(t *testing.T) {
+	gc := newGatedCluster(t)
+	c := gc.mount(DelayedCommit, nil)
+	f := mustCreate(t, c, "/f")
+	release := gc.gate.holdOp(proto.OpCommit)
+	mustWrite(t, f, pattern(PageSize, 1), 0)
+	gc.gate.waitArrival(t, proto.OpCommit) // the daemon's
+	synced := background(f.Sync)
+	notYet(t, synced, "while the commit in flight was held")
+	select {
+	case op := <-gc.gate.arrived:
+		t.Fatalf("op %d reached the gate beside the commit in flight", op)
+	default:
+	}
+	release()
+	if err := now(t, synced, "once the commit in flight was answered"); err != nil {
+		t.Fatal(err)
+	}
+	if got := gc.gate.forwardedCount(proto.OpCommit); got != 1 {
+		t.Fatalf("write + Sync put %d commits on the wire, want 1", got)
+	}
+	if a, err := gc.store.Lookup(meta.RootID, "f"); err != nil || a.Size != PageSize {
+		t.Fatalf("committed attr = %+v, %v; want size %d", a, err, PageSize)
+	}
+	gc.assertOrdered()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSyncBehindALostCommitReportsIt: the commit a Sync waits for dies with its
+// MDS session. The Sync reports errSessionLost, as a commit of its own built
+// beside that one would have, not nil for a write the recovered MDS may never
+// have seen.
+func TestSyncBehindALostCommitReportsIt(t *testing.T) {
+	gc := newGatedCluster(t)
+	c := gc.mount(DelayedCommit, func(host string, cfg *Config) {
+		cfg.Redial = func(int) (*rpc.Client, error) { return gc.dial(host), nil }
+		cfg.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
+	})
+	f := mustCreate(t, c, "/f")
+	release := gc.gate.holdOp(proto.OpCommit)
+	mustWrite(t, f, pattern(PageSize, 1), 0)
+	gc.gate.waitArrival(t, proto.OpCommit) // the daemon's
+	synced := background(f.Sync)
+	notYet(t, synced, "while the commit in flight was held")
+
+	up := gc.startMDS("mds-2", 2)
+	gc.gate.mu.Lock()
+	gc.gate.upstream = up
+	gc.gate.mu.Unlock()
+	old, _ := c.links[0].conn()
+	old.Close()
+	if err := now(t, synced, "once the commit in flight was lost"); !errors.Is(err, errSessionLost) {
+		t.Fatalf("Sync behind a commit lost with its session = %v, want errSessionLost", err)
+	}
+	release() // the orphaned request of the dead connection
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDaemonLeavesFileToCommitInFlight: a commit daemon that checks out a
+// file whose commit is on the wire does not wait for it; the file goes back on
+// the queue when that commit finishes, and what it left dirty is committed
+// without a Sync.
+func TestDaemonLeavesFileToCommitInFlight(t *testing.T) {
+	gc := newGatedCluster(t)
+	c := gc.mount(DelayedCommit, func(_ string, cfg *Config) { cfg.FixedCommitThreads = 2 })
+	f := mustCreate(t, c, "/f")
+	fs := f.(*File).fs
+	release := gc.gate.holdOp(proto.OpCommit)
+	mustWrite(t, f, pattern(PageSize, 1), 0)
+	gc.gate.waitArrival(t, proto.OpCommit)
+	if _, err := f.Append(pattern(PageSize, 2)); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the second daemon to leave the file to the commit in flight", func() bool {
+		fs.mu.Lock()
+		defer fs.mu.Unlock()
+		return fs.recommit
+	})
+	release()
+	eventually(t, "the append to be committed", func() bool {
+		a, err := gc.store.Lookup(meta.RootID, "f")
+		return err == nil && a.Size == 2*PageSize
+	})
+	if err := c.Drain(); err != nil { // the last reply may still be on its way
+		t.Fatal(err)
+	}
+	if got := gc.gate.forwardedCount(proto.OpCommit); got != 2 {
+		t.Fatalf("%d commits on the wire, want 2", got)
+	}
+	gc.assertOrdered()
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
