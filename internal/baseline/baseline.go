@@ -170,12 +170,13 @@ func (m *writeReq) MarshalWire(b *wire.Buffer) {
 	b.PutBytes(m.Data)
 }
 
+// UnmarshalWire copies Data: the PVFS2 data server hands it to its disk,
+// which keeps it, while the request frame is recycled once the handler
+// returns.
 func (m *writeReq) UnmarshalWire(r *wire.Reader) error {
 	m.ID = r.U64()
 	m.Off = r.I64()
-	// Zero-copy: decoded server-side only, and both handlers copy Data
-	// before they return the pooled frame.
-	m.Data = r.BytesRef() //lint:allow wirealias — NFS3 copies into its page cache, PVFS2 through disk.Write, before the handler returns
+	m.Data = r.Bytes()
 	return r.Err()
 }
 

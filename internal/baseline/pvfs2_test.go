@@ -10,6 +10,7 @@ import (
 	"redbud/internal/clock"
 	"redbud/internal/fsapi"
 	"redbud/internal/netsim"
+	"redbud/internal/wire"
 )
 
 // cluster is a meta server + K data servers + a client factory.
@@ -250,5 +251,38 @@ func TestAppendSparseEOF(t *testing.T) {
 	}
 	if f.Sync() != nil || f.Close() != nil {
 		t.Fatal("sync/close errored")
+	}
+}
+
+// TestPVFS2DataWriteSurvivesFrameReuse: the RPC layer recycles a request
+// frame as soon as the handler returns, and the disk keeps the buffer it is
+// handed, so the data server must hand it a copy of the payload.
+func TestPVFS2DataWriteSurvivesFrameReuse(t *testing.T) {
+	clk := clock.Real(1)
+	disk := blockdev.New(blockdev.Config{Size: 1 << 24, Model: blockdev.ZeroLatency(), Clock: clk})
+	defer disk.Close()
+	ds := NewPVFS2DataServer(disk, clk, 1)
+	defer ds.Close()
+	data := make([]byte, 2*4096+100) // whole pages and a partial one
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	frame := wire.Encode(&writeReq{ID: 1, Off: 0, Data: data})
+	if _, err := ds.handle(pvfsDataWrite, frame); err != nil {
+		t.Fatal(err)
+	}
+	for i := range frame {
+		frame[i] = 0xee
+	}
+	resp, err := ds.handle(pvfsDataRead, wire.Encode(&readReq{ID: 1, Off: 0, N: int64(len(data))}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got dataResp
+	if err := wire.Decode(resp, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Data, data) {
+		t.Fatal("stored write changed with its recycled request frame")
 	}
 }

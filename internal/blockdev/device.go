@@ -100,10 +100,11 @@ type request struct {
 	op   Op
 	off  int64
 	n    int64
-	data []byte // write payload (owned copy)
+	data []byte // write payload, the device's from submission on
 	buf  []byte // read destination, len n, filled at completion
-	done chan error
+	done func(error)
 	enq  time.Time
+	err  error // the result, set before the request is finished
 }
 
 // ior is an elevator queue entry: one future dispatch, possibly covering
@@ -150,7 +151,16 @@ type Device struct {
 
 	track string // precomputed span track name, "dev<ID>"
 
-	wg sync.WaitGroup
+	// Completion: the service loop and Crash hand finished requests to one
+	// long-lived goroutine, which runs their callbacks in completion order.
+	// A slow callback delays the callbacks behind it, never a dispatch.
+	cmu      sync.Mutex
+	ccond    *sync.Cond
+	finished []*request // awaiting their callbacks, in completion order
+	cstop    bool       // Close: the completion goroutine exits once finished is empty
+	cgone    bool       // it has exited; finish runs callbacks on the caller
+
+	schedDone, complDone chan struct{} // closed as each goroutine exits
 }
 
 // New creates a device and starts its scheduler.
@@ -165,10 +175,11 @@ func New(cfg Config) *Device {
 		cfg.MaxMergedBytes = 1 << 20
 	}
 	d := &Device{cfg: cfg, clk: cfg.Clock, store: newPageStore(), writeFault: cfg.WriteFault,
-		track: fmt.Sprintf("dev%d", cfg.ID)}
+		track: fmt.Sprintf("dev%d", cfg.ID), schedDone: make(chan struct{}), complDone: make(chan struct{})}
 	d.cond = sync.NewCond(&d.mu)
-	d.wg.Add(1)
+	d.ccond = sync.NewCond(&d.cmu)
 	go d.scheduler()
+	go d.completer()
 	return d
 }
 
@@ -178,26 +189,32 @@ func (d *Device) ID() int { return d.cfg.ID }
 // Size returns the device capacity in bytes.
 func (d *Device) Size() int64 { return d.cfg.Size }
 
-// WriteAsync submits a write of p at off and returns a channel that receives
-// the result once the write is durable. The payload is copied.
-func (d *Device) WriteAsync(off int64, p []byte) <-chan error {
-	done := make(chan error, 1)
+// WriteAsync submits a write of p at off; done receives the result once the
+// write is durable. The device owns p from the call on and may keep it as
+// its stored data: the caller never writes to it again. done runs on the
+// device's completion goroutine, or, for a write refused at submission (empty,
+// out of range, device closed or crashed), on the caller's before WriteAsync
+// returns. It must not block for long: it delays the device's later
+// completions.
+func (d *Device) WriteAsync(off int64, p []byte, done func(error)) {
 	if len(p) == 0 {
-		done <- nil
-		return done
+		done(nil)
+		return
 	}
 	if off < 0 || off+int64(len(p)) > d.cfg.Size {
-		done <- fmt.Errorf("%w: write [%d,%d) size %d", ErrOutOfRange, off, off+int64(len(p)), d.cfg.Size)
-		return done
+		done(fmt.Errorf("%w: write [%d,%d) size %d", ErrOutOfRange, off, off+int64(len(p)), d.cfg.Size))
+		return
 	}
-	data := make([]byte, len(p))
-	copy(data, p)
-	d.submit(&request{op: OpWrite, off: off, n: int64(len(p)), data: data, done: done, enq: d.clk.Now()})
-	return done
+	d.submit(&request{op: OpWrite, off: off, n: int64(len(p)), data: p, done: done, enq: d.clk.Now()})
 }
 
-// Write submits a write and blocks until it is durable.
-func (d *Device) Write(off int64, p []byte) error { return <-d.WriteAsync(off, p) }
+// Write submits a write and blocks until it is durable. Like WriteAsync, it
+// takes ownership of p.
+func (d *Device) Write(off int64, p []byte) error {
+	ch := make(chan error, 1)
+	d.WriteAsync(off, p, func(err error) { ch <- err })
+	return <-ch
+}
 
 // ReadAsync submits a read of n bytes at off.
 func (d *Device) ReadAsync(off, n int64) (<-chan error, []byte) {
@@ -211,7 +228,7 @@ func (d *Device) ReadAsync(off, n int64) (<-chan error, []byte) {
 		done <- fmt.Errorf("%w: read [%d,%d) size %d", ErrOutOfRange, off, off+n, d.cfg.Size)
 		return done, buf
 	}
-	d.submit(&request{op: OpRead, off: off, n: n, buf: buf, done: done, enq: d.clk.Now()})
+	d.submit(&request{op: OpRead, off: off, n: n, buf: buf, done: func(err error) { done <- err }, enq: d.clk.Now()})
 	return done, buf
 }
 
@@ -236,7 +253,7 @@ func (d *Device) submit(r *request) {
 			err = ErrCrashed
 		}
 		d.mu.Unlock()
-		r.done <- err
+		r.done(err)
 		return
 	}
 	d.nSubmitted.Inc()
@@ -309,7 +326,7 @@ func (d *Device) pickNext() *ior {
 
 // scheduler is the device's single service loop.
 func (d *Device) scheduler() {
-	defer d.wg.Done()
+	defer close(d.schedDone)
 	for {
 		d.mu.Lock()
 		for len(d.queue) == 0 && !d.closed {
@@ -339,13 +356,12 @@ func (d *Device) complete(q *ior, head int64, st time.Duration) {
 	fault := d.writeFault
 	d.mu.Unlock()
 
-	errs := make([]error, len(q.reqs))
 	if crashed {
-		for i := range errs {
-			errs[i] = ErrCrashed
+		for _, r := range q.reqs {
+			r.err = ErrCrashed
 		}
 	} else {
-		for i, r := range q.reqs {
+		for _, r := range q.reqs {
 			if r.op != OpWrite {
 				d.store.readAt(r.buf, r.off)
 				d.bytesRead.Add(r.n)
@@ -356,7 +372,7 @@ func (d *Device) complete(q *ior, head int64, st time.Duration) {
 				if f == WriteError || f == WriteTorn {
 					d.nFaults.Inc()
 					if f == WriteError {
-						errs[i] = fmt.Errorf("%w: write [%d,%d)", ErrInjected, r.off, r.off+r.n)
+						r.err = fmt.Errorf("%w: write [%d,%d)", ErrInjected, r.off, r.off+r.n)
 						continue
 					}
 					// Torn: persist a strict prefix and record only it as
@@ -372,7 +388,7 @@ func (d *Device) complete(q *ior, head int64, st time.Duration) {
 						d.durable.add(r.off, r.off+keep)
 						d.bytesWrite.Add(keep)
 					}
-					errs[i] = fmt.Errorf("%w: torn write [%d,%d) kept %d bytes", ErrInjected, r.off, r.off+r.n, keep)
+					r.err = fmt.Errorf("%w: torn write [%d,%d) kept %d bytes", ErrInjected, r.off, r.off+r.n, keep)
 					continue
 				}
 			}
@@ -393,10 +409,14 @@ func (d *Device) complete(q *ior, head int64, st time.Duration) {
 		d.seekBytes.Add(seek)
 	}
 	now := d.clk.Now()
-	for i, r := range q.reqs {
+	minEnq := q.reqs[0].enq
+	for _, r := range q.reqs {
 		d.latency.Observe(now.Sub(r.enq))
-		r.done <- errs[i]
+		if r.enq.Before(minEnq) {
+			minEnq = r.enq
+		}
 	}
+	d.finish(q.reqs)
 	if d.cfg.Trace != nil && !crashed {
 		d.cfg.Trace(Event{T: now, Dev: d.cfg.ID, Op: q.op, Offset: q.off, Length: q.n, SeekLen: seek, Merged: len(q.reqs) - 1})
 	}
@@ -406,17 +426,52 @@ func (d *Device) complete(q *ior, head int64, st time.Duration) {
 		// controller overhead + media transfer.
 		dispatch := now.Add(-st)
 		seekT := d.cfg.Model.SeekTime(head, q.off)
-		minEnq := q.reqs[0].enq
-		for _, r := range q.reqs[1:] {
-			if r.enq.Before(minEnq) {
-				minEnq = r.enq
-			}
-		}
 		d.cfg.Tracer.Record(d.track, obs.SpanDevQueue, 0, minEnq, dispatch)
 		if seekT > 0 {
 			d.cfg.Tracer.Record(d.track, obs.SpanDevSeek, 0, dispatch, dispatch.Add(seekT))
 		}
 		d.cfg.Tracer.Record(d.track, obs.SpanDevTransfer, 0, dispatch.Add(seekT), now)
+	}
+}
+
+// finish hands completed requests, their err set, to the completion
+// goroutine, or runs their callbacks here once it has exited.
+func (d *Device) finish(rs []*request) {
+	d.cmu.Lock()
+	if d.cgone {
+		d.cmu.Unlock()
+		for _, r := range rs {
+			r.done(r.err)
+		}
+		return
+	}
+	d.finished = append(d.finished, rs...)
+	d.ccond.Signal()
+	d.cmu.Unlock()
+}
+
+// completer is the device's completion goroutine: it runs the callbacks of
+// finished requests in the order they finished, off the service loop.
+func (d *Device) completer() {
+	defer close(d.complDone)
+	var batch []*request
+	for {
+		d.cmu.Lock()
+		for len(d.finished) == 0 && !d.cstop {
+			d.ccond.Wait()
+		}
+		if len(d.finished) == 0 {
+			d.cgone = true
+			d.cmu.Unlock()
+			return
+		}
+		// Swap the two slices, so neither grows a new array per batch.
+		batch, d.finished = d.finished, batch[:0]
+		d.cmu.Unlock()
+		for i, r := range batch {
+			r.done(r.err)
+			batch[i] = nil
+		}
 	}
 }
 
@@ -432,8 +487,9 @@ func (d *Device) Crash() {
 	d.mu.Unlock()
 	for _, e := range q {
 		for _, r := range e.reqs {
-			r.done <- ErrCrashed
+			r.err = ErrCrashed
 		}
+		d.finish(e.reqs)
 	}
 }
 
@@ -445,7 +501,8 @@ func (d *Device) Recover() {
 	d.mu.Unlock()
 }
 
-// Close shuts the device down after draining the queue.
+// Close shuts the device down after draining the queue: the service loop
+// stops first, then the completion goroutine once it has run every callback.
 func (d *Device) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -455,7 +512,12 @@ func (d *Device) Close() {
 	d.closed = true
 	d.cond.Broadcast()
 	d.mu.Unlock()
-	d.wg.Wait()
+	<-d.schedDone
+	d.cmu.Lock()
+	d.cstop = true
+	d.ccond.Signal()
+	d.cmu.Unlock()
+	<-d.complDone
 }
 
 // rawStats reads the monotonic counters.

@@ -23,6 +23,13 @@ func newTestDev(t *testing.T, cfg Config) *Device {
 	return d
 }
 
+// writeAsync submits a write and returns a channel that yields its result.
+func writeAsync(d *Device, off int64, p []byte) <-chan error {
+	ch := make(chan error, 1)
+	d.WriteAsync(off, p, func(err error) { ch <- err })
+	return ch
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	d := newTestDev(t, Config{Size: 1 << 20})
 	data := bytes.Repeat([]byte{0xab}, 1000)
@@ -40,7 +47,13 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestWriteAsyncDurability(t *testing.T) {
 	d := newTestDev(t, Config{Size: 1 << 20})
-	done := d.WriteAsync(0, []byte("x"))
+	done := make(chan error, 1)
+	d.WriteAsync(0, []byte("x"), func(err error) {
+		if !d.IsDurable(0, 1) {
+			err = errors.New("callback ran before the write was durable")
+		}
+		done <- err
+	})
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +105,10 @@ func TestSequentialWritesMerge(t *testing.T) {
 	chunk := make([]byte, 4096)
 	// A blocker at a far offset seeks for ~51 ms virtual (~2.5 ms wall);
 	// the contiguous stream arrives while it is in service and back-merges.
-	blocker := d.WriteAsync(1<<25, chunk)
+	blocker := writeAsync(d, 1<<25, chunk)
 	var dones []<-chan error
 	for i := 0; i < n; i++ {
-		dones = append(dones, d.WriteAsync(int64(i)*4096, chunk))
+		dones = append(dones, writeAsync(d, int64(i)*4096, chunk))
 	}
 	<-blocker
 	for _, ch := range dones {
@@ -121,11 +134,11 @@ func TestSequentialWritesMerge(t *testing.T) {
 func TestMergedWritesApplyAllPayloads(t *testing.T) {
 	model := DiskModel{SeekBase: 50 * time.Millisecond, BandwidthMBps: 100}
 	d := newTestDev(t, Config{Size: 1 << 26, Model: model, Clock: clock.Real(0.05)})
-	blocker := d.WriteAsync(1<<25, make([]byte, 64))
+	blocker := writeAsync(d, 1<<25, make([]byte, 64))
 	var dones []<-chan error
 	for i := 0; i < 8; i++ {
 		payload := bytes.Repeat([]byte{byte(i + 1)}, 4096)
-		dones = append(dones, d.WriteAsync(int64(i)*4096, payload))
+		dones = append(dones, writeAsync(d, int64(i)*4096, payload))
 	}
 	<-blocker
 	for _, ch := range dones {
@@ -165,10 +178,10 @@ func TestDisableMerge(t *testing.T) {
 func TestMergeCap(t *testing.T) {
 	model := DiskModel{SeekBase: 50 * time.Millisecond, BandwidthMBps: 1000}
 	d := newTestDev(t, Config{Size: 1 << 26, Model: model, Clock: clock.Real(0.05), MaxMergedBytes: 8192})
-	blocker := d.WriteAsync(1<<25, make([]byte, 64))
+	blocker := writeAsync(d, 1<<25, make([]byte, 64))
 	var dones []<-chan error
 	for i := 0; i < 8; i++ {
-		dones = append(dones, d.WriteAsync(int64(i)*4096, make([]byte, 4096)))
+		dones = append(dones, writeAsync(d, int64(i)*4096, make([]byte, 4096)))
 	}
 	<-blocker
 	for _, ch := range dones {
@@ -183,8 +196,8 @@ func TestMergeCap(t *testing.T) {
 func TestReadsDontMergeWithWrites(t *testing.T) {
 	model := DiskModel{SeekBase: 50 * time.Millisecond, BandwidthMBps: 1000}
 	d := newTestDev(t, Config{Size: 1 << 26, Model: model, Clock: clock.Real(0.05)})
-	blocker := d.WriteAsync(1<<25, make([]byte, 64)) // keeps head busy
-	w := d.WriteAsync(0, make([]byte, 4096))
+	blocker := writeAsync(d, 1<<25, make([]byte, 64)) // keeps head busy
+	w := writeAsync(d, 0, make([]byte, 4096))
 	r, _ := d.ReadAsync(4096, 4096)
 	<-blocker
 	<-w
@@ -202,7 +215,7 @@ func TestSeekAccounting(t *testing.T) {
 	defer d.Close()
 	defer mc.Advance(time.Hour) // release any stragglers
 
-	done := d.WriteAsync(1<<20, make([]byte, 4096))
+	done := writeAsync(d, 1<<20, make([]byte, 4096))
 	for mc.Waiters() == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -261,7 +274,7 @@ func TestCrashDropsQueueAndPreservesDurable(t *testing.T) {
 	// Queue several writes, then crash before they can finish.
 	var errs []<-chan error
 	for i := 1; i <= 5; i++ {
-		errs = append(errs, d.WriteAsync(int64(i)<<20, make([]byte, 4096)))
+		errs = append(errs, writeAsync(d, int64(i)<<20, make([]byte, 4096)))
 	}
 	d.Crash()
 	crashed := 0
@@ -391,7 +404,7 @@ func TestReadsPrioritizedOverWriteFlood(t *testing.T) {
 	// Flood: one in-flight write plus a deep queue of scattered writes.
 	var floods []<-chan error
 	for i := 0; i < 20; i++ {
-		floods = append(floods, d.WriteAsync(int64(i+1)<<20, make([]byte, 4096)))
+		floods = append(floods, writeAsync(d, int64(i+1)<<20, make([]byte, 4096)))
 	}
 	start := time.Now()
 	if _, err := d.Read(0, 64); err != nil {
@@ -405,5 +418,83 @@ func TestReadsPrioritizedOverWriteFlood(t *testing.T) {
 	// priority it waits for at most the in-flight dispatch plus its own.
 	if readWall > 10*time.Millisecond {
 		t.Fatalf("read waited %v behind the write flood", readWall)
+	}
+}
+
+// TestSlowCallbackDoesNotDelayDispatch: callbacks run off the service loop. A
+// callback that does not return holds back the callbacks behind it, in
+// completion order, but the writes behind it are still served and durable.
+func TestSlowCallbackDoesNotDelayDispatch(t *testing.T) {
+	d := newTestDev(t, Config{Size: 1 << 20})
+	release := make(chan struct{})
+	d.WriteAsync(0, make([]byte, 4096), func(error) { <-release })
+	var order []int
+	var mu sync.Mutex
+	done := make(chan struct{})
+	for i := 1; i <= 4; i++ {
+		i := i
+		d.WriteAsync(int64(i)*8192, make([]byte, 4096), func(error) {
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			if i == 4 {
+				close(done)
+			}
+		})
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !d.IsDurable(4*8192, 4096) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("writes behind a blocked callback were not served")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	mu.Lock()
+	ran := len(order)
+	mu.Unlock()
+	if ran != 0 {
+		t.Fatalf("%d callbacks overtook the blocked one", ran)
+	}
+	close(release)
+	<-done
+	mu.Lock()
+	defer mu.Unlock()
+	for i, got := range order {
+		if got != i+1 {
+			t.Fatalf("callbacks ran in order %v, want completion order", order)
+		}
+	}
+}
+
+// TestCloseRunsEveryCallback: Close returns only after the callbacks of the
+// requests it drained have run.
+func TestCloseRunsEveryCallback(t *testing.T) {
+	model := DiskModel{SeekBase: time.Millisecond, BandwidthMBps: 100}
+	d := New(Config{Size: 1 << 24, Model: model, Clock: clock.Real(0.05)})
+	var ran sync.WaitGroup
+	var n int64
+	var mu sync.Mutex
+	for i := 0; i < 32; i++ {
+		ran.Add(1)
+		d.WriteAsync(int64(i)<<18, make([]byte, 512), func(err error) {
+			if err == nil {
+				mu.Lock()
+				n++
+				mu.Unlock()
+			}
+			ran.Done()
+		})
+	}
+	d.Close()
+	mu.Lock()
+	got := n
+	mu.Unlock()
+	if got != 32 {
+		t.Fatalf("%d of 32 callbacks had run when Close returned", got)
+	}
+	ran.Wait()
+	if err := d.Write(0, []byte("x")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("write after close err = %v", err)
 	}
 }

@@ -126,8 +126,8 @@ func TestFaultedMergePreservesNeighbors(t *testing.T) {
 		}
 		return WriteOK, 0
 	})
-	c1 := d.WriteAsync(0, make([]byte, 4096))
-	c2 := d.WriteAsync(4096, make([]byte, 4096))
+	c1 := writeAsync(d, 0, make([]byte, 4096))
+	c2 := writeAsync(d, 4096, make([]byte, 4096))
 	err1, err2 := <-c1, <-c2
 	if !errors.Is(err1, ErrInjected) {
 		t.Fatalf("first write err = %v, want ErrInjected", err1)

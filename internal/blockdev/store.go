@@ -12,12 +12,24 @@ const pageSize = 4096
 
 // pageStore is the byte-addressable backing store of a simulated device.
 // Unwritten bytes read as zero.
+//
+// A write hands the store its buffer (the device owns it from submission on),
+// so a whole, page-aligned page of it is kept by reference rather than
+// copied. The store never writes into a page it did not allocate: a partial
+// write over such an adopted page replaces it with a patched copy.
 type pageStore struct {
 	mu    sync.RWMutex
-	pages map[int64][]byte // page index -> pageSize bytes
+	pages map[int64]page // page index -> contents
 }
 
-func newPageStore() *pageStore { return &pageStore{pages: make(map[int64][]byte)} }
+// page is one pageSize slice of the store; owned says the store allocated it
+// and may patch it in place.
+type page struct {
+	b     []byte
+	owned bool
+}
+
+func newPageStore() *pageStore { return &pageStore{pages: make(map[int64]page)} }
 
 func (s *pageStore) writeAt(p []byte, off int64) {
 	s.mu.Lock()
@@ -29,12 +41,18 @@ func (s *pageStore) writeAt(p []byte, off int64) {
 		if int64(len(p)) < n {
 			n = int64(len(p))
 		}
-		pg := s.pages[idx]
-		if pg == nil {
-			pg = make([]byte, pageSize)
-			s.pages[idx] = pg
+		if n == pageSize {
+			s.pages[idx] = page{b: p[:pageSize:pageSize]}
+		} else {
+			pg := s.pages[idx]
+			if !pg.owned {
+				b := make([]byte, pageSize)
+				copy(b, pg.b)
+				pg = page{b: b, owned: true}
+				s.pages[idx] = pg
+			}
+			copy(pg.b[in:in+n], p[:n])
 		}
-		copy(pg[in:in+n], p[:n])
 		p = p[n:]
 		off += n
 	}
@@ -50,7 +68,7 @@ func (s *pageStore) readAt(p []byte, off int64) {
 		if int64(len(p)) < n {
 			n = int64(len(p))
 		}
-		if pg := s.pages[idx]; pg != nil {
+		if pg := s.pages[idx].b; pg != nil {
 			copy(p[:n], pg[in:in+n])
 		} else {
 			for i := int64(0); i < n; i++ {
@@ -74,7 +92,8 @@ type intervalSet struct {
 	iv []interval // sorted by start, non-overlapping, non-adjacent
 }
 
-// add inserts [start, end) into the set, coalescing neighbours.
+// add inserts [start, end) into the set, coalescing neighbours. It edits the
+// slice in place: the intervals [i, j) it absorbs collapse into one.
 func (s *intervalSet) add(start, end int64) {
 	if end <= start {
 		return
@@ -93,11 +112,13 @@ func (s *intervalSet) add(start, end int64) {
 		}
 		j++
 	}
-	out := make([]interval, 0, len(s.iv)-(j-i)+1)
-	out = append(out, s.iv[:i]...)
-	out = append(out, interval{start, end})
-	out = append(out, s.iv[j:]...)
-	s.iv = out
+	if i == j { // nothing absorbed: open a slot at i
+		s.iv = append(s.iv, interval{})
+		copy(s.iv[i+1:], s.iv[i:])
+	} else if j > i+1 { // several absorbed: close the gap behind i
+		s.iv = append(s.iv[:i+1], s.iv[j:]...)
+	}
+	s.iv[i] = interval{start, end}
 }
 
 // contains reports whether [start, end) is fully covered.

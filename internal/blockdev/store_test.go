@@ -68,6 +68,32 @@ func TestPageStoreQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPageStoreNeverWritesHandedBuffer: the store keeps a whole page of a
+// write by reference, so two pages can share one caller buffer. A partial
+// write over one of them must patch a copy, leaving the other page and the
+// buffer itself as they were.
+func TestPageStoreNeverWritesHandedBuffer(t *testing.T) {
+	s := newPageStore()
+	shared := bytes.Repeat([]byte{7}, pageSize)
+	s.writeAt(shared, 0)
+	s.writeAt(shared, 3*pageSize)
+	s.writeAt([]byte{1, 2, 3}, 100)
+	want := bytes.Repeat([]byte{7}, pageSize)
+	if !bytes.Equal(shared, want) {
+		t.Fatal("partial write patched the caller's buffer")
+	}
+	got := make([]byte, pageSize)
+	s.readAt(got, 3*pageSize)
+	if !bytes.Equal(got, want) {
+		t.Fatal("partial write over one page changed another page of the same buffer")
+	}
+	s.readAt(got, 0)
+	copy(want[100:], []byte{1, 2, 3})
+	if !bytes.Equal(got, want) {
+		t.Fatal("partial write lost over an adopted page")
+	}
+}
+
 func TestIntervalSetBasics(t *testing.T) {
 	var s intervalSet
 	if !s.contains(5, 5) {
@@ -114,6 +140,58 @@ func TestIntervalSetEmptyAdd(t *testing.T) {
 	s.add(10, 5)
 	if s.count() != 0 {
 		t.Fatal("empty/inverted add created intervals")
+	}
+}
+
+// TestIntervalSetAddTable checks in-place merging against a bitmap: each
+// case starts from the same set and adds one range.
+func TestIntervalSetAddTable(t *testing.T) {
+	start := []interval{{10, 20}, {30, 40}, {50, 60}, {70, 80}}
+	cases := []struct {
+		name       string
+		start, end int64
+		want       int // intervals afterwards
+	}{
+		{"before all", 0, 5, 5},
+		{"in a gap", 22, 28, 5},
+		{"after all", 90, 95, 5},
+		{"touching the end of one", 20, 25, 4},
+		{"touching the start of one", 25, 30, 4},
+		{"touching both neighbours", 40, 50, 3},
+		{"overlapping one", 15, 25, 4},
+		{"inside one", 12, 18, 4},
+		{"spanning several", 15, 75, 1},
+		{"covering all", 0, 100, 1},
+		{"spanning several, ending in a gap", 35, 65, 3},
+	}
+	for _, tc := range cases {
+		var s intervalSet
+		ref := make([]bool, 100)
+		for _, iv := range start {
+			s.add(iv.start, iv.end)
+			for x := iv.start; x < iv.end; x++ {
+				ref[x] = true
+			}
+		}
+		s.add(tc.start, tc.end)
+		for x := tc.start; x < tc.end; x++ {
+			ref[x] = true
+		}
+		if got := s.count(); got != tc.want {
+			t.Errorf("%s: %d intervals %v, want %d", tc.name, got, s.iv, tc.want)
+		}
+		for x := int64(0); x < 100; x++ {
+			if got := s.contains(x, x+1); got != ref[x] {
+				t.Errorf("%s: byte %d covered = %v, want %v (set %v)", tc.name, x, got, ref[x], s.iv)
+				break
+			}
+		}
+		for i := 1; i < len(s.iv); i++ {
+			if s.iv[i-1].end >= s.iv[i].start {
+				t.Errorf("%s: intervals %v not sorted and apart", tc.name, s.iv)
+				break
+			}
+		}
 	}
 }
 

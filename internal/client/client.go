@@ -72,9 +72,11 @@ const (
 // the direct data path the paper routes over fiber channel. Implemented by
 // *blockdev.Device in-process and by san.RemoteDevice over the network.
 type BlockDevice interface {
-	// WriteAsync is writepage: it submits the write and returns a channel
-	// that yields once the data is durable.
-	WriteAsync(off int64, p []byte) <-chan error
+	// WriteAsync is writepage: it submits the write, and done receives the
+	// result once the data is durable — like a bio's completion callback, on
+	// the device's goroutine or, for a write refused outright, on the
+	// caller's. The device owns p from the call on.
+	WriteAsync(off int64, p []byte, done func(error))
 	// Read blocks until n bytes at off have been read.
 	Read(off, n int64) ([]byte, error)
 }

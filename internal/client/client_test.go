@@ -708,7 +708,7 @@ func uncommittedWriter(t *testing.T, tc *testCluster, path string, n int) ([]byt
 	}
 	data := pattern(n, 21)
 	for _, e := range lay.Extents {
-		if err := <-tc.devices[e.Dev].WriteAsync(e.VolOff, data[e.FileOff:e.FileOff+e.Len]); err != nil {
+		if err := tc.devices[e.Dev].Write(e.VolOff, data[e.FileOff:e.FileOff+e.Len]); err != nil {
 			t.Fatal(err)
 		}
 	}

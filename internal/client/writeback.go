@@ -72,17 +72,22 @@ func (c *Client) mustDeferLocked(fs *fileState, off, end int64) bool {
 	if c.earlyVisible() {
 		return false
 	}
-	holes, err := c.coverLocalLocked(fs, off, end)
+	holes, err := c.coverLocalLocked(fs, off, end, false)
+	if fs.flushing { // deferred while the pool refilled: this write goes behind it
+		return true
+	}
 	// A failing pool is reported by the inline path, which asks it again.
 	return err == nil && len(holes) > 0
 }
 
 // writeOut allocates space for ws, plans one set of device writes per
 // original write and issues them, in order. behind says ws came off the
-// write-behind list: its bytes are in the page cache already and charged to
-// the dirty window. Otherwise they are staged here, once allocation has
-// succeeded, so a failed write leaves the file untouched. Called with fs.mu
-// held; releases it (the layout-get and the device submits run unlocked).
+// write-behind list: its bytes are in the page cache already, charged to the
+// dirty window, and private copies the devices can keep. Otherwise they are
+// staged here, once allocation has succeeded, so a failed write leaves the
+// file untouched, and copied once for the devices, which own what they are
+// handed. Called with fs.mu held; releases it (the layout-get and the device
+// submits run unlocked).
 func (c *Client) writeOut(fs *fileState, ws []fileWrite, behind bool) error {
 	if err := c.ensureExtents(fs, ws, behind); err != nil {
 		fs.mu.Unlock()
@@ -91,10 +96,12 @@ func (c *Client) writeOut(fs *fileState, ws []fileWrite, behind bool) error {
 	now := c.clk.Now()
 	var ios []devWrite
 	for _, w := range ws {
+		data := w.data
 		if !behind {
-			fs.stageLocked(w.data, w.off, now)
+			fs.stageLocked(data, w.off, now)
+			data = append([]byte(nil), data...)
 		}
-		plan, err := c.planIO(fs, w.data, w.off)
+		plan, err := c.planIO(fs, data, w.off)
 		if err != nil {
 			fs.mu.Unlock()
 			return err
@@ -104,22 +111,24 @@ func (c *Client) writeOut(fs *fileState, ws []fileWrite, behind bool) error {
 	fs.pendingWrites += len(ios)
 	fs.mu.Unlock()
 
-	// writepage: submit to the storage devices, completion is asynchronous.
+	// writepage: submit to the storage devices; each write retires in its
+	// completion callback.
 	for _, dw := range ios {
+		n := int64(len(dw.data))
 		dev, err := c.dev(dw.dev)
 		if err != nil {
-			c.writeDone(fs, dw, err, behind)
+			c.writeDone(fs, n, err, behind)
 			continue
 		}
-		ch := dev.WriteAsync(dw.volOff, dw.data)
-		go func() { c.writeDone(fs, dw, <-ch, behind) }()
+		dev.WriteAsync(dw.volOff, dw.data, func(err error) { c.writeDone(fs, n, err, behind) })
 	}
 	return nil
 }
 
-// writeDone retires one device write; behind writes give their bytes back to
-// the dirty window.
-func (c *Client) writeDone(fs *fileState, dw devWrite, err error, behind bool) {
+// writeDone retires one device write of n bytes; behind writes give their
+// bytes back to the dirty window. It runs on the device's completion
+// goroutine, so nothing may hold fs.mu across a wait that is not fs.cond's.
+func (c *Client) writeDone(fs *fileState, n int64, err error, behind bool) {
 	fs.mu.Lock()
 	fs.pendingWrites--
 	if err != nil && fs.writeErr == nil {
@@ -129,35 +138,56 @@ func (c *Client) writeDone(fs *fileState, dw devWrite, err error, behind bool) {
 	fs.cond.Broadcast()
 	fs.mu.Unlock()
 	if behind {
-		c.releaseDirty(int64(len(dw.data)))
+		c.releaseDirty(n)
 	}
 }
 
 // coverLocalLocked backs the holes of [off, end) from the delegation pool
 // and returns those it could not (all of them without a pool, or while a
-// session re-establishment has the pool closed). Caller holds fs.mu.
-func (c *Client) coverLocalLocked(fs *fileState, off, end int64) ([][2]int64, error) {
-	holes := fs.gapsLocked(off, end)
-	pool := c.spacePool()
-	if pool == nil || len(holes) == 0 {
-		return holes, nil
-	}
-	remaining := holes[:0]
-	for _, h := range holes {
-		sp, err := pool.Alloc(h[1] - h[0])
-		if err != nil {
-			if errors.Is(err, core.ErrTooLarge) || errors.Is(err, core.ErrPoolClosed) {
-				remaining = append(remaining, h)
-				continue
-			}
-			return nil, err
+// session re-establishment has the pool closed). A dry pool is not waited for
+// under fs.mu — device completions retire writes under it — so the lock is
+// let go for the refill and the holes are recomputed after it. keepSession
+// (a write-behind batch, which belongs to the session it was taken in) ends
+// with errSessionLost if the file's session moved meanwhile, before anything
+// is carved into the new one. Caller holds fs.mu.
+func (c *Client) coverLocalLocked(fs *fileState, off, end int64, keepSession bool) ([][2]int64, error) {
+	session := fs.session
+	for {
+		holes := fs.gapsLocked(off, end)
+		pool := c.spacePool()
+		if pool == nil || len(holes) == 0 {
+			return holes, nil
 		}
-		fs.insertExtentLocked(meta.Extent{
-			FileOff: h[0], Len: sp.Len, Dev: uint32(sp.Dev), VolOff: sp.Off,
-			State: meta.StateUncommitted,
-		})
+		remaining := holes[:0]
+		var refill <-chan struct{}
+		for _, h := range holes {
+			sp, wait, err := pool.TryAlloc(h[1] - h[0])
+			if wait != nil {
+				refill = wait
+				break
+			}
+			if err != nil {
+				if errors.Is(err, core.ErrTooLarge) || errors.Is(err, core.ErrPoolClosed) {
+					remaining = append(remaining, h)
+					continue
+				}
+				return nil, err
+			}
+			fs.insertExtentLocked(meta.Extent{
+				FileOff: h[0], Len: sp.Len, Dev: uint32(sp.Dev), VolOff: sp.Off,
+				State: meta.StateUncommitted,
+			})
+		}
+		if refill == nil {
+			return remaining, nil
+		}
+		fs.mu.Unlock()
+		pool.WaitRefill(refill)
+		fs.mu.Lock()
+		if keepSession && fs.session != session {
+			return nil, errSessionLost
+		}
 	}
-	return remaining, nil
 }
 
 // ensureExtents covers every range of ws with extents, from the delegation
@@ -165,12 +195,12 @@ func (c *Client) coverLocalLocked(fs *fileState, off, end int64) ([][2]int64, er
 // holes. behind: ws is already part of the file's local state, which a session
 // re-establishment during the layout-get throws away — the grant is then
 // dropped with it (errSessionLost). An inline write has staged nothing yet and
-// simply lands in the new session. Caller holds fs.mu; the MDS path drops and
-// reacquires it.
+// simply lands in the new session. Caller holds fs.mu; a pool refill and the
+// MDS path drop and reacquire it.
 func (c *Client) ensureExtents(fs *fileState, ws []fileWrite, behind bool) error {
 	var runs [][2]int64
 	for _, w := range ws {
-		holes, err := c.coverLocalLocked(fs, w.off, w.off+int64(len(w.data)))
+		holes, err := c.coverLocalLocked(fs, w.off, w.off+int64(len(w.data)), behind)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1267,5 +1268,108 @@ func TestWriteBehindObservability(t *testing.T) {
 	// One per file at least (Drain can build a second beside a daemon's).
 	if queued < 4 {
 		t.Fatalf("%d commits waited for the held flush, want at least 4", queued)
+	}
+}
+
+// TestDryPoolRefillHoldsNoFileLock: a write that finds the delegation pool dry
+// waits for the refill without the file's lock, so the file stays usable —
+// and a device completion, which retires its write under that lock, is never
+// stuck behind the delegate round trip.
+func TestDryPoolRefillHoldsNoFileLock(t *testing.T) {
+	for _, noPrefetch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("noPrefetch=%v", noPrefetch), func(t *testing.T) {
+			gc := newGatedCluster(t)
+			c := gc.mount(DelayedCommit, func(_ string, cfg *Config) {
+				cfg.DelegationChunk = 1 << 20
+				cfg.SpaceNoPrefetch = noPrefetch
+			})
+			f := mustCreate(t, c, "/f")
+			release := gc.gate.holdOp(proto.OpDelegate)
+			data := pattern(PageSize, 5)
+			wrote := make(chan error, 1)
+			go func() {
+				_, err := f.WriteAt(data, 0)
+				wrote <- err
+			}()
+			gc.gate.waitArrival(t, proto.OpDelegate)
+			returns(t, "Size of the file while its write waits for the refill", func() { f.Size() })
+			release()
+			if err := <-wrote; err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Stats().LocalAllocs; got == 0 {
+				t.Fatal("the write did not allocate from the refilled pool")
+			}
+			got := make([]byte, PageSize)
+			if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read back %v, %v", err, bytes.Equal(got, data))
+			}
+			gc.assertOrdered()
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestInlineWritesHoldNoGoroutine: a device write in flight costs the client
+// no goroutine; it retires in the device's completion callback. With the
+// device's head held in one dispatch, 256 inline writes queue behind it.
+func TestInlineWritesHoldNoGoroutine(t *testing.T) {
+	tc := newCluster(t)
+	// The device sleeps on a manual clock that a driver advances only once
+	// the writes are counted.
+	mc := clock.NewManual()
+	var drive atomic.Bool
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if !drive.Load() || !mc.AdvanceToNext() {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}()
+	t.Cleanup(func() { close(stop); <-stopped })
+	dev := blockdev.New(blockdev.Config{ID: 0, Size: 1 << 30, Model: blockdev.FastHDD(), Clock: mc})
+	t.Cleanup(func() { drive.Store(true); dev.Close() })
+	tc.devices[0] = dev // the MDS's durability check reads this map too
+	c := tc.client(DelayedCommit, 16<<20)
+	f := mustCreate(t, c, "/f")
+	const n = 256
+	data := pattern((n+1)*PageSize, 9)
+	// The first write primes the pool; its dispatch then holds the head.
+	mustWrite(t, f, data[:PageSize], 0)
+	eventually(t, "the first dispatch to hold the head", func() bool { return mc.Waiters() > 0 })
+	before := runtime.NumGoroutine()
+	for i := 1; i <= n; i++ {
+		mustWrite(t, f, data[i*PageSize:(i+1)*PageSize], int64(i*PageSize))
+	}
+	rise := runtime.NumGoroutine() - before
+	allocs := c.Stats().LocalAllocs
+	drive.Store(true)
+	if rise >= 16 {
+		t.Fatalf("%d device writes in flight hold %d more goroutines", n, rise)
+	}
+	if allocs < n {
+		t.Fatalf("%d of %d writes allocated locally: not all went inline", allocs, n)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back %v, equal %v", err, bytes.Equal(got, data))
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -87,23 +87,34 @@ func NewSpacePool(cfg SpacePoolConfig) *SpacePool {
 // asynchronous refill, and only a completely dry pool (cold start, or a
 // burst outrunning the refill) waits for the MDS.
 func (p *SpacePool) Alloc(n int64) (alloc.Span, error) {
+	for {
+		sp, refill, err := p.TryAlloc(n)
+		if refill == nil {
+			return sp, err
+		}
+		p.WaitRefill(refill)
+	}
+}
+
+// TryAlloc is Alloc for a caller that holds a lock: it never waits. When the
+// pool is dry it returns a non-nil refill instead of a span; the caller lets
+// go of its locks, calls WaitRefill(refill), and tries again.
+func (p *SpacePool) TryAlloc(n int64) (sp alloc.Span, refill <-chan struct{}, err error) {
 	if n <= 0 {
-		return alloc.Span{}, fmt.Errorf("core: invalid allocation size %d", n)
+		return alloc.Span{}, nil, fmt.Errorf("core: invalid allocation size %d", n)
 	}
 	if n > p.cfg.ChunkSize {
-		return alloc.Span{}, ErrTooLarge
+		return alloc.Span{}, nil, ErrTooLarge
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	for {
 		if p.closed {
-			p.mu.Unlock()
-			return alloc.Span{}, ErrPoolClosed
+			return alloc.Span{}, nil, ErrPoolClosed
 		}
 		if p.active.remaining() >= n {
-			sp := p.active.carve(n)
 			p.localAllocs.Inc()
-			p.mu.Unlock()
-			return sp, nil
+			return p.active.carve(n), nil, nil
 		}
 		// Swap in the standby; the exhausted chunk's tail is stranded
 		// (its unused space returns to the MDS with the delegation).
@@ -116,27 +127,30 @@ func (p *SpacePool) Alloc(n int64) (alloc.Span, error) {
 			}
 			continue
 		}
-		// Nothing usable: make sure a refill is in flight and wait.
+		// Nothing usable: make sure a refill is in flight.
 		p.startRefillLocked()
 		if p.refillErr != nil {
 			err := p.refillErr
 			p.refillErr = nil
-			p.mu.Unlock()
-			return alloc.Span{}, err
+			return alloc.Span{}, nil, err
 		}
-		ch := p.refillCh
-		p.mu.Unlock()
-		<-ch
-		p.mu.Lock()
-		// Loop: promote the landed standby and retry.
-		if p.standby != nil {
-			if p.active.remaining() > 0 {
-				p.wasted.Add(p.active.remaining())
-			}
-			p.active = p.standby
-			p.standby = nil
-			p.startRefillLocked()
+		return alloc.Span{}, p.refillCh, nil
+	}
+}
+
+// WaitRefill waits for the refill TryAlloc returned to land and promotes it
+// to the active pool.
+func (p *SpacePool) WaitRefill(refill <-chan struct{}) {
+	<-refill
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.standby != nil {
+		if p.active.remaining() > 0 {
+			p.wasted.Add(p.active.remaining())
 		}
+		p.active = p.standby
+		p.standby = nil
+		p.startRefillLocked()
 	}
 }
 

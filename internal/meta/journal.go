@@ -145,7 +145,6 @@ type Journal struct {
 	pending  []byte         // framed records awaiting the next device write
 	waiters  []chan<- error // one per pending record, in log order
 	flushing bool           // a leader is draining batches
-	spare    []byte         // recycled accumulation buffer
 
 	appends int64 // records appended (stats)
 	batches int64 // device writes issued (stats)
@@ -199,9 +198,6 @@ func (j *Journal) Append(rec *Record) <-chan error {
 		ch <- fmt.Errorf("%w: %d of %d bytes used", ErrJournalFull, used, j.size)
 		return ch
 	}
-	if j.pending == nil && j.spare != nil {
-		j.pending, j.spare = j.spare[:0], nil
-	}
 	j.pending = binary.LittleEndian.AppendUint32(j.pending, journalMagic)
 	j.pending = binary.LittleEndian.AppendUint32(j.pending, j.gen)
 	j.pending = binary.LittleEndian.AppendUint32(j.pending, uint32(len(payload)))
@@ -228,6 +224,8 @@ func (j *Journal) Append(rec *Record) <-chan error {
 // signals the batch's waiters once it is durable. Records appended while a
 // write is in flight accumulate into the next batch, so under concurrency the
 // per-request device overhead is paid once per batch, not once per record.
+// The device keeps the batch buffer it is handed, so every batch gets a new
+// one.
 //
 //redbud:hotpath
 func (j *Journal) flushBatches() {
@@ -241,22 +239,13 @@ func (j *Journal) flushBatches() {
 		buf := j.pending
 		waiters := j.waiters
 		off := j.flushOff
-		j.pending = nil
+		j.pending = make([]byte, 0, len(buf)) // the next batch, sized like this one
 		j.waiters = nil
 		j.flushOff = off + int64(len(buf))
 		j.batches++
 		j.mu.Unlock()
 
-		// WriteAsync copies buf before returning its channel, so the
-		// buffer can be recycled as soon as the write is submitted.
-		done := j.dev.WriteAsync(j.start+off, buf)
-		j.mu.Lock()
-		if j.pending == nil && j.spare == nil {
-			j.spare = buf[:0]
-		}
-		j.mu.Unlock()
-
-		err := <-done
+		err := j.dev.Write(j.start+off, buf)
 		for _, ch := range waiters {
 			ch <- err
 		}

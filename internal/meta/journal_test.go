@@ -240,7 +240,8 @@ func TestJournalGroupCommitBatches(t *testing.T) {
 	})
 	defer d.Close()
 	// Blocker keeps the head busy while appends accumulate.
-	blocker := d.WriteAsync(32<<20, make([]byte, 64))
+	blocker := make(chan error, 1)
+	d.WriteAsync(32<<20, make([]byte, 64), func(err error) { blocker <- err })
 	j := NewJournal(d, 0, 16<<20)
 	var chans []<-chan error
 	for i := 0; i < 16; i++ {

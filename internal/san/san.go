@@ -31,12 +31,11 @@ func (m *writeReq) MarshalWire(b *wire.Buffer) {
 	b.PutBytes(m.Data)
 }
 
+// UnmarshalWire copies Data: the handler hands it to the device, which keeps
+// it, while the request frame is recycled once the handler returns.
 func (m *writeReq) UnmarshalWire(r *wire.Reader) error {
 	m.Off = r.I64()
-	// Zero-copy: decoded server-side only, and the handler hands Data to
-	// blockdev.Device.Write, which copies it into the device queue before
-	// returning — the slice never outlives the pooled request frame.
-	m.Data = r.BytesRef() //lint:allow wirealias — dev.Write copies before the handler returns
+	m.Data = r.Bytes()
 	return r.Err()
 }
 
@@ -126,20 +125,18 @@ func NewRemoteDevice(conn netsim.Conn, clk clock.Clock) *RemoteDevice {
 	return &RemoteDevice{rpcc: rpc.NewClient(conn, clk)}
 }
 
-// WriteAsync submits the write over the network; the channel yields when the
-// remote device reports durability.
-func (d *RemoteDevice) WriteAsync(off int64, p []byte) <-chan error {
-	data := make([]byte, len(p))
-	copy(data, p)
-	done := make(chan error, 1)
-	go func() {
-		done <- d.rpcc.Call(opWrite, &writeReq{Off: off, Data: data}, nil)
-	}()
-	return done
+// WriteAsync submits the write over the network; done receives the result
+// when the remote device reports durability. As with a local device, p is
+// the device's from the call on: it is encoded into the request frame later,
+// on the goroutine that waits for the reply.
+func (d *RemoteDevice) WriteAsync(off int64, p []byte, done func(error)) {
+	go func() { done(d.Write(off, p)) }()
 }
 
 // Write blocks until the remote write is durable.
-func (d *RemoteDevice) Write(off int64, p []byte) error { return <-d.WriteAsync(off, p) }
+func (d *RemoteDevice) Write(off int64, p []byte) error {
+	return d.rpcc.Call(opWrite, &writeReq{Off: off, Data: p}, nil)
+}
 
 // Read fetches n bytes at off.
 func (d *RemoteDevice) Read(off, n int64) ([]byte, error) {

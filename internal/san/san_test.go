@@ -9,6 +9,7 @@ import (
 	"redbud/internal/client"
 	"redbud/internal/clock"
 	"redbud/internal/netsim"
+	"redbud/internal/wire"
 )
 
 func newRemote(t *testing.T) (*RemoteDevice, *blockdev.Device) {
@@ -55,20 +56,52 @@ func TestRemoteRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRemoteWriteAsyncCopiesBuffer(t *testing.T) {
-	rd, _ := newRemote(t)
-	buf := []byte("original")
-	done := rd.WriteAsync(0, buf)
-	copy(buf, "clobber!")
+func TestRemoteWriteAsync(t *testing.T) {
+	rd, dev := newRemote(t)
+	data := bytes.Repeat([]byte{0x3c}, 5000)
+	done := make(chan error, 1)
+	rd.WriteAsync(8192, data, func(err error) { done <- err })
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	got, err := rd.Read(0, 8)
+	if !dev.IsDurable(8192, 5000) {
+		t.Fatal("write reported before it was durable")
+	}
+	got, err := rd.Read(8192, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "original" {
-		t.Fatalf("async write aliased caller buffer: %q", got)
+	if !bytes.Equal(got, data) {
+		t.Fatal("remote read mismatch after WriteAsync")
+	}
+}
+
+// TestServerWriteSurvivesFrameReuse: the RPC layer recycles a request frame
+// as soon as the handler returns, and the device keeps the buffer it is
+// handed, so the handler must hand it a copy of the payload, not the frame.
+func TestServerWriteSurvivesFrameReuse(t *testing.T) {
+	clk := clock.Real(1)
+	dev := blockdev.New(blockdev.Config{Size: 1 << 20, Model: blockdev.ZeroLatency(), Clock: clk})
+	defer dev.Close()
+	srv := NewServer(dev, clk, 1)
+	defer srv.Close()
+	data := make([]byte, 3*4096+100) // whole pages and a partial one
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	frame := wire.Encode(&writeReq{Off: 4096, Data: data})
+	if _, err := srv.handle(opWrite, frame); err != nil {
+		t.Fatal(err)
+	}
+	for i := range frame {
+		frame[i] = 0xee
+	}
+	got, err := dev.Read(4096, int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("stored write changed with its recycled request frame")
 	}
 }
 
