@@ -18,11 +18,24 @@ import (
 // the order the scheduler picks among goroutines runnable at one instant.
 const virtualTolerance = 0.007
 
+// modeledLedger pins every cell, in ops/s, to within virtualTolerance. A change
+// that moves modeled time fails here until it updates the pins on purpose and
+// says why.
+var modeledLedger = map[string]float64{
+	"xcdn-32K redbud":       280.84,
+	"xcdn-32K redbud+dc":    10413,
+	"xcdn-32K redbud+dc+sd": 4205,
+	"varmail redbud":        645.50,
+	"varmail redbud+dc":     2685.43,
+	"varmail redbud+dc+sd":  1778.86,
+}
+
 // TestVirtualModeledLedger is the modeled-time ledger: xcdn-32K and varmail
 // on the three Redbud configurations, each run twice in exact virtual time
 // (testing/synctest). It prints the cells, so a change that claims a host-CPU
 // saving can show its modeled cost did not move, and fails if a cell's two
-// runs differ by more than virtualTolerance. Run it as
+// runs differ by more than virtualTolerance or a run strays that far from the
+// cell's pin in modeledLedger. Run it as
 //
 //	GOEXPERIMENT=synctest GODEBUG=asynctimerchan=0 GOMAXPROCS=1 \
 //	  go test ./internal/bench -run Virtual -v
@@ -63,6 +76,13 @@ func TestVirtualModeledLedger(t *testing.T) {
 			if d := math.Abs(ops[0]-ops[1]) / math.Max(ops[0], ops[1]); d > virtualTolerance {
 				t.Errorf("%s on %s: runs differ by %.2f %% (%.2f vs %.2f ops/s), more than %.1f %%",
 					spec.Name, sys, 100*d, ops[0], ops[1], 100*virtualTolerance)
+			}
+			pin := modeledLedger[spec.Name+" "+sys.String()]
+			for _, got := range ops {
+				if d := math.Abs(got-pin) / pin; !(d <= virtualTolerance) {
+					t.Errorf("%s on %s: %.2f ops/s is %.2f %% from the pinned %.2f, more than %.1f %%",
+						spec.Name, sys, got, 100*d, pin, 100*virtualTolerance)
+				}
 			}
 		}
 	}

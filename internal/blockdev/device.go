@@ -37,7 +37,7 @@ var (
 // Event is one dispatched (post-merge) I/O, the simulator's equivalent of a
 // blktrace completion record.
 type Event struct {
-	T       time.Time // dispatch completion time (virtual)
+	T       time.Time // the dispatch's modeled completion time
 	Dev     int       // device ID
 	Op      Op
 	Offset  int64 // bytes
@@ -143,6 +143,7 @@ type Device struct {
 	bytesRead  stats.Counter
 	bytesWrite stats.Counter
 	busy       stats.DurationSum
+	late       stats.Counter // ns the host woke past a dispatch's modeled end
 	latency    stats.DurationSum
 	queueLen   stats.Gauge
 
@@ -324,9 +325,15 @@ func (d *Device) pickNext() *ior {
 	return q
 }
 
-// scheduler is the device's single service loop.
+// scheduler is the device's single service loop. Service time is charged
+// against a deadline built from modeled instants: a dispatch starts at the
+// later of the instant the head became free and the arrival of the last
+// request it carries, and ends st later. A host wakeup that comes late is
+// absorbed by the next dispatch of a busy device instead of passed on to it,
+// and an idle device banks no idle time.
 func (d *Device) scheduler() {
 	defer close(d.schedDone)
+	var free time.Time // modeled instant the head became free
 	for {
 		d.mu.Lock()
 		for len(d.queue) == 0 && !d.closed {
@@ -341,16 +348,30 @@ func (d *Device) scheduler() {
 		d.head = q.off + q.n
 		d.mu.Unlock()
 
-		st := d.cfg.Model.ServiceTime(head, q.off, q.n)
-		d.clk.Sleep(st)
-		d.complete(q, head, st)
+		start := free
+		for _, r := range q.reqs {
+			if r.enq.After(start) {
+				start = r.enq
+			}
+		}
+		end := start.Add(d.cfg.Model.ServiceTime(head, q.off, q.n))
+		if wait := end.Sub(d.clk.Now()); wait > 0 {
+			d.clk.Sleep(wait)
+			if late := d.clk.Since(end); late > 0 {
+				d.late.Add(int64(late))
+			}
+		}
+		free = end
+		d.complete(q, head, start, end)
 	}
 }
 
 // complete applies a dispatched entry to the store and finishes its requests.
 // Requests merged into one dispatch can fail individually under an injected
-// write fault, so completion errors are per-request.
-func (d *Device) complete(q *ior, head int64, st time.Duration) {
+// write fault, so completion errors are per-request. The dispatch's modeled
+// window [start, end) stamps its trace, spans and latencies, whenever the
+// host woke for it.
+func (d *Device) complete(q *ior, head int64, start, end time.Time) {
 	d.mu.Lock()
 	crashed := d.crashed
 	fault := d.writeFault
@@ -399,7 +420,7 @@ func (d *Device) complete(q *ior, head int64, st time.Duration) {
 	}
 
 	d.nDispatch.Inc()
-	d.busy.Observe(st)
+	d.busy.Observe(end.Sub(start))
 	seek := q.off - head
 	if seek < 0 {
 		seek = -seek
@@ -408,29 +429,27 @@ func (d *Device) complete(q *ior, head int64, st time.Duration) {
 		d.nSeeks.Inc()
 		d.seekBytes.Add(seek)
 	}
-	now := d.clk.Now()
 	minEnq := q.reqs[0].enq
 	for _, r := range q.reqs {
-		d.latency.Observe(now.Sub(r.enq))
+		d.latency.Observe(end.Sub(r.enq))
 		if r.enq.Before(minEnq) {
 			minEnq = r.enq
 		}
 	}
 	d.finish(q.reqs)
 	if d.cfg.Trace != nil && !crashed {
-		d.cfg.Trace(Event{T: now, Dev: d.cfg.ID, Op: q.op, Offset: q.off, Length: q.n, SeekLen: seek, Merged: len(q.reqs) - 1})
+		d.cfg.Trace(Event{T: end, Dev: d.cfg.ID, Op: q.op, Offset: q.off, Length: q.n, SeekLen: seek, Merged: len(q.reqs) - 1})
 	}
 	if d.cfg.Tracer.Enabled() && !crashed {
-		// Reconstruct the dispatch timeline from the service-time model:
-		// [dispatch, dispatch+seek) positions the head, the remainder is
-		// controller overhead + media transfer.
-		dispatch := now.Add(-st)
+		// The dispatch timeline from the service-time model: [start,
+		// start+seek) positions the head, the remainder is controller
+		// overhead + media transfer.
 		seekT := d.cfg.Model.SeekTime(head, q.off)
-		d.cfg.Tracer.Record(d.track, obs.SpanDevQueue, 0, minEnq, dispatch)
+		d.cfg.Tracer.Record(d.track, obs.SpanDevQueue, 0, minEnq, start)
 		if seekT > 0 {
-			d.cfg.Tracer.Record(d.track, obs.SpanDevSeek, 0, dispatch, dispatch.Add(seekT))
+			d.cfg.Tracer.Record(d.track, obs.SpanDevSeek, 0, start, start.Add(seekT))
 		}
-		d.cfg.Tracer.Record(d.track, obs.SpanDevTransfer, 0, dispatch.Add(seekT), now)
+		d.cfg.Tracer.Record(d.track, obs.SpanDevTransfer, 0, start.Add(seekT), end)
 	}
 }
 
@@ -580,5 +599,6 @@ func (d *Device) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("redbud_dev_injected_faults_total", "injected write faults fired", l, d.nFaults.Load)
 	r.CounterFunc("redbud_dev_busy_ns_total", "cumulative head busy time in nanoseconds", l,
 		func() int64 { return int64(d.busy.Total()) })
+	r.CounterFunc("redbud_dev_late_ns_total", "nanoseconds the host woke past dispatches' modeled ends", l, d.late.Load)
 	r.GaugeFunc("redbud_dev_queue_len", "instantaneous elevator queue length", l, d.queueLen.Load)
 }

@@ -113,6 +113,10 @@ func (rec *Record) UnmarshalWire(r *wire.Reader) error {
 var (
 	ErrJournalFull    = errors.New("meta: journal full")
 	ErrJournalCorrupt = errors.New("meta: journal corrupt")
+	// ErrJournalFailed marks a record the journal refused because one of
+	// its device writes failed: the log has a hole, and nothing appended
+	// after it can be made durable until a restart replays the prefix.
+	ErrJournalFailed = errors.New("meta: journal failed")
 )
 
 const (
@@ -128,7 +132,10 @@ const (
 // write. Batches are flushed strictly in log order by a single flusher at a
 // time, and every waiter is signalled only after its batch is durable, so the
 // write-ahead rule is untouched — the log can never contain an acknowledged
-// record with a hole before it.
+// record with a hole before it. That is also why the journal is fail-stop: once
+// a batch's device write fails, that batch, every batch behind it and every
+// later Append fail with ErrJournalFailed, because replay would end at the
+// hole and lose them.
 type Journal struct {
 	dev   *blockdev.Device
 	start int64
@@ -145,6 +152,7 @@ type Journal struct {
 	pending  []byte         // framed records awaiting the next device write
 	waiters  []chan<- error // one per pending record, in log order
 	flushing bool           // a leader is draining batches
+	failed   error          // the failed device write that stopped the journal
 
 	appends int64 // records appended (stats)
 	batches int64 // device writes issued (stats)
@@ -190,6 +198,13 @@ func (j *Journal) Append(rec *Record) <-chan error {
 	need := int64(recHeaderSize + len(payload))
 
 	j.mu.Lock()
+	if j.failed != nil {
+		err := j.failed
+		j.mu.Unlock()
+		wire.PutBuffer(pb)
+		ch <- err
+		return ch
+	}
 	if j.tail+need > j.size {
 		used := j.tail
 		j.mu.Unlock()
@@ -246,10 +261,30 @@ func (j *Journal) flushBatches() {
 		j.mu.Unlock()
 
 		err := j.dev.Write(j.start+off, buf)
+		if err != nil {
+			//lint:allow hotpath — failed-write path, taken once before the journal stops
+			err = fmt.Errorf("%w: write at %d: %w", ErrJournalFailed, off, err)
+			j.mu.Lock()
+			j.failed = err
+			waiters = append(waiters, j.waiters...)
+			j.pending, j.waiters = nil, nil
+			j.flushing = false
+			j.mu.Unlock()
+		}
 		for _, ch := range waiters {
 			ch <- err
 		}
+		if err != nil {
+			return
+		}
 	}
+}
+
+// Err returns the error that stopped the journal, or nil while it runs.
+func (j *Journal) Err() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.failed
 }
 
 // GroupCommitStats returns the number of records appended and the number of

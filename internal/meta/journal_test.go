@@ -371,3 +371,50 @@ func TestJournalReplaysPreShardingRecords(t *testing.T) {
 		t.Fatal("NSKind-less record encoding diverged from the pre-sharding layout")
 	}
 }
+
+// A failed journal write leaves a hole that replay reads as the end of the
+// log, so the journal is fail-stop: the failed record and every later one are
+// refused with ErrJournalFailed, never written past the hole and
+// acknowledged. Record 3 is appended after the device has healed; it must
+// still be refused, and replay must find exactly record 1.
+func TestJournalFailStopsAfterFailedWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault blockdev.WriteFault
+		torn  bool // replay ends at a damaged record, not a zero header
+	}{
+		{"error", blockdev.WriteError, false},
+		{"torn", blockdev.WriteTorn, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := newMetaDev(t)
+			j := NewJournal(dev, 0, 1<<20)
+			if err := <-j.Append(&Record{Type: RecCreate, File: 2, Parent: 1, Name: "a", FType: TypeFile}); err != nil {
+				t.Fatal(err)
+			}
+			dev.SetWriteFault(func(off, n int64) (blockdev.WriteFault, int64) { return tc.fault, n / 2 })
+			err := <-j.Append(&Record{Type: RecCreate, File: 3, Parent: 1, Name: "b", FType: TypeFile})
+			if !errors.Is(err, ErrJournalFailed) || !errors.Is(err, blockdev.ErrInjected) {
+				t.Fatalf("append over the failed write: %v, want ErrJournalFailed wrapping the device error", err)
+			}
+			dev.SetWriteFault(nil)
+			if err := <-j.Append(&Record{Type: RecCreate, File: 4, Parent: 1, Name: "c", FType: TypeFile}); !errors.Is(err, ErrJournalFailed) {
+				t.Fatalf("append after the failed write: %v, want ErrJournalFailed", err)
+			}
+			if _, batches := j.GroupCommitStats(); batches != 2 {
+				t.Fatalf("%d device writes, want 2: a record went to the device after the hole", batches)
+			}
+			var files []FileID
+			torn, err := NewJournal(dev, 0, 1<<20).Replay(func(r *Record) error {
+				files = append(files, r.File)
+				return nil
+			})
+			if err != nil || torn != tc.torn {
+				t.Fatalf("replay: torn %v, err %v; want torn %v", torn, err, tc.torn)
+			}
+			if len(files) != 1 || files[0] != 2 {
+				t.Fatalf("replay found files %v, want [2]", files)
+			}
+		})
+	}
+}

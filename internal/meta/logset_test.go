@@ -358,3 +358,42 @@ func TestCheckpointToAtomicUnderConcurrency(t *testing.T) {
 		}
 	}
 }
+
+// A store whose journal failed holds a mutation the journal refused. A
+// checkpoint would write it into a fresh log and restart the journal, so it
+// is refused, and a restart replays the prefix the failed log holds.
+func TestCheckpointRefusedAfterJournalFailure(t *testing.T) {
+	dev := newLogSetDev(t)
+	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(alloc.RoundRobin, 0, 64<<20, 4) }
+	ls, j, err := OpenLogSet(dev, 16<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(Config{AGs: mkAGs(), Journal: j, Clock: clock.Real(1)})
+	if _, err := s.Create(RootID, "kept", TypeFile); err != nil {
+		t.Fatal(err)
+	}
+	dev.SetWriteFault(func(off, n int64) (blockdev.WriteFault, int64) { return blockdev.WriteError, 0 })
+	if _, err := s.Create(RootID, "refused", TypeFile); !errors.Is(err, ErrJournalFailed) {
+		t.Fatalf("create over a failed journal write: %v, want ErrJournalFailed", err)
+	}
+	dev.SetWriteFault(nil)
+	if err := s.CheckpointTo(ls); !errors.Is(err, ErrJournalFailed) {
+		t.Fatalf("checkpoint of a failed journal: %v, want ErrJournalFailed", err)
+	}
+
+	_, jr, err := OpenLogSet(dev, 16<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := Recover(Config{AGs: mkAGs(), Journal: jr, Clock: clock.Real(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.Lookup(RootID, "kept"); err != nil {
+		t.Fatalf("acknowledged create lost: %v", err)
+	}
+	if _, err := rec.Lookup(RootID, "refused"); err == nil {
+		t.Fatal("refused create survived recovery")
+	}
+}

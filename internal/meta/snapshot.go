@@ -39,10 +39,15 @@ func (s *Store) Snapshot() []*Record {
 // CheckpointTo atomically compacts the store's log: it snapshots the state,
 // writes it into ls's inactive region, flips the superblock, and switches
 // the store's journal — all while holding the store lock, so no mutation can
-// slip between the snapshot and the flip and be lost.
+// slip between the snapshot and the flip and be lost. A store whose journal
+// has failed is not checkpointed: its state holds mutations that were
+// refused, and only a restart's replay may restart the log.
 func (s *Store) CheckpointTo(ls *LogSet) error {
 	s.ns.Lock()
 	defer s.ns.Unlock()
+	if err := s.cfg.Journal.Err(); err != nil {
+		return err
+	}
 	j, err := ls.Checkpoint(s.snapshotLocked())
 	if err != nil {
 		return err

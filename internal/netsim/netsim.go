@@ -76,6 +76,29 @@ type Poster interface {
 	PostVec(hdr, payload []byte) (InFlight, error)
 }
 
+// TimedReceiver is implemented by connections that know when each frame
+// arrived in modeled time. A server that charges modeled work against a
+// deadline starts it at the frame's arrival, not at the instant its reader
+// goroutine happened to wake.
+type TimedReceiver interface {
+	// RecvAt is Recv that also returns the frame's modeled arrival time,
+	// or the zero time when the connection cannot say.
+	RecvAt() ([]byte, time.Time, error)
+}
+
+// RecvAt receives one frame from c with its modeled arrival time. The time
+// is zero for connections without a model of it (TCP), on instant links and
+// for a frame a reorder fault parked.
+//
+//redbud:hotpath
+func RecvAt(c Conn) ([]byte, time.Time, error) {
+	if tr, ok := c.(TimedReceiver); ok {
+		return tr.RecvAt()
+	}
+	f, err := c.Recv()
+	return f, time.Time{}, err
+}
+
 // InFlight is a frame that has been posted but has not arrived yet. The zero
 // value is a frame that already arrived.
 type InFlight struct {
@@ -378,7 +401,7 @@ type simConn struct {
 	net      *Network
 	from, to string // host names, for fault-plan lookup
 	ingress  *link  // destination's ingress link; Send pays its cost
-	in       chan []byte
+	in       chan arrival
 	peer     *simConn
 	done     chan struct{}
 	once     *sync.Once
@@ -387,13 +410,20 @@ type simConn struct {
 	held   []byte // frame parked by a reorder fault
 }
 
+// arrival is a delivered frame and its modeled arrival time, zero when
+// unknown.
+type arrival struct {
+	f  []byte
+	at time.Time
+}
+
 // newPair builds the two halves of a connection between hosts with ingress
 // links src (client host) and dst (server host).
 func newPair(n *Network, fromHost, toHost string, src, dst *link) (client, server *simConn) {
 	done := make(chan struct{})
 	once := &sync.Once{}
-	client = &simConn{net: n, from: fromHost, to: toHost, ingress: dst, in: make(chan []byte, 1024), done: done, once: once}
-	server = &simConn{net: n, from: toHost, to: fromHost, ingress: src, in: make(chan []byte, 1024), done: done, once: once}
+	client = &simConn{net: n, from: fromHost, to: toHost, ingress: dst, in: make(chan arrival, 1024), done: done, once: once}
+	server = &simConn{net: n, from: toHost, to: fromHost, ingress: src, in: make(chan arrival, 1024), done: done, once: once}
 	client.peer = server
 	server.peer = client
 	return client, server
@@ -476,11 +506,15 @@ func (fl InFlight) Arrive() error {
 	if c == nil {
 		return nil
 	}
-	if clk := c.ingress.cfg; !fl.at.IsZero() {
-		clk.Sleep(fl.at.Sub(clk.Now()))
+	at := fl.at
+	if clk := c.ingress.cfg; !at.IsZero() {
+		clk.Sleep(at.Sub(clk.Now()))
 	}
 	if d.Delay > 0 {
 		c.net.clk.Sleep(d.Delay)
+		if !at.IsZero() {
+			at = at.Add(d.Delay)
+		}
 	}
 	if d.Drop {
 		wire.PutFrame(f)
@@ -505,7 +539,7 @@ func (fl InFlight) Arrive() error {
 		g = wire.GetFrame(len(f))
 		copy(g, f)
 	}
-	if err := c.deliver(f); err != nil {
+	if err := c.deliver(f, at); err != nil {
 		wire.PutFrame(f)
 		if g != nil {
 			wire.PutFrame(g)
@@ -513,7 +547,7 @@ func (fl InFlight) Arrive() error {
 		return err
 	}
 	if g != nil {
-		if err := c.deliver(g); err != nil {
+		if err := c.deliver(g, at); err != nil {
 			wire.PutFrame(g)
 			return err
 		}
@@ -522,9 +556,9 @@ func (fl InFlight) Arrive() error {
 	return nil
 }
 
-func (c *simConn) deliver(f []byte) error {
+func (c *simConn) deliver(f []byte, at time.Time) error {
 	select {
-	case c.peer.in <- f:
+	case c.peer.in <- arrival{f: f, at: at}:
 		return nil
 	case <-c.done:
 		return ErrClosed
@@ -538,7 +572,7 @@ func (c *simConn) flushHeld() {
 	c.held = nil
 	c.holdMu.Unlock()
 	if h != nil {
-		c.deliver(h)
+		c.deliver(h, time.Time{})
 	}
 }
 
@@ -556,16 +590,22 @@ func (c *simConn) flushHeldAfter(d time.Duration) {
 }
 
 func (c *simConn) Recv() ([]byte, error) {
+	f, _, err := c.RecvAt()
+	return f, err
+}
+
+// RecvAt implements TimedReceiver.
+func (c *simConn) RecvAt() ([]byte, time.Time, error) {
 	select {
-	case f := <-c.in:
-		return f, nil
+	case a := <-c.in:
+		return a.f, a.at, nil
 	case <-c.done:
 		// Drain anything already delivered before reporting EOF.
 		select {
-		case f := <-c.in:
-			return f, nil
+		case a := <-c.in:
+			return a.f, a.at, nil
 		default:
-			return nil, io.EOF
+			return nil, time.Time{}, io.EOF
 		}
 	}
 }

@@ -348,3 +348,50 @@ func TestMultipleConnections(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// RecvAt returns a frame's modeled arrival on a link that models one, and
+// the zero time where there is none: an instant link and a TCP FrameConn.
+func TestRecvAtReportsModeledArrival(t *testing.T) {
+	mc := clock.NewManual()
+	n := NewNetwork(mc)
+	n.AddHost("a", GigabitEthernet())
+	n.AddHost("b", GigabitEthernet())
+	c, s := dialPair(t, n, "a", "b")
+	defer c.Close()
+	sent := make(chan error, 1)
+	go func() { sent <- c.Send([]byte("ping")) }()
+	for mc.Waiters() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	want, _ := mc.NextDeadline()
+	// Deliver late: the arrival stays the modeled one, not the wakeup.
+	mc.Advance(want.Sub(mc.Now()) + time.Millisecond)
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	f, at, err := RecvAt(s)
+	if err != nil || string(f) != "ping" {
+		t.Fatalf("RecvAt = %q, %v", f, err)
+	}
+	if !at.Equal(want) {
+		t.Fatalf("arrival %v, want the modeled %v", at.Sub(clock.Epoch), want.Sub(clock.Epoch))
+	}
+
+	ic, is := dialPair(t, newFabric(t, Instant(), "a", "b"), "a", "b")
+	defer ic.Close()
+	if err := ic.Send([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, at, err := RecvAt(is); err != nil || !at.IsZero() {
+		t.Fatalf("instant link: arrival %v, err %v; want the zero time", at, err)
+	}
+
+	p1, p2 := net.Pipe()
+	a, b := FrameConn(p1), FrameConn(p2)
+	defer a.Close()
+	defer b.Close()
+	go a.Send([]byte("y"))
+	if _, at, err := RecvAt(b); err != nil || !at.IsZero() {
+		t.Fatalf("FrameConn: arrival %v, err %v; want the zero time", at, err)
+	}
+}

@@ -196,6 +196,7 @@ type call struct {
 	op    uint16
 	body  []byte    // aliases frame
 	frame []byte    // pooled receive buffer; recycled once the reply is on the wire
+	arr   time.Time // modeled arrival of the frame; zero when the transport cannot say
 	enq   time.Time // enqueue time; stamped only when tracing is on
 }
 
@@ -264,6 +265,12 @@ func (p *replyPath) release() {
 // writer → delivery; the daemon is held only for FrameCost + k·OpCost + the
 // handlers, and only a frame with a Pending sub-operation visits the
 // completion stage.
+//
+// A daemon charges that cost against a deadline built from modeled instants:
+// a frame starts at the later of the instant the daemon became free and the
+// frame's arrival, and the daemon sleeps to the deadline before each handler.
+// A late host wakeup is made up on the next charge instead of passed on to
+// it, and an idle daemon banks no idle time.
 type Server struct {
 	cfg    ServerConfig
 	clk    clock.Clock
@@ -284,6 +291,7 @@ type Server struct {
 	replyBacklog stats.Gauge
 	processed    stats.Counter
 	subOps       stats.Counter
+	late         stats.Counter // ns daemons woke past their deadlines
 }
 
 // NewServer starts the daemon pool and returns the server.
@@ -354,6 +362,7 @@ func (s *Server) RegisterMetrics(r *obs.Registry, labels obs.Labels) {
 	}
 	r.CounterFunc("redbud_rpc_processed_total", "RPC frames completed (a compound counts once)", labels, s.processed.Load)
 	r.CounterFunc("redbud_rpc_subops_total", "operations executed, counting compound sub-ops", labels, s.subOps.Load)
+	r.CounterFunc("redbud_rpc_late_ns_total", "nanoseconds daemons woke past their modeled deadlines", labels, s.late.Load)
 	r.GaugeFunc("redbud_rpc_queue_len", "instantaneous request queue length", labels,
 		func() int64 { return int64(s.QueueLen()) })
 	r.GaugeFunc("redbud_rpc_inflight", "requests currently on a daemon thread", labels, s.inflight.Load)
@@ -390,7 +399,7 @@ func (s *Server) ServeConn(conn netsim.Conn) {
 	go s.deliverReplies(out)
 	defer out.release()
 	for {
-		frame, err := conn.Recv()
+		frame, arr, err := netsim.RecvAt(conn)
 		if err != nil {
 			// Nothing more can be exchanged; replies still owed fail fast.
 			conn.Close()
@@ -406,7 +415,7 @@ func (s *Server) ServeConn(conn netsim.Conn) {
 			continue // drop malformed frame
 		}
 		body := frame[len(frame)-r.Remaining():]
-		c := call{out: out, msgID: msgID, op: op, body: body, frame: frame}
+		c := call{out: out, msgID: msgID, op: op, body: body, frame: frame, arr: arr}
 		if s.cfg.Tracer.Enabled() {
 			c.enq = s.clk.Now()
 		}
@@ -451,6 +460,7 @@ func (s *Server) dropQueued() {
 func (s *Server) daemon(i int) {
 	defer s.wg.Done()
 	track := s.tracks[i]
+	var free time.Time // modeled instant this daemon became free
 	for {
 		select {
 		case c := <-s.queue:
@@ -461,7 +471,9 @@ func (s *Server) daemon(i int) {
 				deq = s.clk.Now()
 				s.cfg.Tracer.Record(track, obs.SpanRPCQueue, 0, c.enq, deq)
 			}
-			r, o := s.process(c, i)
+			var r reply
+			var o *owed
+			r, o, free = s.process(c, i, s.begin(free, c.arr))
 			var freed time.Time
 			if traced {
 				freed = s.clk.Now()
@@ -504,15 +516,36 @@ func (s *Server) owe(out *replyPath, o owed) {
 	out.release()
 }
 
+// begin returns the modeled instant a daemon free since free starts a frame
+// that arrived at arr: the later of the two, so never before the frame
+// arrived. A frame whose transport reports no arrival starts now. The zero
+// time means the server charges nothing and reads no clock.
+func (s *Server) begin(free, arr time.Time) time.Time {
+	if s.cfg.FrameCost <= 0 && s.opCost() <= 0 {
+		return time.Time{}
+	}
+	if arr.IsZero() {
+		arr = s.clk.Now()
+	}
+	if free.After(arr) {
+		return free
+	}
+	return arr
+}
+
 // process applies one call — every sub-operation in frame order — and
 // returns its encoded reply, or, when a handler left a completion Pending,
 // the applied frame the completion stage still owes a reply. It owns
 // c.frame, which travels on with the reply because the payload may alias it.
+// The frame's charge starts at dl (see begin): FrameCost extends it, and the
+// daemon sleeps to it before decoding. process returns the deadline the frame
+// ended at, the instant the daemon became free in modeled time.
 //
 //redbud:hotpath
-func (s *Server) process(c call, worker int) (reply, *owed) {
-	if s.cfg.FrameCost > 0 {
-		s.clk.Sleep(s.cfg.FrameCost)
+func (s *Server) process(c call, worker int, dl time.Time) (reply, *owed, time.Time) {
+	if !dl.IsZero() {
+		dl = dl.Add(s.cfg.FrameCost)
+		s.sleepUntil(dl)
 	}
 	// A single operation, or a compound that fails to decode, is a frame of
 	// one result.
@@ -521,19 +554,21 @@ func (s *Server) process(c call, worker int) (reply, *owed) {
 		ops, err := decodeCompound(c.body)
 		if err != nil {
 			one[0].Err = err
-			return s.finish(c, worker, one[:], false), nil
+			return s.finish(c, worker, one[:], false), nil, dl
 		}
 		results := make([]SubResult, len(ops))
-		if s.run(ops, results) {
-			return reply{}, &owed{c: c, results: results, worker: worker}
+		pending, end := s.run(ops, results, dl)
+		if pending {
+			return reply{}, &owed{c: c, results: results, worker: worker}, end
 		}
-		return s.finish(c, worker, results, true), nil
+		return s.finish(c, worker, results, true), nil, end
 	}
 	ops := [1]SubOp{{Op: c.op, Body: c.body}}
-	if s.run(ops[:], one[:]) {
-		return reply{}, &owed{c: c, results: []SubResult{one[0]}, worker: worker}
+	pending, end := s.run(ops[:], one[:], dl)
+	if pending {
+		return reply{}, &owed{c: c, results: []SubResult{one[0]}, worker: worker}, end
 	}
-	return s.finish(c, worker, one[:], false), nil
+	return s.finish(c, worker, one[:], false), nil, end
 }
 
 // finish encodes the reply to a frame whose results are all final.
@@ -575,19 +610,32 @@ func (s *Server) finish(c call, worker int, results []SubResult, compound bool) 
 // the order the client wrote them. It reports whether any handler left its
 // completion Pending. Such an operation has handed its record to the journal
 // by then, so the waits of a compound overlap and its records share
-// group-commit batches.
+// group-commit batches. Each operation's cost extends the deadline dl, and
+// the daemon sleeps to it before the handler; run returns the deadline the
+// last handler ended at.
 //
 //redbud:hotpath
-func (s *Server) run(ops []SubOp, results []SubResult) (pending bool) {
+func (s *Server) run(ops []SubOp, results []SubResult, dl time.Time) (pending bool, end time.Time) {
+	cost := s.opCost()
 	for i, o := range ops {
-		s.execCost()
+		var woke time.Time
+		if !dl.IsZero() {
+			dl = dl.Add(cost)
+			woke = s.sleepUntil(dl)
+		}
 		results[i].Body, results[i].Err = s.cfg.Handler(o.Op, o.Body)
+		if !dl.IsZero() {
+			// The handler's own time moves the deadline, so a modeled
+			// wait inside it (a delegation recall) is charged in full;
+			// only the lateness of the wakeup is made up.
+			dl = dl.Add(s.clk.Since(woke))
+		}
 		s.subOps.Inc()
 		if _, ok := results[i].Err.(Pending); ok {
 			pending = true
 		}
 	}
-	return pending
+	return pending, dl
 }
 
 // completeReplies is a connection's completion stage: it runs the Pending
@@ -614,11 +662,19 @@ func (s *Server) completeReplies(p *replyPath) {
 	close(p.replies)
 }
 
-// execCost burns the simulated CPU time of one operation.
-func (s *Server) execCost() {
-	if c := s.opCost(); c > 0 {
-		s.clk.Sleep(c)
+// sleepUntil sleeps to the deadline dl, counting how far past it the daemon
+// woke, and returns the current instant. It returns at once when dl has
+// passed.
+func (s *Server) sleepUntil(dl time.Time) time.Time {
+	now := s.clk.Now()
+	if d := dl.Sub(now); d > 0 {
+		s.clk.Sleep(d)
+		now = s.clk.Now()
+		if late := now.Sub(dl); late > 0 {
+			s.late.Add(int64(late))
+		}
 	}
+	return now
 }
 
 // writeReplies is a connection's reply writer: it puts finished frames on
