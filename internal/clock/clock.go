@@ -9,12 +9,22 @@
 //   - Real(scale) with scale < 1: virtual time compressed by 1/scale, used by
 //     the experiment harness so that a "5 ms disk seek" costs only
 //     5ms*scale of wall time while all reported numbers stay in virtual
-//     time. Relative latencies — the thing the paper's figures depend on —
-//     are preserved exactly.
+//     time. Every wall wait is scaled by the same factor, but a host wakeup
+//     is late by a wall amount that is not scaled, so relative latencies
+//     hold only as far as that lateness is small against the scaled wait.
 //   - Manual: a hand-advanced clock for deterministic unit tests.
 //
 // Durations passed to Sleep/After and values returned by Now/Since are always
 // in virtual time.
+//
+// Real waits on Go runtime timers. On Linux an idle process waits for its
+// next timer in epoll_wait, whose timeout is whole milliseconds, so a
+// 100 µs sleep would take about 1 ms; there Real also arms one process-wide
+// timerfd alarm at the earliest pending deadline, which returns the poller
+// on time (timer_linux.go). The alarm never wakes a sleeper itself: the
+// runtime timer does. Off Linux, and in the testing/synctest bubble
+// (GOEXPERIMENT=synctest), whose clock is not the kernel's, Real runs on
+// runtime timers alone (timer_std.go).
 package clock
 
 import (
@@ -64,7 +74,7 @@ func (c *realClock) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	time.Sleep(time.Duration(float64(d) * c.scale)) //lint:allow wallclock — Real is the wall-clock bridge
+	hostSleep(time.Duration(float64(d) * c.scale))
 }
 
 func (c *realClock) After(d time.Duration) <-chan time.Time {
@@ -77,7 +87,7 @@ func (c *realClock) After(d time.Duration) <-chan time.Time {
 	// listening (an RPC answered long before its timeout) leaves nothing
 	// parked behind.
 	wall := time.Duration(float64(d) * c.scale)
-	time.AfterFunc(wall, func() { ch <- c.Now() }) //lint:allow wallclock — Real is the wall-clock bridge
+	hostAfterFunc(wall, func() { ch <- c.Now() })
 	return ch
 }
 

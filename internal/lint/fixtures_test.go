@@ -100,3 +100,8 @@ func TestWireEvolveFixture(t *testing.T)        { runFixture(t, WireEvolve, "wir
 // the v2-gated LayoutWantUncommitted flag without a session-version clamp.
 func TestWireEvolveClampFixture(t *testing.T) { runFixture(t, WireEvolve, "mds") }
 func TestWireAliasFixture(t *testing.T)       { runFixture(t, WireAlias, "wirealias") }
+
+// TestLoaderBuildConstraints loads a package whose files declare one function
+// per platform: the loader must keep only the files the build context
+// selects, as the go command does, or the twins redeclare each other.
+func TestLoaderBuildConstraints(t *testing.T) { runFixture(t, SimClock, "buildtags") }

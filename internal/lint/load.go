@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -168,7 +169,8 @@ func (l *Loader) dirFor(path string) (string, bool) {
 	return "", false
 }
 
-// loadDir parses the non-test files of dir and type-checks them.
+// loadDir parses the non-test files of dir that match the build context and
+// type-checks them.
 func (l *Loader) loadDir(dir, path string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -178,6 +180,15 @@ func (l *Loader) loadDir(dir, path string) (*Package, error) {
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Honour //go:build lines and _GOOS/_GOARCH suffixes as the go
+		// command does, so platform twins do not redeclare each other.
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
