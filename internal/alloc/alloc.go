@@ -203,29 +203,24 @@ func (g *Group) contains(sp Span) bool {
 // Strategy selects the allocation group for a request.
 type Strategy int
 
-// AG selection strategies.
-const (
-	// RoundRobin rotates across groups per request — the paper's default.
-	// Under concurrent clients this interleaves their space.
-	RoundRobin Strategy = iota
-	// OwnerAffinity hashes the owner to a home group, falling back to
-	// round-robin when the home group is full.
-	OwnerAffinity
-)
+// RoundRobin rotates across groups per request — the paper's default and the
+// only strategy. Under concurrent clients this interleaves their space; the
+// group order decides where consecutive requests land (NewShardAGSet puts
+// them on different disks).
+const RoundRobin Strategy = 0
 
 // AGSet is the MDS-side collection of allocation groups.
 type AGSet struct {
-	groups   []*Group
-	strategy Strategy
-	rotor    atomic.Uint64
+	groups []*Group
+	rotor  atomic.Uint64
 }
 
-// NewAGSet builds a set over the given groups.
-func NewAGSet(strategy Strategy, groups ...*Group) *AGSet {
+// NewAGSet builds a set over the given groups, taken in the order given.
+func NewAGSet(_ Strategy, groups ...*Group) *AGSet {
 	if len(groups) == 0 {
 		panic("alloc: empty AG set")
 	}
-	return &AGSet{groups: groups, strategy: strategy}
+	return &AGSet{groups: groups}
 }
 
 // carve cuts device dev's [lo, hi) into n equal groups; the last one takes
@@ -254,10 +249,13 @@ func NewUniformAGSet(strategy Strategy, dev int, size int64, n int) *AGSet {
 // NewShardAGSet builds the allocation groups of one metadata shard over a
 // shared array of devices identical disks (IDs 0..devices-1) of devSize
 // bytes. Every disk is cut into shards equal slices, the last taking the
-// remainder, and the shard's slice of each disk into perDevice groups, in
-// device order. Shards are independent metadata authorities over one array,
-// so their sets must never overlap; with one shard the slice is the whole
-// disk.
+// remainder, and the shard's slice of each disk into perDevice groups. The
+// groups are listed group index first — group 0 of every disk, then group 1
+// of every disk — so the rotor sends consecutive allocations (two clients'
+// delegation chunks, two layout-gets) to different disks instead of to the
+// two halves of one. Shards are independent metadata authorities over one
+// array, so their sets must never overlap; with one shard the slice is the
+// whole disk.
 func NewShardAGSet(strategy Strategy, devices int, devSize int64, shard, shards, perDevice int) *AGSet {
 	if shards < 1 || shard < 0 || shard >= shards {
 		panic(fmt.Sprintf("alloc: shard %d of %d", shard, shards))
@@ -267,9 +265,15 @@ func NewShardAGSet(strategy Strategy, devices int, devSize int64, shard, shards,
 	if shard == shards-1 {
 		hi = devSize
 	}
-	var groups []*Group
-	for d := 0; d < devices; d++ {
-		groups = append(groups, carve(d, lo, hi, perDevice)...)
+	byDev := make([][]*Group, devices)
+	for d := range byDev {
+		byDev[d] = carve(d, lo, hi, perDevice)
+	}
+	groups := make([]*Group, 0, devices*perDevice)
+	for i := 0; i < perDevice; i++ {
+		for _, dev := range byDev {
+			groups = append(groups, dev[i])
+		}
 	}
 	return NewAGSet(strategy, groups...)
 }
@@ -286,28 +290,14 @@ func (s *AGSet) FreeBytes() int64 {
 	return total
 }
 
-// order returns group indices in preference order for one request.
-func (s *AGSet) order(owner string) []int {
-	n := len(s.groups)
-	first := 0
-	switch s.strategy {
-	case OwnerAffinity:
-		first = int(fnv32(owner)) % n
-	default:
-		first = int(s.rotor.Add(1)-1) % n
-	}
-	idx := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		idx = append(idx, (first+i)%n)
-	}
-	return idx
-}
-
-// Alloc allocates one contiguous span of size bytes for owner.
+// Alloc allocates one contiguous span of size bytes for owner: from the group
+// the rotor names, falling back to the next groups in order when it is full.
 func (s *AGSet) Alloc(owner string, size int64) (Span, error) {
+	n := len(s.groups)
+	first := int((s.rotor.Add(1) - 1) % uint64(n))
 	var lastErr error = ErrNoSpace
-	for _, i := range s.order(owner) {
-		sp, err := s.groups[i].Alloc(size, -1)
+	for i := 0; i < n; i++ {
+		sp, err := s.groups[(first+i)%n].Alloc(size, -1)
 		if err == nil {
 			return sp, nil
 		}
@@ -367,14 +357,4 @@ func (s *AGSet) ReserveSpan(sp Span) error {
 		}
 	}
 	return fmt.Errorf("%w: %v not in any group", ErrBadRequest, sp)
-}
-
-// fnv32 is a tiny string hash for owner affinity.
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }

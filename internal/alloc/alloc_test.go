@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -212,8 +213,9 @@ func TestUniformAGSet(t *testing.T) {
 }
 
 // TestShardAGSet pins the shared-array layout every harness and the MDS
-// daemon build from: one shard owns each disk in halves, in device order;
-// several shards tile every disk with no overlap and no gap.
+// daemon build from: one shard owns each disk in halves, listed group index
+// first (the first half of every disk, then the second halves); several
+// shards tile every disk with no overlap and no gap.
 func TestShardAGSet(t *testing.T) {
 	type bounds struct {
 		dev    int
@@ -228,7 +230,7 @@ func TestShardAGSet(t *testing.T) {
 		return out
 	}
 	got := layout(NewShardAGSet(RoundRobin, 2, 1001, 0, 1, 2))
-	want := []bounds{{0, 0, 500}, {0, 500, 1001}, {1, 0, 500}, {1, 500, 1001}}
+	want := []bounds{{0, 0, 500}, {1, 0, 500}, {0, 500, 1001}, {1, 500, 1001}}
 	if len(got) != len(want) {
 		t.Fatalf("single shard: %v, want %v", got, want)
 	}
@@ -257,6 +259,30 @@ func TestShardAGSet(t *testing.T) {
 	}
 }
 
+// TestShardAGSetSpreadsAcrossDevices: successive allocations from a shard's
+// set visit every disk before any disk repeats, so concurrent clients'
+// delegation chunks do not share a spindle while another sits idle.
+func TestShardAGSetSpreadsAcrossDevices(t *testing.T) {
+	const devices = 4
+	for _, shards := range []int{1, 2} {
+		s := NewShardAGSet(RoundRobin, devices, 1<<30, shards-1, shards, 2)
+		for round := 0; round < 3; round++ {
+			seen := map[int]bool{}
+			for i := 0; i < devices; i++ {
+				sp, err := s.Alloc(fmt.Sprintf("client-%d", i), 1<<20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if seen[sp.Dev] {
+					t.Fatalf("%d shards, round %d: allocation %d repeats dev%d before every disk was used (%v)",
+						shards, round, i, sp.Dev, seen)
+				}
+				seen[sp.Dev] = true
+			}
+		}
+	}
+}
+
 func TestAGSetRoundRobinInterleaves(t *testing.T) {
 	s := NewUniformAGSet(RoundRobin, 0, 1<<20, 4)
 	devs := map[int64]bool{}
@@ -272,35 +298,24 @@ func TestAGSetRoundRobinInterleaves(t *testing.T) {
 	}
 }
 
-func TestAGSetOwnerAffinity(t *testing.T) {
-	s := NewUniformAGSet(OwnerAffinity, 0, 1<<20, 4)
-	var offs []int64
-	for i := 0; i < 8; i++ {
-		sp, err := s.Alloc("client-a", 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		offs = append(offs, sp.Off)
-	}
-	group0 := offs[0] / (1 << 18)
-	for _, o := range offs {
-		if o/(1<<18) != group0 {
-			t.Fatalf("affinity allocations crossed groups: %v", offs)
-		}
-	}
-}
-
 func TestAGSetFallbackWhenGroupFull(t *testing.T) {
-	s := NewUniformAGSet(OwnerAffinity, 0, 4000, 2)
-	// Exhaust the owner's home group.
-	if _, err := s.Alloc("bob", 2000); err != nil {
+	s := NewUniformAGSet(RoundRobin, 0, 4000, 2)
+	if _, err := s.Alloc("bob", 2000); err != nil { // fills group 0
 		t.Fatal(err)
 	}
-	// Next allocation must fall back to the other group.
-	if _, err := s.Alloc("bob", 1500); err != nil {
+	if _, err := s.Alloc("bob", 1500); err != nil { // group 1
+		t.Fatal(err)
+	}
+	// The rotor is back at the full group 0: the request must fall back to
+	// group 1.
+	sp, err := s.Alloc("bob", 400)
+	if err != nil {
 		t.Fatalf("no fallback: %v", err)
 	}
-	if _, err := s.Alloc("bob", 1500); !errors.Is(err, ErrNoSpace) {
+	if sp.Off < 2000 {
+		t.Fatalf("fallback allocation %v, want it in group 1", sp)
+	}
+	if _, err := s.Alloc("bob", 200); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("exhausted set err = %v", err)
 	}
 }

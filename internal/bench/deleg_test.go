@@ -9,6 +9,7 @@ import (
 	"redbud/internal/blockdev"
 	"redbud/internal/fsapi"
 	"redbud/internal/meta"
+	"redbud/internal/netsim"
 	"redbud/internal/workload"
 )
 
@@ -284,5 +285,50 @@ func TestConflictReaderIsNeverGranted(t *testing.T) {
 	}
 	if recalls != 0 || grants != 1 {
 		t.Fatalf("cluster view: %d grants, %d recalls; want 1 and 0", grants, recalls)
+	}
+}
+
+// TestDelegationChunksSpreadOverDisks: two space-delegating clients that
+// write their first files at once get their first delegated chunks on
+// different disks of the array, not on the two halves of one disk while the
+// others idle. The link's latency keeps both first delegations ahead of either
+// client's standby refill, which a client starts only once its first chunk
+// has arrived.
+func TestDelegationChunksSpreadOverDisks(t *testing.T) {
+	opt := lifecycleOptions(1)
+	opt.Clients = 2
+	opt.DataDevices = 4
+	opt.DelegationChunk = 1 << 20
+	opt.Net = netsim.LinkConfig{Latency: 10 * time.Millisecond}
+	c := Build(SysRedbudDCSD, opt)
+	defer c.Close()
+	errs := make(chan error, len(c.Mounts))
+	for i, m := range c.Mounts {
+		go func() { errs <- writeSynced(m, fmt.Sprintf("/first-%d", i)) }()
+	}
+	for range c.Mounts {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A client's first file is carved from its first chunk.
+	devs := map[uint32]int{}
+	for i := range c.Mounts {
+		attr, err := c.Store.Lookup(meta.RootID, fmt.Sprintf("first-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lay, err := c.Store.GetLayout(attr.ID, 0, attr.Size, 0)
+		if err != nil || len(lay.Extents) == 0 {
+			t.Fatalf("layout of client %d's file: %+v, %v", i, lay, err)
+		}
+		if c.Redbud[i].Stats().LocalAllocs == 0 {
+			t.Fatalf("client %d did not write from a delegated chunk", i)
+		}
+		dev := lay.Extents[0].Dev
+		if j, ok := devs[dev]; ok {
+			t.Fatalf("clients %d and %d both got their first chunk on dev%d", j, i, dev)
+		}
+		devs[dev] = i
 	}
 }

@@ -159,8 +159,11 @@ func (fs *fileState) insertExtentLocked(e meta.Extent) {
 	fs.extents[i] = e
 }
 
-// cachePagesLocked stores the covered pages of [off, off+len(p)) and patches
-// partially covered pages that are already cached. An uncached partially
+// cachePagesLocked caches the pages [off, off+len(p)) covers. p is the
+// write's private copy, the one the devices are handed too, and a cached page
+// is never written into — the rule blockdev's page store keeps — so the two
+// can share it: a fully covered page is a slice of p, and a partial write over
+// a cached page replaces that page with a patched clone. An uncached partially
 // covered page is cached only when the uncovered remainder lies beyond the
 // current end of file — those bytes are genuinely zero, so no data is
 // fabricated. Other uncached partial pages are written through: caching them
@@ -170,17 +173,21 @@ func (fs *fileState) cachePagesLocked(p []byte, off int64) {
 	for pg := off / PageSize; pg*PageSize < end; pg++ {
 		pstart, pend := pg*PageSize, (pg+1)*PageSize
 		cstart, cend := max64(pstart, off), min64(pend, end)
+		if cstart == pstart && cend == pend {
+			fs.pages[pg] = p[cstart-off : cend-off : cend-off]
+			continue
+		}
 		page := fs.pages[pg]
-		if page == nil {
-			full := cstart == pstart && cend == pend
-			tail := cstart == pstart && cend >= fs.size // rest is past EOF
-			if !full && !tail {
-				continue // partial mid-file, uncached: write through
-			}
+		switch {
+		case page != nil:
+			page = append([]byte(nil), page...)
+		case cstart == pstart && cend >= fs.size: // rest is past EOF
 			page = make([]byte, PageSize)
-			fs.pages[pg] = page
+		default:
+			continue // partial mid-file, uncached: write through
 		}
 		copy(page[cstart-pstart:cend-pstart], p[cstart-off:cend-off])
+		fs.pages[pg] = page
 	}
 }
 
@@ -244,21 +251,23 @@ func (f *File) writeAt(p []byte, off int64) (staged bool, err error) {
 		return false, err
 	}
 	if c.cfg.Mode == DelayedCommit && c.mustDeferLocked(fs, off, off+n) {
-		// Write-behind: the bytes go into the cache and onto the file's
-		// list; the write-back routine allocates and issues them.
+		// Write-behind: one private copy of the bytes goes into the cache
+		// and onto the file's list; the write-back routine allocates and
+		// hands it to the devices.
 		fs.mu.Unlock()
 		c.admitDirty(n) // blocks while the client's dirty window is full
+		data := append([]byte(nil), p...)
 		fs.mu.Lock()
 		if err := fs.writeErr; err != nil {
 			fs.mu.Unlock()
 			c.releaseDirty(n)
 			return false, err
 		}
-		fs.stageLocked(p, off, start)
+		fs.stageLocked(data, off, start)
 		if len(fs.deferred) == 0 {
 			fs.deferredAt = start
 		}
-		fs.deferred = append(fs.deferred, fileWrite{off: off, data: append([]byte(nil), p...)})
+		fs.deferred = append(fs.deferred, fileWrite{off: off, data: data})
 		if !fs.flushing {
 			fs.flushing = true
 			c.flushers.Add(1)

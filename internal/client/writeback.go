@@ -84,10 +84,10 @@ func (c *Client) mustDeferLocked(fs *fileState, off, end int64) bool {
 // original write and issues them, in order. behind says ws came off the
 // write-behind list: its bytes are in the page cache already, charged to the
 // dirty window, and private copies the devices can keep. Otherwise they are
-// staged here, once allocation has succeeded, so a failed write leaves the
-// file untouched, and copied once for the devices, which own what they are
-// handed. Called with fs.mu held; releases it (the layout-get and the device
-// submits run unlocked).
+// copied once, when allocation has succeeded, so a failed write leaves the
+// file untouched, and that one copy is staged in the page cache and handed to
+// the devices (neither writes into it). Called with fs.mu held; releases it
+// (the layout-get and the device submits run unlocked).
 func (c *Client) writeOut(fs *fileState, ws []fileWrite, behind bool) error {
 	if err := c.ensureExtents(fs, ws, behind); err != nil {
 		fs.mu.Unlock()
@@ -98,8 +98,8 @@ func (c *Client) writeOut(fs *fileState, ws []fileWrite, behind bool) error {
 	for _, w := range ws {
 		data := w.data
 		if !behind {
-			fs.stageLocked(data, w.off, now)
 			data = append([]byte(nil), data...)
+			fs.stageLocked(data, w.off, now)
 		}
 		plan, err := c.planIO(fs, data, w.off)
 		if err != nil {
