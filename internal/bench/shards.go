@@ -143,13 +143,13 @@ func runShardSweep(opt Options, n, committers, total int) (ShardsRow, error) {
 		if n == 1 {
 			attr, err = stores[0].Create(meta.RootID, name, meta.TypeFile)
 		} else {
-			var durable func() error
-			attr, durable, err = stores[s].BeginCreateDetached(meta.RootID, name, meta.TypeFile)
+			var durable meta.Durable
+			attr, durable, err = stores[s].BeginCreateDetached(time.Time{}, meta.RootID, name, meta.TypeFile)
 			if err = settle(durable, err); err == nil {
-				err = settle(stores[rootShard].BeginLinkRemote(meta.RootID, name, attr.ID, meta.TypeFile))
+				err = settle(stores[rootShard].BeginLinkRemote(time.Time{}, meta.RootID, name, attr.ID, meta.TypeFile))
 			}
 			if err == nil {
-				err = settle(stores[s].BeginNSCommit(attr.ID, meta.NSCreate))
+				err = settle(stores[s].BeginNSCommit(time.Time{}, attr.ID, meta.NSCreate))
 			}
 		}
 		if err != nil {
@@ -226,9 +226,10 @@ func PrintFigShards(w io.Writer, rows []ShardsRow) {
 
 // settle waits for the record of a store mutation the set-up applied, or
 // returns the store's refusal.
-func settle(durable func() error, err error) error {
+func settle(durable meta.Durable, err error) error {
 	if err != nil {
 		return err
 	}
-	return durable()
+	_, err = durable()
+	return err
 }

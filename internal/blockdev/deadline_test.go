@@ -108,3 +108,53 @@ func TestIdleDeviceBanksNoTime(t *testing.T) {
 		t.Fatal("write did not finish after its service time")
 	}
 }
+
+// A write its caller issued in the past is charged from then: submitted 10 ms
+// late to a device idle since before its instant, it ends at instant +
+// service time, with no sleep, and WriteAt returns that end. A second write
+// from the same past instant is charged from the first one's end, because
+// the head was busy until then.
+func TestWriteAtChargesFromPastInstant(t *testing.T) {
+	mc := clock.NewManual()
+	d := New(Config{Size: 1 << 30, Model: seekModel, Clock: mc})
+	defer d.Close()
+	defer mc.Advance(time.Hour)
+
+	t0 := mc.Now()
+	mc.Advance(10 * time.Millisecond)
+	enq := t0.Add(time.Millisecond)
+	// writeAt is WriteAt that fails instead of waiting for a clock step.
+	writeAt := func(off int64) time.Time {
+		t.Helper()
+		type result struct {
+			end time.Time
+			err error
+		}
+		ch := make(chan result, 1)
+		go func() {
+			end, err := d.WriteAt(enq, off, make([]byte, 4096))
+			ch <- result{end, err}
+		}()
+		select {
+		case r := <-ch:
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			return r.end
+		case <-time.After(5 * time.Second):
+			t.Fatal("write from +1ms did not finish without a clock step: it was charged from now")
+			return time.Time{}
+		}
+	}
+	end := writeAt(1 << 20)
+	if want := enq.Add(seekModel.ServiceTime(0, 1<<20, 4096)); !end.Equal(want) {
+		t.Fatalf("write from +1ms on an idle device ends at +%v, want +%v", end.Sub(t0), want.Sub(t0))
+	}
+	next := writeAt(1<<20 + 4096)
+	if want := end.Add(seekModel.ServiceTime(1<<20+4096, 1<<20+4096, 4096)); !next.Equal(want) {
+		t.Fatalf("second write from +1ms ends at +%v, want +%v: charged before the head was free", next.Sub(t0), want.Sub(t0))
+	}
+	if !d.IsDurable(1<<20, 8192) {
+		t.Fatal("both writes returned but their range is not durable")
+	}
+}

@@ -104,7 +104,8 @@ type request struct {
 	buf  []byte // read destination, len n, filled at completion
 	done func(error)
 	enq  time.Time
-	err  error // the result, set before the request is finished
+	end  time.Time // modeled end of the dispatch that served it, set with err
+	err  error     // the result, set before the request is finished
 }
 
 // ior is an elevator queue entry: one future dispatch, possibly covering
@@ -198,24 +199,48 @@ func (d *Device) Size() int64 { return d.cfg.Size }
 // returns. It must not block for long: it delays the device's later
 // completions.
 func (d *Device) WriteAsync(off int64, p []byte, done func(error)) {
-	if len(p) == 0 {
-		done(nil)
+	d.write(&request{op: OpWrite, off: off, n: int64(len(p)), data: p, done: done, enq: d.clk.Now()})
+}
+
+// write submits the write request r, or refuses it on the caller.
+func (d *Device) write(r *request) {
+	if r.n == 0 {
+		r.end = r.enq
+		r.done(nil)
 		return
 	}
-	if off < 0 || off+int64(len(p)) > d.cfg.Size {
-		done(fmt.Errorf("%w: write [%d,%d) size %d", ErrOutOfRange, off, off+int64(len(p)), d.cfg.Size))
+	if r.off < 0 || r.off+r.n > d.cfg.Size {
+		r.done(fmt.Errorf("%w: write [%d,%d) size %d", ErrOutOfRange, r.off, r.off+r.n, d.cfg.Size))
 		return
 	}
-	d.submit(&request{op: OpWrite, off: off, n: int64(len(p)), data: p, done: done, enq: d.clk.Now()})
+	d.submit(r)
 }
 
 // Write submits a write and blocks until it is durable. Like WriteAsync, it
 // takes ownership of p.
 func (d *Device) Write(off int64, p []byte) error {
-	ch := make(chan error, 1)
-	d.WriteAsync(off, p, func(err error) { ch <- err })
-	return <-ch
+	_, err := d.WriteAt(time.Time{}, off, p)
+	return err
 }
+
+// WriteAt is Write for a request its caller issued at the modeled instant
+// enq, which the host may have run late: a device idle since before enq
+// serves it from enq, not from the instant the caller's goroutine got to
+// submit it. The zero time, or one after now, means now. WriteAt returns the
+// modeled instant the dispatch that served the write ended.
+func (d *Device) WriteAt(enq time.Time, off int64, p []byte) (time.Time, error) {
+	if now := d.clk.Now(); enq.IsZero() || enq.After(now) {
+		enq = now
+	}
+	ch := make(chan error, 1)
+	r := &request{op: OpWrite, off: off, n: int64(len(p)), data: p, done: func(err error) { ch <- err }, enq: enq}
+	d.write(r)
+	err := <-ch
+	return r.end, err
+}
+
+// Clock returns the clock the device models time on.
+func (d *Device) Clock() clock.Clock { return d.clk }
 
 // ReadAsync submits a read of n bytes at off.
 func (d *Device) ReadAsync(off, n int64) (<-chan error, []byte) {
@@ -431,6 +456,7 @@ func (d *Device) complete(q *ior, head int64, start, end time.Time) {
 	}
 	minEnq := q.reqs[0].enq
 	for _, r := range q.reqs {
+		r.end = end
 		d.latency.Observe(end.Sub(r.enq))
 		if r.enq.Before(minEnq) {
 			minEnq = r.enq

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"redbud/internal/alloc"
 	"redbud/internal/blockdev"
@@ -85,15 +86,16 @@ func (sc *shardedCluster) mount(host string, conns []*rpc.Client) *Client {
 
 // settle waits out a store mutation applied with a Begin<Op>, or returns the
 // store's refusal.
-func settle(durable func() error, err error) error {
+func settle(durable meta.Durable, err error) error {
 	if err != nil {
 		return err
 	}
-	return durable()
+	_, err = durable()
+	return err
 }
 
 // settled is settle for a Begin<Op> that also returns a value.
-func settled[T any](v T, durable func() error, err error) (T, error) {
+func settled[T any](v T, durable meta.Durable, err error) (T, error) {
 	if err := settle(durable, err); err != nil {
 		var zero T
 		return zero, err
@@ -109,14 +111,14 @@ func (sc *shardedCluster) crossShardFile(name string) meta.FileID {
 	n := len(sc.stores)
 	pi := meta.ShardOf(meta.RootID, n)
 	ps, ts := sc.stores[pi], sc.stores[(pi+1)%n]
-	f, err := settled(ts.BeginCreateDetached(meta.RootID, name, meta.TypeFile))
+	f, err := settled(ts.BeginCreateDetached(time.Time{}, meta.RootID, name, meta.TypeFile))
 	if err != nil {
 		sc.t.Fatal(err)
 	}
-	if err := settle(ps.BeginLinkRemote(meta.RootID, name, f.ID, meta.TypeFile)); err != nil {
+	if err := settle(ps.BeginLinkRemote(time.Time{}, meta.RootID, name, f.ID, meta.TypeFile)); err != nil {
 		sc.t.Fatal(err)
 	}
-	if err := settle(ts.BeginNSCommit(f.ID, meta.NSCreate)); err != nil {
+	if err := settle(ts.BeginNSCommit(time.Time{}, f.ID, meta.NSCreate)); err != nil {
 		sc.t.Fatal(err)
 	}
 	return f.ID
@@ -176,7 +178,7 @@ func TestCrossShardRemoveAbortsOnlyOnDefinitiveFailure(t *testing.T) {
 		defer cl.Close()
 
 		// A rename slips in before the remove's commit point.
-		if err := settle(ps.BeginRename("", meta.RootID, "f", meta.RootID, "g")); err != nil {
+		if err := settle(ps.BeginRename(time.Time{}, "", meta.RootID, "f", meta.RootID, "g")); err != nil {
 			t.Fatal(err)
 		}
 		// The commit point definitively refuses (entry moved), which the

@@ -8,7 +8,9 @@
 //     "no tracked lock held across a blocking channel operation or RPC
 //     call".
 //   - durability: the paper's ordered-write rule — a commit RPC may only be
-//     issued on paths dominated by a durability wait.
+//     issued on paths dominated by a durability wait; in the MDS no daemon
+//     waits for the journal, and a store Begin<Op> carries the handler's
+//     modeled instant, not the zero time or a fresh Now().
 //   - simclock: virtual-time determinism — no wall-clock time or global
 //     math/rand source outside package main, test files, and sites
 //     explicitly annotated `//lint:allow wallclock`.

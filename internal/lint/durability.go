@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // Durability statically encodes the paper's ordered-write rule: a commit RPC
@@ -26,7 +27,11 @@ import (
 // to the connection's completion stage, not to a daemon. Inside package mds a
 // call to one of the wait-inline meta.Store wrappers (storeWaitInline) is a
 // finding; handlers call the Begin<Op> half and return its wait as an
-// rpc.Pending.
+// rpc.Pending. A Begin<Op> takes the modeled instant its mutation is applied
+// at, which the journal charges the record's batch from: inside package mds
+// that instant must be one the handler carries (its rpc deadline, or the
+// instant an unmodeled wait ended), so a Begin<Op> call whose instant
+// argument is the zero time.Time{} or a fresh Now() call is a finding too.
 var Durability = &Analyzer{
 	Name: "durability",
 	Doc:  "commit RPCs must be dominated by a durability wait (ordered-write rule); MDS daemons never wait for the journal",
@@ -134,7 +139,8 @@ func runDurability(pass *Pass) error {
 	return nil
 }
 
-// reportStoreWaits flags every call to a wait-inline meta.Store wrapper
+// reportStoreWaits flags every call to a wait-inline meta.Store wrapper, and
+// every meta.Store Begin<Op> call that drops the handler's modeled instant,
 // outside test files.
 func reportStoreWaits(pass *Pass) {
 	for _, file := range pass.Files {
@@ -147,13 +153,38 @@ func reportStoreWaits(pass *Pass) {
 				return true
 			}
 			fn, ok := calleeOf(pass.Info, call).(*types.Func)
-			if ok && storeWaitInline[fn.Name()] && isNamedType(recvTypeOf(pass.Info, call), "meta", "Store") {
+			if !ok || !isNamedType(recvTypeOf(pass.Info, call), "meta", "Store") {
+				return true
+			}
+			switch {
+			case storeWaitInline[fn.Name()]:
 				pass.Reportf(call.Pos(),
 					"meta.Store.%s waits for the journal on an MDS daemon: call Begin%s and return the wait as an rpc.Pending", fn.Name(), fn.Name())
+			case strings.HasPrefix(fn.Name(), "Begin") && len(call.Args) > 0:
+				if what := droppedInstant(pass, call.Args[0]); what != "" {
+					pass.Reportf(call.Args[0].Pos(),
+						"meta.Store.%s stamped with %s: pass the handler's modeled instant (its rpc deadline, or the instant a wait ended)", fn.Name(), what)
+				}
 			}
 			return true
 		})
 	}
+}
+
+// droppedInstant names what expr is when it is not a carried modeled instant
+// — the zero time.Time{} or a fresh Now() call — and returns "" otherwise.
+func droppedInstant(pass *Pass, expr ast.Expr) string {
+	switch e := ast.Unparen(expr).(type) {
+	case *ast.CompositeLit:
+		if tv, ok := pass.Info.Types[e]; ok && isNamedType(tv.Type, "time", "Time") && len(e.Elts) == 0 {
+			return "the zero time"
+		}
+	case *ast.CallExpr:
+		if fn, ok := calleeOf(pass.Info, e).(*types.Func); ok && fn.Name() == "Now" {
+			return "a fresh Now()"
+		}
+	}
+	return ""
 }
 
 // containsBaseWait reports whether body directly contains a durability wait.

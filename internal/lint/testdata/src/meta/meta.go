@@ -3,6 +3,8 @@
 // Only the names matter.
 package meta
 
+import "time"
+
 // LayoutFlags selects the behaviour of a layout lookup.
 type LayoutFlags uint8
 
@@ -20,9 +22,9 @@ func (f LayoutFlags) Has(bits LayoutFlags) bool { return f&bits == bits }
 // and returns the durability wait, the plain name waits inline.
 type Store struct{}
 
-func (s *Store) BeginCreate(name string) (func() error, error) { return nil, nil }
-func (s *Store) Create(name string) error                      { return nil }
-func (s *Store) Remove(name string) error                      { return nil }
-func (s *Store) AllocLayout(owner string) error                { return nil }
-func (s *Store) Commit(owner string) error                     { return nil }
-func (s *Store) GetAttr(name string) error                     { return nil }
+func (s *Store) BeginCreate(at time.Time, name string) (func() error, error) { return nil, nil }
+func (s *Store) Create(name string) error                                    { return nil }
+func (s *Store) Remove(name string) error                                    { return nil }
+func (s *Store) AllocLayout(owner string) error                              { return nil }
+func (s *Store) Commit(owner string) error                                   { return nil }
+func (s *Store) GetAttr(name string) error                                   { return nil }

@@ -5,10 +5,12 @@ import (
 	"time"
 
 	"redbud/internal/alloc"
+	"redbud/internal/blockdev"
 	"redbud/internal/clock"
 	"redbud/internal/meta"
 	"redbud/internal/obs"
 	"redbud/internal/proto"
+	"redbud/internal/rpc"
 	"redbud/internal/wire"
 )
 
@@ -240,4 +242,81 @@ func TestRestartedMDSHoldsMutationsForOneTerm(t *testing.T) {
 	pending(t, remove, "inside the grace period")
 	clk.Advance(time.Nanosecond)
 	finished(t, remove, "at the end of the grace period")
+}
+
+// A mutation that waited for a recall is stamped with the instant the wait
+// ended, not with the deadline its daemon charged it to: the wait is not
+// modeled, so the handler continues from now. On a zero-latency journal a
+// record is durable at its stamp, so the completion's durable instant is the
+// stamp itself. Both retry loops are covered: the commit's own and mutate's.
+func TestRetryAfterRecallStampedAtItsEnd(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   uint16
+		req  func(id meta.FileID, lay proto.LayoutResp) wire.Marshaler
+	}{
+		{"commit", proto.OpCommit, func(id meta.FileID, lay proto.LayoutResp) wire.Marshaler {
+			return &proto.CommitReq{Owner: "B", File: id, Size: 4096, MTime: time.Unix(7, 0).UTC(), CommitID: 1, Extents: lay.Extents}
+		}},
+		{"remove", proto.OpRemove, func(meta.FileID, proto.LayoutResp) wire.Marshaler {
+			return &proto.RemoveReq{Parent: meta.RootID, Name: "f", Deleg: as("B", 0)}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mc := clock.NewManual()
+			dev := blockdev.New(blockdev.Config{Size: 64 << 20, Model: blockdev.ZeroLatency(), Clock: mc})
+			t.Cleanup(dev.Close)
+			store := meta.NewStore(meta.Config{AGs: testAGs(), Journal: meta.NewJournal(dev, 0, testJournalSize), Clock: mc})
+			srv := New(Config{Store: store, Clock: mc})
+			t.Cleanup(srv.Close)
+
+			// call runs one operation at the modeled instant at and waits
+			// out its completion.
+			t0 := mc.Now()
+			call := func(op uint16, req wire.Marshaler, resp wire.Unmarshaler) (time.Time, error) {
+				body, err := srv.handle(t0, op, wire.Encode(req))
+				var at time.Time
+				if complete, ok := err.(rpc.Pending); ok {
+					body, at, err = complete()
+				}
+				if err == nil && resp != nil {
+					err = wire.Decode(body, resp)
+				}
+				return at, err
+			}
+			var a proto.AttrResp
+			if _, err := call(proto.OpCreate, &proto.CreateReq{Parent: meta.RootID, Name: "f", Type: meta.TypeFile, Deleg: as("A", 0)}, &a); err != nil || !a.Granted {
+				t.Fatalf("create: %+v, %v; want A to hold the delegation", a, err)
+			}
+			var lay proto.LayoutResp
+			if _, err := call(proto.OpLayoutGet, &proto.LayoutGetReq{Owner: "B", File: a.ID, Len: 4096, Flags: meta.LayoutWrite}, &lay); err != nil {
+				t.Fatal(err)
+			}
+			type result struct {
+				at  time.Time
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				at, err := call(tc.op, tc.req(a.ID, lay), nil)
+				done <- result{at, err}
+			}()
+			// The mutation waits for A's recall, which ends when A's lease
+			// lapses.
+			for deadline := time.Now().Add(5 * time.Second); mc.Waiters() == 0; time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the mutation never waited for the recall")
+				}
+			}
+			mc.AdvanceToNext()
+			recallEnd := mc.Now()
+			r := <-done
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if !r.at.Equal(recallEnd) {
+				t.Fatalf("durable at +%v, want +%v: the retry was stamped before the recall ended", r.at.Sub(t0), recallEnd.Sub(t0))
+			}
+		})
+	}
 }

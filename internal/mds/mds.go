@@ -185,7 +185,7 @@ func New(cfg Config) *Server {
 		s.delegs.BeginGrace()
 	}
 	s.rpc = rpc.NewServer(rpc.ServerConfig{
-		Handler:             s.handle,
+		TimedHandler:        s.handle,
 		Daemons:             cfg.Daemons,
 		OpCost:              cfg.OpCost,
 		FrameCost:           cfg.FrameCost,
@@ -355,11 +355,13 @@ func (s *Server) attrReply(a meta.Attr, granted bool, dc proto.DelegCtx) []byte 
 // (having issued the recalls) until they are back; the wait happens here, on
 // the daemon thread, with no store lock held and never longer than
 // meta.DelegTerm. A directory mutation keeps new grants out from its first
-// refusal until it has been applied.
-func (s *Server) mutate(begin func() (func() error, error)) (durable func() error, err error) {
+// refusal until it has been applied. begin is told the modeled instant the
+// mutation is applied at: at, or, after a recall wait, whose end is not
+// modeled, the instant the wait ended.
+func (s *Server) mutate(at time.Time, begin func(at time.Time) (meta.Durable, error)) (durable meta.Durable, err error) {
 	frozen := false
 	for {
-		durable, err = begin()
+		durable, err = begin(at)
 		held, ok := err.(*meta.DelegHeld)
 		if !ok {
 			if frozen {
@@ -372,39 +374,40 @@ func (s *Server) mutate(begin func() (func() error, error)) (durable func() erro
 			frozen = true
 		}
 		s.delegs.Await(held.Recalls)
+		at = s.clk.Now()
 	}
 }
 
 // onceDurable hands the completion of an applied journaled operation to the
 // frame's completion stage: once durable returned nil, reply (nil for an
-// empty reply) builds the reply. An operation the store refused (err != nil)
-// fails at once.
-func onceDurable(durable func() error, err error, reply func() ([]byte, error)) ([]byte, error) {
+// empty reply) builds the reply, which leaves no earlier than the modeled
+// instant the record became durable. An operation the store refused (err !=
+// nil) fails at once.
+func onceDurable(durable meta.Durable, err error, reply func() ([]byte, error)) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return nil, rpc.Pending(func() ([]byte, error) {
-		if err := durable(); err != nil {
-			return nil, err
+	return nil, rpc.Pending(func() ([]byte, time.Time, error) {
+		at, err := durable()
+		if err != nil || reply == nil {
+			return nil, at, err
 		}
-		if reply == nil {
-			return nil, nil
-		}
-		return reply()
+		body, err := reply()
+		return body, at, err
 	})
 }
 
 // nsOnceDurable is onceDurable for a namespace-op handler whose span, started
 // at start, ends once the operation is durable or refused.
-func (s *Server) nsOnceDurable(name string, tc proto.TraceCtx, start time.Time, durable func() error, err error, reply func() ([]byte, error)) ([]byte, error) {
+func (s *Server) nsOnceDurable(name string, tc proto.TraceCtx, start time.Time, durable meta.Durable, err error, reply func() ([]byte, error)) ([]byte, error) {
 	if err != nil {
 		s.nsSpan(name, tc, start)
 		return nil, err
 	}
-	return onceDurable(func() error {
-		err := durable()
+	return onceDurable(func() (time.Time, error) {
+		at, err := durable()
 		s.nsSpan(name, tc, start)
-		return err
+		return at, err
 	}, nil, reply)
 }
 
@@ -423,14 +426,15 @@ func (s *Server) layoutReply(lay meta.Layout) ([]byte, error) {
 
 // completeCommit is the completion half of OpCommit: it waits for the applied
 // commit's journal record, then builds the reply and remembers it for
-// retransmissions.
-func (s *Server) completeCommit(req *proto.CommitReq, start time.Time, tc obs.SpanContext, durable func() error) ([]byte, error) {
-	if err := durable(); err != nil {
-		return nil, err
+// retransmissions. It returns the modeled instant the record became durable.
+func (s *Server) completeCommit(req *proto.CommitReq, start time.Time, tc obs.SpanContext, durable meta.Durable) ([]byte, time.Time, error) {
+	at, err := durable()
+	if err != nil {
+		return nil, at, err
 	}
 	a, err := s.store.GetAttr(req.File)
 	if err != nil {
-		return nil, err
+		return nil, at, err
 	}
 	resp := proto.CommitResp{Size: a.Size}
 	out := wire.Encode(&resp)
@@ -448,14 +452,17 @@ func (s *Server) completeCommit(req *proto.CommitReq, start time.Time, tc obs.Sp
 		// legitimately succeed on retry, so it must reach the store.
 		s.dedup.record(req.Owner, req.CommitID, out)
 	}
-	return out, nil
+	return out, at, nil
 }
 
 // handle dispatches one decoded RPC operation. Every journaled operation is
 // applied here, on the daemon, and returns an rpc.Pending: the wait for its
 // journal record, and the reply built after it, belong to the connection's
-// completion stage, so no daemon waits for the journal.
-func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
+// completion stage, so no daemon waits for the journal. at is the modeled
+// instant the daemon charged the operation to; every journal record is
+// stamped with it, or, after a wait whose end is not modeled, with the
+// instant the wait ended.
+func (s *Server) handle(at time.Time, op uint16, body []byte) ([]byte, error) {
 	switch op {
 	case proto.OpPing:
 		return nil, nil
@@ -478,7 +485,7 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		s.arrive(req.Deleg)
-		a, granted, durable, err := s.store.BeginCreate(req.Deleg.Owner, req.Parent, req.Name, req.Type)
+		a, granted, durable, err := s.store.BeginCreate(at, req.Deleg.Owner, req.Parent, req.Name, req.Type)
 		return onceDurable(durable, err, func() ([]byte, error) { return s.attrReply(a, granted, req.Deleg), nil })
 
 	case proto.OpGetAttr:
@@ -511,8 +518,8 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		s.ack(req.Deleg)
-		durable, err := s.mutate(func() (func() error, error) {
-			return s.store.BeginRemove(req.Deleg.Owner, req.Parent, req.Name)
+		durable, err := s.mutate(at, func(at time.Time) (meta.Durable, error) {
+			return s.store.BeginRemove(at, req.Deleg.Owner, req.Parent, req.Name)
 		})
 		return onceDurable(durable, err, nil)
 
@@ -531,7 +538,7 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			flags &^= meta.LayoutWantUncommitted
 		}
 		if flags.Has(meta.LayoutWrite) {
-			lay, durable, err := s.store.BeginAllocLayout(req.Owner, req.File, req.Off, req.Len)
+			lay, durable, err := s.store.BeginAllocLayout(at, req.Owner, req.File, req.Off, req.Len)
 			return onceDurable(durable, err, func() ([]byte, error) { return s.layoutReply(lay) })
 		}
 		// Without LayoutWantUncommitted readers only see committed extents:
@@ -567,15 +574,17 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 		if req.Trace.TraceID != 0 {
 			tc = obs.SpanContext{TraceID: req.Trace.TraceID, SpanID: obs.NewSpanID(req.Trace.SpanID, obs.SpanMDSCommit)}
 		}
-		var durable func() error
+		var durable meta.Durable
 		for {
 			var err error
-			durable, err = s.store.BeginCommit(req.Owner, req.File, req.Extents, req.Size, req.MTime, req.CommitID, tc)
+			durable, err = s.store.BeginCommit(at, req.Owner, req.File, req.Extents, req.Size, req.MTime, req.CommitID, tc)
 			held, waiting := err.(*meta.DelegHeld)
 			if waiting {
 				// Another client may be serving opens of this file from its
-				// cache; the commit applies once its delegation is back.
+				// cache; the commit applies once its delegation is back, at
+				// the instant the wait ended.
 				s.delegs.Await(held.Recalls)
+				at = s.clk.Now()
 				continue
 			}
 			if err != nil {
@@ -586,7 +595,7 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 		// Applied and on its way to the journal. The reply — and the dedup
 		// entry that would answer a retransmission — wait until the record is
 		// durable, but the daemon first applies the rest of the frame.
-		return nil, rpc.Pending(func() ([]byte, error) { return s.completeCommit(&req, start, tc, durable) })
+		return nil, rpc.Pending(func() ([]byte, time.Time, error) { return s.completeCommit(&req, start, tc, durable) })
 
 	case proto.OpDelegate:
 		var req proto.DelegateReq
@@ -594,7 +603,7 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		s.touch(req.Owner)
-		sp, durable, err := s.store.BeginDelegate(req.Owner, req.Size)
+		sp, durable, err := s.store.BeginDelegate(at, req.Owner, req.Size)
 		return onceDurable(durable, err, func() ([]byte, error) {
 			resp := proto.SpanMsg{Dev: uint32(sp.Dev), Off: sp.Off, Len: sp.Len}
 			return wire.Encode(&resp), nil
@@ -607,7 +616,7 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 		}
 		s.touch(req.Owner)
 		sp := alloc.Span{Dev: int(req.Span.Dev), Off: req.Span.Off, Len: req.Span.Len}
-		durable, err := s.store.BeginReturnDelegation(req.Owner, sp)
+		durable, err := s.store.BeginReturnDelegation(at, req.Owner, sp)
 		return onceDurable(durable, err, nil)
 
 	case proto.OpRename:
@@ -616,8 +625,8 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		s.ack(req.Deleg)
-		durable, err := s.mutate(func() (func() error, error) {
-			return s.store.BeginRename(req.Deleg.Owner, req.SrcParent, req.SrcName, req.DstParent, req.DstName)
+		durable, err := s.mutate(at, func(at time.Time) (meta.Durable, error) {
+			return s.store.BeginRename(at, req.Deleg.Owner, req.SrcParent, req.SrcName, req.DstParent, req.DstName)
 		})
 		return onceDurable(durable, err, nil)
 
@@ -649,7 +658,7 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		start := s.nsStart(req.Trace)
-		a, durable, err := s.store.BeginCreateDetached(req.Parent, req.Name, req.Type)
+		a, durable, err := s.store.BeginCreateDetached(at, req.Parent, req.Name, req.Type)
 		return s.nsOnceDurable(obs.SpanMDSCreateDetached, req.Trace, start, durable, err, func() ([]byte, error) {
 			resp := proto.FromAttr(a)
 			return wire.Encode(&resp), nil
@@ -662,8 +671,8 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 		}
 		start := s.nsStart(req.Trace)
 		s.ack(req.Deleg)
-		durable, err := s.mutate(func() (func() error, error) {
-			return s.store.BeginNSPrepare(req.Deleg.Owner, req.File, req.Kind, req.Type, req.Parent, req.Name, req.DstParent, req.DstName)
+		durable, err := s.mutate(at, func(at time.Time) (meta.Durable, error) {
+			return s.store.BeginNSPrepare(at, req.Deleg.Owner, req.File, req.Kind, req.Type, req.Parent, req.Name, req.DstParent, req.DstName)
 		})
 		return s.nsOnceDurable(obs.SpanMDSNSPrepare, req.Trace, start, durable, err, nil)
 
@@ -681,7 +690,7 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		start := s.nsStart(req.Trace)
-		durable, err := s.store.BeginNSCommit(req.File, req.Kind)
+		durable, err := s.store.BeginNSCommit(at, req.File, req.Kind)
 		return s.nsOnceDurable(obs.SpanMDSNSCommit, req.Trace, start, durable, err, nil)
 
 	case proto.OpNSAbort:
@@ -690,7 +699,7 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		start := s.nsStart(req.Trace)
-		durable, err := s.store.BeginNSAbort(req.File, req.Kind)
+		durable, err := s.store.BeginNSAbort(at, req.File, req.Kind)
 		return s.nsOnceDurable(obs.SpanMDSNSAbort, req.Trace, start, durable, err, nil)
 
 	case proto.OpLinkRemote:
@@ -699,7 +708,7 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		start := s.nsStart(req.Trace)
-		durable, err := s.store.BeginLinkRemote(req.Parent, req.Name, req.Child, req.Type)
+		durable, err := s.store.BeginLinkRemote(at, req.Parent, req.Name, req.Child, req.Type)
 		return s.nsOnceDurable(obs.SpanMDSLinkRemote, req.Trace, start, durable, err, nil)
 
 	case proto.OpUnlinkRemote:
@@ -708,7 +717,7 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		start := s.nsStart(req.Trace)
-		durable, err := s.store.BeginUnlinkRemote(req.Parent, req.Name, req.Child)
+		durable, err := s.store.BeginUnlinkRemote(at, req.Parent, req.Name, req.Child)
 		return s.nsOnceDurable(obs.SpanMDSUnlinkRemote, req.Trace, start, durable, err, nil)
 
 	case proto.OpStat:

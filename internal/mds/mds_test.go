@@ -61,15 +61,16 @@ func (e *env) create(t *testing.T, parent meta.FileID, name string, typ meta.Fil
 
 // settle waits out a store mutation applied with a Begin<Op>, or returns the
 // store's refusal.
-func settle(durable func() error, err error) error {
+func settle(durable meta.Durable, err error) error {
 	if err != nil {
 		return err
 	}
-	return durable()
+	_, err = durable()
+	return err
 }
 
 // settled is settle for a Begin<Op> that also returns a value.
-func settled[T any](v T, durable func() error, err error) (T, error) {
+func settled[T any](v T, durable meta.Durable, err error) (T, error) {
 	if err := settle(durable, err); err != nil {
 		var zero T
 		return zero, err
@@ -512,17 +513,17 @@ func TestCommitDedupWindowIsPerShard(t *testing.T) {
 	}
 	// A file homed on shard 0 whose dirent lives with the root on shard 1,
 	// built with the cross-shard create protocol.
-	attr, err := settled(stores[0].BeginCreateDetached(meta.RootID, "f", meta.TypeFile))
+	attr, err := settled(stores[0].BeginCreateDetached(time.Time{}, meta.RootID, "f", meta.TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meta.ShardOf(attr.ID, 2) != 0 {
 		t.Fatalf("minted inode %d not homed on shard 0", attr.ID)
 	}
-	if err := settle(stores[1].BeginLinkRemote(meta.RootID, "f", attr.ID, meta.TypeFile)); err != nil {
+	if err := settle(stores[1].BeginLinkRemote(time.Time{}, meta.RootID, "f", attr.ID, meta.TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(stores[0].BeginNSCommit(attr.ID, meta.NSCreate)); err != nil {
+	if err := settle(stores[0].BeginNSCommit(time.Time{}, attr.ID, meta.NSCreate)); err != nil {
 		t.Fatal(err)
 	}
 

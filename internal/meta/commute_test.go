@@ -59,16 +59,16 @@ func TestCrossInodeCommitsCommute(t *testing.T) {
 		}
 	}
 	// One compound, as the daemon runs it: begin all, then wait for all.
-	waits := make([]func() error, files)
+	waits := make([]Durable, files)
 	for i, lay := range layouts {
 		var err error
-		waits[i], err = s.BeginCommit("c1", lay.File, lay.Extents, int64(i+1)*4096, time.Unix(int64(100+i), 0).UTC(), 0, obs.SpanContext{})
+		waits[i], err = s.BeginCommit(time.Time{}, "c1", lay.File, lay.Extents, int64(i+1)*4096, time.Unix(int64(100+i), 0).UTC(), 0, obs.SpanContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, wait := range waits {
-		if err := wait(); err != nil {
+		if _, err := wait(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -34,7 +34,7 @@ func TestRecoveryFromEveryCrashPoint(t *testing.T) {
 	if err := s.Commit("c1", a.ID, lay.Extents, 8192, time.Unix(7, 0).UTC()); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := settled(s.BeginDelegate("c2", 1<<20))
+	sp, err := settled(s.BeginDelegate(time.Time{}, "c2", 1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRecoveryFromEveryCrashPoint(t *testing.T) {
 	if err := s.Commit("c2", b.ID, []Extent{ext}, 4096, time.Unix(8, 0).UTC()); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(s.BeginReturnDelegation("c2", sp)); err != nil {
+	if err := settle(s.BeginReturnDelegation(time.Time{}, "c2", sp)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Create(RootID, "tmp", TypeFile); err != nil {
@@ -210,7 +210,7 @@ func TestRecoveryIdempotent(t *testing.T) {
 	if err := s.Commit("c1", a.ID, lay.Extents, 4096, time.Now().UTC()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := settled(s.BeginDelegate("c1", 1<<20)); err != nil {
+	if _, err := settled(s.BeginDelegate(time.Time{}, "c1", 1<<20)); err != nil {
 		t.Fatal(err)
 	}
 

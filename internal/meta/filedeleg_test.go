@@ -114,15 +114,17 @@ func TestDelegRecallEndsOnAck(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, err = s.BeginCommit(owner, id, lay.Extents, 4096, clock.Epoch.Add(time.Second), 0, obs.SpanContext{})
+			_, err = s.BeginCommit(time.Time{}, owner, id, lay.Extents, 4096, clock.Epoch.Add(time.Second), 0, obs.SpanContext{})
 			return err
 		},
-		"remove": func(s *Store, owner string, _ FileID) error { return settle(s.BeginRemove(owner, RootID, "f")) },
+		"remove": func(s *Store, owner string, _ FileID) error {
+			return settle(s.BeginRemove(time.Time{}, owner, RootID, "f"))
+		},
 		"rename": func(s *Store, owner string, _ FileID) error {
-			return settle(s.BeginRename(owner, RootID, "f", RootID, "g"))
+			return settle(s.BeginRename(time.Time{}, owner, RootID, "f", RootID, "g"))
 		},
 		"ns-prepare": func(s *Store, owner string, id FileID) error {
-			return settle(s.BeginNSPrepare(owner, id, NSRemove, TypeFile, RootID, "f", 0, ""))
+			return settle(s.BeginNSPrepare(time.Time{}, owner, id, NSRemove, TypeFile, RootID, "f", 0, ""))
 		},
 	}
 	for name, mutate := range mutations {
@@ -205,7 +207,7 @@ func TestDelegRecallEndsWithTheLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(DelegTerm / 4)
-	h := held(t, settle(s.BeginRemove("B", RootID, "f")))
+	h := held(t, settle(s.BeginRemove(time.Time{}, "B", RootID, "f")))
 	done := awaiting(d, h.Recalls)
 	waitersOn(t, clk, 1)
 
@@ -215,7 +217,7 @@ func TestDelegRecallEndsWithTheLease(t *testing.T) {
 	stillWaiting(t, done, "one nanosecond before the lease ran out")
 	clk.Advance(time.Nanosecond)
 	released(t, done, "when the lease ran out")
-	if err := settle(s.BeginRemove("B", RootID, "f")); err != nil {
+	if err := settle(s.BeginRemove(time.Time{}, "B", RootID, "f")); err != nil {
 		t.Fatalf("remove after the lapse: %v", err)
 	}
 	if _, ids := d.Pending("A"); len(ids) != 1 || ids[0] != a.ID {
@@ -234,7 +236,7 @@ func TestDelegRecallEndsWithTheLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(2 * DelegTerm)
-	if err := settle(s.BeginRemove("B", RootID, "g")); err != nil {
+	if err := settle(s.BeginRemove(time.Time{}, "B", RootID, "g")); err != nil {
 		t.Fatalf("remove of a file whose holder's lease has run out = %v, want no wait", err)
 	}
 	if _, ids := d.Pending("A"); len(ids) != 2 || ids[1] != b.ID {
@@ -257,7 +259,7 @@ func TestDelegDirectoryMutationRecallsEverything(t *testing.T) {
 			}
 		}
 	}
-	h := held(t, settle(s.BeginRename("C", RootID, "d", RootID, "e")))
+	h := held(t, settle(s.BeginRename(time.Time{}, "C", RootID, "d", RootID, "e")))
 	if !h.Dir || len(h.Recalls) != 2 {
 		t.Fatalf("refusal = %d recalls, dir %v; want one recall per other owner", len(h.Recalls), h.Dir)
 	}
@@ -278,7 +280,7 @@ func TestDelegDirectoryMutationRecallsEverything(t *testing.T) {
 	stillWaiting(t, done, "with one of two holders still to answer")
 	d.Ack("B", 1)
 	released(t, done, "after both holders acknowledged")
-	if err := settle(s.BeginRename("C", RootID, "d", RootID, "e")); err != nil {
+	if err := settle(s.BeginRename(time.Time{}, "C", RootID, "d", RootID, "e")); err != nil {
 		t.Fatalf("rename after the recalls: %v", err)
 	}
 	d.Thaw()
@@ -301,7 +303,7 @@ func TestDelegPendingCollapses(t *testing.T) {
 		if _, _, err := createAs(s, "A", RootID, name, TypeFile); err != nil {
 			t.Fatal(err)
 		}
-		held(t, settle(s.BeginRemove("B", RootID, name)))
+		held(t, settle(s.BeginRemove(time.Time{}, "B", RootID, name)))
 	}
 	if seq, ids := d.Pending("A"); seq != maxPendingRecalls+1 || len(ids) != 1 || ids[0] != RecallAll {
 		t.Fatalf("Pending = seq %d, %d entries; want one drop-everything entry", seq, len(ids))
@@ -328,17 +330,17 @@ func TestDelegGraceAfterRestart(t *testing.T) {
 	if err != nil || !granted {
 		t.Fatalf("a file created during the grace period: granted %v, %v", granted, err)
 	}
-	if _, err := s.BeginCommit("A", fresh.ID, nil, 1, clock.Epoch, 0, obs.SpanContext{}); err != nil {
+	if _, err := s.BeginCommit(time.Time{}, "A", fresh.ID, nil, 1, clock.Epoch, 0, obs.SpanContext{}); err != nil {
 		t.Fatalf("the holder's commit during the grace period: %v", err)
 	}
 	// A commit that is not acceptable as it arrives is refused at once: were
 	// it parked first and validated a lease term later, a request built in
 	// the dead session could by then name space that has been delegated again.
 	stale := []Extent{{Len: 4096, VolOff: 1 << 20}}
-	if _, err := s.BeginCommit("A", old.ID, stale, 4096, clock.Epoch, 0, obs.SpanContext{}); !errors.Is(err, ErrBadCommit) {
+	if _, err := s.BeginCommit(time.Time{}, "A", old.ID, stale, 4096, clock.Epoch, 0, obs.SpanContext{}); !errors.Is(err, ErrBadCommit) {
 		t.Fatalf("commit of unallocated space during the grace period = %v, want ErrBadCommit now", err)
 	}
-	_, err = s.BeginCommit("A", old.ID, nil, 1, clock.Epoch, 0, obs.SpanContext{})
+	_, err = s.BeginCommit(time.Time{}, "A", old.ID, nil, 1, clock.Epoch, 0, obs.SpanContext{})
 	h := held(t, err)
 	done := awaiting(d, h.Recalls)
 	waitersOn(t, clk, 1)
@@ -346,7 +348,7 @@ func TestDelegGraceAfterRestart(t *testing.T) {
 	stillWaiting(t, done, "inside the grace period")
 	clk.Advance(time.Nanosecond)
 	released(t, done, "at the end of the grace period")
-	if _, err := s.BeginCommit("A", old.ID, nil, 1, clock.Epoch, 0, obs.SpanContext{}); err != nil {
+	if _, err := s.BeginCommit(time.Time{}, "A", old.ID, nil, 1, clock.Epoch, 0, obs.SpanContext{}); err != nil {
 		t.Fatalf("commit after the grace period: %v", err)
 	}
 	if _, granted, _ := s.LookupAs("A", RootID, "old"); !granted {
@@ -362,7 +364,7 @@ func TestClientGoneRevokesFileDelegations(t *testing.T) {
 	s, clk := delegStore(t)
 	d := s.FileDelegs()
 	d.Arrive("A", 0)
-	if _, err := settled(s.BeginDelegate("A", 1<<20)); err != nil {
+	if _, err := settled(s.BeginDelegate(time.Time{}, "A", 1<<20)); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"f", "g"} {
@@ -377,13 +379,13 @@ func TestClientGoneRevokesFileDelegations(t *testing.T) {
 	if _, ids := d.Pending("A"); len(ids) != 1 || ids[0] != RecallAll {
 		t.Fatalf("Pending(A) = %v, want drop-everything", ids)
 	}
-	h := held(t, settle(s.BeginRemove("B", RootID, "f")))
+	h := held(t, settle(s.BeginRemove(time.Time{}, "B", RootID, "f")))
 	done := awaiting(d, h.Recalls)
 	waitersOn(t, clk, 1)
 	clk.Advance(DelegTerm)
 	released(t, done, "when the revoked owner's lease ran out")
 	for _, name := range []string{"f", "g"} {
-		if err := settle(s.BeginRemove("B", RootID, name)); err != nil {
+		if err := settle(s.BeginRemove(time.Time{}, "B", RootID, name)); err != nil {
 			t.Fatalf("remove %s after the revocation: %v", name, err)
 		}
 	}
@@ -408,10 +410,10 @@ func TestDelegationStateIsVolatile(t *testing.T) {
 			}
 		}
 		if owner != "" {
-			held(t, settle(s.BeginRemove("other", RootID, "g")))
+			held(t, settle(s.BeginRemove(time.Time{}, "other", RootID, "g")))
 			s.FileDelegs().Ack(owner, 1)
 		}
-		if err := settle(s.BeginRemove("other", RootID, "g")); err != nil {
+		if err := settle(s.BeginRemove(time.Time{}, "other", RootID, "g")); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := NewJournal(d, 0, 32<<20).Replay(func(*Record) error { records++; return nil }); err != nil {

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"redbud/internal/blockdev"
+	"redbud/internal/clock"
+	"redbud/internal/stats"
 	"redbud/internal/wire"
 )
 
@@ -136,8 +138,15 @@ const (
 // a batch's device write fails, that batch, every batch behind it and every
 // later Append fail with ErrJournalFailed, because replay would end at the
 // hole and lose them.
+//
+// A batch is charged in modeled time from when its cause ended, not from when
+// the flusher's goroutine got to it: it is enqueued on the device at the
+// later of the previous batch's modeled end and the latest modeled instant of
+// a record in it, and each of its records learns the modeled instant the
+// batch became durable.
 type Journal struct {
 	dev   *blockdev.Device
+	clk   clock.Clock
 	start int64
 	size  int64
 	// gen is the log epoch: every record is stamped with it, and replay
@@ -146,17 +155,44 @@ type Journal struct {
 	// records left in a reused region can never be replayed.
 	gen uint32
 
-	mu       sync.Mutex
-	tail     int64          // relative offset of the next record
-	flushOff int64          // relative offset of the first unflushed byte
-	pending  []byte         // framed records awaiting the next device write
-	waiters  []chan<- error // one per pending record, in log order
-	flushing bool           // a leader is draining batches
-	failed   error          // the failed device write that stopped the journal
+	mu        sync.Mutex
+	tail      int64     // relative offset of the next record
+	flushOff  int64     // relative offset of the first unflushed byte
+	pending   []byte    // framed records awaiting the next device write
+	waiters   []waiter  // one per pending record, in log order
+	pendingAt time.Time // latest modeled instant of a pending record
+	flushing  bool      // a leader is draining batches
+	failed    error     // the failed device write that stopped the journal
 
-	appends int64 // records appended (stats)
-	batches int64 // device writes issued (stats)
+	// end is the modeled instant the last batch became durable. Only the
+	// flusher touches it, and there is one flusher at a time.
+	end time.Time
+
+	appends  int64         // records appended (stats)
+	batches  int64         // device writes issued (stats)
+	absorbed stats.Counter // ns each batch was submitted past the instant it was charged from
 }
+
+// A waiter is told the outcome of its record's group-commit batch and the
+// modeled instant the batch became durable. Both kinds are buffered channels
+// of capacity one, so telling never blocks the flusher.
+type waiter interface{ durable(at time.Time, err error) }
+
+// errWaiter is Append's waiter: it keeps only the outcome.
+type errWaiter chan error
+
+func (w errWaiter) durable(_ time.Time, err error) { w <- err }
+
+// durability is one record's outcome and its batch's modeled durable instant.
+type durability struct {
+	at  time.Time
+	err error
+}
+
+// timedWaiter is the store's waiter: it keeps the durable instant too.
+type timedWaiter chan durability
+
+func (w timedWaiter) durable(at time.Time, err error) { w <- durability{at, err} }
 
 // NewJournal manages [start, start+size) of dev as a generation-0 journal.
 // The region is assumed zeroed (a fresh device reads zeros, which terminates
@@ -167,7 +203,7 @@ func NewJournal(dev *blockdev.Device, start, size int64) *Journal {
 
 // NewJournalGen is NewJournal with an explicit log epoch (used by LogSet).
 func NewJournalGen(dev *blockdev.Device, start, size int64, gen uint32) *Journal {
-	return &Journal{dev: dev, start: start, size: size, gen: gen}
+	return &Journal{dev: dev, clk: dev.Clock(), start: start, size: size, gen: gen}
 }
 
 // Generation returns the journal's log epoch.
@@ -187,10 +223,22 @@ func (j *Journal) Tail() int64 {
 // concurrent Appends pass through the internal lock) is the replay order;
 // store methods reserve their slot while holding the lock that ordered the
 // mutation, so replay order equals apply order.
-//
-//redbud:hotpath
 func (j *Journal) Append(rec *Record) <-chan error {
 	ch := make(chan error, 1)
+	j.appendAt(time.Time{}, rec, errWaiter(ch))
+	return ch
+}
+
+// appendAt is Append for a record whose mutation was applied at the modeled
+// instant at (the zero time, or one after now, means now); w is told the
+// outcome. The instant is kept in memory only: it sets the earliest modeled
+// start of the record's batch, and is never written to the log.
+//
+//redbud:hotpath
+func (j *Journal) appendAt(at time.Time, rec *Record, w waiter) {
+	if now := j.clk.Now(); at.IsZero() || at.After(now) {
+		at = now
+	}
 	pb := wire.GetBuffer()
 	rec.MarshalWire(pb)
 	payload := pb.Bytes()
@@ -202,23 +250,26 @@ func (j *Journal) Append(rec *Record) <-chan error {
 		err := j.failed
 		j.mu.Unlock()
 		wire.PutBuffer(pb)
-		ch <- err
-		return ch
+		w.durable(time.Time{}, err)
+		return
 	}
 	if j.tail+need > j.size {
 		used := j.tail
 		j.mu.Unlock()
 		wire.PutBuffer(pb)
 		//lint:allow hotpath — journal-full error path, never taken at steady state
-		ch <- fmt.Errorf("%w: %d of %d bytes used", ErrJournalFull, used, j.size)
-		return ch
+		w.durable(time.Time{}, fmt.Errorf("%w: %d of %d bytes used", ErrJournalFull, used, j.size))
+		return
 	}
 	j.pending = binary.LittleEndian.AppendUint32(j.pending, journalMagic)
 	j.pending = binary.LittleEndian.AppendUint32(j.pending, j.gen)
 	j.pending = binary.LittleEndian.AppendUint32(j.pending, uint32(len(payload)))
 	j.pending = binary.LittleEndian.AppendUint32(j.pending, crc)
 	j.pending = append(j.pending, payload...)
-	j.waiters = append(j.waiters, ch)
+	j.waiters = append(j.waiters, w)
+	if at.After(j.pendingAt) {
+		j.pendingAt = at
+	}
 	j.tail += need
 	j.appends++
 	lead := !j.flushing
@@ -231,7 +282,6 @@ func (j *Journal) Append(rec *Record) <-chan error {
 	if lead {
 		go j.flushBatches()
 	}
-	return ch
 }
 
 // flushBatches is the group-commit leader loop: it repeatedly swaps out the
@@ -241,6 +291,11 @@ func (j *Journal) Append(rec *Record) <-chan error {
 // per-request device overhead is paid once per batch, not once per record.
 // The device keeps the batch buffer it is handed, so every batch gets a new
 // one.
+//
+// A batch is enqueued on the device at the later of the previous batch's
+// modeled end and its latest record's instant. Both are past by the time the
+// flusher runs, so however late its goroutine woke, the device charges the
+// batch from when its cause ended; the lateness it absorbs is counted.
 //
 //redbud:hotpath
 func (j *Journal) flushBatches() {
@@ -253,14 +308,23 @@ func (j *Journal) flushBatches() {
 		}
 		buf := j.pending
 		waiters := j.waiters
+		at := j.pendingAt
 		off := j.flushOff
 		j.pending = make([]byte, 0, len(buf)) // the next batch, sized like this one
 		j.waiters = nil
+		j.pendingAt = time.Time{}
 		j.flushOff = off + int64(len(buf))
 		j.batches++
 		j.mu.Unlock()
 
-		err := j.dev.Write(j.start+off, buf)
+		if j.end.After(at) {
+			at = j.end
+		}
+		if late := j.clk.Since(at); late > 0 {
+			j.absorbed.Add(int64(late))
+		}
+		end, err := j.dev.WriteAt(at, j.start+off, buf)
+		j.end = end
 		if err != nil {
 			//lint:allow hotpath — failed-write path, taken once before the journal stops
 			err = fmt.Errorf("%w: write at %d: %w", ErrJournalFailed, off, err)
@@ -271,8 +335,8 @@ func (j *Journal) flushBatches() {
 			j.flushing = false
 			j.mu.Unlock()
 		}
-		for _, ch := range waiters {
-			ch <- err
+		for _, w := range waiters {
+			w.durable(end, err)
 		}
 		if err != nil {
 			return

@@ -418,3 +418,49 @@ func TestJournalFailStopsAfterFailedWrite(t *testing.T) {
 		})
 	}
 }
+
+// A batch is charged from when its cause ended, not from when its leader
+// goroutine woke: every leader here runs 10 ms after the clock passed the
+// record's instant, and each batch still starts at the later of the previous
+// batch's modeled end and its record's instant. Each waiter learns its own
+// batch's modeled end, and the journal counts the lateness it absorbed.
+func TestBatchStartsWhenItsCauseEnded(t *testing.T) {
+	const st = time.Millisecond // every write's service time
+	mc := clock.NewManual()
+	dev := blockdev.New(blockdev.Config{Size: 64 << 20, Model: blockdev.DiskModel{PerRequest: st}, Clock: mc})
+	defer dev.Close()
+	defer mc.Advance(time.Hour)
+	j := NewJournal(dev, 0, 1<<20)
+
+	t0 := mc.Now()
+	mc.Advance(10 * time.Millisecond)
+	for _, step := range []struct {
+		rec, want time.Duration // record instant and batch end, after t0
+	}{
+		{2 * time.Millisecond, 2*time.Millisecond + st}, // idle journal: the record's instant
+		{1 * time.Millisecond, 3*time.Millisecond + st}, // the previous batch's end
+		{6 * time.Millisecond, 6*time.Millisecond + st}, // the record's instant again
+	} {
+		ch := make(chan durability, 1)
+		j.appendAt(t0.Add(step.rec), &Record{Type: RecCreate, File: 2, Parent: RootID, Name: "f"}, timedWaiter(ch))
+		var d durability
+		select {
+		case d = <-ch:
+			if d.err != nil {
+				t.Fatal(d.err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("record from +%v not durable without a clock step: its batch was charged from now", step.rec)
+		}
+		if end := d.at; !end.Equal(t0.Add(step.want)) {
+			t.Fatalf("record from +%v durable at +%v, want +%v", step.rec, end.Sub(t0), step.want)
+		}
+	}
+	if _, batches := j.GroupCommitStats(); batches != 3 {
+		t.Fatalf("%d batches, want 3", batches)
+	}
+	// Submitted at +10ms each, charged from +2, +3 and +6 ms.
+	if got, want := j.absorbed.Load(), int64(8*time.Millisecond+7*time.Millisecond+4*time.Millisecond); got != want {
+		t.Fatalf("absorbed %v, want %v", time.Duration(got), time.Duration(want))
+	}
+}

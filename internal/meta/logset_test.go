@@ -91,7 +91,7 @@ func checkpointWorld(t *testing.T) (*blockdev.Device, *LogSet, *Store, func() *a
 	if _, err := s.AllocLayout("c2", b.ID, 0, 4096); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := settled(s.BeginDelegate("c3", 1<<20))
+	sp, err := settled(s.BeginDelegate(time.Time{}, "c3", 1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}

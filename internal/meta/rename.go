@@ -1,6 +1,9 @@
 package meta
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // BeginRename moves the entry srcName under srcParent to dstName under
 // dstParent, on behalf of a delegation owner ("" for none). The destination
@@ -9,7 +12,7 @@ import "fmt"
 // a directory into its own subtree is rejected. It fails with *DelegHeld,
 // having changed nothing, while another owner holds the moved file's
 // delegation — or, for a directory, any delegation at all.
-func (s *Store) BeginRename(owner string, srcParent FileID, srcName string, dstParent FileID, dstName string) (durable func() error, err error) {
+func (s *Store) BeginRename(at time.Time, owner string, srcParent FileID, srcName string, dstParent FileID, dstName string) (durable Durable, err error) {
 	if dstName == "" || dstName == "." || dstName == ".." {
 		return nil, fmt.Errorf("%w: %q", ErrInvalidName, dstName)
 	}
@@ -78,7 +81,7 @@ func (s *Store) BeginRename(owner string, srcParent FileID, srcName string, dstP
 		}
 	}
 	s.applyRename(srcParent, srcName, dstParent, dstName, id)
-	durable = s.journalAppend(&Record{
+	durable = s.journalAppend(at, &Record{
 		Type: RecRename, File: id,
 		Parent: srcParent, Name: srcName,
 		DstParent: dstParent, DstName: dstName,

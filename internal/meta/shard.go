@@ -349,7 +349,7 @@ func (s *Store) freeInode(id FileID) []alloc.Span {
 // LinkRemote on the parent's shard (the commit point) and NSCommit here; on
 // a definitive link failure it rolls back with NSAbort, and a crash leaves
 // the intent for ResolveNSIntents.
-func (s *Store) BeginCreateDetached(parent FileID, name string, typ FileType) (attr Attr, durable func() error, err error) {
+func (s *Store) BeginCreateDetached(at time.Time, parent FileID, name string, typ FileType) (attr Attr, durable Durable, err error) {
 	if name == "" || name == "." || name == ".." {
 		return Attr{}, nil, fmt.Errorf("%w: %q", ErrInvalidName, name)
 	}
@@ -363,7 +363,7 @@ func (s *Store) BeginCreateDetached(parent FileID, name string, typ FileType) (a
 	s.nsPrepares.Inc()
 	s.applyCreateDetached(id, typ, now)
 	attr = s.inodes[id].attr()
-	durable = s.journalAppend(&Record{Type: RecNSIntent, NSKind: NSCreate, File: id, Parent: parent, Name: name, FType: typ, MTime: now})
+	durable = s.journalAppend(at, &Record{Type: RecNSIntent, NSKind: NSCreate, File: id, Parent: parent, Name: name, FType: typ, MTime: now})
 	s.ns.Unlock()
 	return attr, durable, nil
 }
@@ -387,7 +387,7 @@ func (s *Store) applyCreateDetached(id FileID, typ FileType, mtime time.Time) {
 // re-inserting would fork a second reference to the inode. An entry held by
 // a different inode fails with ErrExists; a pending removal of parent or a
 // rename reservation on the name fails with ErrNSConflict.
-func (s *Store) BeginLinkRemote(parent FileID, name string, child FileID, typ FileType) (durable func() error, err error) {
+func (s *Store) BeginLinkRemote(at time.Time, parent FileID, name string, child FileID, typ FileType) (durable Durable, err error) {
 	if name == "" || name == "." || name == ".." {
 		return nil, fmt.Errorf("%w: %q", ErrInvalidName, name)
 	}
@@ -418,7 +418,7 @@ func (s *Store) BeginLinkRemote(parent FileID, name string, child FileID, typ Fi
 	}
 	s.applyLink(parent, name, child, typ)
 	s.linkDone[child] = struct{}{}
-	durable = s.journalAppend(&Record{Type: RecLinkRemote, File: child, Parent: parent, Name: name, FType: typ})
+	durable = s.journalAppend(at, &Record{Type: RecLinkRemote, File: child, Parent: parent, Name: name, FType: typ})
 	s.ns.Unlock()
 	return durable, nil
 }
@@ -432,7 +432,7 @@ func (s *Store) BeginLinkRemote(parent FileID, name string, child FileID, typ Fi
 // inode that still has a live dirent elsewhere. A live intent on the child (a
 // concurrent cross-shard rename routed through this shard) fails with
 // ErrNSConflict, keeping the remove probe unambiguous.
-func (s *Store) BeginUnlinkRemote(parent FileID, name string, child FileID) (durable func() error, err error) {
+func (s *Store) BeginUnlinkRemote(at time.Time, parent FileID, name string, child FileID) (durable Durable, err error) {
 	s.ns.Lock()
 	if _, done := s.unlinkDone[child]; done {
 		s.ns.Unlock()
@@ -453,7 +453,7 @@ func (s *Store) BeginUnlinkRemote(parent FileID, name string, child FileID) (dur
 	}
 	s.applyUnlink(parent, name)
 	s.unlinkDone[child] = struct{}{}
-	durable = s.journalAppend(&Record{Type: RecUnlinkRemote, File: child, Parent: parent, Name: name})
+	durable = s.journalAppend(at, &Record{Type: RecUnlinkRemote, File: child, Parent: parent, Name: name})
 	s.ns.Unlock()
 	return durable, nil
 }
@@ -470,7 +470,7 @@ func (s *Store) BeginUnlinkRemote(parent FileID, name string, child FileID) (dur
 // shard it fails with *DelegHeld, having published nothing, while another
 // owner holds the delegation a cross-shard remove or rename is about to
 // invalidate: the saga recalls before it can reach its commit point.
-func (s *Store) BeginNSPrepare(owner string, file FileID, kind NSIntentKind, typ FileType, parent FileID, name string, dstParent FileID, dstName string) (durable func() error, err error) {
+func (s *Store) BeginNSPrepare(at time.Time, owner string, file FileID, kind NSIntentKind, typ FileType, parent FileID, name string, dstParent FileID, dstName string) (durable Durable, err error) {
 	in := NSIntent{File: file, Kind: kind, Type: typ, Parent: parent, Name: name, DstParent: dstParent, DstName: dstName}
 	s.ns.Lock()
 	switch kind {
@@ -527,7 +527,7 @@ func (s *Store) BeginNSPrepare(owner string, file FileID, kind NSIntentKind, typ
 		return noWait, nil
 	}
 	s.nsPrepares.Inc()
-	durable = s.journalAppend(&Record{
+	durable = s.journalAppend(at, &Record{
 		Type: RecNSIntent, NSKind: kind, File: file, FType: typ,
 		Parent: parent, Name: name, DstParent: dstParent, DstName: dstName,
 	})
@@ -541,7 +541,7 @@ func (s *Store) BeginNSPrepare(owner string, file FileID, kind NSIntentKind, typ
 // renameDst inserts the destination dirent and releases the reservation.
 // Idempotent: no live intent of the given kind means a previous attempt (or
 // resolution) already ran, and succeeds without journaling.
-func (s *Store) BeginNSCommit(file FileID, kind NSIntentKind) (durable func() error, err error) {
+func (s *Store) BeginNSCommit(at time.Time, file FileID, kind NSIntentKind) (durable Durable, err error) {
 	s.ns.Lock()
 	in, ok := s.nsIntents.get(file)
 	if !ok || in.Kind != kind {
@@ -550,7 +550,7 @@ func (s *Store) BeginNSCommit(file FileID, kind NSIntentKind) (durable func() er
 	}
 	freed := s.applyNSCommit(in)
 	s.nsCommits.Inc()
-	durable = s.journalAppend(&Record{Type: RecNSCommit, NSKind: kind, File: file})
+	durable = s.journalAppend(at, &Record{Type: RecNSCommit, NSKind: kind, File: file})
 	s.ns.Unlock()
 	for _, sp := range freed {
 		_ = s.cfg.AGs.FreeSpan(sp)
@@ -584,7 +584,7 @@ func (s *Store) applyNSCommit(in NSIntent) []alloc.Span {
 // BeginNSAbort resolves the live intent on file backward: create deletes the
 // detached inode and frees its space; the other kinds just drop the intent
 // (and any name reservation), leaving the namespace untouched. Idempotent.
-func (s *Store) BeginNSAbort(file FileID, kind NSIntentKind) (durable func() error, err error) {
+func (s *Store) BeginNSAbort(at time.Time, file FileID, kind NSIntentKind) (durable Durable, err error) {
 	s.ns.Lock()
 	in, ok := s.nsIntents.get(file)
 	if !ok || in.Kind != kind {
@@ -593,7 +593,7 @@ func (s *Store) BeginNSAbort(file FileID, kind NSIntentKind) (durable func() err
 	}
 	freed := s.applyNSAbort(in)
 	s.nsAborts.Inc()
-	durable = s.journalAppend(&Record{Type: RecNSAbort, NSKind: kind, File: file})
+	durable = s.journalAppend(at, &Record{Type: RecNSAbort, NSKind: kind, File: file})
 	s.ns.Unlock()
 	for _, sp := range freed {
 		_ = s.cfg.AGs.FreeSpan(sp)
@@ -659,9 +659,9 @@ func ResolveNSIntents(stores []*Store) error {
 				}
 				var err error
 				if commit {
-					err = settle(s.BeginNSCommit(in.File, in.Kind))
+					err = settle(s.BeginNSCommit(time.Time{}, in.File, in.Kind))
 				} else {
-					err = settle(s.BeginNSAbort(in.File, in.Kind))
+					err = settle(s.BeginNSAbort(time.Time{}, in.File, in.Kind))
 				}
 				if err != nil {
 					return err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"redbud/internal/alloc"
 	"redbud/internal/blockdev"
@@ -141,7 +142,7 @@ func TestCrossShardCreateRemove(t *testing.T) {
 	ti := pickForeignShard(2, pi)
 	ts := c.stores[ti]
 
-	attr, err := settled(ts.BeginCreateDetached(RootID, "f", TypeFile))
+	attr, err := settled(ts.BeginCreateDetached(time.Time{}, RootID, "f", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,20 +152,20 @@ func TestCrossShardCreateRemove(t *testing.T) {
 	if _, err := ps.Lookup(RootID, "f"); err == nil {
 		t.Fatal("file visible before LinkRemote")
 	}
-	if err := settle(ps.BeginLinkRemote(RootID, "f", attr.ID, TypeFile)); err != nil {
+	if err := settle(ps.BeginLinkRemote(time.Time{}, RootID, "f", attr.ID, TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginLinkRemote(RootID, "f", attr.ID, TypeFile)); err != nil {
+	if err := settle(ps.BeginLinkRemote(time.Time{}, RootID, "f", attr.ID, TypeFile)); err != nil {
 		t.Fatalf("LinkRemote retry not idempotent: %v", err)
 	}
 	got, err := ps.Lookup(RootID, "f")
 	if err != nil || got.ID != attr.ID {
 		t.Fatalf("lookup after link: %+v, %v", got, err)
 	}
-	if err := settle(ts.BeginNSCommit(attr.ID, NSCreate)); err != nil {
+	if err := settle(ts.BeginNSCommit(time.Time{}, attr.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ts.BeginNSCommit(attr.ID, NSCreate)); err != nil {
+	if err := settle(ts.BeginNSCommit(time.Time{}, attr.ID, NSCreate)); err != nil {
 		t.Fatalf("NSCommit retry not idempotent: %v", err)
 	}
 	// Data lives on the home shard.
@@ -182,16 +183,16 @@ func TestCrossShardCreateRemove(t *testing.T) {
 		t.Fatalf("classic remove of remote child: %v, want ErrWrongShard", err)
 	}
 	// Cross-shard remove: prepare on home, unlink on parent, commit on home.
-	if err := settle(ts.BeginNSPrepare("", attr.ID, NSRemove, TypeFile, RootID, "f", 0, "")); err != nil {
+	if err := settle(ts.BeginNSPrepare(time.Time{}, "", attr.ID, NSRemove, TypeFile, RootID, "f", 0, "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginUnlinkRemote(RootID, "f", attr.ID)); err != nil {
+	if err := settle(ps.BeginUnlinkRemote(time.Time{}, RootID, "f", attr.ID)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginUnlinkRemote(RootID, "f", attr.ID)); err != nil {
+	if err := settle(ps.BeginUnlinkRemote(time.Time{}, RootID, "f", attr.ID)); err != nil {
 		t.Fatalf("UnlinkRemote retry not idempotent: %v", err)
 	}
-	if err := settle(ts.BeginNSCommit(attr.ID, NSRemove)); err != nil {
+	if err := settle(ts.BeginNSCommit(time.Time{}, attr.ID, NSRemove)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ps.Lookup(RootID, "f"); err == nil {
@@ -218,14 +219,14 @@ func TestCrossShardRename(t *testing.T) {
 	// A destination directory homed on another shard.
 	di := pickForeignShard(n, pi)
 	ds := c.stores[di]
-	dirAttr, err := settled(ds.BeginCreateDetached(RootID, "d", TypeDir))
+	dirAttr, err := settled(ds.BeginCreateDetached(time.Time{}, RootID, "d", TypeDir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginLinkRemote(RootID, "d", dirAttr.ID, TypeDir)); err != nil {
+	if err := settle(ps.BeginLinkRemote(time.Time{}, RootID, "d", dirAttr.ID, TypeDir)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ds.BeginNSCommit(dirAttr.ID, NSCreate)); err != nil {
+	if err := settle(ds.BeginNSCommit(time.Time{}, dirAttr.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -235,34 +236,34 @@ func TestCrossShardRename(t *testing.T) {
 		hi = pickForeignShard(n, hi)
 	}
 	hs := c.stores[hi]
-	f, err := settled(hs.BeginCreateDetached(RootID, "f", TypeFile))
+	f, err := settled(hs.BeginCreateDetached(time.Time{}, RootID, "f", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
+	if err := settle(ps.BeginLinkRemote(time.Time{}, RootID, "f", f.ID, TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(hs.BeginNSCommit(f.ID, NSCreate)); err != nil {
+	if err := settle(hs.BeginNSCommit(time.Time{}, f.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
 	fsckAll(t, c.stores, "setup")
 
 	// Rename /f → /d/g: src parent shard ps, dst parent shard = ShardOf(d).
 	dps := c.stores[ShardOf(dirAttr.ID, n)]
-	if err := settle(ps.BeginNSPrepare("", f.ID, NSRenameSrc, TypeFile, RootID, "f", 0, "")); err != nil {
+	if err := settle(ps.BeginNSPrepare(time.Time{}, "", f.ID, NSRenameSrc, TypeFile, RootID, "f", 0, "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(dps.BeginNSPrepare("", f.ID, NSRenameDst, TypeFile, RootID, "f", dirAttr.ID, "g")); err != nil {
+	if err := settle(dps.BeginNSPrepare(time.Time{}, "", f.ID, NSRenameDst, TypeFile, RootID, "f", dirAttr.ID, "g")); err != nil {
 		t.Fatal(err)
 	}
 	// The reservation blocks a competing create of the same name.
 	if _, err := dps.Create(dirAttr.ID, "g", TypeFile); !errors.Is(err, ErrNSConflict) {
 		t.Fatalf("create into reserved name: %v, want ErrNSConflict", err)
 	}
-	if err := settle(ps.BeginNSCommit(f.ID, NSRenameSrc)); err != nil {
+	if err := settle(ps.BeginNSCommit(time.Time{}, f.ID, NSRenameSrc)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(dps.BeginNSCommit(f.ID, NSRenameDst)); err != nil {
+	if err := settle(dps.BeginNSCommit(time.Time{}, f.ID, NSRenameDst)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ps.Lookup(RootID, "f"); err == nil {
@@ -285,53 +286,53 @@ func TestNSIntentBlocksConflicts(t *testing.T) {
 	ts := c.stores[pickForeignShard(2, pi)]
 
 	// A remote-homed empty dir under root.
-	d, err := settled(ts.BeginCreateDetached(RootID, "d", TypeDir))
+	d, err := settled(ts.BeginCreateDetached(time.Time{}, RootID, "d", TypeDir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginLinkRemote(RootID, "d", d.ID, TypeDir)); err != nil {
+	if err := settle(ps.BeginLinkRemote(time.Time{}, RootID, "d", d.ID, TypeDir)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ts.BeginNSCommit(d.ID, NSCreate)); err != nil {
+	if err := settle(ts.BeginNSCommit(time.Time{}, d.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Remove intent on the dir blocks creates into it (dir's dirents are on
 	// its own home shard).
-	if err := settle(ts.BeginNSPrepare("", d.ID, NSRemove, TypeDir, RootID, "d", 0, "")); err != nil {
+	if err := settle(ts.BeginNSPrepare(time.Time{}, "", d.ID, NSRemove, TypeDir, RootID, "d", 0, "")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ts.Create(d.ID, "child", TypeFile); !errors.Is(err, ErrNSConflict) {
 		t.Fatalf("create into removing dir: %v, want ErrNSConflict", err)
 	}
-	if _, err := settled(ts.BeginCreateDetached(d.ID, "x", TypeFile)); err != nil {
+	if _, err := settled(ts.BeginCreateDetached(time.Time{}, d.ID, "x", TypeFile)); err != nil {
 		// CreateDetached lands on the child's shard and cannot see the
 		// remove intent — only LinkRemote on the dir's shard can.
 		t.Fatal(err)
 	}
 	// A second intent on the same inode conflicts; an identical retry is
 	// idempotent.
-	if err := settle(ts.BeginNSPrepare("", d.ID, NSRemove, TypeDir, RootID, "d", 0, "")); err != nil {
+	if err := settle(ts.BeginNSPrepare(time.Time{}, "", d.ID, NSRemove, TypeDir, RootID, "d", 0, "")); err != nil {
 		t.Fatalf("identical NSPrepare retry: %v", err)
 	}
-	if err := settle(ts.BeginNSPrepare("", d.ID, NSRemove, TypeDir, RootID, "other", 0, "")); !errors.Is(err, ErrNSConflict) {
+	if err := settle(ts.BeginNSPrepare(time.Time{}, "", d.ID, NSRemove, TypeDir, RootID, "other", 0, "")); !errors.Is(err, ErrNSConflict) {
 		t.Fatalf("conflicting NSPrepare: %v, want ErrNSConflict", err)
 	}
 	// UnlinkRemote of an inode under an intent on this shard is blocked.
-	if err := settle(ps.BeginNSPrepare("", d.ID, NSRenameSrc, TypeDir, RootID, "d", 0, "")); err != nil {
+	if err := settle(ps.BeginNSPrepare(time.Time{}, "", d.ID, NSRenameSrc, TypeDir, RootID, "d", 0, "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginUnlinkRemote(RootID, "d", d.ID)); !errors.Is(err, ErrNSConflict) {
+	if err := settle(ps.BeginUnlinkRemote(time.Time{}, RootID, "d", d.ID)); !errors.Is(err, ErrNSConflict) {
 		t.Fatalf("unlink under rename intent: %v, want ErrNSConflict", err)
 	}
-	if err := settle(ps.BeginNSAbort(d.ID, NSRenameSrc)); err != nil {
+	if err := settle(ps.BeginNSAbort(time.Time{}, d.ID, NSRenameSrc)); err != nil {
 		t.Fatal(err)
 	}
 	// Now the remove can commit.
-	if err := settle(ps.BeginUnlinkRemote(RootID, "d", d.ID)); err != nil {
+	if err := settle(ps.BeginUnlinkRemote(time.Time{}, RootID, "d", d.ID)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ts.BeginNSCommit(d.ID, NSRemove)); err != nil {
+	if err := settle(ts.BeginNSCommit(time.Time{}, d.ID, NSRemove)); err != nil {
 		t.Fatal(err)
 	}
 	// The leaked detached create under the dead dir resolves to an abort.
@@ -349,25 +350,25 @@ func TestNSIntentBlocksConflicts(t *testing.T) {
 //	3: fully committed
 func crossRenameTo(t *testing.T, stores []*Store, file FileID, sp, dp *Store, dstDir FileID, stage int) {
 	t.Helper()
-	if err := settle(sp.BeginNSPrepare("", file, NSRenameSrc, TypeFile, RootID, "f", 0, "")); err != nil {
+	if err := settle(sp.BeginNSPrepare(time.Time{}, "", file, NSRenameSrc, TypeFile, RootID, "f", 0, "")); err != nil {
 		t.Fatal(err)
 	}
 	if stage < 1 {
 		return
 	}
-	if err := settle(dp.BeginNSPrepare("", file, NSRenameDst, TypeFile, RootID, "f", dstDir, "g")); err != nil {
+	if err := settle(dp.BeginNSPrepare(time.Time{}, "", file, NSRenameDst, TypeFile, RootID, "f", dstDir, "g")); err != nil {
 		t.Fatal(err)
 	}
 	if stage < 2 {
 		return
 	}
-	if err := settle(sp.BeginNSCommit(file, NSRenameSrc)); err != nil {
+	if err := settle(sp.BeginNSCommit(time.Time{}, file, NSRenameSrc)); err != nil {
 		t.Fatal(err)
 	}
 	if stage < 3 {
 		return
 	}
-	if err := settle(dp.BeginNSCommit(file, NSRenameDst)); err != nil {
+	if err := settle(dp.BeginNSCommit(time.Time{}, file, NSRenameDst)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -390,14 +391,14 @@ func TestCrossShardRenameCrashMatrix(t *testing.T) {
 			// Dst dir homed off the root shard; file homed off both.
 			di := pickForeignShard(n, pi)
 			ds := c.stores[di]
-			dir, err := settled(ds.BeginCreateDetached(RootID, "d", TypeDir))
+			dir, err := settled(ds.BeginCreateDetached(time.Time{}, RootID, "d", TypeDir))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := settle(ps.BeginLinkRemote(RootID, "d", dir.ID, TypeDir)); err != nil {
+			if err := settle(ps.BeginLinkRemote(time.Time{}, RootID, "d", dir.ID, TypeDir)); err != nil {
 				t.Fatal(err)
 			}
-			if err := settle(ds.BeginNSCommit(dir.ID, NSCreate)); err != nil {
+			if err := settle(ds.BeginNSCommit(time.Time{}, dir.ID, NSCreate)); err != nil {
 				t.Fatal(err)
 			}
 			hi := pickForeignShard(n, di)
@@ -405,14 +406,14 @@ func TestCrossShardRenameCrashMatrix(t *testing.T) {
 				hi = pickForeignShard(n, hi)
 			}
 			hs := c.stores[hi]
-			f, err := settled(hs.BeginCreateDetached(RootID, "f", TypeFile))
+			f, err := settled(hs.BeginCreateDetached(time.Time{}, RootID, "f", TypeFile))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := settle(ps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
+			if err := settle(ps.BeginLinkRemote(time.Time{}, RootID, "f", f.ID, TypeFile)); err != nil {
 				t.Fatal(err)
 			}
-			if err := settle(hs.BeginNSCommit(f.ID, NSCreate)); err != nil {
+			if err := settle(hs.BeginNSCommit(time.Time{}, f.ID, NSCreate)); err != nil {
 				t.Fatal(err)
 			}
 			lay, err := hs.AllocLayout("c1", f.ID, 0, 4096)
@@ -465,7 +466,7 @@ func TestCrossShardCreateRemoveCrashPoints(t *testing.T) {
 		ps := rootShard(c.stores)
 		pi, _ := ps.Shard()
 		ts := c.stores[pickForeignShard(2, pi)]
-		attr, err := settled(ts.BeginCreateDetached(RootID, "f", TypeFile))
+		attr, err := settled(ts.BeginCreateDetached(time.Time{}, RootID, "f", TypeFile))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,7 +478,7 @@ func TestCrossShardCreateRemoveCrashPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		if linked {
-			if err := settle(ps.BeginLinkRemote(RootID, "f", attr.ID, TypeFile)); err != nil {
+			if err := settle(ps.BeginLinkRemote(time.Time{}, RootID, "f", attr.ID, TypeFile)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -507,21 +508,21 @@ func TestCrossShardCreateRemoveCrashPoints(t *testing.T) {
 		ps := rootShard(c.stores)
 		pi, _ := ps.Shard()
 		ts := c.stores[pickForeignShard(2, pi)]
-		attr, err := settled(ts.BeginCreateDetached(RootID, "f", TypeFile))
+		attr, err := settled(ts.BeginCreateDetached(time.Time{}, RootID, "f", TypeFile))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := settle(ps.BeginLinkRemote(RootID, "f", attr.ID, TypeFile)); err != nil {
+		if err := settle(ps.BeginLinkRemote(time.Time{}, RootID, "f", attr.ID, TypeFile)); err != nil {
 			t.Fatal(err)
 		}
-		if err := settle(ts.BeginNSCommit(attr.ID, NSCreate)); err != nil {
+		if err := settle(ts.BeginNSCommit(time.Time{}, attr.ID, NSCreate)); err != nil {
 			t.Fatal(err)
 		}
-		if err := settle(ts.BeginNSPrepare("", attr.ID, NSRemove, TypeFile, RootID, "f", 0, "")); err != nil {
+		if err := settle(ts.BeginNSPrepare(time.Time{}, "", attr.ID, NSRemove, TypeFile, RootID, "f", 0, "")); err != nil {
 			t.Fatal(err)
 		}
 		if unlinked {
-			if err := settle(ps.BeginUnlinkRemote(RootID, "f", attr.ID)); err != nil {
+			if err := settle(ps.BeginUnlinkRemote(time.Time{}, RootID, "f", attr.ID)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -553,14 +554,14 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	ts := c.stores[ti]
 
 	// Graduated cross-shard file with data, plus a still-detached one.
-	f, err := settled(ts.BeginCreateDetached(RootID, "f", TypeFile))
+	f, err := settled(ts.BeginCreateDetached(time.Time{}, RootID, "f", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
+	if err := settle(ps.BeginLinkRemote(time.Time{}, RootID, "f", f.ID, TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ts.BeginNSCommit(f.ID, NSCreate)); err != nil {
+	if err := settle(ts.BeginNSCommit(time.Time{}, f.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
 	lay, err := ts.AllocLayout("c1", f.ID, 0, 4096)
@@ -570,7 +571,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	if err := ts.Commit("c1", f.ID, lay.Extents, 4096, c.clk.Now()); err != nil {
 		t.Fatal(err)
 	}
-	g, err := settled(ts.BeginCreateDetached(RootID, "g", TypeFile))
+	g, err := settled(ts.BeginCreateDetached(time.Time{}, RootID, "g", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,14 +622,14 @@ func TestCrossShardRemoveVsRenameRace(t *testing.T) {
 	pi, _ := ps.Shard()
 	ts := c.stores[pickForeignShard(2, pi)]
 
-	f, err := settled(ts.BeginCreateDetached(RootID, "f", TypeFile))
+	f, err := settled(ts.BeginCreateDetached(time.Time{}, RootID, "f", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
+	if err := settle(ps.BeginLinkRemote(time.Time{}, RootID, "f", f.ID, TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ts.BeginNSCommit(f.ID, NSCreate)); err != nil {
+	if err := settle(ts.BeginNSCommit(time.Time{}, f.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
 	lay, err := ts.AllocLayout("c1", f.ID, 0, 4096)
@@ -640,20 +641,20 @@ func TestCrossShardRemoveVsRenameRace(t *testing.T) {
 	}
 
 	// Remove prepared on the home shard; the parent shard cannot see it.
-	if err := settle(ts.BeginNSPrepare("", f.ID, NSRemove, TypeFile, RootID, "f", 0, "")); err != nil {
+	if err := settle(ts.BeginNSPrepare(time.Time{}, "", f.ID, NSRemove, TypeFile, RootID, "f", 0, "")); err != nil {
 		t.Fatal(err)
 	}
 	// The concurrent rename slips in on the parent shard.
-	if err := settle(ps.BeginRename("", RootID, "f", RootID, "g")); err != nil {
+	if err := settle(ps.BeginRename(time.Time{}, "", RootID, "f", RootID, "g")); err != nil {
 		t.Fatal(err)
 	}
 	// The remove's commit point finds the entry gone — but it never
 	// executed here, so it must refuse rather than claim success.
-	if err := settle(ps.BeginUnlinkRemote(RootID, "f", f.ID)); !errors.Is(err, ErrNotFound) {
+	if err := settle(ps.BeginUnlinkRemote(time.Time{}, RootID, "f", f.ID)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("UnlinkRemote after rename: %v, want ErrNotFound", err)
 	}
 	// The client aborts; the file survives under its new name with data.
-	if err := settle(ts.BeginNSAbort(f.ID, NSRemove)); err != nil {
+	if err := settle(ts.BeginNSAbort(time.Time{}, f.ID, NSRemove)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ps.Lookup(RootID, "g")
@@ -677,34 +678,34 @@ func TestUnlinkRemoteExactlyOnce(t *testing.T) {
 	ti := pickForeignShard(2, pi)
 	ts := c.stores[ti]
 
-	f, err := settled(ts.BeginCreateDetached(RootID, "f", TypeFile))
+	f, err := settled(ts.BeginCreateDetached(time.Time{}, RootID, "f", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
+	if err := settle(ps.BeginLinkRemote(time.Time{}, RootID, "f", f.ID, TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ts.BeginNSCommit(f.ID, NSCreate)); err != nil {
+	if err := settle(ts.BeginNSCommit(time.Time{}, f.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
 	// A remove of an entry that was never present here must refuse.
-	if err := settle(ps.BeginUnlinkRemote(RootID, "ghost", f.ID+64)); !errors.Is(err, ErrNotFound) {
+	if err := settle(ps.BeginUnlinkRemote(time.Time{}, RootID, "ghost", f.ID+64)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unlink of foreign entry: %v, want ErrNotFound", err)
 	}
-	if err := settle(ts.BeginNSPrepare("", f.ID, NSRemove, TypeFile, RootID, "f", 0, "")); err != nil {
+	if err := settle(ts.BeginNSPrepare(time.Time{}, "", f.ID, NSRemove, TypeFile, RootID, "f", 0, "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginUnlinkRemote(RootID, "f", f.ID)); err != nil {
+	if err := settle(ps.BeginUnlinkRemote(time.Time{}, RootID, "f", f.ID)); err != nil {
 		t.Fatal(err)
 	}
 	// Crash every shard before the client's retry and commit land: the
 	// journal must rebuild the executed-commit-point marker.
 	rec := c.recoverAll(t)
 	rps, rts := rootShard(rec), rec[ti]
-	if err := settle(rps.BeginUnlinkRemote(RootID, "f", f.ID)); err != nil {
+	if err := settle(rps.BeginUnlinkRemote(time.Time{}, RootID, "f", f.ID)); err != nil {
 		t.Fatalf("retry after recovery: %v", err)
 	}
-	if err := settle(rts.BeginNSCommit(f.ID, NSRemove)); err != nil {
+	if err := settle(rts.BeginNSCommit(time.Time{}, f.ID, NSRemove)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rts.GetAttr(f.ID); err == nil {
@@ -723,20 +724,20 @@ func TestLinkRemoteRetryDoesNotForkEntry(t *testing.T) {
 	pi, _ := ps.Shard()
 	ts := c.stores[pickForeignShard(2, pi)]
 
-	f, err := settled(ts.BeginCreateDetached(RootID, "f", TypeFile))
+	f, err := settled(ts.BeginCreateDetached(time.Time{}, RootID, "f", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
+	if err := settle(ps.BeginLinkRemote(time.Time{}, RootID, "f", f.ID, TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ts.BeginNSCommit(f.ID, NSCreate)); err != nil {
+	if err := settle(ts.BeginNSCommit(time.Time{}, f.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginRename("", RootID, "f", RootID, "g")); err != nil {
+	if err := settle(ps.BeginRename(time.Time{}, "", RootID, "f", RootID, "g")); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
+	if err := settle(ps.BeginLinkRemote(time.Time{}, RootID, "f", f.ID, TypeFile)); err != nil {
 		t.Fatalf("link retry after rename: %v", err)
 	}
 	if _, err := ps.Lookup(RootID, "f"); err == nil {
@@ -747,7 +748,7 @@ func TestLinkRemoteRetryDoesNotForkEntry(t *testing.T) {
 	// The marker survives recovery too.
 	rec := c.recoverAll(t)
 	rps := rootShard(rec)
-	if err := settle(rps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
+	if err := settle(rps.BeginLinkRemote(time.Time{}, RootID, "f", f.ID, TypeFile)); err != nil {
 		t.Fatalf("link retry after recovery: %v", err)
 	}
 	if _, err := rps.Lookup(RootID, "f"); err == nil {
@@ -768,33 +769,33 @@ func TestCommitPointMarkersSurviveSnapshot(t *testing.T) {
 
 	// f: linked, then unlinked by a cross-shard remove (intent still live
 	// on the home shard). g: linked, then moved by a rename.
-	f, err := settled(ts.BeginCreateDetached(RootID, "f", TypeFile))
+	f, err := settled(ts.BeginCreateDetached(time.Time{}, RootID, "f", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginLinkRemote(RootID, "f", f.ID, TypeFile)); err != nil {
+	if err := settle(ps.BeginLinkRemote(time.Time{}, RootID, "f", f.ID, TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ts.BeginNSCommit(f.ID, NSCreate)); err != nil {
+	if err := settle(ts.BeginNSCommit(time.Time{}, f.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ts.BeginNSPrepare("", f.ID, NSRemove, TypeFile, RootID, "f", 0, "")); err != nil {
+	if err := settle(ts.BeginNSPrepare(time.Time{}, "", f.ID, NSRemove, TypeFile, RootID, "f", 0, "")); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginUnlinkRemote(RootID, "f", f.ID)); err != nil {
+	if err := settle(ps.BeginUnlinkRemote(time.Time{}, RootID, "f", f.ID)); err != nil {
 		t.Fatal(err)
 	}
-	g, err := settled(ts.BeginCreateDetached(RootID, "g", TypeFile))
+	g, err := settled(ts.BeginCreateDetached(time.Time{}, RootID, "g", TypeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginLinkRemote(RootID, "g", g.ID, TypeFile)); err != nil {
+	if err := settle(ps.BeginLinkRemote(time.Time{}, RootID, "g", g.ID, TypeFile)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ts.BeginNSCommit(g.ID, NSCreate)); err != nil {
+	if err := settle(ts.BeginNSCommit(time.Time{}, g.ID, NSCreate)); err != nil {
 		t.Fatal(err)
 	}
-	if err := settle(ps.BeginRename("", RootID, "g", RootID, "h")); err != nil {
+	if err := settle(ps.BeginRename(time.Time{}, "", RootID, "g", RootID, "h")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -805,11 +806,11 @@ func TestCommitPointMarkersSurviveSnapshot(t *testing.T) {
 		}
 	}
 	// The executed unlink still reads as executed...
-	if err := settle(fresh.BeginUnlinkRemote(RootID, "f", f.ID)); err != nil {
+	if err := settle(fresh.BeginUnlinkRemote(time.Time{}, RootID, "f", f.ID)); err != nil {
 		t.Fatalf("unlink marker lost in snapshot: %v", err)
 	}
 	// ...and the executed link does not re-insert behind the rename.
-	if err := settle(fresh.BeginLinkRemote(RootID, "g", g.ID, TypeFile)); err != nil {
+	if err := settle(fresh.BeginLinkRemote(time.Time{}, RootID, "g", g.ID, TypeFile)); err != nil {
 		t.Fatalf("link marker lost in snapshot: %v", err)
 	}
 	if _, err := fresh.Lookup(RootID, "g"); err == nil {

@@ -311,32 +311,46 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 			func() int64 { a, _ := j.GroupCommitStats(); return a })
 		r.CounterFunc("redbud_meta_journal_batches_total", "journal group-commit batches flushed", nil,
 			func() int64 { _, b := j.GroupCommitStats(); return b })
+		r.CounterFunc("redbud_meta_journal_absorbed_ns_total", "nanoseconds batches were submitted past their modeled instants, absorbed by charging them from those instants", nil,
+			j.absorbed.Load)
 	}
 }
 
+// Durable waits for an applied mutation's journal record and returns the
+// modeled instant it became durable: the end of its group-commit batch's
+// device write. A mutation that journaled nothing is durable at once, at the
+// zero time.
+type Durable func() (time.Time, error)
+
 // journalAppend appends rec (if a journal is configured) while the caller
 // holds the lock that ordered the mutation, then waits for durability after
-// the caller releases it. It returns a wait function; call it with the lock
-// dropped.
-func (s *Store) journalAppend(rec *Record) func() error {
+// the caller releases it. at is the modeled instant the mutation was applied
+// (the zero time means now); the record's batch starts no earlier. It returns
+// a wait function; call it with the lock dropped.
+func (s *Store) journalAppend(at time.Time, rec *Record) Durable {
 	if s.cfg.Journal == nil {
 		return noWait
 	}
-	ch := s.cfg.Journal.Append(rec)
-	return func() error { return <-ch }
+	ch := make(chan durability, 1)
+	s.cfg.Journal.appendAt(at, rec, timedWaiter(ch))
+	return func() (time.Time, error) {
+		d := <-ch
+		return d.at, d.err
+	}
 }
 
 // noWait is the durable function of a mutation that journaled nothing: a
 // retry of one already applied, or one with nothing to record.
-func noWait() error { return nil }
+func noWait() (time.Time, error) { return time.Time{}, nil }
 
 // settle finishes a Begin<Op> the wait-inline way: a refusal is returned as
 // is, an applied mutation once its record is durable.
-func settle(durable func() error, err error) error {
+func settle(durable Durable, err error) error {
 	if err != nil {
 		return err
 	}
-	return durable()
+	_, err = durable()
+	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -344,7 +358,7 @@ func settle(durable func() error, err error) error {
 
 // Create makes a file or directory under parent and returns its attributes.
 func (s *Store) Create(parent FileID, name string, typ FileType) (Attr, error) {
-	attr, _, durable, err := s.BeginCreate("", parent, name, typ)
+	attr, _, durable, err := s.BeginCreate(time.Time{}, "", parent, name, typ)
 	if err := settle(durable, err); err != nil {
 		return Attr{}, err
 	}
@@ -354,7 +368,12 @@ func (s *Store) Create(parent FileID, name string, typ FileType) (Attr, error) {
 // BeginCreate is the apply half of Create, on behalf of a delegation owner
 // ("" for none): granted reports that owner holds the new regular file's
 // delegation from the start.
-func (s *Store) BeginCreate(owner string, parent FileID, name string, typ FileType) (attr Attr, granted bool, durable func() error, err error) {
+//
+// Every Begin<Op> takes the modeled instant at which its caller applies the
+// mutation — an MDS handler passes the deadline its daemon charged the
+// operation to — and the record's group-commit batch is charged from no
+// earlier than that, whenever the host got to it. The zero time means now.
+func (s *Store) BeginCreate(at time.Time, owner string, parent FileID, name string, typ FileType) (attr Attr, granted bool, durable Durable, err error) {
 	if name == "" || name == "." || name == ".." {
 		return Attr{}, false, nil, fmt.Errorf("%w: %q", ErrInvalidName, name)
 	}
@@ -380,7 +399,7 @@ func (s *Store) BeginCreate(owner string, parent FileID, name string, typ FileTy
 	s.applyCreate(id, parent, name, typ, s.clk.Now())
 	attr = s.inodes[id].attr()
 	granted = typ == TypeFile && s.fdelegs.grant(owner, id, true)
-	durable = s.journalAppend(&Record{Type: RecCreate, File: id, Parent: parent, Name: name, FType: typ, MTime: attr.MTime})
+	durable = s.journalAppend(at, &Record{Type: RecCreate, File: id, Parent: parent, Name: name, FType: typ, MTime: attr.MTime})
 	s.ns.Unlock()
 	return attr, granted, durable, nil
 }
@@ -496,14 +515,14 @@ func (s *Store) ReadDir(id FileID) ([]DirEnt, error) {
 
 // Remove unlinks name under parent, freeing the file's space.
 func (s *Store) Remove(parent FileID, name string) error {
-	return settle(s.BeginRemove("", parent, name))
+	return settle(s.BeginRemove(time.Time{}, "", parent, name))
 }
 
 // BeginRemove is the apply half of Remove, on behalf of a delegation owner
 // ("" for none). It fails with *DelegHeld, having changed nothing, while
 // another owner holds the file's delegation — or, for a directory, any
 // delegation at all.
-func (s *Store) BeginRemove(owner string, parent FileID, name string) (durable func() error, err error) {
+func (s *Store) BeginRemove(at time.Time, owner string, parent FileID, name string) (durable Durable, err error) {
 	s.ns.Lock()
 	dir, ok := s.dirents[parent]
 	if !ok {
@@ -536,7 +555,7 @@ func (s *Store) BeginRemove(owner string, parent FileID, name string) (durable f
 		return nil, held
 	}
 	freed := s.applyRemove(parent, name, id)
-	durable = s.journalAppend(&Record{Type: RecRemove, File: id, Parent: parent, Name: name})
+	durable = s.journalAppend(at, &Record{Type: RecRemove, File: id, Parent: parent, Name: name})
 	s.ns.Unlock()
 	for _, sp := range freed {
 		_ = s.cfg.AGs.FreeSpan(sp)
@@ -592,7 +611,7 @@ func (s *Store) GetLayout(id FileID, off, n int64, flags LayoutFlags) (Layout, e
 // space for any uncovered gap. New extents start uncommitted and are
 // attributed to owner for orphan GC.
 func (s *Store) AllocLayout(owner string, id FileID, off, n int64) (Layout, error) {
-	lay, durable, err := s.BeginAllocLayout(owner, id, off, n)
+	lay, durable, err := s.BeginAllocLayout(time.Time{}, owner, id, off, n)
 	if err := settle(durable, err); err != nil {
 		return Layout{}, err
 	}
@@ -600,7 +619,7 @@ func (s *Store) AllocLayout(owner string, id FileID, off, n int64) (Layout, erro
 }
 
 // BeginAllocLayout is the apply half of AllocLayout.
-func (s *Store) BeginAllocLayout(owner string, id FileID, off, n int64) (lay Layout, durable func() error, err error) {
+func (s *Store) BeginAllocLayout(at time.Time, owner string, id FileID, off, n int64) (lay Layout, durable Durable, err error) {
 	s.ns.RLock()
 	ino, ok := s.inodes[id]
 	if !ok {
@@ -660,7 +679,7 @@ func (s *Store) BeginAllocLayout(owner string, id FileID, off, n int64) (lay Lay
 	lay = Layout{File: id, Extents: ino.extentsIn(off, n, false)}
 	durable = noWait
 	if len(newExts) > 0 {
-		durable = s.journalAppend(&Record{Type: RecAlloc, File: id, Owner: owner, Extents: newExts})
+		durable = s.journalAppend(at, &Record{Type: RecAlloc, File: id, Owner: owner, Extents: newExts})
 	}
 	st.Unlock()
 	s.ns.RUnlock()
@@ -700,7 +719,7 @@ func insertExtent(list []Extent, e Extent) []Extent {
 // so commits to different files proceed in parallel and their journal
 // records coalesce in the group-commit batcher.
 func (s *Store) Commit(owner string, id FileID, exts []Extent, size int64, mtime time.Time) error {
-	return settle(s.BeginCommit(owner, id, exts, size, mtime, 0, obs.SpanContext{}))
+	return settle(s.BeginCommit(time.Time{}, owner, id, exts, size, mtime, 0, obs.SpanContext{}))
 }
 
 // BeginCommit is the apply half of Commit: it validates and applies the
@@ -722,7 +741,7 @@ func (s *Store) Commit(owner string, id FileID, exts []Extent, size int64, mtime
 // MDS commit handler span), stitching the store into the client's
 // distributed trace. All spans are recorded after the locks are dropped so
 // tracing can never extend a lock hold.
-func (s *Store) BeginCommit(owner string, id FileID, exts []Extent, size int64, mtime time.Time, commitID uint64, tc obs.SpanContext) (durable func() error, err error) {
+func (s *Store) BeginCommit(at time.Time, owner string, id FileID, exts []Extent, size int64, mtime time.Time, commitID uint64, tc obs.SpanContext) (durable Durable, err error) {
 	traced := s.cfg.Tracer.Enabled() && commitID != 0
 	var lockStart, applyStart time.Time
 	if traced {
@@ -763,15 +782,15 @@ func (s *Store) BeginCommit(owner string, id FileID, exts []Extent, size int64, 
 	}
 	s.applyCommitActs(ino, owner, acts, size, mtime)
 	rec := &Record{Type: RecCommit, File: id, Owner: owner, Size: size, MTime: mtime, Extents: exts}
-	wait := s.journalAppend(rec)
+	wait := s.journalAppend(at, rec)
 	st.Unlock()
 	s.ns.RUnlock()
 	if !traced {
 		return wait, nil
 	}
 	jStart := s.clk.Now()
-	return func() error {
-		err := wait()
+	return func() (time.Time, error) {
+		at, err := wait()
 		end := s.clk.Now()
 		s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSLockWait, CommitID: commitID,
 			TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSLockWait), Parent: tc.SpanID,
@@ -782,7 +801,7 @@ func (s *Store) BeginCommit(owner string, id FileID, exts []Extent, size int64, 
 		s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSJournal, CommitID: commitID,
 			TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSJournal), Parent: tc.SpanID,
 			Start: jStart, End: end})
-		return err
+		return at, err
 	}, nil
 }
 
@@ -887,21 +906,21 @@ func (s *Store) findDelegation(owner string, e Extent) *delegation {
 // BeginDelegate grants owner a contiguous chunk of physical space for local
 // small-file allocation (§IV-A). The chunk is owner's once durable returns
 // nil.
-func (s *Store) BeginDelegate(owner string, size int64) (sp alloc.Span, durable func() error, err error) {
+func (s *Store) BeginDelegate(at time.Time, owner string, size int64) (sp alloc.Span, durable Durable, err error) {
 	sp, err = s.cfg.AGs.Alloc(owner, size)
 	if err != nil {
 		return alloc.Span{}, nil, err
 	}
 	s.ns.Lock()
 	s.delegations[owner] = append(s.delegations[owner], &delegation{owner: owner, span: sp})
-	durable = s.journalAppend(&Record{Type: RecDelegate, Owner: owner, SpanDev: uint32(sp.Dev), SpanOff: sp.Off, SpanLen: sp.Len})
+	durable = s.journalAppend(at, &Record{Type: RecDelegate, Owner: owner, SpanDev: uint32(sp.Dev), SpanOff: sp.Off, SpanLen: sp.Len})
 	s.ns.Unlock()
 	return sp, durable, nil
 }
 
 // BeginReturnDelegation gives back a delegation; sub-ranges never committed
 // are freed.
-func (s *Store) BeginReturnDelegation(owner string, sp alloc.Span) (durable func() error, err error) {
+func (s *Store) BeginReturnDelegation(at time.Time, owner string, sp alloc.Span) (durable Durable, err error) {
 	s.ns.Lock()
 	ds := s.delegations[owner]
 	idx := -1
@@ -918,7 +937,7 @@ func (s *Store) BeginReturnDelegation(owner string, sp alloc.Span) (durable func
 	d := ds[idx]
 	s.delegations[owner] = append(ds[:idx], ds[idx+1:]...)
 	holes := gaps(d.span.Off, d.span.End(), d.used)
-	durable = s.journalAppend(&Record{Type: RecDelegReturn, Owner: owner, SpanDev: uint32(sp.Dev), SpanOff: sp.Off, SpanLen: sp.Len})
+	durable = s.journalAppend(at, &Record{Type: RecDelegReturn, Owner: owner, SpanDev: uint32(sp.Dev), SpanOff: sp.Off, SpanLen: sp.Len})
 	s.ns.Unlock()
 	for _, h := range holes {
 		_ = s.cfg.AGs.FreeSpan(alloc.Span{Dev: sp.Dev, Off: h.off, Len: h.end - h.off})
@@ -935,13 +954,13 @@ func (s *Store) ClientGone(owner string) (orphanBytes int64) {
 	s.fdelegs.revoke(owner)
 	s.ns.Lock()
 	freed := s.applyClientGone(owner)
-	wait := s.journalAppend(&Record{Type: RecClientGone, Owner: owner})
+	wait := s.journalAppend(time.Time{}, &Record{Type: RecClientGone, Owner: owner})
 	s.ns.Unlock()
 	for _, sp := range freed {
 		orphanBytes += sp.Len
 		_ = s.cfg.AGs.FreeSpan(sp)
 	}
-	_ = wait()
+	_, _ = wait()
 	return orphanBytes
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"redbud/internal/alloc"
 	"redbud/internal/blockdev"
@@ -96,7 +97,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			owner := fmt.Sprintf("deleg-%d", d)
 			for i := 0; i < rounds/4; i++ {
-				sp, err := settled(s.BeginDelegate(owner, 1<<16))
+				sp, err := settled(s.BeginDelegate(time.Time{}, owner, 1<<16))
 				if err != nil {
 					fail <- fmt.Errorf("%s delegate: %w", owner, err)
 					return
@@ -120,7 +121,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 						return
 					}
 				}
-				if err := settle(s.BeginReturnDelegation(owner, sp)); err != nil {
+				if err := settle(s.BeginReturnDelegation(time.Time{}, owner, sp)); err != nil {
 					fail <- fmt.Errorf("%s return: %w", owner, err)
 					return
 				}

@@ -72,8 +72,12 @@ type VectorConn interface {
 type Poster interface {
 	// PostVec gathers hdr+payload into one frame, reserves the frame's slot
 	// on the destination's ingress link and returns without blocking. The
-	// frame reaches the peer when Arrive is called on the result.
-	PostVec(hdr, payload []byte) (InFlight, error)
+	// frame reaches the peer when Arrive is called on the result. at is the
+	// modeled instant the frame was sent: the slot starts at the later of at
+	// and the instant the link became free, so a sender whose goroutine woke
+	// late does not pass its lateness on. The zero time, or one after now,
+	// means now.
+	PostVec(at time.Time, hdr, payload []byte) (InFlight, error)
 }
 
 // TimedReceiver is implemented by connections that know when each frame
@@ -108,14 +112,15 @@ type InFlight struct {
 	at time.Time // modeled arrival time; zero on an instant link
 }
 
-// PostVec posts hdr+payload as one frame on c. Connections that cannot split
-// a send (TCP: the kernel's socket buffer already is the wire) transmit here
-// and return a frame that has arrived.
+// PostVec posts hdr+payload as one frame on c, sent at the modeled instant at
+// (see Poster). Connections that cannot split a send (TCP: the kernel's
+// socket buffer already is the wire) transmit here and return a frame that
+// has arrived.
 //
 //redbud:hotpath
-func PostVec(c Conn, hdr, payload []byte) (InFlight, error) {
+func PostVec(c Conn, at time.Time, hdr, payload []byte) (InFlight, error) {
 	if p, ok := c.(Poster); ok {
-		return p.PostVec(hdr, payload)
+		return p.PostVec(at, hdr, payload)
 	}
 	return InFlight{}, SendVec(c, hdr, payload)
 }
@@ -179,26 +184,31 @@ type link struct {
 	msgs  stats.Counter
 }
 
-// reserve books the next free slot of the link for an n-byte frame and
-// returns the time the frame arrives at the host: queueing + serialization +
-// propagation from now. The zero time means the link is instant. It never
-// blocks; whoever delivers the frame sleeps until the returned time.
-func (l *link) reserve(n int) time.Time {
+// reserve books the next free slot of the link for an n-byte frame sent at
+// the modeled instant at and returns the time the frame arrives at the host:
+// queueing + serialization + propagation from at. The zero time, or one after
+// now, sends now. The slot never starts before the link is free, so frames
+// reserved one after another arrive in that order whenever each was sent.
+// The zero result means the link is instant. It never blocks; whoever
+// delivers the frame sleeps until the returned time.
+func (l *link) reserve(at time.Time, n int) time.Time {
 	l.msgs.Inc()
 	l.bytes.Add(int64(n))
 	if l.lc == (LinkConfig{}) {
 		// Instant link: no clock reads, no spans — keeps functional tests free.
 		return time.Time{}
 	}
-	now := l.cfg.Now()
+	if now := l.cfg.Now(); at.IsZero() || at.After(now) {
+		at = now
+	}
 	dur := l.lc.PerMessage + l.lc.transmitTime(n)
 
 	l.mu.Lock()
-	start := now
+	start := at
 	if l.nextFree.After(start) {
 		start = l.nextFree
 	}
-	wait := start.Sub(now)
+	wait := start.Sub(at)
 	l.nextFree = start.Add(dur)
 	end := l.nextFree
 	// EWMA with alpha = 1/8.
@@ -207,7 +217,7 @@ func (l *link) reserve(n int) time.Time {
 
 	if t := l.tr.Load(); t.Enabled() {
 		if wait > 0 {
-			t.Record(l.track, obs.SpanNetWait, 0, now, start)
+			t.Record(l.track, obs.SpanNetWait, 0, at, start)
 		}
 		t.Record(l.track, obs.SpanNetXmit, 0, start, end)
 	}
@@ -439,7 +449,7 @@ func (c *simConn) Send(frame []byte) error {
 	// comes from the frame pool; the receiving RPC loop returns it.
 	f := wire.GetFrame(len(frame))
 	copy(f, frame)
-	return arrive(c.post(f))
+	return arrive(c.post(time.Time{}, f))
 }
 
 // SendVec gathers hdr+payload into one pooled frame — a single copy with no
@@ -447,7 +457,7 @@ func (c *simConn) Send(frame []byte) error {
 //
 //redbud:hotpath
 func (c *simConn) SendVec(hdr, payload []byte) error {
-	return arrive(c.PostVec(hdr, payload))
+	return arrive(c.PostVec(time.Time{}, hdr, payload))
 }
 
 // arrive completes a blocking send: it waits out the frame just posted.
@@ -461,7 +471,7 @@ func arrive(fl InFlight, err error) error {
 // PostVec implements Poster.
 //
 //redbud:hotpath
-func (c *simConn) PostVec(hdr, payload []byte) (InFlight, error) {
+func (c *simConn) PostVec(at time.Time, hdr, payload []byte) (InFlight, error) {
 	n := len(hdr) + len(payload)
 	if n > maxFrame {
 		//lint:allow hotpath — oversize-frame error path, never taken at steady state
@@ -470,16 +480,17 @@ func (c *simConn) PostVec(hdr, payload []byte) (InFlight, error) {
 	f := wire.GetFrame(n)
 	copy(f, hdr)
 	copy(f[len(hdr):], payload)
-	return c.post(f)
+	return c.post(at, f)
 }
 
-// post puts f on the wire, taking ownership: f must be a pooled frame the
-// caller will not touch again. The fault plan decides the frame's fate and
-// its slot on the ingress link is reserved; Arrive then either delivers f to
-// the peer (whose consumer recycles it) or returns it to the pool.
+// post puts f on the wire, sent at the modeled instant at, taking ownership:
+// f must be a pooled frame the caller will not touch again. The fault plan
+// decides the frame's fate and its slot on the ingress link is reserved;
+// Arrive then either delivers f to the peer (whose consumer recycles it) or
+// returns it to the pool.
 //
 //redbud:hotpath
-func (c *simConn) post(f []byte) (InFlight, error) {
+func (c *simConn) post(at time.Time, f []byte) (InFlight, error) {
 	select {
 	case <-c.done:
 		wire.PutFrame(f)
@@ -494,7 +505,7 @@ func (c *simConn) post(f []byte) (InFlight, error) {
 	}
 	// The sender always pays transmission: a dropped frame was serialized
 	// onto the wire and lost, not never sent.
-	return InFlight{c: c, f: f, d: d, at: c.ingress.reserve(len(f))}, nil
+	return InFlight{c: c, f: f, d: d, at: c.ingress.reserve(at, len(f))}, nil
 }
 
 // Arrive blocks until the frame's modeled arrival time and hands it to the

@@ -395,3 +395,57 @@ func TestRecvAtReportsModeledArrival(t *testing.T) {
 		t.Fatalf("FrameConn: arrival %v, err %v; want the zero time", at, err)
 	}
 }
+
+// A frame posted from a past send instant is charged from that instant, but
+// its slot never starts before the link is free: behind a frame still on the
+// wire it queues, so arrivals on one link keep their posting order; on a link
+// idle since before the instant it starts at the instant, however late the
+// sender got to post it. An instant in the future is read as now.
+func TestPostFromPastInstant(t *testing.T) {
+	mc := clock.NewManual()
+	lc := GigabitEthernet()
+	n := NewNetwork(mc)
+	n.AddHost("a", lc)
+	n.AddHost("b", lc)
+	c, s := dialPair(t, n, "a", "b")
+	defer c.Close()
+	t0 := mc.Now()
+	frame := []byte("0123456789")
+	slot := lc.PerMessage + lc.transmitTime(len(frame))
+	var posted []InFlight
+	post := func(at time.Time) time.Time {
+		t.Helper()
+		fl, err := PostVec(c, at, frame, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		posted = append(posted, fl)
+		return fl.at
+	}
+
+	mc.Advance(time.Millisecond)
+	first := post(t0) // sent 1 ms ago on an idle link
+	if want := t0.Add(slot + lc.Latency); !first.Equal(want) {
+		t.Fatalf("first frame arrives at +%v, want +%v: an idle link charges from the send instant", first.Sub(t0), want.Sub(t0))
+	}
+	// The first frame's slot ended in the past; hold the link busy with one
+	// sent now, then post from before it: the third frame queues behind.
+	second := post(time.Time{})
+	third := post(t0)
+	if !third.Equal(second.Add(slot)) {
+		t.Fatalf("frame posted from +0 behind one sent at +1ms arrives at +%v, want +%v: it started before the link was free",
+			third.Sub(t0), second.Add(slot).Sub(t0))
+	}
+	if future := post(mc.Now().Add(time.Hour)); !future.Equal(third.Add(slot)) {
+		t.Fatalf("frame posted from the future arrives at +%v, want +%v", future.Sub(t0), third.Add(slot).Sub(t0))
+	}
+	mc.Advance(time.Hour)
+	for i, fl := range posted {
+		if err := fl.Arrive(); err != nil {
+			t.Fatal(err)
+		}
+		if f, at, err := RecvAt(s); err != nil || string(f) != string(frame) || !at.Equal(fl.at) {
+			t.Fatalf("frame %d: %q at +%v, %v; want it at +%v", i, f, at.Sub(t0), err, fl.at.Sub(t0))
+		}
+	}
+}

@@ -46,13 +46,13 @@ func (j *gateJournal) handle(op uint16, body []byte) ([]byte, error) {
 	}
 	rec := wire.NewReader(body).U32()
 	g := j.gate(rec)
-	return nil, Pending(func() ([]byte, error) {
+	return nil, Pending(func() ([]byte, time.Time, error) {
 		if err := <-g; err != nil {
-			return nil, err
+			return nil, time.Time{}, err
 		}
 		var b wire.Buffer
 		b.PutU32(rec)
-		return b.Bytes(), nil
+		return b.Bytes(), time.Time{}, nil
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"redbud/internal/clock"
 	"redbud/internal/netsim"
 	"redbud/internal/obs"
+	"redbud/internal/wire"
 )
 
 const (
@@ -44,11 +45,12 @@ func (h *orderedHandler) appliedSoon() bool {
 	}
 }
 
-// costedServer starts a one-daemon server charging testFrameCost per frame
-// and testOpCost per operation on mc, serving srvConn.
-func costedServer(t *testing.T, mc *clock.Manual, h Handler, srvConn netsim.Conn) *Server {
+// costedServer starts a one-daemon server with cfg's handler charging
+// testFrameCost per frame and testOpCost per operation on mc, serving srvConn.
+func costedServer(t *testing.T, mc *clock.Manual, cfg ServerConfig, srvConn netsim.Conn) *Server {
 	t.Helper()
-	srv := NewServer(ServerConfig{Handler: h, Daemons: 1, FrameCost: testFrameCost, OpCost: testOpCost, Clock: mc})
+	cfg.Daemons, cfg.FrameCost, cfg.OpCost, cfg.Clock = 1, testFrameCost, testOpCost, mc
+	srv := NewServer(cfg)
 	go srv.ServeConn(srvConn)
 	t.Cleanup(func() {
 		// Close waits for daemons that may still sleep on mc.
@@ -87,7 +89,7 @@ func TestDaemonCatchesUpAfterLateWakeup(t *testing.T) {
 	mc := clock.NewManual()
 	h := newOrderedHandler()
 	cliConn, srvConn := localPair(t)
-	srv := costedServer(t, mc, h.handle, srvConn)
+	srv := costedServer(t, mc, ServerConfig{Handler: h.handle}, srvConn)
 	reg := obs.NewRegistry()
 	srv.RegisterMetrics(reg, nil)
 	cli := NewClient(cliConn, mc)
@@ -130,7 +132,7 @@ func TestDaemonChargeStartsAtArrival(t *testing.T) {
 	mc := clock.NewManual()
 	h := newOrderedHandler()
 	_, cliConn, srvConn := linkPair(t, mc, netsim.GigabitEthernet())
-	costedServer(t, mc, h.handle, srvConn)
+	costedServer(t, mc, ServerConfig{Handler: h.handle}, srvConn)
 	cli := NewClient(cliConn, mc)
 	defer cli.Close()
 
@@ -167,7 +169,7 @@ func TestIdleDaemonBanksNoTime(t *testing.T) {
 	mc := clock.NewManual()
 	h := newOrderedHandler()
 	cliConn, srvConn := localPair(t)
-	costedServer(t, mc, h.handle, srvConn)
+	costedServer(t, mc, ServerConfig{Handler: h.handle}, srvConn)
 	cli := NewClient(cliConn, mc)
 	defer cli.Close()
 
@@ -201,5 +203,94 @@ func TestIdleDaemonBanksNoTime(t *testing.T) {
 	mc.Advance(time.Nanosecond)
 	if err := <-second; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A reply leaves when its cause ended in modeled time: at the later of the
+// frame's modeled end and the instant its Pending completion became durable,
+// so it arrives that instant + wire time, however late the host ran the
+// daemon and the completion stage. The handler is told its operation's
+// deadline, not the instant its daemon woke, and the late completion shows
+// in redbud_rpc_absorbed_ns_total: how far past that instant the reply was
+// posted.
+func TestReplyLeavesWhenItsCauseEnded(t *testing.T) {
+	const late = 10 * time.Millisecond
+	frameEnd := testFrameCost + testOpCost
+	for _, tc := range []struct {
+		name    string
+		durable time.Duration
+	}{
+		{"durable after the frame ended", frameEnd + time.Millisecond},
+		{"durable before the frame ended", frameEnd - time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mc := clock.NewManual()
+			t0 := mc.Now()
+			// Requests cross an instant link; replies pay a gigabit one.
+			lc := netsim.GigabitEthernet()
+			n := netsim.NewNetwork(mc)
+			n.AddHost("c", lc)
+			n.AddHost("s", netsim.Instant())
+			l, err := n.Listen("s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cliConn, err := n.Dial("c", "s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cliConn.Close()
+			srvConn, err := l.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			told := make(chan time.Time, 1)
+			durable := make(chan time.Time)
+			h := func(at time.Time, _ uint16, _ []byte) ([]byte, error) {
+				told <- at
+				return nil, Pending(func() ([]byte, time.Time, error) { return []byte("ok"), <-durable, nil })
+			}
+			srv := costedServer(t, mc, ServerConfig{TimedHandler: h}, srvConn)
+			reg := obs.NewRegistry()
+			srv.RegisterMetrics(reg, nil)
+
+			sendRaw(t, cliConn, 1, opPend, nil)
+			waitSleepers(t, mc, 1)
+			mc.Advance(late) // the daemon wakes late past its first deadline
+			if at := <-told; !at.Equal(t0.Add(frameEnd)) {
+				t.Fatalf("handler told +%v, want its deadline +%v", at.Sub(t0), frameEnd)
+			}
+			durable <- t0.Add(tc.durable) // and the completion stage runs late too
+			type received struct {
+				f   []byte
+				arr time.Time
+				err error
+			}
+			got := make(chan received, 1)
+			go func() {
+				f, arr, err := netsim.RecvAt(cliConn)
+				got <- received{f, arr, err}
+			}()
+			var r received
+			select {
+			case r = <-got:
+			case <-time.After(5 * time.Second):
+				t.Fatal("no reply without a clock step: it was sent from when the completion ran, not from when its cause ended")
+			}
+			f, arr, err := r.f, r.arr, r.err
+			if err != nil {
+				t.Fatal(err)
+			}
+			leave := max(frameEnd, tc.durable)
+			xmit := time.Duration(float64(len(f)) * 8 / (lc.BandwidthMbps * 1e6) * float64(time.Second))
+			wire.PutFrame(f)
+			if want := t0.Add(leave + lc.PerMessage + xmit + lc.Latency); !arr.Equal(want) {
+				t.Fatalf("reply arrived at +%v, want +%v: it left when the completion ran, not when its cause ended", arr.Sub(t0), want.Sub(t0))
+			}
+			absorbed, _ := reg.Snapshot().Get("redbud_rpc_absorbed_ns_total")
+			if want := int64(late - leave); absorbed.Value != want {
+				t.Fatalf("redbud_rpc_absorbed_ns_total = %d, want %d", absorbed.Value, want)
+			}
+		})
 	}
 }

@@ -69,15 +69,25 @@ func (e *RemoteError) Error() string {
 // waits once, not k times.
 type Handler func(op uint16, body []byte) ([]byte, error)
 
+// TimedHandler is a Handler that is told the modeled instant at which its
+// operation runs: the deadline its daemon charged the operation to, whenever
+// the host woke the daemon for it, or the zero time when the server charges
+// nothing. An MDS handler stamps its journal records with it, so the wait
+// for durability starts when the operation ended in modeled time.
+type TimedHandler func(at time.Time, op uint16, body []byte) ([]byte, error)
+
 // Pending is the completion half of an operation that has been applied but
 // not yet acknowledged, returned by a Handler in place of an error (directly,
 // not wrapped). It runs on the connection's completion stage, after the
 // frame's last sub-operation was applied, and yields the operation's reply or
-// error, which takes the operation's slot in the frame's results. Completions
-// of one connection run one after another in the order their frames were
-// applied. It rides the error result because the Handler signature is pinned
-// by the repository benchmark's callers.
-type Pending func() ([]byte, error)
+// error, which takes the operation's slot in the frame's results, and the
+// modeled instant its wait ended (the zero time if it waited for nothing
+// modeled): the frame's reply leaves at the later of that and the frame's
+// modeled end, however late the completion stage ran. Completions of one
+// connection run one after another in the order their frames were applied.
+// It rides the error result because the Handler signature is pinned by the
+// repository benchmark's callers.
+type Pending func() ([]byte, time.Time, error)
 
 func (Pending) Error() string { return "rpc: operation applied, completion pending" }
 
@@ -165,6 +175,8 @@ func decodeCompoundReply(p []byte, ops []SubOp) ([]SubResult, error) {
 // ServerConfig configures a Server.
 type ServerConfig struct {
 	Handler Handler
+	// TimedHandler, if set, serves in place of Handler.
+	TimedHandler TimedHandler
 	// Daemons is the worker pool size; Figure 7 sweeps 1, 8, 16.
 	Daemons int
 	// QueueCap bounds the incoming request queue (default 1024).
@@ -206,6 +218,7 @@ type reply struct {
 	hdr     *wire.Buffer // pooled response header
 	payload []byte       // may alias frame
 	frame   []byte       // pooled request frame
+	at      time.Time    // modeled instant it leaves; zero when unmodeled
 	handoff time.Time    // hand-off time; stamped only when tracing is on
 	worker  int          // daemon that produced it, for the rpc.reply span
 }
@@ -216,6 +229,7 @@ type owed struct {
 	c       call
 	results []SubResult
 	worker  int
+	end     time.Time // the frame's modeled end; zero when the server charges nothing
 	applied time.Time // daemon freed; stamped only when tracing is on
 }
 
@@ -271,14 +285,20 @@ func (p *replyPath) release() {
 // frame's arrival, and the daemon sleeps to the deadline before each handler.
 // A late host wakeup is made up on the next charge instead of passed on to
 // it, and an idle daemon banks no idle time.
+//
+// The modeled instant then travels with the frame: each handler is told the
+// deadline of its operation, and the reply is put on the wire from the later
+// of the frame's modeled end and the instant its Pending completions became
+// durable, not from when the completion stage or the writer got to it.
 type Server struct {
-	cfg    ServerConfig
-	clk    clock.Clock
-	queue  chan call
-	done   chan struct{}
-	once   sync.Once
-	wg     sync.WaitGroup
-	connWG sync.WaitGroup
+	cfg     ServerConfig
+	handler TimedHandler
+	clk     clock.Clock
+	queue   chan call
+	done    chan struct{}
+	once    sync.Once
+	wg      sync.WaitGroup
+	connWG  sync.WaitGroup
 	// unsent counts frames a daemon handed over whose reply has not been
 	// delivered, completions still owed included; Close waits for it after
 	// the daemons have exited.
@@ -292,12 +312,18 @@ type Server struct {
 	processed    stats.Counter
 	subOps       stats.Counter
 	late         stats.Counter // ns daemons woke past their deadlines
+	absorbed     stats.Counter // ns replies were posted past their modeled instants
 }
 
 // NewServer starts the daemon pool and returns the server.
 func NewServer(cfg ServerConfig) *Server {
-	if cfg.Handler == nil {
-		panic("rpc: nil handler")
+	h := cfg.TimedHandler
+	if h == nil {
+		untimed := cfg.Handler
+		if untimed == nil {
+			panic("rpc: nil handler")
+		}
+		h = func(_ time.Time, op uint16, body []byte) ([]byte, error) { return untimed(op, body) }
 	}
 	if cfg.Daemons <= 0 {
 		cfg.Daemons = 1
@@ -311,7 +337,7 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.TraceTrack == "" {
 		cfg.TraceTrack = "rpc"
 	}
-	s := &Server{cfg: cfg, clk: cfg.Clock, queue: make(chan call, cfg.QueueCap), done: make(chan struct{})}
+	s := &Server{cfg: cfg, handler: h, clk: cfg.Clock, queue: make(chan call, cfg.QueueCap), done: make(chan struct{})}
 	s.tracks = make([]string, cfg.Daemons)
 	for i := range s.tracks {
 		s.tracks[i] = fmt.Sprintf("%s/worker-%d", cfg.TraceTrack, i)
@@ -363,6 +389,7 @@ func (s *Server) RegisterMetrics(r *obs.Registry, labels obs.Labels) {
 	r.CounterFunc("redbud_rpc_processed_total", "RPC frames completed (a compound counts once)", labels, s.processed.Load)
 	r.CounterFunc("redbud_rpc_subops_total", "operations executed, counting compound sub-ops", labels, s.subOps.Load)
 	r.CounterFunc("redbud_rpc_late_ns_total", "nanoseconds daemons woke past their modeled deadlines", labels, s.late.Load)
+	r.CounterFunc("redbud_rpc_absorbed_ns_total", "nanoseconds replies were posted past their modeled send instants, absorbed by sending from those instants", labels, s.absorbed.Load)
 	r.GaugeFunc("redbud_rpc_queue_len", "instantaneous request queue length", labels,
 		func() int64 { return int64(s.QueueLen()) })
 	r.GaugeFunc("redbud_rpc_inflight", "requests currently on a daemon thread", labels, s.inflight.Load)
@@ -539,7 +566,8 @@ func (s *Server) begin(free, arr time.Time) time.Time {
 // c.frame, which travels on with the reply because the payload may alias it.
 // The frame's charge starts at dl (see begin): FrameCost extends it, and the
 // daemon sleeps to it before decoding. process returns the deadline the frame
-// ended at, the instant the daemon became free in modeled time.
+// ended at, the instant the daemon became free in modeled time, which is also
+// the earliest instant its reply leaves.
 //
 //redbud:hotpath
 func (s *Server) process(c call, worker int, dl time.Time) (reply, *owed, time.Time) {
@@ -554,27 +582,28 @@ func (s *Server) process(c call, worker int, dl time.Time) (reply, *owed, time.T
 		ops, err := decodeCompound(c.body)
 		if err != nil {
 			one[0].Err = err
-			return s.finish(c, worker, one[:], false), nil, dl
+			return s.finish(c, worker, one[:], false, dl), nil, dl
 		}
 		results := make([]SubResult, len(ops))
 		pending, end := s.run(ops, results, dl)
 		if pending {
-			return reply{}, &owed{c: c, results: results, worker: worker}, end
+			return reply{}, &owed{c: c, results: results, worker: worker, end: end}, end
 		}
-		return s.finish(c, worker, results, true), nil, end
+		return s.finish(c, worker, results, true, end), nil, end
 	}
 	ops := [1]SubOp{{Op: c.op, Body: c.body}}
 	pending, end := s.run(ops[:], one[:], dl)
 	if pending {
-		return reply{}, &owed{c: c, results: []SubResult{one[0]}, worker: worker}, end
+		return reply{}, &owed{c: c, results: []SubResult{one[0]}, worker: worker, end: end}, end
 	}
-	return s.finish(c, worker, one[:], false), nil, end
+	return s.finish(c, worker, one[:], false, end), nil, end
 }
 
-// finish encodes the reply to a frame whose results are all final.
+// finish encodes the reply to a frame whose results are all final, to leave
+// at the modeled instant at.
 //
 //redbud:hotpath
-func (s *Server) finish(c call, worker int, results []SubResult, compound bool) reply {
+func (s *Server) finish(c call, worker int, results []SubResult, compound bool, at time.Time) reply {
 	var payload []byte
 	var status uint16
 	var errMsg string
@@ -602,7 +631,7 @@ func (s *Server) finish(c call, worker int, results []SubResult, compound bool) 
 	} else {
 		b.PutU32(uint32(len(payload)))
 	}
-	return reply{hdr: b, payload: payload, frame: c.frame, worker: worker}
+	return reply{hdr: b, payload: payload, frame: c.frame, at: at, worker: worker}
 }
 
 // run applies the operations of one frame into results, charging and
@@ -611,8 +640,8 @@ func (s *Server) finish(c call, worker int, results []SubResult, compound bool) 
 // completion Pending. Such an operation has handed its record to the journal
 // by then, so the waits of a compound overlap and its records share
 // group-commit batches. Each operation's cost extends the deadline dl, and
-// the daemon sleeps to it before the handler; run returns the deadline the
-// last handler ended at.
+// the daemon sleeps to it before the handler, which is told it; run returns
+// the deadline the last handler ended at.
 //
 //redbud:hotpath
 func (s *Server) run(ops []SubOp, results []SubResult, dl time.Time) (pending bool, end time.Time) {
@@ -623,7 +652,7 @@ func (s *Server) run(ops []SubOp, results []SubResult, dl time.Time) (pending bo
 			dl = dl.Add(cost)
 			woke = s.sleepUntil(dl)
 		}
-		results[i].Body, results[i].Err = s.cfg.Handler(o.Op, o.Body)
+		results[i].Body, results[i].Err = s.handler(dl, o.Op, o.Body)
 		if !dl.IsZero() {
 			// The handler's own time moves the deadline, so a modeled
 			// wait inside it (a delegation recall) is charged in full;
@@ -643,14 +672,21 @@ func (s *Server) run(ops []SubOp, results []SubResult, dl time.Time) (pending bo
 // frame to the writer, in the order the daemons applied them. Waiting one
 // frame at a time costs nothing: the journal makes records durable in log
 // order, and a daemon appended every record of a frame before handing it on.
+// The reply leaves at the later of the frame's modeled end and the latest
+// instant one of its completions became durable.
 func (s *Server) completeReplies(p *replyPath) {
 	for o := range p.owed {
+		at := o.end
 		for i := range o.results {
 			if complete, ok := o.results[i].Err.(Pending); ok {
-				o.results[i].Body, o.results[i].Err = complete()
+				var durable time.Time
+				o.results[i].Body, durable, o.results[i].Err = complete()
+				if durable.After(at) {
+					at = durable
+				}
 			}
 		}
-		r := s.finish(o.c, o.worker, o.results, o.c.op == OpCompound)
+		r := s.finish(o.c, o.worker, o.results, o.c.op == OpCompound, at)
 		if !o.applied.IsZero() {
 			r.handoff = s.clk.Now()
 			s.cfg.Tracer.Record(s.tracks[o.worker], obs.SpanRPCComplete, 0, o.applied, r.handoff)
@@ -678,13 +714,19 @@ func (s *Server) sleepUntil(dl time.Time) time.Time {
 }
 
 // writeReplies is a connection's reply writer: it puts finished frames on
-// the wire in hand-off order. A failed send means the connection died; the
-// client will see its own error.
+// the wire in hand-off order, each sent from its modeled instant, and counts
+// how far past it the writer got to it. A failed send means the connection
+// died; the client will see its own error.
 //
 //redbud:hotpath
 func (s *Server) writeReplies(p *replyPath) {
 	for r := range p.replies {
-		fl, _ := netsim.PostVec(p.conn, r.hdr.Bytes(), r.payload)
+		if !r.at.IsZero() {
+			if late := s.clk.Since(r.at); late > 0 {
+				s.absorbed.Add(int64(late))
+			}
+		}
+		fl, _ := netsim.PostVec(p.conn, r.at, r.hdr.Bytes(), r.payload)
 		wire.PutBuffer(r.hdr)
 		// The payload may alias the request frame (echo-style handlers);
 		// it is dead once the post copied it out.
