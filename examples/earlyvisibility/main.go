@@ -2,7 +2,7 @@
 // delayed commit while its commit queue is busy, and a second mount polls
 // until it observes the data. With early visibility off the reader waits
 // for the writer's commit to drain through the queue; with it on the
-// reader is served through the layout-v2 intent path as soon as the data
+// reader is served through the layout intent path as soon as the data
 // is durable on the array. The example runs both settings and prints the
 // time-to-visibility each achieved, using only the public redbud facade.
 //
@@ -89,8 +89,8 @@ func timeToVisibility(early bool) time.Duration {
 	start := time.Now()
 
 	if early {
-		// The write has returned but its commit is queued. The v2 layout
-		// view shows the published intent.
+		// The write has returned but its commit is queued. The layout
+		// view with uncommitted extents shows the published intent.
 		lay, err := cluster.FileLayout(path, 0, size, redbud.LayoutWantUncommitted)
 		if err != nil {
 			log.Fatal(err)

@@ -306,14 +306,14 @@ func (s *AGSet) Alloc(owner string, size int64) (Span, error) {
 	return Span{}, lastErr
 }
 
-// AllocExtents allocates size bytes as one or more spans, each at most
-// maxSpan long (0 means unbounded). Used for large-file layouts that no
-// single free extent can satisfy.
-func (s *AGSet) AllocExtents(owner string, size, maxSpan int64) ([]Span, error) {
+// AllocExtents allocates size bytes as one or more spans. Used for
+// large-file layouts that no single free extent can satisfy.
+func (s *AGSet) AllocExtents(owner string, size int64) ([]Span, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("%w: size %d", ErrBadRequest, size)
 	}
 	var out []Span
+	var maxSpan int64 // 0 until fragmentation forces smaller chunks
 	remaining := size
 	for remaining > 0 {
 		chunk := remaining

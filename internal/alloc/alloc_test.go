@@ -322,7 +322,7 @@ func TestAGSetFallbackWhenGroupFull(t *testing.T) {
 
 func TestAllocExtentsSplitsAcrossGroups(t *testing.T) {
 	s := NewUniformAGSet(RoundRobin, 0, 8<<20, 4) // 2 MiB per group
-	spans, err := s.AllocExtents("c", 5<<20, 0)   // bigger than any group
+	spans, err := s.AllocExtents("c", 5<<20)      // bigger than any group
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,32 +346,16 @@ func TestAllocExtentsSplitsAcrossGroups(t *testing.T) {
 	}
 }
 
-func TestAllocExtentsMaxSpan(t *testing.T) {
-	s := NewUniformAGSet(RoundRobin, 0, 8<<20, 1)
-	spans, err := s.AllocExtents("c", 1<<20, 256<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spans) != 4 {
-		t.Fatalf("spans = %d, want 4", len(spans))
-	}
-	for _, sp := range spans {
-		if sp.Len > 256<<10 {
-			t.Fatalf("span exceeds max: %v", sp)
-		}
-	}
-}
-
 func TestAllocExtentsRollbackOnFailure(t *testing.T) {
 	s := NewUniformAGSet(RoundRobin, 0, 1<<20, 1)
 	before := s.FreeBytes()
-	if _, err := s.AllocExtents("c", 2<<20, 0); err == nil {
+	if _, err := s.AllocExtents("c", 2<<20); err == nil {
 		t.Fatal("oversized AllocExtents succeeded")
 	}
 	if s.FreeBytes() != before {
 		t.Fatalf("partial allocation leaked: %d != %d", s.FreeBytes(), before)
 	}
-	if _, err := s.AllocExtents("c", 0, 0); !errors.Is(err, ErrBadRequest) {
+	if _, err := s.AllocExtents("c", 0); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("zero size err = %v", err)
 	}
 }

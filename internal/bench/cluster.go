@@ -124,7 +124,7 @@ type Options struct {
 	DisableMerge       bool
 
 	// EarlyVisibility lets Redbud clients read peers' durable-but-
-	// uncommitted extents through the layout-v2 intent path instead of
+	// uncommitted extents through the layout intent path instead of
 	// stalling conflict reads until the commit lands.
 	EarlyVisibility bool
 

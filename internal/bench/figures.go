@@ -270,12 +270,11 @@ func Fig6(opt Options) ([]Fig6Trace, error) {
 	return traces, nil
 }
 
-// buildFig6 builds a Redbud DC+SD cluster whose first client reports pool
-// resizes into the series.
+// buildFig6 builds a Redbud DC+SD cluster whose first client's commit-thread
+// count and queue length are sampled into the series.
 func buildFig6(opt Options, thr, qln *stats.Series) *Cluster {
 	c := Build(SysRedbudDCSD, opt)
-	// Sampler goroutine against client 0 (OnPoolResize can't be set after
-	// construction, so sample instead — same data, fixed cadence).
+	// Sampler goroutine against client 0, at a fixed cadence.
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	cl := c.Redbud[0]
@@ -463,7 +462,7 @@ func startCommitBacklog(fsys fsapi.FileSystem, clk clock.Clock, k int) (func(), 
 	return stop, nil
 }
 
-// FigVisibility measures what the layout-v2 early-visibility path buys: with
+// FigVisibility measures what the early-visibility path buys: with
 // the knob off a conflict reader waits for the writer's delayed commit to
 // land; with it on the reader sees the block as soon as the data is durable,
 // through the published intent. Varmail rides along as the regression guard —

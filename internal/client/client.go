@@ -117,17 +117,17 @@ type Config struct {
 	// (paper: 16 MiB); 0 disables it.
 	DelegationChunk int64
 
-	// EarlyVisibility opts conflict reads in to the layout protocol v2
-	// early-visibility path: reads that find holes (or reach past the
-	// locally known size) ask the MDS for uncommitted extents too —
-	// other clients' published write intents — and fetch their data
-	// directly from the devices instead of stalling until the writer's
-	// commit lands. Safe by construction: devices only ever serve durable
-	// (or stale) bytes. Requires the MDS to speak protocol v2; against an
-	// older MDS the client transparently falls back to committed-only
-	// reads. On the write side such a client allocates inline instead of
-	// write-behind (writeback.go): the layout-get is what publishes the
-	// intent, and it is published at the write, not one flush later.
+	// EarlyVisibility opts conflict reads in to the early-visibility
+	// path: reads that find holes (or reach past the locally known size)
+	// ask the MDS for uncommitted extents too — other clients' published
+	// write intents — and fetch their data directly from the devices
+	// instead of stalling until the writer's commit lands. Safe by
+	// construction: devices only ever serve durable (or stale) bytes. The
+	// MDS answers such a read committed-only until it has accepted this
+	// client's hello. On the write side such a client allocates inline
+	// instead of write-behind (writeback.go): the layout-get is what
+	// publishes the intent, and it is published at the write, not one
+	// flush later.
 	EarlyVisibility bool
 
 	// ReadAhead enables sequential read-ahead with this window (bytes);
@@ -137,9 +137,6 @@ type Config struct {
 	// triggers an asynchronous prefetch of the next window into the page
 	// cache.
 	ReadAhead int64
-
-	// OnPoolResize observes (threads, queueLen) for the Figure 6 traces.
-	OnPoolResize func(threads, queueLen int)
 
 	// Ablation knobs.
 
@@ -158,8 +155,8 @@ type Config struct {
 	// commit.datawait, commit.rpc on track "<Name>/commit"; write.app on
 	// track "<Name>/app") and cross-shard namespace saga spans (ns.create /
 	// ns.remove / ns.rename with per-phase children on track "<Name>/ns").
-	// Against a v4 MDS the client also attaches a trace context to commit and
-	// saga-leg requests, linking the server-side spans under the client span
+	// The client also attaches a trace context to commit and saga-leg
+	// requests, linking the server-side spans under the client span
 	// that issued them — a cross-shard rename renders as one stitched tree.
 	Tracer *obs.Tracer
 }
@@ -182,10 +179,6 @@ type Client struct {
 	rng   *rand.Rand // backoff jitter; guarded by rngMu
 
 	commitSeq atomic.Uint64 // CommitID generator
-
-	// protoVersion is the protocol version negotiated by the last OpHello
-	// (0 until the first handshake succeeds, which reads as v1 behaviour).
-	protoVersion atomic.Uint32
 
 	queue    *core.Queue[meta.FileID]
 	pool     *core.Pool
@@ -320,18 +313,12 @@ func New(cfg Config) *Client {
 	if cfg.DelegationChunk > 0 {
 		c.space.Store(c.newSpacePool())
 	}
-	if cfg.Redial != nil || cfg.EarlyVisibility || cfg.Tracer != nil || len(c.links) > 1 {
-		// Learn each shard's incarnation — and negotiate the protocol
-		// version — up front so a later reconnect can tell a restart from a
-		// mere connection blip, so early visibility knows whether the MDS
-		// speaks v2, and so tracing knows whether it may attach v4 trace
-		// contexts. A sharded mount always handshakes: the hello reply is
-		// also the shard-map verification. Best effort otherwise: a
-		// pre-Hello MDS build simply leaves sawIncarnation unset (and the
-		// session at v1).
-		for _, l := range c.links {
-			c.hello(l, l.mds)
-		}
+	// Learn each shard's incarnation up front, so a later reconnect can tell
+	// a restart from a mere connection blip, and check its shard map. Best
+	// effort: a hello that fails leaves the link without delegations until
+	// the next reconnect says hello again.
+	for _, l := range c.links {
+		c.hello(l, l.mds)
 	}
 	if cfg.Mode == DelayedCommit {
 		c.queue = core.NewQueue[meta.FileID]()
@@ -341,7 +328,6 @@ func New(cfg Config) *Client {
 			QueueLen:    c.queue.Len,
 			Worker:      c.commitDaemon,
 			Interval:    cfg.PoolInterval,
-			OnResize:    cfg.OnPoolResize,
 			Fixed:       cfg.FixedCommitThreads,
 			Clock:       cfg.Clock,
 		})
@@ -860,11 +846,8 @@ func (c *Client) buildCommit(fs *fileState, wait bool) (bc builtCommit, ok bool,
 	if traced {
 		// The commit's trace reuses the CommitID (globally unique — the name
 		// hash occupies the high bits) as its TraceID, and the commit.rpc
-		// span as the parent the server links under. Only a v4 session may
-		// carry the context: an older server would reject the trailing bytes.
-		if c.protoVersion.Load() >= proto.ProtoV4 {
-			req.Trace = proto.TraceCtx{TraceID: req.CommitID, SpanID: obs.NewSpanID(req.CommitID, obs.SpanCommitRPC)}
-		}
+		// span as the parent the server links under.
+		req.Trace = proto.TraceCtx{TraceID: req.CommitID, SpanID: obs.NewSpanID(req.CommitID, obs.SpanCommitRPC)}
 		if !enqAt.IsZero() {
 			c.tracer.RecordSpan(obs.Span{
 				Track: c.trackCommit, Name: obs.SpanCommitQueue, CommitID: req.CommitID,

@@ -780,24 +780,3 @@ func TestEarlyVisibilityConflictRead(t *testing.T) {
 		t.Fatalf("reader committed foreign extents: %+v", lay.Extents)
 	}
 }
-
-// TestEarlyVisibilityDisabledWithoutV2 pins the downgrade path end to end: a
-// client with the knob on but a v1 session (the MDS never negotiated v2)
-// must behave exactly like a committed-only reader.
-func TestEarlyVisibilityDisabledWithoutV2(t *testing.T) {
-	tc := newCluster(t)
-	uncommittedWriter(t, tc, "conflict.dat", 4096)
-	ev := tc.clientEV(SyncCommit, 0, true)
-	defer ev.Close()
-	// Force the session back to v1, as if the handshake had been lost.
-	ev.protoVersion.Store(proto.ProtoV1)
-	f, err := ev.Open("/conflict.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	buf := make([]byte, 4096)
-	if n, err := f.ReadAt(buf, 0); err != nil || n != 0 {
-		t.Fatalf("v1-session early-visibility read = %d, %v; want 0 bytes", n, err)
-	}
-}

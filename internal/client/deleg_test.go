@@ -39,8 +39,10 @@ type delegCluster struct {
 	net   *netsim.Network
 	hosts int
 	// hello, when set, edits every client's OpHello on its way to the MDS
-	// (a peer pinned to an older protocol version).
-	hello func(*proto.HelloReq)
+	// (a client of an older protocol version); helloReply edits the MDS's
+	// answer on its way back (an MDS of an older protocol version).
+	hello      func(*proto.HelloReq)
+	helloReply func(*proto.HelloResp)
 	// tracer, when set, is every later mount's span tracer.
 	tracer *obs.Tracer
 }
@@ -67,8 +69,7 @@ func newDelegCluster(t *testing.T) *delegCluster {
 	return dc
 }
 
-// mount mounts a client behind a gate of its own. It can redial, so it says
-// hello at mount and negotiates the latest protocol.
+// mount mounts a client behind a gate of its own. It can redial.
 func (dc *delegCluster) mount(mode Mode) (*Client, *opGate) { return dc.mountWith(mode, nil) }
 
 // mountWith is mount with an edited configuration.
@@ -93,7 +94,16 @@ func (dc *delegCluster) mountWith(mode Mode, edit func(*Config)) (*Client, *opGa
 			dc.hello(&req)
 			body = wire.Encode(&req)
 		}
-		return gate.handle(op, body)
+		reply, err := gate.handle(op, body)
+		if op == proto.OpHello && err == nil && dc.helloReply != nil {
+			var resp proto.HelloResp
+			if err := wire.Decode(reply, &resp); err != nil {
+				return nil, err
+			}
+			dc.helloReply(&resp)
+			reply = wire.Encode(&resp)
+		}
+		return reply, err
 	}})
 	lis, err := dc.net.Listen(gateHost)
 	if err != nil {
@@ -626,11 +636,44 @@ func TestDirectoryRenameRecallsEverything(t *testing.T) {
 	}
 }
 
-// TestOlderPeerNeverCaches: a v5 client whose MDS negotiates v4, and a client
-// that speaks v4 to a v5 MDS, put nothing new on the wire, are never granted,
-// never serve an open from memory, and stay correct.
+// TestOlderPeerNeverCaches: a client never caches across a protocol skew.
+// An MDS that answers hello with v4 is unusable: the client kills the link,
+// and nothing more reaches that MDS. A client whose hello the MDS refuses
+// (it offered v4) keeps the link but names no delegation owner on it, so it
+// is never granted, never serves an open from memory, and stays correct.
 func TestOlderPeerNeverCaches(t *testing.T) {
-	run := func(t *testing.T, dc *delegCluster, a *Client, gateA *opGate, b *Client) {
+	t.Run("v4 MDS", func(t *testing.T) {
+		dc := newDelegCluster(t)
+		dc.helloReply = func(resp *proto.HelloResp) { resp.ProtoVersion = proto.ProtoV5 - 1 }
+		a, gateA := dc.mount(SyncCommit)
+		dc.helloReply = nil
+		b, _ := dc.mount(SyncCommit)
+		if err := a.links[0].dead(); err == nil || !strings.Contains(err.Error(), "protocol v4") {
+			t.Fatalf("link after a v4 hello reply: fatal = %v, want the protocol mismatch", err)
+		}
+		writeSynced(t, b, "/f", 4096)
+		before := gateA.rpcs()
+		if _, err := a.Create("/g"); err == nil {
+			t.Fatal("create over a killed link succeeded")
+		}
+		if _, err := a.Stat("/f"); err == nil {
+			t.Fatal("stat over a killed link succeeded")
+		}
+		if got := gateA.rpcs() - before; got != 0 {
+			t.Fatalf("%d requests reached the MDS over a killed link", got)
+		}
+		if a.delegs.Load() != 0 || a.st.openHits.Load() != 0 {
+			t.Fatalf("a killed link cached: %d delegations, %d hits", a.delegs.Load(), a.st.openHits.Load())
+		}
+	})
+	t.Run("v4 client", func(t *testing.T) {
+		dc := newDelegCluster(t)
+		dc.hello = func(req *proto.HelloReq) { req.ProtoVersion = proto.ProtoV5 - 1 }
+		a, gateA := dc.mount(SyncCommit)
+		b, _ := dc.mount(SyncCommit)
+		if a.links[0].dead() != nil || a.links[0].helloed.Load() {
+			t.Fatalf("refused hello: link dead = %v, helloed = %v; want alive without a hello", a.links[0].dead(), a.links[0].helloed.Load())
+		}
 		writeSynced(t, a, "/f", 4096)
 		before := gateA.rpcs()
 		for i := 0; i < 5; i++ {
@@ -640,10 +683,10 @@ func TestOlderPeerNeverCaches(t *testing.T) {
 			t.Fatalf("5 opens cost %d RPCs, want one each", got)
 		}
 		if a.delegs.Load() != 0 || a.st.openHits.Load() != 0 {
-			t.Fatalf("an older-protocol session cached: %d delegations, %d hits", a.delegs.Load(), a.st.openHits.Load())
+			t.Fatalf("a client without a hello cached: %d delegations, %d hits", a.delegs.Load(), a.st.openHits.Load())
 		}
 		if st := dc.recalls(); st.Grants != 0 {
-			t.Fatalf("the MDS granted to an older-protocol session: %+v", st)
+			t.Fatalf("the MDS granted to a client without a hello: %+v", st)
 		}
 		if err := b.Remove("/f"); err != nil {
 			t.Fatal(err)
@@ -652,26 +695,6 @@ func TestOlderPeerNeverCaches(t *testing.T) {
 		if got := openSize(t, a, "/f"); got != 8192 {
 			t.Fatalf("size %d after another client replaced the file, want 8192", got)
 		}
-	}
-	t.Run("v4 MDS", func(t *testing.T) {
-		dc := newDelegCluster(t)
-		// A v4 MDS answers min(offer, 4); what reaches the real one is then a
-		// v4 offer, and the session is v4 on both sides.
-		dc.hello = func(req *proto.HelloReq) { req.ProtoVersion = min(req.ProtoVersion, proto.ProtoV4) }
-		a, gateA := dc.mount(SyncCommit)
-		b, _ := dc.mount(SyncCommit)
-		if got := a.protoVersion.Load(); got != proto.ProtoV4 {
-			t.Fatalf("negotiated v%d, want v4", got)
-		}
-		run(t, dc, a, gateA, b)
-	})
-	t.Run("v4 client", func(t *testing.T) {
-		dc := newDelegCluster(t)
-		a, gateA := dc.mount(SyncCommit)
-		b, _ := dc.mount(SyncCommit)
-		a.protoVersion.Store(proto.ProtoV4) // all a v4 build would ever reach
-		b.protoVersion.Store(proto.ProtoV4)
-		run(t, dc, a, gateA, b)
 	})
 }
 

@@ -332,17 +332,16 @@ func (f *File) Append(p []byte) (int64, error) {
 // through the extent map; holes read as zeros. Reads of this client's own
 // uncommitted writes are satisfied locally (conflict reads, §V-C NPB).
 //
-// With EarlyVisibility on (and protocol v2 negotiated), a conflict read
-// that finds layout holes — or reaches past the locally known size — asks
-// the MDS for uncommitted extents too: other clients' published write
-// intents, served directly from the devices instead of stalling until the
-// writer's commit lands.
+// With EarlyVisibility on, a conflict read that finds layout holes — or
+// reaches past the locally known size — asks the MDS for uncommitted extents
+// too: other clients' published write intents, served directly from the
+// devices instead of stalling until the writer's commit lands.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	c, fs := f.c, f.fs
 	if off < 0 {
 		return 0, fmt.Errorf("client: negative offset %d", off)
 	}
-	wantVis := c.earlyVisible()
+	wantVis := c.cfg.EarlyVisibility
 	// Traced, a read is one read.app span with a child per leg it actually
 	// took (readTrace); untraced, rt stays zero and nothing reads the clock.
 	var rt readTrace

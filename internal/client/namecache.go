@@ -63,10 +63,11 @@ func canonPath(parts []string) string { return "/" + strings.Join(parts, "/") }
 // Delegation bookkeeping. Everything here is guarded by Client.mu.
 
 // delegCtx is the delegation context a request on l carries: the client's
-// name and the newest recall it has processed from that shard. Below protocol
-// v5 it is empty, which the encoders leave off the wire entirely.
+// name and the newest recall it has processed from that shard. Until a hello
+// to that shard has succeeded it is empty, which the encoders leave off the
+// wire entirely.
 func (c *Client) delegCtx(l *mdsLink) proto.DelegCtx {
-	if c.protoVersion.Load() < proto.ProtoV5 {
+	if !l.helloed.Load() {
 		return proto.DelegCtx{}
 	}
 	c.mu.Lock()

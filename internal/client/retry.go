@@ -158,11 +158,11 @@ func (c *Client) recoverConn(l *mdsLink, old *rpc.Client, gen uint64, cause erro
 }
 
 // hello (re)introduces the client to one MDS shard, learns its incarnation,
-// and negotiates the protocol version (the client offers ProtoLatest; the
-// MDS answers with the version the session will speak). A changed
-// incarnation means that shard restarted and recovered: every delegation and
-// uncommitted allocation this client homed there was reclaimed, so the local
-// session state for that shard must be re-established.
+// and checks that the shard speaks this client's protocol and carries the
+// shard it was mounted as. A changed incarnation means that shard restarted
+// and recovered: every delegation and uncommitted allocation this client
+// homed there was reclaimed, so the local session state for that shard must
+// be re-established.
 func (c *Client) hello(l *mdsLink, mds *rpc.Client) {
 	var h proto.HelloResp
 	if err := mds.Call(proto.OpHello, &proto.HelloReq{Owner: c.cfg.Name, ProtoVersion: proto.ProtoLatest}, &h); err != nil {
@@ -175,8 +175,7 @@ func (c *Client) hello(l *mdsLink, mds *rpc.Client) {
 		l.kill(err)
 		return
 	}
-	l.version.Store(h.ProtoVersion)
-	c.updateProtoVersion()
+	l.helloed.Store(true)
 	l.mu.Lock()
 	restarted := l.sawIncarnation && h.Incarnation != l.incarnation
 	l.incarnation = h.Incarnation
@@ -185,12 +184,6 @@ func (c *Client) hello(l *mdsLink, mds *rpc.Client) {
 	if restarted {
 		c.reestablish(l.shard)
 	}
-}
-
-// earlyVisible reports whether conflict reads may ask for uncommitted
-// extents: the knob is on and the MDS negotiated protocol v2.
-func (c *Client) earlyVisible() bool {
-	return c.cfg.EarlyVisibility && c.protoVersion.Load() >= proto.ProtoV2
 }
 
 // reestablish rolls the client session back to what one recovered MDS shard

@@ -31,9 +31,10 @@ type mdsLink struct {
 	incarnation    uint64
 	sawIncarnation bool
 
-	// version is the protocol version negotiated by this shard's last
-	// OpHello (0 until the first handshake succeeds, which reads as v1).
-	version atomic.Uint32
+	// helloed is set once a hello to this shard has succeeded; until then
+	// requests on the link name no delegation owner (delegCtx), since the
+	// client could not yet tell an MDS restart from a connection blip.
+	helloed atomic.Bool
 
 	// The shard's file-delegation session (namecache.go), guarded by
 	// Client.mu, not mu: lease is until when delegations homed here may be
@@ -88,40 +89,17 @@ func (c *Client) shardOf(id meta.FileID) int { return meta.ShardOf(id, len(c.lin
 // shardFor returns the link to an inode's home shard.
 func (c *Client) shardFor(id meta.FileID) *mdsLink { return c.links[c.shardOf(id)] }
 
-// updateProtoVersion recomputes the session-wide protocol version: the
-// minimum every shard negotiated. Feature gates (early visibility) key off
-// the whole session, so one laggard shard downgrades all of them. Links at
-// version 0 have no negotiated version yet (their handshake failed or is
-// pending) and are skipped — they re-handshake on reconnect before serving
-// traffic, and the recomputation then picks their answer up; counting them
-// would pin the whole session at v1 behaviour for the duration.
-func (c *Client) updateProtoVersion() {
-	min := uint32(0)
-	for _, l := range c.links {
-		v := l.version.Load()
-		if v == 0 {
-			continue
-		}
-		if min == 0 || v < min {
-			min = v
-		}
-	}
-	c.protoVersion.Store(min)
-}
-
-// checkShardMap validates the hello-advertised shard coordinates against the
-// topology the client was mounted with. A mismatch means the caller wired
-// connection i to a server running with a different -shard flag — routing
-// through it would silently scatter the namespace, so the link is marked
-// dead (a server reply, however misconfigured or byzantine, must never crash
-// the client process).
+// checkShardMap validates a hello reply against the protocol and the
+// topology the client was mounted with. A reply in another protocol version
+// comes from a server this client cannot talk to. A shard-map mismatch means
+// the caller wired connection i to a server running with a different -shard
+// flag — routing through it would silently scatter the namespace. Either way
+// the link is marked dead (a server reply, however misconfigured or
+// byzantine, must never crash the client process).
 func (c *Client) checkShardMap(l *mdsLink, h *proto.HelloResp) error {
-	if h.ProtoVersion < proto.ProtoV3 {
-		if len(c.links) > 1 {
-			return fmt.Errorf("client: shard %d: server speaks v%d and carries no shard map, unusable in a %d-shard mount",
-				l.shard, h.ProtoVersion, len(c.links))
-		}
-		return nil // pre-sharding server: valid as the single shard
+	if h.ProtoVersion != proto.ProtoLatest {
+		return fmt.Errorf("client: shard %d answered hello with protocol v%d, this client speaks v%d",
+			l.shard, h.ProtoVersion, proto.ProtoLatest)
 	}
 	if int(h.ShardCount) != len(c.links) || int(h.ShardIndex) != l.shard {
 		return fmt.Errorf("client: shard map mismatch: connection %d of %d reached server %d of %d",
@@ -186,21 +164,15 @@ type nsPhase struct {
 	start time.Time
 }
 
-// beginPhase derives the span identity for one saga leg and, when the session
-// negotiated protocol v4, the wire trace context to attach to the leg's
-// request so the server's handler span links under it. Older sessions get a
-// zero wire context — a pre-v4 server would reject the trailing bytes — and
-// keep client-side phase spans only.
+// beginPhase derives the span identity for one saga leg and the wire trace
+// context to attach to the leg's request, so the server's handler span links
+// under it.
 func (c *Client) beginPhase(tc obs.SpanContext, name string) (nsPhase, proto.TraceCtx) {
 	if tc.TraceID == 0 {
 		return nsPhase{}, proto.TraceCtx{}
 	}
 	sid := obs.NewSpanID(tc.SpanID, name)
-	var w proto.TraceCtx
-	if c.protoVersion.Load() >= proto.ProtoV4 {
-		w = proto.TraceCtx{TraceID: tc.TraceID, SpanID: sid}
-	}
-	return nsPhase{tc: tc, name: name, sid: sid, start: c.clk.Now()}, w
+	return nsPhase{tc: tc, name: name, sid: sid, start: c.clk.Now()}, proto.TraceCtx{TraceID: tc.TraceID, SpanID: sid}
 }
 
 // endPhase records the leg's span, on success and failure alike — an aborted

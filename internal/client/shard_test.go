@@ -14,6 +14,7 @@ import (
 	"redbud/internal/mds"
 	"redbud/internal/meta"
 	"redbud/internal/netsim"
+	"redbud/internal/proto"
 	"redbud/internal/rpc"
 )
 
@@ -261,28 +262,18 @@ func TestDefinitiveFailureClassification(t *testing.T) {
 	}
 }
 
-// TestUpdateProtoVersionSkipsPendingLinks pins the session-version rule:
-// links whose handshake has not completed (version 0) are skipped rather
-// than read as v1, so one pending link cannot downgrade the whole session;
-// with no handshake done at all the session stays at 0 (v1 behaviour).
-func TestUpdateProtoVersionSkipsPendingLinks(t *testing.T) {
-	set := func(vs ...uint32) *Client {
-		c := &Client{}
-		for i, v := range vs {
-			l := &mdsLink{shard: i}
-			l.version.Store(v)
-			c.links = append(c.links, l)
-		}
-		c.updateProtoVersion()
-		return c
+// TestDelegCtxWaitsForHello pins the per-link rule: a request names its
+// delegation owner only on a link whose own hello has succeeded, so a client
+// that could not yet detect that shard's restarts is never granted there,
+// and one link's pending hello does not hold back another's.
+func TestDelegCtxWaitsForHello(t *testing.T) {
+	c := &Client{cfg: Config{Name: "c1"}, links: []*mdsLink{{shard: 0}, {shard: 1}}}
+	c.links[1].ackSeq = 7
+	c.links[1].helloed.Store(true)
+	if dc := c.delegCtx(c.links[0]); dc != (proto.DelegCtx{}) {
+		t.Fatalf("link without a hello sends %+v, want no delegation context", dc)
 	}
-	if got := set(3, 0, 2).protoVersion.Load(); got != 2 {
-		t.Fatalf("pending link counted: session v%d, want v2", got)
-	}
-	if got := set(0, 0).protoVersion.Load(); got != 0 {
-		t.Fatalf("all-pending session v%d, want v0", got)
-	}
-	if got := set(3, 3).protoVersion.Load(); got != 3 {
-		t.Fatalf("uniform session v%d, want v3", got)
+	if dc := c.delegCtx(c.links[1]); dc != (proto.DelegCtx{Owner: "c1", Ack: 7}) {
+		t.Fatalf("link after its hello sends %+v, want {c1 7}", dc)
 	}
 }

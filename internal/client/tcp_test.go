@@ -17,8 +17,9 @@ import (
 
 // TestFullStackOverTCP runs the complete deployment path inside the suite:
 // MDS and SAN disk server on real TCP loopback sockets, a client mounted
-// against both, delayed commit end to end. This is exactly what
-// cmd/redbud-mds + cmd/redbud-disk + cmd/redbud-client assemble.
+// against both, delayed commit end to end, and a reopen served from the
+// client's file delegation. This is exactly what cmd/redbud-mds +
+// cmd/redbud-disk + cmd/redbud-client assemble.
 func TestFullStackOverTCP(t *testing.T) {
 	clk := clock.Real(1)
 
@@ -100,6 +101,16 @@ func TestFullStackOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
+	// The client said hello at mount, so the file it created is delegated
+	// to it and the reopen is served from memory.
+	h, err := c.Open("/docs/report.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Close()
+	if hits := c.st.openHits.Load(); hits < 1 {
+		t.Fatalf("reopen of the client's own file: %d open hits, want it served from its delegation", hits)
+	}
 	if err := c.Rename("/docs/report.bin", "/docs/final.bin"); err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func (c *Client) mustDeferLocked(fs *fileState, off, end int64) bool {
 	if fs.flushing {
 		return true
 	}
-	if c.earlyVisible() {
+	if c.cfg.EarlyVisibility {
 		return false
 	}
 	holes, err := c.coverLocalLocked(fs, off, end, false)

@@ -21,9 +21,6 @@ type PoolConfig struct {
 	Worker func(stop <-chan struct{})
 	// Interval is the resize period.
 	Interval time.Duration
-	// OnResize observes (threads, queueLen) after each adjustment — the
-	// hook the Figure 6 tracer uses.
-	OnResize func(threads, queueLen int)
 	// Fixed pins the pool at exactly this many threads (ablation:
 	// adaptive pool vs fixed); 0 selects the adaptive formula.
 	Fixed int
@@ -87,7 +84,7 @@ func (p *Pool) Target(queueLen int) int {
 
 // Start launches the initial workers and the resize loop.
 func (p *Pool) Start() {
-	p.resizeTo(p.Target(0), 0)
+	p.resizeTo(p.Target(0))
 	p.wg.Add(1)
 	go p.resizer()
 }
@@ -108,13 +105,12 @@ func (p *Pool) resizer() {
 			return
 		case <-p.clk.After(p.cfg.Interval):
 		}
-		qlen := p.cfg.QueueLen()
-		p.resizeTo(p.Target(qlen), qlen)
+		p.resizeTo(p.Target(p.cfg.QueueLen()))
 	}
 }
 
 // resizeTo spawns or retires workers to reach n threads.
-func (p *Pool) resizeTo(n, qlen int) {
+func (p *Pool) resizeTo(n int) {
 	p.mu.Lock()
 	if p.stopped {
 		p.mu.Unlock()
@@ -134,11 +130,7 @@ func (p *Pool) resizeTo(n, qlen int) {
 		close(p.stops[last])
 		p.stops = p.stops[:last]
 	}
-	size := len(p.stops)
 	p.mu.Unlock()
-	if p.cfg.OnResize != nil {
-		p.cfg.OnResize(size, qlen)
-	}
 }
 
 // Stop retires all workers and halts the resizer. It blocks until every

@@ -1,25 +1,26 @@
 package lint
 
-// wireevolve: the protocol-evolution rules that keep v1 and v2 sessions
-// interoperable.
+// wireevolve: the protocol-evolution rules that let a message grow an
+// optional field without breaking a peer that never sends it.
 //
 // Rule 1 (trailing optionals): an optional field group must be the last
-// thing in its sequence. A v1 decoder stops before the optional tail and a
-// v2 decoder detects its absence from a short frame; an optional in the
-// middle would shift every later field. A corollary: optionals inside a
-// repeated element are never evolvable, because elements are concatenated —
-// there is no per-element frame boundary to detect absence from.
+// thing in its sequence. A decoder detects its absence from a short frame;
+// an optional in the middle would shift every later field. A corollary:
+// optionals inside a repeated element are never evolvable, because
+// elements are concatenated — there is no per-element frame boundary to
+// detect absence from.
 //
 // Rule 2 (Remaining guards): a decoder-side optional must be guarded by
-// r.Remaining(), the only way to distinguish "v1 peer, field absent" from a
-// truncated frame. Encoders gate on the negotiated version instead.
+// r.Remaining(), the only way to distinguish "field absent" from a
+// truncated frame. Encoders gate on whether the field says anything (a
+// zero TraceCtx or DelegCtx stays off the wire).
 //
-// Rule 3 (version clamps): a v2-gated capability flag decoded from a request
-// must be stripped before acting on it unless the requesting session
-// negotiated the required version. The rule is enforced on the MDS package:
-// any function that consumes such a flag must also contain a clamp —
-// a `&^=`/`&^` clearing of the flag under a condition that checks the
-// session's protocol version.
+// Rule 3 (version clamps): a version-gated capability flag decoded from a
+// request must be stripped before acting on it unless the requesting
+// session negotiated the required version. The rule is enforced on the MDS
+// package: any function that consumes such a flag must also contain a
+// clamp — a `&^=`/`&^` clearing of the flag under a condition that checks
+// the session's protocol version.
 
 import (
 	"go/ast"

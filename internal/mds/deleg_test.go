@@ -187,8 +187,9 @@ func TestRecallWaitIsBoundedByTheLease(t *testing.T) {
 }
 
 // TestV4PeerNeverSeesDelegations: a request without a delegation context —
-// all a v4 client can send — is answered with the v4 frame, byte for byte,
-// grants nothing, and still recalls from a v5 holder like any stranger.
+// all a client sends on a link whose hello has not succeeded — is answered
+// without the delegation group, byte for byte, grants nothing, and still
+// recalls from a holder like any stranger.
 func TestV4PeerNeverSeesDelegations(t *testing.T) {
 	e, _ := delegEnv(t, 1)
 	raw, err := e.cli.CallRaw(proto.OpCreate, wire.Encode(&proto.CreateReq{Parent: meta.RootID, Name: "f", Type: meta.TypeFile}))
@@ -199,9 +200,9 @@ func TestV4PeerNeverSeesDelegations(t *testing.T) {
 	if err := wire.Decode(raw, &a); err != nil {
 		t.Fatal(err)
 	}
-	v4 := proto.AttrResp{ID: a.ID, Type: a.Type, Size: a.Size, MTime: a.MTime}
-	if string(raw) != string(wire.Encode(&v4)) || a.Granted {
-		t.Fatalf("anonymous create was answered with %d bytes, the v4 frame has %d", len(raw), len(wire.Encode(&v4)))
+	plain := proto.AttrResp{ID: a.ID, Type: a.Type, Size: a.Size, MTime: a.MTime}
+	if string(raw) != string(wire.Encode(&plain)) || a.Granted {
+		t.Fatalf("anonymous create was answered with %d bytes, the frame without the delegation group has %d", len(raw), len(wire.Encode(&plain)))
 	}
 	if st := e.srv.Store().FileDelegs().Stats(); st.Grants != 0 {
 		t.Fatalf("an anonymous create was granted: %+v", st)

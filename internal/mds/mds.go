@@ -50,14 +50,14 @@ type Config struct {
 	// across reconnects to detect that a recovery happened (defaults to 1).
 	Incarnation uint64
 	// ShardIndex/ShardCount place this server in a sharded namespace
-	// (advertised to v3 clients via OpHello). Zero ShardCount means the
+	// (advertised to clients via OpHello). Zero ShardCount means the
 	// single-shard topology {0, 1}. They must match the store's Config.
 	ShardIndex uint32
 	ShardCount uint32
 	// Tracer, if non-nil, records mds.commit and namespace-op spans on track
 	// "mds" ("mds<i>" when sharded, so every shard exports as its own trace
 	// process), plus the rpc.queue / rpc.process spans of the daemon pool.
-	// Requests carrying a v4 trace context get their handler spans linked
+	// Requests carrying a trace context get their handler spans linked
 	// under the client span that issued them.
 	Tracer *obs.Tracer
 }
@@ -141,9 +141,9 @@ type Server struct {
 	lastSeen sync.Map
 
 	// sessions maps owner -> uint32, the protocol version negotiated by the
-	// owner's last OpHello. Owners that never said hello are ProtoV1 and
-	// transparently get committed-only layout behaviour; lease expiry ends
-	// the session and drops the entry.
+	// owner's last accepted OpHello. An owner that never said hello has no
+	// entry and gets committed-only layouts; lease expiry ends the session
+	// and drops the entry.
 	sessions sync.Map
 
 	// track is the trace track prefix for handler spans: "mds" single-shard,
@@ -246,8 +246,8 @@ func (s *Server) ExpireLeases() int64 {
 	for _, owner := range expired {
 		s.lastSeen.Delete(owner)
 		// An expired client's session is over; its commit IDs can never be
-		// legitimately retransmitted, and its negotiated protocol version
-		// no longer applies (a reconnecting client re-hellos).
+		// legitimately retransmitted, and its hello no longer applies (a
+		// reconnecting client says hello again).
 		s.dedup.drop(owner)
 		s.sessions.Delete(owner)
 		reclaimed += s.store.ClientGone(owner)
@@ -255,13 +255,13 @@ func (s *Server) ExpireLeases() int64 {
 	return reclaimed
 }
 
-// sessionVersion returns the protocol version owner negotiated via OpHello;
-// unknown (or empty) owners are v1.
+// sessionVersion returns the protocol version owner negotiated via OpHello,
+// or 0 for an owner that never said hello (or the empty owner).
 func (s *Server) sessionVersion(owner string) uint32 {
 	if v, ok := s.sessions.Load(owner); ok {
 		return v.(uint32)
 	}
-	return proto.ProtoV1
+	return 0
 }
 
 // DedupHits reports how many retransmitted commits were answered from the
@@ -412,7 +412,7 @@ func (s *Server) nsOnceDurable(name string, tc proto.TraceCtx, start time.Time, 
 }
 
 // layoutReply encodes the reply to a layout-get: the layout and the file's
-// size, which published intents extend past the committed one for a v2
+// size, which published intents extend past the committed one for a
 // reader that asked (early visibility).
 func (s *Server) layoutReply(lay meta.Layout) ([]byte, error) {
 	attr, err := s.store.GetAttr(lay.File)
@@ -530,11 +530,10 @@ func (s *Server) handle(at time.Time, op uint16, body []byte) ([]byte, error) {
 		}
 		s.touch(req.Owner)
 		flags := req.Flags
-		// Downgrade rule: only a session that negotiated v2 may see
-		// uncommitted extents. A genuine v1 client cannot even express the
-		// bit (its bool encodes 0 or 1), but a pre-hello or misbehaving
-		// sender must still get committed-only behaviour.
-		if flags.Has(meta.LayoutWantUncommitted) && s.sessionVersion(req.Owner) < proto.ProtoV2 {
+		// Only an owner whose hello was accepted may see uncommitted
+		// extents: a sender that never said hello gets committed-only
+		// behaviour, whatever bits its frame carries.
+		if flags.Has(meta.LayoutWantUncommitted) && s.sessionVersion(req.Owner) < proto.ProtoV5 {
 			flags &^= meta.LayoutWantUncommitted
 		}
 		if flags.Has(meta.LayoutWrite) {
@@ -568,7 +567,7 @@ func (s *Server) handle(at time.Time, op uint16, body []byte) ([]byte, error) {
 			}
 		}
 		start := s.clk.Now()
-		// A v4 trace context links this handler's span (and the store's
+		// A trace context links this handler's span (and the store's
 		// lockwait/apply/journal children) under the client's commit span.
 		var tc obs.SpanContext
 		if req.Trace.TraceID != 0 {
@@ -635,14 +634,11 @@ func (s *Server) handle(at time.Time, op uint16, body []byte) ([]byte, error) {
 		if err := wire.Decode(body, &req); err != nil {
 			return nil, err
 		}
+		if req.ProtoVersion < proto.ProtoV5 {
+			return nil, fmt.Errorf("mds: hello offers protocol v%d, this server speaks v%d", req.ProtoVersion, proto.ProtoV5)
+		}
 		s.touch(req.Owner)
-		ver := req.ProtoVersion
-		if ver < proto.ProtoV1 {
-			ver = proto.ProtoV1
-		}
-		if ver > proto.ProtoLatest {
-			ver = proto.ProtoLatest
-		}
+		ver := min(req.ProtoVersion, proto.ProtoLatest)
 		if req.Owner != "" {
 			s.sessions.Store(req.Owner, ver)
 		}

@@ -310,21 +310,27 @@ func TestHelloNegotiatesProtocolVersion(t *testing.T) {
 	if h.ProtoVersion != proto.ProtoLatest {
 		t.Fatalf("offer 99 negotiated v%d, want clamp to v%d", h.ProtoVersion, proto.ProtoLatest)
 	}
-	// A v1 hello (no version field on the wire) pins the session to v1.
-	if err := e.cli.Call(proto.OpHello, &proto.HelloReq{Owner: "old"}, &h); err != nil {
-		t.Fatal(err)
+	// An offer below v5, and a hello with no version field at all, are
+	// refused.
+	var re *rpc.RemoteError
+	if err := e.cli.Call(proto.OpHello, &proto.HelloReq{Owner: "old", ProtoVersion: proto.ProtoV5 - 1}, &h); !errors.As(err, &re) {
+		t.Fatalf("v4 hello = %v, want a remote error", err)
 	}
-	if h.ProtoVersion != proto.ProtoV1 {
-		t.Fatalf("version-less hello negotiated v%d, want v%d", h.ProtoVersion, proto.ProtoV1)
+	var b wire.Buffer
+	b.PutString("old")
+	if _, err := e.cli.CallRaw(proto.OpHello, b.Bytes()); !errors.As(err, &re) {
+		t.Fatalf("version-less hello = %v, want a remote error", err)
+	}
+	if v := e.srv.sessionVersion("old"); v != 0 {
+		t.Fatalf("a refused hello opened a v%d session", v)
 	}
 }
 
-// TestV1SessionNeverSeesUncommitted is the downgrade regression: whatever
-// flag bits a pre-v2 client's frames happen to carry (a v1 `Write bool`
-// re-encoded, a corrupted byte), the MDS must strip the uncommitted-
-// visibility request for any session that did not negotiate v2 — including
-// clients that never said hello at all.
-func TestV1SessionNeverSeesUncommitted(t *testing.T) {
+// TestOwnerWithoutHelloNeverSeesUncommitted: whatever flag bits a request
+// carries, the MDS strips the uncommitted-visibility request for an owner
+// that has no accepted hello: the empty owner, one that never said hello,
+// and one whose v4 hello was refused.
+func TestOwnerWithoutHelloNeverSeesUncommitted(t *testing.T) {
 	e := newEnv(t, Config{})
 	a := e.create(t, meta.RootID, "f", meta.TypeFile)
 	// A writer publishes intents for 8 KiB it has not committed.
@@ -332,13 +338,10 @@ func TestV1SessionNeverSeesUncommitted(t *testing.T) {
 	if err := e.cli.Call(proto.OpLayoutGet, &proto.LayoutGetReq{Owner: "w", File: a.ID, Off: 0, Len: 8192, Flags: meta.LayoutWrite}, &lay); err != nil {
 		t.Fatal(err)
 	}
-	for _, owner := range []string{"", "v1c"} {
-		if owner != "" {
-			// Session pinned to v1 by a version-less hello.
-			if err := e.cli.Call(proto.OpHello, &proto.HelloReq{Owner: owner}, &proto.HelloResp{}); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if err := e.cli.Call(proto.OpHello, &proto.HelloReq{Owner: "v4c", ProtoVersion: proto.ProtoV5 - 1}, &proto.HelloResp{}); err == nil {
+		t.Fatal("v4 hello accepted")
+	}
+	for _, owner := range []string{"", "anon", "v4c"} {
 		var rlay proto.LayoutResp
 		req := &proto.LayoutGetReq{Owner: owner, File: a.ID, Off: 0, Len: 8192, Flags: meta.LayoutWantUncommitted}
 		if err := e.cli.Call(proto.OpLayoutGet, req, &rlay); err != nil {
@@ -346,11 +349,11 @@ func TestV1SessionNeverSeesUncommitted(t *testing.T) {
 		}
 		for _, ext := range rlay.Extents {
 			if ext.State == meta.StateUncommitted {
-				t.Fatalf("owner %q (v1 session) saw uncommitted extent %+v", owner, ext)
+				t.Fatalf("owner %q (no hello) saw uncommitted extent %+v", owner, ext)
 			}
 		}
 		if rlay.Size != 0 {
-			t.Fatalf("owner %q (v1 session) saw visible size %d, want committed size 0", owner, rlay.Size)
+			t.Fatalf("owner %q (no hello) saw visible size %d, want committed size 0", owner, rlay.Size)
 		}
 	}
 }
@@ -377,7 +380,7 @@ func TestV2SessionSeesUncommittedAndVisibleSize(t *testing.T) {
 		}
 	}
 	if uncommitted != 8192 {
-		t.Fatalf("v2 session saw %d uncommitted bytes, want 8192", uncommitted)
+		t.Fatalf("session saw %d uncommitted bytes, want 8192", uncommitted)
 	}
 	if rlay.Size != 8192 {
 		t.Fatalf("visible size = %d, want 8192 (committed size still 0)", rlay.Size)
@@ -409,7 +412,7 @@ func TestLeaseExpiryRollsBackIntentsAndSession(t *testing.T) {
 	if got := e.srv.ExpireLeases(); got == 0 {
 		t.Fatal("expiry reclaimed nothing")
 	}
-	// The published intents are rolled back: a v2 reader sees no extents.
+	// The published intents are rolled back: a reader with a session sees no extents.
 	if err := e.cli.Call(proto.OpHello, &proto.HelloReq{Owner: "r", ProtoVersion: proto.ProtoLatest}, &proto.HelloResp{}); err != nil {
 		t.Fatal(err)
 	}
@@ -421,8 +424,8 @@ func TestLeaseExpiryRollsBackIntentsAndSession(t *testing.T) {
 	if len(rlay.Extents) != 0 || rlay.Size != 0 {
 		t.Fatalf("rolled-back intents still visible: %+v", rlay)
 	}
-	// The writer's session version was dropped with its lease: until it says
-	// hello again it is treated as v1 and cannot request uncommitted extents.
+	// The writer's session was dropped with its lease: until it says hello
+	// again it cannot request uncommitted extents.
 	var wlay proto.LayoutResp
 	wreq := &proto.LayoutGetReq{Owner: "w", File: a.ID, Off: 0, Len: 4096, Flags: meta.LayoutWantUncommitted}
 	if err := e.cli.Call(proto.OpLayoutGet, wreq, &wlay); err != nil {

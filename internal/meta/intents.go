@@ -5,10 +5,8 @@ import (
 	"sync"
 )
 
-// LayoutFlags selects the behaviour of a layout lookup. It replaces the v1
-// protocol's bare `Write bool`: bit 0 occupies the byte the bool used on the
-// wire, so v1 frames decode unchanged and a v1 decoder accepts any v2 frame
-// that only uses bit 0.
+// LayoutFlags selects the behaviour of a layout lookup. It travels as one
+// byte on the wire.
 type LayoutFlags uint8
 
 const (
@@ -18,8 +16,8 @@ const (
 	// LayoutWantUncommitted opts a reader in to early visibility: the
 	// lookup may return extents still in StateUncommitted (another
 	// client's published write intents) instead of hiding them until the
-	// commit lands. Only protocol-v2 sessions may set it; the MDS strips
-	// the bit for anyone else.
+	// commit lands. Only an owner whose hello the MDS accepted may set
+	// it; the MDS strips the bit for anyone else.
 	LayoutWantUncommitted LayoutFlags = 1 << 1
 )
 

@@ -47,8 +47,6 @@ type Config struct {
 	// Journal persists mutations; nil runs the store volatile (tests).
 	Journal *Journal
 	Clock   clock.Clock
-	// MaxSpan bounds a single allocated extent (0 = unbounded).
-	MaxSpan int64
 	// Tracer, if non-nil, records mds.lockwait / mds.apply / mds.journal
 	// spans for every traced commit on track "mds/store" ("mds<i>/store"
 	// when sharded, so each shard exports as its own trace process). Spans
@@ -581,7 +579,7 @@ func (s *Store) applyRemove(parent FileID, name string, id FileID) []alloc.Span 
 // GetLayout returns the extents of file overlapping [off, off+n). By
 // default only committed extents are visible — the ordered-write guarantee
 // means uncommitted data may not exist yet. A lookup carrying
-// LayoutWantUncommitted (early visibility, protocol v2) also returns
+// LayoutWantUncommitted (early visibility) also returns
 // published write intents, tagged StateUncommitted, and fills in the file's
 // visible end from the intent table; the caller fetches their data directly
 // from the devices, which by construction serve only durable (or stale)
@@ -644,7 +642,7 @@ func (s *Store) BeginAllocLayout(at time.Time, owner string, id FileID, off, n i
 	// Allocate outside the locks (AGs have their own locks).
 	var newExts []Extent
 	for _, h := range holes {
-		spans, err := s.cfg.AGs.AllocExtents(owner, h.end-h.off, s.cfg.MaxSpan)
+		spans, err := s.cfg.AGs.AllocExtents(owner, h.end-h.off)
 		if err != nil {
 			for _, e := range newExts {
 				_ = s.cfg.AGs.FreeSpan(alloc.Span{Dev: int(e.Dev), Off: e.VolOff, Len: e.Len})

@@ -10,9 +10,8 @@ import (
 // FuzzShardMap fuzzes the shard partition and its wire transport together:
 // every inode resolves to exactly one in-range shard, resolution and
 // placement are pure functions of their inputs (so a re-handshake can never
-// move an inode), and the shard map a v3 hello reply carries survives the
-// codec — including the trailing-optional truncations a version-skewed peer
-// would produce.
+// move an inode), and the shard map a hello reply carries survives the
+// codec, and a reply cut short of its coordinates is refused.
 func FuzzShardMap(f *testing.F) {
 	f.Add(uint64(1), uint32(1), uint64(1), "f")
 	f.Add(uint64(64), uint32(2), uint64(7), "dir")
@@ -38,45 +37,31 @@ func FuzzShardMap(f *testing.F) {
 			t.Fatalf("PlaceShard(%d, %q, %d) unstable: %d then %d", id, name, n, again, p)
 		}
 
-		// The v3 handshake round-trips the shard coordinates exactly, and a
+		// The handshake round-trips the shard coordinates exactly, and a
 		// second decode of the same frame (a client re-handshaking after a
 		// reconnect) reproduces the same map.
-		in := &HelloResp{Incarnation: inc, ProtoVersion: ProtoV3, ShardIndex: uint32(s), ShardCount: uint32(n)}
+		in := &HelloResp{Incarnation: inc, ProtoVersion: ProtoV5, ShardIndex: uint32(s), ShardCount: uint32(n)}
 		frame := wire.Encode(in)
 		var out HelloResp
 		if err := wire.Decode(frame, &out); err != nil {
-			t.Fatalf("decode v3 hello: %v", err)
+			t.Fatalf("decode hello: %v", err)
 		}
 		if out != *in {
 			t.Fatalf("shard map mutated in transit: sent %+v, got %+v", *in, out)
 		}
 		var out2 HelloResp
 		if err := wire.Decode(frame, &out2); err != nil {
-			t.Fatalf("re-decode v3 hello: %v", err)
+			t.Fatalf("re-decode hello: %v", err)
 		}
 		if out2 != out {
 			t.Fatalf("re-handshake decoded a different map: %+v then %+v", out, out2)
 		}
 
-		// Truncating the frame at the optional shard-field boundary must
-		// decode as a v2 reply with the single-shard default, and truncating
-		// at the version boundary as a v1 reply — never as an error.
-		r := wire.NewReader(frame)
-		r.U64()
-		verEnd := len(frame) - r.Remaining() + 4 // after Incarnation + ProtoVersion
-		var v2 HelloResp
-		if err := wire.Decode(frame[:verEnd], &v2); err != nil {
-			t.Fatalf("decode at optional boundary: %v", err)
-		}
-		if v2.Incarnation != inc || v2.ShardIndex != 0 || v2.ShardCount != 1 {
-			t.Fatalf("truncated-at-shard-fields reply decoded as %+v, want single-shard default", v2)
-		}
-		var v1 HelloResp
-		if err := wire.Decode(frame[:verEnd-4], &v1); err != nil {
-			t.Fatalf("decode v1 truncation: %v", err)
-		}
-		if v1.ProtoVersion != ProtoV1 || v1.ShardCount != 1 {
-			t.Fatalf("version-less reply decoded as %+v, want v1 single-shard default", v1)
+		// A reply without its shard coordinates is an error, never a
+		// single-shard default: a client must not route by a map it was
+		// not sent.
+		if err := wire.Decode(frame[:len(frame)-8], &HelloResp{}); err == nil {
+			t.Fatal("a hello reply without shard coordinates decoded")
 		}
 	})
 }

@@ -27,7 +27,7 @@ const (
 	OpStat
 	OpRename
 	OpHello
-	// v3 (sharded namespace) operations. The first four drive the two-phase
+	// Sharded namespace operations. The first four drive the two-phase
 	// cross-shard protocols against an inode's home shard; the last two
 	// manipulate the remote-edge dirent on the parent's shard.
 	OpCreateDetached
@@ -36,34 +36,21 @@ const (
 	OpNSAbort
 	OpLinkRemote
 	OpUnlinkRemote
-	// v5 (file delegations): the holder's immediate acknowledgement of a
+	// File delegations: the holder's immediate acknowledgement of a
 	// recall. Body is a bare DelegCtx; the reply is empty.
 	OpDelegAck
 )
 
-// Protocol versions, negotiated via OpHello. A session that never says
-// hello — or says a v1 hello, which simply omits the version field — is v1
-// and transparently gets committed-only layout behaviour.
+// The protocol version. Every client says hello to every shard at mount and
+// offers ProtoLatest; the MDS refuses an offer below ProtoV5 and answers a
+// higher one with ProtoLatest. An owner that never said hello gets
+// committed-only layouts and no delegations.
 const (
-	// ProtoV1 is the original protocol: a bare `Write bool` on layout
-	// gets, committed-only reads, version-less hello.
-	ProtoV1 uint32 = 1
-	// ProtoV2 adds layout flags (early visibility of uncommitted extents)
-	// and hello version negotiation.
-	ProtoV2 uint32 = 2
-	// ProtoV3 adds namespace sharding: the hello reply reports the server's
-	// shard coordinates, and the cross-shard ops (OpCreateDetached through
-	// OpUnlinkRemote) become available.
-	ProtoV3 uint32 = 3
-	// ProtoV4 adds distributed trace propagation: commit and namespace-op
-	// requests may carry a trailing-optional TraceCtx linking the server-side
-	// spans to their client parent. Sessions below v4 never see the field.
-	ProtoV4 uint32 = 4
-	// ProtoV5 adds exclusive per-file delegations: namespace and attribute
-	// requests may carry a trailing-optional DelegCtx naming their owner,
-	// AttrResp may carry a grant and the owner's unacknowledged recalls, and
-	// OpDelegAck exists. A peer below v5 never sends or sees any of it, which
-	// reads as "never granted, always asks".
+	// ProtoV5 is the one protocol this tree speaks: layout flags (early
+	// visibility of uncommitted extents), the shard coordinates in the hello
+	// reply and the cross-shard ops, trace contexts on commit and namespace
+	// requests, and exclusive per-file delegations (DelegCtx, the grant and
+	// recalls on AttrResp, OpDelegAck).
 	ProtoV5 uint32 = 5
 	// ProtoLatest is the highest version this build speaks.
 	ProtoLatest = ProtoV5
@@ -71,10 +58,9 @@ const (
 
 // TraceCtx is the propagated trace context: the trace identity plus the
 // SpanID of the client span the server-side handler span should hang under.
-// It rides as a trailing-optional group on request frames — the encoders
-// only append it when TraceID is non-zero (tracing on and the session
-// negotiated v4), and the decoders treat absence as "untraced" — so v3 and
-// older peers exchange byte-identical frames.
+// It rides as a trailing-optional group on request frames: the encoders
+// only append it when TraceID is non-zero (tracing on), and the decoders
+// treat absence as "untraced", so an untraced request carries no trace bytes.
 type TraceCtx struct {
 	TraceID uint64
 	SpanID  uint64
@@ -91,13 +77,13 @@ func (m *TraceCtx) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-// DelegCtx identifies the delegation owner behind a request (v5): the client
+// DelegCtx identifies the delegation owner behind a request: the client
 // name the MDS grants to and recalls from, and the highest recall sequence
 // number that client has processed — every request echoes it, so a recall is
 // acknowledged by the holder's next request even if its OpDelegAck is lost.
 // Like TraceCtx it rides as a trailing-optional group: encoders append it only
-// when Owner is set (the session negotiated v5), decoders read absence as
-// "anonymous" — never granted, and foreign to every holder.
+// when Owner is set (the client's hello to that shard succeeded), decoders
+// read absence as "anonymous" — never granted, and foreign to every holder.
 type DelegCtx struct {
 	Owner string
 	Ack   uint64
@@ -127,7 +113,7 @@ func (*PingReq) UnmarshalWire(*wire.Reader) error { return nil }
 type LookupReq struct {
 	Parent meta.FileID
 	Name   string
-	Deleg  DelegCtx // v5 trailing-optional delegation owner
+	Deleg  DelegCtx // trailing-optional delegation owner
 }
 
 func (m *LookupReq) MarshalWire(b *wire.Buffer) {
@@ -148,10 +134,10 @@ func (m *LookupReq) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-// AttrResp carries inode attributes and, in a v5 session, the delegation
-// traffic that rides on every attribute-bearing reply: whether the requesting
-// owner now holds this inode's delegation, and every recall the MDS has issued
-// to that owner and not yet seen acknowledged.
+// AttrResp carries inode attributes and the delegation traffic that rides on
+// every attribute-bearing reply: whether the requesting owner now holds this
+// inode's delegation, and every recall the MDS has issued to that owner and
+// not yet seen acknowledged.
 type AttrResp struct {
 	ID    meta.FileID
 	Type  meta.FileType
@@ -184,8 +170,9 @@ func (m *AttrResp) MarshalWire(b *wire.Buffer) {
 	b.PutU8(uint8(m.Type))
 	b.PutI64(m.Size)
 	b.PutTime(m.MTime)
-	// The v5 group is sent only when it says something: to a peer that never
-	// named an owner all three fields are zero, and the frame is the v4 frame.
+	// The delegation group is sent only when it says something: to a peer
+	// that never named an owner all three fields are zero and stay off the
+	// wire.
 	if m.Granted || m.RecallSeq != 0 || len(m.Recalls) > 0 {
 		b.PutBool(m.Granted)
 		b.PutU64(m.RecallSeq)
@@ -231,7 +218,7 @@ type CreateReq struct {
 	Parent meta.FileID
 	Name   string
 	Type   meta.FileType
-	Deleg  DelegCtx // v5 trailing-optional delegation owner
+	Deleg  DelegCtx // trailing-optional delegation owner
 }
 
 func (m *CreateReq) MarshalWire(b *wire.Buffer) {
@@ -257,7 +244,7 @@ func (m *CreateReq) UnmarshalWire(r *wire.Reader) error {
 // GetAttrReq fetches attributes by inode.
 type GetAttrReq struct {
 	ID    meta.FileID
-	Deleg DelegCtx // v5 trailing-optional delegation owner
+	Deleg DelegCtx // trailing-optional delegation owner
 }
 
 func (m *GetAttrReq) MarshalWire(b *wire.Buffer) {
@@ -320,7 +307,7 @@ func (m *ReadDirResp) UnmarshalWire(r *wire.Reader) error {
 type RemoveReq struct {
 	Parent meta.FileID
 	Name   string
-	Deleg  DelegCtx // v5 trailing-optional delegation owner
+	Deleg  DelegCtx // trailing-optional delegation owner
 }
 
 func (m *RemoveReq) MarshalWire(b *wire.Buffer) {
@@ -347,7 +334,7 @@ type RenameReq struct {
 	SrcName   string
 	DstParent meta.FileID
 	DstName   string
-	Deleg     DelegCtx // v5 trailing-optional delegation owner
+	Deleg     DelegCtx // trailing-optional delegation owner
 }
 
 func (m *RenameReq) MarshalWire(b *wire.Buffer) {
@@ -379,10 +366,9 @@ type LayoutGetReq struct {
 	File  meta.FileID
 	Off   int64
 	Len   int64
-	// Flags replaces the v1 `Write bool`. meta.LayoutWrite (bit 0)
-	// occupies the byte the bool used, so v1 frames decode unchanged; the
-	// remaining bits (meta.LayoutWantUncommitted) are only honoured for
-	// sessions that negotiated ProtoV2 via OpHello.
+	// Flags asks for a write allocation (meta.LayoutWrite, bit 0) and for
+	// uncommitted extents (meta.LayoutWantUncommitted), which the MDS
+	// honours only for an owner whose hello it accepted.
 	Flags meta.LayoutFlags
 }
 
@@ -437,7 +423,7 @@ type CommitReq struct {
 	// retry after a lost reply idempotent.
 	CommitID uint64
 	Extents  []meta.Extent
-	// Trace (v4) links the MDS-side commit spans to the client span that
+	// Trace links the MDS-side commit spans to the client span that
 	// issued this request; the zero value means untraced.
 	Trace TraceCtx
 }
@@ -535,13 +521,7 @@ func (m *DelegReturnReq) UnmarshalWire(r *wire.Reader) error {
 // connect and after every reconnect; comparing the returned incarnation with
 // the last one seen tells the client whether the MDS restarted (and thus
 // recovered, revoking its delegations and uncommitted allocations).
-//
-// ProtoVersion is the highest protocol version the client speaks, carried as
-// a trailing-optional field: a v1 client simply does not send it, and the
-// decoder treats its absence as ProtoV1. The marshaller mirrors that — it
-// only appends the field for v2 and later — so a v2 client that downgrades
-// produces frames a v1 server decodes cleanly (the wire layer rejects
-// trailing bytes it does not expect).
+// ProtoVersion is the highest protocol version the client speaks.
 type HelloReq struct {
 	Owner        string
 	ProtoVersion uint32
@@ -549,33 +529,19 @@ type HelloReq struct {
 
 func (m *HelloReq) MarshalWire(b *wire.Buffer) {
 	b.PutString(m.Owner)
-	if m.ProtoVersion >= ProtoV2 {
-		b.PutU32(m.ProtoVersion)
-	}
+	b.PutU32(m.ProtoVersion)
 }
 
 func (m *HelloReq) UnmarshalWire(r *wire.Reader) error {
 	m.Owner = r.String()
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.ProtoVersion = r.U32()
-	} else {
-		m.ProtoVersion = ProtoV1
-	}
+	m.ProtoVersion = r.U32()
 	return r.Err()
 }
 
-// HelloResp carries the MDS incarnation number, bumped on every restart, and
-// the negotiated protocol version: min(client's offer, ProtoLatest). The
-// version is trailing-optional with the same rule as HelloReq, so a v1
-// client — which never offered a version and expects the v1 frame — gets
-// exactly the v1 frame back.
-//
-// ShardIndex/ShardCount (v3) report which shard of a sharded namespace this
-// server carries; a client dials every shard and routes each inode by
-// meta.ShardOf. They extend the *same* trailing-optional group as
-// ProtoVersion — nested, not a second group, so the frame stays a strict
-// prefix chain — and a v2 peer that omits them decodes as the single-shard
-// topology {0, 1}.
+// HelloResp carries the MDS incarnation number, bumped on every restart, the
+// negotiated protocol version, and which shard of the namespace this server
+// carries (ShardIndex of ShardCount); a client dials every shard and routes
+// each inode by meta.ShardOf.
 type HelloResp struct {
 	Incarnation  uint64
 	ProtoVersion uint32
@@ -585,27 +551,16 @@ type HelloResp struct {
 
 func (m *HelloResp) MarshalWire(b *wire.Buffer) {
 	b.PutU64(m.Incarnation)
-	if m.ProtoVersion >= ProtoV2 {
-		b.PutU32(m.ProtoVersion)
-		if m.ProtoVersion >= ProtoV3 {
-			b.PutU32(m.ShardIndex)
-			b.PutU32(m.ShardCount)
-		}
-	}
+	b.PutU32(m.ProtoVersion)
+	b.PutU32(m.ShardIndex)
+	b.PutU32(m.ShardCount)
 }
 
 func (m *HelloResp) UnmarshalWire(r *wire.Reader) error {
 	m.Incarnation = r.U64()
-	m.ProtoVersion = ProtoV1
-	m.ShardIndex = 0
-	m.ShardCount = 1
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.ProtoVersion = r.U32()
-		if m.ProtoVersion >= ProtoV3 && r.Err() == nil && r.Remaining() > 0 {
-			m.ShardIndex = r.U32()
-			m.ShardCount = r.U32()
-		}
-	}
+	m.ProtoVersion = r.U32()
+	m.ShardIndex = r.U32()
+	m.ShardCount = r.U32()
 	return r.Err()
 }
 
@@ -635,7 +590,7 @@ func (m *StatResp) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-// CreateDetachedReq (v3) mints an inode on its home shard without a local
+// CreateDetachedReq mints an inode on its home shard without a local
 // dirent — step one of a cross-shard create. The home shard publishes an
 // NSCreate intent; the inode graduates when the client links it on the
 // parent's shard and sends OpNSCommit here. Replies with AttrResp.
@@ -643,7 +598,7 @@ type CreateDetachedReq struct {
 	Parent meta.FileID
 	Name   string
 	Type   meta.FileType
-	Trace  TraceCtx // v4 trailing-optional trace context
+	Trace  TraceCtx // trailing-optional trace context
 }
 
 func (m *CreateDetachedReq) MarshalWire(b *wire.Buffer) {
@@ -666,7 +621,7 @@ func (m *CreateDetachedReq) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-// NSPrepareReq (v3) publishes a namespace intent on an inode's home shard:
+// NSPrepareReq publishes a namespace intent on an inode's home shard:
 // the prepare phase of cross-shard remove and rename. Kind selects the
 // protocol; DstParent/DstName only carry meaning for rename-dst intents.
 // Re-sending an identical prepare is idempotent.
@@ -678,8 +633,8 @@ type NSPrepareReq struct {
 	Name      string
 	DstParent meta.FileID
 	DstName   string
-	Trace     TraceCtx // v4 trailing-optional trace context
-	// Deleg (v5) nests inside the trace group, so the frame stays a strict
+	Trace     TraceCtx // trailing-optional trace context
+	// Deleg nests inside the trace group, so the frame stays a strict
 	// prefix chain: a delegation owner without a trace sends a zero TraceCtx,
 	// which reads as "untraced".
 	Deleg DelegCtx
@@ -719,13 +674,13 @@ func (m *NSPrepareReq) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-// NSCommitReq (v3) graduates the live intent of the given kind on File's
+// NSCommitReq graduates the live intent of the given kind on File's
 // home shard. A commit for an intent that no longer exists is a no-op, so
 // the client may retry freely after a lost reply.
 type NSCommitReq struct {
 	File  meta.FileID
 	Kind  meta.NSIntentKind
-	Trace TraceCtx // v4 trailing-optional trace context
+	Trace TraceCtx // trailing-optional trace context
 }
 
 func (m *NSCommitReq) MarshalWire(b *wire.Buffer) {
@@ -746,12 +701,12 @@ func (m *NSCommitReq) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-// NSAbortReq (v3) rolls back the live intent of the given kind on File's
+// NSAbortReq rolls back the live intent of the given kind on File's
 // home shard. Like NSCommitReq, absent intents make it a no-op.
 type NSAbortReq struct {
 	File  meta.FileID
 	Kind  meta.NSIntentKind
-	Trace TraceCtx // v4 trailing-optional trace context
+	Trace TraceCtx // trailing-optional trace context
 }
 
 func (m *NSAbortReq) MarshalWire(b *wire.Buffer) {
@@ -772,7 +727,7 @@ func (m *NSAbortReq) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-// LinkRemoteReq (v3) inserts the dirent for a remote-homed child on the
+// LinkRemoteReq inserts the dirent for a remote-homed child on the
 // parent's shard — the commit point of a cross-shard create or rename.
 // Linking the same (name, child) again is idempotent.
 type LinkRemoteReq struct {
@@ -780,7 +735,7 @@ type LinkRemoteReq struct {
 	Name   string
 	Child  meta.FileID
 	Type   meta.FileType
-	Trace  TraceCtx // v4 trailing-optional trace context
+	Trace  TraceCtx // trailing-optional trace context
 }
 
 func (m *LinkRemoteReq) MarshalWire(b *wire.Buffer) {
@@ -805,7 +760,7 @@ func (m *LinkRemoteReq) UnmarshalWire(r *wire.Reader) error {
 	return r.Err()
 }
 
-// UnlinkRemoteReq (v3) deletes the dirent for a remote-homed child on the
+// UnlinkRemoteReq deletes the dirent for a remote-homed child on the
 // parent's shard — the commit point of a cross-shard remove. Unlinking an
 // entry that is already gone (or re-pointed at a different inode) is
 // idempotent.
@@ -813,7 +768,7 @@ type UnlinkRemoteReq struct {
 	Parent meta.FileID
 	Name   string
 	Child  meta.FileID
-	Trace  TraceCtx // v4 trailing-optional trace context
+	Trace  TraceCtx // trailing-optional trace context
 }
 
 func (m *UnlinkRemoteReq) MarshalWire(b *wire.Buffer) {

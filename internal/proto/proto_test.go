@@ -117,59 +117,38 @@ func TestLayoutGetReqV1WireCompat(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	in := &HelloReq{Owner: "c3", ProtoVersion: ProtoV2}
+	in := &HelloReq{Owner: "c3", ProtoVersion: ProtoV5}
 	var out HelloReq
 	roundTrip(t, in, &out)
 	if out != *in {
 		t.Fatalf("got %+v", out)
 	}
-	// A v2 reply carries no shard fields; decoding fills in the
-	// single-shard default {0, 1}.
-	rin := &HelloResp{Incarnation: 7, ProtoVersion: ProtoV2, ShardCount: 1}
+	rin := &HelloResp{Incarnation: 9, ProtoVersion: ProtoV5, ShardIndex: 2, ShardCount: 4}
 	var rout HelloResp
 	roundTrip(t, rin, &rout)
 	if rout != *rin {
 		t.Fatalf("got %+v", rout)
 	}
-	// A v3 reply round-trips its shard coordinates.
-	sin := &HelloResp{Incarnation: 9, ProtoVersion: ProtoV3, ShardIndex: 2, ShardCount: 4}
-	var sout HelloResp
-	roundTrip(t, sin, &sout)
-	if sout != *sin {
-		t.Fatalf("got %+v", sout)
-	}
 }
 
-// TestHelloVersionDowngrade pins the trailing-optional encoding both ways:
-// a v1 frame (no version field) decodes as ProtoV1, and a struct whose
-// version is v1 (or unset) marshals to exactly the v1 frame — so a v1 peer
-// on either side of the handshake never sees bytes it cannot decode.
-func TestHelloVersionDowngrade(t *testing.T) {
-	var b wire.Buffer
-	b.PutString("old")
-	var req HelloReq
-	if err := wire.Decode(b.Bytes(), &req); err != nil {
-		t.Fatalf("decode v1 hello: %v", err)
-	}
-	if req.ProtoVersion != ProtoV1 {
-		t.Fatalf("version-less hello decoded as v%d, want v%d", req.ProtoVersion, ProtoV1)
-	}
-	for _, ver := range []uint32{0, ProtoV1} {
-		if got := wire.Encode(&HelloReq{Owner: "old", ProtoVersion: ver}); string(got) != string(b.Bytes()) {
-			t.Fatalf("v%d hello not encoded as the v1 frame: % x", ver, got)
+// TestShortHelloIsAnError: the version and the shard coordinates are not
+// optional. A hello or a hello reply cut anywhere before its end fails to
+// decode instead of reading as some older protocol.
+func TestShortHelloIsAnError(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		in   wire.Marshaler
+		out  wire.Unmarshaler
+	}{
+		{"request", &HelloReq{Owner: "c3", ProtoVersion: ProtoV5}, &HelloReq{}},
+		{"reply", &HelloResp{Incarnation: 9, ProtoVersion: ProtoV5, ShardIndex: 2, ShardCount: 4}, &HelloResp{}},
+	} {
+		frame := wire.Encode(c.in)
+		for cut := 0; cut < len(frame); cut++ {
+			if err := wire.Decode(frame[:cut], c.out); err == nil {
+				t.Fatalf("%s cut to %d of %d bytes decoded without error", c.name, cut, len(frame))
+			}
 		}
-	}
-	var rb wire.Buffer
-	rb.PutU64(9)
-	var resp HelloResp
-	if err := wire.Decode(rb.Bytes(), &resp); err != nil {
-		t.Fatalf("decode v1 hello resp: %v", err)
-	}
-	if resp.Incarnation != 9 || resp.ProtoVersion != ProtoV1 {
-		t.Fatalf("got %+v", resp)
-	}
-	if got := wire.Encode(&HelloResp{Incarnation: 9, ProtoVersion: ProtoV1}); string(got) != string(rb.Bytes()) {
-		t.Fatalf("v1 hello resp encoding: % x", got)
 	}
 }
 

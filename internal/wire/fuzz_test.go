@@ -35,12 +35,12 @@ func FuzzFrameDecode(f *testing.F) {
 	good.PutBytes([]byte("payload"))
 	f.Add(good.Bytes())
 
-	// A v2 Hello frame: the payload is proto.HelloReq's v2 encoding —
-	// owner string plus the trailing-optional ProtoVersion field (built by
-	// hand; proto imports wire, so wire's tests cannot import proto).
+	// A Hello frame: the payload is proto.HelloReq's encoding — owner
+	// string plus the protocol version (built by hand; proto imports wire,
+	// so wire's tests cannot import proto).
 	var helloBody Buffer
 	helloBody.PutString("owner-1")
-	helloBody.PutU32(2) // ProtoV2
+	helloBody.PutU32(5) // protocol version
 	var hello Buffer
 	hello.PutU64(43)
 	hello.PutU8(1)
@@ -49,25 +49,24 @@ func FuzzFrameDecode(f *testing.F) {
 	hello.PutBytes(helloBody.Bytes())
 	f.Add(hello.Bytes())
 
-	// The same Hello truncated exactly at the optional boundary: the
-	// payload stops where ProtoVersion would begin — the v1 frame shape a
-	// v2 decoder must read as "field absent", not as an error.
-	var helloV1Body Buffer
-	helloV1Body.PutString("owner-1")
-	var helloV1 Buffer
-	helloV1.PutU64(44)
-	helloV1.PutU8(1)
-	helloV1.PutU16(0)
-	helloV1.PutU8(0)
-	helloV1.PutBytes(helloV1Body.Bytes())
-	f.Add(helloV1.Bytes())
+	// The same Hello cut where the version would begin: a well-formed
+	// frame whose payload proto refuses as short.
+	var helloShortBody Buffer
+	helloShortBody.PutString("owner-1")
+	var helloShort Buffer
+	helloShort.PutU64(44)
+	helloShort.PutU8(1)
+	helloShort.PutU16(0)
+	helloShort.PutU8(0)
+	helloShort.PutBytes(helloShortBody.Bytes())
+	f.Add(helloShort.Bytes())
 
-	// A v3 Hello reply frame: the payload carries the shard map —
-	// incarnation, protocol version, then the nested-optional ShardIndex
-	// and ShardCount a sharded MDS advertises.
+	// A Hello reply frame: the payload carries the shard map —
+	// incarnation, protocol version, then the ShardIndex and ShardCount a
+	// sharded MDS advertises.
 	var shardBody Buffer
 	shardBody.PutU64(9) // incarnation
-	shardBody.PutU32(3) // ProtoV3
+	shardBody.PutU32(5) // protocol version
 	shardBody.PutU32(2) // ShardIndex
 	shardBody.PutU32(4) // ShardCount
 	var shardMap Buffer
@@ -78,19 +77,18 @@ func FuzzFrameDecode(f *testing.F) {
 	shardMap.PutBytes(shardBody.Bytes())
 	f.Add(shardMap.Bytes())
 
-	// The same reply truncated exactly at the nested optional boundary:
-	// the payload stops where ShardIndex would begin — the v2 frame shape
-	// a v3 decoder must read as "single shard", not as an error.
-	var shardV2Body Buffer
-	shardV2Body.PutU64(9)
-	shardV2Body.PutU32(2) // ProtoV2, no shard fields
-	var shardV2 Buffer
-	shardV2.PutU64(46)
-	shardV2.PutU8(1)
-	shardV2.PutU16(0)
-	shardV2.PutU8(0)
-	shardV2.PutBytes(shardV2Body.Bytes())
-	f.Add(shardV2.Bytes())
+	// The same reply cut where ShardIndex would begin: a well-formed frame
+	// whose payload proto refuses as short.
+	var shardShortBody Buffer
+	shardShortBody.PutU64(9)
+	shardShortBody.PutU32(5) // protocol version, no shard fields
+	var shardShort Buffer
+	shardShort.PutU64(46)
+	shardShort.PutU8(1)
+	shardShort.PutU16(0)
+	shardShort.PutU8(0)
+	shardShort.PutBytes(shardShortBody.Bytes())
+	f.Add(shardShort.Bytes())
 
 	// A v4 traced commit frame: the payload is proto.CommitReq's v4 encoding
 	// — owner, file, size, mtime, commit ID, one extent, then the

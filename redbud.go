@@ -50,7 +50,7 @@ var (
 	ErrClosed   = fsapi.ErrClosed
 )
 
-// Layout protocol (v2) types, re-exported so tooling outside the module's
+// Layout protocol types, re-exported so tooling outside the module's
 // internal packages has one public entry point to the extent map.
 type (
 	// LayoutFlags selects what a layout lookup returns (and whether it
@@ -66,7 +66,7 @@ type (
 	Layout = meta.Layout
 )
 
-// Layout lookup flags and extent states of the v2 protocol.
+// Layout lookup flags and extent states.
 const (
 	// LayoutWrite allocates backing space for the range (a write layout).
 	LayoutWrite = meta.LayoutWrite
@@ -114,7 +114,7 @@ type Config struct {
 	// for functional use where latency realism is not wanted.
 	FastDevices bool
 	// EarlyVisibility lets clients read other writers' durable-but-
-	// uncommitted extents through the layout-v2 intent path instead of
+	// uncommitted extents through the layout intent path instead of
 	// stalling conflict reads until the writer's delayed commit lands.
 	// Intents are published when the MDS allocates, so the knob shows its
 	// effect with SpaceDelegation off (a delegated writer allocates
@@ -194,7 +194,7 @@ func (c *Cluster) Client(i int) *client.Client { return c.inner.Redbud[i] }
 func (c *Cluster) Drain() { c.inner.Drain() }
 
 // FileLayout resolves path on the metadata server and returns the extent
-// layout of [off, off+n). Flags follow the v2 layout protocol: 0 is the
+// layout of [off, off+n). Flags follow the layout protocol: 0 is the
 // committed-only view; LayoutWantUncommitted additionally returns published
 // write intents with State == StateUncommitted and sets the layout's
 // VisibleEnd. It never allocates — LayoutWrite is rejected.
