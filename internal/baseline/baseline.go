@@ -56,7 +56,9 @@ const (
 
 const rootID = 1
 
-var errStale = errors.New("baseline: stale handle")
+// errStale refuses a handle that names no live inode of the kind the
+// procedure wants.
+var errStale = fmt.Errorf("%w: stale handle", fsapi.ErrNotExist)
 
 // ---------------------------------------------------------------------------
 // Wire messages
@@ -304,7 +306,7 @@ func (ns *namespace) handle(op uint16, body []byte) ([]byte, error) {
 		}
 		id, ok := ns.dirents[req.Parent][req.Name]
 		if !ok {
-			return nil, fmt.Errorf("baseline: %q not found", req.Name)
+			return nil, fmt.Errorf("%w: %q", fsapi.ErrNotExist, req.Name)
 		}
 		return ns.attr(id), nil
 
@@ -318,7 +320,7 @@ func (ns *namespace) handle(op uint16, body []byte) ([]byte, error) {
 			return nil, errStale
 		}
 		if _, dup := dir[req.Name]; dup {
-			return nil, fmt.Errorf("baseline: %q already exists", req.Name)
+			return nil, fmt.Errorf("%w: %q", fsapi.ErrExist, req.Name)
 		}
 		id := ns.nextID
 		ns.nextID++
@@ -340,10 +342,10 @@ func (ns *namespace) handle(op uint16, body []byte) ([]byte, error) {
 		}
 		id, ok := dir[req.Name]
 		if !ok {
-			return nil, fmt.Errorf("baseline: %q not found", req.Name)
+			return nil, fmt.Errorf("%w: %q", fsapi.ErrNotExist, req.Name)
 		}
 		if len(ns.dirents[id]) > 0 {
-			return nil, fmt.Errorf("baseline: %q not empty", req.Name)
+			return nil, fmt.Errorf("%w: %q", fsapi.ErrNotEmpty, req.Name)
 		}
 		delete(dir, req.Name)
 		delete(ns.inodes, id)
@@ -368,6 +370,9 @@ func (ns *namespace) handle(op uint16, body []byte) ([]byte, error) {
 		}
 		dir, ok := ns.dirents[req.ID]
 		if !ok {
+			if _, live := ns.inodes[req.ID]; live {
+				return nil, fmt.Errorf("%w: handle %d is not a directory", fsapi.ErrInvalid, req.ID)
+			}
 			return nil, errStale
 		}
 		var resp readDirResp
@@ -388,19 +393,19 @@ func (ns *namespace) handle(op uint16, body []byte) ([]byte, error) {
 		}
 		id, ok := src[req.SrcName]
 		if !ok {
-			return nil, fmt.Errorf("baseline: %q not found", req.SrcName)
+			return nil, fmt.Errorf("%w: %q", fsapi.ErrNotExist, req.SrcName)
 		}
 		dst, ok := ns.dirents[req.DstParent]
 		if !ok {
 			return nil, errStale
 		}
 		if _, dup := dst[req.DstName]; dup {
-			return nil, fmt.Errorf("baseline: %q already exists", req.DstName)
+			return nil, fmt.Errorf("%w: %q", fsapi.ErrExist, req.DstName)
 		}
 		// A directory must not become its own ancestor.
 		for cur := req.DstParent; cur != rootID; cur = ns.inodes[cur].parent {
 			if cur == id {
-				return nil, fmt.Errorf("baseline: cannot move %q into its own subtree", req.SrcName)
+				return nil, fmt.Errorf("%w: cannot move %q into its own subtree", fsapi.ErrInvalid, req.SrcName)
 			}
 		}
 		delete(src, req.SrcName)
@@ -431,20 +436,6 @@ func newPathClient(metaConn netsim.Conn, clk clock.Clock, renameOp uint16) *path
 	return &pathClient{meta: meta, conns: []*rpc.Client{meta}, renameOp: renameOp}
 }
 
-// mapErr recovers the fsapi sentinel a server refusal names.
-func mapErr(err error) error {
-	var re *rpc.RemoteError
-	if errors.As(err, &re) {
-		switch {
-		case strings.Contains(re.Message, "not found"):
-			return fmt.Errorf("%w: %s", fsapi.ErrNotExist, re.Message)
-		case strings.Contains(re.Message, "already exists"):
-			return fmt.Errorf("%w: %s", fsapi.ErrExist, re.Message)
-		}
-	}
-	return err
-}
-
 // resolve walks a path from the root, one LOOKUP per component (NFS has no
 // server-side path walk).
 func (c *pathClient) resolve(path string) (attrResp, error) {
@@ -452,7 +443,7 @@ func (c *pathClient) resolve(path string) (attrResp, error) {
 	for _, name := range fsapi.SplitPath(path) {
 		var next attrResp
 		if err := c.meta.Call(opLookup, &nameReq{Parent: cur.ID, Name: name}, &next); err != nil {
-			return attrResp{}, mapErr(err)
+			return attrResp{}, err
 		}
 		cur = next
 	}
@@ -463,7 +454,7 @@ func (c *pathClient) resolve(path string) (attrResp, error) {
 func (c *pathClient) resolveParent(path string) (uint64, string, error) {
 	parts := fsapi.SplitPath(path)
 	if len(parts) == 0 {
-		return 0, "", fmt.Errorf("baseline: invalid path %q", path)
+		return 0, "", fmt.Errorf("%w: %q has no parent", fsapi.ErrInvalid, path)
 	}
 	dir, err := c.resolve(strings.Join(parts[:len(parts)-1], "/"))
 	if err != nil {
@@ -480,7 +471,7 @@ func (c *pathClient) Create(path string) (fsapi.File, error) {
 	}
 	var a attrResp
 	if err := c.meta.Call(opCreate, &nameReq{Parent: parent, Name: leaf}, &a); err != nil {
-		return nil, mapErr(err)
+		return nil, err
 	}
 	return c.newFile(a), nil
 }
@@ -504,7 +495,7 @@ func (c *pathClient) Mkdir(path string) error {
 		return err
 	}
 	var a attrResp
-	return mapErr(c.meta.Call(opMkdir, &nameReq{Parent: parent, Name: leaf}, &a))
+	return c.meta.Call(opMkdir, &nameReq{Parent: parent, Name: leaf}, &a)
 }
 
 // Remove unlinks a path.
@@ -513,7 +504,7 @@ func (c *pathClient) Remove(path string) error {
 	if err != nil {
 		return err
 	}
-	return mapErr(c.meta.Call(opRemove, &nameReq{Parent: parent, Name: leaf}, nil))
+	return c.meta.Call(opRemove, &nameReq{Parent: parent, Name: leaf}, nil)
 }
 
 // Rename moves a directory entry.
@@ -526,10 +517,10 @@ func (c *pathClient) Rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	return mapErr(c.meta.Call(c.renameOp, &renameReq{
+	return c.meta.Call(c.renameOp, &renameReq{
 		SrcParent: srcParent, SrcName: srcLeaf,
 		DstParent: dstParent, DstName: dstLeaf,
-	}, nil))
+	}, nil)
 }
 
 // Stat describes a path.
@@ -554,7 +545,7 @@ func (c *pathClient) ReadDir(path string) ([]fsapi.Info, error) {
 	}
 	var resp readDirResp
 	if err := c.meta.Call(opReadDir, &handleReq{ID: a.ID}, &resp); err != nil {
-		return nil, mapErr(err)
+		return nil, err
 	}
 	out := make([]fsapi.Info, 0, len(resp.Names))
 	for i := range resp.Names {

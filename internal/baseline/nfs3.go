@@ -193,7 +193,7 @@ func (f *nfsFile) WriteAt(p []byte, off int64) (int, error) {
 		return 0, nil
 	}
 	if err := f.rpc.Call(nfsWrite, &writeReq{ID: f.id, Off: off, Data: p}, nil); err != nil {
-		return 0, mapErr(err)
+		return 0, err
 	}
 	f.grow(off + int64(len(p)))
 	return len(p), nil
@@ -202,7 +202,7 @@ func (f *nfsFile) WriteAt(p []byte, off int64) (int, error) {
 func (f *nfsFile) ReadAt(p []byte, off int64) (int, error) {
 	var resp dataResp
 	if err := f.rpc.Call(nfsRead, &readReq{ID: f.id, Off: off, N: int64(len(p))}, &resp); err != nil {
-		return 0, mapErr(err)
+		return 0, err
 	}
 	copy(p, resp.Data)
 	return len(resp.Data), nil
@@ -211,7 +211,7 @@ func (f *nfsFile) ReadAt(p []byte, off int64) (int, error) {
 func (f *nfsFile) Append(p []byte) (int64, error) { return f.appendWith(p, f.WriteAt) }
 
 func (f *nfsFile) Sync() error {
-	return mapErr(f.rpc.Call(nfsCommit, &handleReq{ID: f.id}, nil))
+	return f.rpc.Call(nfsCommit, &handleReq{ID: f.id}, nil)
 }
 
 // Close sends COMMIT: NFSv3 close-to-open consistency flushes on close.

@@ -214,7 +214,7 @@ func (c *PVFS2Client) stripes(p []byte, off int64, call func(ds *rpc.Client, sg 
 	}
 	for range segs {
 		if err := <-errs; err != nil {
-			return mapErr(err)
+			return err
 		}
 	}
 	return nil
@@ -241,7 +241,7 @@ func (f *pvfsFile) WriteAt(p []byte, off int64) (int, error) {
 	}
 	end := off + int64(len(p))
 	if err := f.c.meta.Call(pvfsSetSize, &setSizeReq{ID: f.id, Size: end}, nil); err != nil {
-		return 0, mapErr(err)
+		return 0, err
 	}
 	f.grow(end)
 	return len(p), nil

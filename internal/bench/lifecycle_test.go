@@ -13,6 +13,7 @@ import (
 	"redbud/internal/fsapi"
 	"redbud/internal/meta"
 	"redbud/internal/netsim"
+	"redbud/internal/obs"
 )
 
 // lifecycleOptions is a three-client delayed-commit cluster where nothing
@@ -212,7 +213,10 @@ func TestShardLifecycle(t *testing.T) {
 						commits = m.Hist.Count
 					}
 				}
-				if want := c.MDSs[i].CommitLatency().Count(); commits == 0 || commits != want {
+				live := obs.NewRegistry()
+				c.MDSs[i].RegisterMetrics(live)
+				served, _ := live.Snapshot().Get("redbud_mds_commit_latency_seconds")
+				if want := served.Hist.Count; commits == 0 || commits != want {
 					t.Errorf("source %s shows %d commits, the live MDS has served %d", sh.Shard, commits, want)
 				}
 			}

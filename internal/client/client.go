@@ -360,31 +360,6 @@ func (c *Client) dev(id uint32) (BlockDevice, error) {
 // ---------------------------------------------------------------------------
 // Namespace operations
 
-// mapRemote converts MDS error strings to fsapi sentinel errors.
-func mapRemote(err error) error {
-	var re *rpc.RemoteError
-	if errors.As(err, &re) {
-		switch {
-		case contains(re.Message, "not found"):
-			return fmt.Errorf("%w: %s", fsapi.ErrNotExist, re.Message)
-		case contains(re.Message, "already exists"):
-			return fmt.Errorf("%w: %s", fsapi.ErrExist, re.Message)
-		case contains(re.Message, "is a directory"):
-			return fmt.Errorf("%w: %s", fsapi.ErrIsDir, re.Message)
-		}
-	}
-	return err
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 // Create makes a new regular file and opens it.
 func (c *Client) Create(path string) (fsapi.File, error) {
 	start := c.clk.Now()
@@ -470,10 +445,8 @@ func (c *Client) createEntry(dir meta.FileID, leaf string, typ meta.FileType) (p
 		// fail with ErrExists against the first execution's entry.
 		req := proto.CreateReq{Parent: dir, Name: leaf, Type: typ}
 		var resp proto.AttrResp
-		if err := c.attrCall(c.links[target], proto.OpCreate, &req, &req.Deleg, &resp, false); err != nil {
-			return resp, mapRemote(err)
-		}
-		return resp, nil
+		err := c.attrCall(c.links[target], proto.OpCreate, &req, &req.Deleg, &resp, false)
+		return resp, err
 	}
 	return c.createCrossShard(dir, leaf, typ, target)
 }
@@ -526,7 +499,7 @@ func (c *Client) Remove(path string) error {
 		}
 		l := c.shardFor(dir.id)
 		mds, _ := l.conn()
-		return mapRemote(mds.Call(proto.OpRemove, &proto.RemoveReq{Parent: dir.id, Name: leaf, Deleg: c.delegCtx(l)}, nil))
+		return mds.Call(proto.OpRemove, &proto.RemoveReq{Parent: dir.id, Name: leaf, Deleg: c.delegCtx(l)}, nil)
 	})
 	if err != nil {
 		return err
@@ -563,7 +536,7 @@ func (c *Client) Rename(oldPath, newPath string) error {
 			l := c.shardFor(src.id)
 			req := proto.RenameReq{SrcParent: src.id, SrcName: srcLeaf, DstParent: dst.id, DstName: dstLeaf, Deleg: c.delegCtx(l)}
 			mds, _ := l.conn()
-			return mapRemote(mds.Call(proto.OpRename, &req, nil))
+			return mds.Call(proto.OpRename, &req, nil)
 		})
 	})
 }
@@ -615,7 +588,7 @@ func (c *Client) ReadDir(path string) ([]fsapi.Info, error) {
 			}
 			de.id = a.ID
 		}
-		err := mapRemote(c.callIdem(c.shardFor(de.id), proto.OpReadDir, &proto.ReadDirReq{ID: de.id}, &resp))
+		err := c.callIdem(c.shardFor(de.id), proto.OpReadDir, &proto.ReadDirReq{ID: de.id}, &resp)
 		if err == nil {
 			break
 		}
@@ -889,7 +862,7 @@ func (c *Client) finishCommit(fs *fileState, req *proto.CommitReq, err error) {
 		c.dropDeleg(fs)
 	}
 	fs.mu.Lock()
-	if errors.Is(mapRemote(err), fsapi.ErrNotExist) {
+	if errors.Is(err, fsapi.ErrNotExist) {
 		fs.dirtyMeta = false
 	} else if errors.Is(err, errSessionLost) {
 		// Nothing of this request exists any more, on either side.
@@ -954,7 +927,7 @@ func (c *Client) commitFile(fs *fileState) error {
 	err = c.sendCommit(bc, &resp)
 	c.observeCommitRPC(start, bc.req.CommitID)
 	c.finishCommit(fs, bc.req, err)
-	if err != nil && errors.Is(mapRemote(err), fsapi.ErrNotExist) {
+	if errors.Is(err, fsapi.ErrNotExist) {
 		return nil // file removed while the commit was in flight
 	}
 	return err
@@ -1126,10 +1099,6 @@ func (c *Client) badFrames() int64 {
 	}
 	return total
 }
-
-// CommitLatency exposes the client-observed commit latency histogram
-// (seconds, RPC send → reply).
-func (c *Client) CommitLatency() *stats.Histogram { return c.commitLat }
 
 // RegisterMetrics exposes the client counters in a metrics registry,
 // labeled with the client name.

@@ -484,6 +484,31 @@ func TestOpenErrors(t *testing.T) {
 	c.Close()
 }
 
+// TestRefusalsKeepTheirKind: an MDS refusal reaches the caller as the fsapi
+// sentinel of its kind, whatever the names in its message say.
+func TestRefusalsKeepTheirKind(t *testing.T) {
+	tc := newCluster(t)
+	c := tc.client(SyncCommit, 0)
+	defer c.Close()
+	writeFile(t, c, "/not found", []byte("x"))
+	if _, err := c.Create("/not found"); !errors.Is(err, fsapi.ErrExist) || errors.Is(err, fsapi.ErrNotExist) {
+		t.Fatalf("second create of /not found = %v, want fsapi.ErrExist only", err)
+	}
+	if err := c.Mkdir("/already exists"); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, c, "/already exists/f", []byte("x"))
+	if err := c.Remove("/already exists"); !errors.Is(err, fsapi.ErrNotEmpty) {
+		t.Fatalf("remove of a non-empty directory = %v, want fsapi.ErrNotEmpty", err)
+	}
+	if _, err := c.ReadDir("/not found"); !errors.Is(err, fsapi.ErrInvalid) {
+		t.Fatalf("readdir of a file = %v, want fsapi.ErrInvalid", err)
+	}
+	if err := c.Rename("/already exists", "/already exists/sub"); !errors.Is(err, fsapi.ErrInvalid) {
+		t.Fatalf("rename into its own subtree = %v, want fsapi.ErrInvalid", err)
+	}
+}
+
 func TestDoubleCloseFileAndClient(t *testing.T) {
 	tc := newCluster(t)
 	c := tc.client(SyncCommit, 0)

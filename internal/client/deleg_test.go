@@ -298,6 +298,9 @@ func TestDentryCacheAcrossClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeFile(t, b, "/d/y", pattern(12288, 6))
+	if ents, err := a.ReadDir("/d"); err != nil || len(ents) != 1 || ents[0].Name != "y" {
+		t.Fatalf("ReadDir of a replaced directory = %+v, %v, want the new directory's y", ents, err)
+	}
 	if got := openSize(t, a, "/d/y"); got != 12288 {
 		t.Fatalf("Open below a replaced directory: size %d, want 12288", got)
 	}

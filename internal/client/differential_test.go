@@ -9,10 +9,16 @@ import (
 	"redbud/internal/fsapi"
 )
 
+// sameOutcome reports whether two operations ended alike: both succeeded, or
+// both failed with an error of the same fsapi kind.
+func sameOutcome(err1, err2 error) bool {
+	return (err1 == nil) == (err2 == nil) && fsapi.Code(err1) == fsapi.Code(err2)
+}
+
 // TestDifferentialVsMemFS drives Redbud (delayed commit + delegation, the
 // most asynchronous configuration) and the in-memory reference file system
 // with the same random operation stream and requires byte-identical
-// behaviour. This is the strongest functional statement in the suite: no
+// behaviour and errors of the same fsapi kind. This is the strongest functional statement in the suite: no
 // amount of background commit reordering may change what the application
 // observes.
 func TestDifferentialVsMemFS(t *testing.T) {
@@ -43,7 +49,7 @@ func TestDifferentialVsMemFS(t *testing.T) {
 					rf, err1 = real.Open(path)
 					of, err2 = oracle.Open(path)
 				}
-				if (err1 == nil) != (err2 == nil) {
+				if !sameOutcome(err1, err2) {
 					t.Fatalf("open(%q, create=%v): real err %v, oracle err %v", path, create, err1, err2)
 				}
 				if err1 != nil {
@@ -54,9 +60,13 @@ func TestDifferentialVsMemFS(t *testing.T) {
 
 			for step := 0; step < 400; step++ {
 				switch op := rng.Intn(10); {
-				case op < 3: // create
+				case op < 3: // create, now and then over a closed file's name
 					path := fmt.Sprintf("/df-%d", nextID)
-					nextID++
+					if len(closedPaths) > 0 && rng.Intn(4) == 0 {
+						path = closedPaths[rng.Intn(len(closedPaths))]
+					} else {
+						nextID++
+					}
 					if st := openPair(path, true); st != nil {
 						open = append(open, st)
 					}
@@ -70,7 +80,7 @@ func TestDifferentialVsMemFS(t *testing.T) {
 					off := int64(rng.Intn(50000))
 					_, err1 := st.real.WriteAt(data, off)
 					_, err2 := st.orc.WriteAt(data, off)
-					if (err1 == nil) != (err2 == nil) {
+					if !sameOutcome(err1, err2) {
 						t.Fatalf("write: real %v oracle %v", err1, err2)
 					}
 
@@ -126,7 +136,7 @@ func TestDifferentialVsMemFS(t *testing.T) {
 						newPath := fmt.Sprintf("/renamed-%d", step)
 						err1 := real.Rename(path, newPath)
 						err2 := oracle.Rename(path, newPath)
-						if (err1 == nil) != (err2 == nil) {
+						if !sameOutcome(err1, err2) {
 							t.Fatalf("rename(%q): real %v oracle %v", path, err1, err2)
 						}
 						if err1 == nil {
@@ -152,7 +162,7 @@ func TestDifferentialVsMemFS(t *testing.T) {
 			for _, path := range finalPaths {
 				i1, err1 := real.Stat(path)
 				i2, err2 := oracle.Stat(path)
-				if (err1 == nil) != (err2 == nil) {
+				if !sameOutcome(err1, err2) {
 					t.Fatalf("stat(%q): %v vs %v", path, err1, err2)
 				}
 				if err1 != nil {
@@ -220,7 +230,7 @@ func TestTwoMountDifferentialVsMemFS(t *testing.T) {
 				both := func(what string, m *Client, op func(fs fsapi.FileSystem) error) bool {
 					t.Helper()
 					err1, err2 := op(m), op(oracle)
-					if (err1 == nil) != (err2 == nil) {
+					if !sameOutcome(err1, err2) {
 						t.Fatalf("%s through %s: real %v, reference %v", what, m.cfg.Name, err1, err2)
 					}
 					return err1 == nil
@@ -246,11 +256,11 @@ func TestTwoMountDifferentialVsMemFS(t *testing.T) {
 					want, werr := oracle.Stat(path)
 					for _, m := range mounts {
 						got, err := m.Stat(path)
-						if (err == nil) != (werr == nil) {
+						if !sameOutcome(err, werr) {
 							t.Fatalf("step %d: Stat(%s) through %s = %v, the reference says %v", step, path, m.cfg.Name, err, werr)
 						}
 						f, oerr := m.Open(path)
-						if (oerr == nil) != (werr == nil) {
+						if !sameOutcome(oerr, werr) {
 							t.Fatalf("step %d: Open(%s) through %s = %v, the reference says %v", step, path, m.cfg.Name, oerr, werr)
 						}
 						if werr != nil {

@@ -393,7 +393,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		fs.mu.Lock()
 		if err != nil {
 			fs.mu.Unlock()
-			return 0, mapRemote(err)
+			return 0, err
 		}
 		for _, e := range lay.Extents {
 			if e.State == meta.StateCommitted {

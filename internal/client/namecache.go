@@ -246,7 +246,7 @@ func (c *Client) lookup(dir meta.FileID, name string) (proto.AttrResp, error) {
 	req := proto.LookupReq{Parent: dir, Name: name}
 	var resp proto.AttrResp
 	err := c.attrCall(c.shardFor(dir), proto.OpLookup, &req, &req.Deleg, &resp, true)
-	return resp, mapRemote(err)
+	return resp, err
 }
 
 // getAttr fetches an inode's attributes from its home shard.
@@ -254,7 +254,7 @@ func (c *Client) getAttr(id meta.FileID) (proto.AttrResp, error) {
 	req := proto.GetAttrReq{ID: id}
 	var resp proto.AttrResp
 	err := c.attrCall(c.shardFor(id), proto.OpGetAttr, &req, &req.Deleg, &resp, true)
-	return resp, mapRemote(err)
+	return resp, err
 }
 
 // child is the dentry of inode id found under dir.
@@ -301,7 +301,7 @@ func (c *Client) walkParent(parts []string) (dir dentry, cached bool, err error)
 func (c *Client) withParent(path string, op func(dir dentry, parts []string) error) error {
 	parts := fsapi.SplitPath(path)
 	if len(parts) == 0 {
-		return fmt.Errorf("client: invalid path %q", path)
+		return fmt.Errorf("%w: %q has no parent", fsapi.ErrInvalid, path)
 	}
 	for fresh := false; ; fresh = true {
 		dir, cached, err := c.walkParent(parts)

@@ -207,7 +207,7 @@ func (c *Client) createCrossShard(dir meta.FileID, leaf string, typ meta.FileTyp
 	err := mds.Call(proto.OpCreateDetached, &proto.CreateDetachedReq{Parent: dir, Name: leaf, Type: typ, Trace: tc}, &attr)
 	c.endPhase(ph)
 	if err != nil {
-		return attr, mapRemote(err)
+		return attr, err
 	}
 	ph, tc = c.beginPhase(saga, obs.SpanNSLink)
 	err = c.callIdem(pl, proto.OpLinkRemote, &proto.LinkRemoteReq{Parent: dir, Name: leaf, Child: attr.ID, Type: typ, Trace: tc}, nil)
@@ -223,7 +223,7 @@ func (c *Client) createCrossShard(dir meta.FileID, leaf string, typ meta.FileTyp
 			_ = c.callIdem(tl, proto.OpNSAbort, &proto.NSAbortReq{File: attr.ID, Kind: meta.NSCreate, Trace: tc}, nil)
 			c.endPhase(ph)
 		}
-		return attr, mapRemote(err)
+		return attr, err
 	}
 	// Past the commit point: the create happened. Graduation is best effort;
 	// a leaked NSCreate intent with a live dirent always resolves to commit.
@@ -252,7 +252,7 @@ func (c *Client) removeCrossShard(dir meta.FileID, leaf string, id meta.FileID) 
 	err := c.callIdem(hl, proto.OpGetAttr, &proto.GetAttrReq{ID: id}, &attr)
 	c.endPhase(ph)
 	if err != nil {
-		return mapRemote(err)
+		return err
 	}
 	ph, tc := c.beginPhase(saga, obs.SpanNSPrepare)
 	err = c.callIdem(hl, proto.OpNSPrepare, &proto.NSPrepareReq{
@@ -260,7 +260,7 @@ func (c *Client) removeCrossShard(dir meta.FileID, leaf string, id meta.FileID) 
 	}, nil)
 	c.endPhase(ph)
 	if err != nil {
-		return mapRemote(err)
+		return err
 	}
 	ph, tc = c.beginPhase(saga, obs.SpanNSUnlink)
 	err = c.callIdem(pl, proto.OpUnlinkRemote, &proto.UnlinkRemoteReq{Parent: dir, Name: leaf, Child: id, Trace: tc}, nil)
@@ -276,7 +276,7 @@ func (c *Client) removeCrossShard(dir meta.FileID, leaf string, id meta.FileID) 
 			_ = c.callIdem(hl, proto.OpNSAbort, &proto.NSAbortReq{File: id, Kind: meta.NSRemove, Trace: tc}, nil)
 			c.endPhase(ph)
 		}
-		return mapRemote(err)
+		return err
 	}
 	ph, tc = c.beginPhase(saga, obs.SpanNSGraduate)
 	_ = c.callIdem(hl, proto.OpNSCommit, &proto.NSCommitReq{File: id, Kind: meta.NSRemove, Trace: tc}, nil)
@@ -306,7 +306,7 @@ func (c *Client) renameCrossShard(srcDir meta.FileID, srcLeaf string, dstDir met
 	err := c.callIdem(sl, proto.OpLookup, &proto.LookupReq{Parent: srcDir, Name: srcLeaf}, &ent)
 	c.endPhase(ph)
 	if err != nil {
-		return mapRemote(err)
+		return err
 	}
 	if ent.Type == meta.TypeDir {
 		return fmt.Errorf("client: cross-shard directory rename not supported: %q", srcLeaf)
@@ -317,7 +317,7 @@ func (c *Client) renameCrossShard(srcDir meta.FileID, srcLeaf string, dstDir met
 	}, nil)
 	c.endPhase(ph)
 	if err != nil {
-		return mapRemote(err)
+		return err
 	}
 	ph, tc = c.beginPhase(saga, obs.SpanNSPrepareDst)
 	err = c.callIdem(dl, proto.OpNSPrepare, &proto.NSPrepareReq{
@@ -336,7 +336,7 @@ func (c *Client) renameCrossShard(srcDir meta.FileID, srcLeaf string, dstDir met
 			_ = c.callIdem(sl, proto.OpNSAbort, &proto.NSAbortReq{File: ent.ID, Kind: meta.NSRenameSrc, Trace: tc}, nil)
 			c.endPhase(ph)
 		}
-		return mapRemote(err)
+		return err
 	}
 	ph, tc = c.beginPhase(saga, obs.SpanNSCommitSrc)
 	err = c.callIdem(sl, proto.OpNSCommit, &proto.NSCommitReq{File: ent.ID, Kind: meta.NSRenameSrc, Trace: tc}, nil)
@@ -344,7 +344,7 @@ func (c *Client) renameCrossShard(srcDir meta.FileID, srcLeaf string, dstDir met
 	if err != nil {
 		// The commit point was not provably reached; both intents stand and
 		// resolution decides by probing the source dirent.
-		return mapRemote(err)
+		return err
 	}
 	ph, tc = c.beginPhase(saga, obs.SpanNSCommitDst)
 	_ = c.callIdem(dl, proto.OpNSCommit, &proto.NSCommitReq{File: ent.ID, Kind: meta.NSRenameDst, Trace: tc}, nil)

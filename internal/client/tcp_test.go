@@ -2,12 +2,14 @@ package client
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"testing"
 
 	"redbud/internal/alloc"
 	"redbud/internal/blockdev"
 	"redbud/internal/clock"
+	"redbud/internal/fsapi"
 	"redbud/internal/mds"
 	"redbud/internal/meta"
 	"redbud/internal/netsim"
@@ -123,6 +125,21 @@ func TestFullStackOverTCP(t *testing.T) {
 	g.Close()
 	if err != nil || n != len(data) || !bytes.Equal(got, data) {
 		t.Fatalf("TCP round trip: n=%d err=%v", n, err)
+	}
+	// A refusal keeps its kind over real sockets, whatever the name says.
+	nf, err := c.Create("/docs/not found")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nf.Close()
+	if _, err := c.Create("/docs/not found"); !errors.Is(err, fsapi.ErrExist) {
+		t.Fatalf("second create of /docs/not found over TCP = %v, want fsapi.ErrExist", err)
+	}
+	if _, err := c.Open("/docs/already exists"); !errors.Is(err, fsapi.ErrNotExist) {
+		t.Fatalf("open of a missing file over TCP = %v, want fsapi.ErrNotExist", err)
+	}
+	if err := c.Remove("/docs"); !errors.Is(err, fsapi.ErrNotEmpty) {
+		t.Fatalf("remove of a non-empty directory over TCP = %v, want fsapi.ErrNotEmpty", err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

@@ -248,7 +248,7 @@ func (c *Client) ensureExtents(fs *fileState, ws []fileWrite, behind bool) error
 		return errSessionLost
 	}
 	if err != nil {
-		return mapRemote(err)
+		return err
 	}
 	for _, e := range granted {
 		fs.insertExtentLocked(e)

@@ -712,6 +712,90 @@ func TestWriteBehindRemovedFile(t *testing.T) {
 	gc.assertOrdered()
 }
 
+// TestCompoundCommitOfRemovedFiles: two commits that share a compound frame,
+// whose files another client removed meanwhile, each come back refused as
+// fsapi.ErrNotExist, and the client drops them as benign: nothing is
+// poisoned, and Drain, Sync and Close succeed.
+func TestCompoundCommitOfRemovedFiles(t *testing.T) {
+	gc := newGatedCluster(t)
+	c := gc.mount(DelayedCommit, func(_ string, cfg *Config) {
+		cfg.FixedCommitThreads, cfg.CompoundDegree = 1, 2
+	})
+	defer c.Close()
+	other := gc.mount(SyncCommit, nil)
+	defer other.Close()
+
+	// The one commit daemon parks on a first file's commit, while the
+	// commits of two more files queue behind it.
+	release := gc.gate.holdOp(proto.OpCommit)
+	mustWrite(t, mustCreate(t, c, "/first"), pattern(PageSize, 1), 0)
+	gc.gate.waitArrival(t, proto.OpCommit)
+	var files []fsapi.File
+	for i, name := range []string{"/a", "/b"} {
+		f := mustCreate(t, c, name)
+		mustWrite(t, f, pattern(PageSize, byte(i+2)), 0)
+		files = append(files, f)
+	}
+	eventually(t, "the written-behind data to be durable", func() bool { return c.dirtyBytes() == 0 })
+	for _, name := range []string{"/a", "/b"} {
+		if err := other.Remove(name); err != nil {
+			t.Fatalf("Remove %s by another client: %v", name, err)
+		}
+	}
+	release()
+	eventually(t, "the queued commits to be answered", func() bool { return c.st.commitsSent.Load() == 3 && c.QueueLen() == 0 })
+	if frames := c.st.commitRPCs.Load(); frames != 2 {
+		t.Fatalf("3 commits in %d frames, want the two removed files' commits to share one", frames)
+	}
+	returns(t, "Drain", func() {
+		if err := c.Drain(); err != nil {
+			t.Errorf("Drain after the files were removed: %v", err)
+		}
+	})
+	for _, f := range files {
+		if err := f.Sync(); err != nil {
+			t.Fatalf("Sync of a file removed under its commit: %v", err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatalf("Close of a file removed under its commit: %v", err)
+		}
+	}
+	gc.assertFsck()
+	gc.assertOrdered()
+}
+
+// TestSyncWriteOfRemovedFile: a sync-mode write whose commit finds the file
+// removed by another client meanwhile succeeds, its data dropped as the
+// commit's would be.
+func TestSyncWriteOfRemovedFile(t *testing.T) {
+	gc := newGatedCluster(t)
+	c := gc.mount(SyncCommit, nil)
+	defer c.Close()
+	other := gc.mount(SyncCommit, nil)
+	defer other.Close()
+
+	f := mustCreate(t, c, "/gone")
+	release := gc.gate.holdOp(proto.OpCommit)
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.WriteAt(pattern(PageSize, 1), 0)
+		done <- err
+	}()
+	gc.gate.waitArrival(t, proto.OpCommit)
+	if err := other.Remove("/gone"); err != nil {
+		t.Fatalf("Remove by another client: %v", err)
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatalf("write whose commit found the file removed: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("Close of the removed file: %v", err)
+	}
+	gc.assertFsck()
+	gc.assertOrdered()
+}
+
 // TestWriteBehindWindow: writers block when the dirty window is full, resume
 // when it drains, never push it past the bound — and a single write larger
 // than the whole window goes through.

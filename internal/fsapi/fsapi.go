@@ -10,13 +10,45 @@ import (
 	"time"
 )
 
-// Errors shared across implementations.
+// Errors shared across implementations: the one error vocabulary. Every
+// file system reports a failure of one of these kinds by wrapping its
+// sentinel, and a refusal that crossed the wire unwraps to it too, so callers
+// branch with errors.Is and never on a message.
 var (
 	ErrNotExist = errors.New("fsapi: file does not exist")
 	ErrExist    = errors.New("fsapi: file already exists")
 	ErrIsDir    = errors.New("fsapi: is a directory")
-	ErrClosed   = errors.New("fsapi: file system closed")
+	ErrNotEmpty = errors.New("fsapi: directory not empty")
+	// ErrInvalid reports an operation its argument does not admit: a bad
+	// name, the root renamed, a directory moved into its own subtree, a
+	// file listed as a directory, a negative offset.
+	ErrInvalid = errors.New("fsapi: invalid argument")
+	ErrClosed  = errors.New("fsapi: file system closed")
 )
+
+// codes is the fixed table a refusal's identity crosses the wire by: the
+// sentinel at index i travels as code i+1 (see Code). Append only; a shipped
+// code keeps its meaning.
+var codes = [...]error{ErrNotExist, ErrExist, ErrIsDir, ErrNotEmpty, ErrInvalid, ErrClosed}
+
+// Code returns the code of the sentinel err wraps, or 0 if it wraps none.
+func Code(err error) uint16 {
+	for i, s := range codes {
+		if errors.Is(err, s) {
+			return uint16(i + 1)
+		}
+	}
+	return 0
+}
+
+// FromCode returns the sentinel with code c: nil for 0, and for a code this
+// build does not know.
+func FromCode(c uint16) error {
+	if c == 0 || int(c) > len(codes) {
+		return nil
+	}
+	return codes[c-1]
+}
 
 // Info describes a file or directory.
 type Info struct {

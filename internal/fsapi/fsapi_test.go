@@ -3,6 +3,7 @@ package fsapi
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -78,8 +79,11 @@ func TestMemFSNamespace(t *testing.T) {
 	if err != nil || len(ents) != 1 || ents[0].Name != "f" {
 		t.Fatalf("readdir = %+v, %v", ents, err)
 	}
-	if err := m.Remove("/d"); err == nil {
-		t.Fatal("removed non-empty dir")
+	if err := m.Remove("/d"); !errors.Is(err, ErrNotEmpty) {
+		t.Fatalf("remove non-empty dir = %v", err)
+	}
+	if _, err := m.ReadDir("/d/f"); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("readdir of a file = %v", err)
 	}
 	if err := m.Remove("/d/f"); err != nil {
 		t.Fatal(err)
@@ -90,6 +94,26 @@ func TestMemFSNamespace(t *testing.T) {
 	info, err := m.Stat("/")
 	if err != nil || !info.Dir {
 		t.Fatalf("root stat = %+v, %v", info, err)
+	}
+}
+
+// TestCodes: every sentinel has its own code and comes back from it, wrapped
+// or not; an error of no kind, and a code this build does not know, have
+// none.
+func TestCodes(t *testing.T) {
+	seen := map[uint16]bool{}
+	for _, s := range codes {
+		c := Code(fmt.Errorf("op: %w", s))
+		if c == 0 || seen[c] || FromCode(c) != s {
+			t.Fatalf("%v: code %d, back to %v", s, c, FromCode(c))
+		}
+		seen[c] = true
+	}
+	if Code(nil) != 0 || Code(errors.New("fsapi: file does not exist")) != 0 {
+		t.Fatal("an error that wraps no sentinel has a code")
+	}
+	if FromCode(0) != nil || FromCode(uint16(len(codes)+1)) != nil {
+		t.Fatal("code 0 or an unknown code names a sentinel")
 	}
 }
 

@@ -128,7 +128,7 @@ func (m *MemFS) Remove(path string) error {
 	if n.dir {
 		for other := range m.nodes {
 			if other != np && len(other) > len(np) && other[:len(np)] == np && other[len(np)] == '/' {
-				return fmt.Errorf("memfs: %q not empty", path)
+				return fmt.Errorf("%w: %q", ErrNotEmpty, path)
 			}
 		}
 	}
@@ -140,7 +140,7 @@ func (m *MemFS) Remove(path string) error {
 func (m *MemFS) Rename(oldPath, newPath string) error {
 	op, np := norm(oldPath), norm(newPath)
 	if op == "" || np == "" {
-		return fmt.Errorf("memfs: cannot rename root")
+		return fmt.Errorf("%w: cannot rename the root", ErrInvalid)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -155,7 +155,7 @@ func (m *MemFS) Rename(oldPath, newPath string) error {
 		return fmt.Errorf("%w: %q", ErrExist, newPath)
 	}
 	if n.dir && len(np) > len(op) && np[:len(op)] == op && np[len(op)] == '/' {
-		return fmt.Errorf("memfs: cannot move %q into its own subtree", oldPath)
+		return fmt.Errorf("%w: cannot move %q into its own subtree", ErrInvalid, oldPath)
 	}
 	// Move the node and every descendant key.
 	moves := map[string]string{op: np}
@@ -204,7 +204,7 @@ func (m *MemFS) ReadDir(path string) ([]Info, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNotExist, path)
 	}
 	if !n.dir {
-		return nil, fmt.Errorf("memfs: %q not a directory", path)
+		return nil, fmt.Errorf("%w: %q is not a directory", ErrInvalid, path)
 	}
 	var out []Info
 	prefix := np
@@ -251,7 +251,7 @@ type memFile struct {
 
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
-		return 0, fmt.Errorf("memfs: negative offset")
+		return 0, fmt.Errorf("%w: negative offset %d", ErrInvalid, off)
 	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
@@ -271,7 +271,7 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
-		return 0, fmt.Errorf("memfs: negative offset")
+		return 0, fmt.Errorf("%w: negative offset %d", ErrInvalid, off)
 	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()

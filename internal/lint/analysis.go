@@ -16,7 +16,9 @@
 //     explicitly annotated `//lint:allow wallclock`.
 //   - senterr: errors returned from internal/meta, internal/rpc and
 //     internal/blockdev wrap package sentinel errors (errors.Is-able)
-//     instead of being bare fmt.Errorf strings.
+//     instead of being bare fmt.Errorf strings, and no package branches on
+//     an error's text (strings.Contains and kin on Error() or a
+//     RemoteError's Message).
 //   - hotpath: functions annotated `//redbud:hotpath` (the 0-allocs/op
 //     frame send/recv and journal append paths) stay free of
 //     heap-allocating constructs — fmt formatting, unsized append growth,

@@ -105,3 +105,7 @@ func TestWireAliasFixture(t *testing.T)       { runFixture(t, WireAlias, "wireal
 // per platform: the loader must keep only the files the build context
 // selects, as the go command does, or the twins redeclare each other.
 func TestLoaderBuildConstraints(t *testing.T) { runFixture(t, SimClock, "buildtags") }
+
+// TestSentErrTextFixture checks the senterr rule that applies in every
+// package: no strings matching on an error's text or a RemoteError's message.
+func TestSentErrTextFixture(t *testing.T) { runFixture(t, SentErr, "senterrtext") }

@@ -3,13 +3,13 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
-// SentErr requires the error-producing packages of the storage stack — meta,
-// rpc, blockdev — to return errors that wrap package sentinels, so callers
-// can branch with errors.Is instead of string matching. Inside function
-// bodies of those packages it flags:
+// SentErr keeps errors matchable by identity. In the error-producing packages
+// of the storage stack — meta, rpc, blockdev — it requires errors that wrap
+// package sentinels, flagging inside function bodies:
 //
 //   - fmt.Errorf with a constant format string that contains no %w verb
 //     (an un-Is-able leaf error), and
@@ -19,18 +19,24 @@ import (
 //
 // Package-level `var ErrX = errors.New(...)` declarations — the sentinels
 // themselves — are the sanctioned pattern and are not flagged.
+//
+// In every package it flags the other side of the same bargain: a
+// strings.Contains, HasPrefix, HasSuffix or Index whose subject is an error's
+// Error() text or an rpc.RemoteError's Message. A refusal's kind crosses the
+// wire in its status word and unwraps to its fsapi sentinel, so callers
+// branch with errors.Is; the text quotes user names and can say anything.
 var SentErr = &Analyzer{
 	Name: "senterr",
-	Doc:  "errors from meta/rpc/blockdev must wrap package sentinels (%w), not be bare strings",
+	Doc:  "errors from meta/rpc/blockdev must wrap package sentinels (%w), not be bare strings; no code branches on an error's text",
 	Run:  runSentErr,
 }
 
+// textMatchFuncs are the strings functions that branch on a substring.
+var textMatchFuncs = map[string]bool{"Contains": true, "HasPrefix": true, "HasSuffix": true, "Index": true}
+
 func runSentErr(pass *Pass) error {
-	switch pass.Pkg.Name() {
-	case "meta", "rpc", "blockdev":
-	default:
-		return nil
-	}
+	pkg := pass.Pkg.Name()
+	leafRule := pkg == "meta" || pkg == "rpc" || pkg == "blockdev"
 	for _, file := range pass.Files {
 		if pass.IsTestFile(file.Pos()) {
 			continue
@@ -49,6 +55,13 @@ func runSentErr(pass *Pass) error {
 				if !ok {
 					return true
 				}
+				if pkgPath == "strings" && textMatchFuncs[name] && len(call.Args) > 0 && isErrorText(pass.Info, call.Args[0]) {
+					pass.Reportf(call.Pos(),
+						"strings.%s matches the text of an error: branch on its identity with errors.Is (a remote refusal unwraps to its fsapi sentinel)", name)
+				}
+				if !leafRule {
+					return true
+				}
 				switch {
 				case pkgPath == "errors" && name == "New":
 					pass.Reportf(call.Pos(),
@@ -64,6 +77,28 @@ func runSentErr(pass *Pass) error {
 		}
 	}
 	return nil
+}
+
+// isErrorText reports whether expr is the text of an error: x.Error() on a
+// value whose type implements error, or the Message of an rpc.RemoteError.
+func isErrorText(info *types.Info, expr ast.Expr) bool {
+	switch e := ast.Unparen(expr).(type) {
+	case *ast.CallExpr:
+		sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "Error" || len(e.Args) != 0 {
+			return false
+		}
+		recv := recvTypeOf(info, e)
+		errType := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
+		return recv != nil && types.Implements(recv, errType)
+	case *ast.SelectorExpr:
+		if e.Sel.Name != "Message" {
+			return false
+		}
+		s, ok := info.Selections[e]
+		return ok && isNamedType(s.Recv(), "rpc", "RemoteError")
+	}
+	return false
 }
 
 // constFormat extracts a string literal format argument, if it is one.

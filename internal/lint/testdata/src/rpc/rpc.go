@@ -19,3 +19,11 @@ type SubOp struct {
 	Op      proto.Op
 	Payload []byte
 }
+
+// RemoteError is a refusal the server sent back.
+type RemoteError struct {
+	Op      proto.Op
+	Message string
+}
+
+func (e *RemoteError) Error() string { return e.Message }

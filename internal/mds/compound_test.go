@@ -97,7 +97,8 @@ func (je *journaledEnv) commitOps(t *testing.T, n int, firstID uint64) ([]rpc.Su
 func (je *journaledEnv) compoundHeld(t *testing.T, ops []rpc.SubOp, whileApplied func()) []rpc.SubResult {
 	t.Helper()
 	je.hold.Store(true)
-	before := je.srv.RPC().SubOps()
+	subOps := func() int64 { return metric(je.srv, "redbud_rpc_subops_total").Value }
+	before := subOps()
 	type outcome struct {
 		res []rpc.SubResult
 		err error
@@ -108,10 +109,10 @@ func (je *journaledEnv) compoundHeld(t *testing.T, ops []rpc.SubOp, whileApplied
 		done <- outcome{res, err}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for je.srv.RPC().SubOps() < before+int64(len(ops)) {
+	for subOps() < before+int64(len(ops)) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d of %d sub-operations applied with the journal held back: the daemon waits for durability between them",
-				je.srv.RPC().SubOps()-before, len(ops))
+				subOps()-before, len(ops))
 		}
 		time.Sleep(100 * time.Microsecond)
 	}

@@ -268,10 +268,6 @@ func (s *Server) sessionVersion(owner string) uint32 {
 // dedup table instead of being re-applied.
 func (s *Server) DedupHits() int64 { return s.dedupHits.Load() }
 
-// CommitLatency exposes the server-side commit handling latency histogram
-// (seconds).
-func (s *Server) CommitLatency() *stats.Histogram { return s.commitLat }
-
 // RegisterMetrics exposes the MDS counters — including those of its RPC
 // daemon pool and metadata store — in a metrics registry.
 func (s *Server) RegisterMetrics(r *obs.Registry) {
@@ -350,14 +346,14 @@ func (s *Server) attrReply(a meta.Attr, granted bool, dc proto.DelegCtx) []byte 
 	return wire.Encode(&resp)
 }
 
-// mutate applies a namespace mutation that other owners' file delegations may
-// stand in the way of, returning what begin returns. The store refuses it
-// (having issued the recalls) until they are back; the wait happens here, on
-// the daemon thread, with no store lock held and never longer than
-// meta.DelegTerm. A directory mutation keeps new grants out from its first
-// refusal until it has been applied. begin is told the modeled instant the
-// mutation is applied at: at, or, after a recall wait, whose end is not
-// modeled, the instant the wait ended.
+// mutate applies a mutation — a namespace change or a commit — that other
+// owners' file delegations may stand in the way of, returning what begin
+// returns. The store refuses it (having issued the recalls) until they are
+// back; the wait happens here, on the daemon thread, with no store lock held
+// and never longer than meta.DelegTerm. A directory mutation keeps new
+// grants out from its first refusal until it has been applied. begin is told
+// the modeled instant the mutation is applied at: at, or, after a recall
+// wait, whose end is not modeled, the instant the wait ended.
 func (s *Server) mutate(at time.Time, begin func(at time.Time) (meta.Durable, error)) (durable meta.Durable, err error) {
 	frozen := false
 	for {
@@ -573,23 +569,13 @@ func (s *Server) handle(at time.Time, op uint16, body []byte) ([]byte, error) {
 		if req.Trace.TraceID != 0 {
 			tc = obs.SpanContext{TraceID: req.Trace.TraceID, SpanID: obs.NewSpanID(req.Trace.SpanID, obs.SpanMDSCommit)}
 		}
-		var durable meta.Durable
-		for {
-			var err error
-			durable, err = s.store.BeginCommit(at, req.Owner, req.File, req.Extents, req.Size, req.MTime, req.CommitID, tc)
-			held, waiting := err.(*meta.DelegHeld)
-			if waiting {
-				// Another client may be serving opens of this file from its
-				// cache; the commit applies once its delegation is back, at
-				// the instant the wait ended.
-				s.delegs.Await(held.Recalls)
-				at = s.clk.Now()
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			break
+		// Another client may be serving opens of this file from its cache;
+		// the commit applies once its delegation is back.
+		durable, err := s.mutate(at, func(at time.Time) (meta.Durable, error) {
+			return s.store.BeginCommit(at, req.Owner, req.File, req.Extents, req.Size, req.MTime, req.CommitID, tc)
+		})
+		if err != nil {
+			return nil, err
 		}
 		// Applied and on its way to the journal. The reply — and the dedup
 		// entry that would answer a retransmission — wait until the record is
@@ -715,16 +701,6 @@ func (s *Server) handle(at time.Time, op uint16, body []byte) ([]byte, error) {
 		start := s.nsStart(req.Trace)
 		durable, err := s.store.BeginUnlinkRemote(at, req.Parent, req.Name, req.Child)
 		return s.nsOnceDurable(obs.SpanMDSUnlinkRemote, req.Trace, start, durable, err, nil)
-
-	case proto.OpStat:
-		resp := proto.StatResp{
-			QueueLen:  int64(s.rpc.QueueLen()),
-			Load:      s.rpc.Load(),
-			Processed: s.rpc.Processed(),
-			SubOps:    s.rpc.SubOps(),
-			Files:     int64(s.store.FileCount()),
-		}
-		return wire.Encode(&resp), nil
 	}
 	return nil, fmt.Errorf("mds: unknown op %d", op)
 }

@@ -8,8 +8,10 @@ import (
 
 	"redbud/internal/alloc"
 	"redbud/internal/clock"
+	"redbud/internal/fsapi"
 	"redbud/internal/meta"
 	"redbud/internal/netsim"
+	"redbud/internal/obs"
 	"redbud/internal/proto"
 	"redbud/internal/rpc"
 	"redbud/internal/wire"
@@ -57,6 +59,14 @@ func (e *env) create(t *testing.T, parent meta.FileID, name string, typ meta.Fil
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// metric reads one metric of srv's registry.
+func metric(srv *Server, name string) obs.MetricValue {
+	reg := obs.NewRegistry()
+	srv.RegisterMetrics(reg)
+	m, _ := reg.Snapshot().Get(name)
+	return m
 }
 
 // settle waits out a store mutation applied with a Begin<Op>, or returns the
@@ -109,8 +119,8 @@ func TestLookupMissingIsRemoteError(t *testing.T) {
 	var resp proto.AttrResp
 	err := e.cli.Call(proto.OpLookup, &proto.LookupReq{Parent: meta.RootID, Name: "nope"}, &resp)
 	var re *rpc.RemoteError
-	if !errors.As(err, &re) || !strings.Contains(re.Message, "not found") {
-		t.Fatalf("err = %v", err)
+	if !errors.As(err, &re) || re.Op != proto.OpLookup || !errors.Is(err, fsapi.ErrNotExist) {
+		t.Fatalf("err = %v, want the lookup refused with fsapi.ErrNotExist", err)
 	}
 }
 
@@ -220,18 +230,16 @@ func TestDelegateAndReturnOverRPC(t *testing.T) {
 	}
 }
 
+// TestStat: the MDS's registry reports its namespace and the frames its
+// daemons served.
 func TestStat(t *testing.T) {
 	e := newEnv(t, Config{Daemons: 4})
 	e.create(t, meta.RootID, "a", meta.TypeFile)
-	var st proto.StatResp
-	if err := e.cli.Call(proto.OpStat, nil, &st); err != nil {
-		t.Fatal(err)
+	if inodes := metric(e.srv, "redbud_meta_files").Value; inodes != 2 {
+		t.Fatalf("inodes = %d, want the root and a", inodes)
 	}
-	if st.Files != 1 {
-		t.Fatalf("stat files = %d", st.Files)
-	}
-	if st.Processed < 1 {
-		t.Fatalf("stat processed = %d", st.Processed)
+	if processed := metric(e.srv, "redbud_rpc_processed_total").Value; processed < 1 {
+		t.Fatalf("processed = %d", processed)
 	}
 }
 
@@ -248,7 +256,7 @@ func TestCompoundCommitsThroughMDS(t *testing.T) {
 		req := proto.CommitReq{Owner: "c1", File: a.ID, Size: 4096, MTime: time.Now().UTC(), Extents: lay.Extents}
 		ops = append(ops, rpc.SubOp{Op: proto.OpCommit, Body: wire.Encode(&req)})
 	}
-	before := e.srv.RPC().Processed()
+	before := metric(e.srv, "redbud_rpc_processed_total").Value
 	results, err := e.cli.Compound(ops)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +266,7 @@ func TestCompoundCommitsThroughMDS(t *testing.T) {
 			t.Fatalf("sub-op %d failed: %v", i, res.Err)
 		}
 	}
-	if got := e.srv.RPC().Processed() - before; got != 1 {
+	if got := metric(e.srv, "redbud_rpc_processed_total").Value - before; got != 1 {
 		t.Fatalf("compound consumed %d RPCs, want 1", got)
 	}
 	// All three files committed.

@@ -9,21 +9,24 @@ import (
 
 	"redbud/internal/alloc"
 	"redbud/internal/clock"
+	"redbud/internal/fsapi"
 	"redbud/internal/obs"
 	"redbud/internal/stats"
 )
 
-// Store errors.
+// Store errors. The namespace ones are failures of an fsapi kind — the one
+// MemFS reports for the same failure — and unwrap to its sentinel, so the MDS
+// sends their identity to the client with the refusal.
 var (
-	ErrNotFound     = errors.New("meta: not found")
-	ErrExists       = errors.New("meta: already exists")
-	ErrNotDir       = errors.New("meta: not a directory")
-	ErrIsDir        = errors.New("meta: is a directory")
-	ErrNotEmpty     = errors.New("meta: directory not empty")
+	ErrNotFound     = &kindError{"meta: not found", fsapi.ErrNotExist}
+	ErrExists       = &kindError{"meta: already exists", fsapi.ErrExist}
+	ErrNotDir       = &kindError{"meta: not a directory", fsapi.ErrInvalid}
+	ErrIsDir        = &kindError{"meta: is a directory", fsapi.ErrIsDir}
+	ErrNotEmpty     = &kindError{"meta: directory not empty", fsapi.ErrNotEmpty}
+	ErrInvalidName  = &kindError{"meta: invalid name", fsapi.ErrInvalid}
+	ErrLoop         = &kindError{"meta: directory would become its own ancestor", fsapi.ErrInvalid}
 	ErrBadCommit    = errors.New("meta: commit references unallocated space")
 	ErrNoDelegation = errors.New("meta: no such delegation")
-	ErrInvalidName  = errors.New("meta: invalid name")
-	ErrLoop         = errors.New("meta: directory would become its own ancestor")
 	ErrNoJournal    = errors.New("meta: recovery requires a journal")
 	ErrLogTooLarge  = errors.New("meta: log set does not fit on device")
 	// ErrIntentConflict reports a write-intent publish that would duplicate
@@ -40,6 +43,16 @@ var (
 	// cross-shard operation sent down the single-shard path.
 	ErrWrongShard = errors.New("meta: inode homed on another shard")
 )
+
+// kindError is a sentinel of this package that is also a failure of an
+// fsapi kind: errors.Is matches it and the fsapi sentinel it unwraps to.
+type kindError struct {
+	msg  string
+	kind error
+}
+
+func (e *kindError) Error() string { return e.msg }
+func (e *kindError) Unwrap() error { return e.kind }
 
 // Config configures a Store.
 type Config struct {

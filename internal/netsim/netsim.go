@@ -231,13 +231,6 @@ func (l *link) meanWait() time.Duration {
 	return l.waitEWMA
 }
 
-// LinkStats is a snapshot of one host's ingress counters.
-type LinkStats struct {
-	Messages int64
-	Bytes    int64
-	MeanWait time.Duration
-}
-
 // Network is the simulated fabric connecting named hosts.
 type Network struct {
 	clk clock.Clock
@@ -311,17 +304,6 @@ func (n *Network) RegisterMetrics(r *obs.Registry) {
 		func() int64 { return n.FaultStats().Reordered })
 	r.CounterFunc("redbud_net_fault_partitioned_total", "frames blocked by a partition", nil,
 		func() int64 { return n.FaultStats().Partitioned })
-}
-
-// HostStats returns the ingress counters for a host.
-func (n *Network) HostStats(name string) (LinkStats, error) {
-	n.mu.Lock()
-	l := n.links[name]
-	n.mu.Unlock()
-	if l == nil {
-		return LinkStats{}, fmt.Errorf("%w: %q", ErrUnknownHost, name)
-	}
-	return LinkStats{Messages: l.msgs.Load(), Bytes: l.bytes.Load(), MeanWait: l.meanWait()}, nil
 }
 
 // CongestionWait returns the smoothed ingress queueing delay at a host — the

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"redbud/internal/clock"
+	"redbud/internal/obs"
 )
 
 func newFabric(t *testing.T, lc LinkConfig, hosts ...string) *Network {
@@ -197,15 +198,16 @@ func TestLinkCongestionSignal(t *testing.T) {
 	if w := n.CongestionWait("mds"); w == 0 {
 		t.Fatal("no queueing delay observed under flood")
 	}
-	st, err := n.HostStats("mds")
-	if err != nil {
-		t.Fatal(err)
+	reg := obs.NewRegistry()
+	n.RegisterMetrics(reg)
+	got := map[string]int64{}
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Labels == `host="mds"` {
+			got[m.Name] = m.Value
+		}
 	}
-	if st.Messages != 64 || st.Bytes != 64 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if _, err := n.HostStats("ghost"); err == nil {
-		t.Fatal("stats for unknown host succeeded")
+	if got["redbud_net_messages_total"] != 64 || got["redbud_net_bytes_total"] != 64 {
+		t.Fatalf("mds link counters = %v", got)
 	}
 	if n.CongestionWait("ghost") != 0 {
 		t.Fatal("congestion for unknown host nonzero")

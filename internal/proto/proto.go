@@ -24,7 +24,7 @@ const (
 	OpCommit
 	OpDelegate
 	OpDelegReturn
-	OpStat
+	_ // retired: a status probe nothing read; its code stays unused
 	OpRename
 	OpHello
 	// Sharded namespace operations. The first four drive the two-phase
@@ -561,32 +561,6 @@ func (m *HelloResp) UnmarshalWire(r *wire.Reader) error {
 	m.ProtoVersion = r.U32()
 	m.ShardIndex = r.U32()
 	m.ShardCount = r.U32()
-	return r.Err()
-}
-
-// StatResp reports MDS status for the adaptive compound controller.
-type StatResp struct {
-	QueueLen  int64
-	Load      uint8
-	Processed int64
-	SubOps    int64
-	Files     int64
-}
-
-func (m *StatResp) MarshalWire(b *wire.Buffer) {
-	b.PutI64(m.QueueLen)
-	b.PutU8(m.Load)
-	b.PutI64(m.Processed)
-	b.PutI64(m.SubOps)
-	b.PutI64(m.Files)
-}
-
-func (m *StatResp) UnmarshalWire(r *wire.Reader) error {
-	m.QueueLen = r.I64()
-	m.Load = r.U8()
-	m.Processed = r.I64()
-	m.SubOps = r.I64()
-	m.Files = r.I64()
 	return r.Err()
 }
 

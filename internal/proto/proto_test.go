@@ -186,15 +186,6 @@ func TestDelegationRoundTrips(t *testing.T) {
 	}
 }
 
-func TestStatRoundTrip(t *testing.T) {
-	in := &StatResp{QueueLen: 5, Load: 200, Processed: 6, SubOps: 7, Files: 8}
-	var out StatResp
-	roundTrip(t, in, &out)
-	if out != *in {
-		t.Fatalf("got %+v", out)
-	}
-}
-
 // Property tests: random messages survive the codec, and random bytes never
 // panic the decoders.
 func TestQuickCommitReq(t *testing.T) {
@@ -228,7 +219,6 @@ func TestQuickDecodersNeverPanic(t *testing.T) {
 		func() wire.Unmarshaler { return &CommitReq{} },
 		func() wire.Unmarshaler { return &DelegateReq{} },
 		func() wire.Unmarshaler { return &DelegReturnReq{} },
-		func() wire.Unmarshaler { return &StatResp{} },
 		func() wire.Unmarshaler { return &HelloReq{} },
 		func() wire.Unmarshaler { return &HelloResp{} },
 		func() wire.Unmarshaler { return &GetAttrReq{} },

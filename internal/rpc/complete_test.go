@@ -221,9 +221,9 @@ func TestCompletionBackPressure(t *testing.T) {
 	// One frame on the completion stage, replyQueueCap queued for it, and
 	// the daemon blocked handing over the next.
 	const applied = replyQueueCap + 2
-	waitFor(t, "the daemon to fill the completion queue", func() bool { return srv.SubOps() == applied })
+	waitFor(t, "the daemon to fill the completion queue", func() bool { return counter(srv, "redbud_rpc_subops_total") == applied })
 	time.Sleep(20 * time.Millisecond)
-	if got := srv.SubOps(); got != applied {
+	if got := counter(srv, "redbud_rpc_subops_total"); got != applied {
 		t.Fatalf("%d frames applied with none completed, want %d: no back-pressure", got, applied)
 	}
 	for rec := uint32(1); rec <= requests; rec++ {

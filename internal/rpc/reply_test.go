@@ -267,7 +267,7 @@ func TestReplyPathBackPressureAndOrder(t *testing.T) {
 	last, stable := int64(-1), 0
 	for stable < 50 {
 		time.Sleep(time.Millisecond)
-		if p := srv.Processed(); p == last {
+		if p := counter(srv, "redbud_rpc_processed_total"); p == last {
 			stable++
 		} else {
 			last, stable = p, 0

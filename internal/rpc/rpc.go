@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"redbud/internal/clock"
+	"redbud/internal/fsapi"
 	"redbud/internal/netsim"
 	"redbud/internal/obs"
 	"redbud/internal/stats"
@@ -47,14 +48,38 @@ var (
 	ErrTimeout = errors.New("rpc: call timed out")
 )
 
-// RemoteError is an application-level error returned by a handler.
+// RemoteError is an application-level error returned by a handler: the
+// server executed the operation and refused it.
+//
+// Its identity crosses the wire in the status word of the reply (and of each
+// compound sub-result): 0 is success, 1 a refusal that wraps no fsapi
+// sentinel, and 1+fsapi.Code(err) one that does. Err is that sentinel, nil
+// for an uncoded refusal, and RemoteError unwraps to it, so callers branch
+// with errors.Is(err, fsapi.ErrNotExist) whatever the message says.
 type RemoteError struct {
 	Op      uint16
+	Err     error
 	Message string
 }
 
 func (e *RemoteError) Error() string {
 	return fmt.Sprintf("rpc: remote error on op %d: %s", e.Op, e.Message)
+}
+
+func (e *RemoteError) Unwrap() error { return e.Err }
+
+// status is the reply status word of a handler's outcome err.
+func status(err error) uint16 {
+	if err == nil {
+		return 0
+	}
+	return 1 + fsapi.Code(err)
+}
+
+// remoteError rebuilds the refusal a non-zero status word and its message
+// describe, for op.
+func remoteError(op, st uint16, msg string) *RemoteError {
+	return &RemoteError{Op: op, Err: fsapi.FromCode(st - 1), Message: msg}
 }
 
 // Handler applies one operation and returns the reply payload. Handlers run
@@ -137,7 +162,7 @@ func encodeCompoundReply(results []SubResult) []byte {
 	b.PutU16(uint16(len(results)))
 	for _, res := range results {
 		if res.Err != nil {
-			b.PutU16(1)
+			b.PutU16(status(res.Err))
 			b.PutString(res.Err.Error())
 		} else {
 			b.PutU16(0)
@@ -157,8 +182,8 @@ func decodeCompoundReply(p []byte, ops []SubOp) ([]SubResult, error) {
 	}
 	out := make([]SubResult, 0, n)
 	for i := 0; i < n; i++ {
-		if status := r.U16(); status != 0 {
-			out = append(out, SubResult{Err: &RemoteError{Op: ops[i].Op, Message: r.String()}})
+		if st := r.U16(); st != 0 {
+			out = append(out, SubResult{Err: remoteError(ops[i].Op, st, r.String())})
 		} else {
 			out = append(out, SubResult{Body: r.Bytes()})
 		}
@@ -370,13 +395,6 @@ func (s *Server) Load() uint8 {
 	}
 	return uint8(load)
 }
-
-// Processed returns the number of RPCs completed (compound counts once).
-func (s *Server) Processed() int64 { return s.processed.Load() }
-
-// SubOps returns the number of operations executed, counting each
-// sub-operation of a compound.
-func (s *Server) SubOps() int64 { return s.subOps.Load() }
 
 // QueueLen returns the instantaneous request queue length.
 func (s *Server) QueueLen() int { return len(s.queue) }
@@ -605,12 +623,12 @@ func (s *Server) process(c call, worker int, dl time.Time) (reply, *owed, time.T
 //redbud:hotpath
 func (s *Server) finish(c call, worker int, results []SubResult, compound bool, at time.Time) reply {
 	var payload []byte
-	var status uint16
+	var st uint16
 	var errMsg string
 	if compound {
 		payload = encodeCompoundReply(results)
 	} else if err := results[0].Err; err != nil {
-		status, errMsg = 1, err.Error()
+		st, errMsg = status(err), err.Error()
 	} else {
 		payload = results[0].Body
 	}
@@ -623,9 +641,9 @@ func (s *Server) finish(c call, worker int, results []SubResult, compound bool, 
 	b := wire.GetBuffer()
 	b.PutU64(c.msgID)
 	b.PutU8(kindResponse)
-	b.PutU16(status)
+	b.PutU16(st)
 	b.PutU8(s.Load())
-	if status != 0 {
+	if st != 0 {
 		b.PutString(errMsg)
 		payload = nil
 	} else {
@@ -776,10 +794,10 @@ var callPool = sync.Pool{New: func() any { return &pendingCall{ch: make(chan res
 
 type response struct {
 	status  uint16
-	busy    uint8
 	payload []byte // aliases frame when non-nil
 	frame   []byte // pooled receive buffer, handed to the waiter
-	err     error
+	msg     string // a refusal's message, when status != 0
+	err     error  // a failure of the frame or the transport
 }
 
 // pendingShards is the number of pending-table shards. Message IDs are
@@ -808,7 +826,6 @@ type Client struct {
 
 	nextID    atomic.Uint64
 	busy      atomic.Uint32 // last piggybacked server load
-	rttNs     atomic.Int64  // EWMA of call round-trip, nanoseconds
 	badFrames atomic.Int64  // malformed response frames received
 	timeoutNs atomic.Int64  // per-call timeout; 0 = wait forever
 
@@ -873,7 +890,7 @@ func (c *Client) readLoop() {
 		r.Reset(frame)
 		msgID := r.U64()
 		kind := r.U8()
-		status := r.U16()
+		st := r.U16()
 		busy := r.U8()
 		if r.Err() != nil || kind != kindResponse {
 			// A frame too short for the response header, or of the
@@ -890,11 +907,9 @@ func (c *Client) readLoop() {
 			continue
 		}
 		c.busy.Store(uint32(busy))
-		var resp response
-		resp.status = status
-		resp.busy = busy
-		if status != 0 {
-			resp.err = &RemoteError{Message: r.String()}
+		resp := response{status: st}
+		if st != 0 {
+			resp.msg = r.String()
 		} else {
 			// The frame is owned by this loop and handed to exactly
 			// one waiter, so the payload may alias it.
@@ -993,7 +1008,6 @@ func (c *Client) call(op uint16, body []byte) (payload, frame []byte, err error)
 	b.PutU8(kindRequest)
 	b.PutU16(op)
 
-	start := c.clk.Now()
 	err = netsim.SendVec(c.conn, b.Bytes(), body)
 	wire.PutBuffer(b)
 	if err != nil {
@@ -1034,11 +1048,13 @@ func (c *Client) call(op uint16, body []byte) (payload, frame []byte, err error)
 		resp = <-p.ch
 	}
 	callPool.Put(p)
-	c.observeRTT(c.clk.Since(start))
 	c.calls.Inc()
 	if resp.err != nil {
 		wire.PutFrame(resp.frame)
 		return nil, nil, resp.err
+	}
+	if resp.status != 0 {
+		return nil, nil, remoteError(op, resp.status, resp.msg)
 	}
 	return resp.payload, resp.frame, nil
 }
@@ -1103,39 +1119,11 @@ func (c *Client) Compound(ops []SubOp) ([]SubResult, error) {
 	return results, err
 }
 
-// observeRTT folds one sample into the RTT EWMA (alpha = 1/8).
-func (c *Client) observeRTT(d time.Duration) {
-	for {
-		old := c.rttNs.Load()
-		nw := old + (int64(d)-old)/8
-		if old == 0 {
-			nw = int64(d)
-		}
-		if c.rttNs.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// MeanRTT returns the smoothed round-trip time of recent calls.
-func (c *Client) MeanRTT() time.Duration { return time.Duration(c.rttNs.Load()) }
-
 // ServerLoad returns the most recent piggybacked server-load byte.
 func (c *Client) ServerLoad() uint8 { return uint8(c.busy.Load()) }
 
 // Calls returns the number of completed RPCs.
 func (c *Client) Calls() int64 { return c.calls.Load() }
-
-// RegisterMetrics exposes the client-side call counters in a metrics
-// registry.
-func (c *Client) RegisterMetrics(r *obs.Registry, labels obs.Labels) {
-	if r == nil {
-		return
-	}
-	r.CounterFunc("redbud_rpc_client_calls_total", "RPCs completed by this client connection", labels, c.calls.Load)
-	r.CounterFunc("redbud_rpc_client_bad_frames_total", "malformed response frames received", labels, c.badFrames.Load)
-	r.GaugeFunc("redbud_rpc_client_rtt_ns", "smoothed call round-trip time in nanoseconds", labels, c.rttNs.Load)
-}
 
 // Close tears down the connection, failing outstanding calls.
 func (c *Client) Close() error { return c.conn.Close() }

@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"redbud/internal/clock"
+	"redbud/internal/fsapi"
 	"redbud/internal/netsim"
+	"redbud/internal/obs"
 	"redbud/internal/wire"
 )
 
@@ -17,10 +19,12 @@ const (
 	opAdd
 	opFail
 	opSlow
+	opGone
 )
 
 // testHandler: opEcho echoes, opAdd sums two u32s, opFail errors, opSlow
-// sleeps (for queue-pressure tests; uses the real clock, short).
+// sleeps (for queue-pressure tests; uses the real clock, short), and opGone
+// refuses with fsapi.ErrNotExist under a message that names another failure.
 func testHandler(op uint16, body []byte) ([]byte, error) {
 	switch op {
 	case opEcho:
@@ -41,6 +45,8 @@ func testHandler(op uint16, body []byte) ([]byte, error) {
 	case opSlow:
 		time.Sleep(20 * time.Millisecond)
 		return nil, nil
+	case opGone:
+		return nil, fmt.Errorf("%w: %q", fsapi.ErrNotExist, "already exists")
 	}
 	return nil, fmt.Errorf("unknown op %d", op)
 }
@@ -71,6 +77,14 @@ func newPair(t *testing.T, cfg ServerConfig) (*Client, *Server) {
 		l.Close()
 	})
 	return cli, srv
+}
+
+// counter reads one of srv's counters from a metrics registry.
+func counter(srv *Server, name string) int64 {
+	reg := obs.NewRegistry()
+	srv.RegisterMetrics(reg, nil)
+	m, _ := reg.Snapshot().Get(name)
+	return m.Value
 }
 
 func TestCallRawEcho(t *testing.T) {
@@ -113,6 +127,9 @@ func TestCallNilBodies(t *testing.T) {
 	}
 }
 
+// TestRemoteError: a refusal names its operation, an uncoded one unwraps to
+// nothing, and a coded one unwraps to its fsapi sentinel whatever its message
+// says, alone and inside a compound.
 func TestRemoteError(t *testing.T) {
 	cli, _ := newPair(t, ServerConfig{})
 	_, err := cli.CallRaw(opFail, nil)
@@ -120,8 +137,19 @@ func TestRemoteError(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want RemoteError", err)
 	}
-	if re.Message != "deliberate failure" {
-		t.Fatalf("message = %q", re.Message)
+	if re.Message != "deliberate failure" || re.Op != opFail || re.Err != nil {
+		t.Fatalf("refusal = %+v, want op %d, no sentinel", re, opFail)
+	}
+	_, err = cli.CallRaw(opGone, nil)
+	if !errors.As(err, &re) || re.Op != opGone || !errors.Is(err, fsapi.ErrNotExist) || errors.Is(err, fsapi.ErrExist) {
+		t.Fatalf("err = %v, want op %d refused with fsapi.ErrNotExist only", err, opGone)
+	}
+	results, err := cli.Compound([]SubOp{{Op: opFail}, {Op: opGone}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errors.Is(results[0].Err, fsapi.ErrNotExist) || !errors.Is(results[1].Err, fsapi.ErrNotExist) {
+		t.Fatalf("compound refusals = %v, %v", results[0].Err, results[1].Err)
 	}
 	// The connection survives a remote error.
 	if _, err := cli.CallRaw(opEcho, []byte("still alive")); err != nil {
@@ -177,8 +205,9 @@ func TestCompound(t *testing.T) {
 		t.Fatalf("sub2: %v sum=%d", err, r2.Sum)
 	}
 	// One RPC processed, three sub-ops executed.
-	if srv.Processed() != 1 || srv.SubOps() != 3 {
-		t.Fatalf("processed=%d subops=%d", srv.Processed(), srv.SubOps())
+	processed, subOps := counter(srv, "redbud_rpc_processed_total"), counter(srv, "redbud_rpc_subops_total")
+	if processed != 1 || subOps != 3 {
+		t.Fatalf("processed=%d subops=%d", processed, subOps)
 	}
 }
 
@@ -217,9 +246,6 @@ func TestServerLoadPiggyback(t *testing.T) {
 	// After a single sequential call the server is idle.
 	if load := cli.ServerLoad(); load > 64 {
 		t.Fatalf("idle server load = %d", load)
-	}
-	if cli.MeanRTT() <= 0 {
-		t.Fatal("RTT not observed")
 	}
 }
 

@@ -47,6 +47,8 @@ var (
 	ErrNotExist = fsapi.ErrNotExist
 	ErrExist    = fsapi.ErrExist
 	ErrIsDir    = fsapi.ErrIsDir
+	ErrNotEmpty = fsapi.ErrNotEmpty
+	ErrInvalid  = fsapi.ErrInvalid
 	ErrClosed   = fsapi.ErrClosed
 )
 

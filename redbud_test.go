@@ -73,8 +73,21 @@ func TestSyncCommitMode(t *testing.T) {
 
 func TestErrorsExported(t *testing.T) {
 	c := fastCluster(t, Config{})
-	if _, err := c.Mount(0).Open("/none"); !errors.Is(err, ErrNotExist) {
+	fs := c.Mount(0)
+	if _, err := fs.Open("/none"); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("err = %v", err)
+	}
+	if err := fs.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Mkdir("/d/e"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Remove("/d"); !errors.Is(err, ErrNotEmpty) {
+		t.Fatalf("remove of a non-empty directory = %v", err)
+	}
+	if err := fs.Rename("/d", "/d/e/f"); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("rename into its own subtree = %v", err)
 	}
 }
 
