@@ -1,15 +1,15 @@
-// Benchmarks regenerating every figure of the paper's evaluation (§V), plus
-// ablations of the design choices DESIGN.md calls out. Each BenchmarkFigN
-// runs the corresponding experiment at reduced op counts and reports the
-// figure's headline metrics via b.ReportMetric; `go run ./cmd/redbud-bench`
-// runs the full-scale versions and prints the complete tables.
+// Benchmarks regenerating every figure of the paper's evaluation (§V). Each
+// BenchmarkFigN runs the corresponding experiment at reduced op counts and
+// reports the figure's headline metrics via b.ReportMetric; `go run
+// ./cmd/redbud-bench` runs the full-scale versions and prints the complete
+// tables. The ablations of the design choices DESIGN.md calls out are pinned
+// in exact virtual time by internal/bench's TestVirtualAblations.
 package redbud
 
 import (
 	"testing"
 
 	"redbud/internal/bench"
-	"redbud/internal/workload"
 )
 
 // benchOptions shrinks the cluster so a single figure fits in seconds.
@@ -126,116 +126,6 @@ func BenchmarkFig7_CompoundDegree(b *testing.B) {
 		}
 		if d1k1 > 0 {
 			b.ReportMetric(d1k3/d1k1, "compound3-gain-1daemon")
-		}
-	}
-}
-
-// runXcdn32 runs the small-file CDN workload on one configuration and
-// returns ops/s — the ablations' common probe.
-func runXcdn32(b *testing.B, sys bench.System, opt bench.Options) float64 {
-	b.Helper()
-	c := bench.Build(sys, opt)
-	defer c.Close()
-	res, err := bench.RunDistributed(c, workload.Xcdn(32<<10, opt.Seed).Scale(opt.SizeFactor))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res.Throughput()
-}
-
-// BenchmarkAblation_CommitDedup compares the per-file commit-queue dedup
-// against committing on every dequeue.
-func BenchmarkAblation_CommitDedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opt := benchOptions()
-		with := runXcdn32(b, bench.SysRedbudDCSD, opt)
-		opt.CommitEvenIfClean = true
-		without := runXcdn32(b, bench.SysRedbudDCSD, opt)
-		if without > 0 {
-			b.ReportMetric(with/without, "dedup-gain")
-		}
-	}
-}
-
-// BenchmarkAblation_SinglePool compares the double-space-pool (background
-// standby refill) against a single pool with blocking refills.
-func BenchmarkAblation_SinglePool(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opt := benchOptions()
-		double := runXcdn32(b, bench.SysRedbudDCSD, opt)
-		opt.SpaceNoPrefetch = true
-		single := runXcdn32(b, bench.SysRedbudDCSD, opt)
-		if single > 0 {
-			b.ReportMetric(double/single, "double-pool-gain")
-		}
-	}
-}
-
-// BenchmarkAblation_FixedThreads compares the adaptive commit-thread pool
-// against pools pinned at 1 and at the maximum.
-func BenchmarkAblation_FixedThreads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opt := benchOptions()
-		adaptive := runXcdn32(b, bench.SysRedbudDCSD, opt)
-		opt.FixedCommitThreads = 1
-		one := runXcdn32(b, bench.SysRedbudDCSD, opt)
-		if one > 0 {
-			b.ReportMetric(adaptive/one, "adaptive-over-1thread")
-		}
-		opt.FixedCommitThreads = 9
-		nine := runXcdn32(b, bench.SysRedbudDCSD, opt)
-		if nine > 0 {
-			b.ReportMetric(adaptive/nine, "adaptive-over-9threads")
-		}
-	}
-}
-
-// BenchmarkAblation_NoMerge disables the device elevator's request merging,
-// isolating how much of delayed commit's win is the merges themselves.
-func BenchmarkAblation_NoMerge(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opt := benchOptions()
-		with := runXcdn32(b, bench.SysRedbudDCSD, opt)
-		opt.DisableMerge = true
-		without := runXcdn32(b, bench.SysRedbudDCSD, opt)
-		if without > 0 {
-			b.ReportMetric(with/without, "merge-gain")
-		}
-	}
-}
-
-// BenchmarkAblation_DelegationOff isolates space delegation: delayed commit
-// with and without the double-space-pool.
-func BenchmarkAblation_DelegationOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opt := benchOptions()
-		sd := runXcdn32(b, bench.SysRedbudDCSD, opt)
-		dc := runXcdn32(b, bench.SysRedbudDC, opt)
-		if dc > 0 {
-			b.ReportMetric(sd/dc, "delegation-gain")
-		}
-	}
-}
-
-// BenchmarkAblation_ReadAhead measures the sequential-prefetch extension on
-// the read-heavy webproxy personality.
-func BenchmarkAblation_ReadAhead(b *testing.B) {
-	run := func(opt bench.Options) float64 {
-		c := bench.Build(bench.SysRedbudDCSD, opt)
-		defer c.Close()
-		res, err := bench.RunDistributed(c, workload.Webproxy(opt.Seed).Scale(opt.SizeFactor))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res.Throughput()
-	}
-	for i := 0; i < b.N; i++ {
-		opt := benchOptions()
-		without := run(opt)
-		opt.ReadAhead = 256 << 10
-		with := run(opt)
-		if without > 0 {
-			b.ReportMetric(with/without, "readahead-gain")
 		}
 	}
 }

@@ -70,7 +70,7 @@ func main() {
 	// device: shards are independent metadata authorities over one shared
 	// array, and their allocators must never hand out overlapping extents.
 	store, rstats, err := meta.Recover(meta.Config{
-		AGs:     alloc.NewShardAGSet(alloc.RoundRobin, *devices, *devSize, shardIdx, shardCount, *agsPer),
+		AGs:     alloc.NewShardAGSet(*devices, *devSize, shardIdx, shardCount, *agsPer),
 		Journal: journal, Clock: clk, Tracer: tracer,
 		Shard: shardIdx, ShardCount: shardCount,
 	})

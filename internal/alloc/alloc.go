@@ -215,7 +215,11 @@ type AGSet struct {
 	rotor  atomic.Uint64
 }
 
-// NewAGSet builds a set over the given groups, taken in the order given.
+// NewAGSet builds a set over the given groups, taken in the order given;
+// allocation always rotates round-robin across them. The Strategy argument is
+// ignored: it, Strategy and RoundRobin stay only because the repository
+// benchmark's ledger calls NewAGSet(alloc.RoundRobin, …), and they go when
+// that call does.
 func NewAGSet(_ Strategy, groups ...*Group) *AGSet {
 	if len(groups) == 0 {
 		panic("alloc: empty AG set")
@@ -242,8 +246,8 @@ func carve(dev int, lo, hi int64, n int) []*Group {
 }
 
 // NewUniformAGSet carves device dev's [0, size) into n equal groups.
-func NewUniformAGSet(strategy Strategy, dev int, size int64, n int) *AGSet {
-	return NewAGSet(strategy, carve(dev, 0, size, n)...)
+func NewUniformAGSet(dev int, size int64, n int) *AGSet {
+	return NewAGSet(RoundRobin, carve(dev, 0, size, n)...)
 }
 
 // NewShardAGSet builds the allocation groups of one metadata shard over a
@@ -256,7 +260,7 @@ func NewUniformAGSet(strategy Strategy, dev int, size int64, n int) *AGSet {
 // two halves of one. Shards are independent metadata authorities over one
 // array, so their sets must never overlap; with one shard the slice is the
 // whole disk.
-func NewShardAGSet(strategy Strategy, devices int, devSize int64, shard, shards, perDevice int) *AGSet {
+func NewShardAGSet(devices int, devSize int64, shard, shards, perDevice int) *AGSet {
 	if shards < 1 || shard < 0 || shard >= shards {
 		panic(fmt.Sprintf("alloc: shard %d of %d", shard, shards))
 	}
@@ -275,7 +279,7 @@ func NewShardAGSet(strategy Strategy, devices int, devSize int64, shard, shards,
 			groups = append(groups, dev[i])
 		}
 	}
-	return NewAGSet(strategy, groups...)
+	return NewAGSet(RoundRobin, groups...)
 }
 
 // Groups returns the member groups.

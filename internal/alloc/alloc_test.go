@@ -199,7 +199,7 @@ func TestGroupConcurrent(t *testing.T) {
 }
 
 func TestUniformAGSet(t *testing.T) {
-	s := NewUniformAGSet(RoundRobin, 0, 1000, 4)
+	s := NewUniformAGSet(0, 1000, 4)
 	if len(s.Groups()) != 4 {
 		t.Fatalf("groups = %d", len(s.Groups()))
 	}
@@ -229,7 +229,7 @@ func TestShardAGSet(t *testing.T) {
 		}
 		return out
 	}
-	got := layout(NewShardAGSet(RoundRobin, 2, 1001, 0, 1, 2))
+	got := layout(NewShardAGSet(2, 1001, 0, 1, 2))
 	want := []bounds{{0, 0, 500}, {1, 0, 500}, {0, 500, 1001}, {1, 500, 1001}}
 	if len(got) != len(want) {
 		t.Fatalf("single shard: %v, want %v", got, want)
@@ -243,7 +243,7 @@ func TestShardAGSet(t *testing.T) {
 	const shards, devSize = 3, 1000
 	next := []int64{0, 0} // per device: where the previous shard's slice ended
 	for sh := 0; sh < shards; sh++ {
-		s := NewShardAGSet(RoundRobin, 2, devSize, sh, shards, 2)
+		s := NewShardAGSet(2, devSize, sh, shards, 2)
 		if len(s.Groups()) != 4 {
 			t.Fatalf("shard %d: %d groups, want 4", sh, len(s.Groups()))
 		}
@@ -265,7 +265,7 @@ func TestShardAGSet(t *testing.T) {
 func TestShardAGSetSpreadsAcrossDevices(t *testing.T) {
 	const devices = 4
 	for _, shards := range []int{1, 2} {
-		s := NewShardAGSet(RoundRobin, devices, 1<<30, shards-1, shards, 2)
+		s := NewShardAGSet(devices, 1<<30, shards-1, shards, 2)
 		for round := 0; round < 3; round++ {
 			seen := map[int]bool{}
 			for i := 0; i < devices; i++ {
@@ -284,7 +284,7 @@ func TestShardAGSetSpreadsAcrossDevices(t *testing.T) {
 }
 
 func TestAGSetRoundRobinInterleaves(t *testing.T) {
-	s := NewUniformAGSet(RoundRobin, 0, 1<<20, 4)
+	s := NewUniformAGSet(0, 1<<20, 4)
 	devs := map[int64]bool{}
 	for i := 0; i < 4; i++ {
 		sp, err := s.Alloc("client", 100)
@@ -299,7 +299,7 @@ func TestAGSetRoundRobinInterleaves(t *testing.T) {
 }
 
 func TestAGSetFallbackWhenGroupFull(t *testing.T) {
-	s := NewUniformAGSet(RoundRobin, 0, 4000, 2)
+	s := NewUniformAGSet(0, 4000, 2)
 	if _, err := s.Alloc("bob", 2000); err != nil { // fills group 0
 		t.Fatal(err)
 	}
@@ -321,8 +321,8 @@ func TestAGSetFallbackWhenGroupFull(t *testing.T) {
 }
 
 func TestAllocExtentsSplitsAcrossGroups(t *testing.T) {
-	s := NewUniformAGSet(RoundRobin, 0, 8<<20, 4) // 2 MiB per group
-	spans, err := s.AllocExtents("c", 5<<20)      // bigger than any group
+	s := NewUniformAGSet(0, 8<<20, 4)        // 2 MiB per group
+	spans, err := s.AllocExtents("c", 5<<20) // bigger than any group
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestAllocExtentsSplitsAcrossGroups(t *testing.T) {
 }
 
 func TestAllocExtentsRollbackOnFailure(t *testing.T) {
-	s := NewUniformAGSet(RoundRobin, 0, 1<<20, 1)
+	s := NewUniformAGSet(0, 1<<20, 1)
 	before := s.FreeBytes()
 	if _, err := s.AllocExtents("c", 2<<20); err == nil {
 		t.Fatal("oversized AllocExtents succeeded")
@@ -361,7 +361,7 @@ func TestAllocExtentsRollbackOnFailure(t *testing.T) {
 }
 
 func TestFreeSpanUnknown(t *testing.T) {
-	s := NewUniformAGSet(RoundRobin, 0, 1000, 1)
+	s := NewUniformAGSet(0, 1000, 1)
 	if err := s.FreeSpan(Span{Dev: 9, Off: 0, Len: 10}); !errors.Is(err, ErrBadFree) {
 		t.Fatalf("unknown span free err = %v", err)
 	}
@@ -381,7 +381,7 @@ func TestEmptyConstructorsPanic(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"NewGroup":        func() { NewGroup(0, 10, 10) },
 		"NewAGSet":        func() { NewAGSet(RoundRobin) },
-		"NewUniformAGSet": func() { NewUniformAGSet(RoundRobin, 0, 100, 0) },
+		"NewUniformAGSet": func() { NewUniformAGSet(0, 100, 0) },
 	} {
 		func() {
 			defer func() {

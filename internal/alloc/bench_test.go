@@ -21,7 +21,7 @@ func BenchmarkGroupAllocFree(b *testing.B) {
 }
 
 func BenchmarkAGSetRoundRobin(b *testing.B) {
-	s := NewUniformAGSet(RoundRobin, 0, 1<<40, 8)
+	s := NewUniformAGSet(0, 1<<40, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Alloc("bench", 4096); err != nil {
@@ -35,7 +35,7 @@ func BenchmarkAGSetRoundRobin(b *testing.B) {
 func BenchmarkParallelAGs(b *testing.B) {
 	for _, ags := range []int{1, 8} {
 		b.Run(map[int]string{1: "1-group", 8: "8-groups"}[ags], func(b *testing.B) {
-			s := NewUniformAGSet(RoundRobin, 0, 1<<40, ags)
+			s := NewUniformAGSet(0, 1<<40, ags)
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					if _, err := s.Alloc("w", 4096); err != nil {

@@ -258,9 +258,12 @@ const minConflictSpeedup = 4.0
 
 // visibilityRuns is how many back-to-back figure runs the floor pools. Both
 // rows measure a commit-queue stall whose depth swings with scheduler noise:
-// single runs on one host read 3.9x to 29x, so one run cannot hold the floor,
-// while the ratio of the summed means does.
-const visibilityRuns = 3
+// single runs on one 2-vCPU host read 2.6x to 23x (median 7.5x), and 1.3x to
+// 59x beside four busy loops, so one run cannot hold the floor, while the
+// ratio of the summed means does. Three runs still dipped below it about once
+// in 120 on the quiet host (resampling 45 measured runs); eight put it out of
+// reach of that noise.
+const visibilityRuns = 8
 
 // checkConflictSpeedup pools the runs (each the figure's off row, then its on
 // row) as sum of off means over sum of on means and holds the result to
@@ -382,7 +385,7 @@ func TestVisibilityFloorRejectsFlatFigure(t *testing.T) {
 	}
 	runs[0][1].ConflictMeanUS = off.ConflictMeanUS / 100 // one lucky run does not carry the pool
 	if err := checkConflictSpeedup(runs); err == nil {
-		t.Error("visibility floor passed on one run out of three")
+		t.Errorf("visibility floor passed on one run out of %d", visibilityRuns)
 	}
 	for i := range runs {
 		runs[i][1].ConflictMeanUS = off.ConflictMeanUS / 10

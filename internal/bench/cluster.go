@@ -8,7 +8,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -114,12 +113,10 @@ type Options struct {
 	// SpanTraceCap are then ignored).
 	Tracer *obs.Tracer
 
-	// ReadAhead enables client sequential prefetch with this window.
-	ReadAhead int64
-
-	// Ablation knobs, applied to Redbud delayed-commit clients.
+	// Ablation knobs, applied to Redbud delayed-commit clients (and, for
+	// DisableMerge, to every data device); TestVirtualAblations pins a cell
+	// each moves.
 	FixedCommitThreads int
-	SpaceNoPrefetch    bool
 	CommitEvenIfClean  bool
 	DisableMerge       bool
 
@@ -132,8 +129,9 @@ type Options struct {
 	// instances (<= 1 keeps the classic single MDS). Each shard runs its
 	// own daemon pool, store and journal device, and splits the shared
 	// array's allocation groups with the others; clients route per inode
-	// via the hash partition. Incompatible with space delegation (the
-	// client refuses the combination).
+	// via the hash partition. With space delegation each shard delegates
+	// chunks of its own slice, and a client carves a file's space from its
+	// home shard's pool.
 	Shards int
 }
 
@@ -327,12 +325,6 @@ func buildRedbud(sys System, opt Options, clk clock.Clock) *Cluster {
 	if n <= 0 {
 		n = 1
 	}
-	if n > 1 && sys == SysRedbudDCSD {
-		// A delegated writer allocates from a private space pool with no
-		// shard affinity; the client refuses the combination, so fail the
-		// build loudly instead of handing out a cluster that panics later.
-		panic("bench: space delegation is incompatible with a sharded namespace")
-	}
 	c := &Cluster{System: sys, Clock: clk, opt: opt, Tracer: opt.Tracer}
 	if opt.Trace {
 		c.Rec = iotrace.NewRecorder()
@@ -412,7 +404,7 @@ func buildRedbud(sys System, opt Options, clk clock.Clock) *Cluster {
 // set: its slice of the shared array, and the journal on its metadata disk.
 func (c *Cluster) metaConfig(i int) meta.Config {
 	return meta.Config{
-		AGs:     alloc.NewShardAGSet(alloc.RoundRobin, len(c.Devices), c.opt.DeviceSize, i, len(c.shards), agsPerDevice),
+		AGs:     alloc.NewShardAGSet(len(c.Devices), c.opt.DeviceSize, i, len(c.shards), agsPerDevice),
 		Journal: meta.NewJournal(c.shards[i].metaDev, 0, journalSize),
 		Clock:   c.Clock, Tracer: c.Tracer,
 		Shard: i, ShardCount: len(c.shards),
@@ -580,9 +572,7 @@ func (c *Cluster) AddClient(sys System, earlyVisibility bool) (*client.Client, e
 		CompoundDegree:     c.opt.CompoundDegree,
 		NetCongestion:      func() time.Duration { return net.CongestionWait(mdsHost) },
 		PoolInterval:       2 * time.Millisecond,
-		ReadAhead:          c.opt.ReadAhead,
 		FixedCommitThreads: c.opt.FixedCommitThreads,
-		SpaceNoPrefetch:    c.opt.SpaceNoPrefetch,
 		CommitEvenIfClean:  c.opt.CommitEvenIfClean,
 		EarlyVisibility:    earlyVisibility,
 		Tracer:             c.Tracer,
@@ -601,17 +591,6 @@ func (c *Cluster) AddClient(sys System, earlyVisibility bool) (*client.Client, e
 	c.Redbud = append(c.Redbud, cl)
 	c.Mounts = append(c.Mounts, cl)
 	return cl, nil
-}
-
-// StitchedTrace writes the cluster's span ring as one multi-process Chrome
-// trace: one trace process per track prefix (each MDS shard, each client
-// role), with the client and server spans of a commit or cross-shard saga
-// linked by flow arrows. Byte-deterministic for a fixed span set.
-func (c *Cluster) StitchedTrace(w io.Writer) error {
-	if c.Tracer == nil {
-		return fmt.Errorf("bench: cluster built without SpanTrace")
-	}
-	return obs.WriteChromeTraceMulti(w, obs.SplitProcesses(c.Tracer.Spans()))
 }
 
 // buildNFS3 assembles the single-server baseline.

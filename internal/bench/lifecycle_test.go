@@ -14,6 +14,7 @@ import (
 	"redbud/internal/meta"
 	"redbud/internal/netsim"
 	"redbud/internal/obs"
+	"redbud/internal/workload"
 )
 
 // lifecycleOptions is a three-client delayed-commit cluster where nothing
@@ -280,4 +281,134 @@ func TestCloseAfterFailedStart(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// shardPath returns the first "/<prefix><n>" the placement hash homes on
+// shard s of shards.
+func shardPath(prefix string, s, shards int) string {
+	for n := 0; ; n++ {
+		if name := fmt.Sprintf("%s%d", prefix, n); meta.PlaceShard(meta.RootID, name, shards) == s {
+			return "/" + name
+		}
+	}
+}
+
+// unmountAndFsck closes every mount, which returns each client's chunks to
+// the shards that granted them, and fscks every shard.
+func unmountAndFsck(t *testing.T, c *Cluster) {
+	t.Helper()
+	for i, m := range c.Mounts {
+		if err := m.Close(); err != nil {
+			t.Errorf("close client %d: %v", i, err)
+		}
+	}
+	for i, st := range c.Stores {
+		if r := st.Fsck(c.AGTotals[i]); !r.OK() {
+			t.Errorf("shard %d: %v: %v", i, r, r.Problems)
+		}
+	}
+}
+
+// TestShardedDelegationWorkloads runs the paper's deployment — delayed commit
+// with space delegation — on 2 and 4 metadata shards. Each shard delegates
+// chunks of its own slice of the array and each client carves a file's space
+// from its home shard's pool, so every shard grants chunks, no op fails, no
+// commit names undurable data, and every shard's books balance.
+func TestShardedDelegationWorkloads(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opt := lifecycleOptions(shards)
+			opt.DelegationChunk = 1 << 20
+			c := Build(SysRedbudDCSD, opt)
+			defer c.Close()
+			for _, spec := range []workload.Spec{
+				workload.Xcdn(32<<10, opt.Seed).Scale(0.1),
+				workload.Varmail(opt.Seed).Scale(0.1),
+			} {
+				res, err := RunDistributed(c, spec)
+				if err != nil {
+					t.Fatalf("%s: %v", spec.Name, err)
+				}
+				if res.Errors > 0 {
+					t.Errorf("%s: %d op errors", spec.Name, res.Errors)
+				}
+			}
+			if v := c.Violations(); len(v) > 0 {
+				t.Errorf("ordered-write violations: %v", v)
+			}
+			for i, st := range c.Stores {
+				if bad := st.CheckConsistent(c.Durable); len(bad) > 0 {
+					t.Errorf("shard %d: committed extents over undurable data: %+v", i, bad)
+				}
+				granted := 0
+				for j := range c.Redbud {
+					granted += st.Delegations(fmt.Sprintf("client-%d", j))
+				}
+				if granted == 0 {
+					t.Errorf("shard %d granted no delegation", i)
+				}
+			}
+			unmountAndFsck(t, c)
+		})
+	}
+}
+
+// TestShardedDelegationRestart: a crash-restart of shard 1 costs a client
+// only the pool of chunks shard 1 granted. Shard 0's grants stand and the
+// client keeps carving from them, while shard 1's recovered store, which
+// reclaimed its grants, delegates the client a fresh chunk for its next file
+// there.
+func TestShardedDelegationRestart(t *testing.T) {
+	opt := lifecycleOptions(2)
+	opt.DelegationChunk = 1 << 20
+	c := Build(SysRedbudDCSD, opt)
+	defer c.Close()
+	const owner = "client-0"
+	for _, w := range []struct {
+		client int
+		path   string
+	}{{0, shardPath("a", 0, 2)}, {0, shardPath("a", 1, 2)}, {1, shardPath("peer", 1, 2)}} {
+		if err := writeSynced(c.Mounts[w.client], w.path); err != nil {
+			t.Fatalf("client %d: %s: %v", w.client, w.path, err)
+		}
+	}
+	before := c.Stores[0].Delegations(owner)
+	if before == 0 || c.Stores[1].Delegations(owner) == 0 {
+		t.Fatalf("%s holds %d delegations on shard 0 and %d on shard 1, want some on both",
+			owner, before, c.Stores[1].Delegations(owner))
+	}
+	if err := c.RestartShard(1); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Stores[1].Delegations(owner); n != 0 {
+		t.Fatalf("recovered shard 1 still lists %d delegations of %s", n, owner)
+	}
+	// Another client's file is not served from a file delegation, so its Stat
+	// reaches shard 1: the client redials and learns of the restart.
+	if _, err := c.Mounts[0].Stat(shardPath("peer", 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 2; s++ {
+		if err := writeSynced(c.Mounts[0], shardPath("b", s, 2)); err != nil {
+			t.Fatalf("write on shard %d after the restart: %v", s, err)
+		}
+	}
+	if got := c.Stores[0].Delegations(owner); got != before {
+		t.Errorf("shard 0 lists %d delegations of %s after shard 1's restart, want the %d it granted before",
+			got, owner, before)
+	}
+	if c.Stores[1].Delegations(owner) == 0 {
+		t.Error("shard 1 granted no fresh chunk after its restart")
+	}
+	if v := c.Violations(); len(v) > 0 {
+		t.Errorf("ordered-write violations: %v", v)
+	}
+	// The other mounts reconnect to shard 1 the same way, through a file they
+	// hold no delegation on, so that they can return their chunks at unmount.
+	for i := 1; i < len(c.Mounts); i++ {
+		if _, err := c.Mounts[i].Stat(shardPath("a", 1, 2)); err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+	}
+	unmountAndFsck(t, c)
 }

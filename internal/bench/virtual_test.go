@@ -52,45 +52,130 @@ func TestVirtualModeledLedger(t *testing.T) {
 	// of varmail redbud+dc differed by 6.6 % with it on). Each run starts on
 	// a collected heap and allocates without collection (under 90 MB).
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	opt := DefaultOptions()
-	opt.Scale = 1
-	opt.SizeFactor = 0.2
-	opt.Clients = 2
+	opt := ledgerOptions()
 	specs := []workload.Spec{
 		workload.Xcdn(32<<10, opt.Seed).Scale(opt.SizeFactor),
 		workload.Varmail(opt.Seed).Scale(opt.SizeFactor),
 	}
 	for _, spec := range specs {
 		for _, sys := range fig4Systems {
-			var ops [2]float64
-			for run := range ops {
-				var err error
-				runtime.GC()
-				synctest.Run(func() {
-					c := Build(sys, opt)
-					defer c.Close()
-					res, rerr := RunDistributed(c, spec)
-					if rerr == nil && res.Errors > 0 {
-						t.Errorf("%s on %s: %d op errors", spec.Name, sys, res.Errors)
-					}
-					ops[run], err = res.Throughput(), rerr
-				})
-				if err != nil {
-					t.Fatalf("%s on %s: %v", spec.Name, sys, err)
-				}
+			cell := spec.Name + " " + sys.String()
+			runVirtualCell(t, cell, sys, opt, spec, modeledLedger[cell])
+		}
+	}
+}
+
+// ledgerOptions is the ledger's operating point: 2 clients, SizeFactor 0.2,
+// modeled time unscaled.
+func ledgerOptions() Options {
+	opt := DefaultOptions()
+	opt.Scale = 1
+	opt.SizeFactor = 0.2
+	opt.Clients = 2
+	return opt
+}
+
+// runVirtualCell runs spec on sys twice in exact virtual time, prints both
+// runs' ops/s, fails if they differ by more than virtualTolerance, if a run
+// had op errors, or if a run strays that far from pin, and returns the first
+// run's ops/s. The caller turns the collector off (see
+// TestVirtualModeledLedger).
+func runVirtualCell(t *testing.T, cell string, sys System, opt Options, spec workload.Spec, pin float64) float64 {
+	t.Helper()
+	var ops [2]float64
+	for run := range ops {
+		var err error
+		runtime.GC()
+		synctest.Run(func() {
+			c := Build(sys, opt)
+			defer c.Close()
+			res, rerr := RunDistributed(c, spec)
+			if rerr == nil && res.Errors > 0 {
+				t.Errorf("%s: %d op errors", cell, res.Errors)
 			}
-			t.Logf("%-10s %-13s %10.2f %10.2f ops/s", spec.Name, sys, ops[0], ops[1])
-			if d := math.Abs(ops[0]-ops[1]) / math.Max(ops[0], ops[1]); d > virtualTolerance {
-				t.Errorf("%s on %s: runs differ by %.2f %% (%.2f vs %.2f ops/s), more than %.1f %%",
-					spec.Name, sys, 100*d, ops[0], ops[1], 100*virtualTolerance)
-			}
-			pin := modeledLedger[spec.Name+" "+sys.String()]
-			for _, got := range ops {
-				if d := math.Abs(got-pin) / pin; !(d <= virtualTolerance) {
-					t.Errorf("%s on %s: %.2f ops/s is %.2f %% from the pinned %.2f, more than %.1f %%",
-						spec.Name, sys, got, 100*d, pin, 100*virtualTolerance)
-				}
-			}
+			ops[run], err = res.Throughput(), rerr
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", cell, err)
+		}
+	}
+	t.Logf("%-42s %10.2f %10.2f ops/s", cell, ops[0], ops[1])
+	if d := math.Abs(ops[0]-ops[1]) / math.Max(ops[0], ops[1]); d > virtualTolerance {
+		t.Errorf("%s: runs differ by %.2f %% (%.2f vs %.2f ops/s), more than %.1f %%",
+			cell, 100*d, ops[0], ops[1], 100*virtualTolerance)
+	}
+	for _, got := range ops {
+		if d := math.Abs(got-pin) / pin; !(d <= virtualTolerance) {
+			t.Errorf("%s: %.2f ops/s is %.2f %% from the pinned %.2f, more than %.1f %%",
+				cell, got, 100*d, pin, 100*virtualTolerance)
+		}
+	}
+	return ops[0]
+}
+
+// ablationFloor is how far a kept ablation knob must move its pinned cell
+// from the default: a knob that moves no cell by more is folded or deleted.
+const ablationFloor = 0.10
+
+// modeledAblations pins each kept ablation knob, in ops/s at the ledger's
+// operating point, on a cell where it moves throughput by more than
+// ablationFloor, beside that cell's default ("default" knob). The +dc+sd
+// defaults are the ledger's own cells. CommitEvenIfClean moves xcdn-32K
+// +dc+sd too (to 6 760–6 920 ops/s), but two runs of that cell differ by up
+// to 1.5 %, so it is pinned on varmail only.
+var modeledAblations = []struct {
+	workload string
+	sys      System
+	knob     string
+	pin      float64
+}{
+	{"xcdn-32K", SysRedbudDCSD, "default", 8700},
+	{"xcdn-32K", SysRedbudDCSD, "DisableMerge", 2244.59},
+	{"varmail", SysRedbudDCSD, "default", 14448.73},
+	{"varmail", SysRedbudDCSD, "CommitEvenIfClean", 11166.23},
+	{"varmail", SysRedbudDCSD, "DisableMerge", 6410.35},
+	{"webproxy", SysRedbudDC, "default", 14905.60},
+	{"webproxy", SysRedbudDC, "FixedCommitThreads=1", 17830},
+	{"fileserver", SysRedbudDC, "default", 4300.38},
+	{"fileserver", SysRedbudDC, "FixedCommitThreads=1", 5079},
+}
+
+// TestVirtualAblations pins the three ablation knobs the cluster keeps —
+// CommitEvenIfClean (no per-file commit-queue dedup), FixedCommitThreads (a
+// pinned commit pool instead of the adaptive one) and DisableMerge (no
+// device request merging) — each on a cell of modeledAblations, run twice in
+// exact virtual time like the ledger, and fails unless the knob moves the
+// cell's ops/s by more than ablationFloor from the cell's default.
+func TestVirtualAblations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	specs := map[string]func(int64) workload.Spec{
+		"xcdn-32K":   func(seed int64) workload.Spec { return workload.Xcdn(32<<10, seed) },
+		"varmail":    workload.Varmail,
+		"webproxy":   workload.Webproxy,
+		"fileserver": workload.Fileserver,
+	}
+	defaults := map[string]float64{}
+	for _, a := range modeledAblations {
+		opt := ledgerOptions()
+		switch a.knob {
+		case "CommitEvenIfClean":
+			opt.CommitEvenIfClean = true
+		case "DisableMerge":
+			opt.DisableMerge = true
+		case "FixedCommitThreads=1":
+			opt.FixedCommitThreads = 1
+		}
+		spec := specs[a.workload](opt.Seed).Scale(opt.SizeFactor)
+		cell := fmt.Sprintf("%s %s %s", a.workload, a.sys, a.knob)
+		got := runVirtualCell(t, cell, a.sys, opt, spec, a.pin)
+		base := a.workload + " " + a.sys.String()
+		if a.knob == "default" {
+			defaults[base] = got
+			continue
+		}
+		if move := math.Abs(got-defaults[base]) / defaults[base]; !(move > ablationFloor) {
+			t.Errorf("%s moves ops/s %.1f %% from the default %.2f, not more than %.0f %%",
+				cell, 100*move, defaults[base], 100*ablationFloor)
 		}
 	}
 }

@@ -62,6 +62,3 @@ func (d *Device) SetWriteFault(fn WriteFaultFunc) {
 	d.writeFault = fn
 	d.mu.Unlock()
 }
-
-// InjectedFaults reports how many write faults the device has injected.
-func (d *Device) InjectedFaults() int64 { return d.nFaults.Load() }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"redbud/internal/clock"
+	"redbud/internal/obs"
 )
 
 func newFaultyDev(t *testing.T, fn WriteFaultFunc) *Device {
@@ -24,8 +25,10 @@ func TestInjectedWriteError(t *testing.T) {
 	if d.IsDurable(0, 8192) {
 		t.Fatal("failed write reported durable")
 	}
-	if d.InjectedFaults() != 1 {
-		t.Fatalf("InjectedFaults = %d, want 1", d.InjectedFaults())
+	reg := obs.NewRegistry()
+	d.RegisterMetrics(reg)
+	if m, _ := reg.Snapshot().Get("redbud_dev_injected_faults_total"); m.Value != 1 {
+		t.Fatalf("injected faults = %d, want 1", m.Value)
 	}
 }
 

@@ -73,8 +73,9 @@ type Config struct {
 	// mount the whole shard set and route per-inode; creates and removes
 	// whose placement hash lands a child away from its parent's shard
 	// exercise the two-phase cross-shard protocols under the fault plan.
-	// Restarts crash a seed-chosen shard each time. Space delegation is
-	// single-shard only and is forced off when Shards > 1.
+	// Restarts crash a seed-chosen shard each time. With space delegation
+	// each client carves a file's space from a pool of its home shard's
+	// chunks.
 	Shards int
 
 	// Clients file-system clients (default 2), each running Threads
@@ -168,7 +169,8 @@ type Report struct {
 	// RestartedShards records which shard each completed restart hit.
 	RestartedShards []int
 	// DedupHits counts commit retransmissions answered from the MDS dedup
-	// table, summed across incarnations.
+	// table, summed across incarnations; a crashed incarnation's count is
+	// read just before its crash.
 	DedupHits int64
 	// Cluster is the final metrics collection round: every shard's (and the
 	// clients') tagged snapshot plus the cluster-wide merge the SLO rules
@@ -269,7 +271,7 @@ func build(cfg *Config) *bench.Cluster {
 	sys := bench.SysRedbud
 	if cfg.Mode == client.DelayedCommit {
 		sys = bench.SysRedbudDC
-		if opt.DelegationChunk > 0 && cfg.Shards == 1 {
+		if opt.DelegationChunk > 0 {
 			sys = bench.SysRedbudDCSD
 		}
 	}
@@ -353,9 +355,8 @@ func Run(cfg Config) (*Report, error) {
 	for r := 0; r < cfg.Restarts; r++ {
 		clk.Sleep(cfg.RestartEvery)
 		i := restartRng.Intn(shards)
-		crashed := c.MDSs[i]
+		rep.DedupHits += sum(c.Collector.Collect().Shards[i].Metrics, dedupHits)
 		restartErr = c.RestartShard(i)
-		rep.DedupHits += crashed.DedupHits()
 		if restartErr != nil {
 			restartErr = fmt.Errorf("chaos: restart %d: %w", r+1, restartErr)
 			break
@@ -369,7 +370,7 @@ func Run(cfg Config) (*Report, error) {
 
 	// The faulty phase is over: snapshot the counters, lift the faults,
 	// and shut the clients down cleanly.
-	rep.Faults = c.Net.FaultStats()
+	rep.Faults = netsim.FaultsIn(c.Registry.Snapshot())
 	c.Net.ClearFaults()
 	for i, cl := range c.Redbud {
 		if err := cl.Close(); err != nil {
@@ -386,6 +387,8 @@ func Run(cfg Config) (*Report, error) {
 	// closed, so the merged snapshot is the run's complete metric history and
 	// the alert states are the run's verdict.
 	checkpoint()
+	rep.DedupHits += sum(rep.Cluster.Merged, dedupHits)
+	rep.DiskFaults = sum(c.Registry.Snapshot(), "redbud_dev_injected_faults_total")
 	if restartErr != nil {
 		return rep, restartErr
 	}
@@ -416,16 +419,12 @@ func Run(cfg Config) (*Report, error) {
 	for _, st := range c.Stores {
 		rep.Inconsistent = append(rep.Inconsistent, st.CheckConsistent(c.Durable)...)
 	}
-	for _, d := range c.Devices {
-		rep.DiskFaults += d.InjectedFaults()
-	}
 
 	// Crash-at-end: abandon every live store, recover each shard from its
 	// journal, re-resolve stranded intents on the recovered cluster, and
 	// fsck the recovered image — shard by shard and across shards.
-	for i, srv := range c.MDSs {
+	for i := range c.MDSs {
 		c.StopShard(i)
-		rep.DedupHits += srv.DedupHits()
 		rst, err := c.RecoverShard(i)
 		if err != nil {
 			return rep, fmt.Errorf("chaos: final recovery: %w", err)
@@ -439,4 +438,17 @@ func Run(cfg Config) (*Report, error) {
 	}
 	rep.RecoveredFsck = rep.RecoveredShardFscks[0]
 	return rep, nil
+}
+
+// dedupHits is the MDS counter behind Report.DedupHits.
+const dedupHits = "redbud_mds_dedup_hits_total"
+
+// sum totals every series of one counter in a registry snapshot.
+func sum(s obs.Snapshot, name string) (total int64) {
+	for _, m := range s.Metrics {
+		if m.Name == name {
+			total += m.Value
+		}
+	}
+	return total
 }

@@ -906,6 +906,8 @@ func TestChaosSharedFilesFaultFree(t *testing.T) {
 // half the files are homed away from their dirents: opens keep the name
 // lookup, the attribute delegation lives on the home shard, and the
 // cross-shard remove and rename sagas recall there before their commit point.
+// It is the sharded sweep that runs delayed commit without space delegation:
+// every write-behind batch allocates with a layout-get on its file's shard.
 func TestChaosSharedFilesSharded(t *testing.T) {
 	for s := 0; s < *seeds; s++ {
 		seed := int64(s)*32452843 + 31
@@ -913,6 +915,7 @@ func TestChaosSharedFilesSharded(t *testing.T) {
 			t.Parallel()
 			cfg := sharedConfig(seed)
 			cfg.Shards = 2
+			cfg.Delegation = -1
 			cfg.Net.Partitions = []netsim.Partition{
 				{From: "client-0", To: "mds1", Start: 5 * time.Millisecond, End: 70 * time.Millisecond},
 			}

@@ -290,7 +290,6 @@ func RunShared(cfg Config) (*SharedReport, error) {
 
 	// The population, created through the first mount with the faults held
 	// off: the scenario starts from a known namespace.
-	faults := c.Net.FaultStats
 	c.Net.ClearFaults()
 	if err := c.Mounts[0].Mkdir(sharedDir); err != nil {
 		return r.rep, fmt.Errorf("chaos: shared set-up: %w", err)
@@ -349,7 +348,7 @@ func RunShared(cfg Config) (*SharedReport, error) {
 		r.rep.Restarts++
 	}
 	wg.Wait()
-	r.rep.Faults = faults()
+	r.rep.Faults = netsim.FaultsIn(c.Registry.Snapshot())
 	c.Net.ClearFaults()
 	if restartErr != nil {
 		return r.rep, restartErr

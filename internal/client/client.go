@@ -130,22 +130,11 @@ type Config struct {
 	// flush later.
 	EarlyVisibility bool
 
-	// ReadAhead enables sequential read-ahead with this window (bytes);
-	// 0 disables it. The paper's §II motivates "active" file systems by
-	// noting a passive one cannot prefetch on its own — with file-system
-	// daemons in place, it can: a detected sequential read pattern
-	// triggers an asynchronous prefetch of the next window into the page
-	// cache.
-	ReadAhead int64
-
 	// Ablation knobs.
 
 	// FixedCommitThreads pins the commit pool size (vs the adaptive
 	// ThreadNums = ρ·QueueLen formula); 0 selects adaptive.
 	FixedCommitThreads int
-	// SpaceNoPrefetch disables the double-space-pool's background refill,
-	// degrading delegation to a single pool with blocking refills.
-	SpaceNoPrefetch bool
 	// CommitEvenIfClean sends a commit RPC for every dequeued entry even
 	// when the file has nothing new — approximating a commit queue
 	// without per-file deduplication.
@@ -183,9 +172,6 @@ type Client struct {
 	queue    *core.Queue[meta.FileID]
 	pool     *core.Pool
 	compound *core.Compound
-	// space may be swapped wholesale when an MDS restart invalidates every
-	// delegated span, hence the atomic pointer (nil when disabled).
-	space atomic.Pointer[core.SpacePool]
 
 	mu    sync.Mutex
 	files map[meta.FileID]*fileState
@@ -206,7 +192,6 @@ type Client struct {
 	wbInflight atomic.Int64
 
 	st clientStats
-	ra raStats
 
 	tracer      *obs.Tracer
 	trackApp    string // span track for application threads, "<Name>/app"
@@ -263,12 +248,6 @@ func New(cfg Config) *Client {
 			panic(fmt.Sprintf("client: nil connection for shard %d", i))
 		}
 	}
-	if cfg.DelegationChunk > 0 && len(conns) > 1 {
-		// Delegated spans are granted by one shard's allocator, but a write
-		// may land in any shard's file; carving a shard-0 span for a
-		// shard-2 inode would corrupt both allocators' books.
-		panic("client: space delegation is not supported with a sharded MDS")
-	}
 	if len(cfg.Devices) == 0 {
 		panic("client: no data devices")
 	}
@@ -296,7 +275,11 @@ func New(cfg Config) *Client {
 		if d := cfg.Retry.CallTimeout; d > 0 {
 			mc.SetCallTimeout(d)
 		}
-		c.links = append(c.links, &mdsLink{shard: i, mds: mc})
+		l := &mdsLink{shard: i, mds: mc}
+		if cfg.DelegationChunk > 0 {
+			l.space.Store(c.newSpacePool(l))
+		}
+		c.links = append(c.links, l)
 	}
 	c.commitSeq.Store(commitIDBase(cfg.Name))
 	seed := cfg.Retry.Seed
@@ -310,9 +293,6 @@ func New(cfg Config) *Client {
 		NetCongestion: cfg.NetCongestion,
 		ServerLoad:    c.serverLoad,
 	})
-	if cfg.DelegationChunk > 0 {
-		c.space.Store(c.newSpacePool())
-	}
 	// Learn each shard's incarnation up front, so a later reconnect can tell
 	// a restart from a mere connection blip, and check its shard map. Best
 	// effort: a hello that fails leaves the link without delegations until
@@ -336,11 +316,11 @@ func New(cfg Config) *Client {
 	return c
 }
 
-// delegate is the SpacePool's refill function. Not retried: a duplicate
-// grant whose first reply was lost would leak a span on the server.
-// Delegation is single-shard only (enforced in New), so shard 0 it is.
-func (c *Client) delegate(size int64) (alloc.Span, error) {
-	mds, _ := c.links[0].conn()
+// delegate is the refill function of link l's SpacePool: it asks l's shard
+// for a chunk of its own allocation groups. Not retried: a duplicate grant
+// whose first reply was lost would leak a span on the server.
+func (c *Client) delegate(l *mdsLink, size int64) (alloc.Span, error) {
+	mds, _ := l.conn()
 	var sp proto.SpanMsg
 	if err := mds.Call(proto.OpDelegate, &proto.DelegateReq{Owner: c.cfg.Name, Size: size}, &sp); err != nil {
 		return alloc.Span{}, err
@@ -958,17 +938,17 @@ func (c *Client) Close() error {
 		c.queue.Close()
 		c.pool.Stop()
 	}
-	if pool := c.space.Load(); pool != nil {
-		mds, _ := c.links[0].conn()
-		for _, sp := range pool.Close() {
-			msg := proto.SpanMsg{Dev: uint32(sp.Dev), Off: sp.Off, Len: sp.Len}
-			if err := mds.Call(proto.OpDelegReturn, &proto.DelegReturnReq{Owner: c.cfg.Name, Span: msg}, nil); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
 	for _, l := range c.links {
 		mds, _ := l.conn()
+		if pool := l.space.Load(); pool != nil {
+			// Every chunk goes back to the shard that granted it.
+			for _, sp := range pool.Close() {
+				msg := proto.SpanMsg{Dev: uint32(sp.Dev), Off: sp.Off, Len: sp.Len}
+				if err := mds.Call(proto.OpDelegReturn, &proto.DelegReturnReq{Owner: c.cfg.Name, Span: msg}, nil); err != nil && firstErr == nil {
+					firstErr = err
+				}
+			}
+		}
 		mds.Close()
 	}
 	return firstErr
@@ -1074,8 +1054,13 @@ func (c *Client) Stats() Stats {
 	if c.queue != nil {
 		s.QueueEnqueued, s.QueueDedup = c.queue.Stats()
 	}
-	if pool := c.space.Load(); pool != nil {
-		s.LocalAllocs, s.Delegations, s.WastedDelegationBytes = pool.Stats()
+	for _, l := range c.links {
+		if pool := l.space.Load(); pool != nil {
+			local, chunks, wasted := pool.Stats()
+			s.LocalAllocs += local
+			s.Delegations += chunks
+			s.WastedDelegationBytes += wasted
+		}
 	}
 	return s
 }

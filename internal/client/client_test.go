@@ -43,7 +43,7 @@ func newCluster(t *testing.T) *testCluster {
 	t.Cleanup(data.Close)
 	devices := map[uint32]*blockdev.Device{0: data}
 
-	ags := alloc.NewUniformAGSet(alloc.RoundRobin, 0, 1<<30, 4)
+	ags := alloc.NewUniformAGSet(0, 1<<30, 4)
 	store := meta.NewStore(meta.Config{AGs: ags, Clock: clk})
 	server := mds.New(mds.Config{
 		Store:   store,

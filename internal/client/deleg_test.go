@@ -52,7 +52,7 @@ func newDelegCluster(t *testing.T) *delegCluster {
 	clk := clock.NewManual()
 	dc := &delegCluster{t: t, clk: clk}
 	dc.data = blockdev.New(blockdev.Config{ID: 0, Size: gatedSpace, Model: blockdev.ZeroLatency(), Clock: clk})
-	dc.store = meta.NewStore(meta.Config{AGs: alloc.NewUniformAGSet(alloc.RoundRobin, 0, gatedSpace, 4), Clock: clk})
+	dc.store = meta.NewStore(meta.Config{AGs: alloc.NewUniformAGSet(0, gatedSpace, 4), Clock: clk})
 	dc.net = netsim.NewNetwork(clk)
 	srv := mds.New(mds.Config{Store: dc.store, Clock: clk, Daemons: 4})
 	dc.net.AddHost("mds", netsim.Instant())

@@ -47,10 +47,7 @@ type fileState struct {
 	// in belongs to a dead one and is dropped (reestablish).
 	session uint64
 
-	pendingWrites int    // in-flight device writes
-	writeGen      uint64 // bumped by every write (read-ahead race guard)
-	raNext        int64  // expected offset of the next sequential read
-	raInflight    bool   // a prefetch is running
+	pendingWrites int // in-flight device writes
 	writeErr      error
 	commitErr     error
 	dirtyMeta     bool   // something to commit
@@ -99,7 +96,6 @@ func (fs *fileState) stageLocked(p []byte, off int64, now time.Time) {
 	}
 	fs.mtime = now
 	fs.dirtyMeta = true
-	fs.writeGen++
 }
 
 // dropDeferredLocked empties the write-behind list and returns how many
@@ -480,7 +476,6 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	}
 	c.st.reads.Inc()
 	c.st.bytesRead.Add(n)
-	c.maybeReadAhead(fs, off, n)
 	return int(n), nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"redbud/internal/alloc"
 	"redbud/internal/core"
 	"redbud/internal/meta"
 	"redbud/internal/proto"
@@ -188,20 +189,20 @@ func (c *Client) hello(l *mdsLink, mds *rpc.Client) {
 
 // reestablish rolls the client session back to what one recovered MDS shard
 // still knows. meta.Recover reclaimed this client's delegations and freed
-// its uncommitted allocations there, so: the space pool is discarded and
-// rebuilt (delegation exists only in the single-shard topology, where every
-// restart is shard 0's), and every file homed on that shard drops its
+// its uncommitted allocations there, so: that shard's space pool is
+// discarded and rebuilt, and every file homed on that shard drops its
 // uncommitted extents, write-behind data, cached pages, and local size
-// growth. Files homed on other shards are untouched — their state is still
-// live. Delayed-commit data that was never fsynced is lost — exactly the
-// window the paper's §III-A contract concedes.
+// growth. Files homed on other shards, and their shards' pools, are
+// untouched — their state is still live. Delayed-commit data that was never
+// fsynced is lost — exactly the window the paper's §III-A contract concedes.
 func (c *Client) reestablish(shard int) {
+	l := c.links[shard]
 	// The old pool closes first and the new one opens last: the recovered
 	// MDS tends to delegate the very same chunk again, and an extent carved
 	// from it into a file that still lists the dead session's extents would
 	// share their blocks — in one commit the new MDS has no reason to refuse.
 	// In between, writes allocate at the MDS (coverLocalLocked).
-	old := c.space.Load()
+	old := l.space.Load()
 	if old != nil {
 		old.Close() // the recovered MDS no longer tracks these spans
 	}
@@ -240,12 +241,12 @@ func (c *Client) reestablish(shard int) {
 		c.releaseDirty(dropped)
 	}
 	if old != nil {
-		c.space.Store(c.newSpacePool())
+		l.space.Store(c.newSpacePool(l))
 	}
 	// The recovered MDS knows nothing of the file delegations its predecessor
 	// granted, and numbers its recalls from zero. Last, like the pool: nothing
 	// here is worth delaying the session bump above for.
-	c.dropLinkDelegs(c.links[shard], true)
+	c.dropLinkDelegs(l, true)
 }
 
 // callIdem issues an idempotent RPC on one shard's link with timeout/backoff
@@ -340,19 +341,16 @@ func (c *Client) sendCommits(built []builtCommit, send func(*rpc.Client) ([]rpc.
 	}
 }
 
-// newSpacePool builds the delegation space pool from the client config.
-func (c *Client) newSpacePool() *core.SpacePool {
+// newSpacePool builds link l's delegation space pool from the client config.
+func (c *Client) newSpacePool(l *mdsLink) *core.SpacePool {
 	return core.NewSpacePool(core.SpacePoolConfig{
-		ChunkSize:  c.cfg.DelegationChunk,
-		Delegate:   c.delegate,
-		NoPrefetch: c.cfg.SpaceNoPrefetch,
+		ChunkSize: c.cfg.DelegationChunk,
+		Delegate:  func(size int64) (alloc.Span, error) { return c.delegate(l, size) },
 	})
 }
 
-// spacePool returns the live delegation pool, or nil when disabled.
-func (c *Client) spacePool() *core.SpacePool {
-	if c.cfg.DelegationChunk <= 0 {
-		return nil
-	}
-	return c.space.Load()
+// spacePool returns the live delegation pool of file id's home shard, or nil
+// when delegation is disabled.
+func (c *Client) spacePool(id meta.FileID) *core.SpacePool {
+	return c.shardFor(id).space.Load()
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"redbud/internal/netsim"
+	"redbud/internal/obs"
 	"redbud/internal/proto"
 	"redbud/internal/rpc"
 )
@@ -103,7 +104,6 @@ func (tc *testCluster) retryClient(mode Mode, delegation int64, pol RetryPolicy,
 		Clock:           tc.clk,
 		Mode:            mode,
 		DelegationChunk: delegation,
-		SpaceNoPrefetch: true, // no background refill RPCs racing the fault scripts
 		PoolInterval:    time.Millisecond,
 		Retry:           pol,
 	}
@@ -160,10 +160,11 @@ func TestNonIdempotentOpsAreNotRetried(t *testing.T) {
 
 // waitDelegationQuiet waits until the space pool's background refill has
 // landed (first blocking refill plus the standby prefetch launched on
-// promotion), so no stray Delegate reply races an armed fault script.
+// promotion), so no stray Delegate reply races an armed fault script. The
+// tests write far less than a chunk, so no later swap starts another refill.
 func waitDelegationQuiet(t *testing.T, c *Client) {
 	t.Helper()
-	pool := c.spacePool()
+	pool := c.links[0].space.Load()
 	if pool == nil {
 		return
 	}
@@ -247,8 +248,10 @@ func TestDroppedCommitReplyRecoveredByRetryDedup(t *testing.T) {
 	if _, err := f.WriteAt(pattern(4096, 2), 4096); err != nil {
 		t.Fatalf("retry+dedup failed to recover the dropped commit reply: %v", err)
 	}
-	if hits := tc.mds.DedupHits(); hits < 1 {
-		t.Fatalf("DedupHits = %d, want >= 1: the retransmission was re-applied, not deduped", hits)
+	reg := obs.NewRegistry()
+	tc.mds.RegisterMetrics(reg)
+	if hits, _ := reg.Snapshot().Get("redbud_mds_dedup_hits_total"); hits.Value < 1 {
+		t.Fatalf("dedup hits = %d, want >= 1: the retransmission was re-applied, not deduped", hits.Value)
 	}
 	// The recovered commit left the store consistent and the data readable.
 	bad := tc.store.CheckConsistent(func(dev int, off, n int64) bool {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"redbud/internal/core"
 	"redbud/internal/meta"
 	"redbud/internal/obs"
 	"redbud/internal/proto"
@@ -41,6 +42,13 @@ type mdsLink struct {
 	// trusted, ackSeq the newest recall from here this client has processed.
 	lease  time.Time
 	ackSeq uint64
+
+	// space is the double-space-pool of chunks this shard delegated (nil
+	// without space delegation). A file's space is carved from its home
+	// shard's pool, so each shard's allocator only ever sees its own chunks
+	// committed. A restart of the shard swaps the pool wholesale
+	// (reestablish), hence the atomic pointer.
+	space atomic.Pointer[core.SpacePool]
 
 	// fatal, once set, marks the link permanently unusable: the hello
 	// reply proved the connection reaches the wrong shard, so routing

@@ -39,7 +39,7 @@ func newShardedCluster(t *testing.T, n int) *shardedCluster {
 		t.Cleanup(d.Close)
 		sc.data[uint32(i)] = d
 		store := meta.NewStore(meta.Config{
-			AGs: alloc.NewUniformAGSet(alloc.RoundRobin, i, 1<<30, 4), Clock: clk,
+			AGs: alloc.NewUniformAGSet(i, 1<<30, 4), Clock: clk,
 			Shard: i, ShardCount: n,
 		})
 		sc.stores = append(sc.stores, store)

@@ -48,7 +48,7 @@ func TestFullStackOverTCP(t *testing.T) {
 	// MDS with a journaled store.
 	metaDev := blockdev.New(blockdev.Config{ID: 1000, Size: 256 << 20, Model: blockdev.FastHDD(), Clock: clk})
 	t.Cleanup(metaDev.Close)
-	ags := alloc.NewUniformAGSet(alloc.RoundRobin, 0, 1<<30, 4)
+	ags := alloc.NewUniformAGSet(0, 1<<30, 4)
 	journal := meta.NewJournal(metaDev, 0, 128<<20)
 	store := meta.NewStore(meta.Config{AGs: ags, Journal: journal, Clock: clk})
 	mdsSrv := mds.New(mds.Config{Store: store, Clock: clk, Daemons: 4})

@@ -154,7 +154,7 @@ func (c *Client) coverLocalLocked(fs *fileState, off, end int64, keepSession boo
 	session := fs.session
 	for {
 		holes := fs.gapsLocked(off, end)
-		pool := c.spacePool()
+		pool := c.spacePool(fs.id)
 		if pool == nil || len(holes) == 0 {
 			return holes, nil
 		}

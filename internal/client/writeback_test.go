@@ -260,7 +260,7 @@ func newGatedCluster(t *testing.T) *gatedCluster {
 
 	gc := &gatedCluster{t: t, clk: clk}
 	gc.data = blockdev.New(blockdev.Config{ID: 0, Size: gatedSpace, Model: blockdev.ZeroLatency(), Clock: clk})
-	gc.ags = alloc.NewUniformAGSet(alloc.RoundRobin, 0, gatedSpace, 4)
+	gc.ags = alloc.NewUniformAGSet(0, gatedSpace, 4)
 	gc.store = meta.NewStore(meta.Config{AGs: gc.ags, Clock: clk})
 	gc.net = netsim.NewNetwork(clk)
 
@@ -1360,43 +1360,42 @@ func TestWriteBehindObservability(t *testing.T) {
 // and a device completion, which retires its write under that lock, is never
 // stuck behind the delegate round trip.
 func TestDryPoolRefillHoldsNoFileLock(t *testing.T) {
-	for _, noPrefetch := range []bool{false, true} {
-		t.Run(fmt.Sprintf("noPrefetch=%v", noPrefetch), func(t *testing.T) {
-			gc := newGatedCluster(t)
-			c := gc.mount(DelayedCommit, func(_ string, cfg *Config) {
-				cfg.DelegationChunk = 1 << 20
-				cfg.SpaceNoPrefetch = noPrefetch
-			})
-			f := mustCreate(t, c, "/f")
-			release := gc.gate.holdOp(proto.OpDelegate)
-			data := pattern(PageSize, 5)
-			wrote := make(chan error, 1)
-			go func() {
-				_, err := f.WriteAt(data, 0)
-				wrote <- err
-			}()
-			gc.gate.waitArrival(t, proto.OpDelegate)
-			returns(t, "Size of the file while its write waits for the refill", func() { f.Size() })
-			release()
-			if err := <-wrote; err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if got := c.Stats().LocalAllocs; got == 0 {
-				t.Fatal("the write did not allocate from the refilled pool")
-			}
-			got := make([]byte, PageSize)
-			if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("read back %v, %v", err, bytes.Equal(got, data))
-			}
-			gc.assertOrdered()
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
+	// The case is the double-space-pool as it always runs: the standby
+	// refill is on.
+	t.Run("noPrefetch=false", func(t *testing.T) {
+		gc := newGatedCluster(t)
+		c := gc.mount(DelayedCommit, func(_ string, cfg *Config) {
+			cfg.DelegationChunk = 1 << 20
 		})
-	}
+		f := mustCreate(t, c, "/f")
+		release := gc.gate.holdOp(proto.OpDelegate)
+		data := pattern(PageSize, 5)
+		wrote := make(chan error, 1)
+		go func() {
+			_, err := f.WriteAt(data, 0)
+			wrote <- err
+		}()
+		gc.gate.waitArrival(t, proto.OpDelegate)
+		returns(t, "Size of the file while its write waits for the refill", func() { f.Size() })
+		release()
+		if err := <-wrote; err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Stats().LocalAllocs; got == 0 {
+			t.Fatal("the write did not allocate from the refilled pool")
+		}
+		got := make([]byte, PageSize)
+		if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read back %v, %v", err, bytes.Equal(got, data))
+		}
+		gc.assertOrdered()
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestInlineWritesHoldNoGoroutine: a device write in flight costs the client

@@ -43,9 +43,6 @@ type SpacePoolConfig struct {
 	ChunkSize int64
 	// Delegate obtains a fresh chunk from the MDS (a Delegate RPC).
 	Delegate func(size int64) (alloc.Span, error)
-	// NoPrefetch disables the background refill of the standby pool
-	// (ablation: single pool with blocking refill vs double-space-pool).
-	NoPrefetch bool
 }
 
 // SpacePool is the client side of space delegation: a double-space-pool, one
@@ -122,9 +119,7 @@ func (p *SpacePool) TryAlloc(n int64) (sp alloc.Span, refill <-chan struct{}, er
 			p.wasted.Add(p.active.remaining())
 			p.active = p.standby
 			p.standby = nil
-			if !p.cfg.NoPrefetch {
-				p.startRefillLocked()
-			}
+			p.startRefillLocked()
 			continue
 		}
 		// Nothing usable: make sure a refill is in flight.
@@ -183,15 +178,6 @@ func (p *SpacePool) startRefillLocked() {
 // swaps).
 func (p *SpacePool) Stats() (localAllocs, refills, wastedBytes int64) {
 	return p.localAllocs.Load(), p.refills.Load(), p.wasted.Load()
-}
-
-// Held returns every span delegated to this pool since creation.
-func (p *SpacePool) Held() []alloc.Span {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]alloc.Span, len(p.held))
-	copy(out, p.held)
-	return out
 }
 
 // Close stops the pool and returns the delegated spans, so the owner can

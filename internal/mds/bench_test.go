@@ -51,7 +51,7 @@ func benchParallelCommit(b *testing.B, daemons int) {
 	})
 	defer metaDev.Close()
 	journal := meta.NewJournal(metaDev, 0, 1<<29)
-	ags := alloc.NewUniformAGSet(alloc.RoundRobin, 0, 1<<30, 4)
+	ags := alloc.NewUniformAGSet(0, 1<<30, 4)
 	store := meta.NewStore(meta.Config{AGs: ags, Journal: journal, Clock: clk})
 
 	srv := New(Config{Store: store, Clock: clk, Daemons: daemons})

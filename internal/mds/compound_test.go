@@ -33,7 +33,7 @@ type journaledEnv struct {
 	hold    atomic.Bool
 }
 
-func testAGs() *alloc.AGSet { return alloc.NewUniformAGSet(alloc.RoundRobin, 0, testDataSpace, 4) }
+func testAGs() *alloc.AGSet { return alloc.NewUniformAGSet(0, testDataSpace, 4) }
 
 // newJournaledEnv builds the environment; tr, if non-nil, traces the MDS and
 // its store.
@@ -264,12 +264,12 @@ func TestRetransmittedCompoundAnsweredFromDedupWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	appends0, _ := je.journal.GroupCommitStats()
-	hits0 := je.srv.DedupHits()
+	hits0 := metric(je.srv, "redbud_mds_dedup_hits_total").Value
 	again, err := je.cli.Compound(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := je.srv.DedupHits() - hits0; got != 4 {
+	if got := metric(je.srv, "redbud_mds_dedup_hits_total").Value - hits0; got != 4 {
 		t.Fatalf("retransmission hit the dedup window %d times, want 4", got)
 	}
 	if appends, _ := je.journal.GroupCommitStats(); appends != appends0 {

@@ -19,7 +19,7 @@ import (
 func delegEnv(t *testing.T, incarnation uint64) (*env, *clock.Manual) {
 	t.Helper()
 	clk := clock.NewManual()
-	ags := alloc.NewUniformAGSet(alloc.RoundRobin, 0, 256<<20, 4)
+	ags := alloc.NewUniformAGSet(0, 256<<20, 4)
 	store := meta.NewStore(meta.Config{AGs: ags, Clock: clk})
 	return newEnv(t, Config{Store: store, Clock: clk, Daemons: 2, Incarnation: incarnation}), clk
 }

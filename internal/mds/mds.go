@@ -264,10 +264,6 @@ func (s *Server) sessionVersion(owner string) uint32 {
 	return 0
 }
 
-// DedupHits reports how many retransmitted commits were answered from the
-// dedup table instead of being re-applied.
-func (s *Server) DedupHits() int64 { return s.dedupHits.Load() }
-
 // RegisterMetrics exposes the MDS counters — including those of its RPC
 // daemon pool and metadata store — in a metrics registry.
 func (s *Server) RegisterMetrics(r *obs.Registry) {

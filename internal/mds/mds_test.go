@@ -27,7 +27,7 @@ type env struct {
 func newEnv(t *testing.T, cfg Config) *env {
 	t.Helper()
 	if cfg.Store == nil {
-		ags := alloc.NewUniformAGSet(alloc.RoundRobin, 0, 256<<20, 4)
+		ags := alloc.NewUniformAGSet(0, 256<<20, 4)
 		cfg.Store = meta.NewStore(meta.Config{AGs: ags, Clock: clock.Real(1)})
 	}
 	srv := New(cfg)
@@ -283,7 +283,7 @@ func TestCompoundCommitsThroughMDS(t *testing.T) {
 
 func TestLeaseExpiryReclaimsOrphans(t *testing.T) {
 	mc := clock.NewManual()
-	ags := alloc.NewUniformAGSet(alloc.RoundRobin, 0, 256<<20, 4)
+	ags := alloc.NewUniformAGSet(0, 256<<20, 4)
 	store := meta.NewStore(meta.Config{AGs: ags, Clock: mc})
 	e := newEnv(t, Config{Store: store, Clock: mc, LeaseTimeout: time.Minute})
 	var sp proto.SpanMsg
@@ -405,7 +405,7 @@ func TestV2SessionSeesUncommittedAndVisibleSize(t *testing.T) {
 
 func TestLeaseExpiryRollsBackIntentsAndSession(t *testing.T) {
 	mc := clock.NewManual()
-	ags := alloc.NewUniformAGSet(alloc.RoundRobin, 0, 256<<20, 4)
+	ags := alloc.NewUniformAGSet(0, 256<<20, 4)
 	store := meta.NewStore(meta.Config{AGs: ags, Clock: mc})
 	e := newEnv(t, Config{Store: store, Clock: mc, LeaseTimeout: time.Minute})
 	a := e.create(t, meta.RootID, "f", meta.TypeFile)
@@ -503,7 +503,7 @@ func TestCommitDedupSurvivesReconnect(t *testing.T) {
 	if retry.Size != first.Size {
 		t.Fatalf("deduped reply differs: %d vs %d", retry.Size, first.Size)
 	}
-	if hits := e.srv.DedupHits(); hits != 1 {
+	if hits := metric(e.srv, "redbud_mds_dedup_hits_total").Value; hits != 1 {
 		t.Fatalf("dedup hits = %d, want 1: the window did not survive the reconnect", hits)
 	}
 }
@@ -518,7 +518,7 @@ func TestCommitDedupWindowIsPerShard(t *testing.T) {
 	stores := make([]*meta.Store, 2)
 	for i := range stores {
 		stores[i] = meta.NewStore(meta.Config{
-			AGs:   alloc.NewUniformAGSet(alloc.RoundRobin, i, 64<<20, 4),
+			AGs:   alloc.NewUniformAGSet(i, 64<<20, 4),
 			Clock: clk, Shard: i, ShardCount: 2,
 		})
 	}
@@ -572,7 +572,7 @@ func TestCommitDedupWindowIsPerShard(t *testing.T) {
 	if err := clis[0].Call(proto.OpCommit, req, &resp); err != nil {
 		t.Fatalf("home-shard retransmission: %v", err)
 	}
-	if hits := srvs[0].DedupHits(); hits != 1 {
+	if hits := metric(srvs[0], "redbud_mds_dedup_hits_total").Value; hits != 1 {
 		t.Fatalf("home shard dedup hits = %d, want 1", hits)
 	}
 	// The same retransmission aimed at the wrong shard must fail loudly:
@@ -583,7 +583,7 @@ func TestCommitDedupWindowIsPerShard(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("mis-routed retransmission: got err %v, want a remote refusal", err)
 	}
-	if hits := srvs[1].DedupHits(); hits != 0 {
+	if hits := metric(srvs[1], "redbud_mds_dedup_hits_total").Value; hits != 0 {
 		t.Fatalf("wrong shard answered from a dedup window it never populated (hits=%d)", hits)
 	}
 }

@@ -44,7 +44,7 @@ func replayHash(t *testing.T, mkAGs func() *alloc.AGSet, recs []*Record) string 
 // it with the compound's records permuted, and require an identical store.
 func TestCrossInodeCommitsCommute(t *testing.T) {
 	const files = 8
-	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(alloc.RoundRobin, 0, 64<<20, 4) }
+	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(0, 64<<20, 4) }
 	dev := newMetaDev(t)
 	s := NewStore(Config{AGs: mkAGs(), Journal: NewJournal(dev, 0, 32<<20), Clock: clock.Real(1)})
 

@@ -18,7 +18,7 @@ func TestRecoveryFromEveryCrashPoint(t *testing.T) {
 	clk := clock.Real(1)
 	dev := blockdev.New(blockdev.Config{Size: 64 << 20, Model: blockdev.ZeroLatency(), Clock: clk})
 	defer dev.Close()
-	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(alloc.RoundRobin, 0, 64<<20, 4) }
+	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(0, 64<<20, 4) }
 
 	// Build a history touching every record type.
 	j := NewJournal(dev, 0, 32<<20)
@@ -129,7 +129,7 @@ func TestTornJournalGroupCommitWrite(t *testing.T) {
 func tornJournalGroupCommitWrite(t *testing.T) {
 	clk := clock.Real(1)
 	dev := newMetaDev(t)
-	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(alloc.RoundRobin, 0, 64<<20, 4) }
+	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(0, 64<<20, 4) }
 	s := NewStore(Config{AGs: mkAGs(), Journal: NewJournal(dev, 0, 32<<20), Clock: clk})
 
 	// Clean prefix: create and commit a file.
@@ -202,7 +202,7 @@ func tornJournalGroupCommitWrite(t *testing.T) {
 func TestRecoveryIdempotent(t *testing.T) {
 	clk := clock.Real(1)
 	dev := newMetaDev(t)
-	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(alloc.RoundRobin, 0, 64<<20, 4) }
+	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(0, 64<<20, 4) }
 	j := NewJournal(dev, 0, 32<<20)
 	s := NewStore(Config{AGs: mkAGs(), Journal: j, Clock: clk})
 	a, _ := s.Create(RootID, "f", TypeFile)

@@ -16,7 +16,7 @@ import (
 func delegStore(t *testing.T) (*Store, *clock.Manual) {
 	t.Helper()
 	clk := clock.NewManual()
-	ags := alloc.NewUniformAGSet(alloc.RoundRobin, 0, 64<<20, 4)
+	ags := alloc.NewUniformAGSet(0, 64<<20, 4)
 	return NewStore(Config{AGs: ags, Clock: clk}), clk
 }
 
@@ -397,7 +397,7 @@ func TestClientGoneRevokesFileDelegations(t *testing.T) {
 // TestDelegationStateIsVolatile: grants and recalls reach neither the journal
 // nor a snapshot, and a recovered store knows none of them.
 func TestDelegationStateIsVolatile(t *testing.T) {
-	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(alloc.RoundRobin, 0, 64<<20, 4) }
+	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(0, 64<<20, 4) }
 	run := func(owner string) (hash string, records int, dev func() *Journal) {
 		d := newMetaDev(t)
 		s := NewStore(Config{AGs: mkAGs(), Journal: NewJournal(d, 0, 32<<20), Clock: clock.NewManual()})

@@ -11,7 +11,7 @@ import (
 
 func fsckStore(t *testing.T) (*Store, int64) {
 	t.Helper()
-	ags := alloc.NewUniformAGSet(alloc.RoundRobin, 0, 64<<20, 4)
+	ags := alloc.NewUniformAGSet(0, 64<<20, 4)
 	s := NewStore(Config{AGs: ags, Clock: clock.Real(1)})
 	return s, TotalSpace(ags)
 }
@@ -78,7 +78,7 @@ func TestFsckCleanAfterWorkload(t *testing.T) {
 
 func TestFsckCleanAfterRecovery(t *testing.T) {
 	dev := newMetaDev(t)
-	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(alloc.RoundRobin, 0, 64<<20, 4) }
+	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(0, 64<<20, 4) }
 	j := NewJournal(dev, 0, 32<<20)
 	s := NewStore(Config{AGs: mkAGs(), Journal: j, Clock: clock.Real(1)})
 	a, _ := s.Create(RootID, "x", TypeFile)

@@ -68,7 +68,7 @@ func TestOpenLogSetDamagedSuperblockReformats(t *testing.T) {
 func checkpointWorld(t *testing.T) (*blockdev.Device, *LogSet, *Store, func() *alloc.AGSet) {
 	t.Helper()
 	dev := newLogSetDev(t)
-	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(alloc.RoundRobin, 0, 64<<20, 4) }
+	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(0, 64<<20, 4) }
 	ls, j, err := OpenLogSet(dev, 16<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func TestBadSuperblockErrors(t *testing.T) {
 // while checkpoints fire; no acknowledged mutation may be lost.
 func TestCheckpointToAtomicUnderConcurrency(t *testing.T) {
 	dev := newLogSetDev(t)
-	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(alloc.RoundRobin, 0, 64<<20, 4) }
+	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(0, 64<<20, 4) }
 	ls, j, err := OpenLogSet(dev, 16<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +364,7 @@ func TestCheckpointToAtomicUnderConcurrency(t *testing.T) {
 // is refused, and a restart replays the prefix the failed log holds.
 func TestCheckpointRefusedAfterJournalFailure(t *testing.T) {
 	dev := newLogSetDev(t)
-	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(alloc.RoundRobin, 0, 64<<20, 4) }
+	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(0, 64<<20, 4) }
 	ls, j, err := OpenLogSet(dev, 16<<20)
 	if err != nil {
 		t.Fatal(err)

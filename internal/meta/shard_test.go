@@ -72,7 +72,7 @@ const shardSpan = int64(16 << 20)
 // shardAGs gives shard i its own device index, so the shards' data spaces
 // are disjoint by construction.
 func shardAGs(i int) *alloc.AGSet {
-	return alloc.NewUniformAGSet(alloc.RoundRobin, i, shardSpan, 4)
+	return alloc.NewUniformAGSet(i, shardSpan, 4)
 }
 
 func newShardCluster(t *testing.T, n int) *shardCluster {

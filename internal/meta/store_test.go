@@ -13,7 +13,7 @@ import (
 // newStore returns a volatile store over a 64 MiB pool with 4 AGs.
 func newStore(t *testing.T) *Store {
 	t.Helper()
-	ags := alloc.NewUniformAGSet(alloc.RoundRobin, 0, 64<<20, 4)
+	ags := alloc.NewUniformAGSet(0, 64<<20, 4)
 	return NewStore(Config{AGs: ags, Clock: clock.Real(1)})
 }
 
@@ -343,7 +343,7 @@ func TestIvalHelpers(t *testing.T) {
 func journaledStore(t *testing.T) (*Store, *blockdev.Device, func() *alloc.AGSet) {
 	t.Helper()
 	dev := newMetaDev(t)
-	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(alloc.RoundRobin, 0, 64<<20, 4) }
+	mkAGs := func() *alloc.AGSet { return alloc.NewUniformAGSet(0, 64<<20, 4) }
 	j := NewJournal(dev, 0, 32<<20)
 	s := NewStore(Config{AGs: mkAGs(), Journal: j, Clock: clock.Real(1)})
 	return s, dev, mkAGs
@@ -475,7 +475,7 @@ func TestRecoverDelegationUsedSpansSurvive(t *testing.T) {
 }
 
 func TestRecoverRequiresJournal(t *testing.T) {
-	if _, _, err := Recover(Config{AGs: alloc.NewUniformAGSet(alloc.RoundRobin, 0, 1<<20, 1)}); err == nil {
+	if _, _, err := Recover(Config{AGs: alloc.NewUniformAGSet(0, 1<<20, 1)}); err == nil {
 		t.Fatal("Recover without journal succeeded")
 	}
 }

@@ -34,7 +34,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 	defer dataDev.Close()
 
 	j := NewJournal(metaDev, 0, 32<<20)
-	ags := alloc.NewUniformAGSet(alloc.RoundRobin, 0, totalSpace, 8)
+	ags := alloc.NewUniformAGSet(0, totalSpace, 8)
 	s := NewStore(Config{AGs: ags, Journal: j, Clock: clock.Real(1)})
 
 	var wg, rwg sync.WaitGroup
@@ -186,7 +186,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 	// equivalent store. Orphan GC during recovery only reclaims space
 	// (there are no live clients after replay), so the recovered image
 	// must fsck clean and keep every committed file.
-	ags2 := alloc.NewUniformAGSet(alloc.RoundRobin, 0, totalSpace, 8)
+	ags2 := alloc.NewUniformAGSet(0, totalSpace, 8)
 	j2 := NewJournal(metaDev, 0, 32<<20)
 	s2, st, err := Recover(Config{AGs: ags2, Journal: j2, Clock: clock.Real(1)})
 	if err != nil {

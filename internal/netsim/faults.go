@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"redbud/internal/clock"
+	"redbud/internal/obs"
 	"redbud/internal/stats"
 )
 
@@ -114,8 +115,25 @@ func (n *Network) InstallFaults(plan FaultPlan) {
 // ClearFaults removes the installed fault plan.
 func (n *Network) ClearFaults() { n.inj.Store(nil) }
 
-// FaultStats snapshots the injected-fault counters of the active plan.
-func (n *Network) FaultStats() FaultStats {
+// FaultsIn reads the redbud_net_fault_*_total counters out of a snapshot of
+// a registry the network registered into.
+func FaultsIn(s obs.Snapshot) FaultStats {
+	v := func(what string) int64 {
+		m, _ := s.Get("redbud_net_fault_" + what + "_total")
+		return m.Value
+	}
+	return FaultStats{
+		Dropped:     v("dropped"),
+		Duplicated:  v("duplicated"),
+		Delayed:     v("delayed"),
+		Reordered:   v("reordered"),
+		Partitioned: v("partitioned"),
+	}
+}
+
+// faultStats snapshots the injected-fault counters of the active plan, the
+// source of the redbud_net_fault_*_total counters.
+func (n *Network) faultStats() FaultStats {
 	inj := n.inj.Load()
 	if inj == nil {
 		return FaultStats{}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"redbud/internal/clock"
+	"redbud/internal/obs"
 )
 
 // recvN collects n frames from a conn, failing the test on error.
@@ -35,7 +36,7 @@ func TestFaultDropAll(t *testing.T) {
 		}
 	}
 	// Nothing must arrive; prove it by clearing faults and sending a marker.
-	st := n.FaultStats()
+	st := faultCounters(n)
 	n.ClearFaults()
 	if err := c.Send([]byte("marker")); err != nil {
 		t.Fatal(err)
@@ -64,7 +65,7 @@ func TestFaultDuplicate(t *testing.T) {
 	if !bytes.Equal(got[0], []byte("x")) || !bytes.Equal(got[1], []byte("x")) {
 		t.Fatalf("got %q, want two copies of x", got)
 	}
-	if st := n.FaultStats(); st.Duplicated != 1 {
+	if st := faultCounters(n); st.Duplicated != 1 {
 		t.Fatalf("Duplicated = %d, want 1", st.Duplicated)
 	}
 }
@@ -92,7 +93,7 @@ func TestFaultReorderSwapsPair(t *testing.T) {
 	if string(got[0]) != "two" || string(got[1]) != "one" {
 		t.Fatalf("got %q,%q; want two,one (swapped)", got[0], got[1])
 	}
-	if st := n.FaultStats(); st.Reordered != 1 {
+	if st := faultCounters(n); st.Reordered != 1 {
 		t.Fatalf("Reordered = %d, want 1", st.Reordered)
 	}
 }
@@ -169,7 +170,7 @@ func TestFaultPartitionWindow(t *testing.T) {
 	if string(got[0]) != "before" || string(got[1]) != "after" {
 		t.Fatalf("got %q,%q; want before,after with the cut frame dropped", got[0], got[1])
 	}
-	if st := n.FaultStats(); st.Partitioned != 1 {
+	if st := faultCounters(n); st.Partitioned != 1 {
 		t.Fatalf("Partitioned = %d, want 1", st.Partitioned)
 	}
 }
@@ -188,7 +189,7 @@ func TestFaultSeedDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		st := n.FaultStats()
+		st := faultCounters(n)
 		delivered := 64 - int(st.Dropped) + int(st.Duplicated)
 		seen := recvN(t, s, delivered)
 		for _, f := range seen {
@@ -226,8 +227,16 @@ func TestFaultPerLinkOverride(t *testing.T) {
 	}
 	// c's frame must have been dropped; verify via the counter rather than
 	// waiting on a receive that would never return.
-	if st := n.FaultStats(); st.Dropped != 1 {
+	if st := faultCounters(n); st.Dropped != 1 {
 		t.Fatalf("Dropped = %d, want 1 (only the a->c frame)", st.Dropped)
 	}
 	_ = sc
+}
+
+// faultCounters reads the injector's counters the way an operator does:
+// through the registry.
+func faultCounters(n *Network) FaultStats {
+	reg := obs.NewRegistry()
+	n.RegisterMetrics(reg)
+	return FaultsIn(reg.Snapshot())
 }

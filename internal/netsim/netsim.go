@@ -295,15 +295,15 @@ func (n *Network) RegisterMetrics(r *obs.Registry) {
 			func() int64 { return int64(l.meanWait()) })
 	}
 	r.CounterFunc("redbud_net_fault_dropped_total", "frames dropped by the fault injector", nil,
-		func() int64 { return n.FaultStats().Dropped })
+		func() int64 { return n.faultStats().Dropped })
 	r.CounterFunc("redbud_net_fault_duplicated_total", "frames duplicated by the fault injector", nil,
-		func() int64 { return n.FaultStats().Duplicated })
+		func() int64 { return n.faultStats().Duplicated })
 	r.CounterFunc("redbud_net_fault_delayed_total", "frames delayed by the fault injector", nil,
-		func() int64 { return n.FaultStats().Delayed })
+		func() int64 { return n.faultStats().Delayed })
 	r.CounterFunc("redbud_net_fault_reordered_total", "frames reordered by the fault injector", nil,
-		func() int64 { return n.FaultStats().Reordered })
+		func() int64 { return n.faultStats().Reordered })
 	r.CounterFunc("redbud_net_fault_partitioned_total", "frames blocked by a partition", nil,
-		func() int64 { return n.FaultStats().Partitioned })
+		func() int64 { return n.faultStats().Partitioned })
 }
 
 // CongestionWait returns the smoothed ingress queueing delay at a host — the

@@ -216,28 +216,48 @@ func TestLinkCongestionSignal(t *testing.T) {
 
 func TestPerMessageOverheadDominatesSmallFrames(t *testing.T) {
 	// Sending k small frames costs ~k*PerMessage; one frame of the same
-	// total bytes costs ~1*PerMessage — the compound-RPC economics.
+	// total bytes costs ~1*PerMessage — the compound-RPC economics. Each
+	// frame is posted at the modeled instant the previous one arrived and
+	// the costs are read off the modeled arrival instants, so a late host
+	// wakeup of the sender cannot stretch either side.
 	lc := LinkConfig{BandwidthMbps: 1e9, PerMessage: 5 * time.Millisecond, Latency: 0}
 	n := NewNetwork(clock.Real(0.01))
 	n.AddHost("a", lc)
 	n.AddHost("b", lc)
 	c, s := dialPair(t, n, "a", "b")
 	defer c.Close()
+	arrivals := make(chan time.Time, 1)
 	go func() {
 		for {
-			if _, err := s.Recv(); err != nil {
+			_, at, err := RecvAt(s)
+			if err != nil {
 				return
 			}
+			arrivals <- at
 		}
 	}()
-	start := time.Now()
-	for i := 0; i < 10; i++ {
-		c.Send(make([]byte, 100))
+	// send posts a frame of size bytes at the modeled instant at, waits for
+	// it to arrive, and returns its modeled arrival instant.
+	send := func(at time.Time, size int) time.Time {
+		fl, err := PostVec(c, at, make([]byte, size), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fl.Arrive(); err != nil {
+			t.Fatal(err)
+		}
+		return <-arrivals
 	}
-	many := time.Since(start)
-	start = time.Now()
-	c.Send(make([]byte, 1000))
-	one := time.Since(start)
+	start := n.clk.Now()
+	at := start
+	for i := 0; i < 10; i++ {
+		at = send(at, 100)
+	}
+	many := at.Sub(start)
+	one := send(at, 1000).Sub(at)
+	if one < lc.PerMessage {
+		t.Fatalf("1 large frame took %v, less than the per-message cost %v", one, lc.PerMessage)
+	}
 	if many < 5*one {
 		t.Fatalf("10 small frames (%v) not ≫ 1 large frame (%v)", many, one)
 	}

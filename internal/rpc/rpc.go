@@ -131,15 +131,15 @@ type SubResult struct {
 	Body []byte
 }
 
-// encodeCompound packs sub-operations into one payload.
-func encodeCompound(ops []SubOp) []byte {
-	var b wire.Buffer
+// appendCompound packs sub-operations into one compound request payload.
+//
+//redbud:hotpath
+func appendCompound(b *wire.Buffer, ops []SubOp) {
 	b.PutU16(uint16(len(ops)))
 	for _, o := range ops {
 		b.PutU16(o.Op)
 		b.PutBytes(o.Body)
 	}
-	return b.Bytes()
 }
 
 // decodeCompound unpacks a compound request payload.
@@ -1102,11 +1102,7 @@ func (c *Client) Compound(ops []SubOp) ([]SubResult, error) {
 		return nil, nil
 	}
 	b := wire.GetBuffer()
-	b.PutU16(uint16(len(ops)))
-	for _, o := range ops {
-		b.PutU16(o.Op)
-		b.PutBytes(o.Body)
-	}
+	appendCompound(b, ops)
 	payload, frame, err := c.call(OpCompound, b.Bytes())
 	wire.PutBuffer(b)
 	if err != nil {

@@ -221,7 +221,9 @@ func TestCompoundEmpty(t *testing.T) {
 
 func TestCompoundRoundTripEncoding(t *testing.T) {
 	ops := []SubOp{{Op: 7, Body: []byte("abc")}, {Op: 9, Body: nil}}
-	dec, err := decodeCompound(encodeCompound(ops))
+	var b wire.Buffer
+	appendCompound(&b, ops)
+	dec, err := decodeCompound(b.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

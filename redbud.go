@@ -127,8 +127,9 @@ type Config struct {
 	// instances (default 1). Each shard is a complete metadata authority
 	// with its own journal; clients route per inode by the hash partition
 	// and drive cross-shard creates, removes and renames with the
-	// two-phase intent protocol. Incompatible with SpaceDelegation: a
-	// delegated writer's private space pool has no shard affinity.
+	// two-phase intent protocol. With SpaceDelegation each client keeps
+	// one space pool per shard and carves a file's space from its home
+	// shard's.
 	Shards int
 }
 
@@ -162,12 +163,7 @@ func New(cfg Config) (*Cluster, error) {
 	opt.CompoundDegree = cfg.CompoundDegree
 	opt.DelegationChunk = cfg.SpaceDelegation
 	opt.EarlyVisibility = cfg.EarlyVisibility
-	if cfg.Shards > 1 {
-		if cfg.SpaceDelegation > 0 {
-			return nil, fmt.Errorf("redbud: Shards %d is incompatible with SpaceDelegation", cfg.Shards)
-		}
-		opt.Shards = cfg.Shards
-	}
+	opt.Shards = cfg.Shards
 	if cfg.FastDevices {
 		opt.Disk = blockdev.FastHDD()
 		opt.MDSOpCost = 0

@@ -154,9 +154,53 @@ func TestShardedClusterFlow(t *testing.T) {
 	}
 }
 
-func TestShardsRejectDelegation(t *testing.T) {
-	if _, err := New(Config{Shards: 2, SpaceDelegation: 16 << 20}); err == nil {
-		t.Fatal("Shards with SpaceDelegation accepted")
+// TestShardsComposeWithDelegation: a sharded cluster runs the paper's
+// delayed commit with space delegation. Files homed on both shards are
+// written through one mount's per-shard pools and read back on another, and
+// every shard's books balance once the clients have returned their chunks.
+func TestShardsComposeWithDelegation(t *testing.T) {
+	c, err := New(Config{Clients: 2, Mode: DelayedCommit, Shards: 2, SpaceDelegation: 1 << 20, FastDevices: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := c.Mount(0)
+	want := map[string][]byte{}
+	for i := 0; i < 8; i++ {
+		name := fmt.Sprintf("/f%d", i)
+		want[name] = bytes.Repeat([]byte{byte(i + 1)}, 4096*(i+1))
+		f, err := fs.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(want[name], 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Drain()
+	for name, data := range want {
+		g, err := c.Mount(1).Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(data))
+		if n, err := g.ReadAt(got, 0); err != nil || n != len(data) || !bytes.Equal(got, data) {
+			t.Fatalf("%s read back on another mount: %d bytes, %v, equal %v", name, n, err, bytes.Equal(got, data))
+		}
+		g.Close()
+	}
+	for i, st := range c.inner.Stores {
+		if st.Delegations("client-0") == 0 {
+			t.Errorf("shard %d granted client-0 no delegation", i)
+		}
+	}
+	c.Close()
+	for i, st := range c.inner.Stores {
+		if r := st.Fsck(c.inner.AGTotals[i]); !r.OK() {
+			t.Errorf("shard %d: %v: %v", i, r, r.Problems)
+		}
 	}
 }
 
