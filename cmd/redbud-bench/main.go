@@ -21,7 +21,7 @@ import (
 )
 
 // figures are the values -fig accepts.
-var figures = []string{"3", "4", "5", "6", "7", "obs", "visibility", "shards", "all"}
+var figures = []string{"3", "4", "5", "6", "7", "obs", "shards", "all"}
 
 // checkFig rejects a -fig value that names no figure, so a typo fails the run
 // instead of printing nothing and exiting 0.
@@ -52,7 +52,7 @@ func checkParams(clients int, scale, size float64) error {
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate: "+strings.Join(figures, ", ")+" (obs, visibility and shards run only when named)")
+		fig     = flag.String("fig", "all", "figure to regenerate: "+strings.Join(figures, ", ")+" (obs and shards run only when named)")
 		clients = flag.Int("clients", 7, "number of client nodes")
 		scale   = flag.Float64("scale", 0.02, "virtual-time compression in (0, 1]")
 		size    = flag.Float64("size", 0.5, "workload size factor in (0, 1]")
@@ -151,20 +151,6 @@ func main() {
 				}
 				fmt.Printf("   wrote %s (load in ui.perfetto.dev)\n", *obsOut)
 			}
-			return nil
-		})
-	}
-
-	// The visibility figure is opt-in ("-fig visibility"), not part of
-	// "all": it runs the conflict-read and varmail workloads twice (early
-	// visibility off vs on).
-	if *fig == "visibility" {
-		run("Visibility", func() error {
-			rows, err := bench.FigVisibility(opt)
-			if err != nil {
-				return err
-			}
-			bench.PrintFigVisibility(os.Stdout, rows)
 			return nil
 		})
 	}

@@ -12,8 +12,8 @@ func TestCheckFig(t *testing.T) {
 		ok  bool
 	}{
 		{"3", true}, {"4", true}, {"5", true}, {"6", true}, {"7", true},
-		{"obs", true}, {"visibility", true}, {"shards", true}, {"all", true},
-		{"autoscale", false}, {"bogus", false}, {"", false}, {"8", false}, {"ALL", false}, {"3 ", false}, {"fig3", false},
+		{"obs", true}, {"shards", true}, {"all", true},
+		{"visibility", false}, {"autoscale", false}, {"bogus", false}, {"", false}, {"8", false}, {"ALL", false}, {"3 ", false}, {"fig3", false},
 	} {
 		err := checkFig(tc.fig)
 		if (err == nil) != tc.ok {

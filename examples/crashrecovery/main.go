@@ -79,7 +79,7 @@ func main() {
 		if err != nil {
 			continue
 		}
-		lay, _ := recovered.GetLayout(attr.ID, 0, 8192, 0)
+		lay, _ := recovered.GetLayout(attr.ID, 0, 8192)
 		if attr.Size == 8192 && len(lay.Extents) > 0 {
 			survivors++
 		}

@@ -120,11 +120,6 @@ type Options struct {
 	CommitEvenIfClean  bool
 	DisableMerge       bool
 
-	// EarlyVisibility lets Redbud clients read peers' durable-but-
-	// uncommitted extents through the layout intent path instead of
-	// stalling conflict reads until the commit lands.
-	EarlyVisibility bool
-
 	// Shards partitions the metadata namespace across this many MDS
 	// instances (<= 1 keeps the classic single MDS). Each shard runs its
 	// own daemon pool, store and journal device, and splits the shared
@@ -375,7 +370,7 @@ func buildRedbud(sys System, opt Options, clk clock.Clock) *Cluster {
 	c.AGTotal = c.AGTotals[0]
 
 	for i := 0; i < opt.Clients; i++ {
-		if _, err := c.AddClient(sys, opt.EarlyVisibility); err != nil {
+		if _, err := c.AddClient(sys); err != nil {
 			panic(err)
 		}
 	}
@@ -543,7 +538,7 @@ func (c *Cluster) Dial(from string, shard int) (*rpc.Client, error) {
 // AddClient mounts one more Redbud client, "client-<i>" for the i-th, in the
 // commit mode of sys (which may differ from the cluster's), connected to every
 // shard and able to redial each. Build mounts Options.Clients of them.
-func (c *Cluster) AddClient(sys System, earlyVisibility bool) (*client.Client, error) {
+func (c *Cluster) AddClient(sys System) (*client.Client, error) {
 	i := len(c.Redbud)
 	host := fmt.Sprintf("client-%d", i)
 	c.Net.AddHost(host, c.opt.Net)
@@ -574,7 +569,6 @@ func (c *Cluster) AddClient(sys System, earlyVisibility bool) (*client.Client, e
 		PoolInterval:       2 * time.Millisecond,
 		FixedCommitThreads: c.opt.FixedCommitThreads,
 		CommitEvenIfClean:  c.opt.CommitEvenIfClean,
-		EarlyVisibility:    earlyVisibility,
 		Tracer:             c.Tracer,
 	}
 	switch sys {

@@ -318,7 +318,7 @@ func TestDelegationChunksSpreadOverDisks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lay, err := c.Store.GetLayout(attr.ID, 0, attr.Size, 0)
+		lay, err := c.Store.GetLayout(attr.ID, 0, attr.Size)
 		if err != nil || len(lay.Extents) == 0 {
 			t.Fatalf("layout of client %d's file: %+v, %v", i, lay, err)
 		}

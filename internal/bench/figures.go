@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 
-	"redbud/internal/clock"
-	"redbud/internal/fsapi"
 	"redbud/internal/iotrace"
 	"redbud/internal/stats"
 	"redbud/internal/workload"
@@ -389,154 +386,5 @@ func PrintFig7(w io.Writer, cells []Fig7Cell) {
 	fmt.Fprintf(w, "%-16s %10s %10s %10s\n", "server daemons", "degree 1", "degree 3", "degree 6")
 	for _, d := range daemonsSet {
 		fmt.Fprintf(w, "%-16d %10.2f %10.2f %10.2f\n", d, byDaemons[d][1], byDaemons[d][3], byDaemons[d][6])
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Visibility figure: early visibility for uncommitted writes, on vs off.
-
-// VisibilityRow is one knob setting's measurements: the BT conflict-read
-// latency (time from a writer's WriteAt returning to a second mount first
-// observing the block) and varmail throughput under the same setting.
-type VisibilityRow struct {
-	Visibility       bool
-	Blocks           int
-	ConflictMeanUS   float64
-	ConflictMaxUS    float64
-	VarmailOpsPerSec float64
-}
-
-// backlogFiles is how many dirty files the conflict leg keeps ahead of the
-// conflict file in the writer's commit queue.
-const backlogFiles = 24
-
-// startCommitBacklog keeps the writer's commit queue ~k files deep: k small
-// files are created up front and then perpetually re-dirtied, so each of
-// them re-enters the FIFO commit queue as soon as its previous commit
-// drains. Any commit the conflict workload enqueues therefore waits behind
-// up to k journal flushes — the steady-state backlog a delayed-commit
-// client accumulates under sustained load, which is exactly when the
-// paper's conflict-read stall hurts. The returned stop function halts the
-// load and closes the files.
-func startCommitBacklog(fsys fsapi.FileSystem, clk clock.Clock, k int) (func(), error) {
-	if err := fsys.Mkdir("/bg"); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 4<<10)
-	files := make([]fsapi.File, 0, k)
-	for i := 0; i < k; i++ {
-		f, err := fsys.Create(fmt.Sprintf("/bg/load-%d", i))
-		if err != nil {
-			for _, g := range files {
-				g.Close()
-			}
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			// Errors end the load silently: the cluster is being torn down.
-			if _, err := files[i%len(files)].WriteAt(buf, 0); err != nil {
-				return
-			}
-			clk.Sleep(200 * time.Microsecond)
-		}
-	}()
-	stop := func() {
-		close(done)
-		wg.Wait()
-		for _, f := range files {
-			f.Close()
-		}
-	}
-	return stop, nil
-}
-
-// FigVisibility measures what the early-visibility path buys: with
-// the knob off a conflict reader waits for the writer's delayed commit to
-// land; with it on the reader sees the block as soon as the data is durable,
-// through the published intent. Varmail rides along as the regression guard —
-// the knob must not tax the commit pipeline.
-//
-// The figure runs the delayed-commit system WITHOUT space delegation:
-// intents are published when the MDS allocates, and a delegated writer
-// allocates locally, disclosing extents only at commit — under delegation
-// both knob settings collapse to committed-only behavior by design.
-//
-// The conflict leg pins the writer to one commit thread and runs a
-// steady background re-dirty load (startCommitBacklog) beside the measured
-// writes. An idle writer commits within milliseconds of durability, leaving
-// no window for early visibility to matter; the backlog reproduces the
-// loaded client where the commit queue — not the device — is what a
-// conflict reader is stuck behind. Both knob settings run the identical
-// load, so the comparison isolates the visibility path.
-func FigVisibility(opt Options) ([]VisibilityRow, error) {
-	us := func(d time.Duration) float64 { return float64(d) / 1e3 }
-	var rows []VisibilityRow
-	for _, vis := range []bool{false, true} {
-		o := opt
-		o.EarlyVisibility = vis
-		oc := o
-		oc.FixedCommitThreads = 1
-		c := Build(SysRedbudDC, oc)
-		if len(c.Mounts) < 2 {
-			c.Close()
-			return nil, fmt.Errorf("visibility: need >= 2 clients, have %d", len(c.Mounts))
-		}
-		spec := scaleBT(workload.DefaultBT(o.Seed), o.SizeFactor)
-		stop, err := startCommitBacklog(c.Mounts[0], c.Clock, backlogFiles)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("visibility backlog (vis=%v): %w", vis, err)
-		}
-		cres, err := workload.RunBTConflict(c.Mounts[0], c.Mounts[1], c.Clock, spec)
-		stop()
-		c.Drain()
-		c.Close()
-		if err != nil {
-			return nil, fmt.Errorf("visibility conflict (vis=%v): %w", vis, err)
-		}
-		cv := Build(SysRedbudDC, o)
-		vres, err := RunDistributed(cv, workload.Varmail(o.Seed).Scale(o.SizeFactor))
-		cv.Close()
-		if err != nil {
-			return nil, fmt.Errorf("visibility varmail (vis=%v): %w", vis, err)
-		}
-		if vres.Errors > 0 {
-			return nil, fmt.Errorf("visibility varmail (vis=%v): %d op errors", vis, vres.Errors)
-		}
-		rows = append(rows, VisibilityRow{
-			Visibility:       vis,
-			Blocks:           cres.Blocks,
-			ConflictMeanUS:   us(cres.MeanLatency()),
-			ConflictMaxUS:    us(cres.MaxLatency()),
-			VarmailOpsPerSec: vres.Throughput(),
-		})
-	}
-	return rows, nil
-}
-
-// PrintFigVisibility renders the on/off comparison.
-func PrintFigVisibility(w io.Writer, rows []VisibilityRow) {
-	fmt.Fprintln(w, "Visibility: conflict-read latency and varmail throughput, early visibility off vs on")
-	fmt.Fprintf(w, "%-12s %8s %16s %16s %14s\n",
-		"visibility", "blocks", "conflict mean", "conflict max", "varmail ops/s")
-	for _, r := range rows {
-		mode := "off"
-		if r.Visibility {
-			mode = "on"
-		}
-		fmt.Fprintf(w, "%-12s %8d %13.0fus %13.0fus %14.0f\n",
-			mode, r.Blocks, r.ConflictMeanUS, r.ConflictMaxUS, r.VarmailOpsPerSec)
 	}
 }

@@ -265,7 +265,7 @@ func TestCloseAfterFailedStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.StopShard(1)
-	if _, err := c.AddClient(SysRedbudDC, false); err == nil {
+	if _, err := c.AddClient(SysRedbudDC); err == nil {
 		t.Fatal("mounted a client while shard 1 was not listening")
 	}
 	if len(c.Mounts) != 3 {

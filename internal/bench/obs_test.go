@@ -159,7 +159,7 @@ func TestRunObsBench(t *testing.T) {
 		t.Fatalf("read legs sum to %v, want the end-to-end total %v", sum, r.E2E)
 	}
 	for _, p := range r.PerRead {
-		if got := p.Cache + p.Layout + p.Visibility + p.Barrier + p.Device; got != p.E2E || p.Cache < 0 {
+		if got := p.Cache + p.Layout + p.Barrier + p.Device; got != p.E2E || p.Cache < 0 {
 			t.Fatalf("read %d: legs sum to %v (cache %v), e2e %v", p.ID, got, p.Cache, p.E2E)
 		}
 	}

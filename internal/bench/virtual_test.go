@@ -180,6 +180,60 @@ func TestVirtualAblations(t *testing.T) {
 	}
 }
 
+// modeledConflictReads pins the paper's conflict read (§V-C), the BT-IO
+// conflict leg of workload.RunBTConflict at 2 clients and SizeFactor 1: the
+// mean time, in ms, from the writer's WriteAt returning to the reader on the
+// other mount first seeing the block, which under delayed commit is when the
+// writer's commit lands. EXPERIMENTS.md "Early visibility, decided in exact
+// time" gives the cells the deleted early-visibility path read beside these.
+var modeledConflictReads = map[System]float64{
+	SysRedbudDC:   13.5426,
+	SysRedbudDCSD: 7.5461,
+}
+
+// TestVirtualConflictReads runs the conflict leg on +dc and +dc+sd twice each
+// in exact virtual time, like the ledger, and fails if a run has no blocks,
+// if its two runs differ by more than virtualTolerance, or if a run strays
+// that far from its pin in modeledConflictReads.
+func TestVirtualConflictReads(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	opt := ledgerOptions()
+	opt.SizeFactor = 1
+	spec := scaleBT(workload.DefaultBT(opt.Seed), opt.SizeFactor)
+	for _, sys := range []System{SysRedbudDC, SysRedbudDCSD} {
+		pin := modeledConflictReads[sys]
+		var ms [2]float64
+		for run := range ms {
+			var res workload.ConflictResult
+			var err error
+			runtime.GC()
+			synctest.Run(func() {
+				c := Build(sys, opt)
+				defer c.Close()
+				res, err = workload.RunBTConflict(c.Mounts[0], c.Mounts[1], c.Clock, spec)
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", sys, err)
+			}
+			if res.Blocks != spec.Ranks*spec.Steps {
+				t.Fatalf("%s: %d blocks read, want %d", sys, res.Blocks, spec.Ranks*spec.Steps)
+			}
+			ms[run] = float64(res.MeanLatency()) / 1e6
+		}
+		t.Logf("%-13s conflict read mean %8.4f %8.4f ms", sys, ms[0], ms[1])
+		if d := math.Abs(ms[0]-ms[1]) / math.Max(ms[0], ms[1]); d > virtualTolerance {
+			t.Errorf("%s: runs differ by %.2f %% (%.4f vs %.4f ms), more than %.1f %%",
+				sys, 100*d, ms[0], ms[1], 100*virtualTolerance)
+		}
+		for _, got := range ms {
+			if d := math.Abs(got-pin) / pin; !(d <= virtualTolerance) {
+				t.Errorf("%s: conflict read mean %.4f ms is %.2f %% from the pinned %.4f, more than %.1f %%",
+					sys, got, 100*d, pin, 100*virtualTolerance)
+			}
+		}
+	}
+}
+
 // modeledFigures pins Figures 4 and 5 in exact virtual time at the paper's 7
 // clients: per file size and system, Figure 4's merge ratio and, at the two
 // sizes Figure 5 plots, its dispatches and seeks per dispatch. A cell may

@@ -256,21 +256,22 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// writerCrashRun is one seed of the early-visibility writer-crash scenario:
-// a delayed-commit writer streams chunks into a file and crashes at a
+// writerCrashRun is one seed of the writer-crash rollback scenario: a
+// delayed-commit writer streams chunks into a file and crashes at a
 // seed-chosen point — after publishing allocation intents, before committing
-// some of them — while an early-visibility reader polls the same file the
+// some of them — while a reader on another mount polls the same file the
 // whole time. Two oracles run on every reader observation:
 //
 //  1. Content: every observed byte is either zero (never written) or the
 //     writer's pattern byte — never garbage, never a torn mix.
-//  2. Durability: any observed non-zero byte that an intent maps to the data
-//     device must be durable there at (or before) observation time; device
-//     durability grows monotonically, so checking after the read is sound.
+//  2. Durability: any observed non-zero byte that a committed extent maps to
+//     the data device must be durable there at (or before) observation
+//     time; device durability grows monotonically, so checking after the
+//     read is sound.
 //
 // After the crash the MDS lease expiry reaps the writer: its intents roll
-// back, and a fresh early-visibility reader may see only the committed
-// prefix — which must match the pattern exactly. The store must fsck clean.
+// back, and a fresh reader may see only the committed prefix — which must
+// match the pattern exactly. The store must fsck clean.
 func writerCrashRun(t *testing.T, seed int64) {
 	const (
 		fileSize  = 64 << 10
@@ -292,15 +293,15 @@ func writerCrashRun(t *testing.T, seed int64) {
 	c := bench.Build(bench.SysRedbudDC, opt)
 	defer c.Close()
 	clk, data := c.Clock, c.Devices[0]
-	mount := func(sys bench.System, early bool) *client.Client {
-		cl, err := c.AddClient(sys, early)
+	mount := func(sys bench.System) *client.Client {
+		cl, err := c.AddClient(sys)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return cl
 	}
-	writer := mount(bench.SysRedbudDC, false)
-	reader := mount(bench.SysRedbud, true)
+	writer := mount(bench.SysRedbudDC)
+	reader := mount(bench.SysRedbud)
 
 	pat := make([]byte, fileSize)
 	for i := range pat {
@@ -317,18 +318,14 @@ func writerCrashRun(t *testing.T, seed int64) {
 	}
 
 	// The reader polls until told to stop, running both oracles per poll.
+	// It re-opens the file each poll, as a cold conflict reader does, so
+	// every poll sees the committed size of that moment.
 	stop := make(chan struct{})
 	var rwg sync.WaitGroup
 	rwg.Add(1)
 	observations := 0
 	go func() {
 		defer rwg.Done()
-		rf, err := reader.Open("/wc.dat")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer rf.Close()
 		buf := make([]byte, fileSize)
 		for {
 			select {
@@ -336,7 +333,13 @@ func writerCrashRun(t *testing.T, seed int64) {
 				return
 			default:
 			}
+			rf, err := reader.Open("/wc.dat")
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			n, err := rf.ReadAt(buf, 0)
+			rf.Close()
 			if err != nil {
 				continue
 			}
@@ -350,10 +353,9 @@ func writerCrashRun(t *testing.T, seed int64) {
 				observations++
 			}
 			// Durability oracle: map observed non-zero bytes back to the
-			// device through the live intent/extent view. Extents rolled
-			// back between the read and this lookup simply drop out — the
-			// bytes they carried were durable when the device served them.
-			lay, lerr := store.GetLayout(attr.ID, 0, fileSize, meta.LayoutWantUncommitted)
+			// device through the committed layout, which only grows while
+			// the reader polls.
+			lay, lerr := store.GetLayout(attr.ID, 0, fileSize)
 			if lerr != nil {
 				continue
 			}
@@ -393,9 +395,9 @@ func writerCrashRun(t *testing.T, seed int64) {
 	close(stop)
 	rwg.Wait()
 
-	// Post-rollback: a fresh early-visibility mount sees only the committed
-	// prefix, and it matches the pattern byte for byte.
-	fresh := mount(bench.SysRedbud, true)
+	// Post-rollback: a fresh mount sees only the committed prefix, and it
+	// matches the pattern byte for byte.
+	fresh := mount(bench.SysRedbud)
 	ff, err := fresh.Open("/wc.dat")
 	if err != nil {
 		t.Fatal(err)
@@ -423,9 +425,9 @@ func writerCrashRun(t *testing.T, seed int64) {
 	t.Logf("seed %d: cut=%d/%d chunks, reader observations=%d", seed, cut, chunks, observations)
 }
 
-// TestChaosWriterCrashEarlyVisibility sweeps the writer-crash scenario over
-// the seed range; the nightly job widens it to 100 seeds with -race.
-func TestChaosWriterCrashEarlyVisibility(t *testing.T) {
+// TestChaosWriterCrashRollback sweeps the writer-crash scenario over the seed
+// range; the nightly job widens it to 100 seeds with -race.
+func TestChaosWriterCrashRollback(t *testing.T) {
 	for s := 0; s < *seeds; s++ {
 		seed := int64(s)*104729 + 3
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {

@@ -117,19 +117,6 @@ type Config struct {
 	// (paper: 16 MiB); 0 disables it.
 	DelegationChunk int64
 
-	// EarlyVisibility opts conflict reads in to the early-visibility
-	// path: reads that find holes (or reach past the locally known size)
-	// ask the MDS for uncommitted extents too — other clients' published
-	// write intents — and fetch their data directly from the devices
-	// instead of stalling until the writer's commit lands. Safe by
-	// construction: devices only ever serve durable (or stale) bytes. The
-	// MDS answers such a read committed-only until it has accepted this
-	// client's hello. On the write side such a client allocates inline
-	// instead of write-behind (writeback.go): the layout-get is what
-	// publishes the intent, and it is published at the write, not one
-	// flush later.
-	EarlyVisibility bool
-
 	// Ablation knobs.
 
 	// FixedCommitThreads pins the commit pool size (vs the adaptive
@@ -405,9 +392,9 @@ func (c *Client) fileStateLocked(id meta.FileID, size int64) *fileState {
 	if size > fs.size {
 		fs.size = size
 	}
-	// size comes from a committed attr (Create/Open), never from a visible
-	// size, so it also raises the committed watermark: a re-opened handle
-	// must be able to probe for the layout backing the growth it just saw.
+	// size comes from a committed attr (Create/Open), so it also raises the
+	// committed watermark: a re-opened handle must be able to probe for the
+	// layout backing the growth it just saw.
 	if size > fs.committedSize {
 		fs.committedSize = size
 	}

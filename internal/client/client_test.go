@@ -79,12 +79,6 @@ func newCluster(t *testing.T) *testCluster {
 // client mounts a new client with the given mode and delegation setting.
 func (tc *testCluster) client(mode Mode, delegation int64) *Client {
 	tc.t.Helper()
-	return tc.clientEV(mode, delegation, false)
-}
-
-// clientEV is client with the early-visibility knob exposed.
-func (tc *testCluster) clientEV(mode Mode, delegation int64, early bool) *Client {
-	tc.t.Helper()
 	tc.nextID++
 	host := fmt.Sprintf("client-%d", tc.nextID)
 	tc.net.AddHost(host, netsim.Instant())
@@ -104,7 +98,6 @@ func (tc *testCluster) clientEV(mode Mode, delegation int64, early bool) *Client
 		Mode:            mode,
 		DelegationChunk: delegation,
 		PoolInterval:    time.Millisecond,
-		EarlyVisibility: early,
 	})
 }
 
@@ -275,7 +268,7 @@ func TestDelegationAllocatesLocally(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lay, err := tc.store.GetLayout(attr.ID, 0, 4096, 0)
+		lay, err := tc.store.GetLayout(attr.ID, 0, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -712,8 +705,8 @@ func TestStatReflectsLocalUncommittedSize(t *testing.T) {
 // uncommittedWriter simulates a delayed-commit writer frozen in the window
 // between data durability and metadata commit: it creates a file over raw
 // RPC, allocates extents, and writes durable data into them — but never
-// sends the commit. Returns the pattern written and the allocated extents.
-func uncommittedWriter(t *testing.T, tc *testCluster, path string, n int) ([]byte, []meta.Extent) {
+// sends the commit.
+func uncommittedWriter(t *testing.T, tc *testCluster, path string, n int) {
 	t.Helper()
 	tc.net.AddHost("rawwriter", netsim.Instant())
 	conn, err := tc.net.Dial("rawwriter", "mds")
@@ -737,46 +730,29 @@ func uncommittedWriter(t *testing.T, tc *testCluster, path string, n int) ([]byt
 			t.Fatal(err)
 		}
 	}
-	return data, lay.Extents
 }
 
-// TestEarlyVisibilityConflictRead is the tentpole behavior: with the knob on,
-// a reader observes a peer's durable-but-uncommitted bytes without waiting
-// for the commit; with the knob off, the same read returns nothing.
-func TestEarlyVisibilityConflictRead(t *testing.T) {
+// TestConflictReadSeesOnlyCommitted: a peer's durable-but-uncommitted bytes
+// stay invisible to a reader until the writer's commit lands, and reading
+// them neither caches the writer's extents nor commits them.
+func TestConflictReadSeesOnlyCommitted(t *testing.T) {
 	tc := newCluster(t)
-	data, _ := uncommittedWriter(t, tc, "conflict.dat", 8192)
+	uncommittedWriter(t, tc, "conflict.dat", 8192)
 
-	// Committed-only reader: the file exists but appears empty.
-	plain := tc.client(SyncCommit, 0)
-	defer plain.Close()
-	pf, err := plain.Open("/conflict.dat")
+	// The file exists but appears empty.
+	r := tc.client(SyncCommit, 0)
+	defer r.Close()
+	rf, err := r.Open("/conflict.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 8192)
-	if n, err := pf.ReadAt(buf, 0); err != nil || n != 0 {
-		t.Fatalf("committed-only read = %d, %v; want 0 bytes", n, err)
+	if n, err := rf.ReadAt(buf, 0); err != nil || n != 0 {
+		t.Fatalf("conflict read = %d, %v; want 0 bytes", n, err)
 	}
-	pf.Close()
-
-	// Early-visibility reader: sees the uncommitted bytes immediately.
-	ev := tc.clientEV(SyncCommit, 0, true)
-	defer ev.Close()
-	ef, err := ev.Open("/conflict.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := ef.ReadAt(buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 8192 || !bytes.Equal(buf[:n], data) {
-		t.Fatalf("early-visible read: n=%d, mismatch=%v", n, !bytes.Equal(buf[:n], data))
-	}
-	// The foreign uncommitted extents stayed transient: the reader's cached
-	// layout holds no uncommitted entries it could ever sweep into a commit.
-	fs := ef.(*File).fs
+	// The foreign uncommitted extents were never cached: the reader holds
+	// nothing it could ever sweep into a commit.
+	fs := rf.(*File).fs
 	fs.mu.Lock()
 	for _, e := range fs.extents {
 		if e.State == meta.StateUncommitted {
@@ -785,8 +761,8 @@ func TestEarlyVisibilityConflictRead(t *testing.T) {
 		}
 	}
 	fs.mu.Unlock()
-	ef.Close()
-	if err := ev.Drain(); err != nil {
+	rf.Close()
+	if err := r.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	// The MDS still shows the file uncommitted: reading did not commit.
@@ -797,7 +773,7 @@ func TestEarlyVisibilityConflictRead(t *testing.T) {
 	if id.Size != 0 {
 		t.Fatalf("reader side-effect: committed size = %d", id.Size)
 	}
-	lay, err := tc.store.GetLayout(id.ID, 0, 8192, 0)
+	lay, err := tc.store.GetLayout(id.ID, 0, 8192)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -806,10 +806,6 @@ func TestReadPathSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	read(w, "/f")
-	// A reader that takes part in early visibility probes for other writers'
-	// intents instead.
-	ev, _ := dc.mountWith(SyncCommit, func(cfg *Config) { cfg.EarlyVisibility = true })
-	read(ev, "/f")
 
 	spans := dc.tracer.Spans()
 	names := map[string]int{}
@@ -817,21 +813,21 @@ func TestReadPathSpans(t *testing.T) {
 		names[s.Name]++
 	}
 	for name, want := range map[string]int{
-		obs.SpanOpenHit: 1, obs.SpanOpenMiss: 4, obs.SpanOpenRecalled: 1,
-		obs.SpanAppRead: 5, obs.SpanReadLayout: 1, obs.SpanReadDevice: 3,
-		obs.SpanReadVisibility: 1, obs.SpanReadBarrier: 3,
+		obs.SpanOpenHit: 1, obs.SpanOpenMiss: 3, obs.SpanOpenRecalled: 1,
+		obs.SpanAppRead: 4, obs.SpanReadLayout: 1, obs.SpanReadDevice: 2,
+		obs.SpanReadBarrier: 2,
 	} {
 		if names[name] != want {
 			t.Errorf("%d %q spans, want %d (all: %v)", names[name], name, want, names)
 		}
 	}
 	b := obs.AnalyzeReads(spans)
-	if b.Reads != 5 || b.OpenHit.Count != 1 || b.OpenMiss.Count != 4 || b.OpenRecalled.Count != 1 {
+	if b.Reads != 4 || b.OpenHit.Count != 1 || b.OpenMiss.Count != 3 || b.OpenRecalled.Count != 1 {
 		t.Fatalf("breakdown: %d reads, opens %d/%d/%d", b.Reads, b.OpenHit.Count, b.OpenMiss.Count, b.OpenRecalled.Count)
 	}
 	// (Nothing takes time on this clock; the identity is what is checked.)
 	for _, p := range b.PerRead {
-		if sum := p.Cache + p.Layout + p.Visibility + p.Barrier + p.Device; sum != p.E2E || p.Cache < 0 {
+		if sum := p.Cache + p.Layout + p.Barrier + p.Device; sum != p.E2E || p.Cache < 0 {
 			t.Fatalf("read %d: legs sum to %v (cache %v), e2e %v", p.ID, sum, p.Cache, p.E2E)
 		}
 	}

@@ -52,7 +52,7 @@ func TestDeviceCrashFailsCommitCleanly(t *testing.T) {
 	}
 	tc.devices[0].Recover()
 	// Nothing was committed: the file reads back empty via the MDS.
-	lay, err := tc.store.GetLayout(2, 0, 4096, 0)
+	lay, err := tc.store.GetLayout(2, 0, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -326,18 +326,13 @@ func (f *File) Append(p []byte) (int64, error) {
 
 // ReadAt serves reads from the page cache, falling back to the shared array
 // through the extent map; holes read as zeros. Reads of this client's own
-// uncommitted writes are satisfied locally (conflict reads, §V-C NPB).
-//
-// With EarlyVisibility on, a conflict read that finds layout holes — or
-// reaches past the locally known size — asks the MDS for uncommitted extents
-// too: other clients' published write intents, served directly from the
-// devices instead of stalling until the writer's commit lands.
+// uncommitted writes are satisfied locally (conflict reads, §V-C NPB);
+// another client's writes become visible when its commit lands.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	c, fs := f.c, f.fs
 	if off < 0 {
 		return 0, fmt.Errorf("client: negative offset %d", off)
 	}
-	wantVis := c.cfg.EarlyVisibility
 	// Traced, a read is one read.app span with a child per leg it actually
 	// took (readTrace); untraced, rt stays zero and nothing reads the clock.
 	var rt readTrace
@@ -349,62 +344,39 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	limit := fs.size
 	reqEnd := off + int64(len(p))
 
-	// vis holds other writers' uncommitted extents, for this call only.
-	// They must never enter fs.extents: the commit builder sweeps every
-	// uncommitted extent it finds there, and a reader must neither commit
-	// a foreign writer's intent nor cache it past its possible rollback.
-	var vis []meta.Extent
-
 	// Decide whether to consult the MDS before serving locally: part of
 	// the in-bounds range is neither cached nor covered by known extents.
 	probe := false
 	if len(fs.uncachedRanges(off, min64(reqEnd, limit))) > 0 {
-		if holes := fs.gapsLocked(off, min64(reqEnd, limit)); len(holes) > 0 && (fs.committedSizeMayCover(holes) || wantVis) {
+		if holes := fs.gapsLocked(off, min64(reqEnd, limit)); len(holes) > 0 && fs.committedSizeMayCover(holes) {
 			probe = true
 		}
-	}
-	if wantVis && reqEnd > limit {
-		probe = true // the file may have grown via a visible intent
 	}
 	if off >= limit && !probe {
 		fs.mu.Unlock()
 		return 0, nil
 	}
 	if probe {
-		flags := meta.LayoutFlags(0)
-		if wantVis {
-			flags |= meta.LayoutWantUncommitted
-		}
 		fs.mu.Unlock()
 		var lay proto.LayoutResp
 		probeStart := c.readLegStart(&rt)
 		err := c.callIdem(c.shardFor(fs.id), proto.OpLayoutGet, &proto.LayoutGetReq{
-			Owner: c.cfg.Name, File: fs.id, Off: off, Len: reqEnd - off, Flags: flags,
+			Owner: c.cfg.Name, File: fs.id, Off: off, Len: reqEnd - off,
 		}, &lay)
-		if wantVis {
-			c.readLeg(&rt, obs.SpanReadVisibility, probeStart)
-		} else {
-			c.readLeg(&rt, obs.SpanReadLayout, probeStart)
-		}
+		c.readLeg(&rt, obs.SpanReadLayout, probeStart)
 		fs.mu.Lock()
 		if err != nil {
 			fs.mu.Unlock()
 			return 0, err
 		}
 		for _, e := range lay.Extents {
+			// The commit builder sweeps every uncommitted extent in
+			// fs.extents, so a reader caches committed ones only.
 			if e.State == meta.StateCommitted {
 				fs.insertExtentLocked(e)
-			} else if !fs.overlapsKnownLocked(e) {
-				vis = append(vis, e)
 			}
 		}
-		if wantVis {
-			// lay.Size is the visible size (committed size plus published
-			// intents): it bounds this read but is not a committed size.
-			if lay.Size > limit {
-				limit = lay.Size
-			}
-		} else if lay.Size > fs.committedSize {
+		if lay.Size > fs.committedSize {
 			fs.committedSize = lay.Size
 		}
 	}
@@ -423,8 +395,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		c.readLeg(&rt, obs.SpanReadBarrier, barrierStart)
 		missing = fs.uncachedRanges(off, end)
 	}
-	// Snapshot what each missing range maps to: the known layout plus this
-	// call's transient uncommitted extents.
+	// Snapshot what each missing range maps to in the known layout.
 	type fetch struct {
 		dev         uint32
 		volOff      int64
@@ -432,14 +403,12 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	}
 	var fetches []fetch
 	for _, m := range missing {
-		for _, exts := range [][]meta.Extent{fs.extents, vis} {
-			for _, e := range exts {
-				if e.End() <= m[0] || e.FileOff >= m[1] {
-					continue
-				}
-				s, t := max64(e.FileOff, m[0]), min64(e.End(), m[1])
-				fetches = append(fetches, fetch{dev: e.Dev, volOff: e.VolOff + (s - e.FileOff), fileOff: s, ln: t - s})
+		for _, e := range fs.extents {
+			if e.End() <= m[0] || e.FileOff >= m[1] {
+				continue
 			}
+			s, t := max64(e.FileOff, m[0]), min64(e.End(), m[1])
+			fetches = append(fetches, fetch{dev: e.Dev, volOff: e.VolOff + (s - e.FileOff), fileOff: s, ln: t - s})
 		}
 	}
 	// Copy the cached portion while still locked.

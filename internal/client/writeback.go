@@ -60,17 +60,10 @@ type devWrite struct {
 // mustDeferLocked reports whether a delayed-commit write of [off, end) takes
 // the write-behind path: an earlier write of the file is still behind (device
 // writes keep application order), or the range needs space the delegation
-// pool cannot give. A client that takes part in early visibility allocates
-// inline: the layout-get is what publishes the write's intent, and a conflict
-// reader that polls finds an intent published one write-back RPC late before
-// the data behind it was even submitted (the visibility figure's 4× floor).
-// Caller holds fs.mu.
+// pool cannot give. Caller holds fs.mu.
 func (c *Client) mustDeferLocked(fs *fileState, off, end int64) bool {
 	if fs.flushing {
 		return true
-	}
-	if c.cfg.EarlyVisibility {
-		return false
 	}
 	holes, err := c.coverLocalLocked(fs, off, end, false)
 	if fs.flushing { // deferred while the pool refilled: this write goes behind it

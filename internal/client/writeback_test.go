@@ -477,61 +477,6 @@ func TestWriteBehindWritesCostNoRPC(t *testing.T) {
 	}
 }
 
-// TestEarlyVisibilityClientAllocatesInline: a client that takes part in early
-// visibility publishes each write's intent at the write — its layout-get is
-// not deferred — so a conflict reader finds the block as soon as WriteAt has
-// returned and the data is durable.
-func TestEarlyVisibilityClientAllocatesInline(t *testing.T) {
-	gc := newGatedCluster(t)
-	early := func(_ string, cfg *Config) { cfg.EarlyVisibility = true }
-	w := gc.mount(DelayedCommit, early)
-	r := gc.mount(DelayedCommit, early)
-	defer r.Close()
-	f := mustCreate(t, w, "/f")
-	if err := f.Sync(); err != nil { // the reader must find the name
-		t.Fatal(err)
-	}
-	releaseCommits := gc.gate.holdOp(proto.OpCommit)
-	// A deferred write would return while its layout-get is held; an inline
-	// one waits for it.
-	releaseLayouts := gc.gate.holdWriteLayouts()
-	data := pattern(PageSize, 5)
-	written := background(func() error {
-		_, err := f.WriteAt(data, 0)
-		return err
-	})
-	gc.gate.waitArrival(t, proto.OpLayoutGet)
-	notYet(t, written, "while its layout-get was held: the write was deferred")
-	releaseLayouts()
-	if err := now(t, written, "once its layout-get was answered"); err != nil {
-		t.Fatal(err)
-	}
-	if lgs := gc.gate.writeLayoutGets(); len(lgs) != 1 || lgs[0].Len != PageSize {
-		t.Fatalf("layout-gets when WriteAt returned = %+v, want the write's own", lgs)
-	}
-	if got := w.dirtyBytes(); got != 0 {
-		t.Fatalf("write-behind bytes = %d, want 0", got)
-	}
-	rf, err := r.Open("/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rf.Close()
-	got := make([]byte, PageSize)
-	eventually(t, "the uncommitted block to be readable by the peer", func() bool {
-		n, err := rf.ReadAt(got, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n == PageSize && bytes.Equal(got, data)
-	})
-	releaseCommits()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	gc.assertOrdered()
-}
-
 // TestWriteBehindSecondLayoutGetCarriesTheRest: while the first write's
 // layout-get is held at the server, seven more writes return; the second
 // request covers all seven.

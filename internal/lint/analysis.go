@@ -27,8 +27,7 @@
 //     pair) produces identical field sequences — order, width, loop and
 //     optional nesting — per the wire-schema extractor.
 //   - wireevolve: optional wire fields are trailing and guarded by
-//     r.Remaining(); v2-gated capability flags are version-clamped before
-//     the MDS acts on them.
+//     r.Remaining().
 //   - wirealias: slices from r.BytesRef() alias a pooled receive frame and
 //     must not be stored through receivers/parameters/globals or sent on
 //     channels without a copy.

@@ -95,11 +95,7 @@ func TestSentErrFixture(t *testing.T)           { runFixture(t, SentErr, "senter
 func TestHotpathFixture(t *testing.T)           { runFixture(t, Hotpath, "hotpath") }
 func TestWireSymFixture(t *testing.T)           { runFixture(t, WireSym, "wiresym") }
 func TestWireEvolveFixture(t *testing.T)        { runFixture(t, WireEvolve, "wireevolve") }
-
-// TestWireEvolveClampFixture checks rule 3 against a fixture MDS: consuming
-// the v2-gated LayoutWantUncommitted flag without a session-version clamp.
-func TestWireEvolveClampFixture(t *testing.T) { runFixture(t, WireEvolve, "mds") }
-func TestWireAliasFixture(t *testing.T)       { runFixture(t, WireAlias, "wirealias") }
+func TestWireAliasFixture(t *testing.T)         { runFixture(t, WireAlias, "wirealias") }
 
 // TestLoaderBuildConstraints loads a package whose files declare one function
 // per platform: the loader must keep only the files the build context

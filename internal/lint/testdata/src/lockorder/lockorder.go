@@ -13,8 +13,8 @@ type delegation struct {
 	mu sync.Mutex
 }
 
-// intentTable mirrors meta.intentTable: the early-visibility intent lock
-// sits between the stripe and delegation levels.
+// intentTable mirrors meta.intentTable: the write-intent lock sits between
+// the stripe and delegation levels.
 type intentTable struct {
 	mu sync.Mutex
 }
@@ -91,7 +91,7 @@ func goodIndexed(s *Store, i int) {
 
 // goodIntentUnderStripe publishes intents under a stripe lock and takes the
 // delegation lock only after the intent lock is released — the documented
-// order for the early-visibility path.
+// order for the write-intent path.
 func goodIntentUnderStripe(s *Store, id uint64) {
 	st := s.stripe(id)
 	st.Lock()

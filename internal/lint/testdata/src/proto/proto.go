@@ -9,9 +9,3 @@ const (
 	OpWrite  Op = 1
 	OpCommit Op = 2
 )
-
-// Protocol versions, mirrored for the wireevolve clamp fixtures.
-const (
-	ProtoV1 uint32 = 1
-	ProtoV2 uint32 = 2
-)

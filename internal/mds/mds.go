@@ -140,12 +140,6 @@ type Server struct {
 	// than every daemon serializing on one mutex.
 	lastSeen sync.Map
 
-	// sessions maps owner -> uint32, the protocol version negotiated by the
-	// owner's last accepted OpHello. An owner that never said hello has no
-	// entry and gets committed-only layouts; lease expiry ends the session
-	// and drops the entry.
-	sessions sync.Map
-
 	// track is the trace track prefix for handler spans: "mds" single-shard,
 	// "mds<i>" when sharded, so each shard exports as its own trace process.
 	track string
@@ -246,22 +240,11 @@ func (s *Server) ExpireLeases() int64 {
 	for _, owner := range expired {
 		s.lastSeen.Delete(owner)
 		// An expired client's session is over; its commit IDs can never be
-		// legitimately retransmitted, and its hello no longer applies (a
-		// reconnecting client says hello again).
+		// legitimately retransmitted.
 		s.dedup.drop(owner)
-		s.sessions.Delete(owner)
 		reclaimed += s.store.ClientGone(owner)
 	}
 	return reclaimed
-}
-
-// sessionVersion returns the protocol version owner negotiated via OpHello,
-// or 0 for an owner that never said hello (or the empty owner).
-func (s *Server) sessionVersion(owner string) uint32 {
-	if v, ok := s.sessions.Load(owner); ok {
-		return v.(uint32)
-	}
-	return 0
 }
 
 // RegisterMetrics exposes the MDS counters — including those of its RPC
@@ -404,15 +387,13 @@ func (s *Server) nsOnceDurable(name string, tc proto.TraceCtx, start time.Time, 
 }
 
 // layoutReply encodes the reply to a layout-get: the layout and the file's
-// size, which published intents extend past the committed one for a
-// reader that asked (early visibility).
+// committed size.
 func (s *Server) layoutReply(lay meta.Layout) ([]byte, error) {
 	attr, err := s.store.GetAttr(lay.File)
 	if err != nil {
 		return nil, err
 	}
-	size := max(attr.Size, lay.VisibleEnd)
-	resp := proto.LayoutResp{File: lay.File, Size: size, Extents: lay.Extents}
+	resp := proto.LayoutResp{File: lay.File, Size: attr.Size, Extents: lay.Extents}
 	return wire.Encode(&resp), nil
 }
 
@@ -521,21 +502,14 @@ func (s *Server) handle(at time.Time, op uint16, body []byte) ([]byte, error) {
 			return nil, err
 		}
 		s.touch(req.Owner)
-		flags := req.Flags
-		// Only an owner whose hello was accepted may see uncommitted
-		// extents: a sender that never said hello gets committed-only
-		// behaviour, whatever bits its frame carries.
-		if flags.Has(meta.LayoutWantUncommitted) && s.sessionVersion(req.Owner) < proto.ProtoV5 {
-			flags &^= meta.LayoutWantUncommitted
-		}
-		if flags.Has(meta.LayoutWrite) {
+		if req.Flags.Has(meta.LayoutWrite) {
 			lay, durable, err := s.store.BeginAllocLayout(at, req.Owner, req.File, req.Off, req.Len)
 			return onceDurable(durable, err, func() ([]byte, error) { return s.layoutReply(lay) })
 		}
-		// Without LayoutWantUncommitted readers only see committed extents:
-		// the ordered-write guarantee means uncommitted data may not exist
-		// yet.
-		lay, err := s.store.GetLayout(req.File, req.Off, req.Len, flags)
+		// A reader sees committed extents only, whatever other bits the
+		// frame carries: the ordered-write guarantee means uncommitted data
+		// may not exist yet.
+		lay, err := s.store.GetLayout(req.File, req.Off, req.Len)
 		if err != nil {
 			return nil, err
 		}
@@ -621,9 +595,6 @@ func (s *Server) handle(at time.Time, op uint16, body []byte) ([]byte, error) {
 		}
 		s.touch(req.Owner)
 		ver := min(req.ProtoVersion, proto.ProtoLatest)
-		if req.Owner != "" {
-			s.sessions.Store(req.Owner, ver)
-		}
 		resp := proto.HelloResp{
 			Incarnation: s.cfg.Incarnation, ProtoVersion: ver,
 			ShardIndex: s.cfg.ShardIndex, ShardCount: s.cfg.ShardCount,

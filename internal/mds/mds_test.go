@@ -329,77 +329,49 @@ func TestHelloNegotiatesProtocolVersion(t *testing.T) {
 	if _, err := e.cli.CallRaw(proto.OpHello, b.Bytes()); !errors.As(err, &re) {
 		t.Fatalf("version-less hello = %v, want a remote error", err)
 	}
-	if v := e.srv.sessionVersion("old"); v != 0 {
-		t.Fatalf("a refused hello opened a v%d session", v)
-	}
 }
 
-// TestOwnerWithoutHelloNeverSeesUncommitted: whatever flag bits a request
-// carries, the MDS strips the uncommitted-visibility request for an owner
-// that has no accepted hello: the empty owner, one that never said hello,
-// and one whose v4 hello was refused.
-func TestOwnerWithoutHelloNeverSeesUncommitted(t *testing.T) {
+// TestLayoutGetIsCommittedOnly: a reader's layout-get returns committed
+// extents and the committed size only, whatever other bits its flags byte
+// carries (bit 1 is reserved), and whether or not its owner said hello.
+func TestLayoutGetIsCommittedOnly(t *testing.T) {
 	e := newEnv(t, Config{})
 	a := e.create(t, meta.RootID, "f", meta.TypeFile)
-	// A writer publishes intents for 8 KiB it has not committed.
+	// A writer commits its first 4 KiB and holds intents for the next 4 KiB.
 	var lay proto.LayoutResp
-	if err := e.cli.Call(proto.OpLayoutGet, &proto.LayoutGetReq{Owner: "w", File: a.ID, Off: 0, Len: 8192, Flags: meta.LayoutWrite}, &lay); err != nil {
+	if err := e.cli.Call(proto.OpLayoutGet, &proto.LayoutGetReq{Owner: "w", File: a.ID, Off: 0, Len: 4096, Flags: meta.LayoutWrite}, &lay); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.cli.Call(proto.OpCommit, &proto.CommitReq{Owner: "w", File: a.ID, Size: 4096, MTime: time.Now(), Extents: lay.Extents}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.cli.Call(proto.OpLayoutGet, &proto.LayoutGetReq{Owner: "w", File: a.ID, Off: 4096, Len: 4096, Flags: meta.LayoutWrite}, &proto.LayoutResp{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.cli.Call(proto.OpHello, &proto.HelloReq{Owner: "r", ProtoVersion: proto.ProtoLatest}, &proto.HelloResp{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.cli.Call(proto.OpHello, &proto.HelloReq{Owner: "v4c", ProtoVersion: proto.ProtoV5 - 1}, &proto.HelloResp{}); err == nil {
 		t.Fatal("v4 hello accepted")
 	}
-	for _, owner := range []string{"", "anon", "v4c"} {
-		var rlay proto.LayoutResp
-		req := &proto.LayoutGetReq{Owner: owner, File: a.ID, Off: 0, Len: 8192, Flags: meta.LayoutWantUncommitted}
-		if err := e.cli.Call(proto.OpLayoutGet, req, &rlay); err != nil {
-			t.Fatal(err)
-		}
-		for _, ext := range rlay.Extents {
-			if ext.State == meta.StateUncommitted {
-				t.Fatalf("owner %q (no hello) saw uncommitted extent %+v", owner, ext)
+	for _, owner := range []string{"r", "", "anon", "v4c"} {
+		for _, flags := range []meta.LayoutFlags{0, 0x02, 0xFE} {
+			var rlay proto.LayoutResp
+			req := &proto.LayoutGetReq{Owner: owner, File: a.ID, Off: 0, Len: 8192, Flags: flags}
+			if err := e.cli.Call(proto.OpLayoutGet, req, &rlay); err != nil {
+				t.Fatal(err)
+			}
+			var committed int64
+			for _, ext := range rlay.Extents {
+				if ext.State != meta.StateCommitted {
+					t.Fatalf("owner %q, flags %#x: saw uncommitted extent %+v", owner, flags, ext)
+				}
+				committed += ext.Len
+			}
+			if committed != 4096 || rlay.Size != 4096 {
+				t.Fatalf("owner %q, flags %#x: %d committed bytes, size %d; want 4096 and 4096", owner, flags, committed, rlay.Size)
 			}
 		}
-		if rlay.Size != 0 {
-			t.Fatalf("owner %q (no hello) saw visible size %d, want committed size 0", owner, rlay.Size)
-		}
-	}
-}
-
-func TestV2SessionSeesUncommittedAndVisibleSize(t *testing.T) {
-	e := newEnv(t, Config{})
-	a := e.create(t, meta.RootID, "f", meta.TypeFile)
-	if err := e.cli.Call(proto.OpHello, &proto.HelloReq{Owner: "r", ProtoVersion: proto.ProtoLatest}, &proto.HelloResp{}); err != nil {
-		t.Fatal(err)
-	}
-	var lay proto.LayoutResp
-	if err := e.cli.Call(proto.OpLayoutGet, &proto.LayoutGetReq{Owner: "w", File: a.ID, Off: 0, Len: 8192, Flags: meta.LayoutWrite}, &lay); err != nil {
-		t.Fatal(err)
-	}
-	var rlay proto.LayoutResp
-	req := &proto.LayoutGetReq{Owner: "r", File: a.ID, Off: 0, Len: 8192, Flags: meta.LayoutWantUncommitted}
-	if err := e.cli.Call(proto.OpLayoutGet, req, &rlay); err != nil {
-		t.Fatal(err)
-	}
-	var uncommitted int64
-	for _, ext := range rlay.Extents {
-		if ext.State == meta.StateUncommitted {
-			uncommitted += ext.Len
-		}
-	}
-	if uncommitted != 8192 {
-		t.Fatalf("session saw %d uncommitted bytes, want 8192", uncommitted)
-	}
-	if rlay.Size != 8192 {
-		t.Fatalf("visible size = %d, want 8192 (committed size still 0)", rlay.Size)
-	}
-	// Without the flag the same session still gets the committed-only view.
-	var plain proto.LayoutResp
-	if err := e.cli.Call(proto.OpLayoutGet, &proto.LayoutGetReq{Owner: "r", File: a.ID, Off: 0, Len: 8192}, &plain); err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Extents) != 0 || plain.Size != 0 {
-		t.Fatalf("committed-only view leaked intents: %+v", plain)
 	}
 }
 
@@ -412,6 +384,7 @@ func TestLeaseExpiryRollsBackIntentsAndSession(t *testing.T) {
 	if err := e.cli.Call(proto.OpHello, &proto.HelloReq{Owner: "w", ProtoVersion: proto.ProtoLatest}, &proto.HelloResp{}); err != nil {
 		t.Fatal(err)
 	}
+	free0 := ags.FreeBytes()
 	var lay proto.LayoutResp
 	if err := e.cli.Call(proto.OpLayoutGet, &proto.LayoutGetReq{Owner: "w", File: a.ID, Off: 0, Len: 4096, Flags: meta.LayoutWrite}, &lay); err != nil {
 		t.Fatal(err)
@@ -420,27 +393,20 @@ func TestLeaseExpiryRollsBackIntentsAndSession(t *testing.T) {
 	if got := e.srv.ExpireLeases(); got == 0 {
 		t.Fatal("expiry reclaimed nothing")
 	}
-	// The published intents are rolled back: a reader with a session sees no extents.
-	if err := e.cli.Call(proto.OpHello, &proto.HelloReq{Owner: "r", ProtoVersion: proto.ProtoLatest}, &proto.HelloResp{}); err != nil {
-		t.Fatal(err)
+	// The published intents are rolled back: their space is free again, and
+	// the writer's session is over, so a second pass finds nothing left.
+	if got := ags.FreeBytes(); got != free0 {
+		t.Fatalf("free after expiry = %d, want %d", got, free0)
+	}
+	if got := e.srv.ExpireLeases(); got != 0 {
+		t.Fatalf("second expiry reclaimed %d, want 0", got)
 	}
 	var rlay proto.LayoutResp
-	req := &proto.LayoutGetReq{Owner: "r", File: a.ID, Off: 0, Len: 4096, Flags: meta.LayoutWantUncommitted}
-	if err := e.cli.Call(proto.OpLayoutGet, req, &rlay); err != nil {
+	if err := e.cli.Call(proto.OpLayoutGet, &proto.LayoutGetReq{Owner: "r", File: a.ID, Off: 0, Len: 4096}, &rlay); err != nil {
 		t.Fatal(err)
 	}
 	if len(rlay.Extents) != 0 || rlay.Size != 0 {
 		t.Fatalf("rolled-back intents still visible: %+v", rlay)
-	}
-	// The writer's session was dropped with its lease: until it says hello
-	// again it cannot request uncommitted extents.
-	var wlay proto.LayoutResp
-	wreq := &proto.LayoutGetReq{Owner: "w", File: a.ID, Off: 0, Len: 4096, Flags: meta.LayoutWantUncommitted}
-	if err := e.cli.Call(proto.OpLayoutGet, wreq, &wlay); err != nil {
-		t.Fatal(err)
-	}
-	if len(wlay.Extents) != 0 {
-		t.Fatalf("expired session still negotiated: %+v", wlay.Extents)
 	}
 }
 

@@ -82,7 +82,7 @@ func TestRecoveryFromEveryCrashPoint(t *testing.T) {
 			if err != nil {
 				continue // not yet created at this crash point
 			}
-			lay, err := rec.GetLayout(attr.ID, 0, 1<<30, 0)
+			lay, err := rec.GetLayout(attr.ID, 0, 1<<30)
 			if err != nil {
 				t.Fatalf("cut %d: layout: %v", cut, err)
 			}
@@ -101,7 +101,7 @@ func TestRecoveryFromEveryCrashPoint(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			lay, _ := rec.GetLayout(attr.ID, 0, 1<<30, 0)
+			lay, _ := rec.GetLayout(attr.ID, 0, 1<<30)
 			for _, e := range lay.Extents {
 				live += e.Len
 			}

@@ -9,35 +9,15 @@ import (
 // byte on the wire.
 type LayoutFlags uint8
 
-const (
-	// LayoutWrite declares write intent: the MDS allocates extents for the
-	// uncovered sub-ranges and publishes them in the intent table.
-	LayoutWrite LayoutFlags = 1 << 0
-	// LayoutWantUncommitted opts a reader in to early visibility: the
-	// lookup may return extents still in StateUncommitted (another
-	// client's published write intents) instead of hiding them until the
-	// commit lands. Only an owner whose hello the MDS accepted may set
-	// it; the MDS strips the bit for anyone else.
-	LayoutWantUncommitted LayoutFlags = 1 << 1
-)
+// LayoutWrite declares write intent: the MDS allocates extents for the
+// uncovered sub-ranges and publishes them in the intent table. Without it a
+// lookup returns committed extents only. Bit 1 once asked for other
+// clients' uncommitted extents; it is reserved and never reused, and the MDS
+// ignores it like every other bit.
+const LayoutWrite LayoutFlags = 1 << 0
 
 // Has reports whether every bit in bits is set.
 func (f LayoutFlags) Has(bits LayoutFlags) bool { return f&bits == bits }
-
-// String renders the flag set for diagnostics.
-func (f LayoutFlags) String() string {
-	switch {
-	case f.Has(LayoutWrite | LayoutWantUncommitted):
-		return "write|want-uncommitted"
-	case f.Has(LayoutWrite):
-		return "write"
-	case f.Has(LayoutWantUncommitted):
-		return "want-uncommitted"
-	case f == 0:
-		return "committed-only"
-	}
-	return "invalid"
-}
 
 // intent is one published write intent: an uncommitted extent of a file,
 // attributed to the client that allocated it.
@@ -47,10 +27,9 @@ type intent struct {
 }
 
 // intentTable indexes every live write intent — uncommitted extents handed
-// out by AllocLayout — by file and by owner. It is what a layout lookup with
-// LayoutWantUncommitted consults for the file's visible size, and what makes
-// rollback (lease expiry, client crash, recovery GC) a direct lookup instead
-// of a scan over every inode.
+// out by AllocLayout — by file and by owner. It is what makes rollback
+// (lease expiry, client crash, recovery GC) a direct lookup instead of a
+// scan over every inode.
 //
 // Lifecycle: publish (AllocLayout / RecAlloc replay) → either graduate
 // (commit flips the extent to committed) or roll back (ClientGone removes
@@ -198,20 +177,6 @@ func (t *intentTable) ownerOf(id FileID, e Extent) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// visibleEnd returns the highest file offset any published intent of id
-// reaches — the early-visibility size contribution — or 0 if none.
-func (t *intentTable) visibleEnd(id FileID) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var end int64
-	for _, in := range t.files[id] {
-		if e := in.ext.End(); e > end {
-			end = e
-		}
-	}
-	return end
 }
 
 // owners lists every client holding at least one intent (recovery GC).

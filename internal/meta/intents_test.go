@@ -46,24 +46,16 @@ func TestIntentLifecycleThroughStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Published intents are visible to WantUncommitted lookups, hidden from
-	// committed-only ones, and extend the visible size.
-	vis, err := s.GetLayout(a.ID, 0, 8192, LayoutWantUncommitted)
+	// Published intents are in the table and hidden from layout lookups.
+	if got := len(s.intents.files[a.ID]); got != len(lay.Extents) {
+		t.Fatalf("published intents = %d, want %d", got, len(lay.Extents))
+	}
+	plain, err := s.GetLayout(a.ID, 0, 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vis.Extents) != len(lay.Extents) {
-		t.Fatalf("visible extents = %d, want %d", len(vis.Extents), len(lay.Extents))
-	}
-	if vis.VisibleEnd != 8192 {
-		t.Fatalf("visible end = %d, want 8192", vis.VisibleEnd)
-	}
-	plain, err := s.GetLayout(a.ID, 0, 8192, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Extents) != 0 || plain.VisibleEnd != 0 {
-		t.Fatalf("committed-only layout leaked intents: %+v", plain)
+	if len(plain.Extents) != 0 {
+		t.Fatalf("layout leaked intents: %+v", plain)
 	}
 	if owner, ok := s.intents.ownerOf(a.ID, lay.Extents[0]); !ok || owner != "w" {
 		t.Fatalf("ownerOf = %q, %v", owner, ok)
@@ -76,10 +68,10 @@ func TestIntentLifecycleThroughStore(t *testing.T) {
 	if _, ok := s.intents.ownerOf(a.ID, lay.Extents[0]); ok {
 		t.Fatal("committed extent still tracked as an intent")
 	}
-	if got := s.intents.visibleEnd(a.ID); got != 0 {
-		t.Fatalf("visible end after graduation = %d", got)
+	if got := len(s.intents.files[a.ID]); got != 0 {
+		t.Fatalf("%d intents left after graduation", got)
 	}
-	after, err := s.GetLayout(a.ID, 0, 8192, 0)
+	after, err := s.GetLayout(a.ID, 0, 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +98,9 @@ func TestIntentRollbackOnClientGone(t *testing.T) {
 		t.Fatalf("ClientGone reclaimed %d, want 8192", got)
 	}
 	for _, id := range []FileID{a.ID, b.ID} {
-		lay, err := s.GetLayout(id, 0, 8192, LayoutWantUncommitted)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range lay.Extents {
-			if owner, _ := s.intents.ownerOf(id, e); owner == "dead" {
-				t.Fatalf("file %d still has dead client's intent %+v", id, e)
+		for _, in := range s.intents.files[id] {
+			if in.owner == "dead" {
+				t.Fatalf("file %d still has dead client's intent %+v", id, in.ext)
 			}
 		}
 	}
@@ -134,8 +122,8 @@ func TestIntentDropOnRemove(t *testing.T) {
 	if err := s.Remove(RootID, "f"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.intents.visibleEnd(a.ID); got != 0 {
-		t.Fatalf("removed file still has intents (visible end %d)", got)
+	if got := len(s.intents.files[a.ID]); got != 0 {
+		t.Fatalf("removed file still has %d intents", got)
 	}
 	if owners := s.intents.owners(); len(owners) != 0 {
 		t.Fatalf("owner index not cleaned: %v", owners)

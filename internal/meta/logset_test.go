@@ -116,7 +116,7 @@ func verifyWorld(t *testing.T, s *Store, expectPending bool) {
 	if err != nil || a.Size != 8192 {
 		t.Fatalf("committed.bin: %+v, %v", a, err)
 	}
-	lay, err := s.GetLayout(a.ID, 0, 8192, 0)
+	lay, err := s.GetLayout(a.ID, 0, 8192)
 	if err != nil || len(lay.Extents) == 0 {
 		t.Fatalf("committed.bin layout: %+v, %v", lay, err)
 	}
@@ -128,12 +128,12 @@ func verifyWorld(t *testing.T, s *Store, expectPending bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blay, _ := s.GetLayout(b.ID, 0, 4096, LayoutWantUncommitted)
-	if expectPending && len(blay.Extents) != 1 {
-		t.Fatalf("pending extent lost: %+v", blay.Extents)
+	bexts := extentsOf(s, b.ID, 0, 4096)
+	if expectPending && len(bexts) != 1 {
+		t.Fatalf("pending extent lost: %+v", bexts)
 	}
-	if !expectPending && len(blay.Extents) != 0 {
-		t.Fatalf("orphan extent survived GC: %+v", blay.Extents)
+	if !expectPending && len(bexts) != 0 {
+		t.Fatalf("orphan extent survived GC: %+v", bexts)
 	}
 }
 

@@ -187,7 +187,7 @@ const inodeStripes = 64
 //     content mutator holds at least ns.RLock, an exclusive ns holder owns
 //     all inode content and skips stripe locks entirely.
 //   - intents.mu guards the write-intent table (uncommitted-extent
-//     ownership and the early-visibility size index). It may be taken under
+//     ownership). It may be taken under
 //     a stripe lock (publish/graduate during alloc/commit) and is never
 //     held across a blocking operation.
 //   - nsIntents.mu guards the cross-shard namespace-intent table (see
@@ -589,15 +589,10 @@ func (s *Store) applyRemove(parent FileID, name string, id FileID) []alloc.Span 
 // ---------------------------------------------------------------------------
 // Layouts and commits
 
-// GetLayout returns the extents of file overlapping [off, off+n). By
-// default only committed extents are visible — the ordered-write guarantee
-// means uncommitted data may not exist yet. A lookup carrying
-// LayoutWantUncommitted (early visibility) also returns
-// published write intents, tagged StateUncommitted, and fills in the file's
-// visible end from the intent table; the caller fetches their data directly
-// from the devices, which by construction serve only durable (or stale)
-// bytes.
-func (s *Store) GetLayout(id FileID, off, n int64, flags LayoutFlags) (Layout, error) {
+// GetLayout returns the committed extents of file overlapping [off, off+n).
+// Uncommitted extents stay hidden: the ordered-write guarantee means their
+// data may not exist yet.
+func (s *Store) GetLayout(id FileID, off, n int64) (Layout, error) {
 	s.ns.RLock()
 	defer s.ns.RUnlock()
 	ino, ok := s.inodes[id]
@@ -607,14 +602,10 @@ func (s *Store) GetLayout(id FileID, off, n int64, flags LayoutFlags) (Layout, e
 	if ino.typ != TypeFile {
 		return Layout{}, fmt.Errorf("%w: inode %d", ErrIsDir, id)
 	}
-	wantUncommitted := flags.Has(LayoutWantUncommitted)
 	st := s.stripe(id)
 	st.RLock()
-	lay := Layout{File: id, Extents: ino.extentsIn(off, n, !wantUncommitted)}
+	lay := Layout{File: id, Extents: ino.extentsIn(off, n, true)}
 	st.RUnlock()
-	if wantUncommitted {
-		lay.VisibleEnd = s.intents.visibleEnd(id)
-	}
 	return lay, nil
 }
 
@@ -977,9 +968,7 @@ func (s *Store) ClientGone(owner string) (orphanBytes int64) {
 
 // applyClientGone collects the spans to free. Caller holds ns exclusively.
 // Rolling back the owner's write intents removes their uncommitted extents
-// from the affected files, so readers that saw them under early visibility
-// simply stop seeing them — the bytes they may have fetched were durable
-// (the device never serves anything else), just never committed.
+// from the affected files; no reader was ever shown them.
 func (s *Store) applyClientGone(owner string) []alloc.Span {
 	var freed []alloc.Span
 	for _, d := range s.delegations[owner] {

@@ -44,6 +44,21 @@ func mustCreate(t *testing.T, s *Store, parent FileID, name string, typ FileType
 	return a
 }
 
+// extentsOf returns every extent of id overlapping [off, off+n) as the inode
+// holds them, committed or not (GetLayout shows committed ones only).
+func extentsOf(s *Store, id FileID, off, n int64) []Extent {
+	s.ns.RLock()
+	defer s.ns.RUnlock()
+	ino, ok := s.inodes[id]
+	if !ok {
+		return nil
+	}
+	st := s.stripe(id)
+	st.RLock()
+	defer st.RUnlock()
+	return ino.extentsIn(off, n, false)
+}
+
 func TestCreateLookup(t *testing.T) {
 	s := newStore(t)
 	a := mustCreate(t, s, RootID, "hello.txt", TypeFile)
@@ -144,7 +159,7 @@ func TestAllocLayoutAndCommit(t *testing.T) {
 		t.Fatal("fresh extent not uncommitted")
 	}
 	// Reads from other clients see nothing yet.
-	ro, err := s.GetLayout(a.ID, 0, 4096, 0)
+	ro, err := s.GetLayout(a.ID, 0, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +171,7 @@ func TestAllocLayoutAndCommit(t *testing.T) {
 	if err := s.Commit("c1", a.ID, lay.Extents, 4096, mt); err != nil {
 		t.Fatal(err)
 	}
-	ro, _ = s.GetLayout(a.ID, 0, 4096, 0)
+	ro, _ = s.GetLayout(a.ID, 0, 4096)
 	if len(ro.Extents) != len(lay.Extents) || ro.Extents[0].State != StateCommitted {
 		t.Fatalf("committed layout = %+v", ro.Extents)
 	}
@@ -226,7 +241,7 @@ func TestCommitErrors(t *testing.T) {
 	if _, err := s.AllocLayout("c1", RootID, 0, 10); !errors.Is(err, ErrIsDir) {
 		t.Fatalf("dir alloc err = %v", err)
 	}
-	if _, err := s.GetLayout(999, 0, 10, LayoutWantUncommitted); !errors.Is(err, ErrNotFound) {
+	if _, err := s.GetLayout(999, 0, 10); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing getlayout err = %v", err)
 	}
 }
@@ -306,9 +321,8 @@ func TestClientGoneReclaimsOrphans(t *testing.T) {
 		t.Fatalf("free = %d, want %d", got, free0-4096)
 	}
 	// The committed extent survives; the uncommitted one is gone.
-	lay, _ := s.GetLayout(a.ID, 0, 1<<20, LayoutWantUncommitted)
-	if len(lay.Extents) != 1 || lay.Extents[0].State != StateCommitted {
-		t.Fatalf("extents after GC = %+v", lay.Extents)
+	if exts := extentsOf(s, a.ID, 0, 1<<20); len(exts) != 1 || exts[0].State != StateCommitted {
+		t.Fatalf("extents after GC = %+v", exts)
 	}
 	if s.Delegations("c1") != 0 {
 		t.Fatal("delegation survived ClientGone")
@@ -408,7 +422,7 @@ func TestRecoverCommittedExtentsSurvive(t *testing.T) {
 	if attr.Size != 8192 {
 		t.Fatalf("size = %d", attr.Size)
 	}
-	lay2, err := s2.GetLayout(attr.ID, 0, 8192, 0)
+	lay2, err := s2.GetLayout(attr.ID, 0, 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,9 +459,8 @@ func TestRecoverGCsOrphans(t *testing.T) {
 		t.Fatalf("free after GC = %d, want all", got)
 	}
 	// File exists but has no extents: the orphan data is unreachable.
-	lay, _ := s2.GetLayout(a.ID, 0, 1<<20, LayoutWantUncommitted)
-	if len(lay.Extents) != 0 {
-		t.Fatalf("orphan extents visible: %+v", lay.Extents)
+	if exts := extentsOf(s2, a.ID, 0, 1<<20); len(exts) != 0 {
+		t.Fatalf("orphan extents left: %+v", exts)
 	}
 }
 
@@ -468,7 +481,7 @@ func TestRecoverDelegationUsedSpansSurvive(t *testing.T) {
 	if st.OrphanBytes != 1<<20-4096 {
 		t.Fatalf("orphan bytes = %d", st.OrphanBytes)
 	}
-	lay, _ := s2.GetLayout(2, 0, 1<<20, 0)
+	lay, _ := s2.GetLayout(2, 0, 1<<20)
 	if len(lay.Extents) != 1 || lay.Extents[0].VolOff != sp.Off+4096 {
 		t.Fatalf("committed delegation extent lost: %+v", lay.Extents)
 	}

@@ -151,7 +151,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 						fail <- fmt.Errorf("reader getattr: %w", err)
 						return
 					}
-					if _, err := s.GetLayout(e.ID, 0, fileSize, 0); err != nil && !errors.Is(err, ErrNotFound) {
+					if _, err := s.GetLayout(e.ID, 0, fileSize); err != nil && !errors.Is(err, ErrNotFound) {
 						fail <- fmt.Errorf("reader getlayout: %w", err)
 						return
 					}

@@ -99,12 +99,6 @@ func GetExtents(r *wire.Reader) []Extent {
 type Layout struct {
 	File    FileID
 	Extents []Extent
-	// VisibleEnd is the highest file offset any published write intent of
-	// the file reaches, filled in only for lookups that asked for
-	// uncommitted extents (LayoutWantUncommitted). Readers that opted in
-	// to early visibility use max(committed size, VisibleEnd) as the
-	// file's visible size; committed-only lookups leave it 0.
-	VisibleEnd int64
 }
 
 // Attr is the caller-visible attribute set of an inode.

@@ -42,11 +42,10 @@ const (
 	// ReadAt entry → return; a child exists for each leg the read actually
 	// took, in this order. What no child covers — lock waits and the copy out
 	// of the page cache — is the read's cache leg (AnalyzeReads).
-	SpanAppRead        = "read.app"
-	SpanReadLayout     = "read.layout"     // layout probe: committed extents of a hole (RPC)
-	SpanReadVisibility = "read.visibility" // early-visibility probe: other writers' intents too (RPC)
-	SpanReadBarrier    = "read.barrier"    // wait for this client's own writes to be durable
-	SpanReadDevice     = "read.device"     // device reads of what the page cache did not hold
+	SpanAppRead     = "read.app"
+	SpanReadLayout  = "read.layout"  // layout probe: committed extents of a hole (RPC)
+	SpanReadBarrier = "read.barrier" // wait for this client's own writes to be durable
+	SpanReadDevice  = "read.device"  // device reads of what the page cache did not hold
 	// Client write-back routine (CommitID 0, on the client's commit track).
 	SpanWriteBehind = "write.behind" // first deferred byte → its flush's device writes issued
 

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// ReadPath is the reconstructed lifecycle of one ReadAt. The five legs are
-// disjoint, so Cache + Layout + Visibility + Barrier + Device == E2E exactly:
+// ReadPath is the reconstructed lifecycle of one ReadAt. The four legs are
+// disjoint, so Cache + Layout + Barrier + Device == E2E exactly:
 // Cache is defined as the residual — lock waits and the copy out of the page
 // cache, everything no child span covers — and absorbs any rounding, the way
 // Batch does for a commit.
@@ -17,11 +17,10 @@ type ReadPath struct {
 	Start time.Time
 	E2E   time.Duration
 
-	Cache      time.Duration // residual: served from the client's memory
-	Layout     time.Duration // layout probe RPC (committed extents)
-	Visibility time.Duration // early-visibility probe RPC (uncommitted intents too)
-	Barrier    time.Duration // wait for the client's own writes to be durable
-	Device     time.Duration // device reads
+	Cache   time.Duration // residual: served from the client's memory
+	Layout  time.Duration // layout probe RPC (committed extents)
+	Barrier time.Duration // wait for the client's own writes to be durable
+	Device  time.Duration // device reads
 }
 
 // OpenStat aggregates the Open calls that ended one way.
@@ -35,7 +34,7 @@ type OpenStat struct {
 type ReadBreakdown struct {
 	Reads   int
 	E2E     time.Duration // summed end-to-end latency
-	Stages  []Stage       // cache, layout, visibility, barrier, device; totals sum to E2E exactly
+	Stages  []Stage       // cache, layout, barrier, device; totals sum to E2E exactly
 	PerRead []ReadPath    // sorted by ID
 
 	// Opens by outcome: served from a file delegation, asked the MDS, asked
@@ -85,17 +84,15 @@ func AnalyzeReads(spans []Span) *ReadBreakdown {
 		switch s.Name {
 		case SpanReadLayout:
 			p.Layout += s.Duration()
-		case SpanReadVisibility:
-			p.Visibility += s.Duration()
 		case SpanReadBarrier:
 			p.Barrier += s.Duration()
 		case SpanReadDevice:
 			p.Device += s.Duration()
 		}
 	}
-	b.Stages = []Stage{{Name: "cache"}, {Name: "layout"}, {Name: "visibility"}, {Name: "barrier"}, {Name: "device"}}
+	b.Stages = []Stage{{Name: "cache"}, {Name: "layout"}, {Name: "barrier"}, {Name: "device"}}
 	for _, p := range reads {
-		p.Cache = p.E2E - p.Layout - p.Visibility - p.Barrier - p.Device
+		p.Cache = p.E2E - p.Layout - p.Barrier - p.Device
 		b.PerRead = append(b.PerRead, *p)
 	}
 	sort.Slice(b.PerRead, func(i, j int) bool { return b.PerRead[i].ID < b.PerRead[j].ID })
@@ -104,9 +101,8 @@ func AnalyzeReads(spans []Span) *ReadBreakdown {
 		b.E2E += p.E2E
 		addStage(&b.Stages[0], p.Cache)
 		addStage(&b.Stages[1], p.Layout)
-		addStage(&b.Stages[2], p.Visibility)
-		addStage(&b.Stages[3], p.Barrier)
-		addStage(&b.Stages[4], p.Device)
+		addStage(&b.Stages[2], p.Barrier)
+		addStage(&b.Stages[3], p.Device)
 	}
 	return b
 }

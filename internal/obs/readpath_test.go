@@ -21,8 +21,8 @@ func TestAnalyzeReadsLegSumExact(t *testing.T) {
 		leg(2, SpanReadBarrier, 151, 160),
 		leg(2, SpanReadDevice, 165, 290),
 		root(2, 100, 300),
-		// Read 3: a conflict read through the early-visibility probe.
-		leg(3, SpanReadVisibility, 401, 440),
+		// Read 3: a conflict read once the writer's commit has landed.
+		leg(3, SpanReadLayout, 401, 440),
 		leg(3, SpanReadDevice, 445, 480),
 		root(3, 400, 500),
 		// A leg whose root the ring has evicted: skipped.
@@ -40,19 +40,19 @@ func TestAnalyzeReadsLegSumExact(t *testing.T) {
 	if b.Reads != 3 || len(b.PerRead) != 3 || b.PerRead[0].ID != 1 || b.PerRead[2].ID != 3 {
 		t.Fatalf("reads = %d, per read %+v", b.Reads, b.PerRead)
 	}
-	if p := b.PerRead[0]; p.E2E != us(7) || p.Cache != us(7) || p.Layout+p.Visibility+p.Barrier+p.Device != 0 {
+	if p := b.PerRead[0]; p.E2E != us(7) || p.Cache != us(7) || p.Layout+p.Barrier+p.Device != 0 {
 		t.Fatalf("cached read = %+v", p)
 	}
-	if p := b.PerRead[1]; p.E2E != us(200) || p.Layout != us(48) || p.Barrier != us(9) || p.Device != us(125) || p.Cache != us(18) || p.Visibility != 0 {
+	if p := b.PerRead[1]; p.E2E != us(200) || p.Layout != us(48) || p.Barrier != us(9) || p.Device != us(125) || p.Cache != us(18) {
 		t.Fatalf("cold read = %+v", p)
 	}
-	if p := b.PerRead[2]; p.E2E != us(100) || p.Visibility != us(39) || p.Device != us(35) || p.Cache != us(26) {
+	if p := b.PerRead[2]; p.E2E != us(100) || p.Layout != us(39) || p.Barrier != 0 || p.Device != us(35) || p.Cache != us(26) {
 		t.Fatalf("conflict read = %+v", p)
 	}
 	// The acceptance criterion: legs sum to e2e exactly, per read and in total.
 	var total time.Duration
 	for _, p := range b.PerRead {
-		if sum := p.Cache + p.Layout + p.Visibility + p.Barrier + p.Device; sum != p.E2E {
+		if sum := p.Cache + p.Layout + p.Barrier + p.Device; sum != p.E2E {
 			t.Fatalf("read %d: legs sum to %v, e2e %v", p.ID, sum, p.E2E)
 		}
 	}
@@ -69,7 +69,7 @@ func TestAnalyzeReadsLegSumExact(t *testing.T) {
 		t.Fatalf("hit ratio %v, want 0.5", got)
 	}
 	table := b.Table()
-	for _, want := range []string{"2 hit", "1 miss", "1 recalled", "hit ratio 0.500", "3 reads", "cache", "visibility", "e2e"} {
+	for _, want := range []string{"2 hit", "1 miss", "1 recalled", "hit ratio 0.500", "3 reads", "cache", "barrier", "e2e"} {
 		if !strings.Contains(table, want) {
 			t.Fatalf("table lacks %q:\n%s", want, table)
 		}

@@ -43,11 +43,11 @@ const (
 
 // The protocol version. Every client says hello to every shard at mount and
 // offers ProtoLatest; the MDS refuses an offer below ProtoV5 and answers a
-// higher one with ProtoLatest. An owner that never said hello gets
-// committed-only layouts and no delegations.
+// higher one with ProtoLatest. An owner that never said hello gets no
+// delegations.
 const (
-	// ProtoV5 is the one protocol this tree speaks: layout flags (early
-	// visibility of uncommitted extents), the shard coordinates in the hello
+	// ProtoV5 is the one protocol this tree speaks: the layout flags byte,
+	// the shard coordinates in the hello
 	// reply and the cross-shard ops, trace contexts on commit and namespace
 	// requests, and exclusive per-file delegations (DelegCtx, the grant and
 	// recalls on AttrResp, OpDelegAck).
@@ -366,9 +366,9 @@ type LayoutGetReq struct {
 	File  meta.FileID
 	Off   int64
 	Len   int64
-	// Flags asks for a write allocation (meta.LayoutWrite, bit 0) and for
-	// uncommitted extents (meta.LayoutWantUncommitted), which the MDS
-	// honours only for an owner whose hello it accepted.
+	// Flags asks for a write allocation (meta.LayoutWrite, bit 0). Bit 1
+	// once asked for other clients' uncommitted extents; it is reserved and
+	// never reused, and the MDS ignores it like every other bit.
 	Flags meta.LayoutFlags
 }
 

@@ -80,7 +80,7 @@ func TestLayoutRoundTrip(t *testing.T) {
 }
 
 func TestLayoutGetReqRoundTrip(t *testing.T) {
-	for _, flags := range []meta.LayoutFlags{0, meta.LayoutWrite, meta.LayoutWantUncommitted, meta.LayoutWrite | meta.LayoutWantUncommitted} {
+	for _, flags := range []meta.LayoutFlags{0, meta.LayoutWrite, 0x02, 0xFF} {
 		in := &LayoutGetReq{Owner: "c9", File: 11, Off: 100, Len: 200, Flags: flags}
 		var out LayoutGetReq
 		roundTrip(t, in, &out)

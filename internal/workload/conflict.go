@@ -44,11 +44,10 @@ func (r ConflictResult) MaxLatency() time.Duration {
 // rank blocks are written through the writer mount in BT's interleaved
 // order, and after each block a reader on a different mount polls until it
 // observes the block's marker bytes. The poll re-opens the file each probe —
-// the attr fetch plus layout probe a cold conflict reader performs — so the
-// loop works identically whether visibility arrives with the writer's commit
-// (committed-only) or already at intent publication (early visibility); only
-// the measured latency differs. There is no drain between write and poll:
-// the commit pipeline races the reader, which is the point.
+// the attr fetch plus layout probe a cold conflict reader performs — so each
+// latency is how long the writer's commit took to land after its WriteAt
+// returned. There is no drain between write and poll: the commit pipeline
+// races the reader, which is the point.
 func RunBTConflict(writer, reader fsapi.FileSystem, clk clock.Clock, spec BTSpec) (ConflictResult, error) {
 	if clk == nil {
 		clk = clock.Real(1)

@@ -55,27 +55,17 @@ var (
 // Layout protocol types, re-exported so tooling outside the module's
 // internal packages has one public entry point to the extent map.
 type (
-	// LayoutFlags selects what a layout lookup returns (and whether it
-	// allocates).
-	LayoutFlags = meta.LayoutFlags
 	// ExtentState is an extent's commit status.
 	ExtentState = meta.ExtentState
 	// Extent is one <file offset, length, device, volume offset, state>
 	// mapping.
 	Extent = meta.Extent
-	// Layout is the extent collection covering a file range, plus the
-	// visible end published by write intents.
+	// Layout is the extent collection covering a file range.
 	Layout = meta.Layout
 )
 
-// Layout lookup flags and extent states.
+// Extent states.
 const (
-	// LayoutWrite allocates backing space for the range (a write layout).
-	LayoutWrite = meta.LayoutWrite
-	// LayoutWantUncommitted additionally returns other clients'
-	// published-but-uncommitted write intents — the early-visibility view.
-	LayoutWantUncommitted = meta.LayoutWantUncommitted
-
 	// StateUncommitted marks an extent whose commit has not landed yet.
 	StateUncommitted = meta.StateUncommitted
 	// StateCommitted marks a durably committed extent.
@@ -97,10 +87,12 @@ type Config struct {
 	// Clients is the number of mounted clients (default 1; the paper's
 	// testbed uses 7).
 	Clients int
-	// Mode selects synchronous or delayed commit (default DelayedCommit).
+	// Mode selects synchronous or delayed commit. The zero value is
+	// SyncCommit, original Redbud.
 	Mode Mode
 	// SpaceDelegation enables the per-client double-space-pool with the
-	// given chunk size; 0 disables delegation. The paper uses 16 MiB.
+	// given chunk size; 0 disables delegation. The paper uses 16 MiB. It
+	// needs DelayedCommit: New refuses it with SyncCommit.
 	SpaceDelegation int64
 	// TimeScale compresses simulated time: 0.02 runs the cluster's virtual
 	// clocks 50x faster than wall time. Default 1 (real time) — all
@@ -115,14 +107,6 @@ type Config struct {
 	// FastDevices swaps the realistic 2012-era HDD model for a light one,
 	// for functional use where latency realism is not wanted.
 	FastDevices bool
-	// EarlyVisibility lets clients read other writers' durable-but-
-	// uncommitted extents through the layout intent path instead of
-	// stalling conflict reads until the writer's delayed commit lands.
-	// Intents are published when the MDS allocates, so the knob shows its
-	// effect with SpaceDelegation off (a delegated writer allocates
-	// locally and discloses extents only at commit). For the same reason
-	// clients then allocate at the write instead of write-behind.
-	EarlyVisibility bool
 	// Shards partitions the metadata namespace across this many MDS
 	// instances (default 1). Each shard is a complete metadata authority
 	// with its own journal; clients route per inode by the hash partition
@@ -140,6 +124,9 @@ type Cluster struct {
 
 // New assembles and starts a cluster.
 func New(cfg Config) (*Cluster, error) {
+	if cfg.Mode == SyncCommit && cfg.SpaceDelegation > 0 {
+		return nil, fmt.Errorf("redbud: SpaceDelegation needs Mode DelayedCommit")
+	}
 	opt := bench.DefaultOptions()
 	if cfg.Clients > 0 {
 		opt.Clients = cfg.Clients
@@ -162,7 +149,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	opt.CompoundDegree = cfg.CompoundDegree
 	opt.DelegationChunk = cfg.SpaceDelegation
-	opt.EarlyVisibility = cfg.EarlyVisibility
 	opt.Shards = cfg.Shards
 	if cfg.FastDevices {
 		opt.Disk = blockdev.FastHDD()
@@ -191,15 +177,9 @@ func (c *Cluster) Client(i int) *client.Client { return c.inner.Redbud[i] }
 // Drain blocks until every pending delayed commit has been applied.
 func (c *Cluster) Drain() { c.inner.Drain() }
 
-// FileLayout resolves path on the metadata server and returns the extent
-// layout of [off, off+n). Flags follow the layout protocol: 0 is the
-// committed-only view; LayoutWantUncommitted additionally returns published
-// write intents with State == StateUncommitted and sets the layout's
-// VisibleEnd. It never allocates — LayoutWrite is rejected.
-func (c *Cluster) FileLayout(path string, off, n int64, flags LayoutFlags) (Layout, error) {
-	if flags&LayoutWrite != 0 {
-		return Layout{}, fmt.Errorf("redbud: FileLayout is read-only; LayoutWrite not allowed")
-	}
+// FileLayout resolves path on the metadata server and returns the committed
+// extent layout of [off, off+n). It never allocates.
+func (c *Cluster) FileLayout(path string, off, n int64) (Layout, error) {
 	// Dirents live on the parent's home shard and layouts on the file's, so
 	// every step routes by the hash partition (with one shard both stores
 	// collapse to the single authority).
@@ -215,7 +195,7 @@ func (c *Cluster) FileLayout(path string, off, n int64, flags LayoutFlags) (Layo
 		}
 		id = attr.ID
 	}
-	return stores[meta.ShardOf(id, len(stores))].GetLayout(id, off, n, flags)
+	return stores[meta.ShardOf(id, len(stores))].GetLayout(id, off, n)
 }
 
 // Stats summarizes cluster-wide activity.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"redbud/internal/bench"
 )
 
 func fastCluster(t *testing.T, cfg Config) *Cluster {
@@ -97,6 +99,21 @@ func TestBadTimeScaleRejected(t *testing.T) {
 	}
 }
 
+// TestConfigModeDefault: the zero Mode is SyncCommit, so a zero Config mounts
+// original Redbud, and space delegation without delayed commit is refused
+// instead of silently dropped.
+func TestConfigModeDefault(t *testing.T) {
+	if sys := fastCluster(t, Config{}).inner.System; sys != bench.SysRedbud {
+		t.Fatalf("zero Config built %s, want %s", sys, bench.SysRedbud)
+	}
+	if _, err := New(Config{SpaceDelegation: 1 << 20, FastDevices: true}); err == nil {
+		t.Fatal("SpaceDelegation with SyncCommit accepted")
+	}
+	if sys := fastCluster(t, Config{Mode: DelayedCommit, SpaceDelegation: 1 << 20}).inner.System; sys != bench.SysRedbudDCSD {
+		t.Fatalf("DelayedCommit with SpaceDelegation built %s, want %s", sys, bench.SysRedbudDCSD)
+	}
+}
+
 // TestShardedClusterFlow drives a 4-shard cluster through the public API:
 // directories and files land on different shards (32 names make that a
 // statistical certainty), cross-shard creates run the two-phase intent
@@ -143,7 +160,7 @@ func TestShardedClusterFlow(t *testing.T) {
 			if err := g.Close(); err != nil {
 				t.Fatal(err)
 			}
-			lay, err := c.FileLayout(path, 0, int64(len(msg)), 0)
+			lay, err := c.FileLayout(path, 0, int64(len(msg)))
 			if err != nil {
 				t.Fatalf("%s: layout: %v", path, err)
 			}
