@@ -12,9 +12,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"redbud/internal/bench"
+	"redbud/internal/iotrace"
 )
 
 func main() {
@@ -42,35 +42,21 @@ func main() {
 	}
 	bench.PrintFig5(os.Stdout, panels)
 	for _, p := range panels {
-		name := fmt.Sprintf("seeks-%s-%s.csv", p.System, sizeLabel(p.FileSize))
+		name := fmt.Sprintf("seeks-%s-%s.csv", p.System, bench.SizeLabel(p.FileSize))
 		path := filepath.Join(*out, name)
 		f, err := os.Create(path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := writeCSV(f, p); err != nil {
+		err = iotrace.WriteCSV(f, p.Series)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		f.Close()
 		fmt.Println("wrote", path)
 	}
-}
-
-func writeCSV(f *os.File, p bench.Fig5Panel) error {
-	var sb strings.Builder
-	sb.WriteString("t_us,offset,seek\n")
-	for _, pt := range p.Series {
-		fmt.Fprintf(&sb, "%d,%d,%d\n", pt.T.Microseconds(), pt.Offset, pt.Seek)
-	}
-	_, err := f.WriteString(sb.String())
-	return err
-}
-
-func sizeLabel(n int64) string {
-	if n >= 1<<20 {
-		return fmt.Sprintf("%dMB", n>>20)
-	}
-	return fmt.Sprintf("%dKB", n>>10)
 }

@@ -53,6 +53,42 @@ func TestRunDistributedAggregates(t *testing.T) {
 	}
 }
 
+// TestRunDistributedWindowExcludesPrefill: the data devices' counters and the
+// blktrace recorder count only the measured window. Each client prefills 40
+// files a thread and then creates two, so under delayed commit the prefill's
+// deferred writes would dwarf the window's if they leaked into it; the
+// final drain is inside it.
+func TestRunDistributedWindowExcludesPrefill(t *testing.T) {
+	opt := TestOptions()
+	opt.Clients = 2
+	opt.Trace = true
+	c := Build(SysRedbudDC, opt)
+	defer c.Close()
+	spec := workload.Xcdn(32<<10, 1)
+	spec.Threads = 2
+	spec.PrefillPerThread = 40
+	spec.OpsPerThread = 2
+	spec.Mix = []workload.OpWeight{{Kind: workload.OpCreateWrite, Weight: 1}}
+	res, err := RunDistributed(c, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(opt.Clients*spec.Threads*spec.OpsPerThread) * spec.FileSize.Mean
+	if res.Errors > 0 || res.BytesWritten != want {
+		t.Fatalf("%d errors, %d bytes written, want 0 and %d", res.Errors, res.BytesWritten, want)
+	}
+	if st := c.DeviceStats(); st.BytesWrite != want || st.BytesRead != 0 {
+		t.Fatalf("devices wrote %d and read %d bytes in the window, want %d and 0", st.BytesWrite, st.BytesRead, want)
+	}
+	var traced int64
+	for _, e := range c.Rec.Events() {
+		traced += e.Length
+	}
+	if traced != want {
+		t.Fatalf("blktrace saw %d bytes dispatched in the window, want %d", traced, want)
+	}
+}
+
 func TestSystemStrings(t *testing.T) {
 	for _, sys := range []System{SysPVFS2, SysNFS3, SysRedbud, SysRedbudDC, SysRedbudDCSD} {
 		if sys.String() == "?" {
@@ -219,7 +255,7 @@ func TestFig5Panels(t *testing.T) {
 	}
 	for _, p := range panels {
 		if len(p.Series) == 0 {
-			t.Errorf("%v/%s: empty seek series", p.System, sizeLabel(p.FileSize))
+			t.Errorf("%v/%s: empty seek series", p.System, SizeLabel(p.FileSize))
 		}
 	}
 }

@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -683,49 +684,62 @@ func buildPVFS2(opt Options, clk clock.Clock) *Cluster {
 }
 
 // RunDistributed runs the spec on every mount concurrently (each client gets
-// a private namespace and seed) and aggregates: ops and bytes summed,
-// duration = the longest client run (the cluster-level completion time).
+// a private namespace and seed) and aggregates: ops and bytes summed, the
+// duration that of the measured window. It owns the window's edges: every
+// mount prefills, the cluster drains, and the data devices' counters and the
+// blktrace recorder restart before the window opens, so they count only the
+// measured phase. The final drain is inside the window: delayed commit must
+// not get credit for work it simply deferred past the finish line.
 func RunDistributed(c *Cluster, spec workload.Spec) (workload.Result, error) {
-	results := make([]workload.Result, len(c.Mounts))
-	errs := make([]error, len(c.Mounts))
-	var wg sync.WaitGroup
-	for i, m := range c.Mounts {
-		wg.Add(1)
-		s := spec
-		s.Name = fmt.Sprintf("%s-c%d", spec.Name, i)
-		s.Seed = spec.Seed + int64(i)*1000003
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = workload.Run(m, c.Clock, s)
-		}()
+	specs := make([]workload.Spec, len(c.Mounts))
+	for i := range specs {
+		specs[i] = spec
+		specs[i].Name = fmt.Sprintf("%s-c%d", spec.Name, i)
+		specs[i].Seed = spec.Seed + int64(i)*1000003
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return workload.Result{}, err
+	onEveryMount := func(f func(i int) error) error {
+		errs := make([]error, len(c.Mounts))
+		var wg sync.WaitGroup
+		for i := range c.Mounts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = f(i)
+			}()
 		}
+		wg.Wait()
+		return errors.Join(errs...)
 	}
-	// Include the drain in the measured window: delayed commit must not
-	// get credit for work it simply deferred past the finish line.
-	start := c.Clock.Now()
+	if err := onEveryMount(func(i int) error { return workload.Prefill(c.Mounts[i], specs[i]) }); err != nil {
+		return workload.Result{}, fmt.Errorf("prefill: %w", err)
+	}
 	c.Drain()
-	drain := c.Clock.Since(start)
+	c.ResetDeviceStats()
+	if c.Rec != nil {
+		c.Rec.Reset()
+	}
 
-	agg := workload.Result{Name: spec.Name}
+	results := make([]workload.Result, len(c.Mounts))
+	start := c.Clock.Now()
+	err := onEveryMount(func(i int) (err error) {
+		results[i], err = workload.Measure(c.Mounts[i], c.Clock, specs[i])
+		return err
+	})
+	if err != nil {
+		return workload.Result{}, err
+	}
+	c.Drain()
+	agg := workload.Result{Name: spec.Name, Duration: c.Clock.Since(start)}
 	for _, r := range results {
 		agg.Ops += r.Ops
 		agg.Errors += r.Errors
 		agg.BytesWritten += r.BytesWritten
 		agg.BytesRead += r.BytesRead
-		if r.Duration > agg.Duration {
-			agg.Duration = r.Duration
-		}
 		for k := range agg.Latency {
 			agg.Latency[k].Count += r.Latency[k].Count
 			agg.Latency[k].Total += r.Latency[k].Total
 		}
 	}
-	agg.Duration += drain
 	return agg, nil
 }
 

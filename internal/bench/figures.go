@@ -149,17 +149,16 @@ func PrintFig4(w io.Writer, rows []Fig4Row) {
 	fmt.Fprintf(w, "%-10s %16s %16s %18s\n", "file size", "original", "delayed-commit", "space-delegation")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s %16.3f %16.3f %18.3f\n",
-			sizeLabel(r.FileSize), r.Ratio[SysRedbud], r.Ratio[SysRedbudDC], r.Ratio[SysRedbudDCSD])
+			SizeLabel(r.FileSize), r.Ratio[SysRedbud], r.Ratio[SysRedbudDC], r.Ratio[SysRedbudDCSD])
 	}
 }
 
-func sizeLabel(n int64) string {
-	switch {
-	case n >= 1<<20:
+// SizeLabel names a file size the way the figures label it: "32KB", "1MB".
+func SizeLabel(n int64) string {
+	if n >= 1<<20 {
 		return fmt.Sprintf("%dMB", n>>20)
-	default:
-		return fmt.Sprintf("%dKB", n>>10)
 	}
+	return fmt.Sprintf("%dKB", n>>10)
 }
 
 // ---------------------------------------------------------------------------
@@ -209,7 +208,7 @@ func PrintFig5(w io.Writer, panels []Fig5Panel) {
 			perDisp = float64(p.Summary.Seeks) / float64(p.Summary.Dispatches)
 		}
 		fmt.Fprintf(w, "%-14s %-10s %10d %10d %12.3f %14.2f\n",
-			p.System, sizeLabel(p.FileSize), p.Summary.Dispatches, p.Summary.Seeks,
+			p.System, SizeLabel(p.FileSize), p.Summary.Dispatches, p.Summary.Seeks,
 			perDisp, p.Summary.MeanSeekLen/1e6)
 	}
 }

@@ -335,11 +335,16 @@ func Run(cfg Config) (*Report, error) {
 					cfg.OnOp(i, tid, kind, path, n)
 				}
 			}
-			res, err := workload.Run(cl, clk, spec)
-			if err != nil {
-				// Namespace setup died under faults; count it and move on —
-				// a cleanly failed workload is not an invariant breach.
-				res.Errors++
+			// A set-up or prefill that died under faults is counted and
+			// the measured phase runs anyway: its ops on what the prefill
+			// never made fail as op errors, and a cleanly failed op is not
+			// an invariant breach.
+			perr := workload.Prefill(cl, spec)
+			res, err := workload.Measure(cl, clk, spec)
+			for _, e := range []error{perr, err} {
+				if e != nil {
+					res.Errors++
+				}
 			}
 			rep.Results[i] = res
 		}()

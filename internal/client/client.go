@@ -17,9 +17,11 @@
 package client
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -632,13 +634,17 @@ func (c *Client) commitBatch(ids []meta.FileID) {
 		}
 	}
 	if len(c.links) > 1 {
-		byShard := make(map[int][]builtCommit)
+		// Shard by shard, in shard order: each group is a blocking round
+		// trip, so the order they leave in is the order the shards see them.
+		byShard := make([][]builtCommit, len(c.links))
 		for _, bc := range built {
 			s := c.shardOf(bc.fs.id)
 			byShard[s] = append(byShard[s], bc)
 		}
 		for _, group := range byShard {
-			c.sendCommitGroup(group)
+			if len(group) > 0 {
+				c.sendCommitGroup(group)
+			}
 		}
 		return
 	}
@@ -913,10 +919,7 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.dropShardDelegsLocked(-1, false)
-	files := make([]*fileState, 0, len(c.files))
-	for _, fs := range c.files {
-		files = append(files, fs)
-	}
+	files := c.sortedFilesLocked(-1)
 	c.mu.Unlock()
 
 	firstErr := c.drainFiles(files)
@@ -970,16 +973,29 @@ func (c *Client) Crash() {
 // background pool would use.
 func (c *Client) Drain() error {
 	c.mu.Lock()
-	files := make([]*fileState, 0, len(c.files))
-	for _, fs := range c.files {
-		files = append(files, fs)
-	}
+	files := c.sortedFilesLocked(-1)
 	c.mu.Unlock()
 
 	return c.drainFiles(files)
 }
 
-// drainFiles commits the given files with bounded parallelism.
+// sortedFilesLocked lists the files homed on shard (every file when shard is
+// negative) in FileID order. Whatever sends work for many files walks this
+// list, never c.files itself: a map's order changes from run to run, and with
+// it the order their commits reach a shared daemon and device. Caller holds
+// c.mu.
+func (c *Client) sortedFilesLocked(shard int) []*fileState {
+	files := make([]*fileState, 0, len(c.files))
+	for _, fs := range c.files {
+		if shard < 0 || c.shardOf(fs.id) == shard {
+			files = append(files, fs)
+		}
+	}
+	slices.SortFunc(files, func(a, b *fileState) int { return cmp.Compare(a.id, b.id) })
+	return files
+}
+
+// drainFiles commits the given files, in order, with bounded parallelism.
 func (c *Client) drainFiles(files []*fileState) error {
 	sem := make(chan struct{}, maxCommitThreads)
 	errc := make(chan error, len(files))

@@ -207,12 +207,7 @@ func (c *Client) reestablish(shard int) {
 		old.Close() // the recovered MDS no longer tracks these spans
 	}
 	c.mu.Lock()
-	files := make([]*fileState, 0, len(c.files))
-	for _, fs := range c.files {
-		if c.shardOf(fs.id) == shard {
-			files = append(files, fs)
-		}
-	}
+	files := c.sortedFilesLocked(shard)
 	c.mu.Unlock()
 	for _, fs := range files {
 		fs.mu.Lock()

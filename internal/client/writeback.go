@@ -384,10 +384,7 @@ func (c *Client) dirtyBytes() int64 {
 // dropAllDeferred empties every file's write-behind list (Crash).
 func (c *Client) dropAllDeferred() {
 	c.mu.Lock()
-	files := make([]*fileState, 0, len(c.files))
-	for _, fs := range c.files {
-		files = append(files, fs)
-	}
+	files := c.sortedFilesLocked(-1)
 	c.mu.Unlock()
 	for _, fs := range files {
 		fs.mu.Lock()

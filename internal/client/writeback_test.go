@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,6 +37,7 @@ type opGate struct {
 	lose       map[uint16]int           // replies of an op still to be lost on the way back
 	holdReply  map[uint16]chan struct{} // replies of an op parked on the way back
 	layoutGets []proto.LayoutGetReq
+	commits    []meta.FileID  // the file of every OpCommit, in arrival order
 	forwarded  map[uint16]int // requests answered by the upstream, per op
 	// arrived gets the op of every request that reached a held gate. The
 	// buffer only keeps the proxy's daemons from blocking on a test that
@@ -53,6 +55,12 @@ func (g *opGate) handle(op uint16, body []byte) ([]byte, error) {
 			if hold == nil {
 				hold = g.holdWrites
 			}
+		}
+	}
+	if op == proto.OpCommit {
+		var req proto.CommitReq
+		if err := wire.Decode(body, &req); err == nil {
+			g.commits = append(g.commits, req.File)
 		}
 	}
 	g.mu.Unlock()
@@ -202,6 +210,12 @@ func (g *opGate) writeLayoutGets() []proto.LayoutGetReq {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return append([]proto.LayoutGetReq(nil), g.layoutGets...)
+}
+
+func (g *opGate) committedFiles() []meta.FileID {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]meta.FileID(nil), g.commits...)
 }
 
 // waitArrival blocks until a request of op is parked at a held gate.
@@ -709,6 +723,74 @@ func TestCompoundCommitOfRemovedFiles(t *testing.T) {
 	gc.assertOrdered()
 }
 
+// TestDrainAndCloseCommitInFileIDOrder: Drain and Close hand their files to
+// the commit threads in FileID order, so the commits that reach the MDS
+// first are those of the lowest ids, and each one after is the next id. The
+// one commit daemon stays parked on another file's commit, held at the gate
+// apart from the rest, so only the drain sends commits.
+func TestDrainAndCloseCommitInFileIDOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		finish func(*Client) error
+	}{
+		{"Drain", (*Client).Drain},
+		{"Close", (*Client).Close},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gc := newGatedCluster(t)
+			c := gc.mount(DelayedCommit, func(_ string, cfg *Config) { cfg.FixedCommitThreads = 1 })
+			if tc.name != "Close" {
+				defer c.Close()
+			}
+			releasePark := sync.OnceFunc(gc.gate.holdOp(proto.OpCommit))
+			defer releasePark()
+			park := mustCreate(t, c, "/park")
+			mustWrite(t, park, pattern(PageSize, 1), 0)
+			gc.gate.waitArrival(t, proto.OpCommit)
+			release := sync.OnceFunc(gc.gate.holdOp(proto.OpCommit)) // the drain's commits park apart
+			defer release()
+
+			const n = 20
+			ids := make([]meta.FileID, n)
+			for i := range ids {
+				f := mustCreate(t, c, fmt.Sprintf("/f%02d", i))
+				mustWrite(t, f, pattern(PageSize, byte(i)), 0)
+				ids[i] = f.(*File).fs.id
+			}
+			slices.Sort(ids)
+			eventually(t, "the written-behind data to be durable", func() bool { return c.dirtyBytes() == 0 })
+
+			done := make(chan error, 1)
+			go func() { done <- tc.finish(c) }()
+			// /park has the lowest id and waits for the daemon's commit, so
+			// it holds one of the maxCommitThreads slots throughout.
+			first := maxCommitThreads - 1
+			for range first {
+				gc.gate.waitArrival(t, proto.OpCommit)
+			}
+			got := gc.gate.committedFiles()[1:]
+			slices.Sort(got)
+			if !slices.Equal(got, ids[:first]) {
+				t.Fatalf("first %d commits were of files %v, want the lowest ids %v", first, got, ids[:first])
+			}
+			for i := first; i < n; i++ {
+				gc.gate.passOne(proto.OpCommit)
+				gc.gate.waitArrival(t, proto.OpCommit)
+				all := gc.gate.committedFiles()
+				if got := all[len(all)-1]; got != ids[i] {
+					t.Fatalf("commit %d was of file %d, want %d (ids %v)", i+1, got, ids[i], ids)
+				}
+			}
+			release()
+			releasePark()
+			if err := <-done; err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			gc.assertOrdered()
+		})
+	}
+}
+
 // TestSyncWriteOfRemovedFile: a sync-mode write whose commit finds the file
 // removed by another client meanwhile succeeds, its data dropped as the
 // commit's would be.
@@ -833,7 +915,7 @@ func TestCrashDropsWriteBehind(t *testing.T) {
 	returns(t, "Crash", c.Crash)
 	// Crash waits for the write-back routines, so this is already true.
 	c.mu.Lock()
-	for _, fs := range c.files {
+	for _, fs := range c.sortedFilesLocked(-1) {
 		fs.mu.Lock()
 		if fs.flushing || len(fs.deferred) != 0 {
 			t.Errorf("file %d still has write-behind state after Crash", fs.id)

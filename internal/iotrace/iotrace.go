@@ -14,82 +14,41 @@ import (
 )
 
 // Recorder accumulates dispatch events. Attach its Record method as a
-// device's Trace hook. An uncapped Recorder grows without bound — fine for
-// a measured experiment window, wrong for a long-lived process; use
-// NewRecorderCap there.
+// device's Trace hook. It grows without bound: it is meant for one measured
+// experiment window.
 type Recorder struct {
-	mu      sync.Mutex
-	evs     []blockdev.Event
-	cap     int   // 0 = unbounded
-	start   int   // ring read cursor (capped, after wrap)
-	dropped int64 // events evicted by the ring
+	mu  sync.Mutex
+	evs []blockdev.Event
 }
 
-// NewRecorder returns an empty unbounded recorder.
+// NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
-
-// NewRecorderCap returns a recorder retaining at most n events; once full,
-// each new event evicts the oldest and increments the dropped counter. n <= 0
-// means unbounded.
-func NewRecorderCap(n int) *Recorder {
-	if n <= 0 {
-		return &Recorder{}
-	}
-	return &Recorder{cap: n, evs: make([]blockdev.Event, 0, n)}
-}
 
 // Record appends one event; safe for concurrent use.
 func (r *Recorder) Record(e blockdev.Event) {
 	r.mu.Lock()
-	if r.cap > 0 && len(r.evs) == r.cap {
-		r.evs[r.start] = e
-		r.start++
-		if r.start == r.cap {
-			r.start = 0
-		}
-		r.dropped++
-	} else {
-		r.evs = append(r.evs, e)
-	}
+	r.evs = append(r.evs, e)
 	r.mu.Unlock()
 }
 
-// Events returns a copy of the retained events in dispatch order (oldest
-// first).
+// Events returns a copy of the recorded events in dispatch order.
 func (r *Recorder) Events() []blockdev.Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]blockdev.Event, 0, len(r.evs))
-	out = append(out, r.evs[r.start:]...)
-	out = append(out, r.evs[:r.start]...)
-	return out
+	return append([]blockdev.Event(nil), r.evs...)
 }
 
-// Len returns the number of retained events.
+// Len returns the number of recorded events.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.evs)
 }
 
-// Dropped returns how many events the ring has evicted (always 0 for an
-// unbounded recorder).
-func (r *Recorder) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Reset discards all recorded events and zeroes the dropped counter.
+// Reset discards all recorded events.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
-	if r.cap > 0 {
-		r.evs = r.evs[:0]
-	} else {
-		r.evs = nil
-	}
-	r.start = 0
-	r.dropped = 0
+	r.evs = nil
 	r.mu.Unlock()
 }
 
@@ -150,26 +109,16 @@ func (r *Recorder) Summarize() Summary {
 	return s
 }
 
-// WriteCSV emits the seek series as "t_us,offset,seek" rows, the format the
+// WriteCSV emits a seek series as "t_us,offset,seek" rows, the format the
 // plotting notebook (and cmd/redbud-trace) consumes.
-func (r *Recorder) WriteCSV(w io.Writer) error {
+func WriteCSV(w io.Writer, pts []SeekPoint) error {
 	if _, err := fmt.Fprintln(w, "t_us,offset,seek"); err != nil {
 		return err
 	}
-	for _, p := range r.SeekSeries() {
+	for _, p := range pts {
 		if _, err := fmt.Fprintf(w, "%d,%d,%d\n", p.T.Microseconds(), p.Offset, p.Seek); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// Multi fans one trace hook out to several recorders (e.g. a global recorder
-// plus a per-experiment one).
-func Multi(fns ...blockdev.TraceFunc) blockdev.TraceFunc {
-	return func(e blockdev.Event) {
-		for _, fn := range fns {
-			fn(e)
-		}
-	}
 }

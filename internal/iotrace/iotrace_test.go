@@ -108,7 +108,7 @@ func TestWriteCSV(t *testing.T) {
 	r.Record(ev(0, blockdev.OpWrite, 4096, 100, 4096, 0))
 	r.Record(ev(1500*time.Microsecond, blockdev.OpWrite, 8192, 100, 0, 1))
 	var sb strings.Builder
-	if err := r.WriteCSV(&sb); err != nil {
+	if err := WriteCSV(&sb, r.SeekSeries()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
@@ -120,15 +120,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if lines[2] != "1500,8192,0" {
 		t.Fatalf("row = %q", lines[2])
-	}
-}
-
-func TestMultiFansOut(t *testing.T) {
-	a, b := NewRecorder(), NewRecorder()
-	fn := Multi(a.Record, b.Record)
-	fn(ev(0, blockdev.OpWrite, 0, 1, 0, 0))
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("fan-out failed: %d %d", a.Len(), b.Len())
 	}
 }
 
@@ -150,46 +141,5 @@ func TestAgainstLiveDevice(t *testing.T) {
 	}
 	if int64(sum.Seeks) != s.Seeks {
 		t.Fatalf("trace seeks %d != device %d", sum.Seeks, s.Seeks)
-	}
-}
-
-func TestRecorderCapRing(t *testing.T) {
-	r := NewRecorderCap(4)
-	for i := 0; i < 7; i++ {
-		r.Record(ev(time.Duration(i)*time.Millisecond, blockdev.OpWrite, int64(i)*512, 512, 0, 1))
-	}
-	if r.Len() != 4 || r.Dropped() != 3 {
-		t.Fatalf("Len/Dropped = %d/%d, want 4/3", r.Len(), r.Dropped())
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("Events len = %d, want 4", len(evs))
-	}
-	// Oldest first: events 3..6 survive, in dispatch order.
-	for i, e := range evs {
-		if want := int64(i+3) * 512; e.Offset != want {
-			t.Errorf("event %d offset = %d, want %d", i, e.Offset, want)
-		}
-	}
-	r.Reset()
-	if r.Len() != 0 || r.Dropped() != 0 || len(r.Events()) != 0 {
-		t.Fatal("Reset left state behind")
-	}
-	// The ring stays capped after Reset.
-	for i := 0; i < 5; i++ {
-		r.Record(ev(time.Duration(i)*time.Millisecond, blockdev.OpWrite, int64(i), 512, 0, 1))
-	}
-	if r.Len() != 4 || r.Dropped() != 1 {
-		t.Fatalf("after Reset: Len/Dropped = %d/%d, want 4/1", r.Len(), r.Dropped())
-	}
-}
-
-func TestRecorderCapZeroUnbounded(t *testing.T) {
-	r := NewRecorderCap(0)
-	for i := 0; i < 100; i++ {
-		r.Record(ev(0, blockdev.OpWrite, int64(i), 512, 0, 1))
-	}
-	if r.Len() != 100 || r.Dropped() != 0 {
-		t.Fatalf("unbounded recorder Len/Dropped = %d/%d", r.Len(), r.Dropped())
 	}
 }

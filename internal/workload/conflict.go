@@ -29,17 +29,6 @@ func (r ConflictResult) MeanLatency() time.Duration {
 	return sum / time.Duration(len(r.Latencies))
 }
 
-// MaxLatency is the worst observed time-to-visibility.
-func (r ConflictResult) MaxLatency() time.Duration {
-	var max time.Duration
-	for _, d := range r.Latencies {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // RunBTConflict measures the paper's conflict-read path (§V-C) directly:
 // rank blocks are written through the writer mount in BT's interleaved
 // order, and after each block a reader on a different mount polls until it

@@ -10,6 +10,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -153,11 +154,17 @@ type threadState struct {
 	next  int      // name counter
 }
 
-// Run executes the op-mix engine against fs and reports the measured phase.
+// Run executes the op-mix engine against fs: Prefill, then Measure.
 func Run(fs fsapi.FileSystem, clk clock.Clock, spec Spec) (Result, error) {
-	if clk == nil {
-		clk = clock.Real(1)
+	if err := Prefill(fs, spec); err != nil {
+		return Result{}, err
 	}
+	return Measure(fs, clk, spec)
+}
+
+// withDefaults fills spec's zero fields and returns its mix's total weight,
+// refusing an empty mix.
+func (spec Spec) withDefaults() (Spec, int, error) {
 	if spec.Threads <= 0 {
 		spec.Threads = 1
 	}
@@ -167,23 +174,63 @@ func Run(fs fsapi.FileSystem, clk clock.Clock, spec Spec) (Result, error) {
 	if spec.AppendSize <= 0 {
 		spec.AppendSize = 16 << 10
 	}
-	totalWeight := 0
+	total := 0
 	for _, w := range spec.Mix {
-		totalWeight += w.Weight
+		total += w.Weight
 	}
-	if totalWeight == 0 {
-		return Result{}, fmt.Errorf("workload %s: empty op mix", spec.Name)
+	if total == 0 {
+		return spec, 0, fmt.Errorf("workload %s: empty op mix", spec.Name)
 	}
+	return spec, total, nil
+}
 
+// Prefill is the unmeasured phase: it makes spec's namespace and writes each
+// thread's PrefillPerThread files. A thread writes every file even past a
+// failed one, so the population is as complete as fs allows, and Prefill
+// returns each thread's first error.
+func Prefill(fs fsapi.FileSystem, spec Spec) error {
+	spec, _, err := spec.withDefaults()
+	if err != nil {
+		return err
+	}
 	root := "/" + spec.Name
 	if err := fs.Mkdir(root); err != nil {
-		return Result{}, err
+		return err
 	}
 	for d := 0; d < spec.Dirs; d++ {
 		if err := fs.Mkdir(fmt.Sprintf("%s/d%d", root, d)); err != nil {
-			return Result{}, err
+			return err
 		}
 	}
+	errs := make([]error, spec.Threads)
+	var wg sync.WaitGroup
+	for t := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := threadRNG(spec.Seed, t, false)
+			for i := 0; i < spec.PrefillPerThread; i++ {
+				if err := writeWholeFile(fs, pathFor(root, spec, t, i), spec.FileSize.sample(rng), false); errs[t] == nil {
+					errs[t] = err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// Measure runs spec's measured phase against fs, which Prefill has
+// populated, and reports it.
+func Measure(fs fsapi.FileSystem, clk clock.Clock, spec Spec) (Result, error) {
+	if clk == nil {
+		clk = clock.Real(1)
+	}
+	spec, totalWeight, err := spec.withDefaults()
+	if err != nil {
+		return Result{}, err
+	}
+	root := "/" + spec.Name
 
 	var (
 		ops, errs      stats.Counter
@@ -192,34 +239,32 @@ func Run(fs fsapi.FileSystem, clk clock.Clock, spec Spec) (Result, error) {
 		latTotal       [nOpKinds]stats.Counter
 	)
 
-	worker := func(tid int, measured bool, count int) {
-		ts := &threadState{rng: threadRNG(spec.Seed, tid, measured)}
+	worker := func(tid int) {
+		ts := &threadState{rng: threadRNG(spec.Seed, tid, true)}
 		// Rebuild the thread's view of its prefilled files.
 		for i := 0; i < spec.PrefillPerThread; i++ {
 			ts.files = append(ts.files, pathFor(root, spec, tid, i))
 		}
 		ts.next = spec.PrefillPerThread
 		buf := make([]byte, 0)
-		for i := 0; i < count; i++ {
+		for i := 0; i < spec.OpsPerThread; i++ {
 			kind := pickOp(ts.rng, spec.Mix, totalWeight, ts)
 			start := clk.Now()
 			path, n, err := execOp(fs, clk, spec, root, tid, ts, kind, &buf)
 			el := clk.Since(start)
-			if measured {
-				if spec.OnOp != nil {
-					spec.OnOp(tid, kind, path, n)
-				}
-				ops.Inc()
-				if err != nil {
-					errs.Inc()
-				}
-				latCount[kind].Inc()
-				latTotal[kind].Add(int64(el))
-				if kind == OpRead {
-					bytesR.Add(n)
-				} else {
-					bytesW.Add(n)
-				}
+			if spec.OnOp != nil {
+				spec.OnOp(tid, kind, path, n)
+			}
+			ops.Inc()
+			if err != nil {
+				errs.Inc()
+			}
+			latCount[kind].Inc()
+			latTotal[kind].Add(int64(el))
+			if kind == OpRead {
+				bytesR.Add(n)
+			} else {
+				bytesW.Add(n)
 			}
 			if spec.Think > 0 {
 				clk.Sleep(spec.Think)
@@ -227,28 +272,13 @@ func Run(fs fsapi.FileSystem, clk clock.Clock, spec Spec) (Result, error) {
 		}
 	}
 
-	// Prefill phase (unmeasured): create the initial population.
+	start := clk.Now()
 	var wg sync.WaitGroup
 	for t := 0; t < spec.Threads; t++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ts := &threadState{rng: threadRNG(spec.Seed, t, false)}
-			for i := 0; i < spec.PrefillPerThread; i++ {
-				path := pathFor(root, spec, t, i)
-				writeWholeFile(fs, path, spec.FileSize.sample(ts.rng), false)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Measured phase.
-	start := clk.Now()
-	for t := 0; t < spec.Threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker(t, true, spec.OpsPerThread)
+			worker(t)
 		}()
 	}
 	wg.Wait()

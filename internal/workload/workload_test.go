@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -219,5 +221,48 @@ func TestOpKindStrings(t *testing.T) {
 		if k.String() == "?" {
 			t.Fatalf("kind %d unnamed", k)
 		}
+	}
+}
+
+// refuseNthCreate is a MemFS whose n-th Create fails.
+type refuseNthCreate struct {
+	*fsapi.MemFS
+	mu      sync.Mutex
+	creates int
+	n       int
+}
+
+var errRefused = errors.New("create refused")
+
+func (r *refuseNthCreate) Create(path string) (fsapi.File, error) {
+	r.mu.Lock()
+	r.creates++
+	refuse := r.creates == r.n
+	r.mu.Unlock()
+	if refuse {
+		return nil, errRefused
+	}
+	return r.MemFS.Create(path)
+}
+
+// TestPrefillReturnsItsError: a create the prefill cannot make fails the
+// prefill, and Run with it, before any measured operation runs.
+func TestPrefillReturnsItsError(t *testing.T) {
+	spec := Varmail(7)
+	spec.Threads = 2
+	spec.Think = 0
+	measured := 0
+	spec.OnOp = func(int, OpKind, string, int64) { measured++ }
+	if err := Prefill(&refuseNthCreate{MemFS: fsapi.NewMemFS(), n: 3}, spec); !errors.Is(err, errRefused) {
+		t.Fatalf("Prefill = %v, want the refused create", err)
+	}
+	if _, err := Run(&refuseNthCreate{MemFS: fsapi.NewMemFS(), n: 3}, clock.Real(1), spec); !errors.Is(err, errRefused) {
+		t.Fatalf("Run = %v, want the refused create", err)
+	}
+	if measured != 0 {
+		t.Fatalf("%d measured ops ran after a failed prefill", measured)
+	}
+	if err := Prefill(&refuseNthCreate{MemFS: fsapi.NewMemFS(), n: 1 << 30}, spec); err != nil {
+		t.Fatalf("Prefill with no refusal: %v", err)
 	}
 }
